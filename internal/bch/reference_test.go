@@ -4,10 +4,25 @@ import (
 	"pbs/internal/gf2"
 )
 
-// This file preserves the pre-workspace decode kernel verbatim. It serves
-// two purposes: differential testing (DecodeInto must agree with it on
-// success sets and failures) and the baseline for BenchmarkDecodeKernel's
-// speedup claim.
+// This file preserves the pre-workspace decode kernel, and the multiply path
+// of Add, verbatim. They serve two purposes: differential testing
+// (DecodeInto and the table-driven Add must agree with them) and the
+// baseline for BenchmarkDecodeKernel's speedup claim.
+
+// referenceAdd is the multiply path of Sketch.Add — one windowed field
+// multiplication per syndrome — kept verbatim as the oracle for the
+// table-driven update small fields use.
+func referenceAdd(f *gf2.Field, x uint64, odd []uint64) {
+	xsq := f.Sqr(x)
+	w := f.Window(xsq)
+	p := x
+	for k := range odd {
+		odd[k] ^= p
+		if k+1 < len(odd) {
+			p = w.Mul(p)
+		}
+	}
+}
 
 // referenceDecode is the old Sketch.Decode: allocating Berlekamp–Massey,
 // Horner-evaluation root search, allocating verification pass.

@@ -19,6 +19,8 @@ package bch
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"pbs/internal/gf2"
 	"pbs/internal/wire"
@@ -34,6 +36,67 @@ type Sketch struct {
 	f   *gf2.Field
 	t   int
 	odd []uint64 // odd syndromes σ1, σ3, ..., σ_{2t−1}
+
+	// pow is the shared odd-power table Add reads for small fields, nil
+	// for m > powTableMaxM.
+	pow *powTable
+}
+
+// powTableMaxM is the largest field degree whose odd powers are tabled.
+// PBS parity bitmaps live at m ≤ 11 and encode about half their 2^m − 1
+// positions per group per round, so for them a syndrome update is worth a
+// table row; at 2 bytes an entry the tables stay within a few hundred KiB
+// for every shape the optimizer picks. The wide fields (PinSketch's
+// GF(2^32)) cannot be tabled at all.
+const powTableMaxM = 10
+
+// powTable maps x ∈ [1, 2^m) to its first stride odd powers
+// (x, x³, …, x^(2·stride−1)), stride being the sketch capacity rounded up
+// to a power of two so that sketches of similar capacity share a table and
+// a row stays within a cache line or two.
+type powTable struct {
+	stride int
+	rows   []uint16 // rows[x*stride+k] = x^(2k+1)
+}
+
+// powTables holds the lazily built tables by field degree and log2(stride).
+var powTables [powTableMaxM + 1][powTableMaxM]struct {
+	once sync.Once
+	tab  *powTable
+}
+
+// powTableFor returns the shared table covering capacity t over f, building
+// it on first use.
+func powTableFor(f *gf2.Field, t int) *powTable {
+	lg := bits.Len(uint(t - 1))
+	slot := &powTables[f.M()][lg]
+	slot.once.Do(func() {
+		tab := &powTable{stride: 1 << lg}
+		tab.rows = make([]uint16, (int(f.Order())+1)*tab.stride)
+		row := make([]uint64, tab.stride)
+		for x := uint64(1); x <= f.Order(); x++ {
+			clear(row)
+			addOddPowers(f, x, row)
+			for k, p := range row {
+				tab.rows[int(x)*tab.stride+k] = uint16(p)
+			}
+		}
+		slot.tab = tab
+	})
+	return slot.tab
+}
+
+// addOddPowers XORs x, x³, …, x^(2·len(odd)−1) into odd, one field
+// multiplication per syndrome.
+func addOddPowers(f *gf2.Field, x uint64, odd []uint64) {
+	w := f.Window(f.Sqr(x))
+	p := x
+	for k := range odd {
+		odd[k] ^= p
+		if k+1 < len(odd) {
+			p = w.Mul(p)
+		}
+	}
 }
 
 // New returns an empty sketch over GF(2^m) that can decode up to t set
@@ -50,7 +113,11 @@ func New(m uint, t int) (*Sketch, error) {
 	if uint64(t) > f.Order()/2 {
 		return nil, fmt.Errorf("bch: capacity t=%d too large for field order %d", t, f.Order())
 	}
-	return &Sketch{f: f, t: t, odd: make([]uint64, t)}, nil
+	s := &Sketch{f: f, t: t, odd: make([]uint64, t)}
+	if m <= powTableMaxM {
+		s.pow = powTableFor(f, t)
+	}
+	return s, nil
 }
 
 // MustNew is like New but panics on invalid parameters.
@@ -74,25 +141,26 @@ func (s *Sketch) Bits() int { return s.t * int(s.f.M()) }
 
 // Clone returns an independent copy of s.
 func (s *Sketch) Clone() *Sketch {
-	c := &Sketch{f: s.f, t: s.t, odd: make([]uint64, len(s.odd))}
+	c := &Sketch{f: s.f, t: s.t, odd: make([]uint64, len(s.odd)), pow: s.pow}
 	copy(c.odd, s.odd)
 	return c
 }
 
 // Add toggles element x in the sketched set. It panics if x is zero or out
-// of field range: the caller owns input validation in this hot path.
+// of field range: the caller owns input validation in this hot path. For
+// small fields the update is t XORs of a shared table row.
 func (s *Sketch) Add(x uint64) {
 	if x == 0 || !s.f.Valid(x) {
 		panic(fmt.Sprintf("bch: element %#x out of range for GF(2^%d)", x, s.f.M()))
 	}
-	xsq := s.f.Sqr(x)
-	w := s.f.Window(xsq)
-	p := x
-	for k := 0; k < s.t; k++ {
-		s.odd[k] ^= p
-		if k+1 < s.t {
-			p = w.Mul(p)
-		}
+	if s.pow == nil {
+		addOddPowers(s.f, x, s.odd)
+		return
+	}
+	odd := s.odd
+	row := s.pow.rows[int(x)*s.pow.stride:][:len(odd)]
+	for k, p := range row {
+		odd[k] ^= uint64(p)
 	}
 }
 

@@ -2,10 +2,12 @@ package bch
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"pbs/internal/gf2"
 	"pbs/internal/wire"
 )
 
@@ -288,5 +290,40 @@ func BenchmarkDecodeGF32T20(b *testing.B) {
 		if _, err := s.Clone().Decode(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestAddTableMatchesMultiplyPath checks the table-driven Add against the
+// multiply path for every tabled field, every capacity t ∈ [1, n/2] and
+// every element: the syndromes after adding x to an empty sketch must be
+// x, x³, …, x^(2t−1) as the multiply path computes them.
+func TestAddTableMatchesMultiplyPath(t *testing.T) {
+	for m := uint(2); m <= powTableMaxM; m++ {
+		f := gf2.MustField(m)
+		n := f.Order()
+		tMax := int(n / 2)
+		// Syndrome k does not depend on the capacity, so one multiply-path
+		// run at the largest capacity is the oracle for all of them.
+		want := make([][]uint64, n+1)
+		for x := uint64(1); x <= n; x++ {
+			want[x] = make([]uint64, tMax)
+			referenceAdd(f, x, want[x])
+		}
+		for cap := 1; cap <= tMax; cap++ {
+			s := MustNew(m, cap)
+			if s.pow == nil {
+				t.Fatalf("m=%d t=%d: no power table", m, cap)
+			}
+			for x := uint64(1); x <= n; x++ {
+				s.Reset()
+				s.Add(x)
+				if !slices.Equal(s.odd, want[x][:cap]) {
+					t.Fatalf("m=%d t=%d: Add(%d) syndromes diverge from the multiply path", m, cap, x)
+				}
+			}
+		}
+	}
+	if s := MustNew(powTableMaxM+1, 4); s.pow != nil {
+		t.Fatalf("m=%d is above the table bound but got a table", powTableMaxM+1)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"pbs/internal/bch"
@@ -23,8 +24,14 @@ type Alice struct {
 	active []*aliceScope
 	round  int
 
-	// diff accumulates D̂1 △ D̂2 △ ... — the learned difference.
-	diff map[uint64]struct{}
+	// table is the snapshot's round-one table for this plan's shape, nil
+	// when the shape is over the snapshot's budget: round 1 then reads each
+	// group's bin sums, parities and checksum from it instead of folding.
+	table *foldTable
+
+	// learned holds the verified scopes' share of the difference
+	// D̂1 △ D̂2 △ ...; the rest of it is the active scopes' over layers.
+	learned []uint64
 
 	// onDelta, when set, is invoked at the end of each AbsorbReply with the
 	// elements of every scope that passed checksum verification in that
@@ -40,52 +47,76 @@ type Alice struct {
 	// Adaptive per-round re-planning (negotiated; see EnableAdaptive).
 	// curM/curT are the parameters of the round currently in flight; they
 	// start at the plan's values and, from round 2 on, are re-chosen per
-	// round from the Markov occupancy model. skM/skT track the shape the
-	// sketch scratch was built for.
+	// round from the Markov occupancy model.
 	adaptive bool
 	curM     uint
 	curT     int
-	skM      uint
-	skT      int
 	replans  int
 
 	encodeTime time.Duration // time spent building bitmaps and codewords
 	decodeTime time.Duration // time spent recovering and verifying elements
 
-	// Reusable hot-path scratch: steady-state rounds reuse these instead
-	// of allocating. sketches holds one codeword sketch per active-scope
-	// index, reset each round; parity is per-worker bitmap scratch;
-	// sumsPool is a free list for the per-scope bin XOR-sum buffers that
-	// live on scopes between BuildRound and AbsorbReply; durs is the
-	// per-worker timing scratch.
+	// scr is the scratch of the round exchange in flight, nil between
+	// exchanges (see aliceScratch).
+	scr *aliceScratch
+}
+
+// aliceScratch is the reusable hot-path scratch of one round exchange.
+// BuildRound draws it from a process-wide pool and the matching AbsorbReply
+// hands it back once the round has merged, so steady-state rounds — of this
+// session or of the next — reuse these buffers instead of allocating.
+// sketches holds one codeword sketch per active-scope index, reset each
+// round, built for shape (skM, skT); parity is per-worker bitmap scratch;
+// sumsPool is a free list for the per-scope bin XOR-sum buffers that live on
+// scopes between BuildRound and AbsorbReply; durs is the per-worker timing
+// scratch; parsed, outcomes and errs are AbsorbReply's per-scope slots.
+type aliceScratch struct {
 	sketches []*bch.Sketch
+	skM      uint
+	skT      int
 	parity   [][]bool
 	sumsPool [][]uint64
 	durs     []time.Duration
 	parsed   []aliceParsedScope
 	outcomes []aliceScopeOutcome
+	errs     scopeErrors
 }
+
+var aliceScratchPool = sync.Pool{New: func() any { return new(aliceScratch) }}
 
 // getSums pops a zeroed bin-sum buffer (1-based, n+1 slots) off the free
 // list, or allocates one. Wrong-sized buffers (left over from a round with
-// a different adaptive bitmap size) are discarded.
-func (a *Alice) getSums(n uint64) []uint64 {
-	for len(a.sumsPool) > 0 {
-		s := a.sumsPool[len(a.sumsPool)-1]
-		a.sumsPool = a.sumsPool[:len(a.sumsPool)-1]
-		if uint64(len(s)) == n+1 {
-			clear(s)
-			return s
+// another bitmap size) are discarded.
+func (s *aliceScratch) getSums(n uint64) []uint64 {
+	for len(s.sumsPool) > 0 {
+		b := s.sumsPool[len(s.sumsPool)-1]
+		s.sumsPool = s.sumsPool[:len(s.sumsPool)-1]
+		if uint64(len(b)) == n+1 {
+			clear(b)
+			return b
 		}
 	}
 	return make([]uint64, n+1)
 }
 
-// putSums returns a buffer to the free list.
-func (a *Alice) putSums(s []uint64) {
-	if s != nil {
-		a.sumsPool = append(a.sumsPool, s)
+// releaseSums detaches the scope's bin sums. A buffer the scratch owns goes
+// back to the free list; a table row is shared with every other session on
+// the snapshot and must never get there, where getSums would clear it.
+func (s *aliceScratch) releaseSums(sc *aliceScope) {
+	if sc.binSums != nil && !sc.sumsShared {
+		s.sumsPool = append(s.sumsPool, sc.binSums)
 	}
+	sc.binSums, sc.sumsShared = nil, false
+}
+
+// roundDurs returns the per-worker timing scratch, zeroed.
+func (s *aliceScratch) roundDurs(nw int) []time.Duration {
+	if cap(s.durs) < nw {
+		s.durs = make([]time.Duration, nw)
+	}
+	s.durs = s.durs[:nw]
+	clear(s.durs)
+	return s.durs
 }
 
 // EncodeTime returns the cumulative time Alice spent encoding (hash
@@ -99,19 +130,23 @@ func (a *Alice) EncodeTime() time.Duration { return a.encodeTime }
 func (a *Alice) DecodeTime() time.Duration { return a.decodeTime }
 
 // aliceScope is Alice's per-scope state: the working set W (initially her
-// group subset, thereafter W △ D̂ after every round, §2.4) plus incremental
-// checksums.
+// group subset, thereafter W △ D̂ after every round, §2.4) plus its
+// incremental checksum. W is an elemSet whose over layer holds what this
+// session has toggled, so it doubles as the scope's contribution to the
+// learned difference: its elements always lie in the scope's sub-universe
+// (acceptRecovered enforces the group and split path), and when the scope
+// verifies it is exactly the scope's share of A△B.
 type aliceScope struct {
 	id       scopeID
-	w        map[uint64]struct{}
+	w        elemSet
 	checksum uint64 // c(W), maintained incrementally
 
-	bobChecksum     uint64
-	haveBobChecksum bool
-
 	// Round-scoped scratch, saved between BuildRound and AbsorbReply.
-	binSums []uint64
-	binSeed uint64
+	// sumsShared marks binSums as a row of the snapshot's round-one table
+	// rather than a buffer of this session's.
+	binSums    []uint64
+	sumsShared bool
+	binSeed    uint64
 
 	// loadHint is the adaptive re-planner's upper estimate of how many
 	// unreconciled distinct elements this scope still holds, set when the
@@ -120,95 +155,53 @@ type aliceScope struct {
 	// the next round back onto the static plan (see replanRound).
 	loadHint   int
 	splitFresh bool
-
-	// pending tracks the scope's contribution to the learned difference —
-	// elements toggled an odd number of times so far. Maintained only when
-	// onDelta is set; when the scope verifies, pending is exactly the
-	// scope's share of A△B and is emitted as that round's delta batch.
-	// Split children inherit the parent's pending partitioned by child hash
-	// (pending elements always lie in the scope's sub-universe, because
-	// acceptRecovered enforces the group and split path).
-	pending map[uint64]struct{}
 }
 
 // NewAlice creates the Alice endpoint for the given set under plan.
-// Elements must be nonzero and fit in plan.SigBits bits.
+// Elements must be nonzero and fit in plan.SigBits bits. It is the
+// single-session path over the same machinery a long-lived set shares: a
+// private Snapshot validated and partitioned for this one plan.
 func NewAlice(set []uint64, plan Plan) (*Alice, error) {
 	if err := plan.validate(); err != nil {
 		return nil, err
 	}
-	a := &Alice{
-		plan:    plan,
-		sd:      deriveSeeds(plan.Seed),
-		sigMask: sigMask(plan.SigBits),
-		diff:    make(map[uint64]struct{}),
-		curM:    plan.M,
-		curT:    plan.T,
-		skM:     plan.M,
-		skT:     plan.T,
+	snap, err := NewSnapshot(set, Config{SigBits: plan.SigBits, Seed: plan.Seed})
+	if err != nil {
+		return nil, err
 	}
-	scopes := make([]*aliceScope, plan.Groups)
-	for g := range scopes {
-		scopes[g] = &aliceScope{
-			id: newScopeID(g),
-			w:  make(map[uint64]struct{}),
-		}
-	}
-	for _, x := range set {
-		if x == 0 || x&^a.sigMask != 0 {
-			return nil, fmt.Errorf("core: element %#x outside %d-bit universe (0 excluded)", x, plan.SigBits)
-		}
-		sc := scopes[a.sd.groupOf(x, plan.Groups)]
-		if _, dup := sc.w[x]; dup {
-			return nil, fmt.Errorf("core: duplicate element %#x", x)
-		}
-		sc.w[x] = struct{}{}
-		sc.checksum = (sc.checksum + x) & a.sigMask
-	}
-	a.active = scopes
-	return a, nil
+	return NewAliceFromSnapshot(snap, plan)
 }
 
 // NewAliceFromSnapshot creates an Alice endpoint over a pre-validated
-// shared Snapshot, skipping the per-session O(|S|) validation pass and
-// reusing the snapshot's cached group partition for plan.Groups — the same
-// amortization NewBobFromSnapshot gives the responder, now available to the
-// side that learns the difference. The plan's Seed and SigBits must match
-// the snapshot's.
+// shared Snapshot. Nothing is copied: every scope starts as the snapshot's
+// group with nothing toggled, and its checksum comes from the round-one
+// table when the snapshot keeps one for the plan's shape. The plan's Seed
+// and SigBits must match the snapshot's.
 func NewAliceFromSnapshot(snap *Snapshot, plan Plan) (*Alice, error) {
-	if err := plan.validate(); err != nil {
+	if err := snap.checkPlan(plan); err != nil {
 		return nil, err
-	}
-	if plan.Seed != snap.seed {
-		return nil, fmt.Errorf("core: plan seed %#x does not match snapshot seed %#x", plan.Seed, snap.seed)
-	}
-	if plan.SigBits != snap.sigBits {
-		return nil, fmt.Errorf("core: plan sigBits %d does not match snapshot sigBits %d", plan.SigBits, snap.sigBits)
 	}
 	a := &Alice{
 		plan:    plan,
-		sd:      deriveSeeds(plan.Seed),
+		sd:      snap.sd,
 		sigMask: sigMask(plan.SigBits),
-		diff:    make(map[uint64]struct{}),
 		curM:    plan.M,
 		curT:    plan.T,
-		skM:     plan.M,
-		skT:     plan.T,
 	}
-	groups := snap.partition(plan.Groups)
-	scopes := make([]*aliceScope, plan.Groups)
+	part := snap.partitionFor(plan)
+	a.table = part.table
+	scopes := make([]aliceScope, plan.Groups)
+	a.active = make([]*aliceScope, plan.Groups)
 	for g := range scopes {
-		sc := &aliceScope{
-			id: newScopeID(g),
-			w:  make(map[uint64]struct{}, len(groups[g])),
+		sc := &scopes[g]
+		sc.id, sc.w = newScopeID(g), part.group(g)
+		if a.table != nil {
+			sc.checksum = a.table.rows[g].checksum
+		} else {
+			sc.checksum = sc.w.checksum(a.sigMask)
 		}
-		for _, x := range groups[g] {
-			sc.w[x] = struct{}{}
-			sc.checksum = (sc.checksum + x) & a.sigMask
-		}
-		scopes[g] = sc
+		a.active[g] = sc
 	}
-	a.active = scopes
 	return a, nil
 }
 
@@ -246,6 +239,10 @@ func (a *Alice) EnableAdaptive() { a.adaptive = true }
 // Replans returns how many rounds were adaptively re-planned away from
 // the static plan's parameters.
 func (a *Alice) Replans() int { return a.replans }
+
+// recoverWork weighs one recovered element — three hashes and as many
+// binary searches — in the folded elements workersFor counts in.
+const recoverWork = 32
 
 // survivorLoad is the load estimate for a scope whose BCH decoding
 // succeeded but whose checksum did not verify: the stragglers are the
@@ -320,9 +317,9 @@ func (a *Alice) SketchesSent() int { return a.sketchesSent }
 // Done() it is exactly A△B (barring the O(2^−sigBits) false-verification
 // event analysed in §2.2.3).
 func (a *Alice) Difference() []uint64 {
-	out := make([]uint64, 0, len(a.diff))
-	for x := range a.diff {
-		out = append(out, x)
+	out := slices.Clone(a.learned)
+	for _, sc := range a.active {
+		out = append(out, sc.w.over...)
 	}
 	return out
 }
@@ -344,44 +341,60 @@ func (a *Alice) BuildRound() ([]byte, error) {
 		a.replanRound()
 	}
 	n := (uint64(1) << a.curM) - 1
-	nw := a.plan.workers()
-	// Grow the long-lived scratch to this round's shape; in steady state
-	// every buffer below is a reuse. An adaptive (m, t) change invalidates
-	// the sketch scratch wholesale.
-	if a.skM != a.curM || a.skT != a.curT {
-		a.sketches = a.sketches[:0]
-		a.skM, a.skT = a.curM, a.curT
+	// Round 1 finds every scope a whole group with nothing toggled yet:
+	// exactly what the round-one table holds.
+	useTable := a.round == 1 && a.table != nil
+	work := len(a.active) * int(n+1)
+	if !useTable {
+		for _, sc := range a.active {
+			work += sc.w.len()
+		}
 	}
-	for len(a.parity) < nw {
-		a.parity = append(a.parity, nil)
+	nw := a.plan.workersFor(work)
+	// Grow the pooled scratch to this round's shape; in steady state every
+	// buffer below is a reuse. A different (m, t) — an adaptive re-plan, or
+	// a previous owner's plan — invalidates the sketch scratch wholesale.
+	if a.scr == nil {
+		a.scr = aliceScratchPool.Get().(*aliceScratch)
 	}
-	for len(a.sketches) < len(a.active) {
-		a.sketches = append(a.sketches, bch.MustNew(a.curM, a.curT))
+	s := a.scr
+	if s.skM != a.curM || s.skT != a.curT {
+		s.sketches = s.sketches[:0]
+		s.skM, s.skT = a.curM, a.curT
+	}
+	for len(s.parity) < nw {
+		s.parity = append(s.parity, nil)
+	}
+	for len(s.sketches) < len(a.active) {
+		s.sketches = append(s.sketches, bch.MustNew(a.curM, a.curT))
 	}
 	for _, sc := range a.active {
-		if sc.binSums != nil && uint64(len(sc.binSums)) != n+1 {
-			sc.binSums = nil // wrong adaptive size; drop, don't pool
-		}
-		if sc.binSums == nil {
-			sc.binSums = a.getSums(n)
+		s.releaseSums(sc) // attached only if the last AbsorbReply failed
+		if useTable {
+			sc.binSums, sc.sumsShared = a.table.rows[sc.id.group].sums, true
 		} else {
-			clear(sc.binSums)
+			sc.binSums = s.getSums(n)
 		}
 	}
-	durs := a.roundDurs(nw)
+	durs := s.roundDurs(nw)
 	forEachScope(nw, len(a.active), func(worker, i int) {
 		t0 := time.Now()
 		sc := a.active[i]
 		sc.binSeed = a.sd.binSeed(sc.id, a.round)
-		parity := a.parity[worker]
-		if uint64(len(parity)) != n+1 {
-			parity = make([]bool, n+1)
-			a.parity[worker] = parity
+		var parity []bool
+		if useTable {
+			parity = a.table.rows[sc.id.group].parity
 		} else {
-			clear(parity)
+			parity = s.parity[worker]
+			if uint64(len(parity)) != n+1 {
+				parity = make([]bool, n+1)
+				s.parity[worker] = parity
+			} else {
+				clear(parity)
+			}
+			sc.w.fold(sc.binSeed, n, sc.binSums, parity)
 		}
-		binFold(sc.w, sc.binSeed, n, sc.binSums, parity)
-		sketch := a.sketches[i]
+		sketch := s.sketches[i]
 		sketch.Reset()
 		for j := uint64(1); j <= n; j++ {
 			if parity[j] {
@@ -407,23 +420,13 @@ func (a *Alice) BuildRound() ([]byte, error) {
 	w.WriteUvarint(uint64(len(a.active)))
 	for i, sc := range a.active {
 		writeScopeID(w, sc.id)
-		a.sketches[i].AppendTo(w)
-		a.payloadBits += a.sketches[i].Bits()
+		s.sketches[i].AppendTo(w)
+		a.payloadBits += s.sketches[i].Bits()
 		a.sketchesSent++
 	}
 	a.awaiting = true
 	a.encodeTime += time.Since(serStart)
 	return w.Bytes(), nil
-}
-
-// roundDurs returns the per-worker timing scratch, zeroed.
-func (a *Alice) roundDurs(nw int) []time.Duration {
-	if cap(a.durs) < nw {
-		a.durs = make([]time.Duration, nw)
-	}
-	a.durs = a.durs[:nw]
-	clear(a.durs)
-	return a.durs
 }
 
 // aliceParsedScope is one scope's slice of Bob's reply, parsed off the
@@ -466,10 +469,11 @@ func (a *Alice) AbsorbReply(reply []byte) error {
 	n := (uint64(1) << a.curM) - 1 // the in-flight round's bitmap size
 	parseStart := time.Now()
 	r := wire.NewReader(reply)
-	if cap(a.parsed) < len(a.active) {
-		a.parsed = make([]aliceParsedScope, len(a.active))
+	scr := a.scr
+	if cap(scr.parsed) < len(a.active) {
+		scr.parsed = make([]aliceParsedScope, len(a.active))
 	}
-	parsed := a.parsed[:len(a.active)]
+	parsed := scr.parsed[:len(a.active)]
 	for i := range a.active {
 		p := &parsed[i]
 		p.positions = p.positions[:0]
@@ -515,13 +519,22 @@ func (a *Alice) AbsorbReply(reply []byte) error {
 	// compute accepted elements, the would-be checksum, and split children
 	// without mutating anything, so an error below leaves the session
 	// exactly as it was (no half-applied round).
-	if cap(a.outcomes) < len(a.active) {
-		a.outcomes = make([]aliceScopeOutcome, len(a.active))
+	if cap(scr.outcomes) < len(a.active) {
+		scr.outcomes = make([]aliceScopeOutcome, len(a.active))
 	}
-	outcomes := a.outcomes[:len(a.active)]
-	errs := newScopeErrors(len(a.active))
-	nw := a.plan.workers()
-	durs := a.roundDurs(nw)
+	outcomes := scr.outcomes[:len(a.active)]
+	errs := &scr.errs
+	errs.reset(len(a.active))
+	work := 0
+	for i, sc := range a.active {
+		if parsed[i].ok {
+			work += len(parsed[i].positions) * recoverWork
+		} else {
+			work += sc.w.len()
+		}
+	}
+	nw := a.plan.workersFor(work)
+	durs := scr.roundDurs(nw)
 	forEachScope(nw, len(a.active), func(worker, i int) {
 		t0 := time.Now()
 		defer func() { durs[worker] += time.Since(t0) }()
@@ -546,8 +559,7 @@ func (a *Alice) AbsorbReply(reply []byte) error {
 			if !a.acceptRecovered(sc, s, pos) {
 				continue
 			}
-			_, in := sc.w[s]
-			ck = a.checksumToggle(ck, s, in)
+			ck = checksumToggle(ck, s, sc.w.contains(s), a.sigMask)
 			out.accepted = append(out.accepted, s)
 		}
 		// Verified scopes are reconciled subset pairs (§2.2.3).
@@ -565,32 +577,26 @@ func (a *Alice) AbsorbReply(reply []byte) error {
 	var delta []uint64
 	for i, sc := range a.active {
 		out := &outcomes[i]
+		// The round is over for this scope either way: its bin sums go back
+		// to the scratch before the scratch goes back to the pool.
+		scr.releaseSums(sc)
 		if out.splits != nil {
-			a.putSums(sc.binSums)
-			sc.binSums = nil
 			for _, child := range out.splits {
 				child.splitFresh = true
 			}
 			next = append(next, out.splits...)
+			out.splits = nil // the pooled scratch must not keep scopes alive
 			continue
 		}
-		sc.bobChecksum = parsed[i].bobCk
-		sc.haveBobChecksum = true
 		for _, s := range out.accepted {
 			a.toggle(sc, s)
 		}
 		if out.verified {
-			// The scope is done: recycle its bin-sum buffer for future
-			// rounds (surviving scopes keep theirs attached).
-			a.putSums(sc.binSums)
-			sc.binSums = nil
-			// The scope's pending toggles just passed verification: they
-			// are confirmed difference elements, deliverable now.
+			// The scope's toggles just passed verification: they are
+			// confirmed difference elements, deliverable now.
+			a.learned = append(a.learned, sc.w.over...)
 			if a.onDelta != nil {
-				for x := range sc.pending {
-					delta = append(delta, x)
-				}
-				sc.pending = nil
+				delta = append(delta, sc.w.over...)
 			}
 		} else {
 			sc.loadHint = survivorLoad
@@ -599,9 +605,10 @@ func (a *Alice) AbsorbReply(reply []byte) error {
 		}
 	}
 	a.active = next
+	a.scr = nil
+	aliceScratchPool.Put(scr)
 	if len(delta) > 0 {
-		// Map iteration randomizes within-scope order; sort so the stream a
-		// caller observes is deterministic for a given exchange.
+		// Sorted across scopes, as the callback's contract promises.
 		slices.Sort(delta)
 		a.onDelta(delta, a.round)
 	}
@@ -633,81 +640,28 @@ func (a *Alice) acceptRecovered(sc *aliceScope, s uint64, pos uint64) bool {
 	return true
 }
 
-// checksumToggle returns the plain-sum checksum after toggling element s,
-// where present reports whether s is currently in the set. The parallel
-// phase uses it to predict the post-merge checksum; toggle applies it.
-func (a *Alice) checksumToggle(ck, s uint64, present bool) uint64 {
-	if present {
-		return (ck - s) & a.sigMask
-	}
-	return (ck + s) & a.sigMask
-}
-
-// toggle applies s to the scope's working set (W ← W △ {s}), its checksum,
-// and the global learned difference. It runs only in the sequential merge
-// phase so the working sets and the difference can never diverge, even
-// when a malformed reply aborts a round.
+// toggle applies s to the scope's working set (W ← W △ {s}) and its
+// checksum; the over layer it lands in is also the scope's share of the
+// learned difference. It runs only in the sequential merge phase so a
+// malformed reply that aborts a round leaves nothing half-applied.
 func (a *Alice) toggle(sc *aliceScope, s uint64) {
-	_, in := sc.w[s]
-	sc.checksum = a.checksumToggle(sc.checksum, s, in)
-	if in {
-		delete(sc.w, s)
+	sc.checksum = checksumToggle(sc.checksum, s, sc.w.contains(s), a.sigMask)
+	if i, in := slices.BinarySearch(sc.w.over, s); in {
+		sc.w.over = slices.Delete(sc.w.over, i, i+1)
 	} else {
-		sc.w[s] = struct{}{}
-	}
-	if _, in := a.diff[s]; in {
-		delete(a.diff, s)
-	} else {
-		a.diff[s] = struct{}{}
-	}
-	if a.onDelta != nil {
-		if _, in := sc.pending[s]; in {
-			delete(sc.pending, s)
-		} else {
-			if sc.pending == nil {
-				sc.pending = make(map[uint64]struct{})
-			}
-			sc.pending[s] = struct{}{}
-		}
+		sc.w.over = slices.Insert(sc.w.over, i, s)
 	}
 }
 
 // splitScope partitions sc's working set into splitWays children.
+// Unconfirmed toggles follow their elements: each verifies (and is emitted)
+// with whichever child its sub-universe hash lands it in.
 func (a *Alice) splitScope(sc *aliceScope) []*aliceScope {
 	children := make([]*aliceScope, splitWays)
-	for i := range children {
-		children[i] = &aliceScope{
-			id: sc.id.child(i),
-			w:  make(map[uint64]struct{}),
-		}
-	}
-	for x := range sc.w {
-		c := children[a.sd.childOf(x, sc.id)]
-		c.w[x] = struct{}{}
-		c.checksum = (c.checksum + x) & a.sigMask
-	}
-	// Unconfirmed toggles follow their elements into the children: each
-	// pending element verifies (and is emitted) with whichever child scope
-	// its sub-universe hash lands it in.
-	for x := range sc.pending {
-		c := children[a.sd.childOf(x, sc.id)]
-		if c.pending == nil {
-			c.pending = make(map[uint64]struct{})
-		}
-		c.pending[x] = struct{}{}
+	for i, w := range sc.w.split(a.sd, sc.id) {
+		children[i] = &aliceScope{id: sc.id.child(i), w: w, checksum: w.checksum(a.sigMask)}
 	}
 	return children
-}
-
-// binFold hashes every element of set into a bin in [1, n], accumulating
-// per-bin XOR sums and cardinality parities into the caller's buffers
-// (both 1-based with n+1 slots, pre-zeroed).
-func binFold(set map[uint64]struct{}, seed uint64, n uint64, sums []uint64, parity []bool) {
-	for x := range set {
-		b := hashutil.Bin(x, seed, n)
-		sums[b] ^= x
-		parity[b] = !parity[b]
-	}
 }
 
 func writeScopeID(w *wire.Writer, id scopeID) {

@@ -1,0 +1,349 @@
+package core
+
+import (
+	"bytes"
+	"math/rand/v2"
+	"slices"
+	"sync"
+	"testing"
+)
+
+// merged materializes group g of a partition.
+func (p partition) merged(g int) []uint64 {
+	set := p.group(g)
+	return symDiffSorted(set.base, set.lag)
+}
+
+// applyShapes are the plan shapes the Apply tests keep alive on a snapshot:
+// small group counts whose tables fit the budget, the same group count at a
+// second bitmap degree, and one with more groups than elements (groups come
+// and go empty, and no table fits).
+func applyShapes(seed uint64) []Plan {
+	shape := func(groups int, m uint) Plan {
+		return Plan{M: m, T: 5, Groups: groups, MaxRounds: DefaultMaxRounds, SigBits: 32, Seed: seed, Parallelism: 1}
+	}
+	return []Plan{shape(3, 6), shape(7, 6), shape(7, 7), shape(40, 5), shape(5000, 6)}
+}
+
+// assertSamePartition requires got (from a snapshot grown by Apply) to
+// describe exactly what want (from a snapshot built afresh) does: the same
+// group contents and, row for row, the same round-one table.
+func assertSamePartition(t *testing.T, plan Plan, got, want partition) {
+	t.Helper()
+	for g := range want.groups {
+		if !slices.Equal(got.merged(g), want.groups[g]) {
+			t.Fatalf("G=%d: group %d holds %d elements, a fresh build %d", plan.Groups, g, len(got.merged(g)), len(want.groups[g]))
+		}
+	}
+	if (got.table == nil) != (want.table == nil) {
+		t.Fatalf("G=%d m=%d: table kept=%v, a fresh build keeps=%v", plan.Groups, plan.M, got.table != nil, want.table != nil)
+	}
+	if want.table == nil {
+		return
+	}
+	for g, w := range want.table.rows {
+		r := got.table.rows[g]
+		if r.checksum != w.checksum || !slices.Equal(r.sums, w.sums) || !slices.Equal(r.parity, w.parity) {
+			t.Fatalf("G=%d m=%d: table row %d differs from a fresh fold", plan.Groups, plan.M, g)
+		}
+	}
+}
+
+// TestApplyMatchesFreshBuild grows a snapshot through random write batches
+// and requires, after every batch and for every shape kept on it, exactly
+// what a snapshot built afresh from the same elements holds. The batches
+// include re-adding what an earlier batch removed (and the reverse), draining
+// groups empty, and bursts large enough to re-base the element slice, rewrite
+// group slices and drop shapes that fell too far behind.
+func TestApplyMatchesFreshBuild(t *testing.T) {
+	const seed = 0xA991
+	rng := rand.New(rand.NewPCG(1, 2))
+	cfg := Config{Seed: seed}
+	shapes := applyShapes(seed)
+
+	present := map[uint64]bool{}
+	var gone []uint64 // removed earlier: candidates for coming back
+	fresh := func() uint64 {
+		for {
+			if x := uint64(rng.Uint32()); x != 0 && !present[x] {
+				return x
+			}
+		}
+	}
+	var elems []uint64
+	for len(elems) < 4000 {
+		x := fresh()
+		present[x] = true
+		elems = append(elems, x)
+	}
+	snap, err := NewSnapshot(elems, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for step := 0; step < 120; step++ {
+		// Most generations serve a few of the shapes, so every shape spends
+		// some generations behind before it is asked for again.
+		for _, plan := range shapes {
+			if rng.IntN(3) == 0 {
+				snap.partitionFor(plan)
+			}
+		}
+		size := 1 + rng.IntN(40)
+		switch {
+		case step%17 == 16:
+			size = len(present) / 3 // a burst: re-base, rewrite, drop
+		case step%29 == 28:
+			size = 0 // an empty batch is a valid batch
+		}
+		var add, remove []uint64
+		live := make([]uint64, 0, len(present))
+		for x := range present {
+			live = append(live, x)
+		}
+		slices.Sort(live) // map order must not leak into the seeded run
+		rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+		for i := 0; i < size; i++ {
+			switch {
+			case i%2 == 0 && i/2 < len(live):
+				remove = append(remove, live[i/2])
+			case len(gone) > 0 && rng.IntN(2) == 0:
+				add = append(add, gone[len(gone)-1])
+				gone = gone[:len(gone)-1]
+			default:
+				add = append(add, fresh())
+			}
+		}
+		add = slices.Compact(sortedU64(add))
+		for _, x := range remove {
+			delete(present, x)
+		}
+		for _, x := range add {
+			present[x] = true
+		}
+		gone = append(gone, remove...)
+		snap = snap.Apply(add, remove)
+
+		truth := make([]uint64, 0, len(present))
+		for x := range present {
+			truth = append(truth, x)
+		}
+		want, err := NewSnapshot(truth, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Len() != want.Len() {
+			t.Fatalf("step %d: Len %d, want %d", step, snap.Len(), want.Len())
+		}
+		for _, plan := range shapes {
+			// Checking a shape brings it up to date, so only some are checked
+			// each step; all are on the last.
+			if rng.IntN(2) == 0 && step != 119 {
+				continue
+			}
+			assertSamePartition(t, plan, snap.partitionFor(plan), want.partitionFor(plan))
+		}
+		if step%10 == 9 {
+			if !slices.Equal(snap.Elements(), want.Elements()) {
+				t.Fatalf("step %d: Elements diverge from a fresh build", step)
+			}
+			for _, x := range add {
+				if !snap.Contains(x) {
+					t.Fatalf("step %d: added %#x not contained", step, x)
+				}
+			}
+			for _, x := range remove {
+				if snap.Contains(x) {
+					t.Fatalf("step %d: removed %#x still contained", step, x)
+				}
+			}
+		}
+	}
+}
+
+// TestApplySessionsWireIdentical reconciles from a snapshot grown by Apply
+// and from one built afresh from the same elements, against the same peer:
+// every message in both directions must be byte-identical, with the table
+// and without it.
+func TestApplySessionsWireIdentical(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	var a, b []uint64
+	seen := map[uint64]bool{0: true}
+	draw := func() uint64 {
+		for {
+			if x := uint64(rng.Uint32()); !seen[x] {
+				seen[x] = true
+				return x
+			}
+		}
+	}
+	for i := 0; i < 6000; i++ {
+		x := draw()
+		a, b = append(a, x), append(b, x)
+	}
+	for i := 0; i < 40; i++ {
+		b = append(b, draw())
+	}
+	for _, plan := range []Plan{planFor(t, 60, 5), planFor(t, 4000, 5)} {
+		cfg := Config{Seed: plan.Seed, SigBits: plan.SigBits}
+		grown, err := NewSnapshot(a[:5000], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grown.partitionFor(plan) // the shape must be inherited, not cut anew
+		for lo := 5000; lo < 6000; lo += 125 {
+			// Each batch also removes an element and puts it back in the next.
+			grown = grown.Apply(a[lo:lo+125], a[lo-5000:lo-4999])
+			grown = grown.Apply(a[lo-5000:lo-4999], nil)
+			if lo%500 == 0 {
+				grown.partitionFor(plan)
+			}
+		}
+		built, err := NewSnapshot(a, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (plan.Groups < 100) != (built.partitionFor(plan).table != nil) {
+			t.Fatalf("G=%d: unexpected table budget outcome", plan.Groups)
+		}
+		var transcripts [2][][]byte
+		for i, snap := range []*Snapshot{grown, built} {
+			alice, err := NewAliceFromSnapshot(snap, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bob, err := NewBob(b, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for !alice.Done() {
+				msg, err := alice.BuildRound()
+				if err != nil {
+					t.Fatal(err)
+				}
+				reply, err := bob.HandleRound(msg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := alice.AbsorbReply(reply); err != nil {
+					t.Fatal(err)
+				}
+				transcripts[i] = append(transcripts[i], msg, reply)
+			}
+			assertSameSet(t, alice.Difference(), b[6000:])
+		}
+		if len(transcripts[0]) != len(transcripts[1]) {
+			t.Fatalf("G=%d: %d messages from the grown snapshot, %d from the built one", plan.Groups, len(transcripts[0]), len(transcripts[1]))
+		}
+		for i := range transcripts[0] {
+			if !bytes.Equal(transcripts[0][i], transcripts[1][i]) {
+				t.Fatalf("G=%d: message %d differs between the grown and the built snapshot", plan.Groups, i)
+			}
+		}
+	}
+}
+
+// TestSnapshotViewsImmutableUnderApply runs sessions on a snapshot while
+// successors are applied and brought up to date beside it. Whatever a
+// session holds — group slices, lag lists, table rows — must read the same
+// afterwards: Apply copies what it changes, and an endpoint never writes to,
+// pools, or clears a row it shares. Run under -race, which also flags any
+// such write the comparison would miss.
+func TestSnapshotViewsImmutableUnderApply(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 9))
+	seen := map[uint64]bool{0: true}
+	draw := func() uint64 {
+		for {
+			if x := uint64(rng.Uint32()); !seen[x] {
+				seen[x] = true
+				return x
+			}
+		}
+	}
+	var common, extra []uint64
+	for i := 0; i < 8000; i++ {
+		common = append(common, draw())
+	}
+	for i := 0; i < 4000; i++ {
+		extra = append(extra, draw())
+	}
+	peer := append(slices.Clone(common), extra[:30]...)
+	plan := planFor(t, 45, 11)
+	plan.Parallelism = 2
+	cfg := Config{Seed: plan.Seed, SigBits: plan.SigBits}
+	root, err := NewSnapshot(common, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := root.partitionFor(plan)
+	if held.table == nil {
+		t.Fatal("the test needs a shape within the table budget")
+	}
+	type rowCopy struct {
+		sums     []uint64
+		parity   []bool
+		checksum uint64
+	}
+	var groups [][]uint64
+	var rows []rowCopy
+	for g := range held.groups {
+		groups = append(groups, held.merged(g))
+		r := held.table.rows[g]
+		rows = append(rows, rowCopy{slices.Clone(r.sums), slices.Clone(r.parity), r.checksum})
+	}
+
+	reconcile := func(snap *Snapshot, want []uint64) {
+		alice, err := NewAliceFromSnapshot(snap, plan)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		bob, err := NewBob(peer, plan)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		res, err := Drive(alice, bob, 0)
+		if err != nil || !res.Complete {
+			t.Errorf("session failed: complete=%v err=%v", res != nil && res.Complete, err)
+			return
+		}
+		if !slices.Equal(sortedU64(res.Difference), sortedU64(want)) {
+			t.Errorf("session learned %d elements, want %d", len(res.Difference), len(want))
+		}
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 25; j++ {
+				reconcile(root, extra[:30])
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		snap, in := root, 30 // extra[30:in] has been added on top of common
+		for j := 0; j < 40; j++ {
+			snap = snap.Apply(extra[in:in+10], nil)
+			in += 10
+			want := append(slices.Clone(extra[:30]), extra[30:in]...)
+			reconcile(snap, want)
+		}
+	}()
+	wg.Wait()
+
+	after := root.partitionFor(plan)
+	for g := range groups {
+		if !slices.Equal(after.merged(g), groups[g]) {
+			t.Fatalf("group %d of a held snapshot changed", g)
+		}
+		r := held.table.rows[g]
+		if r.checksum != rows[g].checksum || !slices.Equal(r.sums, rows[g].sums) || !slices.Equal(r.parity, rows[g].parity) {
+			t.Fatalf("table row %d of a held snapshot changed", g)
+		}
+	}
+}

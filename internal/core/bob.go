@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"pbs/internal/bch"
-	"pbs/internal/hashutil"
 	"pbs/internal/wire"
 )
 
@@ -19,13 +19,13 @@ type Bob struct {
 	sd      seeds
 	sigMask uint64
 
-	// groups holds Bob's elements partitioned by group; stable across
-	// rounds because the group hash never changes.
-	groups [][]uint64
-	// scopeSets caches the element lists of split scopes.
-	scopeSets map[scopeID][]uint64
-	// checksums caches c(B_s) per scope.
-	checksums map[scopeID]uint64
+	// part holds Bob's elements partitioned by group — stable across
+	// rounds because the group hash never changes — and, when the snapshot
+	// keeps one for the plan's shape, the round-one table with each group's
+	// round-1 fold and checksum.
+	part partition
+	// scopeSets caches the element sets of split scopes.
+	scopeSets map[scopeID]elemSet
 
 	payloadBits   int
 	positionsSent int
@@ -34,24 +34,9 @@ type Bob struct {
 	encodeTime time.Duration // building bitmaps, XOR sums, and sketches
 	decodeTime time.Duration // BCH decoding
 
-	// Reusable hot-path scratch: in steady state HandleRound performs no
-	// per-scope allocations. scratch is per-worker (bin-fold buffers, the
-	// parity sketch, and the BCH decode workspace); jobSketches are the
-	// reused parse targets for Alice's codewords; posBufs/xorBufs hold
-	// each scope index's reply until serialization.
-	scratch     []bobScratch
-	jobSketches []*bch.Sketch
-	posBufs     [][]uint64
-	xorBufs     [][]uint64
-	jobs        []bobScopeJob
-	replies     []bobScopeReply
-
 	// Adaptive per-round re-planning (negotiated; see EnableAdaptive):
-	// rounds >= 2 carry their own (m, t) in the round header. curM/curT are
-	// the parameters the scratch buffers are currently shaped for.
+	// rounds >= 2 carry their own (m, t) in the round header.
 	adaptive bool
-	curM     uint
-	curT     int
 	replans  int
 }
 
@@ -85,22 +70,6 @@ func NewBob(set []uint64, plan Plan) (*Bob, error) {
 	return NewBobFromSnapshot(snap, plan)
 }
 
-// newBobWithGroups builds a Bob around an already validated and
-// partitioned element set. The group slices are only ever read, so they
-// may be shared (see Snapshot).
-func newBobWithGroups(groups [][]uint64, plan Plan) *Bob {
-	return &Bob{
-		plan:      plan,
-		sd:        deriveSeeds(plan.Seed),
-		sigMask:   sigMask(plan.SigBits),
-		groups:    groups,
-		scopeSets: make(map[scopeID][]uint64),
-		checksums: make(map[scopeID]uint64),
-		curM:      plan.M,
-		curT:      plan.T,
-	}
-}
-
 // PayloadBits returns the cumulative protocol-payload bits Bob has sent
 // (positions, XOR sums, checksums), excluding message framing.
 func (b *Bob) PayloadBits() int { return b.payloadBits }
@@ -113,9 +82,9 @@ func (b *Bob) ChecksumsSent() int { return b.checksumsSent }
 
 // scopeSet returns Bob's elements belonging to the given scope, computing
 // and caching split-scope subsets on demand.
-func (b *Bob) scopeSet(id scopeID) []uint64 {
+func (b *Bob) scopeSet(id scopeID) elemSet {
 	if id.path == "" {
-		return b.groups[id.group]
+		return b.part.group(id.group)
 	}
 	if s, ok := b.scopeSets[id]; ok {
 		return s
@@ -124,28 +93,10 @@ func (b *Bob) scopeSet(id scopeID) []uint64 {
 	parentSet := b.scopeSet(parent)
 	// Partition the parent into all children at once so sibling lookups hit
 	// the cache.
-	children := make([][]uint64, splitWays)
-	for _, x := range parentSet {
-		c := b.sd.childOf(x, parent)
-		children[c] = append(children[c], x)
-	}
-	for i, set := range children {
+	for i, set := range parentSet.split(b.sd, parent) {
 		b.scopeSets[parent.child(i)] = set
 	}
 	return b.scopeSets[id]
-}
-
-// checksum returns c(B_s) for the scope, cached.
-func (b *Bob) checksum(id scopeID, set []uint64) uint64 {
-	if c, ok := b.checksums[id]; ok {
-		return c
-	}
-	var c uint64
-	for _, x := range set {
-		c = (c + x) & b.sigMask
-	}
-	b.checksums[id] = c
-	return c
 }
 
 // bobScopeJob is one scope's decoded request: everything the parallel
@@ -154,8 +105,9 @@ func (b *Bob) checksum(id scopeID, set []uint64) uint64 {
 type bobScopeJob struct {
 	id    scopeID
 	alice *bch.Sketch
-	set   []uint64
+	set   elemSet
 	seed  uint64
+	row   *foldRow // the scope's round-one table row, nil to fold set
 }
 
 // bobScopeReply is one scope's computed answer, held until the sequential
@@ -164,14 +116,35 @@ type bobScopeReply struct {
 	ok        bool     // BCH decoding succeeded
 	positions []uint64 // differing bitmap positions
 	xors      []uint64 // Bob's per-bin XOR sums at those positions
+	checksum  uint64   // c(B_s)
 }
 
-// bobScratch is per-worker state, long-lived across rounds: the bin-fold
-// buffers (cleared per scope instead of reallocated, which matters at
-// large g), the reusable parity sketch, the BCH decode workspace, and the
-// worker's accumulated encode/decode time, folded into the Bob totals
-// (and zeroed) after each parallel phase joins.
+// bobScratch is HandleRound's reusable scratch, drawn from a process-wide
+// pool for the length of one call — a reply is fully serialized before the
+// call returns, so nothing in it outlives the round — so that in steady
+// state a round, of this session or the next, performs no per-scope
+// allocations. jobSketches are the reused parse targets for Alice's
+// codewords and, like the workers' sketches, are built for shape (m, t);
+// posBufs/xorBufs hold each scope index's reply until serialization.
 type bobScratch struct {
+	m           uint
+	t           int
+	workers     []bobWorker
+	jobSketches []*bch.Sketch
+	posBufs     [][]uint64
+	xorBufs     [][]uint64
+	jobs        []bobScopeJob
+	replies     []bobScopeReply
+}
+
+var bobScratchPool = sync.Pool{New: func() any { return new(bobScratch) }}
+
+// bobWorker is per-worker state: the bin-fold buffers (cleared per scope
+// instead of reallocated, which matters at large g), the reusable parity
+// sketch, the BCH decode workspace, and the worker's accumulated
+// encode/decode time, folded into the Bob totals (and zeroed) after each
+// parallel phase joins.
+type bobWorker struct {
 	sums   []uint64
 	parity []bool
 	sketch *bch.Sketch
@@ -216,13 +189,21 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 			b.replans++
 		}
 	}
-	if m != b.curM || t != b.curT {
-		// New round shape: the sketch scratch (sized per codeword) is stale.
-		b.jobSketches = b.jobSketches[:0]
-		for i := range b.scratch {
-			b.scratch[i].sketch = nil
+	scr := bobScratchPool.Get().(*bobScratch)
+	jobs := scr.jobs[:0]
+	defer func() {
+		// Jobs point into the snapshot; the pool must not keep it alive.
+		clear(jobs)
+		scr.jobs = jobs[:0]
+		bobScratchPool.Put(scr)
+	}()
+	if m != scr.m || t != scr.t {
+		// Another round shape: the sketch scratch (sized per codeword) is stale.
+		scr.jobSketches = scr.jobSketches[:0]
+		for i := range scr.workers {
+			scr.workers[i].sketch = nil
 		}
-		b.curM, b.curT = m, t
+		scr.m, scr.t = m, t
 	}
 	nScopes, err := r.ReadUvarint()
 	if err != nil {
@@ -234,11 +215,10 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 	if nScopes > uint64(b.plan.Groups)*64+(1<<16) {
 		return nil, fmt.Errorf("core: implausible scope count %d", nScopes)
 	}
-	n := (uint64(1) << b.curM) - 1
+	n := (uint64(1) << m) - 1
 	// Grow jobs as scopes parse successfully rather than pre-allocating by
 	// the peer-claimed count: a tiny frame claiming the plausibility cap
 	// must not force a multi-megabyte allocation before validation.
-	jobs := b.jobs[:0]
 	for s := uint64(0); s < nScopes; s++ {
 		id, err := readScopeID(r)
 		if err != nil {
@@ -249,69 +229,84 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 		}
 		// Parse Alice's codeword into a long-lived per-index sketch instead
 		// of allocating one per scope per round.
-		if int(s) >= len(b.jobSketches) {
-			b.jobSketches = append(b.jobSketches, bch.MustNew(b.curM, b.curT))
+		if int(s) >= len(scr.jobSketches) {
+			scr.jobSketches = append(scr.jobSketches, bch.MustNew(m, t))
 		}
-		aliceSketch := b.jobSketches[s]
+		aliceSketch := scr.jobSketches[s]
 		if err := aliceSketch.ReadInto(r); err != nil {
 			return nil, fmt.Errorf("core: bad sketch: %w", err)
 		}
 		// scopeSet mutates the split cache, so it must stay in this
 		// sequential pass; the parallel phase then only reads the slices.
-		jobs = append(jobs, bobScopeJob{
+		job := bobScopeJob{
 			id:    id,
 			alice: aliceSketch,
 			set:   b.scopeSet(id),
 			seed:  b.sd.binSeed(id, int(round)),
-		})
+		}
+		// A whole group in round 1 at the table's bitmap size is what the
+		// round-one table holds; the header checks above make the last
+		// condition redundant for an honest peer.
+		if tab := b.part.table; round == 1 && id.path == "" && tab != nil && tab.m == m {
+			job.row = &tab.rows[id.group]
+		}
+		jobs = append(jobs, job)
 	}
-	b.jobs = jobs
 
-	workers := b.plan.workers()
+	work := len(jobs) * int(n+1)
+	for i := range jobs {
+		if jobs[i].row == nil {
+			work += jobs[i].set.len()
+		}
+	}
+	workers := b.plan.workersFor(work)
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	for len(b.scratch) < workers {
-		b.scratch = append(b.scratch, bobScratch{})
+	for len(scr.workers) < workers {
+		scr.workers = append(scr.workers, bobWorker{})
 	}
-	for len(b.posBufs) < len(jobs) {
-		b.posBufs = append(b.posBufs, nil)
-		b.xorBufs = append(b.xorBufs, nil)
+	for len(scr.posBufs) < len(jobs) {
+		scr.posBufs = append(scr.posBufs, nil)
+		scr.xorBufs = append(scr.xorBufs, nil)
 	}
-	if cap(b.replies) < len(jobs) {
-		b.replies = make([]bobScopeReply, len(jobs))
+	if cap(scr.replies) < len(jobs) {
+		scr.replies = make([]bobScopeReply, len(jobs))
 	}
-	replies := b.replies[:len(jobs)]
+	replies := scr.replies[:len(jobs)]
 	forEachScope(workers, len(jobs), func(worker, i int) {
 		replies[i] = bobScopeReply{}
-		sc := &b.scratch[worker]
-		if uint64(len(sc.sums)) != n+1 {
-			sc.sums = make([]uint64, n+1)
-			sc.parity = make([]bool, n+1)
-		} else {
-			clear(sc.sums)
-			clear(sc.parity)
-		}
+		sc := &scr.workers[worker]
 		if sc.sketch == nil {
-			sc.sketch = bch.MustNew(b.curM, b.curT)
+			sc.sketch = bch.MustNew(m, t)
 			if sc.dec == nil {
 				sc.dec = bch.NewDecoder()
 			}
 		}
 		job := &jobs[i]
 		encStart := time.Now()
+		var sums []uint64
+		var parity []bool
+		if job.row != nil {
+			sums, parity = job.row.sums, job.row.parity
+		} else {
+			if uint64(len(sc.sums)) != n+1 {
+				sc.sums = make([]uint64, n+1)
+				sc.parity = make([]bool, n+1)
+			} else {
+				clear(sc.sums)
+				clear(sc.parity)
+			}
+			sums, parity = sc.sums, sc.parity
+			job.set.fold(job.seed, n, sums, parity)
+		}
 		sketch := sc.sketch
 		sketch.Reset()
-		for _, x := range job.set {
-			bin := hashutil.Bin(x, job.seed, n)
-			sc.sums[bin] ^= x
-			sc.parity[bin] = !sc.parity[bin]
-		}
 		for j := uint64(1); j <= n; j++ {
-			if sc.parity[j] {
+			if parity[j] {
 				sketch.Add(j)
 			}
 		}
@@ -319,25 +314,33 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 		sketch.Xor(job.alice)
 		sc.encDur += time.Since(encStart)
 		decStart := time.Now()
-		positions, derr := sketch.DecodeInto(sc.dec, b.posBufs[i][:0])
-		b.posBufs[i] = positions
+		positions, derr := sketch.DecodeInto(sc.dec, scr.posBufs[i][:0])
+		scr.posBufs[i] = positions
 		sc.decDur += time.Since(decStart)
 		if derr != nil {
 			// BCH decoding failure (§3.2): report it; Alice will split.
 			return
 		}
-		xors := b.xorBufs[i][:0]
+		xors := scr.xorBufs[i][:0]
 		for _, p := range positions {
-			xors = append(xors, sc.sums[p])
+			xors = append(xors, sums[p])
 		}
-		b.xorBufs[i] = xors
-		replies[i] = bobScopeReply{ok: true, positions: positions, xors: xors}
+		scr.xorBufs[i] = xors
+		// A whole group's checksum is in its table row; any other scope's
+		// is one more pass over the elements the fold above just read.
+		var checksum uint64
+		if job.row != nil {
+			checksum = job.row.checksum
+		} else {
+			checksum = job.set.checksum(b.sigMask)
+		}
+		replies[i] = bobScopeReply{ok: true, positions: positions, xors: xors, checksum: checksum}
 	})
-	for i := range b.scratch {
-		b.encodeTime += b.scratch[i].encDur
-		b.decodeTime += b.scratch[i].decDur
-		b.scratch[i].encDur = 0
-		b.scratch[i].decDur = 0
+	for i := range scr.workers {
+		b.encodeTime += scr.workers[i].encDur
+		b.decodeTime += scr.workers[i].decDur
+		scr.workers[i].encDur = 0
+		scr.workers[i].decDur = 0
 	}
 
 	out := wire.NewWriter()
@@ -350,13 +353,13 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 		out.WriteBool(true)
 		out.WriteUvarint(uint64(len(rep.positions)))
 		for _, p := range rep.positions {
-			out.WriteBits(p, b.curM)
+			out.WriteBits(p, m)
 		}
 		for _, x := range rep.xors {
 			out.WriteBits(x, b.plan.SigBits)
 		}
-		out.WriteBits(b.checksum(jobs[i].id, jobs[i].set), b.plan.SigBits)
-		b.payloadBits += len(rep.positions)*int(b.curM) +
+		out.WriteBits(rep.checksum, b.plan.SigBits)
+		b.payloadBits += len(rep.positions)*int(m) +
 			len(rep.positions)*int(b.plan.SigBits) + int(b.plan.SigBits)
 		b.positionsSent += len(rep.positions)
 		b.checksumsSent++

@@ -1,0 +1,146 @@
+package core
+
+import (
+	"slices"
+
+	"pbs/internal/hashutil"
+)
+
+// elemSet is a scope's element set, never materialized: base △ lag △ over.
+// base is a sorted slice shared with the snapshot (a group) or owned by the
+// session (a split child); lag, also sorted and shared, lists the elements
+// written to the set since base was cut; over, sorted and owned by the
+// session, lists the elements the session itself has toggled — for Alice
+// the scope's share of the learned difference, while Bob leaves it empty.
+// Folding, splitting and the checksum are linear over the three layers, so
+// a write costs the set a lag entry instead of a copy, and a session costs
+// its difference instead of its set.
+type elemSet struct{ base, lag, over []uint64 }
+
+func inSorted(set []uint64, x uint64) bool {
+	_, ok := slices.BinarySearch(set, x)
+	return ok
+}
+
+// len returns the number of stored elements across the layers — what a
+// pass over the set costs, not its cardinality.
+func (e elemSet) len() int { return len(e.base) + len(e.lag) + len(e.over) }
+
+// contains reports whether x is in the set.
+func (e elemSet) contains(x uint64) bool {
+	return inSorted(e.base, x) != inSorted(e.lag, x) != inSorted(e.over, x)
+}
+
+// fold accumulates the set into the bin sums and parities (see binFold).
+func (e elemSet) fold(seed, n uint64, sums []uint64, parity []bool) {
+	binFold(e.base, seed, n, sums, parity)
+	binFold(e.lag, seed, n, sums, parity)
+	binFold(e.over, seed, n, sums, parity)
+}
+
+// checksum returns the plain-sum checksum c(set) under mask (§2.2.3).
+func (e elemSet) checksum(mask uint64) uint64 {
+	c := checksumOf(e.base, mask)
+	for _, x := range e.lag {
+		c = checksumToggle(c, x, inSorted(e.base, x), mask)
+	}
+	for _, x := range e.over {
+		c = checksumToggle(c, x, inSorted(e.base, x) != inSorted(e.lag, x), mask)
+	}
+	return c
+}
+
+// checksumToggle returns the checksum after toggling element x, where
+// present reports whether x is currently in the set.
+func checksumToggle(c, x uint64, present bool, mask uint64) uint64 {
+	if present {
+		return (c - x) & mask
+	}
+	return (c + x) & mask
+}
+
+// split partitions the set among the children of scope sc, layer by layer:
+// the three layers split by the same hash, so each child's layers combine
+// to its share of the set.
+func (e elemSet) split(sd seeds, sc scopeID) [splitWays]elemSet {
+	base, lag, over := sd.splitSorted(sc, e.base), sd.splitSorted(sc, e.lag), sd.splitSorted(sc, e.over)
+	var children [splitWays]elemSet
+	for i := range children {
+		children[i] = elemSet{base: base[i], lag: lag[i], over: over[i]}
+	}
+	return children
+}
+
+// binFold hashes every element of set into a bin in [1, n], accumulating
+// per-bin XOR sums and cardinality parities into the caller's buffers
+// (both 1-based with n+1 slots). Both accumulators are involutions, so
+// folding an element in and folding it out are the same call — the one
+// fold loop behind a fresh round, a table row, and a row's update under
+// writes.
+func binFold(set []uint64, seed uint64, n uint64, sums []uint64, parity []bool) {
+	for _, x := range set {
+		b := hashutil.Bin(x, seed, n)
+		sums[b] ^= x
+		parity[b] = !parity[b]
+	}
+}
+
+// checksumOf returns the plain sum of set under mask.
+func checksumOf(set []uint64, mask uint64) uint64 {
+	var c uint64
+	for _, x := range set {
+		c += x
+	}
+	return c & mask
+}
+
+// foldRow is one group's round-one fold: its bin XOR sums and parities
+// under the group's round-1 bin seed, and its checksum. A published row is
+// immutable; Snapshot.Apply clones the rows a batch touches.
+type foldRow struct {
+	sums     []uint64
+	parity   []bool
+	checksum uint64
+}
+
+func (r foldRow) clone() foldRow {
+	return foldRow{sums: slices.Clone(r.sums), parity: slices.Clone(r.parity), checksum: r.checksum}
+}
+
+// toggle folds a batch of writes to the row's group into r, which the
+// caller owns.
+func (r *foldRow) toggle(d delta, seed uint64, m uint, mask uint64) {
+	n := (uint64(1) << m) - 1
+	binFold(d.adds, seed, n, r.sums, r.parity)
+	binFold(d.removes, seed, n, r.sums, r.parity)
+	r.checksum = (r.checksum + checksumOf(d.adds, mask) - checksumOf(d.removes, mask)) & mask
+}
+
+// foldTable is the round-one table of one plan shape (groups, m): a
+// foldRow per group. Round 1 is the only round whose bin hash is known in
+// advance — its seed depends on the group and the round number alone — and
+// the fold is linear in the set, so a snapshot can keep it across sessions
+// and Apply can maintain it under writes. Alice's first BuildRound and
+// Bob's first HandleRound read their sums, parities and checksums straight
+// from it; later rounds and split scopes fold afresh.
+type foldTable struct {
+	m    uint
+	rows []foldRow
+}
+
+// buildFoldTable folds every group of a partition under its round-1 seed.
+// All rows share two backing arrays.
+func buildFoldTable(p partition, m uint, sd seeds, mask uint64, workers int) *foldTable {
+	n := (uint64(1) << m) - 1
+	sums := make([]uint64, uint64(len(p.groups))*(n+1))
+	parity := make([]bool, len(sums))
+	t := &foldTable{m: m, rows: make([]foldRow, len(p.groups))}
+	forEachScope(workers, len(p.groups), func(_, g int) {
+		lo, hi := uint64(g)*(n+1), uint64(g+1)*(n+1)
+		set := p.group(g)
+		row := foldRow{sums: sums[lo:hi:hi], parity: parity[lo:hi:hi], checksum: set.checksum(mask)}
+		set.fold(sd.binSeed(newScopeID(g), 1), n, row.sums, row.parity)
+		t.rows[g] = row
+	})
+	return t
+}

@@ -57,7 +57,14 @@ type scopeErrors struct {
 	errs []error
 }
 
-func newScopeErrors(n int) *scopeErrors { return &scopeErrors{errs: make([]error, n)} }
+// reset sizes the collector for n scopes, all clear, reusing its storage.
+func (e *scopeErrors) reset(n int) {
+	if cap(e.errs) < n {
+		e.errs = make([]error, n)
+	}
+	e.errs = e.errs[:n]
+	clear(e.errs)
+}
 
 // set records err for scope i. Each index is owned by exactly one worker,
 // so no locking is needed.
@@ -73,12 +80,24 @@ func (e *scopeErrors) first() error {
 	return nil
 }
 
-// workers resolves the plan's Parallelism knob: values > 0 are taken
-// literally (1 = the sequential reference path), 0 or negative selects
-// GOMAXPROCS.
-func (p Plan) workers() int {
+// minFanOutWork is the least work, counted in elements folded and bins
+// encoded (a few nanoseconds each), that a phase fans out for under
+// automatic Parallelism. Waking other processors and waiting on them costs
+// a phase tens of microseconds and much of its predictability; a phase
+// with less than that to share runs on the calling goroutine, which also
+// leaves the other processors to the other sessions of a busy server.
+const minFanOutWork = 1 << 15
+
+// workersFor resolves the plan's Parallelism knob for a phase with the
+// given amount of work: values > 0 are taken literally (1 = the sequential
+// reference path), 0 or negative selects GOMAXPROCS when the phase is
+// large enough to repay fanning out.
+func (p Plan) workersFor(work int) int {
 	if p.Parallelism > 0 {
 		return p.Parallelism
+	}
+	if work < minFanOutWork {
+		return 1
 	}
 	return runtime.GOMAXPROCS(0)
 }

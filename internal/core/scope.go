@@ -93,3 +93,16 @@ func (sd seeds) groupOf(x uint64, groups int) int {
 func (sd seeds) childOf(x uint64, sc scopeID) int {
 	return int(hashutil.Bucket(x, sd.splitSeed(sc), splitWays))
 }
+
+// splitSorted partitions set among the children of scope sc, preserving
+// element order within each child (a sorted set splits into sorted
+// children).
+func (sd seeds) splitSorted(sc scopeID, set []uint64) [splitWays][]uint64 {
+	var children [splitWays][]uint64
+	seed := sd.splitSeed(sc)
+	for _, x := range set {
+		c := hashutil.Bucket(x, seed, splitWays)
+		children[c] = append(children[c], x)
+	}
+	return children
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -9,101 +10,213 @@ import (
 // once and shared by any number of concurrent endpoints. A server holding
 // a large set and answering thousands of reconciliation sessions pays the
 // O(|S|) validation (zero/range/duplicate checks) a single time, and the
-// per-plan group partition is computed once per distinct group count and
-// then shared read-only — instead of every session re-validating and
-// re-partitioning a private copy as NewBob does.
+// per-plan group partition — plus, for shapes small enough to keep, the
+// round-one fold table (see foldTable) — is computed once per distinct
+// shape and then shared read-only.
+//
+// A Snapshot is also persistent: Apply returns the successor after a batch
+// of writes in time proportional to the batch. The successor inherits every
+// cached shape together with the writes it has yet to absorb, and brings a
+// shape up to date the first time a session asks for it. A written element
+// joins its group's short lag list, which the endpoints read alongside the
+// group slice (see elemSet), and only the table rows the writes hash into
+// are cloned and toggled; a group slice is rewritten only once its lag list
+// has grown to a fixed share of it. A long-lived mutable set therefore pays
+// for its writes, not for its size, each time it is reconciled.
+//
+// The elements themselves are a sorted base slice, shared by a snapshot and
+// its successors until enough writes accumulate to re-base, plus the log of
+// batches applied since. Group slices are filled in sorted order, so they
+// are sorted too — the property the binary-search membership test of
+// elemSet relies on.
 //
 // All methods are safe for concurrent use. The element slices handed out
-// are shared: callers (including Bob endpoints built from the snapshot)
-// must treat them as read-only, which they do — the protocol only ever
-// reads group subsets and re-partitions them into freshly allocated child
+// are shared: callers (including endpoints built from the snapshot) must
+// treat them as read-only, which they do — the protocol only ever reads
+// group subsets and re-partitions them into freshly allocated child
 // slices.
 type Snapshot struct {
-	elems   []uint64
 	sigBits uint
 	seed    uint64
 	sd      seeds
 
-	mu    sync.Mutex
-	parts map[int][][]uint64 // group count -> partition, lazily cached
+	base []uint64
+	log  *writeLog // batches applied on top of base
+	n    int       // |S|
 
-	// membership index, built lazily on first Contains — only the strong
-	// verification path needs it, so sessions that never verify never pay
-	// the O(|S|) map.
-	inOnce sync.Once
-	in     map[uint64]struct{}
+	// flat is S as one sorted slice, worked out on first need (a shape to
+	// cut, Elements, Contains): base itself, sorted if it came unsorted,
+	// while the log is empty; otherwise base with the log merged in.
+	flatOnce sync.Once
+	flat     []uint64
+
+	mu     sync.Mutex
+	shapes map[int]shape // group count -> cached shape
+}
+
+// shape is what the snapshot keeps per plan shape: the partition for a
+// group count and, while it fits the budget, the round-one table for one
+// bitmap degree on top of it. A shape inherited through Apply may be
+// behind: the net writes in behind have reached neither lags nor table.
+type shape struct {
+	partition
+	behind delta // net writes still to absorb
+}
+
+// partition is a shape as the endpoints see it. Group g is groups[g] △
+// lags[g]: the sorted slice cut when the shape was built, and the sorted
+// list of elements written since (lags is nil while there are none). table,
+// when kept, is current. Everything is shared and read-only.
+type partition struct {
+	groups [][]uint64
+	lags   [][]uint64
+	table  *foldTable
+}
+
+// group returns group g as an element set.
+func (p partition) group(g int) elemSet {
+	if p.lags == nil {
+		return elemSet{base: p.groups[g]}
+	}
+	return elemSet{base: p.groups[g], lag: p.lags[g]}
+}
+
+// delta is a net batch of writes: elements to insert and elements to
+// delete, each sorted and duplicate-free, the two disjoint.
+type delta struct{ adds, removes []uint64 }
+
+func (d delta) len() int { return len(d.adds) + len(d.removes) }
+
+// writeLog is the persistent list of batches applied on top of a base
+// slice, newest first. A successor conses its batch onto its predecessor's
+// log, so Apply never copies what came before.
+type writeLog struct {
+	batch delta
+	prev  *writeLog
+	size  int // writes in this batch and all older ones
+}
+
+// net composes the log, oldest batch first, into one delta, pairing
+// neighbours so that every write is merged O(log batches) times.
+func (l *writeLog) net() delta {
+	var ds []delta
+	for ; l != nil; l = l.prev {
+		ds = append(ds, l.batch)
+	}
+	slices.Reverse(ds)
+	for len(ds) > 1 {
+		half := ds[:0]
+		for i := 0; i+1 < len(ds); i += 2 {
+			half = append(half, ds[i].then(ds[i+1]))
+		}
+		if len(ds)%2 == 1 {
+			half = append(half, ds[len(ds)-1])
+		}
+		ds = half
+	}
+	if len(ds) == 0 {
+		return delta{}
+	}
+	return ds[0]
+}
+
+// then returns the net effect of d followed by e: an element d inserts and
+// e deletes (or the reverse) drops out.
+func (d delta) then(e delta) delta {
+	return delta{
+		adds:    applySorted(d.adds, applySorted(e.adds, nil, d.removes), e.removes),
+		removes: applySorted(d.removes, applySorted(e.removes, nil, d.adds), e.adds),
+	}
+}
+
+// applySorted returns (base ∖ removes) ∪ adds for sorted inputs, sorted.
+// adds must be disjoint from the result's other elements; removes that
+// base does not hold are ignored. With nothing to apply it returns base
+// itself.
+func applySorted(base, adds, removes []uint64) []uint64 {
+	if len(adds) == 0 && len(removes) == 0 {
+		return base
+	}
+	out := make([]uint64, 0, len(base)+len(adds))
+	for _, x := range base {
+		for len(removes) > 0 && removes[0] < x {
+			removes = removes[1:]
+		}
+		if len(removes) > 0 && removes[0] == x {
+			continue
+		}
+		for len(adds) > 0 && adds[0] < x {
+			out = append(out, adds[0])
+			adds = adds[1:]
+		}
+		out = append(out, x)
+	}
+	return append(out, adds...)
 }
 
 // NewSnapshot validates set once under cfg (only SigBits and Seed are
 // consulted; zero values select the defaults, as in NewPlan) and returns a
 // shareable snapshot. Elements must be nonzero, distinct, and fit in
-// SigBits bits — the same contract NewAlice and NewBob enforce.
+// SigBits bits — the same contract NewAlice and NewBob enforce. The slice
+// is copied.
 func NewSnapshot(set []uint64, cfg Config) (*Snapshot, error) {
-	cfg = cfg.withDefaults()
-	if cfg.SigBits < 8 || cfg.SigBits > 64 {
-		return nil, fmt.Errorf("core: sigBits=%d out of range [8,64]", cfg.SigBits)
+	s, err := newSnapshot(cfg)
+	if err != nil {
+		return nil, err
 	}
-	mask := sigMask(cfg.SigBits)
-	seen := make(map[uint64]struct{}, len(set))
-	elems := make([]uint64, 0, len(set))
-	for _, x := range set {
+	mask := sigMask(s.sigBits)
+	elems := make([]uint64, len(set))
+	for i, x := range set {
 		if x == 0 || x&^mask != 0 {
-			return nil, fmt.Errorf("core: element %#x outside %d-bit universe (0 excluded)", x, cfg.SigBits)
+			return nil, fmt.Errorf("core: element %#x outside %d-bit universe (0 excluded)", x, s.sigBits)
 		}
-		if _, dup := seen[x]; dup {
-			return nil, fmt.Errorf("core: duplicate element %#x", x)
-		}
-		seen[x] = struct{}{}
-		elems = append(elems, x)
+		elems[i] = x
 	}
-	// The validation map ("seen") is deliberately discarded rather than
-	// kept for Contains: most snapshots (every responder session) never
-	// verify membership, and pinning an O(|S|) map to each would be a
-	// serious memory regression; the rare strong-verify path rebuilds it
-	// lazily.
-	return &Snapshot{
-		elems:   elems,
-		sigBits: cfg.SigBits,
-		seed:    cfg.Seed,
-		sd:      deriveSeeds(cfg.Seed),
-		parts:   make(map[int][][]uint64),
-	}, nil
+	s.base, s.n = elems, len(elems)
+	s.flatten() // sorts: duplicates are neighbours now
+	for i := 1; i < len(elems); i++ {
+		if elems[i] == elems[i-1] {
+			return nil, fmt.Errorf("core: duplicate element %#x", elems[i])
+		}
+	}
+	return s, nil
 }
 
 // NewValidatedSnapshot wraps an element slice the caller has already
 // validated (nonzero, distinct, within SigBits bits — e.g. elements drawn
 // from a set handle that enforced the contract at insertion time) without
-// re-running the O(|S|) validation pass. The slice is retained, not copied:
-// the caller must not modify it afterwards.
+// re-running the validation. The slice is retained, not copied, and —
+// unless it already is sorted — sorted in place the first time a session
+// needs the elements: the caller must not use it afterwards.
 func NewValidatedSnapshot(elems []uint64, cfg Config) (*Snapshot, error) {
+	s, err := newSnapshot(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.base, s.n = elems, len(elems)
+	return s, nil
+}
+
+func newSnapshot(cfg Config) (*Snapshot, error) {
 	cfg = cfg.withDefaults()
 	if cfg.SigBits < 8 || cfg.SigBits > 64 {
 		return nil, fmt.Errorf("core: sigBits=%d out of range [8,64]", cfg.SigBits)
 	}
 	return &Snapshot{
-		elems:   elems,
 		sigBits: cfg.SigBits,
 		seed:    cfg.Seed,
 		sd:      deriveSeeds(cfg.Seed),
-		parts:   make(map[int][][]uint64),
+		shapes:  make(map[int]shape),
 	}, nil
 }
 
 // Len returns the number of elements in the snapshot.
-func (s *Snapshot) Len() int { return len(s.elems) }
+func (s *Snapshot) Len() int { return s.n }
 
-// Contains reports whether x is in the snapshot. The membership index is
-// built on first use and shared by every subsequent call.
+// Contains reports whether x is in the snapshot.
 func (s *Snapshot) Contains(x uint64) bool {
-	s.inOnce.Do(func() {
-		in := make(map[uint64]struct{}, len(s.elems))
-		for _, e := range s.elems {
-			in[e] = struct{}{}
-		}
-		s.in = in
-	})
-	_, ok := s.in[x]
-	return ok
+	s.flatten()
+	return inSorted(s.flat, x)
 }
 
 // SigBits returns the signature width the snapshot was validated against.
@@ -112,18 +225,52 @@ func (s *Snapshot) SigBits() uint { return s.sigBits }
 // Seed returns the master hash seed the snapshot partitions under.
 func (s *Snapshot) Seed() uint64 { return s.seed }
 
-// Elements returns the validated element slice. It is shared, not copied:
-// the caller must not modify it.
-func (s *Snapshot) Elements() []uint64 { return s.elems }
+// Elements returns the elements in ascending order. The slice is shared,
+// not copied: the caller must not modify it. On a snapshot produced by
+// Apply the first call merges it in O(|S|).
+func (s *Snapshot) Elements() []uint64 {
+	s.flatten()
+	return s.flat
+}
 
-// maxCachedPartitions bounds Snapshot.parts. The group count is derived
-// from the peer-influenced d̂, so an unbounded cache would let a hostile
-// client grow server memory by forging a different estimate per session;
-// honest traffic clusters around a handful of group counts, which all fit.
-// At the cap an arbitrary entry is evicted, so forged estimates can at
-// worst force recomputation — per-session O(|S|), exactly like NewBob —
-// never unbounded growth or a poisoned cache.
-const maxCachedPartitions = 8
+// flatten materializes flat. A successor merges its log into base, which
+// is sorted by then: a snapshot built from a slice sorts it here, before
+// anything can read it or Apply can share it.
+func (s *Snapshot) flatten() {
+	s.flatOnce.Do(func() {
+		if s.log == nil {
+			if !slices.IsSorted(s.base) {
+				sortElems(s.base)
+			}
+			s.flat = s.base
+			return
+		}
+		since := s.log.net()
+		s.flat = applySorted(s.base, since.adds, since.removes)
+	})
+}
+
+// maxCachedShapes bounds Snapshot.shapes. The group count is derived from
+// the peer-influenced d̂, so an unbounded cache would let a hostile client
+// grow server memory by forging a different estimate per session; honest
+// traffic clusters around a handful of group counts, which all fit. At the
+// cap an arbitrary entry is evicted, so forged estimates can at worst
+// force recomputation — per-session O(|S|), exactly like NewBob — never
+// unbounded growth or a poisoned cache.
+const maxCachedShapes = 8
+
+// rebaseFraction re-bases a successor once its log holds more than
+// |S|/rebaseFraction writes: one O(|S|) merge per that many writes bounds
+// the log, and Apply stays O(batch) in between.
+const rebaseFraction = 2
+
+// lagFraction bounds how far writes may run ahead of what they were cut
+// from, as a share 1/lagFraction of it. A group slice is rewritten once its
+// lag list is that long, so lag lists stay short next to their groups and
+// the rewriting is spread over the groups instead of falling on one sync;
+// and a cached shape no session has asked for while that many writes piled
+// up behind it is dropped, to be cut afresh if one ever does.
+const lagFraction = 8
 
 // cacheableGroups bounds the size of an individual cached partition: a
 // partition costs O(groups) slice headers regardless of |S|, so caching a
@@ -132,62 +279,225 @@ const maxCachedPartitions = 8
 // and returned — the allocation is transient and GC-reclaimed with the
 // session — just never retained.
 func (s *Snapshot) cacheableGroups(groups int) bool {
-	return groups <= 4*len(s.elems)+64
+	return groups <= 4*s.n+64
 }
 
-// partition returns the elements hash-partitioned into groups buckets,
-// caching up to maxCachedPartitions distinct group counts. The partition
-// is computed outside the lock so concurrent sessions are never serialized
-// behind an O(|S|) pass (two sessions may race to compute the same
-// partition; either result is valid and one wins the cache slot). The
-// returned slices are shared across callers and must be treated as
-// read-only.
-func (s *Snapshot) partition(groups int) [][]uint64 {
+// tableFits is the budget rule for keeping a round-one table: its
+// groups·(n+1) words of bin sums must not exceed the set itself. Small sets
+// and large-d plans (many groups, each a bitmap wide) stay on the fold
+// path, where the table would cost more memory than the elements it
+// summarizes and no more than one session would read it before a write.
+func (s *Snapshot) tableFits(groups int, m uint) bool {
+	return uint64(groups)<<m <= uint64(s.n)
+}
+
+// partitionFor returns the partition for plan.Groups, with the round-one
+// table for (plan.Groups, plan.M) when the shape fits the table budget; a
+// nil table sends the endpoint down the fold path. Up to maxCachedShapes
+// shapes are cached, each with the table of one bitmap degree (a request
+// for another degree replaces it). An inherited shape that is behind
+// absorbs its writes here, once. All of that work runs outside the lock so
+// concurrent sessions are never serialized behind it; two sessions may race
+// to compute the same shape, which is a function of the snapshot alone, so
+// either result is valid and the later one keeps the cache slot.
+func (s *Snapshot) partitionFor(plan Plan) partition {
+	groups, m := plan.Groups, plan.M
 	s.mu.Lock()
-	if p, ok := s.parts[groups]; ok {
-		s.mu.Unlock()
-		return p
-	}
+	sh, cached := s.shapes[groups]
 	s.mu.Unlock()
-
-	p := make([][]uint64, groups)
-	for _, x := range s.elems {
-		g := s.sd.groupOf(x, groups)
-		p[g] = append(p[g], x)
+	fits := s.tableFits(groups, m)
+	if sh.table != nil && (sh.table.m != m || !fits) {
+		sh.table = nil
+	}
+	buildTable := fits && sh.table == nil
+	if cached && sh.behind.len() == 0 && !buildTable {
+		return sh.partition
 	}
 
-	if !s.cacheableGroups(groups) {
-		return p
+	if !cached {
+		sh.groups = s.cut(groups)
+	} else if sh.behind.len() > 0 {
+		sh = s.absorb(sh)
+	}
+	if buildTable {
+		sh.table = buildFoldTable(sh.partition, m, s.sd, sigMask(s.sigBits), plan.workersFor(s.n+groups<<m))
+	}
+	if s.cacheableGroups(groups) {
+		s.mu.Lock()
+		if _, ok := s.shapes[groups]; !ok && len(s.shapes) >= maxCachedShapes {
+			for k := range s.shapes {
+				delete(s.shapes, k)
+				break
+			}
+		}
+		s.shapes[groups] = sh
+		s.mu.Unlock()
+	}
+	return sh.partition
+}
+
+// cut hash-partitions the elements into groups buckets: one counting pass,
+// then every group filled in element order into its exact-size stretch of
+// a single backing array.
+func (s *Snapshot) cut(groups int) [][]uint64 {
+	elems := s.Elements()
+	idx := make([]uint32, len(elems))
+	sizes := make([]int, groups)
+	for i, x := range elems {
+		g := s.sd.groupOf(x, groups)
+		idx[i] = uint32(g)
+		sizes[g]++
+	}
+	backing := make([]uint64, len(elems))
+	parts := make([][]uint64, groups)
+	off := 0
+	for g, size := range sizes {
+		parts[g] = backing[off : off : off+size]
+		off += size
+	}
+	for i, x := range elems {
+		parts[idx[i]] = append(parts[idx[i]], x)
+	}
+	return parts
+}
+
+// absorb brings an inherited shape up to date, copy-on-write: each write
+// it is behind by is flipped in its group's lag list and toggled into its
+// group's table row — fresh copies of just those lists and rows — and a
+// group whose lag list has outgrown its share is rewritten with the list
+// folded in. Every slice, list and row the writes miss stays shared with
+// the predecessor the shape came from.
+func (s *Snapshot) absorb(sh shape) shape {
+	groups := len(sh.groups)
+	touched := make(map[int]*delta)
+	at := func(x uint64) *delta {
+		g := s.sd.groupOf(x, groups)
+		d := touched[g]
+		if d == nil {
+			d = &delta{}
+			touched[g] = d
+		}
+		return d
+	}
+	// behind is sorted, so each group's share of it is too.
+	for _, x := range sh.behind.adds {
+		d := at(x)
+		d.adds = append(d.adds, x)
+	}
+	for _, x := range sh.behind.removes {
+		d := at(x)
+		d.removes = append(d.removes, x)
+	}
+	out := shape{partition: partition{groups: slices.Clone(sh.groups), lags: make([][]uint64, groups)}}
+	copy(out.lags, sh.lags)
+	if sh.table != nil {
+		out.table = &foldTable{m: sh.table.m, rows: slices.Clone(sh.table.rows)}
+	}
+	mask := sigMask(s.sigBits)
+	for g, d := range touched {
+		// An element written before and written back leaves the lag list.
+		lag := symDiffSorted(out.lags[g], symDiffSorted(d.adds, d.removes))
+		if len(lag) > len(out.groups[g])/lagFraction+lagFraction {
+			out.groups[g], lag = symDiffSorted(out.groups[g], lag), nil
+		}
+		out.lags[g] = lag
+		if out.table != nil {
+			row := sh.table.rows[g].clone()
+			row.toggle(*d, s.sd.binSeed(newScopeID(g), 1), out.table.m, mask)
+			out.table.rows[g] = row
+		}
+	}
+	return out
+}
+
+// symDiffSorted returns a △ b for sorted duplicate-free inputs, sorted.
+func symDiffSorted(a, b []uint64) []uint64 {
+	out := make([]uint64, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case a[0] > b[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			a, b = a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}
+
+// Apply returns the successor snapshot after a batch of writes: add holds
+// elements not in s, remove elements of s, the two disjoint and each free
+// of duplicates — the caller's contract, as for NewValidatedSnapshot. The
+// inputs are not retained. s itself is unchanged and stays valid for the
+// sessions holding it.
+//
+// Apply costs O(batch + writes the cached shapes have yet to absorb), not
+// O(|S|): the successor shares the base slice, conses the batch onto the
+// log, and inherits every cached shape with the batch added to what it is
+// behind by (see partitionFor).
+func (s *Snapshot) Apply(add, remove []uint64) *Snapshot {
+	if s.log == nil {
+		s.flatten() // a successor shares base: make sure it is sorted
+	}
+	batch := delta{adds: slices.Clone(add), removes: slices.Clone(remove)}
+	slices.Sort(batch.adds)
+	slices.Sort(batch.removes)
+	ns := &Snapshot{
+		sigBits: s.sigBits,
+		seed:    s.seed,
+		sd:      s.sd,
+		base:    s.base,
+		log:     &writeLog{batch: batch, prev: s.log, size: batch.len()},
+		n:       s.n + len(add) - len(remove),
+		shapes:  make(map[int]shape),
+	}
+	if s.log != nil {
+		ns.log.size += s.log.size
+	}
+	if ns.log.size > ns.n/rebaseFraction {
+		ns.base, ns.log = ns.Elements(), nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cached, ok := s.parts[groups]; ok {
-		return cached
-	}
-	if len(s.parts) >= maxCachedPartitions {
-		for k := range s.parts {
-			delete(s.parts, k)
-			break
+	for groups, sh := range s.shapes {
+		sh.behind = sh.behind.then(batch)
+		if sh.behind.len() <= ns.n/lagFraction && ns.cacheableGroups(groups) {
+			ns.shapes[groups] = sh
 		}
 	}
-	s.parts[groups] = p
-	return p
+	return ns
+}
+
+// checkPlan reports whether plan can run against this snapshot: the
+// partition is derived from Seed and SigBits, so those must match, while
+// the rest of the plan (bitmap size, capacity, groups) may vary per
+// session, as it does when each session's plan is derived from its own d̂.
+func (s *Snapshot) checkPlan(plan Plan) error {
+	if err := plan.validate(); err != nil {
+		return err
+	}
+	if plan.Seed != s.seed {
+		return fmt.Errorf("core: plan seed %#x does not match snapshot seed %#x", plan.Seed, s.seed)
+	}
+	if plan.SigBits != s.sigBits {
+		return fmt.Errorf("core: plan sigBits %d does not match snapshot sigBits %d", plan.SigBits, s.sigBits)
+	}
+	return nil
 }
 
 // NewBobFromSnapshot creates a Bob endpoint that reconciles against the
 // shared snapshot without copying or re-validating it. The plan's Seed and
-// SigBits must match the snapshot's — the partition is derived from them —
-// while the rest of the plan (bitmap size, capacity, groups) may vary per
-// session, as it does when each session's plan is derived from its own d̂.
+// SigBits must match the snapshot's.
 func NewBobFromSnapshot(snap *Snapshot, plan Plan) (*Bob, error) {
-	if err := plan.validate(); err != nil {
+	if err := snap.checkPlan(plan); err != nil {
 		return nil, err
 	}
-	if plan.Seed != snap.seed {
-		return nil, fmt.Errorf("core: plan seed %#x does not match snapshot seed %#x", plan.Seed, snap.seed)
-	}
-	if plan.SigBits != snap.sigBits {
-		return nil, fmt.Errorf("core: plan sigBits %d does not match snapshot sigBits %d", plan.SigBits, snap.sigBits)
-	}
-	return newBobWithGroups(snap.partition(plan.Groups), plan), nil
+	return &Bob{
+		plan:      plan,
+		sd:        snap.sd,
+		sigMask:   sigMask(plan.SigBits),
+		part:      snap.partitionFor(plan),
+		scopeSets: make(map[scopeID]elemSet),
+	}, nil
 }

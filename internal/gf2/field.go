@@ -18,6 +18,7 @@ package gf2
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // primitivePolys[m] is an irreducible (indeed primitive) polynomial of
@@ -83,12 +84,12 @@ type Field struct {
 	red [256]uint64
 }
 
-var fieldCache [MaxM + 1]*Field
-
-func init() {
-	for m := uint(2); m <= MaxM; m++ {
-		fieldCache[m] = newField(m)
-	}
+// fieldCache holds each field, built the first time it is asked for: the
+// log/antilog tables of the larger tabled degrees run to megabytes, and a
+// process touches a handful of degrees, not all of them.
+var fieldCache [MaxM + 1]struct {
+	once sync.Once
+	f    *Field
 }
 
 // NewField returns the field GF(2^m) for 2 <= m <= 32. Fields are cached and
@@ -97,7 +98,9 @@ func NewField(m uint) (*Field, error) {
 	if m < 2 || m > MaxM {
 		return nil, fmt.Errorf("gf2: unsupported field degree m=%d (want 2..%d)", m, MaxM)
 	}
-	return fieldCache[m], nil
+	slot := &fieldCache[m]
+	slot.once.Do(func() { slot.f = newField(m) })
+	return slot.f, nil
 }
 
 // MustField is like NewField but panics on an invalid degree. Intended for

@@ -383,3 +383,34 @@ func TestSplitOverloadProbability(t *testing.T) {
 		t.Errorf("2-way split must be far riskier: %g vs %g", p2, p3)
 	}
 }
+
+// TestPlanMemoDeterministic checks that memoizing Optimize changes nothing:
+// for every d in [1, 20000] the answer served from the cache equals the one
+// computed afresh — across the cache's bound, where it starts over.
+func TestPlanMemoDeterministic(t *testing.T) {
+	for d := 1; d <= 20000; d++ {
+		want := optimize(d, 5, 3, 0.99)
+		for pass := 0; pass < 2; pass++ { // a miss (or a hit on a d seen above), then a hit
+			got, err := Optimize(d, 5, 3, 0.99)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("d=%d pass %d: cached %+v, computed %+v", d, pass, got, want)
+			}
+		}
+		optimizeMemo.Lock()
+		size := len(optimizeMemo.m)
+		optimizeMemo.Unlock()
+		if size > optimizeMemoSize {
+			t.Fatalf("d=%d: cache holds %d entries, bound is %d", d, size, optimizeMemoSize)
+		}
+	}
+	// Different remaining arguments are different keys.
+	a, _ := Optimize(500, 5, 3, 0.99)
+	b, _ := Optimize(500, 5, 2, 0.99)
+	c, _ := Optimize(500, 7, 3, 0.99)
+	if a == b || a == c {
+		t.Fatalf("distinct arguments served one cached plan: %+v %+v %+v", a, b, c)
+	}
+}

@@ -3,6 +3,7 @@ package markov
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // DefaultMGrid is the bitmap-size grid of §5.1: n = 2^m − 1 for
@@ -34,6 +35,10 @@ func (p Params) N() uint64 { return (uint64(1) << p.M) - 1 }
 // search widens (larger t, then larger m) rather than failing, so callers
 // always get runnable parameters; the returned Bound tells them what was
 // actually achieved.
+//
+// Optimize is a pure function that both endpoints of every sync evaluate,
+// mostly on a handful of recurring arguments, so results are memoized in a
+// small bounded cache.
 func Optimize(d, delta, r int, p0 float64) (Params, error) {
 	if d < 1 || delta < 1 || r < 1 {
 		return Params{}, fmt.Errorf("markov: invalid optimizer inputs d=%d δ=%d r=%d", d, delta, r)
@@ -41,11 +46,43 @@ func Optimize(d, delta, r int, p0 float64) (Params, error) {
 	if p0 <= 0 || p0 >= 1 {
 		return Params{}, fmt.Errorf("markov: target probability p0=%v out of (0,1)", p0)
 	}
+	key := optimizeKey{d, delta, r, p0}
+	optimizeMemo.Lock()
+	p, ok := optimizeMemo.m[key]
+	optimizeMemo.Unlock()
+	if ok {
+		return p, nil
+	}
+	p = optimize(d, delta, r, p0)
+	optimizeMemo.Lock()
+	if len(optimizeMemo.m) >= optimizeMemoSize {
+		// d is peer-influenced: at the bound start over rather than grow.
+		clear(optimizeMemo.m)
+	}
+	optimizeMemo.m[key] = p
+	optimizeMemo.Unlock()
+	return p, nil
+}
+
+type optimizeKey struct {
+	d, delta, r int
+	p0          float64
+}
+
+const optimizeMemoSize = 1024
+
+var optimizeMemo = struct {
+	sync.Mutex
+	m map[optimizeKey]Params
+}{m: make(map[optimizeKey]Params)}
+
+// optimize is the search behind Optimize, on validated arguments.
+func optimize(d, delta, r int, p0 float64) Params {
 	g := NumGroups(d, delta)
 	tLo := int(math.Ceil(1.5 * float64(delta)))
 	tHi := int(math.Ceil(3.5 * float64(delta)))
 	if best, ok := searchGrid(d, g, delta, r, p0, DefaultMGrid, tLo, tHi); ok {
-		return best, nil
+		return best
 	}
 	// Widen: bigger bitmaps first, then more correction capacity. This
 	// matters only for aggressive targets (e.g. r = 1) outside the paper's
@@ -53,13 +90,13 @@ func Optimize(d, delta, r int, p0 float64) (Params, error) {
 	wideM := []uint{6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20}
 	for scale := 1; scale <= 4; scale *= 2 {
 		if best, ok := searchGrid(d, g, delta, r, p0, wideM, tLo, tHi*scale); ok {
-			return best, nil
+			return best
 		}
 	}
 	// Nothing met p0: return the best-bound configuration so the protocol
 	// still runs; callers can inspect Bound.
 	best, _ := searchBestBound(d, g, delta, r, wideM, tHi*4)
-	return best, nil
+	return best
 }
 
 // ReplanMGrid is the bitmap-size grid Replan searches. It reaches below

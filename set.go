@@ -1,11 +1,13 @@
 package pbs
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,9 +26,11 @@ import (
 // validation happens once, at insertion. The Tug-of-War estimator sketch is
 // maintained incrementally — O(ℓ) per Add/Remove, never re-sketched — so
 // the estimation phase of every sync starts for free. The validated
-// snapshot, the per-plan group partitions, and the strong-verification
-// digest are computed lazily and cached until the next mutation, then
-// shared read-only by every concurrent session. This is the amortization
+// snapshot and its per-plan group partitions and round-one fold tables are
+// persistent — writes are journaled and applied to the previous view, which
+// shares everything they did not touch — so a sync after a mutation costs
+// the mutation, not the set. Every view is shared read-only by all
+// concurrent sessions. This is the amortization
 // that lets one process carry thousands of syncs per second against the
 // same data (see Server), now available to both protocol roles.
 //
@@ -65,7 +69,56 @@ type Set struct {
 	// that only ever reconcile with WithKnownD never pay for it) and kept
 	// exact under Add/Remove afterwards.
 	sketch []int64
-	shared *SharedSet // immutable view, nil when stale
+	// shared is the last immutable view handed out (nil before the first,
+	// and after the journal overflowed); journal lists the effective writes
+	// since, in order. The next view applies the journal to shared.
+	shared  *SharedSet
+	journal []journalEntry
+}
+
+// journalEntry is one effective write: x was inserted (add) or deleted.
+type journalEntry struct {
+	x   uint64
+	add bool
+}
+
+// journalFraction bounds the journal at |S|/journalFraction entries (plus a
+// little for tiny sets). Past that the set stops journaling and the next
+// view is rebuilt from scratch, which by then costs about what applying
+// would.
+const journalFraction = 8
+
+// record journals one effective write. Called with s.mu held.
+func (s *Set) record(x uint64, add bool) {
+	if s.shared == nil {
+		return // the next view is a full build; nothing to apply to
+	}
+	s.journal = append(s.journal, journalEntry{x, add})
+	if len(s.journal) > len(s.elems)/journalFraction+64 {
+		s.shared, s.journal = nil, nil
+	}
+}
+
+// netJournal cancels the journal down to its net effect. An element's
+// entries alternate (only effective writes are journaled), so an even count
+// is a no-op and an odd count nets to its first entry.
+func netJournal(journal []journalEntry) (add, remove []uint64) {
+	slices.SortStableFunc(journal, func(a, b journalEntry) int { return cmp.Compare(a.x, b.x) })
+	for i := 0; i < len(journal); {
+		j := i + 1
+		for j < len(journal) && journal[j].x == journal[i].x {
+			j++
+		}
+		if (j-i)%2 == 1 {
+			if journal[i].add {
+				add = append(add, journal[i].x)
+			} else {
+				remove = append(remove, journal[i].x)
+			}
+		}
+		i = j
+	}
+	return add, remove
 }
 
 // setConfig is the resolved configuration a Set call runs under: the
@@ -320,10 +373,8 @@ func (s *Set) Add(xs ...uint64) (int, error) {
 		if s.sketch != nil {
 			s.tow.Add(s.sketch, x)
 		}
+		s.record(x, true)
 		added++
-	}
-	if added > 0 {
-		s.shared = nil
 	}
 	return added, nil
 }
@@ -344,21 +395,20 @@ func (s *Set) Remove(xs ...uint64) int {
 		if s.sketch != nil {
 			s.tow.Remove(s.sketch, x)
 		}
+		s.record(x, false)
 		removed++
-	}
-	if removed > 0 {
-		s.shared = nil
 	}
 	return removed
 }
 
-// sharedView returns the cached immutable view of the set (with its
-// estimator sketch materialized), rebuilding it after a mutation. The
-// rebuild collects the elements and re-derives the snapshot, but never
-// re-validates elements (they were validated at insertion) and never
-// re-sketches (the sketch is maintained incrementally); the per-plan group
-// partitions and the verification digest are then re-cached lazily inside
-// the view as sessions need them.
+// sharedView returns the current immutable view of the set (with its
+// estimator sketch materialized). After a mutation the new view is the
+// previous one with the journaled writes applied — the snapshot shares
+// everything they left alone — and only the first view, or one after a
+// journal overflow, collects the elements afresh (the snapshot sorts them).
+// Elements are never re-validated (they were at insertion) and the sketch
+// is never recomputed (it is maintained incrementally); the verification
+// digest is re-derived lazily inside the view if a session needs it.
 func (s *Set) sharedView() (*SharedSet, error) {
 	return s.view(true)
 }
@@ -380,7 +430,12 @@ func (s *Set) view(withSketch bool) (*SharedSet, error) {
 			return nil, err
 		}
 		s.shared = &SharedSet{opt: s.cfg.opt, snap: snap, tow: s.tow}
+	} else if len(s.journal) > 0 {
+		if add, remove := netJournal(s.journal); len(add)+len(remove) > 0 {
+			s.shared = &SharedSet{opt: s.cfg.opt, snap: s.shared.snap.Apply(add, remove), tow: s.tow}
+		}
 	}
+	s.journal = s.journal[:0]
 	if withSketch {
 		if s.sketch == nil {
 			// First estimate-needing operation on this handle: build the
@@ -391,11 +446,10 @@ func (s *Set) view(withSketch bool) (*SharedSet, error) {
 			}
 			s.sketch = ys
 		}
-		sketch := append([]int64(nil), s.sketch...)
-		// A no-op if a session already forced the view's own lazy
-		// computation — which used the same immutable snapshot, so the
-		// values agree.
-		s.shared.sketchOnce.Do(func() { s.shared.sketch = sketch })
+		// A no-op if the view already has its sketch — from an earlier call,
+		// or from a session forcing the view's own lazy computation, which
+		// used the same immutable snapshot, so the values agree.
+		s.shared.sketchOnce.Do(func() { s.shared.sketch = slices.Clone(s.sketch) })
 	}
 	return s.shared, nil
 }

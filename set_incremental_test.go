@@ -1,0 +1,313 @@
+package pbs
+
+import (
+	"bytes"
+	"context"
+	"math/rand/v2"
+	"net"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+
+	"pbs/internal/workload"
+)
+
+// teeSync runs a.Sync against b.Respond over a pipe and returns the result
+// with everything each side wrote.
+func teeSync(t testing.TB, a, b *Set, opts ...Option) (res *Result, sent, received []byte) {
+	t.Helper()
+	ca, cb := net.Pipe()
+	iSide, rSide := &teeRW{ReadWriter: ca}, &teeRW{ReadWriter: cb}
+	respErr := make(chan error, 1)
+	go func() {
+		defer cb.Close()
+		respErr <- b.Respond(context.Background(), rSide)
+	}()
+	res, err := a.Sync(context.Background(), iSide, opts...)
+	ca.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-respErr; err != nil {
+		t.Fatal(err)
+	}
+	return res, iSide.bytes(), rSide.bytes()
+}
+
+// TestSetJournaledViewWireIdentical mutates a warm Set through every path
+// the journal has — plain batches, an element added and removed again
+// between two syncs (and the reverse), writes that empty what the last sync
+// learned, and a burst that overflows the journal into a full rebuild — and
+// after each requires its sync to be byte-identical, in both directions, to
+// the sync of a Set built from scratch out of the same elements, for the
+// fast and the estimate-first flow.
+func TestSetJournaledViewWireIdentical(t *testing.T) {
+	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 12000, D: 60, Seed: 91})
+	rng := rand.New(rand.NewPCG(91, 92))
+	opt := []Option{WithSeed(93), WithAdaptive(false)}
+	warm, err := NewSet(p.A, opt...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := NewSet(p.B, opt...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inB := make(map[uint64]bool, len(p.B))
+	for _, x := range p.B {
+		inB[x] = true
+	}
+	fresh := func() uint64 {
+		for {
+			x := uint64(rng.Uint32())
+			if x != 0 && !inB[x] && !warm.Contains(x) {
+				return x
+			}
+		}
+	}
+
+	check := func(step string) {
+		t.Helper()
+		for _, fast := range []bool{true, false} {
+			// Both handles must speculate alike: a fixed known d.
+			callOpts := []Option{WithFastSync(fast), WithKnownD(150)}
+			scratch, err := NewSet(warm.Elements(), opt...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotSent, gotRecv := teeSync(t, warm, peer, callOpts...)
+			want, wantSent, wantRecv := teeSync(t, scratch, peer, callOpts...)
+			if !bytes.Equal(gotSent, wantSent) || !bytes.Equal(gotRecv, wantRecv) {
+				t.Fatalf("%s (fast=%v): the journaled view syncs differently from a fresh build (%d/%d vs %d/%d bytes)",
+					step, fast, len(gotSent), len(gotRecv), len(wantSent), len(wantRecv))
+			}
+			if !got.Complete || !want.Complete {
+				t.Fatalf("%s (fast=%v): incomplete sync", step, fast)
+			}
+			assertSameSet(t, got.Difference, want.Difference)
+		}
+	}
+
+	check("first view")
+
+	// Plain batches.
+	for i := 0; i < 5; i++ {
+		var add []uint64
+		for j := 0; j < 20; j++ {
+			add = append(add, fresh())
+		}
+		if _, err := warm.Add(add...); err != nil {
+			t.Fatal(err)
+		}
+		warm.Remove(p.A[i*10 : i*10+10]...)
+		check("plain batch")
+	}
+
+	// Added then removed, and removed then added, inside one journal: both
+	// must cancel to nothing, on top of one write that does not.
+	x, y := fresh(), p.A[5000]
+	warm.Add(x)
+	warm.Remove(x)
+	warm.Remove(y)
+	warm.Add(y)
+	warm.Add(x)
+	warm.Remove(x)
+	warm.Add(fresh())
+	check("cancelling writes")
+
+	// A journal that cancels completely leaves the view as it was.
+	before, _ := warm.sharedView()
+	warm.Remove(y)
+	warm.Add(y)
+	if after, _ := warm.sharedView(); after != before {
+		t.Fatal("a journal with no net effect produced a new view")
+	}
+
+	// Apply what the peer has: the difference empties out.
+	res, _, _ := teeSync(t, warm, peer, WithFastSync(true))
+	for _, d := range res.Difference {
+		if warm.Contains(d) {
+			warm.Remove(d)
+		} else {
+			warm.Add(d)
+		}
+	}
+	check("difference applied")
+
+	// A burst past the journal bound: the next view is a full rebuild.
+	var burst []uint64
+	for len(burst) < 2*len(p.A)/journalFraction {
+		burst = append(burst, fresh())
+	}
+	warm.Add(burst...)
+	warm.mu.RLock()
+	overflowed := warm.shared == nil && warm.journal == nil
+	warm.mu.RUnlock()
+	if !overflowed {
+		t.Fatal("a burst past the journal bound did not drop the view")
+	}
+	warm.Remove(burst[:len(burst)-7]...)
+	check("journal overflow")
+}
+
+// TestSetViewsStableUnderWrites hammers a Set with writes while sessions run
+// on it, as initiator and as responder, each on the view current when it
+// started. Writes only touch a pool disjoint from both base sets, so
+// whatever view a session got, it must learn the fixed difference plus some
+// subset of the pool — a view changing under a session, or a shared table
+// row written by another, shows up as a wrong difference or, under -race,
+// as a report.
+func TestSetViewsStableUnderWrites(t *testing.T) {
+	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 20000, D: 40, Seed: 17})
+	inAny := make(map[uint64]bool, 2*len(p.A))
+	for _, x := range p.A {
+		inAny[x] = true
+	}
+	for _, x := range p.B {
+		inAny[x] = true
+	}
+	rng := rand.New(rand.NewPCG(5, 6))
+	pool := map[uint64]bool{}
+	var poolElems []uint64
+	for len(poolElems) < 300 {
+		if x := uint64(rng.Uint32()); x != 0 && !inAny[x] && !pool[x] {
+			pool[x] = true
+			poolElems = append(poolElems, x)
+		}
+	}
+	opts := []Option{WithSeed(18), WithKnownD(400)}
+	a, err := NewSet(p.A, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewSet(p.B, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := map[uint64]bool{}
+	for _, x := range p.Diff {
+		base[x] = true
+	}
+	verify := func(res *Result) {
+		if !res.Complete {
+			t.Error("incomplete session")
+			return
+		}
+		n := 0
+		for _, x := range res.Difference {
+			switch {
+			case base[x]:
+				n++
+			case !pool[x]:
+				t.Errorf("learned %#x, which is in neither the fixed difference nor the write pool", x)
+				return
+			}
+		}
+		if n != len(base) {
+			t.Errorf("learned %d of the %d fixed differences", n, len(base))
+		}
+	}
+
+	stop := make(chan struct{})
+	var writers, sessions sync.WaitGroup
+	writers.Add(1)
+	go func() {
+		defer writers.Done()
+		wr := rand.New(rand.NewPCG(8, 9))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			x := poolElems[wr.IntN(len(poolElems))]
+			if wr.IntN(2) == 0 {
+				a.Add(x)
+			} else {
+				a.Remove(x)
+			}
+			runtime.Gosched()
+		}
+	}()
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
+		sessions.Add(1)
+		go func(i int) {
+			defer sessions.Done()
+			for j := 0; j < 15; j++ {
+				var res *Result
+				var err error
+				switch (i + j) % 3 {
+				case 0: // a is the initiator, in process
+					res, err = a.Reconcile(ctx, b)
+				case 1: // a is the responder
+					res, err = b.Reconcile(ctx, a)
+				default: // a is the initiator, over the wire
+					ca, cb := net.Pipe()
+					done := make(chan error, 1)
+					go func() { done <- b.Respond(ctx, cb) }()
+					res, err = a.Sync(ctx, ca, WithFastSync(true))
+					ca.Close()
+					if rerr := <-done; err == nil {
+						err = rerr
+					}
+					cb.Close()
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				verify(res)
+			}
+		}(i)
+	}
+	sessions.Wait()
+	close(stop)
+	writers.Wait()
+}
+
+// TestWarmSyncAllocationBudget is ROADMAP 2(a)'s budget as an assertion: a
+// warm Set.Sync over a pipe at |A| = 100k and d = 100, after 50 writes,
+// allocates at most 1 MB, both endpoints together (the benchmark read 6.4 MB
+// per sync on this shape before the view became incremental).
+func TestWarmSyncAllocationBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two 100k-element sets")
+	}
+	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 100000, D: 100, Seed: 23})
+	a, err := NewSet(p.A, WithSeed(24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewSet(p.B, WithSeed(24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 50 effective writes per sync that keep |A△B| at 125.
+	churn := steadyChurn(t, a, p, 25)
+	sync := func() {
+		res, _, _ := teeSync(t, a, b, WithFastSync(true))
+		if !res.Complete || len(res.Difference) != len(p.Diff)+25 {
+			t.Fatalf("bad sync: complete=%v |diff|=%d", res.Complete, len(res.Difference))
+		}
+	}
+	for i := 0; i < 3; i++ { // first views, sketches, shapes, pools, learned prior
+		churn(i)
+		sync()
+	}
+	const runs = 5
+	costs := make([]uint64, runs)
+	var before, after runtime.MemStats
+	for i := range costs {
+		churn(3 + i)
+		runtime.ReadMemStats(&before)
+		sync()
+		runtime.ReadMemStats(&after)
+		costs[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	slices.Sort(costs)
+	if median := costs[runs/2]; median > 1<<20 {
+		t.Fatalf("a warm sync after 50 writes allocated %d KB (median of %v), budget 1024 KB", median>>10, costs)
+	}
+}
