@@ -150,13 +150,6 @@ func (p *dhatPrior) shifted(d float64) bool {
 	return d > mean+2*math.Sqrt(vr)+specPredictHeadroom
 }
 
-// snapshot returns the prior's raw state (hosted persistence reads it).
-func (p *dhatPrior) snapshot() (mean, vr float64, count uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.mean, p.vr, p.count
-}
-
 // adaptiveSpeculativeD sizes the fast path's speculative first round under
 // the resolved call configuration: the learned prior when adaptive mode is
 // on and warm, the legacy last-difference heuristic otherwise. WithKnownD

@@ -53,7 +53,6 @@ import (
 	"time"
 
 	"pbs"
-	"pbs/internal/load"
 	"pbs/internal/workload"
 )
 
@@ -147,7 +146,7 @@ func main() {
 	}
 	if *hostSets > 0 {
 		for i := 0; i < *hostSets; i++ {
-			if err := srv.Host(load.ManySetName(i), workload.ManySet(*demoSeed, i, *hostSize)); err != nil {
+			if err := srv.Host(workload.ManySetName(i), workload.ManySet(*demoSeed, i, *hostSize)); err != nil {
 				fatal(fmt.Errorf("hosting catalog set %d: %w", i, err))
 			}
 		}

@@ -75,13 +75,17 @@ func FuzzFrameDecoderGarbage(f *testing.F) {
 // FuzzMuxFrame exercises the version-2 mux envelope codec: whatever
 // parseMuxPayload accepts must survive a semantic round trip (garbage may
 // use non-canonical varints, so compare decoded fields, not bytes), its
-// canonical re-encoding must be a fixed point, and the one-shot frame
-// writer muxAppendFrame must agree byte-for-byte with framing an
-// appendMuxPayload envelope.
+// canonical re-encoding must be a fixed point, and the envelope must sit
+// behind exactly the outer header appendFrame would give it. The encoder
+// under test is the one both ends ship: muxAppendFrame, whose output past
+// the 5-byte outer header is the envelope.
 func FuzzMuxFrame(f *testing.F) {
-	f.Add(appendMuxPayload(nil, 1, muxFlagOpen, []byte("hello")))
-	f.Add(appendMuxPayload(nil, 7, muxFlagClose, nil))
-	f.Add(appendMuxPayload(nil, 99, muxFlagOpen|muxFlagCompressed, bytes.Repeat([]byte{3}, 32)))
+	envelope := func(id, flags uint64, body []byte) []byte {
+		return muxAppendFrame(nil, id, flags, msgRound, body)[5:]
+	}
+	f.Add(envelope(1, muxFlagOpen, []byte("hello")))
+	f.Add(envelope(7, muxFlagClose, nil))
+	f.Add(envelope(99, muxFlagOpen|muxFlagCompressed, bytes.Repeat([]byte{3}, 32)))
 	f.Add(muxAppendFrame(nil, 5, muxFlagClose, msgStreamClose, nil)[5:])
 	f.Add([]byte{0xFF}) // truncated stream-ID varint
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -89,7 +93,7 @@ func FuzzMuxFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc := appendMuxPayload(nil, id, flags, body)
+		enc := envelope(id, flags, body)
 		id2, flags2, body2, err := parseMuxPayload(enc)
 		if err != nil {
 			t.Fatalf("re-parsing own encoding failed: %v", err)
@@ -98,7 +102,7 @@ func FuzzMuxFrame(f *testing.F) {
 			t.Fatalf("envelope changed across round trip: (%d,%#x,%d bytes) -> (%d,%#x,%d bytes)",
 				id, flags, len(body), id2, flags2, len(body2))
 		}
-		if enc2 := appendMuxPayload(nil, id2, flags2, body2); !bytes.Equal(enc, enc2) {
+		if enc2 := envelope(id2, flags2, body2); !bytes.Equal(enc, enc2) {
 			t.Fatal("canonical encoding is not a fixed point")
 		}
 		frame := muxAppendFrame(nil, id, flags, msgRound, body)

@@ -67,7 +67,7 @@ type Config struct {
 	// Sets, when > 0, switches the run to many-sets mode: instead of every
 	// worker syncing one default set, each sync targets a named hosted set
 	// drawn from a catalog of Sets deterministic sets (workload.ManySet,
-	// named by ManySetName). The server must host the same catalog
+	// named by workload.ManySetName). The server must host the same catalog
 	// (pbs-serve -host-sets with a matching -demo-seed and a -host-size
 	// equal to SetSize). The client side holds the set minus its first
 	// DiffSize elements, so every sync reconciles exactly DiffSize
@@ -179,12 +179,10 @@ func (c Config) validate() error {
 	return nil
 }
 
-// ManySetName returns the registry name of set idx in a many-sets run.
-// pbs-serve -host-sets registers the same names, so a loadgen fleet and a
-// server agree on the catalog by construction.
-func ManySetName(idx int) string {
-	return fmt.Sprintf("bench/s%06d", idx)
-}
+// ManySetName is workload.ManySetName, kept under its old name for this
+// package's tests; the catalog's naming lives beside workload.ManySet, where
+// the serving binary reaches it without importing the load generator.
+func ManySetName(idx int) string { return workload.ManySetName(idx) }
 
 // LatencySummary digests the client-observed sync latency distribution,
 // in microseconds.
@@ -637,7 +635,7 @@ func (w *worker) pickSet() error {
 		return err
 	}
 	w.set = set
-	w.curName = ManySetName(idx)
+	w.curName = workload.ManySetName(idx)
 	if cfg.Verify {
 		w.expect = make(map[uint64]struct{}, cfg.DiffSize)
 		for _, x := range full[:cfg.DiffSize] {

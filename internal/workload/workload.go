@@ -112,6 +112,13 @@ func MustGenerate(cfg Config) *Pair {
 	return p
 }
 
+// ManySetName returns the registry name of set idx in a many-sets run.
+// pbs-serve -host-sets and the loadgen fleet both name the catalog through
+// it, so a server and its clients agree on the names by construction.
+func ManySetName(idx int) string {
+	return fmt.Sprintf("bench/s%06d", idx)
+}
+
 // ManySet returns the deterministic element set of index idx in a
 // many-sets workload: size distinct nonzero 32-bit elements derived from
 // (seed, idx) alone, so a server can host set idx and any client can

@@ -73,14 +73,6 @@ var (
 	ErrStreamsExhausted = errors.New("pbs: mux stream IDs exhausted")
 )
 
-// appendMuxPayload serializes a mux envelope (stream ID, flags, body) onto
-// dst; the result is the payload of an outer v0-framed message.
-func appendMuxPayload(dst []byte, streamID, flags uint64, body []byte) []byte {
-	dst = binary.AppendUvarint(dst, streamID)
-	dst = binary.AppendUvarint(dst, flags)
-	return append(dst, body...)
-}
-
 // parseMuxPayload decodes a mux envelope. body aliases b.
 func parseMuxPayload(b []byte) (streamID, flags uint64, body []byte, err error) {
 	streamID, k := binary.Uvarint(b)

@@ -18,17 +18,20 @@ import (
 
 // Server answers reconciliation sessions concurrently over TCP (or any
 // net.Listener). It is the deployment shape the non-blocking session
-// engine exists for: every connection drives a ResponderSession against an
+// engine exists for: every session drives a ResponderSession against an
 // immutable SharedSet from the server's registry, so N concurrent sessions
 // share one validated snapshot of each set — one ToW sketch, one
 // strong-verification digest, one group partition per plan size — instead
 // of N private copies.
 //
-// A session manager enforces per-session limits on top of the engine's
-// own hardening (Options.MaxD): a cap on concurrent sessions, an idle
-// deadline per frame, a total byte budget per session, and a round
-// budget. Violations are reported to the client as a final msgError frame
-// before the connection closes, and counted in the server stats.
+// One connection loop (handle) serves every connection, whatever framing it
+// negotiated, through a per-connection table of session runners. It
+// enforces per-session limits on top of the engine's own hardening
+// (Options.MaxD): a cap on concurrent connections, an idle deadline per
+// frame, a total byte budget per session, and a round budget. Violations
+// are reported to the client as a coded msgError — the connection's final
+// frame under raw framing, that stream's final frame under mux — and
+// counted in the server stats.
 //
 // Protocol: a client may open with a msgHello frame naming the registered
 // set to reconcile against; without one the session uses DefaultSetName.
@@ -37,10 +40,12 @@ import (
 // instead opens with a single msgHelloV1 frame (name, sketches, and a
 // speculative first round in one), which the server admits and answers
 // identically — the common warm sync then completes in one round trip.
-// After a completed
-// session the connection stays open and accepts another hello/estimate, so
-// a warm client (Set.Sync over a held connection) amortizes the dial
-// across many syncs; each session gets fresh byte and round budgets.
+// After a completed session the connection stays open and accepts another
+// hello/estimate, so a warm client (Set.Sync over a held connection)
+// amortizes the dial across many syncs; each session gets fresh byte and
+// round budgets. A version-2 hello may instead negotiate stream
+// multiplexing (mux.go): the same loop then carries many sessions at once,
+// one per stream, each under its own budgets.
 type Server struct {
 	opt ServerOptions
 	// protoOpt is opt.Protocol with defaults applied, resolved once; every
@@ -585,23 +590,6 @@ func (s *Server) startSession(name string) (*ResponderSession, *rejection) {
 	return sess, nil
 }
 
-// admit starts a session against the named set, handling the rejection
-// accounting and client diagnostic when it cannot. A nil return means the
-// connection should close.
-func (s *Server) admit(conn net.Conn, name string) *ResponderSession {
-	sess, rej := s.startSession(name)
-	if sess == nil {
-		rej.count(s)
-		s.sendCodedError(conn, rej.msg, rej.code, rej.retry)
-		return nil
-	}
-	// Sessions on the sequential connection loop may negotiate the mux
-	// upgrade; sessions a muxLoop admits per stream go through startSession
-	// directly and never re-negotiate (no mux inside mux).
-	sess.allowFeatures = s.opt.allowedFeatures()
-	return sess
-}
-
 // Stats returns a snapshot of the server counters and session histograms.
 func (s *Server) Stats() ServerStats {
 	st := ServerStats{
@@ -757,21 +745,16 @@ func (s *Server) Shutdown(timeout time.Duration) bool {
 	return drained
 }
 
-// sendError reports a session failure to the client as a final msgError
-// frame, on a short deadline so a stalled peer cannot pin the goroutine.
-// The connection usually still has unread frames from the client (e.g. the
-// estimate of a just-rejected session); closing with those pending would
-// RST the socket and can destroy the diagnostic before the client reads
-// it, so the write side is half-closed and the inbound leftovers drained
-// briefly first.
-func (s *Server) sendError(conn net.Conn, msg string) {
-	s.sendCodedError(conn, msg, ErrCodeRejected, 0)
-}
-
-// sendCodedError is sendError with a structured code and optional
-// retry-after hint appended as the backward-compatible msgError suffix:
-// current clients decode it into a *PeerError, legacy clients see (and
-// log) the suffix as part of the plain string.
+// sendCodedError reports a failure to a raw-framed client as a final
+// msgError frame, on a short deadline so a stalled peer cannot pin the
+// goroutine. The structured code and optional retry-after hint ride the
+// backward-compatible msgError suffix: current clients decode it into a
+// *PeerError, legacy clients see (and log) the suffix as part of the plain
+// string. The connection usually still has unread frames from the client
+// (e.g. the estimate of a just-rejected session); closing with those
+// pending would RST the socket and can destroy the diagnostic before the
+// client reads it, so the write side is half-closed and the inbound
+// leftovers drained briefly first.
 func (s *Server) sendCodedError(conn net.Conn, msg, code string, retryAfter time.Duration) {
 	payload := appendErrCode(msg, code, retryAfter)
 	conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
@@ -786,13 +769,55 @@ func (s *Server) sendCodedError(conn net.Conn, msg, code string, retryAfter time
 	io.Copy(io.Discard, io.LimitReader(conn, maxFrame))
 }
 
-// handle pumps frames between one connection and its responder sessions,
-// enforcing the per-session limits. A connection carries sessions in
-// sequence: after a completed session (the initiator's msgDone) the
-// connection stays open and a fresh msgHello or msgEstimate starts the
-// next one with its budgets reset — how a warm client fleet amortizes the
-// dial across many syncs. Frame payloads are read into one pooled buffer
-// per connection, reused across frames and sessions.
+// sessionError tells the client that the session on stream id was refused
+// or failed — the one place the two framings differ on failure. A raw
+// connection has nothing but itself to address, so the diagnostic is its
+// final frame (sendCodedError) and the connection ends. A mux connection
+// envelopes the coded msgError on that stream with the close flag and
+// carries on — one hostile or unlucky stream can never wedge its siblings —
+// unless the write itself fails. A connection this ends is closed here;
+// the connection loop exits when its next read says so.
+func (s *Server) sessionError(conn net.Conn, muxed bool, id uint64, msg, code string, retryAfter time.Duration) {
+	if !muxed {
+		s.sendCodedError(conn, msg, code, retryAfter)
+		conn.Close()
+		return
+	}
+	b := muxAppendFrame(nil, id, muxFlagClose, msgError, []byte(appendErrCode(msg, code, retryAfter)))
+	if t := s.opt.idleTimeout(); t > 0 {
+		conn.SetWriteDeadline(time.Now().Add(t))
+	}
+	if _, err := conn.Write(b); err != nil {
+		conn.Close()
+		return
+	}
+	s.bytesOut.Add(int64(len(b)))
+}
+
+// srvStream is one session's entry in a connection's stream table: its
+// session engine plus the budget and accounting state every session is
+// limited by, whichever framing carries it.
+type srvStream struct {
+	sess        *ResponderSession
+	start       time.Time
+	bytes       int64
+	roundFrames int
+	lastActive  time.Time
+}
+
+// handle is the connection loop: it pumps frames between one connection
+// and the responder sessions in its stream table, enforcing the
+// per-session limits. Raw v0/v1 framing is the table's degenerate case —
+// at most one stream, implicit, ID 0: after a completed session (the
+// initiator's msgDone) the connection stays open and a fresh msgHello or
+// msgEstimate opens the next one with its budgets reset, which is how a
+// warm client fleet amortizes the dial across many syncs. A granted
+// version-2 hello re-files that stream as ID 1 and switches the connection
+// to enveloped framing in place; from then on each frame is routed to its
+// stream's engine, strictly in arrival order (which round-robins the
+// connection fairly), and a step's replies leave in one write per inbound
+// frame. Frame payloads are read into one pooled buffer per connection,
+// reused across frames, streams and sessions.
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -825,300 +850,103 @@ func (s *Server) handle(conn net.Conn) {
 	defer putPayloadBuf(buf)
 
 	var (
-		sess         *ResponderSession
-		sessStart    time.Time
-		sessionBytes int64
-		roundFrames  int
+		streams     = map[uint64]*srvStream{}
+		muxed, lzOn bool
+		lastSweep   = time.Now()
 	)
-	defer func() {
-		if sess != nil {
-			sess.runRelease()
-			s.sessActive.Add(-1)
-		}
-	}()
-	fail := func(msg string) {
-		s.failed.Add(1)
-		s.sendError(conn, msg)
-	}
-	for {
-		if t := s.opt.idleTimeout(); t > 0 {
-			conn.SetReadDeadline(time.Now().Add(t))
-		}
-		// Refuse frames whose declared size alone would bust the session's
-		// remaining byte budget — before reading (or holding) any payload.
-		limit := uint32(maxFrame)
-		if budget := s.opt.sessionByteBudget(); budget > 0 {
-			remain := budget - sessionBytes - 5
-			if remain < 0 {
-				remain = 0
-			}
-			if remain < int64(limit) {
-				limit = uint32(remain)
-			}
-		}
-		typ, payload, err := readFrameInto(conn, limit, (*buf)[:0])
-		if payload != nil {
-			*buf = payload[:0]
-		}
-		if err != nil {
-			// A frame rejected on its declared size gets the diagnostic the
-			// client can act on; plain transport errors do not.
-			var fle *frameLimitError
-			if errors.As(err, &fle) {
-				if limit < maxFrame {
-					fail("session byte budget exceeded")
-				} else {
-					fail(err.Error())
-				}
-				return
-			}
-			// A connection that ends between sessions — clean EOF, reset,
-			// or idle-deadline expiry alike — is a probe, a dial-and-abort,
-			// or a warm client hanging up after its last sync, not a
-			// failed session.
-			if sess != nil || sessionBytes > 0 {
-				s.failed.Add(1)
-			}
-			return
-		}
-		n := int64(5 + len(payload))
-		sessionBytes += n
-		s.bytesIn.Add(n)
-		if budget := s.opt.sessionByteBudget(); budget > 0 && sessionBytes > budget {
-			fail("session byte budget exceeded")
-			return
-		}
-
-		if typ == msgHello {
-			if sess != nil {
-				fail("hello after session start")
-				return
-			}
-			if sess = s.admit(conn, string(payload)); sess == nil {
-				return
-			}
-			sessStart = time.Now()
-			continue
-		}
-		if typ == msgHelloV1 && sess == nil {
-			// A fast hello both names the set and opens the session, so the
-			// admission happens here and the frame still reaches the engine.
-			name, err := fastHelloSetName(payload)
-			if err != nil {
-				fail(err.Error())
-				return
-			}
-			if name == "" {
-				name = DefaultSetName
-			}
-			if sess = s.admit(conn, name); sess == nil {
-				return
-			}
-			sessStart = time.Now()
-		}
-		if sess == nil {
-			if sess = s.admit(conn, DefaultSetName); sess == nil {
-				return
-			}
-			sessStart = time.Now()
-		}
-		if typ == msgRound || typ == msgHelloV1 {
-			// A fast hello carries a speculative round, so it spends the
-			// round budget like any msgRound.
-			roundFrames++
-			if max := s.opt.sessionMaxRounds(); max > 0 && roundFrames > max {
-				fail("session round budget exceeded")
-				return
-			}
-		}
-
-		out, done, stepErr := sess.Step(typ, payload)
-		if len(out) > 0 {
-			// The idle deadline covers writes too: a client that stops
-			// reading must not pin this goroutine (and its session slot)
-			// in a blocked send forever. The step's frames go out in one
-			// coalesced write.
-			if t := s.opt.idleTimeout(); t > 0 {
-				conn.SetWriteDeadline(time.Now().Add(t))
-			}
-			if werr := writeFrames(conn, out); werr != nil {
-				if stepErr == nil {
-					stepErr = werr
-				}
-			} else {
-				var wn int64
-				for _, f := range out {
-					wn += int64(5 + len(f.Payload))
-				}
-				sessionBytes += wn
-				s.bytesOut.Add(wn)
-			}
-		}
-		if stepErr == nil {
-			if budget := s.opt.sessionByteBudget(); budget > 0 && sessionBytes > budget {
-				fail("session byte budget exceeded")
-				return
-			}
-		}
-		if stepErr != nil {
-			fail(stepErr.Error())
-			return
-		}
-		if done {
-			// Only a session that actually started reconciling (answered
-			// an estimate) counts as completed; a probe that sends a bare
-			// msgDone must not inflate the success counter.
-			if sess.started() {
-				s.completed.Add(1)
-				s.rounds.Add(int64(sess.Rounds()))
-				s.adaptiveReplans.Add(int64(sess.adaptiveReplans()))
-				if sess.specAccepted {
-					s.priorHits.Add(1)
-				}
-				hint := uint64(cur)
-				s.latencyHist.Record(hint, time.Since(sessStart).Microseconds())
-				s.roundsHist.Record(hint, int64(sess.Rounds()))
-				s.bytesHist.Record(hint, sessionBytes)
-			}
-			// Keep the connection: the next msgHello or msgEstimate opens
-			// a fresh session under fresh budgets.
-			sess.runRelease()
-			s.sessActive.Add(-1)
-			sess = nil
-			sessionBytes, roundFrames = 0, 0
-		}
-		if sess != nil {
-			if g := sess.grantedFeatures(); g&featureMux != 0 {
-				// The hello reply that granted mux just went out, and the
-				// fast-path initiator sends nothing until it has read it —
-				// so the very next inbound frame is already enveloped.
-				// Ownership of the session (and its sessActive slot) moves
-				// to the demultiplexer as stream 1.
-				first := &srvStream{
-					sess:        sess,
-					start:       sessStart,
-					bytes:       sessionBytes,
-					roundFrames: roundFrames,
-					lastActive:  time.Now(),
-				}
-				sess = nil
-				s.muxLoop(conn, buf, cur, first, g&featureLZ != 0)
-				return
-			}
-		}
-	}
-}
-
-// srvStream is the server-side state of one mux stream: its session engine
-// plus the per-stream budget and accounting state the sequential loop
-// keeps in locals.
-type srvStream struct {
-	sess        *ResponderSession
-	start       time.Time
-	bytes       int64
-	roundFrames int
-	lastActive  time.Time
-}
-
-// muxLoop is handle's demultiplexing sibling: after a fast hello
-// negotiates mux, the connection's frames carry stream envelopes and this
-// loop routes each to its stream's session engine. Per-stream budgets and
-// idle deadlines mirror the sequential loop's session limits exactly, and
-// every per-stream failure is enveloped back on that stream with a close
-// flag — one hostile or unlucky stream can never wedge its siblings. Step
-// outputs are batched into one write per inbound frame (the coalesced
-// write path), which round-robins the connection fairly because streams
-// are served strictly in frame-arrival order.
-func (s *Server) muxLoop(conn net.Conn, buf *[]byte, cur int64, first *srvStream, lzOn bool) {
-	streams := map[uint64]*srvStream{1: first}
-	s.streamsOpen.Add(1)
-	s.streamsTotal.Add(1)
-	defer func() {
-		// Connection teardown: streams that were mid-session fail; the
-		// clean case (every stream completed or closed first) has an empty
-		// table and counts nothing.
-		for _, st := range streams {
-			if st.sess.started() || st.bytes > 0 {
-				s.failed.Add(1)
-			}
-			st.sess.runRelease()
-			s.sessActive.Add(-1)
+	idle, budget := s.opt.idleTimeout(), s.opt.sessionByteBudget()
+	// release returns everything stream id's session holds: its tenant
+	// slot, its sessActive count and, on a mux connection, its stream slot.
+	release := func(id uint64) {
+		streams[id].sess.runRelease()
+		s.sessActive.Add(-1)
+		if muxed {
 			s.streamsOpen.Add(-1)
 		}
-	}()
-
-	// writeBatch sends one pre-assembled burst of enveloped frames under
-	// the idle write deadline. A write error is terminal for the whole
-	// connection — a partial frame poisons the framing for every stream.
-	writeBatch := func(b []byte) error {
-		if len(b) == 0 {
-			return nil
-		}
-		if t := s.opt.idleTimeout(); t > 0 {
-			conn.SetWriteDeadline(time.Now().Add(t))
-		}
-		if _, err := conn.Write(b); err != nil {
-			return err
-		}
-		s.bytesOut.Add(int64(len(b)))
-		return nil
-	}
-	// streamError reports a per-stream failure to the client: a coded
-	// msgError enveloped on that stream with the close flag, leaving the
-	// connection (and every sibling stream) running.
-	streamError := func(id uint64, msg, code string, retryAfter time.Duration) error {
-		payload := appendErrCode(msg, code, retryAfter)
-		return writeBatch(muxAppendFrame(nil, id, muxFlagClose, msgError, []byte(payload)))
-	}
-	// dropStream releases a stream's slot; failed says whether it counts
-	// as a failed session (vs. completed or a never-started probe).
-	dropStream := func(id uint64, st *srvStream, failed bool) {
-		if failed {
-			s.failed.Add(1)
-		}
-		st.sess.runRelease()
-		s.sessActive.Add(-1)
-		s.streamsOpen.Add(-1)
 		delete(streams, id)
 	}
+	// Connection teardown: streams still in the table were mid-session and
+	// fail; the clean case (every session completed or closed first) has an
+	// empty table and counts nothing.
+	defer func() {
+		for id := range streams {
+			s.failed.Add(1)
+			release(id)
+		}
+	}()
+	// failStream ends the session on stream id as Failed: counted, then
+	// reported, then released (the stream may not exist yet when its very
+	// first frame is at fault).
+	failStream := func(id uint64, msg string) {
+		s.failed.Add(1)
+		s.sessionError(conn, muxed, id, msg, ErrCodeRejected, 0)
+		if streams[id] != nil {
+			release(id)
+		}
+	}
 
-	idle := s.opt.idleTimeout()
-	lastSweep := time.Now()
 	for {
 		if idle > 0 {
 			conn.SetReadDeadline(time.Now().Add(idle))
 		}
-		typ, payload, err := readFrameInto(conn, maxFrame, (*buf)[:0])
-		if payload != nil {
-			*buf = payload[:0]
+		// Opening the inbound frame is framing-specific. Raw: the stream is
+		// known before the payload, so frames whose declared size alone
+		// would bust the session's remaining byte budget are refused before
+		// reading (or holding) any of it. Mux: the envelope names the stream.
+		limit := uint32(maxFrame)
+		if !muxed && budget > 0 {
+			remain := budget - 5
+			if st := streams[0]; st != nil {
+				remain -= st.bytes
+			}
+			limit = uint32(min(max(remain, 0), maxFrame))
+		}
+		typ, body, err := readFrameInto(conn, limit, (*buf)[:0])
+		if body != nil {
+			*buf = body[:0]
 		}
 		if err != nil {
+			// A raw frame rejected on its declared size gets the diagnostic
+			// the client can act on; plain transport errors (and, under mux,
+			// an oversized frame no stream can be blamed for) do not. A
+			// connection that ends between sessions — clean EOF, reset, or
+			// idle-deadline expiry alike — is a probe, a dial-and-abort, or a
+			// warm client hanging up after its last sync, not a failed
+			// session: its table is empty.
+			var fle *frameLimitError
+			if !muxed && errors.As(err, &fle) {
+				msg := err.Error()
+				if limit < maxFrame {
+					msg = "session byte budget exceeded"
+				}
+				failStream(0, msg)
+			}
 			return
 		}
-		n := int64(5 + len(payload))
+		n := int64(5 + len(body))
 		s.bytesIn.Add(n)
-
-		id, flags, body, perr := parseMuxPayload(payload)
-		if perr != nil || flags&^uint64(muxFlagKnown) != 0 {
-			// A malformed envelope means framing trust is gone; there is no
-			// stream to blame it on, so the connection dies.
-			return
-		}
-		if flags&muxFlagCompressed != 0 {
-			if !lzOn {
+		var id, flags uint64
+		if muxed {
+			var perr error
+			id, flags, body, perr = parseMuxPayload(body)
+			if perr != nil || flags&^uint64(muxFlagKnown) != 0 || (flags&muxFlagCompressed != 0 && !lzOn) {
+				// A malformed envelope means framing trust is gone; there is no
+				// stream to blame it on, so the connection dies.
 				return
 			}
-			decoded, derr := lz.Decode(nil, body, maxFrame)
-			if derr != nil {
-				return
+			if flags&muxFlagCompressed != 0 {
+				decoded, derr := lz.Decode(nil, body, maxFrame)
+				if derr != nil {
+					return
+				}
+				s.bytesSaved.Add(int64(len(decoded) - len(body)))
+				body = decoded
 			}
-			s.bytesSaved.Add(int64(len(decoded) - len(body)))
-			body = decoded
 		}
 
-		st := streams[id]
+		st, opening := streams[id], false
 		if st == nil {
-			if flags&muxFlagOpen == 0 {
+			if muxed && flags&muxFlagOpen == 0 {
 				if typ == msgStreamClose || flags&muxFlagClose != 0 {
 					// Close for a stream already gone: a benign race between
 					// the client's close and our teardown.
@@ -1127,17 +955,13 @@ func (s *Server) muxLoop(conn net.Conn, buf *[]byte, cur int64, first *srvStream
 				// Unknown stream: reject it with a coded error on that ID;
 				// the connection and its live streams are unaffected.
 				s.rejected.Add(1)
-				if werr := streamError(id, fmt.Sprintf("unknown stream %d", id), ErrCodeRejected, 0); werr != nil {
-					return
-				}
+				s.sessionError(conn, muxed, id, fmt.Sprintf("unknown stream %d", id), ErrCodeRejected, 0)
 				continue
 			}
-			if max := s.opt.maxStreams(); len(streams) >= max {
+			if muxed && len(streams) >= s.opt.maxStreams() {
 				s.rejected.Add(1)
 				s.shed.Add(1)
-				if werr := streamError(id, "connection at stream capacity", ErrCodeBusy, s.opt.retryAfterHint()); werr != nil {
-					return
-				}
+				s.sessionError(conn, muxed, id, "connection at stream capacity", ErrCodeBusy, s.opt.retryAfterHint())
 				continue
 			}
 			name := DefaultSetName
@@ -1145,109 +969,127 @@ func (s *Server) muxLoop(conn net.Conn, buf *[]byte, cur int64, first *srvStream
 			case msgHello:
 				name = string(body)
 			case msgHelloV1:
-				if hn, herr := fastHelloSetName(body); herr != nil {
-					s.failed.Add(1)
-					if werr := streamError(id, herr.Error(), ErrCodeRejected, 0); werr != nil {
-						return
-					}
+				// A fast hello both names the set and opens the session, so
+				// the admission happens here and the frame still reaches the
+				// engine.
+				hn, herr := fastHelloSetName(body)
+				if herr != nil {
+					failStream(id, herr.Error())
 					continue
-				} else if hn != "" {
+				}
+				if hn != "" {
 					name = hn
 				}
 			}
 			sess, rej := s.startSession(name)
 			if sess == nil {
 				rej.count(s)
-				if werr := streamError(id, rej.msg, rej.code, rej.retry); werr != nil {
-					return
-				}
+				s.sessionError(conn, muxed, id, rej.msg, rej.code, rej.retry)
 				continue
 			}
-			st = &srvStream{sess: sess, start: time.Now()}
-			streams[id] = st
-			s.streamsOpen.Add(1)
-			s.streamsTotal.Add(1)
-		} else if flags&muxFlagOpen != 0 {
-			if werr := streamError(id, fmt.Sprintf("duplicate open for stream %d", id), ErrCodeRejected, 0); werr != nil {
-				return
+			if muxed {
+				s.streamsOpen.Add(1)
+				s.streamsTotal.Add(1)
+			} else {
+				// Only a session opened under raw framing may negotiate the
+				// mux upgrade; streams opened inside the envelope never
+				// re-negotiate (no mux inside mux).
+				sess.allowFeatures = s.opt.allowedFeatures()
 			}
-			dropStream(id, st, true)
+			st, opening = &srvStream{sess: sess, start: time.Now()}, true
+			streams[id] = st
+		} else if flags&muxFlagOpen != 0 {
+			failStream(id, fmt.Sprintf("duplicate open for stream %d", id))
 			continue
 		}
 		st.lastActive = time.Now()
 		st.bytes += n
-		if budget := s.opt.sessionByteBudget(); budget > 0 && st.bytes > budget {
-			if werr := streamError(id, "session byte budget exceeded", ErrCodeRejected, 0); werr != nil {
-				return
-			}
-			dropStream(id, st, true)
+		if budget > 0 && st.bytes > budget {
+			failStream(id, "session byte budget exceeded")
 			continue
 		}
 
-		if typ == msgStreamClose {
+		if muxed && typ == msgStreamClose {
 			// Client abandoned the stream mid-session (its msgDone rides the
 			// close flag on the session's own goodbye instead).
-			dropStream(id, st, st.sess.started() || st.bytes > n)
+			if st.sess.started() || st.bytes > n {
+				s.failed.Add(1)
+			}
+			release(id)
 			continue
 		}
 		if typ == msgHello {
-			// The envelope's open flag already did the naming; a bare hello
-			// frame only exists as a stream's opening frame.
-			if st.sess.started() {
-				if werr := streamError(id, "hello after session start", ErrCodeRejected, 0); werr != nil {
-					return
-				}
-				dropStream(id, st, true)
+			// A bare hello only exists as a stream's opening frame, where it
+			// already did the naming.
+			if !opening {
+				failStream(id, "hello after session start")
 			}
 			continue
 		}
 		if typ == msgRound || typ == msgHelloV1 {
+			// A fast hello carries a speculative round, so it spends the
+			// round budget like any msgRound.
 			st.roundFrames++
 			if max := s.opt.sessionMaxRounds(); max > 0 && st.roundFrames > max {
-				if werr := streamError(id, "session round budget exceeded", ErrCodeRejected, 0); werr != nil {
-					return
-				}
-				dropStream(id, st, true)
+				failStream(id, "session round budget exceeded")
 				continue
 			}
 		}
 
 		out, done, stepErr := st.sess.Step(typ, body)
-		if len(out) > 0 && stepErr == nil {
-			batch := getPayloadBuf()
-			b := (*batch)[:0]
-			for _, f := range out {
-				wireBody, compressed := muxCompressBody(f.Payload, lzOn)
-				var fl uint64
-				if compressed {
-					fl = muxFlagCompressed
-					s.bytesSaved.Add(int64(len(f.Payload) - len(wireBody)))
-				}
-				b = muxAppendFrame(b, id, fl, f.Type, wireBody)
+		if len(out) > 0 {
+			// The idle deadline covers writes too: a client that stops
+			// reading must not pin this goroutine (and its session slots) in
+			// a blocked send forever. Sealing is framing-specific, but either
+			// way the step's frames go out in one coalesced write.
+			if idle > 0 {
+				conn.SetWriteDeadline(time.Now().Add(idle))
 			}
-			werr := writeBatch(b)
-			*batch = b[:0]
-			putPayloadBuf(batch)
+			var wn int64
+			var werr error
+			if muxed {
+				batch := getPayloadBuf()
+				b := (*batch)[:0]
+				for _, f := range out {
+					wireBody, compressed := muxCompressBody(f.Payload, lzOn)
+					var fl uint64
+					if compressed {
+						fl = muxFlagCompressed
+						s.bytesSaved.Add(int64(len(f.Payload) - len(wireBody)))
+					}
+					b = muxAppendFrame(b, id, fl, f.Type, wireBody)
+				}
+				_, werr = conn.Write(b)
+				wn = int64(len(b))
+				*batch = b[:0]
+				putPayloadBuf(batch)
+			} else {
+				werr = writeFrames(conn, out)
+				for _, f := range out {
+					wn += int64(5 + len(f.Payload))
+				}
+			}
 			if werr != nil {
+				// A write error is terminal for the whole connection — a
+				// partial frame poisons the framing for every stream, and a
+				// diagnostic would only follow it onto the broken socket.
 				return
 			}
-			st.bytes += int64(len(b))
-			if budget := s.opt.sessionByteBudget(); budget > 0 && st.bytes > budget {
-				if werr := streamError(id, "session byte budget exceeded", ErrCodeRejected, 0); werr != nil {
-					return
-				}
-				dropStream(id, st, true)
+			st.bytes += wn
+			s.bytesOut.Add(wn)
+			if budget > 0 && st.bytes > budget {
+				failStream(id, "session byte budget exceeded")
 				continue
 			}
 		}
 		if stepErr != nil {
-			if werr := streamError(id, stepErr.Error(), ErrCodeRejected, 0); werr != nil {
-				return
-			}
-			dropStream(id, st, true)
+			failStream(id, stepErr.Error())
 			continue
 		}
 		if done {
+			// Only a session that actually started reconciling (answered
+			// an estimate) counts as completed; a probe that sends a bare
+			// msgDone must not inflate the success counter.
 			if st.sess.started() {
 				s.completed.Add(1)
 				s.rounds.Add(int64(st.sess.Rounds()))
@@ -1260,20 +1102,31 @@ func (s *Server) muxLoop(conn net.Conn, buf *[]byte, cur int64, first *srvStream
 				s.roundsHist.Record(hint, int64(st.sess.Rounds()))
 				s.bytesHist.Record(hint, st.bytes)
 			}
-			dropStream(id, st, false)
+			// Keep the connection: the next opening frame starts a fresh
+			// session under fresh budgets.
+			release(id)
+		} else if g := st.sess.grantedFeatures(); !muxed && g&featureMux != 0 {
+			// The hello reply that granted mux just went out raw, and the
+			// fast-path initiator sends nothing until it has read it — so
+			// the very next inbound frame is already enveloped. The stream
+			// keeps its session, its start time and the bytes and rounds
+			// already charged; it is only re-filed as stream 1.
+			delete(streams, 0)
+			streams[1] = st
+			muxed, lzOn = true, g&featureLZ != 0
+			s.streamsOpen.Add(1)
+			s.streamsTotal.Add(1)
 		}
 
-		if idle > 0 && time.Since(lastSweep) >= idle/2 {
+		if muxed && idle > 0 && time.Since(lastSweep) >= idle/2 {
 			// Per-stream idleness: the connection-level read deadline only
 			// fires when every stream is silent, so streams that went quiet
-			// while siblings stay busy are swept here.
+			// while siblings stay busy are swept here. (Raw framing has no
+			// siblings: the read deadline is the stream's.)
 			lastSweep = time.Now()
 			for sid, sst := range streams {
 				if time.Since(sst.lastActive) > idle {
-					if werr := streamError(sid, "stream idle timeout", ErrCodeRejected, 0); werr != nil {
-						return
-					}
-					dropStream(sid, sst, sst.sess.started() || sst.bytes > 0)
+					failStream(sid, "stream idle timeout")
 				}
 			}
 		}

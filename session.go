@@ -503,7 +503,8 @@ type SharedSet struct {
 	// elements in the first time a session actually needs them — decoding
 	// a delta round — while estimates and digest verification are answered
 	// from the preset sketch/digest below. count carries the element count
-	// so sizing (Len, the server MaxD tightening) works without elements.
+	// so sizing (Len, the server MaxD tightening) works without elements;
+	// like loadSnap it is fixed at construction.
 	loadSnap func() (*core.Snapshot, error)
 	snapOnce sync.Once
 	snapErr  error
@@ -551,9 +552,6 @@ func (ss *SharedSet) snapshot() (*core.Snapshot, error) {
 			return
 		}
 		ss.snap, ss.snapErr = ss.loadSnap()
-		if ss.snapErr == nil && ss.snap != nil {
-			ss.count = ss.snap.Len()
-		}
 	})
 	if ss.snapErr != nil {
 		return nil, ss.snapErr
@@ -584,7 +582,9 @@ func NewSharedSet(set []uint64, o *Options) (*SharedSet, error) {
 
 // Len returns the number of elements in the set.
 func (ss *SharedSet) Len() int {
-	if ss.snap == nil {
+	if ss.loadSnap != nil {
+		// Sized by the persisted count, never by peeking at snap: a session
+		// is admitted (and calls Len) while a sibling pages the snapshot in.
 		return ss.count
 	}
 	return ss.snap.Len()

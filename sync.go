@@ -207,10 +207,10 @@ func setNoDelay(conn net.Conn) {
 }
 
 func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	return readFrameLimit(r, maxFrame)
+	return readFrameInto(r, maxFrame, nil)
 }
 
-// frameChunk is the increment readFrameLimit grows a payload buffer by, so
+// frameChunk is the increment readFrameInto grows a payload buffer by, so
 // held memory tracks bytes actually delivered rather than bytes claimed.
 const frameChunk = 256 << 10
 
@@ -223,24 +223,19 @@ func (e *frameLimitError) Error() string {
 	return fmt.Sprintf("pbs: frame of %d bytes exceeds limit", e.n)
 }
 
-// readFrameLimit reads one frame whose payload may not exceed limit. The
-// payload buffer grows chunk-wise as data arrives: a peer that declares a
-// huge frame and then stalls pins (at most) one chunk, not the claimed
-// size — the allocation-amplification defense the Server relies on when
-// it multiplies connections by the hundreds.
-func readFrameLimit(r io.Reader, limit uint32) (typ byte, payload []byte, err error) {
-	return readFrameInto(r, limit, nil)
-}
-
-// readFrameInto is readFrameLimit reading the payload into buf's capacity
-// (buf must have length 0). A session pump that hands the previous frame's
-// buffer back in reads its whole exchange into one steadily-sized
-// allocation instead of one fresh payload per frame — with thousands of
-// concurrent sessions the difference is most of the server's allocation
-// churn. The returned payload aliases buf whenever it fits, so callers
-// must not hand the buffer to a new frame read while the previous payload
-// is still in use; the chunk-wise growth defense above still applies to
-// capacity beyond what buf already owns.
+// readFrameInto reads one frame whose payload may not exceed limit into
+// buf's capacity (buf must have length 0; nil allocates). The payload
+// buffer grows chunk-wise as data arrives: a peer that declares a huge
+// frame and then stalls pins (at most) one chunk, not the claimed size —
+// the allocation-amplification defense the Server relies on when it
+// multiplies connections by the hundreds. A session pump that hands the
+// previous frame's buffer back in reads its whole exchange into one
+// steadily-sized allocation instead of one fresh payload per frame — with
+// thousands of concurrent sessions the difference is most of the server's
+// allocation churn. The returned payload aliases buf whenever it fits, so
+// callers must not hand the buffer to a new frame read while the previous
+// payload is still in use; the chunk-wise growth applies only to capacity
+// beyond what buf already owns.
 func readFrameInto(r io.Reader, limit uint32, buf []byte) (typ byte, payload []byte, err error) {
 	var hdr [5]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
