@@ -3,14 +3,12 @@ package pbs
 import (
 	"math"
 	"sync"
-
-	"pbs/internal/estimator"
 )
 
 // This file holds the online adaptive controller: a learned per-handle
-// prior over realized difference cardinalities, the speculation sizing
-// that replaces hand-set KnownD/DefaultSpeculativeD for warm handles, and
-// the automatic estimator selection for the large-d regime. The wire side
+// prior over realized difference cardinalities and the speculation sizing
+// that replaces hand-set KnownD/DefaultSpeculativeD for warm handles. The
+// wire side
 // of adaptive mode — negotiating the grant in the fast hello and carrying
 // re-planned (m, t) parameters on rounds ≥ 2 — lives in sync.go and
 // session.go; the per-round re-planning policy itself is internal/core's
@@ -22,7 +20,7 @@ import (
 // static paper-fixed plan byte-for-byte.
 
 // WithAdaptive toggles the online adaptive controller for a Set (default
-// on). With it on, three things happen:
+// on). With it on, two things happen:
 //
 //   - Speculation sizing: fast syncs size their speculative first round
 //     from a learned EWMA prior over this handle's realized differences
@@ -34,12 +32,6 @@ import (
 //     when granted, both endpoints re-derive (n, t) per round from the
 //     Markov occupancy model — survivor-only rounds shrink their parity
 //     bitmaps well below the static plan's, split rounds replay it.
-//   - Estimator selection: in-process Reconcile calls whose learned prior
-//     predicts a large difference cross-check the ToW estimate against
-//     Strata and MinWise estimates and use the median, trimming the tail
-//     error that a single estimator family pays exactly where a
-//     mis-estimate is most expensive. The wire protocol always exchanges
-//     ToW sketches regardless.
 //
 // WithAdaptive(false) pins the paper-fixed behavior: the hello carries no
 // adaptive offer, every round runs the static plan, and speculation sizing
@@ -61,36 +53,6 @@ const specPredictHeadroom = 8
 // regime is fully reflected after a handful of syncs.
 const ewmaAlphaFloor = 0.25
 
-// adaptiveLargeD is the predicted-difference threshold above which the
-// in-process estimator selection engages. Below it a single ToW draw under
-// γ = 1.38 is cheap insurance; above it the O(d)-scaling plan makes a tail
-// mis-estimate expensive enough to justify building two extra O(|S|)
-// sketch families and taking the median.
-const adaptiveLargeD = 2048
-
-// Seed tweaks for the cross-check estimator families, disjoint from
-// towSeedTweak/verifySeedTweak so all hash domains stay independent.
-const (
-	strataSeedTweak  = 0x57247A
-	minwiseSeedTweak = 0x313B15E
-)
-
-// ewmaObserve folds one realized difference cardinality into an
-// exponentially weighted (mean, variance) pair. It is the shared update
-// rule of the Set-level prior and the hosted set's persisted prior, so the
-// two learn identically.
-func ewmaObserve(mean, vr float64, count uint64, d float64) (float64, float64, uint64) {
-	count++
-	alpha := 1 / float64(count)
-	if alpha < ewmaAlphaFloor {
-		alpha = ewmaAlphaFloor
-	}
-	delta := d - mean
-	mean += alpha * delta
-	vr = (1 - alpha) * (vr + alpha*delta*delta)
-	return mean, vr, count
-}
-
 // dhatPrior is a concurrency-safe learned prior over a set handle's
 // realized difference cardinalities: an EWMA of the mean and variance of
 // |A△B| as observed by completed syncs. It is the adaptive replacement
@@ -109,8 +71,15 @@ func (p *dhatPrior) observe(d float64) {
 		return
 	}
 	p.mu.Lock()
-	p.mean, p.vr, p.count = ewmaObserve(p.mean, p.vr, p.count, d)
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	p.count++
+	alpha := 1 / float64(p.count)
+	if alpha < ewmaAlphaFloor {
+		alpha = ewmaAlphaFloor
+	}
+	delta := d - p.mean
+	p.mean += alpha * delta
+	p.vr = (1 - alpha) * (p.vr + alpha*delta*delta)
 }
 
 // predict returns the speculative difference bound the prior recommends —
@@ -189,40 +158,4 @@ func (s *Set) adaptiveSpeculativeD(cfg *setConfig) uint64 {
 		}
 	}
 	return spec
-}
-
-// crossCheckedEstimate is the large-d estimator selection: the median of
-// the ToW, Strata, and MinWise difference estimates over the two in-process
-// views. The three families fail independently — ToW by sketch variance,
-// Strata by ladder extrapolation, MinWise by Jaccard resolution — so the
-// median trims any single family's tail draw. Falls back to the ToW value
-// alone if a cross-check estimator errors.
-func crossCheckedEstimate(towD float64, opt Options, mine, remote *SharedSet) float64 {
-	st := estimator.NewStrata(opt.Seed ^ strataSeedTweak)
-	strataD, err := st.Estimate(st.Sketch(mine.snap.Elements()), st.Sketch(remote.snap.Elements()))
-	if err != nil {
-		return towD
-	}
-	mw, err := estimator.NewMinWise(opt.EstimatorSketches, opt.Seed^minwiseSeedTweak)
-	if err != nil {
-		return towD
-	}
-	minwiseD, err := mw.Estimate(mw.Sketch(mine.snap.Elements()), mw.Sketch(remote.snap.Elements()), mine.Len(), remote.Len())
-	if err != nil {
-		return towD
-	}
-	return median3(towD, strataD, minwiseD)
-}
-
-func median3(a, b, c float64) float64 {
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b = c
-	}
-	if a > b {
-		b = a
-	}
-	return b
 }

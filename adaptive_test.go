@@ -124,71 +124,6 @@ func TestAdaptiveRegimeShiftEscalation(t *testing.T) {
 	}
 }
 
-// TestAdaptivePriorSurvivesRestart syncs against a hosted set (feeding its
-// persisted prior), closes the server (flushing the prior into the segment
-// footer), and reopens the store: the recovered hosted set must carry the
-// learned prior without replaying any sync.
-func TestAdaptivePriorSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	opt := &Options{Seed: 912}
-	base := hostedBase(3, 600)
-
-	srvA := NewServer(ServerOptions{Protocol: opt, DataDir: dir})
-	if _, err := srvA.EnableHosting(); err != nil {
-		t.Fatal(err)
-	}
-	if err := srvA.Host("t1/prior", base); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srvA.Serve(ln)
-	local, want := hostedClientSet(base, 3)
-	mustSyncExact(t, ln.Addr().String(), opt, "t1", "prior", local, want)
-	if err := srvA.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	hs := hostedFromServer(t, srvA, "t1/prior")
-	hs.mu.Lock()
-	liveCount := hs.meta.PriorCount
-	hs.mu.Unlock()
-	if liveCount == 0 {
-		t.Fatal("sync against hosted set did not feed its d̂ prior")
-	}
-
-	srvB := NewServer(ServerOptions{Protocol: opt, DataDir: dir})
-	if _, err := srvB.EnableHosting(); err != nil {
-		t.Fatal(err)
-	}
-	defer srvB.Close()
-	rhs := hostedFromServer(t, srvB, "t1/prior")
-	rhs.mu.Lock()
-	mean, count := rhs.meta.PriorMean, rhs.meta.PriorCount
-	rhs.mu.Unlock()
-	if count != liveCount {
-		t.Fatalf("recovered prior count %d, want %d from before restart", count, liveCount)
-	}
-	if mean <= 0 {
-		t.Fatalf("recovered prior mean %v, want > 0", mean)
-	}
-}
-
-func hostedFromServer(t *testing.T, srv *Server, name string) *hostedSet {
-	t.Helper()
-	src, ok := srv.sets.Get(name)
-	if !ok {
-		t.Fatalf("hosted set %q not registered", name)
-	}
-	hs, ok := src.(*hostedSet)
-	if !ok {
-		t.Fatalf("set %q is %T, not hosted", name, src)
-	}
-	return hs
-}
-
 // TestAdaptiveOffWireFlags pins the opt-out guarantee: with
 // WithAdaptive(false) the fast hello carries no adaptive offer and the
 // reply no grant, while the default negotiates both. Either way the

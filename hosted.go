@@ -85,15 +85,18 @@ type hostedSet struct {
 	h    *hostedStore
 	name string
 
-	mu         sync.Mutex
-	meta       setstore.Meta // cumulative; kept current on every update
-	elems      []uint64      // sorted; nil when cold
-	view       *SharedSet    // cached until mutation or demotion invalidates it
-	resident   bool
-	persisted  bool                // at least one full segment on disk
-	priorDirty bool                // d̂ prior advanced since the last persisted footer
-	dirtyAdds  map[uint64]struct{} // changes since the last persisted segment
-	dirtyDels  map[uint64]struct{}
+	mu   sync.Mutex
+	meta setstore.Meta // cumulative; kept current on every update
+	// snap holds the elements; nil means cold (evicted). It is built once
+	// per Host and once per cold load, written only through Apply, and
+	// shared by every view handed out until the next write — so the
+	// partitions and fold tables sessions cached on it carry across a
+	// HostedUpdate.
+	snap      *core.Snapshot
+	view      *SharedSet          // cached until mutation or demotion invalidates it
+	persisted bool                // at least one full segment on disk
+	dirtyAdds map[uint64]struct{} // changes since the last persisted segment
+	dirtyDels map[uint64]struct{}
 
 	// lruPos and charge are guarded by h.mu (LRU bookkeeping), not mu.
 	lruPos *list.Element
@@ -111,14 +114,16 @@ func (hs *hostedSet) residentCharge() int64 {
 	return hostedSetOverhead + hostedElemBytes*int64(hs.meta.Count)
 }
 
-// host builds a new resident hosted set from elems, persisting its first
-// full segment when the disk layer is enabled. The caller registers it
-// (quota checks) before calling persist.
-func (h *hostedStore) host(name string, elems []uint64) *hostedSet {
-	sorted := slices.Clone(elems)
-	slices.Sort(sorted)
-	sorted = slices.Compact(sorted)
-	return &hostedSet{h: h, name: name, elems: sorted, resident: true, meta: h.metaFor(sorted)}
+// host builds a new resident hosted set from elems — validated by the
+// caller (checkElems), duplicates allowed and dropped here. The caller
+// registers it (quota checks) and then calls persist, which writes its
+// first full segment when the disk layer is enabled.
+func (h *hostedStore) host(name string, elems []uint64) (*hostedSet, error) {
+	snap, err := core.NewSnapshot(sortedUnique(elems), h.opt.coreConfig())
+	if err != nil {
+		return nil, err
+	}
+	return &hostedSet{h: h, name: name, snap: snap, meta: h.metaFor(snap.Elements())}, nil
 }
 
 // recover builds a cold hosted set from the newest persisted segment
@@ -143,15 +148,9 @@ func (h *hostedStore) recover(name string) (*hostedSet, error) {
 // persist writes the initial full segment of a freshly hosted set and
 // inserts it into the resident accounting (which may evict others).
 func (hs *hostedSet) persist() error {
-	hs.mu.Lock()
-	if hs.h.store != nil && !hs.persisted {
-		if err := hs.h.store.AppendFull(hs.name, hs.elems, hs.meta); err != nil {
-			hs.mu.Unlock()
-			return err
-		}
-		hs.persisted = true
+	if err := hs.flush(); err != nil {
+		return err
 	}
-	hs.mu.Unlock()
 	hs.h.noteResident(hs)
 	return nil
 }
@@ -160,24 +159,25 @@ func (hs *hostedSet) persist() error {
 func (hs *hostedSet) sharedView() (*SharedSet, error) {
 	hs.mu.Lock()
 	if hs.view == nil {
-		if hs.resident {
-			v, err := hs.residentViewLocked()
-			if err != nil {
-				hs.mu.Unlock()
-				return nil, err
-			}
+		// Either view answers estimates and verification from the
+		// incrementally maintained sketch and digest, never from a pass over
+		// the elements; a cold one pages the elements in only for a round.
+		sketch, digest := slices.Clone(hs.meta.Sketch), hs.digestLocked()
+		if hs.snap != nil {
+			v := &SharedSet{opt: hs.h.opt, snap: hs.snap, tow: hs.h.tow}
+			v.sketchOnce.Do(func() { v.sketch = sketch })
+			v.digestOnce.Do(func() { v.digest = digest })
 			hs.view = v
 		} else {
-			v, err := newLazySharedSet(hs.h.opt, int(hs.meta.Count), slices.Clone(hs.meta.Sketch), hs.digestLocked(), hs.loadSnapshot)
+			v, err := newLazySharedSet(hs.h.opt, int(hs.meta.Count), sketch, digest, hs.loadSnapshot)
 			if err != nil {
 				hs.mu.Unlock()
 				return nil, err
 			}
-			v.observeDhat = hs.observeDhat
 			hs.view = v
 		}
 	}
-	v, resident := hs.view, hs.resident
+	v, resident := hs.view, hs.snap != nil
 	hs.mu.Unlock()
 	if resident {
 		hs.h.touch(hs)
@@ -189,93 +189,73 @@ func (hs *hostedSet) sharedView() (*SharedSet, error) {
 // server's protocol options.
 func (hs *hostedSet) sessionOptions() Options { return hs.h.opt }
 
-// observeDhat folds one answered difference estimate into the set's
-// persisted d̂ prior (EWMA mean and variance in the segment footer). It is
-// installed as SharedSet.observeDhat on every view this set hands out, so
-// each estimate a session answers — resident or lazy — advances the prior;
-// the next footer write carries it across restarts.
-func (hs *hostedSet) observeDhat(dhat uint64) {
-	hs.mu.Lock()
-	hs.meta.PriorMean, hs.meta.PriorVar, hs.meta.PriorCount =
-		ewmaObserve(hs.meta.PriorMean, hs.meta.PriorVar, hs.meta.PriorCount, float64(dhat))
-	hs.priorDirty = true
-	hs.mu.Unlock()
-}
-
 func (hs *hostedSet) digestLocked() msethash.Digest {
 	d, _ := msethash.DigestFromBytes(hs.meta.Digest)
 	return d
 }
 
-// residentViewLocked builds the materialized SharedSet for a resident
-// set, preseeding the sketch and digest from the incrementally maintained
-// metadata so neither is recomputed O(|S|) per rebuild.
-func (hs *hostedSet) residentViewLocked() (*SharedSet, error) {
-	snap, err := core.NewSnapshot(hs.elems, hs.h.opt.coreConfig())
+// materializeLocked pages a cold set's elements in from the segment store
+// and validates them into the snapshot — the one place a hosted set's
+// elements are re-read. A no-op while the snapshot is held. Requires hs.mu.
+func (hs *hostedSet) materializeLocked() error {
+	if hs.snap != nil {
+		return nil
+	}
+	if hs.h.store == nil {
+		return fmt.Errorf("pbs: hosted set %q has no elements and no store", hs.name)
+	}
+	elems, meta, err := hs.h.store.Load(hs.name)
+	if err != nil {
+		return err
+	}
+	snap, err := core.NewSnapshot(elems, hs.h.opt.coreConfig())
+	if err != nil {
+		return fmt.Errorf("pbs: hosted set %q: %w", hs.name, err)
+	}
+	hs.snap, hs.meta = snap, meta
+	hs.h.coldLoads.Add(1)
+	return nil
+}
+
+// loadSnapshot is the lazy view's cold-load path: page the elements in and
+// promote the set to resident. Runs at most once per lazy view
+// (SharedSet.snapOnce).
+func (hs *hostedSet) loadSnapshot() (*core.Snapshot, error) {
+	hs.mu.Lock()
+	wasCold := hs.snap == nil
+	err := hs.materializeLocked()
+	snap := hs.snap
+	hs.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	ss := &SharedSet{opt: hs.h.opt, snap: snap, tow: hs.h.tow, observeDhat: hs.observeDhat}
-	sketch := slices.Clone(hs.meta.Sketch)
-	digest := hs.digestLocked()
-	ss.sketchOnce.Do(func() { ss.sketch = sketch })
-	ss.digestOnce.Do(func() { ss.digest = digest })
-	return ss, nil
-}
-
-// loadSnapshot is the lazy view's cold-load path: page the elements in
-// from the segment store, promote the set to resident, and build the
-// session snapshot. Runs at most once per lazy view (SharedSet.snapOnce).
-func (hs *hostedSet) loadSnapshot() (*core.Snapshot, error) {
-	hs.mu.Lock()
-	if hs.elems == nil {
-		if hs.h.store == nil {
-			hs.mu.Unlock()
-			return nil, fmt.Errorf("pbs: hosted set %q has no elements and no store", hs.name)
-		}
-		elems, meta, err := hs.h.store.Load(hs.name)
-		if err != nil {
-			hs.mu.Unlock()
-			return nil, err
-		}
-		hs.elems, hs.meta = elems, meta
-		hs.h.coldLoads.Add(1)
-	}
-	elems := hs.elems
-	wasResident := hs.resident
-	hs.resident = true
-	hs.mu.Unlock()
-	if !wasResident {
+	if wasCold {
 		hs.h.noteResident(hs)
 	}
-	return core.NewSnapshot(elems, hs.h.opt.coreConfig())
+	return snap, nil
 }
 
-// update applies adds and removes to the set, maintaining the cumulative
-// sketch/digest/count incrementally on the write path (the property that
-// lets the set keep answering estimates after eviction). Returns how many
-// elements were actually inserted and deleted.
-func (hs *hostedSet) update(add, remove []uint64) (added, removed int, err error) {
+// update applies adds and removes to the set — adds first, so an element in
+// both ends absent — in time proportional to the batch: the batch is netted
+// against the snapshot's membership and handed to Snapshot.Apply, and the
+// cumulative sketch/digest/count are maintained incrementally (the property
+// that lets the set keep answering estimates after eviction). add must have
+// passed checkElems: Apply trusts its caller. A cold set is paged in; the
+// caller settles its residency afterwards (noteResident).
+func (hs *hostedSet) update(add, remove []uint64) error {
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
-	if hs.elems == nil {
-		if hs.h.store == nil {
-			return 0, 0, fmt.Errorf("pbs: hosted set %q has no elements and no store", hs.name)
-		}
-		elems, meta, lerr := hs.h.store.Load(hs.name)
-		if lerr != nil {
-			return 0, 0, lerr
-		}
-		hs.elems, hs.meta = elems, meta
-		hs.h.coldLoads.Add(1)
-		// The set is now materialized but deliberately NOT promoted to
-		// resident here: update is a write-path operation and the caller
-		// settles residency afterwards via settleResidency.
-		hs.resident = true
+	if err := hs.materializeLocked(); err != nil {
+		return err
 	}
-	set := make(map[uint64]struct{}, len(hs.elems)+len(add))
-	for _, e := range hs.elems {
-		set[e] = struct{}{}
+	remove = sortedUnique(remove)
+	add = slices.DeleteFunc(sortedUnique(add), func(x uint64) bool {
+		_, cancelled := slices.BinarySearch(remove, x)
+		return cancelled || hs.snap.Contains(x)
+	})
+	remove = slices.DeleteFunc(remove, func(x uint64) bool { return !hs.snap.Contains(x) })
+	if len(add) == 0 && len(remove) == 0 {
+		return nil
 	}
 	if hs.dirtyAdds == nil {
 		hs.dirtyAdds = make(map[uint64]struct{})
@@ -283,13 +263,8 @@ func (hs *hostedSet) update(add, remove []uint64) (added, removed int, err error
 	}
 	mh := msethash.FromDigest(hs.h.opt.Seed^verifySeedTweak, hs.digestLocked())
 	for _, x := range add {
-		if _, ok := set[x]; ok {
-			continue
-		}
-		set[x] = struct{}{}
 		hs.h.tow.Add(hs.meta.Sketch, x)
 		mh.Add(x)
-		added++
 		if _, wasDel := hs.dirtyDels[x]; wasDel {
 			delete(hs.dirtyDels, x)
 		} else {
@@ -297,49 +272,47 @@ func (hs *hostedSet) update(add, remove []uint64) (added, removed int, err error
 		}
 	}
 	for _, x := range remove {
-		if _, ok := set[x]; !ok {
-			continue
-		}
-		delete(set, x)
 		hs.h.tow.Remove(hs.meta.Sketch, x)
 		mh.Remove(x)
-		removed++
 		if _, wasAdd := hs.dirtyAdds[x]; wasAdd {
 			delete(hs.dirtyAdds, x)
 		} else {
 			hs.dirtyDels[x] = struct{}{}
 		}
 	}
-	if added == 0 && removed == 0 {
-		return 0, 0, nil
-	}
 	d := mh.Sum()
 	hs.meta.Digest = d.Bytes()
-	hs.meta.Count = uint64(len(set))
-	elems := make([]uint64, 0, len(set))
-	for e := range set {
-		elems = append(elems, e)
-	}
-	slices.Sort(elems)
-	hs.elems = elems
+	hs.snap = hs.snap.Apply(add, remove)
+	hs.meta.Count = uint64(hs.snap.Len())
 	hs.view = nil // next session sees the mutated set
-	return added, removed, nil
+	return nil
+}
+
+// sortedUnique returns a sorted, duplicate-free copy of xs.
+func sortedUnique(xs []uint64) []uint64 {
+	out := slices.Clone(xs)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // flushLocked persists the dirty state: the first flush is a full
-// segment, later ones are deltas carrying the cumulative metadata.
-// Requires hs.mu and a non-nil store.
+// segment, later ones are deltas carrying the cumulative metadata, and a
+// set with nothing dirty — one that only answered syncs — writes nothing.
+// Requires hs.mu; a no-op for memory-only hosting and for a cold set, whose
+// writes were flushed when it was evicted.
 func (hs *hostedSet) flushLocked() error {
+	if hs.h.store == nil || hs.snap == nil {
+		return nil
+	}
 	if !hs.persisted {
-		if err := hs.h.store.AppendFull(hs.name, hs.elems, hs.meta); err != nil {
+		if err := hs.h.store.AppendFull(hs.name, hs.snap.Elements(), hs.meta); err != nil {
 			return err
 		}
 		hs.persisted = true
-		hs.priorDirty = false
 		hs.dirtyAdds, hs.dirtyDels = nil, nil
 		return nil
 	}
-	if len(hs.dirtyAdds) == 0 && len(hs.dirtyDels) == 0 && !hs.priorDirty {
+	if len(hs.dirtyAdds) == 0 && len(hs.dirtyDels) == 0 {
 		return nil
 	}
 	adds := make([]uint64, 0, len(hs.dirtyAdds))
@@ -353,30 +326,14 @@ func (hs *hostedSet) flushLocked() error {
 	if err := hs.h.store.AppendDelta(hs.name, adds, dels, hs.meta); err != nil {
 		return err
 	}
-	hs.priorDirty = false
 	hs.dirtyAdds, hs.dirtyDels = nil, nil
 	return nil
 }
 
-// flush persists dirty state without demoting (shutdown path). A cold set
-// can still carry a dirty prior (its lazy view answers estimates), which
-// persists as an element-free delta; element writes require materialized
-// elems.
+// flush persists dirty state without demoting (shutdown path).
 func (hs *hostedSet) flush() error {
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
-	if hs.h.store == nil {
-		return nil
-	}
-	if hs.elems == nil {
-		if hs.priorDirty && hs.persisted {
-			if err := hs.h.store.AppendDelta(hs.name, nil, nil, hs.meta); err != nil {
-				return err
-			}
-			hs.priorDirty = false
-		}
-		return nil
-	}
 	return hs.flushLocked()
 }
 
@@ -387,7 +344,7 @@ func (hs *hostedSet) flush() error {
 // re-inserted into the accounting.
 func (hs *hostedSet) demote() {
 	hs.mu.Lock()
-	if !hs.resident || hs.h.store == nil {
+	if hs.snap == nil || hs.h.store == nil {
 		hs.mu.Unlock()
 		return
 	}
@@ -396,9 +353,8 @@ func (hs *hostedSet) demote() {
 		hs.h.noteResident(hs)
 		return
 	}
-	hs.elems = nil
+	hs.snap = nil
 	hs.view = nil
-	hs.resident = false
 	hs.mu.Unlock()
 	// A promote or update racing this demotion may have re-inserted the set
 	// into the LRU between our removal and here; undo that so the resident
@@ -541,7 +497,9 @@ func (s *Server) EnableHosting() (int, error) {
 // Host registers a hosted set built from elems: persisted as a full
 // segment when hosting is enabled, and evictable under MaxResidentBytes —
 // the deployment shape for servers carrying far more named sets than fit
-// in memory. Re-hosting a name replaces its contents. Tenant quotas are
+// in memory. Re-hosting a name replaces its contents. Elements must be
+// nonzero and fit in the protocol's SigBits (duplicates are dropped); an
+// invalid one fails the call before anything changes, and tenant quotas are
 // checked before anything is written.
 func (s *Server) Host(name string, elems []uint64) error {
 	if s.hosted == nil {
@@ -550,8 +508,14 @@ func (s *Server) Host(name string, elems []uint64) error {
 	if name == "" {
 		return errors.New("pbs: Host with an empty set name")
 	}
+	if err := checkElems(elems, s.hosted.opt.SigBits); err != nil {
+		return err
+	}
 	old, hadOld := s.sets.Get(name)
-	hs := s.hosted.host(name, elems)
+	hs, err := s.hosted.host(name, elems)
+	if err != nil {
+		return err
+	}
 	if err := s.publish(name, hs, hs.logicalBytes()); err != nil {
 		return err
 	}
@@ -567,12 +531,15 @@ func (s *Server) Host(name string, elems []uint64) error {
 	return nil
 }
 
-// HostedUpdate applies adds and removes to a hosted set. The cumulative
-// sketch, digest, and count are maintained incrementally on this write
-// path, which is what lets the set answer difference estimates even after
-// eviction; changes are persisted as a delta segment when the set is next
-// evicted or the server shuts down. Growth is reserved against the
-// tenant's byte quota before the set is touched.
+// HostedUpdate applies adds and removes to a hosted set, adds first (an
+// element in both ends absent); elements already present, or already
+// absent, are no-ops. An added element that is zero or wider than SigBits
+// fails the call before anything changes. The cumulative sketch, digest,
+// and count are maintained incrementally on this write path — which costs
+// the batch, not the set, and is what lets the set answer difference
+// estimates even after eviction; changes are persisted as a delta segment
+// when the set is next evicted or the server shuts down. Growth is
+// reserved against the tenant's byte quota before the set is touched.
 func (s *Server) HostedUpdate(name string, add, remove []uint64) error {
 	src, ok := s.sets.Get(name)
 	if !ok {
@@ -582,6 +549,9 @@ func (s *Server) HostedUpdate(name string, add, remove []uint64) error {
 	if !isHosted {
 		return fmt.Errorf("pbs: set %q is not hosted", name)
 	}
+	if err := checkElems(add, s.hosted.opt.SigBits); err != nil {
+		return err
+	}
 	if len(add) > 0 {
 		// Worst-case reservation: every add is new. Settled to the actual
 		// size below.
@@ -589,7 +559,7 @@ func (s *Server) HostedUpdate(name string, add, remove []uint64) error {
 			return err
 		}
 	}
-	_, _, err := hs.update(add, remove)
+	err := hs.update(add, remove)
 	s.publish(name, src, hs.logicalBytes())
 	if err != nil {
 		return err

@@ -1,12 +1,9 @@
-// Package estimator implements set-difference-cardinality estimators: the
-// Tug-of-War (ToW) estimator that PBS proposes and uses (§6), plus the
-// Strata and min-wise estimators it is compared against in Appendix B.
-//
-// The wire protocol always exchanges ToW sketches (they are linear, so the
-// Set handle maintains them incrementally under Add/Remove). Strata and
-// MinWise additionally back the adaptive controller's in-process estimator
-// selection: when a learned prior predicts a large difference, pbs
-// cross-checks the ToW estimate against both and takes the median.
+// Package estimator implements the set-difference-cardinality estimator PBS
+// proposes and uses (§6): Tug-of-War (ToW). Its sketches are linear, so the
+// Set handle maintains them incrementally under Add/Remove, and they are
+// what the wire protocol exchanges. The Strata and min-wise estimators ToW
+// is compared against in Appendix B live with that experiment, in
+// internal/exper.
 package estimator
 
 import (

@@ -46,7 +46,7 @@ func EstimatorComparison(ds []int, sizeA, instances int, baseSeed int64) ([]Esti
 			record(accs["ToW"], dhat, d)
 			accs["ToW"].bytes = (tow.Bits(sizeA) + 7) / 8
 
-			st := estimator.NewStrata(seed)
+			st := NewStrata(seed)
 			dhat, err = st.Estimate(st.Sketch(pair.A), st.Sketch(pair.B))
 			if err != nil {
 				return nil, err
@@ -54,7 +54,7 @@ func EstimatorComparison(ds []int, sizeA, instances int, baseSeed int64) ([]Esti
 			record(accs["Strata"], dhat, d)
 			accs["Strata"].bytes = st.Bits(32) / 8
 
-			mw, err := estimator.NewMinWise(1024, seed)
+			mw, err := NewMinWise(1024, seed)
 			if err != nil {
 				return nil, err
 			}

@@ -1,4 +1,4 @@
-package estimator
+package exper
 
 import (
 	"fmt"
@@ -18,7 +18,7 @@ type MinWise struct {
 // NewMinWise returns a min-wise estimator with k permutations.
 func NewMinWise(k int, seed uint64) (*MinWise, error) {
 	if k < 1 {
-		return nil, fmt.Errorf("estimator: minwise k=%d must be >= 1", k)
+		return nil, fmt.Errorf("exper: minwise k=%d must be >= 1", k)
 	}
 	return &MinWise{k: k, seeds: hashutil.Seeds(seed, k)}, nil
 }
@@ -46,7 +46,7 @@ func (m *MinWise) Bits() int { return m.k * 64 }
 // Estimate returns d̂ given the two parties' sketches and set sizes.
 func (m *MinWise) Estimate(sa, sb []uint64, sizeA, sizeB int) (float64, error) {
 	if len(sa) != m.k || len(sb) != m.k {
-		return 0, fmt.Errorf("estimator: sketch length mismatch")
+		return 0, fmt.Errorf("exper: sketch length mismatch")
 	}
 	match := 0
 	for i := range sa {

@@ -1,4 +1,4 @@
-package estimator
+package exper
 
 import (
 	"fmt"
@@ -65,7 +65,7 @@ func (s *Strata) Bits(sigBits int) int {
 // 2^(i+1) · (count accumulated so far).
 func (s *Strata) Estimate(a, b *StrataSketch) (float64, error) {
 	if len(a.filters) != len(b.filters) {
-		return 0, fmt.Errorf("estimator: strata ladder mismatch")
+		return 0, fmt.Errorf("exper: strata ladder mismatch")
 	}
 	count := 0
 	for i := s.numStrata - 1; i >= 0; i-- {

@@ -16,13 +16,13 @@
 //	body:   uvarint(#adds)  adds as delta varints (sorted, strictly increasing)
 //	        uvarint(#dels)  dels as delta varints
 //	footer: uvarint(flags)  bit0 = full rewrite (body adds are the whole set)
-//	                        bit1 = footer carries a learned d̂ prior
+//	                        bit1 = three legacy fields follow the digest
 //	        uvarint(count)  cumulative set size after applying this segment
 //	        uvarint(sketch seed)
 //	        uvarint(sketch len l), l zigzag varints (cumulative ToW sketch)
 //	        uvarint(digest len), digest bytes (cumulative msethash digest)
-//	        [bit1 only] uvarint(Float64bits prior mean) uvarint(Float64bits
-//	        prior variance) uvarint(prior sync count)
+//	        [bit1 only, never written] uvarint(Float64bits mean)
+//	        uvarint(Float64bits variance) uvarint(count)
 //	tail:   u32le footerLen | u32le bodyCRC | u32le footerCRC | "PBSSEG01"
 //
 // The fixed 20-byte tail at the end of the file is what makes footer-only
@@ -48,10 +48,10 @@ const tailLen = 4 + 4 + 4 + len(segMagic)
 // replay ignores everything older.
 const flagFull = 1
 
-// flagPrior marks a footer that carries a learned d̂ prior after the
-// digest. Older readers reject unknown footer bytes, but older segments
-// (no flag, no bytes) still decode under this reader, so the magic does
-// not need to change.
+// flagPrior marks a footer written by an older build, which persisted a
+// learned d̂ prior (mean, variance, sync count) after the digest. Nothing
+// ever read it back, so it is no longer written; the decoder still parses
+// and validates the three fields, then drops them, so those data dirs open.
 const flagPrior = 2
 
 // maxSegmentElems bounds the element counts a decoder will allocate for,
@@ -70,16 +70,6 @@ type Meta struct {
 	SketchSeed uint64
 	Sketch     []int64
 	Digest     []byte
-
-	// PriorMean/PriorVar/PriorCount persist the set's learned d̂ prior
-	// (EWMA mean and variance of realized difference sizes, and how many
-	// syncs fed it) so a recovered set keeps its adaptive speculation
-	// across restarts. PriorCount == 0 means no prior: the fields are
-	// omitted from the footer entirely (flagPrior clear), keeping old
-	// segments and old readers compatible.
-	PriorMean  float64
-	PriorVar   float64
-	PriorCount uint64
 }
 
 // Segment is one decoded segment file.
@@ -118,9 +108,6 @@ func AppendSegment(dst []byte, seg *Segment) []byte {
 	if seg.Meta.Full {
 		flags |= flagFull
 	}
-	if seg.Meta.PriorCount > 0 {
-		flags |= flagPrior
-	}
 	dst = binary.AppendUvarint(dst, flags)
 	dst = binary.AppendUvarint(dst, seg.Meta.Count)
 	dst = binary.AppendUvarint(dst, seg.Meta.SketchSeed)
@@ -130,11 +117,6 @@ func AppendSegment(dst []byte, seg *Segment) []byte {
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(seg.Meta.Digest)))
 	dst = append(dst, seg.Meta.Digest...)
-	if seg.Meta.PriorCount > 0 {
-		dst = binary.AppendUvarint(dst, math.Float64bits(seg.Meta.PriorMean))
-		dst = binary.AppendUvarint(dst, math.Float64bits(seg.Meta.PriorVar))
-		dst = binary.AppendUvarint(dst, seg.Meta.PriorCount)
-	}
 	footerCRC := crc32.Checksum(dst[footerStart:], castagnoli)
 
 	var tail [tailLen]byte
@@ -275,19 +257,17 @@ func decodeFooter(footer []byte) (Meta, error) {
 		if err != nil {
 			return m, err
 		}
-		if m.PriorCount, err = d.uvarint(); err != nil {
+		count, err := d.uvarint()
+		if err != nil {
 			return m, err
 		}
-		m.PriorMean = math.Float64frombits(mb)
-		m.PriorVar = math.Float64frombits(vb)
-		// Corrupt or fuzzed footers can smuggle NaN/Inf/negative floats or
-		// a zero count past the CRC-less DecodeMeta callers; a prior must
-		// be a plausible moment pair.
-		if m.PriorCount == 0 ||
-			math.IsNaN(m.PriorMean) || math.IsInf(m.PriorMean, 0) || m.PriorMean < 0 ||
-			math.IsNaN(m.PriorVar) || math.IsInf(m.PriorVar, 0) || m.PriorVar < 0 {
-			return m, fmt.Errorf("setstore: invalid prior (mean=%v var=%v count=%d)",
-				m.PriorMean, m.PriorVar, m.PriorCount)
+		// Checked as when the prior was kept — a plausible moment pair — so
+		// a footer this reader used to reject is still rejected.
+		mean, vr := math.Float64frombits(mb), math.Float64frombits(vb)
+		if count == 0 ||
+			math.IsNaN(mean) || math.IsInf(mean, 0) || mean < 0 ||
+			math.IsNaN(vr) || math.IsInf(vr, 0) || vr < 0 {
+			return m, fmt.Errorf("setstore: invalid prior (mean=%v var=%v count=%d)", mean, vr, count)
 		}
 	}
 	if d.off != len(footer) {

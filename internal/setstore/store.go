@@ -302,9 +302,10 @@ func readMetaFile(path string) (Meta, error) {
 	return DecodeMeta(buf)
 }
 
-// Load replays a chain into the full element list: starting from the
-// newest full segment, adds and deletes apply in seq order. The returned
-// Meta is the newest footer's.
+// Load replays a chain into the full element list, sorted: starting from
+// the newest full segment, each segment's adds and then its deletes apply in
+// seq order — a merge of sorted lists, since that is how they are on disk.
+// The returned Meta is the newest footer's.
 func (s *Store) Load(name string) ([]uint64, Meta, error) {
 	st := s.stripe(name)
 	st.Lock()
@@ -334,25 +335,56 @@ func (s *Store) loadLocked(name string) ([]uint64, Meta, error) {
 			break
 		}
 	}
-	set := make(map[uint64]struct{}, segs[len(segs)-1].Meta.Count)
-	for i := start; i < len(segs); i++ {
-		for _, e := range segs[i].Adds {
-			set[e] = struct{}{}
-		}
-		for _, e := range segs[i].Dels {
-			delete(set, e)
-		}
+	var elems []uint64
+	for _, seg := range segs[start:] {
+		elems = foldSorted(elems, seg.Adds, seg.Dels)
 	}
-	elems := make([]uint64, 0, len(set))
-	for e := range set {
-		elems = append(elems, e)
-	}
-	slices.Sort(elems)
 	meta := segs[len(segs)-1].Meta
 	if uint64(len(elems)) != meta.Count {
 		return nil, Meta{}, fmt.Errorf("setstore: set %q replays to %d elements, footer says %d", name, len(elems), meta.Count)
 	}
 	return elems, meta, nil
+}
+
+// foldSorted returns (cur ∪ adds) ∖ dels, sorted, for sorted duplicate-free
+// inputs. With nothing to fold in it returns cur itself, and adds itself
+// when that is all there is — a one-segment chain loads as decoded. It
+// walks the writes, not the set: each is located in what is left of cur by
+// binary search and the run before it copied whole, so a delta of a few
+// elements costs one copy of cur.
+func foldSorted(cur, adds, dels []uint64) []uint64 {
+	if len(dels) == 0 {
+		if len(adds) == 0 {
+			return cur
+		}
+		if len(cur) == 0 {
+			return adds
+		}
+	}
+	out := make([]uint64, 0, len(cur)+len(adds))
+	for len(adds) > 0 || len(dels) > 0 {
+		// The next write, in element order; a delete of x also consumes an
+		// add of x (adds land first, so x ends absent).
+		del := len(adds) == 0 || (len(dels) > 0 && dels[0] <= adds[0])
+		var x uint64
+		if del {
+			x, dels = dels[0], dels[1:]
+			if len(adds) > 0 && adds[0] == x {
+				adds = adds[1:]
+			}
+		} else {
+			x, adds = adds[0], adds[1:]
+		}
+		i, found := slices.BinarySearch(cur, x)
+		out = append(out, cur[:i]...)
+		if cur = cur[i:]; found {
+			cur = cur[1:]
+		}
+		if !del {
+			out = append(out, x)
+		}
+	}
+	return append(out, cur...)
 }
 
 // Merge folds a chain of 2+ segments into a single full segment. It

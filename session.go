@@ -515,13 +515,6 @@ type SharedSet struct {
 
 	digestOnce sync.Once
 	digest     msethash.Digest
-
-	// observeDhat, when set, is invoked with every difference estimate d̂
-	// this set answers (msgEstimate and fast hellos alike). The hosted
-	// layer uses it to feed the per-set learned d̂ prior that is persisted
-	// in the segment footer. It must be safe for concurrent use and must
-	// not block — it runs on session goroutines.
-	observeDhat func(dhat uint64)
 }
 
 // newLazySharedSet builds a SharedSet whose ToW sketch and verification
@@ -731,9 +724,6 @@ func (s *ResponderSession) Step(typ byte, payload []byte) (out []Frame, done boo
 		if err != nil {
 			return nil, false, err
 		}
-		if fn := s.shared.observeDhat; fn != nil {
-			fn(dhat)
-		}
 		plan, err := syncPlan(dhat, s.opt)
 		if err != nil {
 			return nil, false, err
@@ -779,9 +769,6 @@ func (s *ResponderSession) Step(typ byte, payload []byte) (out []Frame, done boo
 		// exists to prevent.
 		accepted := h.specD <= s.opt.maxD() && fastSpecAccepted(h.specD, dhat)
 		s.adaptive = h.wantAdaptive
-		if fn := s.shared.observeDhat; fn != nil {
-			fn(dhat)
-		}
 		planD := dhat
 		if accepted {
 			planD = h.specD

@@ -56,10 +56,10 @@ type Set struct {
 
 	// prior is the learned EWMA over realized difference cardinalities,
 	// fed by every completed sync and consulted by the adaptive controller
-	// (see WithAdaptive) to size speculation and select estimators. It
-	// subsumes specPrior's single-outcome memory with a smoothed regime
-	// estimate; specPrior stays as the legacy heuristic's input and the
-	// adaptive path's most-recent-outcome floor.
+	// (see WithAdaptive) to size speculation. It subsumes specPrior's
+	// single-outcome memory with a smoothed regime estimate; specPrior stays
+	// as the legacy heuristic's input and the adaptive path's
+	// most-recent-outcome floor.
 	prior dhatPrior
 
 	mu    sync.RWMutex
@@ -289,6 +289,19 @@ func sigMaskFor(bits uint) uint64 {
 	return (uint64(1) << bits) - 1
 }
 
+// checkElems reports the first element that is zero or wider than bits —
+// the write-path contract of Set.Add, Server.Host and Server.HostedUpdate,
+// checked before any state is touched.
+func checkElems(xs []uint64, bits uint) error {
+	mask := sigMaskFor(bits)
+	for _, x := range xs {
+		if x == 0 || x&^mask != 0 {
+			return fmt.Errorf("pbs: element %#x outside %d-bit universe (0 excluded)", x, bits)
+		}
+	}
+	return nil
+}
+
 // NewSet validates elems once and returns a reusable set handle. Elements
 // must be nonzero, distinct, and fit in the configured SigBits. The one-off
 // costs are O(|S|) validation here and the O(|S|·ℓ) initial estimator
@@ -358,11 +371,8 @@ func (s *Set) Elements() []uint64 {
 func (s *Set) Add(xs ...uint64) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	mask := sigMaskFor(s.cfg.opt.SigBits)
-	for _, x := range xs {
-		if x == 0 || x&^mask != 0 {
-			return 0, fmt.Errorf("pbs: element %#x outside %d-bit universe (0 excluded)", x, s.cfg.opt.SigBits)
-		}
+	if err := checkElems(xs, s.cfg.opt.SigBits); err != nil {
+		return 0, err
 	}
 	added := 0
 	for _, x := range xs {
@@ -700,16 +710,6 @@ func (s *Set) Reconcile(ctx context.Context, other *Set, opts ...Option) (*Resul
 		dhat, err := s.tow.Estimate(mine.towSketch(), remote.towSketch())
 		if err != nil {
 			return nil, err
-		}
-		// Automatic estimator selection: when the learned prior says this
-		// handle's differences run large, the plan derived from a single
-		// ToW draw is expensive to get wrong — cross-check against the
-		// Strata and MinWise families and take the median. In-process
-		// only; wire sessions always exchange ToW sketches.
-		if !cfg.adaptiveOff {
-			if pd, ok := s.prior.predict(); ok && pd >= adaptiveLargeD {
-				dhat = crossCheckedEstimate(dhat, cfg.opt, mine, remote)
-			}
 		}
 		d = estimator.ConservativeD(dhat, cfg.opt.Gamma)
 		n := mine.Len()
