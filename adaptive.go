@@ -10,7 +10,7 @@ import (
 // that replaces hand-set KnownD/DefaultSpeculativeD for warm handles. The
 // wire side
 // of adaptive mode — negotiating the grant in the fast hello and carrying
-// re-planned (m, t) parameters on rounds ≥ 2 — lives in sync.go and
+// re-planned (m, t) parameters on rounds ≥ 2 — lives in internal/frame and
 // session.go; the per-round re-planning policy itself is internal/core's
 // Alice.EnableAdaptive/Bob.EnableAdaptive backed by markov.Replan.
 //
@@ -122,9 +122,7 @@ func (p *dhatPrior) shifted(d float64) bool {
 // adaptiveSpeculativeD sizes the fast path's speculative first round under
 // the resolved call configuration: the learned prior when adaptive mode is
 // on and warm, the legacy last-difference heuristic otherwise. WithKnownD
-// always wins (speculativeD handles it), and the specAvoid hop — never
-// replaying the exact bound whose plan just failed to decode in one round
-// — applies to both paths.
+// always wins (speculativeD handles it).
 func (s *Set) adaptiveSpeculativeD(cfg *setConfig) uint64 {
 	if cfg.adaptiveOff || cfg.opt.KnownD > 0 {
 		return s.speculativeD(cfg.opt)
@@ -148,10 +146,10 @@ func (s *Set) adaptiveSpeculativeD(cfg *setConfig) uint64 {
 	// smoothed mean lags behind — size to the outcome until the EWMA
 	// catches up. Ordinary fluctuations inside the spread stay with the
 	// mean; chasing every above-mean draw would oversize most warm plans.
-	// The legacy specAvoid hop deliberately does not apply here: under
-	// adaptive mode a completed multi-round sync is the plan behaving
-	// normally (a collision draw), not a bound to avoid, and hopping the
-	// bound would oversize every subsequent warm plan.
+	// Neither path hops away from a bound whose sync took a second round:
+	// a completed multi-round sync is the plan behaving normally (a
+	// collision draw), and a replayed plan is the paper-fixed behaviour
+	// WithAdaptive(false) promises.
 	if p := s.specPrior.Load(); p > 0 && s.prior.shifted(float64(p-1)) {
 		if last := p - 1 + specPredictHeadroom; last > spec {
 			spec = last

@@ -10,11 +10,13 @@ import (
 	"time"
 	"unicode"
 	"unicode/utf8"
+
+	"pbs/internal/frame"
 )
 
 // Structured error codes carried in msgError payloads. The code travels as
 // a backward-compatible suffix on the human-readable message (see
-// appendErrCode), so legacy peers still see a plain string.
+// frame.AppendErrCode), so legacy peers still see a plain string.
 const (
 	// ErrCodeBusy marks a shed-load rejection: the server is over its
 	// session capacity or admission watermark. Busy errors are retryable
@@ -38,15 +40,9 @@ var ErrServerBusy = errors.New("pbs: server busy")
 // session because the tenant is over one of its quotas.
 var ErrQuotaExceeded = errors.New("pbs: tenant quota exceeded")
 
-const (
-	// maxPeerErrLen bounds how much of a peer-supplied error message is
-	// embedded in client-side errors. Anything longer is truncated.
-	maxPeerErrLen = 256
-	// maxRetryAfter clamps peer-supplied retry-after hints.
-	maxRetryAfter = 5 * time.Minute
-	// maxErrCodeLen bounds the code token in a structured suffix.
-	maxErrCodeLen = 16
-)
+// maxPeerErrLen bounds how much of a peer-supplied error message is
+// embedded in client-side errors. Anything longer is truncated.
+const maxPeerErrLen = 256
 
 // PeerError is an error reported by the remote peer over msgError. Msg is
 // sanitized (length-capped, non-printables stripped); Code and RetryAfter
@@ -69,66 +65,6 @@ func (e *PeerError) Is(target error) bool {
 		return e.Code == ErrCodeQuota
 	}
 	return false
-}
-
-// appendErrCode encodes a structured code (and optional retry-after hint)
-// as a suffix on a msgError string: "msg [pbs:e=busy,ra=250ms]". Legacy
-// peers embed the whole string verbatim; current peers strip and parse it.
-func appendErrCode(msg, code string, retryAfter time.Duration) string {
-	if code == "" {
-		return msg
-	}
-	var sb strings.Builder
-	sb.WriteString(msg)
-	sb.WriteString(" [pbs:e=")
-	sb.WriteString(code)
-	if retryAfter > 0 {
-		sb.WriteString(",ra=")
-		sb.WriteString(retryAfter.String())
-	}
-	sb.WriteString("]")
-	return sb.String()
-}
-
-func validErrCode(code string) bool {
-	if code == "" || len(code) > maxErrCodeLen {
-		return false
-	}
-	for i := 0; i < len(code); i++ {
-		c := code[i]
-		if (c < 'a' || c > 'z') && (c < '0' || c > '9') && c != '-' {
-			return false
-		}
-	}
-	return true
-}
-
-// splitErrCode parses the structured suffix off a msgError string. It
-// returns the bare message plus the code and retry-after hint; a missing
-// or malformed suffix yields the input unchanged with an empty code.
-func splitErrCode(s string) (msg, code string, retryAfter time.Duration) {
-	i := strings.LastIndex(s, " [pbs:e=")
-	if i < 0 || !strings.HasSuffix(s, "]") {
-		return s, "", 0
-	}
-	body := s[i+len(" [pbs:e=") : len(s)-1]
-	c, rest, hasRA := strings.Cut(body, ",")
-	if !validErrCode(c) {
-		return s, "", 0
-	}
-	var ra time.Duration
-	if hasRA {
-		v, ok := strings.CutPrefix(rest, "ra=")
-		if !ok {
-			return s, "", 0
-		}
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			return s, "", 0
-		}
-		ra = min(d, maxRetryAfter)
-	}
-	return s[:i], c, ra
 }
 
 // sanitizeErrMsg bounds a peer-supplied error string and replaces
@@ -161,7 +97,7 @@ func sanitizeErrMsg(s string) string {
 // parsePeerErrPayload turns a raw msgError payload into a *PeerError with
 // a sanitized message and any structured code/retry-after hint decoded.
 func parsePeerErrPayload(payload []byte) *PeerError {
-	msg, code, ra := splitErrCode(string(payload))
+	msg, code, ra := frame.SplitErrCode(string(payload))
 	return &PeerError{Code: code, RetryAfter: ra, Msg: sanitizeErrMsg(msg)}
 }
 

@@ -162,20 +162,11 @@ func (hs *hostedSet) sharedView() (*SharedSet, error) {
 		// Either view answers estimates and verification from the
 		// incrementally maintained sketch and digest, never from a pass over
 		// the elements; a cold one pages the elements in only for a round.
-		sketch, digest := slices.Clone(hs.meta.Sketch), hs.digestLocked()
-		if hs.snap != nil {
-			v := &SharedSet{opt: hs.h.opt, snap: hs.snap, tow: hs.h.tow}
-			v.sketchOnce.Do(func() { v.sketch = sketch })
-			v.digestOnce.Do(func() { v.digest = digest })
-			hs.view = v
-		} else {
-			v, err := newLazySharedSet(hs.h.opt, int(hs.meta.Count), sketch, digest, hs.loadSnapshot)
-			if err != nil {
-				hs.mu.Unlock()
-				return nil, err
-			}
-			hs.view = v
+		v := &SharedSet{opt: hs.h.opt, snap: hs.snap, tow: hs.h.tow}
+		if hs.snap == nil {
+			v.loadSnap, v.count = hs.loadSnapshot, int(hs.meta.Count)
 		}
+		hs.view = v.preset(slices.Clone(hs.meta.Sketch), hs.digestLocked())
 	}
 	v, resident := hs.view, hs.snap != nil
 	hs.mu.Unlock()

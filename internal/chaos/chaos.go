@@ -2,20 +2,19 @@
 // fault injection: per-direction latency and jitter, bandwidth caps,
 // partial writes, mid-frame disconnects, byte corruption, stalls, and
 // abrupt connection resets. Faults are decided per protocol frame — the
-// wrapper parses the pbs wire format (4-byte big-endian length + 1 type
-// byte + payload) as bytes stream through, regardless of how reads and
-// writes segment them — so a fault schedule can land a failure at an exact
+// wrapper follows the pbs frame headers (decoded by internal/frame) as
+// bytes stream through, regardless of how reads and writes segment them —
+// so a fault schedule can land a failure at an exact
 // protocol phase, and a whole fleet run replays byte-identically from its
 // seed.
 //
 // The package is the fault layer behind the chaos soak: tests wrap
 // net.Pipe ends, internal/load wraps each worker connection, and
 // pbs-loadgen exposes it as -chaos. It deliberately knows nothing about
-// pbs beyond the frame header layout.
+// pbs beyond where one frame ends and the next begins.
 package chaos
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net"
@@ -24,6 +23,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	pbsframe "pbs/internal/frame"
 )
 
 // Kind is an injected fault class.
@@ -178,7 +179,7 @@ const corruptMask = 0xA5
 type dirState struct {
 	rng *rand.Rand
 
-	hdr      [5]byte
+	hdr      [pbsframe.HeaderLen]byte
 	hdrN     int
 	total    int // payload length of the current frame
 	consumed int // payload bytes already passed through
@@ -341,14 +342,15 @@ func (c *Conn) inject(d *dirState, dir Direction, b []byte) (keep int, die bool,
 					}
 				}
 			}
-			n := min(5-d.hdrN, len(b)-i)
+			n := min(pbsframe.HeaderLen-d.hdrN, len(b)-i)
 			copy(d.hdr[d.hdrN:], b[i:i+n])
 			d.hdrN += n
 			i += n
-			if d.hdrN < 5 {
+			if d.hdrN < pbsframe.HeaderLen {
 				return i, false, 0, nil // header split across calls; wait for the rest
 			}
-			d.total = int(binary.BigEndian.Uint32(d.hdr[:4]))
+			total, _ := pbsframe.ParseHeader(d.hdr[:])
+			d.total = int(total)
 			d.consumed = 0
 			d.inFrame = true
 			d.resolve()

@@ -268,7 +268,8 @@ func TestStoreCorruptSegmentFails(t *testing.T) {
 }
 
 func TestBackgroundMerge(t *testing.T) {
-	s, err := Open(t.TempDir(), 3)
+	const threshold = 3
+	s, err := Open(t.TempDir(), threshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,11 +287,14 @@ func TestBackgroundMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The merger runs asynchronously; wait for it to fold the chain.
-	for i := 0; i < 500 && s.Segments("s") > 1; i++ {
+	// The merger runs asynchronously; wait for the chain to come to rest.
+	// What the store promises is a chain shorter than the threshold, not a
+	// chain of one: a merge that lands between two appends leaves the later
+	// deltas on top of the merged segment, legitimately below the threshold.
+	for i := 0; i < 500 && (s.Segments("s") >= threshold || s.Merges() == 0); i++ {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if n := s.Segments("s"); n != 1 {
+	if n := s.Segments("s"); n >= threshold {
 		t.Fatalf("background merge did not run: chain length %d", n)
 	}
 	got, _, err := s.Load("s")

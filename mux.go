@@ -1,18 +1,13 @@
 package pbs
 
 // Stream multiplexing: protocol version 2. After a version-2 fast hello
-// negotiates the mux feature (see fastProtoVersionMux in sync.go), every
-// frame on the connection keeps the v0/v1 outer header — 4-byte big-endian
-// length plus 1-byte type — but its payload gains a mux envelope:
-//
-//	uvarint(streamID) | uvarint(flags) | body
-//
-// so N logical sessions interleave over one connection, each stream driven
-// by its own independent session engine. The envelope flags carry stream
-// lifecycle (open on the first frame, close on the last) and per-frame
-// compression; the outer framing, frame budgets, and coalesced-write path
-// are untouched, and a connection that never negotiates v2 never sees an
-// envelope byte — the legacy wire format stays byte-identical.
+// negotiates the mux feature, every frame on the connection keeps the v0/v1
+// outer header but its payload gains the mux envelope (frame.Seal and
+// frame.Open own its layout), so N logical sessions interleave over one
+// connection, each stream driven by its own independent session engine. The
+// outer framing, frame budgets, and coalesced-write path are untouched, and
+// a connection that never negotiates v2 never sees an envelope byte — the
+// legacy wire format stays byte-identical.
 //
 // Negotiation rides the existing single-RTT hello, so it costs zero extra
 // round trips: the first stream taken from a MuxConn sends the fast hello
@@ -22,7 +17,6 @@ package pbs
 // side can misparse an in-flight frame under the old framing.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -31,14 +25,7 @@ import (
 	"sync"
 	"time"
 
-	"pbs/internal/lz"
-)
-
-const (
-	muxFlagOpen       = 1 << 0 // first frame of a new stream
-	muxFlagClose      = 1 << 1 // last frame of the stream (sender side)
-	muxFlagCompressed = 1 << 2 // body is lz-compressed
-	muxFlagKnown      = muxFlagOpen | muxFlagClose | muxFlagCompressed
+	"pbs/internal/frame"
 )
 
 // maxStreamID caps client-allocated stream IDs; beyond it Stream returns
@@ -46,11 +33,6 @@ const (
 // the uint64 range. At one sync per stream this allows 2^62 syncs per
 // dialed connection, so exhaustion in practice means a counting bug.
 const maxStreamID = 1 << 62
-
-// muxCompressMin is the smallest body worth offering to the compressor:
-// below it the lz header overhead and the CPU spent can't win anything
-// that matters, so tiny frames (done, round replies for small d) skip it.
-const muxCompressMin = 512
 
 // muxInboxDepth bounds per-stream frames buffered between the shared
 // reader and a stream's consumer. The session protocol is strictly
@@ -72,48 +54,6 @@ var (
 	// maxStreamID stream IDs; dial a fresh connection.
 	ErrStreamsExhausted = errors.New("pbs: mux stream IDs exhausted")
 )
-
-// parseMuxPayload decodes a mux envelope. body aliases b.
-func parseMuxPayload(b []byte) (streamID, flags uint64, body []byte, err error) {
-	streamID, k := binary.Uvarint(b)
-	if k <= 0 {
-		return 0, 0, nil, fmt.Errorf("pbs: mux envelope: truncated stream ID")
-	}
-	b = b[k:]
-	flags, k = binary.Uvarint(b)
-	if k <= 0 {
-		return 0, 0, nil, fmt.Errorf("pbs: mux envelope: truncated flags")
-	}
-	return streamID, flags, b[k:], nil
-}
-
-// muxAppendFrame serializes one complete enveloped frame — outer header,
-// stream ID, flags, body — onto dst. Both sides build their coalesced
-// write batches with it, so a multi-frame burst still leaves in one Write.
-func muxAppendFrame(dst []byte, streamID, flags uint64, typ byte, body []byte) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, typ)
-	dst = binary.AppendUvarint(dst, streamID)
-	dst = binary.AppendUvarint(dst, flags)
-	dst = append(dst, body...)
-	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-5))
-	return dst
-}
-
-// muxCompressBody returns the wire form of body under a negotiated-lz
-// connection: the compressed bytes and true when body clears the size
-// threshold and the codec actually shrank it, body unchanged and false
-// otherwise (the receiver keys off the per-frame compressed flag, so
-// declining is always safe).
-func muxCompressBody(body []byte, lzOn bool) ([]byte, bool) {
-	if !lzOn || len(body) < muxCompressMin {
-		return body, false
-	}
-	if comp := lz.Compress(nil, body); comp != nil {
-		return comp, true
-	}
-	return body, false
-}
 
 // featureRequester lets a connection ask Set.Sync to fold a protocol
 // feature request into its fast hello. The negotiating MuxStream is the
@@ -299,7 +239,7 @@ func (m *MuxConn) newStreamLocked(id uint64, negotiator bool) *MuxStream {
 func (m *MuxConn) Granted() (mux, compression bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.granted&featureMux != 0, m.granted&featureLZ != 0
+	return m.granted&frame.FeatureMux != 0, m.granted&frame.FeatureLZ != 0
 }
 
 // Close closes the underlying connection and fails every open stream.
@@ -342,7 +282,7 @@ func (m *MuxConn) resolve(granted uint64) {
 		return
 	}
 	m.granted = granted
-	if granted&featureMux != 0 {
+	if granted&frame.FeatureMux != 0 {
 		m.state = muxOn
 	} else {
 		m.state = muxPassthrough
@@ -380,57 +320,45 @@ func (m *MuxConn) writeWire(b []byte, deadline time.Time) error {
 
 // readLoop is the demultiplexer: it owns all reads from the connection,
 // resolves the negotiation at the hello-reply boundary, and routes frames
-// to stream inboxes. readFrameInto with a nil buffer allocates per frame,
-// so delivered payloads never alias each other.
+// to stream inboxes. Reading into a nil buffer allocates per frame, so
+// delivered payloads never alias each other.
 func (m *MuxConn) readLoop() {
 	for {
-		typ, payload, err := readFrame(m.conn)
+		typ, payload, err := frame.ReadInto(m.conn, frame.MaxFrame, nil)
 		if err != nil {
 			m.fail(fmt.Errorf("pbs: mux read: %w", err))
 			return
 		}
-		if !m.muxed() {
-			// Negotiating or passthrough: every frame belongs to stream 1.
+		m.mu.Lock()
+		state, lzOn := m.state, m.granted&frame.FeatureLZ != 0
+		m.mu.Unlock()
+		// Negotiating or passthrough: every frame belongs to stream 1, as is.
+		id, flags, body := uint64(1), uint64(0), payload
+		switch state {
+		case muxOn:
+			if id, flags, body, _, err = frame.Open(payload, lzOn); err != nil {
+				m.fail(fmt.Errorf("pbs: mux read: %w (type %d)", err, typ))
+				return
+			}
+		case muxNegotiating:
 			// The first frame of the conversation resolves the negotiation:
 			// a hello reply carries the grant flags; anything else (msgError
 			// from a rejecting server, a legacy estimate reply) means no
 			// grant and permanent passthrough.
-			m.mu.Lock()
-			negotiating := m.state == muxNegotiating
-			st := m.streams[1]
-			m.mu.Unlock()
-			if negotiating {
-				var granted uint64
-				if typ == msgHelloReplyV1 {
-					if rep, err := parseFastHelloReply(payload); err == nil {
-						granted = rep.features
-					}
+			var granted uint64
+			if typ == frame.MsgHelloReplyV1 {
+				if rep, err := frame.ParseHelloReply(payload); err == nil {
+					granted = rep.Features
 				}
-				m.resolve(granted)
 			}
-			m.deliver(st, typ, payload, false)
-			continue
-		}
-		id, flags, body, perr := parseMuxPayload(payload)
-		if perr != nil || flags&^uint64(muxFlagKnown) != 0 {
-			m.fail(fmt.Errorf("pbs: mux read: malformed envelope (type %d)", typ))
-			return
-		}
-		if flags&muxFlagCompressed != 0 {
-			body, perr = lz.Decode(nil, body, maxFrame)
-			if perr != nil {
-				m.fail(fmt.Errorf("pbs: mux read: %w", perr))
-				return
-			}
+			m.resolve(granted)
 		}
 		m.mu.Lock()
 		st := m.streams[id]
 		m.mu.Unlock()
-		if st == nil {
-			// A frame for a stream we already closed: a benign close race.
-			continue
-		}
-		m.deliver(st, typ, body, flags&muxFlagClose != 0)
+		// A frame for a stream we already closed is a benign close race:
+		// deliver drops it.
+		m.deliver(st, typ, body, flags&frame.FlagClose != 0)
 	}
 }
 
@@ -509,9 +437,9 @@ func (s *MuxStream) muxFeatureRequest() uint64 {
 	if s.m.state != muxNegotiating {
 		return 0
 	}
-	f := uint64(featureMux)
+	f := uint64(frame.FeatureMux)
 	if s.m.compress {
-		f |= featureLZ
+		f |= frame.FeatureLZ
 	}
 	return f
 }
@@ -563,13 +491,13 @@ func (s *MuxStream) Read(p []byte) (int, error) {
 		}
 		select {
 		case msg := <-s.inbox:
-			s.rbuf = appendFrame(s.rbuf[:0], msg.typ, msg.payload)
+			s.rbuf = frame.Append(s.rbuf[:0], msg.typ, msg.payload)
 		case <-s.done:
 			// Frames delivered before teardown still count: drain the inbox
 			// before reporting the terminal state.
 			select {
 			case msg := <-s.inbox:
-				s.rbuf = appendFrame(s.rbuf[:0], msg.typ, msg.payload)
+				s.rbuf = frame.Append(s.rbuf[:0], msg.typ, msg.payload)
 			default:
 				return 0, s.termErr()
 			}
@@ -608,36 +536,28 @@ func (s *MuxStream) Write(p []byte) (int, error) {
 	s.wpending = append(s.wpending, p...)
 	var out []byte
 	s.m.mu.Lock()
-	lzOn := s.m.granted&featureLZ != 0
+	lzOn := s.m.granted&frame.FeatureLZ != 0
 	s.m.mu.Unlock()
-	for {
-		if len(s.wpending) < 5 {
-			break
-		}
-		n := binary.BigEndian.Uint32(s.wpending[:4])
-		if n > maxFrame {
+	for len(s.wpending) >= frame.HeaderLen {
+		n, typ := frame.ParseHeader(s.wpending)
+		if n > frame.MaxFrame {
 			return 0, fmt.Errorf("pbs: mux stream %d: oversized frame (%d bytes)", s.id, n)
 		}
-		if uint32(len(s.wpending)-5) < n {
+		end := frame.HeaderLen + int(n)
+		if len(s.wpending) < end {
 			break
 		}
-		typ := s.wpending[4]
-		body := s.wpending[5 : 5+n]
 		var flags uint64
 		if !s.opened {
-			flags |= muxFlagOpen
+			flags |= frame.FlagOpen
 			s.opened = true
 		}
-		if typ == msgDone || typ == msgStreamClose {
-			flags |= muxFlagClose
+		if typ == frame.MsgDone || typ == frame.MsgStreamClose {
+			flags |= frame.FlagClose
 			s.closeSent = true
 		}
-		if wire, compressed := muxCompressBody(body, lzOn); compressed {
-			body = wire
-			flags |= muxFlagCompressed
-		}
-		out = muxAppendFrame(out, s.id, flags, typ, body)
-		s.wpending = s.wpending[5+n:]
+		out, _ = frame.Seal(out, s.id, flags, typ, s.wpending[frame.HeaderLen:end], lzOn)
+		s.wpending = s.wpending[end:]
 	}
 	if len(s.wpending) == 0 {
 		s.wpending = nil // frame boundary: release the buffer
@@ -661,7 +581,8 @@ func (s *MuxStream) Close() error {
 		s.wmu.Unlock()
 		if needsWire && s.m.muxed() {
 			// Best effort: the connection may already be gone.
-			s.m.writeWire(muxAppendFrame(nil, s.id, muxFlagClose, msgStreamClose, nil), time.Time{})
+			bye, _ := frame.Seal(nil, s.id, frame.FlagClose, frame.MsgStreamClose, nil, false)
+			s.m.writeWire(bye, time.Time{})
 		}
 		s.teardown(nil)
 		s.m.removeStream(s.id)

@@ -43,12 +43,12 @@
 package pbs
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"pbs/internal/core"
 	"pbs/internal/estimator"
+	"pbs/internal/frame"
 )
 
 // Options tunes a reconciliation. The zero value (or nil) selects the
@@ -105,13 +105,13 @@ type Options struct {
 }
 
 // DefaultMaxD is the cap applied to the exchanged difference estimate d̂
-// when Options.MaxD is zero. It is derived from maxFrame: at the default
+// when Options.MaxD is zero. It is derived from frame.MaxFrame: at the default
 // δ = 5 a plan for d differences emits first-round frames of a couple of
 // bytes per difference and allocates endpoint state proportional to d, so
 // an estimate within an order of magnitude of the 64 MiB frame limit could
 // never complete a round anyway — a d̂ beyond this bound marks a broken or
 // hostile peer, not a big reconciliation.
-const DefaultMaxD = maxFrame / 8
+const DefaultMaxD = frame.MaxFrame / 8
 
 func (o *Options) withDefaults() Options {
 	var opt Options
@@ -205,144 +205,4 @@ type Result struct {
 	// when adaptive mode was off, not granted by the peer, or the session
 	// finished in one round.
 	Replans int
-}
-
-// Reconcile learns local △ remote. It simulates both endpoints in process,
-// which is the mode used by tests, examples, and the benchmark harness;
-// network deployments should instead use Set.Sync / Set.Serve.
-//
-// Reconcile is a thin wrapper over the Set API — equivalent to building
-// two throwaway Sets and calling Set.Reconcile. Callers reconciling the
-// same data repeatedly should hold on to the Sets instead, which keeps the
-// validated snapshot and estimator sketch warm across calls.
-func Reconcile(local, remote []uint64, o *Options) (*Result, error) {
-	a, err := NewSet(local, withBaseOptions(o))
-	if err != nil {
-		return nil, err
-	}
-	b, err := NewSet(remote, withBaseOptions(o))
-	if err != nil {
-		return nil, err
-	}
-	return a.Reconcile(context.Background(), b)
-}
-
-// withBaseOptions adapts a legacy *Options (possibly nil) into the
-// functional-option form the Set constructors take.
-func withBaseOptions(o *Options) Option {
-	return func(c *setConfig) {
-		if o != nil {
-			c.opt = *o
-		}
-	}
-}
-
-// Union returns local ∪ remote given a completed reconciliation result:
-// the local set plus every difference element not already in it.
-func Union(local []uint64, res *Result) []uint64 {
-	in := make(map[uint64]struct{}, len(local))
-	out := append([]uint64(nil), local...)
-	for _, x := range local {
-		in[x] = struct{}{}
-	}
-	for _, x := range res.Difference {
-		if _, ok := in[x]; !ok {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// Plan is the concrete protocol parameterization both endpoints must agree
-// on (bitmap size, BCH capacity, group count, seed). Derive it with
-// PlanFor, then construct the two endpoints from it.
-type Plan = core.Plan
-
-// PlanFor derives a Plan for a conservative difference estimate d. Both
-// parties must call it with identical arguments.
-func PlanFor(d int, o *Options) (Plan, error) {
-	opt, err := o.withDefaultsValidated()
-	if err != nil {
-		return Plan{}, err
-	}
-	return core.NewPlan(d, opt.coreConfig())
-}
-
-// Session is one side's protocol endpoint. The initiator (Alice, the side
-// that learns the difference) repeatedly calls BuildRound and feeds the
-// peer's reply to AbsorbReply; the responder (Bob) answers each message
-// with HandleRound. See examples/kvsync for a complete exchange over a
-// network-style transport.
-//
-// Session predates the Set API and remains for callers that transport the
-// round messages themselves with an out-of-band Plan agreement; new code
-// syncing over a stream should prefer Set.Sync/Set.Respond, which also
-// run the estimation phase and support cancellation and streaming deltas.
-type Session struct {
-	alice *core.Alice
-	bob   *core.Bob
-}
-
-// NewInitiator returns the endpoint that learns the difference.
-func NewInitiator(set []uint64, plan Plan) (*Session, error) {
-	a, err := core.NewAlice(set, plan)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{alice: a}, nil
-}
-
-// NewResponder returns the endpoint that answers round messages.
-func NewResponder(set []uint64, plan Plan) (*Session, error) {
-	b, err := core.NewBob(set, plan)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{bob: b}, nil
-}
-
-// BuildRound returns the next round message to send to the responder, or
-// nil when reconciliation is complete. Initiator only.
-func (s *Session) BuildRound() ([]byte, error) {
-	if s.alice == nil {
-		return nil, fmt.Errorf("pbs: BuildRound on a responder session")
-	}
-	return s.alice.BuildRound()
-}
-
-// AbsorbReply processes the responder's reply. Initiator only.
-func (s *Session) AbsorbReply(reply []byte) error {
-	if s.alice == nil {
-		return fmt.Errorf("pbs: AbsorbReply on a responder session")
-	}
-	return s.alice.AbsorbReply(reply)
-}
-
-// HandleRound answers one round message. Responder only.
-func (s *Session) HandleRound(msg []byte) ([]byte, error) {
-	if s.bob == nil {
-		return nil, fmt.Errorf("pbs: HandleRound on an initiator session")
-	}
-	return s.bob.HandleRound(msg)
-}
-
-// Done reports whether the initiator has verified every group pair.
-// Responder sessions are never "done" on their own; they answer for as
-// long as the initiator keeps asking.
-func (s *Session) Done() bool { return s.alice != nil && s.alice.Done() }
-
-// Difference returns the initiator's learned difference so far.
-func (s *Session) Difference() []uint64 {
-	if s.alice == nil {
-		return nil
-	}
-	return s.alice.Difference()
-}
-
-// Rounds returns the number of rounds the initiator has started.
-func (s *Session) Rounds() int {
-	if s.alice == nil {
-		return 0
-	}
-	return s.alice.Rounds()
 }

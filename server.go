@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"pbs/internal/core"
+	"pbs/internal/frame"
 	"pbs/internal/hist"
-	"pbs/internal/lz"
 	"pbs/internal/registry"
 	"pbs/internal/setstore"
 )
@@ -35,7 +35,7 @@ import (
 //
 // Protocol: a client may open with a msgHello frame naming the registered
 // set to reconcile against; without one the session uses DefaultSetName.
-// Everything after that is the standard wire protocol of sync.go, so
+// Everything after that is the standard wire protocol (internal/frame), so
 // SyncInitiator (via Client) talks to a Server unchanged. A fast client
 // instead opens with a single msgHelloV1 frame (name, sketches, and a
 // speculative first round in one), which the server admits and answers
@@ -122,7 +122,7 @@ const DefaultSetName = "default"
 const (
 	DefaultMaxSessions       = 1024
 	DefaultIdleTimeout       = 30 * time.Second
-	DefaultSessionByteBudget = 16 * maxFrame             // 1 GiB of frames per session
+	DefaultSessionByteBudget = 16 * frame.MaxFrame       // 1 GiB of frames per session
 	DefaultSessionMaxRounds  = 2 * core.DefaultMaxRounds // headroom over the engine's own cap
 	// DefaultRetryAfterHint is the base retry-after hint attached to
 	// busy-coded rejections when ServerOptions.RetryAfterHint is zero.
@@ -288,7 +288,7 @@ func (o ServerOptions) allowedFeatures() uint64 {
 	if o.maxStreams() <= 0 {
 		return 0
 	}
-	return featureMux | featureLZ
+	return frame.FeatureMux | frame.FeatureLZ
 }
 
 // ServerStats is a point-in-time snapshot of a Server's counters, fit for
@@ -756,17 +756,18 @@ func (s *Server) Shutdown(timeout time.Duration) bool {
 // client reads it, so the write side is half-closed and the inbound
 // leftovers drained briefly first.
 func (s *Server) sendCodedError(conn net.Conn, msg, code string, retryAfter time.Duration) {
-	payload := appendErrCode(msg, code, retryAfter)
+	payload := frame.AppendErrCode(msg, code, retryAfter)
 	conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	if err := writeFrame(conn, msgError, []byte(payload)); err != nil {
+	n, err := frame.WriteAll(conn, oneFrame(frame.MsgError, []byte(payload)))
+	if err != nil {
 		return
 	}
-	s.bytesOut.Add(int64(5 + len(payload)))
+	s.bytesOut.Add(int64(n))
 	if cw, ok := conn.(interface{ CloseWrite() error }); ok {
 		cw.CloseWrite()
 	}
 	conn.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
-	io.Copy(io.Discard, io.LimitReader(conn, maxFrame))
+	io.Copy(io.Discard, io.LimitReader(conn, frame.MaxFrame))
 }
 
 // sessionError tells the client that the session on stream id was refused
@@ -783,7 +784,7 @@ func (s *Server) sessionError(conn net.Conn, muxed bool, id uint64, msg, code st
 		conn.Close()
 		return
 	}
-	b := muxAppendFrame(nil, id, muxFlagClose, msgError, []byte(appendErrCode(msg, code, retryAfter)))
+	b, _ := frame.Seal(nil, id, frame.FlagClose, frame.MsgError, []byte(frame.AppendErrCode(msg, code, retryAfter)), false)
 	if t := s.opt.idleTimeout(); t > 0 {
 		conn.SetWriteDeadline(time.Now().Add(t))
 	}
@@ -846,8 +847,8 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	s.accepted.Add(1)
 
-	buf := getPayloadBuf()
-	defer putPayloadBuf(buf)
+	buf := frame.GetBuf()
+	defer frame.PutBuf(buf)
 
 	var (
 		streams     = map[uint64]*srvStream{}
@@ -893,15 +894,15 @@ func (s *Server) handle(conn net.Conn) {
 		// known before the payload, so frames whose declared size alone
 		// would bust the session's remaining byte budget are refused before
 		// reading (or holding) any of it. Mux: the envelope names the stream.
-		limit := uint32(maxFrame)
+		limit := uint32(frame.MaxFrame)
 		if !muxed && budget > 0 {
-			remain := budget - 5
+			remain := budget - frame.HeaderLen
 			if st := streams[0]; st != nil {
 				remain -= st.bytes
 			}
-			limit = uint32(min(max(remain, 0), maxFrame))
+			limit = uint32(min(max(remain, 0), frame.MaxFrame))
 		}
-		typ, body, err := readFrameInto(conn, limit, (*buf)[:0])
+		typ, body, err := frame.ReadInto(conn, limit, (*buf)[:0])
 		if body != nil {
 			*buf = body[:0]
 		}
@@ -913,41 +914,35 @@ func (s *Server) handle(conn net.Conn) {
 			// idle-deadline expiry alike — is a probe, a dial-and-abort, or a
 			// warm client hanging up after its last sync, not a failed
 			// session: its table is empty.
-			var fle *frameLimitError
+			var fle *frame.LimitError
 			if !muxed && errors.As(err, &fle) {
 				msg := err.Error()
-				if limit < maxFrame {
+				if limit < frame.MaxFrame {
 					msg = "session byte budget exceeded"
 				}
 				failStream(0, msg)
 			}
 			return
 		}
-		n := int64(5 + len(body))
+		n := int64(frame.HeaderLen + len(body))
 		s.bytesIn.Add(n)
 		var id, flags uint64
 		if muxed {
-			var perr error
-			id, flags, body, perr = parseMuxPayload(body)
-			if perr != nil || flags&^uint64(muxFlagKnown) != 0 || (flags&muxFlagCompressed != 0 && !lzOn) {
+			var saved int
+			if id, flags, body, saved, err = frame.Open(body, lzOn); err != nil {
 				// A malformed envelope means framing trust is gone; there is no
 				// stream to blame it on, so the connection dies.
 				return
 			}
-			if flags&muxFlagCompressed != 0 {
-				decoded, derr := lz.Decode(nil, body, maxFrame)
-				if derr != nil {
-					return
-				}
-				s.bytesSaved.Add(int64(len(decoded) - len(body)))
-				body = decoded
+			if saved != 0 {
+				s.bytesSaved.Add(int64(saved))
 			}
 		}
 
 		st, opening := streams[id], false
 		if st == nil {
-			if muxed && flags&muxFlagOpen == 0 {
-				if typ == msgStreamClose || flags&muxFlagClose != 0 {
+			if muxed && flags&frame.FlagOpen == 0 {
+				if typ == frame.MsgStreamClose || flags&frame.FlagClose != 0 {
 					// Close for a stream already gone: a benign race between
 					// the client's close and our teardown.
 					continue
@@ -966,19 +961,19 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			name := DefaultSetName
 			switch typ {
-			case msgHello:
+			case frame.MsgHello:
 				name = string(body)
-			case msgHelloV1:
+			case frame.MsgHelloV1:
 				// A fast hello both names the set and opens the session, so
 				// the admission happens here and the frame still reaches the
 				// engine.
-				hn, herr := fastHelloSetName(body)
+				h, herr := frame.ParseHello(body)
 				if herr != nil {
 					failStream(id, herr.Error())
 					continue
 				}
-				if hn != "" {
-					name = hn
+				if h.Name != "" {
+					name = h.Name
 				}
 			}
 			sess, rej := s.startSession(name)
@@ -998,7 +993,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			st, opening = &srvStream{sess: sess, start: time.Now()}, true
 			streams[id] = st
-		} else if flags&muxFlagOpen != 0 {
+		} else if flags&frame.FlagOpen != 0 {
 			failStream(id, fmt.Sprintf("duplicate open for stream %d", id))
 			continue
 		}
@@ -1009,7 +1004,7 @@ func (s *Server) handle(conn net.Conn) {
 			continue
 		}
 
-		if muxed && typ == msgStreamClose {
+		if muxed && typ == frame.MsgStreamClose {
 			// Client abandoned the stream mid-session (its msgDone rides the
 			// close flag on the session's own goodbye instead).
 			if st.sess.started() || st.bytes > n {
@@ -1018,7 +1013,7 @@ func (s *Server) handle(conn net.Conn) {
 			release(id)
 			continue
 		}
-		if typ == msgHello {
+		if typ == frame.MsgHello {
 			// A bare hello only exists as a stream's opening frame, where it
 			// already did the naming.
 			if !opening {
@@ -1026,7 +1021,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			continue
 		}
-		if typ == msgRound || typ == msgHelloV1 {
+		if typ == frame.MsgRound || typ == frame.MsgHelloV1 {
 			// A fast hello carries a speculative round, so it spends the
 			// round budget like any msgRound.
 			st.roundFrames++
@@ -1045,29 +1040,22 @@ func (s *Server) handle(conn net.Conn) {
 			if idle > 0 {
 				conn.SetWriteDeadline(time.Now().Add(idle))
 			}
-			var wn int64
+			var wn int
 			var werr error
 			if muxed {
-				batch := getPayloadBuf()
+				batch := frame.GetBuf()
 				b := (*batch)[:0]
 				for _, f := range out {
-					wireBody, compressed := muxCompressBody(f.Payload, lzOn)
-					var fl uint64
-					if compressed {
-						fl = muxFlagCompressed
-						s.bytesSaved.Add(int64(len(f.Payload) - len(wireBody)))
+					var saved int
+					if b, saved = frame.Seal(b, id, 0, f.Type, f.Payload, lzOn); saved != 0 {
+						s.bytesSaved.Add(int64(saved))
 					}
-					b = muxAppendFrame(b, id, fl, f.Type, wireBody)
 				}
-				_, werr = conn.Write(b)
-				wn = int64(len(b))
+				wn, werr = conn.Write(b)
 				*batch = b[:0]
-				putPayloadBuf(batch)
+				frame.PutBuf(batch)
 			} else {
-				werr = writeFrames(conn, out)
-				for _, f := range out {
-					wn += int64(5 + len(f.Payload))
-				}
+				wn, werr = frame.WriteAll(conn, out)
 			}
 			if werr != nil {
 				// A write error is terminal for the whole connection — a
@@ -1075,8 +1063,8 @@ func (s *Server) handle(conn net.Conn) {
 				// diagnostic would only follow it onto the broken socket.
 				return
 			}
-			st.bytes += wn
-			s.bytesOut.Add(wn)
+			st.bytes += int64(wn)
+			s.bytesOut.Add(int64(wn))
 			if budget > 0 && st.bytes > budget {
 				failStream(id, "session byte budget exceeded")
 				continue
@@ -1105,7 +1093,7 @@ func (s *Server) handle(conn net.Conn) {
 			// Keep the connection: the next opening frame starts a fresh
 			// session under fresh budgets.
 			release(id)
-		} else if g := st.sess.grantedFeatures(); !muxed && g&featureMux != 0 {
+		} else if g := st.sess.granted; !muxed && g&frame.FeatureMux != 0 {
 			// The hello reply that granted mux just went out raw, and the
 			// fast-path initiator sends nothing until it has read it — so
 			// the very next inbound frame is already enveloped. The stream
@@ -1113,7 +1101,7 @@ func (s *Server) handle(conn net.Conn) {
 			// already charged; it is only re-filed as stream 1.
 			delete(streams, 0)
 			streams[1] = st
-			muxed, lzOn = true, g&featureLZ != 0
+			muxed, lzOn = true, g&frame.FeatureLZ != 0
 			s.streamsOpen.Add(1)
 			s.streamsTotal.Add(1)
 		}

@@ -1,21 +1,21 @@
 package pbs
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
 
 	"pbs/internal/core"
 	"pbs/internal/estimator"
+	"pbs/internal/frame"
 	"pbs/internal/msethash"
 )
 
 // This file holds the non-blocking session engine behind the wire protocol:
 // InitiatorSession and ResponderSession advance one received frame at a
-// time via Step, returning the frames to send back. SyncInitiator and
-// SyncResponder (sync.go) are thin blocking wrappers over these machines,
-// and the concurrent Server (server.go) drives many ResponderSessions
+// time via Step, returning the frames to send back. The blocking pump of
+// sync.go is a thin wrapper over these machines, and the concurrent Server
+// (server.go) drives many ResponderSessions
 // without dedicating a full protocol loop (or a private copy of the set)
 // to each connection.
 //
@@ -24,13 +24,6 @@ import (
 // both sides before it can size a Plan, a mid-session re-estimate is
 // rejected instead of silently discarding reconciliation state, and every
 // parse rejects trailing bytes.
-
-// Frame is one protocol message: a type byte plus its payload. The wire
-// representation adds the 4-byte length prefix (see writeFrame).
-type Frame struct {
-	Type    byte
-	Payload []byte
-}
 
 // Seed tweaks deriving the protocol's independent hash domains from the
 // shared Options.Seed. Both parties must apply identical tweaks, so every
@@ -41,11 +34,16 @@ const (
 	verifySeedTweak = 0x5EC   // §2.2.3 strong-verification multiset hash
 )
 
+// oneFrame is the common shape of a Step's output: a single frame.
+func oneFrame(typ byte, payload []byte) []Frame {
+	return []Frame{{Type: typ, Payload: payload}}
+}
+
 // unexpectedType reports a frame of the wrong type, surfacing a peer's
 // msgError diagnostic (sanitized, with any structured code decoded) when
 // that is what arrived instead.
 func unexpectedType(want, got byte, payload []byte) error {
-	if got == msgError {
+	if got == frame.MsgError {
 		return parsePeerErrPayload(payload)
 	}
 	return fmt.Errorf("pbs: expected message type %d, got %d", want, got)
@@ -89,9 +87,9 @@ func (o Options) boundEstimate(dhatF float64) (uint64, error) {
 // reusable across sessions — initiators get the same amortization servers
 // do.
 type InitiatorSession struct {
-	opt     Options
-	shared  *SharedSet
-	onDelta func(elems []uint64, round int)
+	opt    Options
+	shared *SharedSet
+	call   initiatorCall // what this sync asked for, including its offers
 
 	state int
 	alice *core.Alice
@@ -99,6 +97,7 @@ type InitiatorSession struct {
 
 	dhat          uint64
 	estBytes      int
+	helloBytes    int // a leading msgHello frame, counted in WireBytes only
 	rounds        int
 	aliceWireBits int
 	bobWireBits   int
@@ -111,15 +110,10 @@ type InitiatorSession struct {
 	haveDigest bool
 	peerDigest msethash.Digest
 
-	// features is the feature bitmap requested in a version-2 fast hello;
-	// zero keeps the hello at version 1 and the wire bytes legacy-identical.
-	features uint64
-
-	// wantAdaptive records that the fast hello offered adaptive round
-	// re-planning; adaptive records the responder's grant, under which both
-	// endpoints re-derive (m, t) per round from the Markov occupancy model.
-	wantAdaptive bool
-	adaptive     bool
+	// adaptive records the responder's grant of the call's adaptive offer,
+	// under which both endpoints re-derive (m, t) per round from the Markov
+	// occupancy model.
+	adaptive bool
 
 	res *Result
 }
@@ -145,110 +139,100 @@ func fastSpecAccepted(specD, dhat uint64) bool {
 	return dhat <= 2*specD+16
 }
 
-// NewInitiatorSession starts an initiator session for set and returns the
-// opening frames (the ToW estimate) to send to the responder. For repeated
-// syncs of the same (possibly mutating) set, build a Set once instead — it
-// keeps the validated snapshot and the ToW sketch warm across sessions.
-func NewInitiatorSession(set []uint64, o *Options) (*InitiatorSession, []Frame, error) {
-	ss, err := NewSharedSet(set, o)
-	if err != nil {
-		return nil, nil, err
-	}
-	s, opening := ss.newInitiatorSession(ss.opt, nil)
-	return s, opening, nil
+// initiatorCall is what varies per sync on the initiator side.
+type initiatorCall struct {
+	onDelta func(elems []uint64, round int)
+	// fast opens with the single-RTT msgHelloV1 (the fast path of sync.go)
+	// instead of the classic msgEstimate, round 1 already built under the
+	// plan for the speculative bound specD. The fields after it apply only
+	// then.
+	fast  bool
+	specD uint64
+	// features is the protocol-feature request folded into the hello: a
+	// non-zero bitmap upgrades it to version 2 (want-flags in the existing
+	// flags field — zero extra round trips); zero produces a version-1 hello
+	// byte-identical to the pre-mux wire format.
+	features uint64
+	// adaptive offers the peer adaptive round re-planning — one flag bit
+	// that changes nothing until the peer grants it.
+	adaptive bool
+	// name is the remote set to reconcile against (empty outside pbs-serve):
+	// a field of the fast hello, a leading msgHello frame on the classic flow.
+	name string
 }
 
-// newInitiatorSession starts an initiator session over the shared view.
-// opt must agree with ss.opt on Seed, SigBits, and EstimatorSketches (the
-// fields the cached snapshot and sketch were built under); the remaining
-// fields may vary per call.
-func (ss *SharedSet) newInitiatorSession(opt Options, onDelta func(elems []uint64, round int)) (*InitiatorSession, []Frame) {
-	est := encodeSketches(ss.towSketch())
-	s := &InitiatorSession{
-		opt:      opt,
-		shared:   ss,
-		onDelta:  onDelta,
-		state:    initWantEstimateReply,
-		estBytes: len(est),
+// newInitiator starts an initiator session over the shared view and
+// returns its opening frames. opt must agree with ss.opt on Seed, SigBits,
+// and EstimatorSketches (the fields the cached snapshot and sketch were
+// built under); the remaining fields may vary per call.
+func (ss *SharedSet) newInitiator(opt Options, c initiatorCall) (*InitiatorSession, []Frame, error) {
+	s := &InitiatorSession{opt: opt, shared: ss, call: c, state: initWantEstimateReply}
+	est := frame.EncodeSketches(ss.towSketch())
+	if !c.fast {
+		s.estBytes = len(est)
+		opening := oneFrame(frame.MsgEstimate, est)
+		if c.name != "" {
+			// The hello envelope is this side's extra cost; fold it in so
+			// WireBytes stays reconcilable with the server's BytesIn.
+			s.helloBytes = frame.HeaderLen + len(c.name)
+			opening = append(oneFrame(frame.MsgHello, []byte(c.name)), opening...)
+		}
+		return s, opening, nil
 	}
-	return s, []Frame{{msgEstimate, est}}
-}
-
-// newFastInitiatorSession starts a single-RTT fast-path session: the
-// opening frame is one msgHelloV1 carrying the protocol version, the set
-// name (empty outside pbs-serve), the ToW sketches, and round 1 already
-// built under the plan for the speculative bound specD. A responder that
-// accepts the speculation answers estimate and round 1 (and, under
-// StrongVerify, the verification digest) in one reply frame; one that
-// declines re-plans from the true d̂, exactly like the legacy flow but
-// one round trip earlier. opt's constraints match newInitiatorSession.
-func (ss *SharedSet) newFastInitiatorSession(opt Options, onDelta func(elems []uint64, round int), name string, specD uint64) (*InitiatorSession, []Frame, error) {
-	return ss.newFastInitiatorSessionFeatures(opt, onDelta, name, specD, 0, true)
-}
-
-// newFastInitiatorSessionFeatures is newFastInitiatorSession with a
-// protocol-feature request folded into the hello. A non-zero features
-// bitmap upgrades the hello to version 2 (want-flags in the existing flags
-// field — zero extra round trips); features == 0 produces a version-1
-// hello byte-identical to the pre-mux wire format. adaptive offers the
-// peer adaptive round re-planning (on by default through every fast-path
-// entry point; WithAdaptive(false) is the opt-out) — the offer itself is
-// one flag bit and changes nothing until the peer grants it.
-func (ss *SharedSet) newFastInitiatorSessionFeatures(opt Options, onDelta func(elems []uint64, round int), name string, specD uint64, features uint64, adaptive bool) (*InitiatorSession, []Frame, error) {
-	if specD < 1 {
-		specD = 1
-	}
-	if max := opt.maxD(); specD > max {
-		specD = max
-	}
-	plan, err := syncPlan(specD, opt)
-	if err != nil {
+	specD := min(max(c.specD, 1), opt.maxD())
+	if err := s.replan(specD); err != nil {
 		return nil, nil, err
 	}
-	alice, err := core.NewAliceFromSnapshot(ss.snap, plan)
-	if err != nil {
-		return nil, nil, err
-	}
-	if onDelta != nil {
-		alice.OnVerifiedDelta(onDelta)
-	}
-	round1, err := alice.BuildRound()
+	round1, err := s.alice.BuildRound()
 	if err != nil {
 		return nil, nil, err
 	}
 	if round1 == nil {
 		return nil, nil, fmt.Errorf("pbs: speculative plan produced no round")
 	}
-	est := encodeSketches(ss.towSketch())
-	version := uint64(fastProtoVersion)
-	if features != 0 {
-		version = fastProtoVersionMux
+	version := uint64(frame.Version1)
+	if c.features != 0 {
+		version = frame.VersionMux
 	}
-	hello := appendFastHello(nil, fastHello{
-		version:      version,
-		wantDigest:   opt.StrongVerify,
-		wantAdaptive: adaptive,
-		features:     features,
-		name:         name,
-		specD:        specD,
-		sketches:     est,
-		round1:       round1,
+	hello := frame.AppendHello(nil, frame.Hello{
+		Version:      version,
+		WantDigest:   opt.StrongVerify,
+		WantAdaptive: c.adaptive,
+		Features:     c.features,
+		Name:         c.name,
+		SpecD:        specD,
+		Sketches:     est,
+		Round1:       round1,
 	})
-	s := &InitiatorSession{
-		opt:          opt,
-		shared:       ss,
-		onDelta:      onDelta,
-		state:        initWantHelloReply,
-		alice:        alice,
-		plan:         plan,
-		features:     features,
-		wantAdaptive: adaptive,
-		// The hello envelope (version, flags, name, d_spec, sketch) is
-		// estimator overhead; the round-1 bytes are round traffic.
-		estBytes:      len(hello) - len(round1),
-		aliceWireBits: len(round1) * 8,
+	s.state = initWantHelloReply
+	// The hello envelope (version, flags, name, d_spec, sketch) is
+	// estimator overhead; the round-1 bytes are round traffic.
+	s.estBytes = len(hello) - len(round1)
+	s.aliceWireBits = len(round1) * 8
+	return s, oneFrame(frame.MsgHelloV1, hello), nil
+}
+
+// replan derives the shared plan for d and a fresh Alice under it. Under a
+// granted adaptive mode the fresh endpoint restarts its round numbering at
+// 1, so its first message is static and re-planning engages from round 2 —
+// the same rule the responder's fresh Bob applies.
+func (s *InitiatorSession) replan(d uint64) error {
+	plan, err := syncPlan(d, s.opt)
+	if err != nil {
+		return err
 	}
-	return s, []Frame{{msgHelloV1, hello}}, nil
+	alice, err := core.NewAliceFromSnapshot(s.shared.snap, plan)
+	if err != nil {
+		return err
+	}
+	if s.adaptive {
+		alice.EnableAdaptive()
+	}
+	if s.call.onDelta != nil {
+		alice.OnVerifiedDelta(s.call.onDelta)
+	}
+	s.plan, s.alice = plan, alice
+	return nil
 }
 
 // Step advances the session with one frame received from the responder.
@@ -260,38 +244,26 @@ func (ss *SharedSet) newFastInitiatorSessionFeatures(opt Options, onDelta func(e
 func (s *InitiatorSession) Step(typ byte, payload []byte) (out []Frame, done bool, err error) {
 	switch s.state {
 	case initWantEstimateReply:
-		if typ != msgEstimateReply {
-			return nil, false, unexpectedType(msgEstimateReply, typ, payload)
+		if typ != frame.MsgEstimateReply {
+			return nil, false, unexpectedType(frame.MsgEstimateReply, typ, payload)
 		}
-		dhat, k := binary.Uvarint(payload)
-		if k <= 0 {
-			return nil, false, fmt.Errorf("pbs: bad estimate reply")
-		}
-		if k != len(payload) {
-			return nil, false, fmt.Errorf("pbs: %d trailing bytes after estimate reply", len(payload)-k)
+		dhat, err := frame.ParseEstimateReply(payload)
+		if err != nil {
+			return nil, false, err
 		}
 		if max := s.opt.maxD(); dhat > max {
 			return nil, false, fmt.Errorf("pbs: peer estimate d̂ = %d exceeds limit %d", dhat, max)
 		}
 		s.dhat = dhat
 		s.estBytes += len(payload)
-		plan, err := syncPlan(dhat, s.opt)
-		if err != nil {
+		if err := s.replan(dhat); err != nil {
 			return nil, false, err
 		}
-		alice, err := core.NewAliceFromSnapshot(s.shared.snap, plan)
-		if err != nil {
-			return nil, false, err
-		}
-		if s.onDelta != nil {
-			alice.OnVerifiedDelta(s.onDelta)
-		}
-		s.plan, s.alice = plan, alice
 		return s.advance()
 
 	case initWantRoundReply:
-		if typ != msgRoundReply {
-			return nil, false, unexpectedType(msgRoundReply, typ, payload)
+		if typ != frame.MsgRoundReply {
+			return nil, false, unexpectedType(frame.MsgRoundReply, typ, payload)
 		}
 		if err := s.alice.AbsorbReply(payload); err != nil {
 			return nil, false, err
@@ -301,8 +273,8 @@ func (s *InitiatorSession) Step(typ byte, payload []byte) (out []Frame, done boo
 		return s.advance()
 
 	case initWantHelloReply:
-		if typ != msgHelloReplyV1 {
-			if typ == msgError {
+		if typ != frame.MsgHelloReplyV1 {
+			if typ == frame.MsgError {
 				pe := parsePeerErrPayload(payload)
 				if pe.Code == ErrCodeBusy {
 					// Shed load, not a protocol mismatch: surface the busy
@@ -315,100 +287,78 @@ func (s *InitiatorSession) Step(typ byte, payload []byte) (out []Frame, done boo
 				// negotiate down to the multi-RTT flow.
 				return nil, false, fmt.Errorf("%w: %s", ErrFastSyncRejected, pe.Msg)
 			}
-			return nil, false, unexpectedType(msgHelloReplyV1, typ, payload)
+			return nil, false, unexpectedType(frame.MsgHelloReplyV1, typ, payload)
 		}
-		rep, err := parseFastHelloReply(payload)
+		rep, err := frame.ParseHelloReply(payload)
 		if err != nil {
 			return nil, false, err
 		}
-		switch rep.version {
-		case fastProtoVersion:
+		switch rep.Version {
+		case frame.Version1:
 			// A v1 reply to a v2 hello is the decline path: the peer speaks
 			// the fast flow but grants no features; the session proceeds
 			// exactly as v1.
-			if rep.features != 0 {
-				return nil, false, fmt.Errorf("pbs: version-1 reply carries feature grants %#x", rep.features)
+			if rep.Features != 0 {
+				return nil, false, fmt.Errorf("pbs: version-1 reply carries feature grants %#x", rep.Features)
 			}
-		case fastProtoVersionMux:
-			if s.features == 0 {
-				return nil, false, fmt.Errorf("pbs: peer selected protocol version %d without an offer", rep.version)
+		case frame.VersionMux:
+			if s.call.features == 0 {
+				return nil, false, fmt.Errorf("pbs: peer selected protocol version %d without an offer", rep.Version)
 			}
-			if rep.features&^s.features != 0 {
-				return nil, false, fmt.Errorf("pbs: peer granted unrequested features %#x", rep.features&^s.features)
+			if rep.Features&^s.call.features != 0 {
+				return nil, false, fmt.Errorf("pbs: peer granted unrequested features %#x", rep.Features&^s.call.features)
 			}
 		default:
-			return nil, false, fmt.Errorf("pbs: peer selected unsupported protocol version %d", rep.version)
+			return nil, false, fmt.Errorf("pbs: peer selected unsupported protocol version %d", rep.Version)
 		}
-		if max := s.opt.maxD(); rep.dhat > max {
-			return nil, false, fmt.Errorf("pbs: peer estimate d̂ = %d exceeds limit %d", rep.dhat, max)
+		if max := s.opt.maxD(); rep.Dhat > max {
+			return nil, false, fmt.Errorf("pbs: peer estimate d̂ = %d exceeds limit %d", rep.Dhat, max)
 		}
-		if rep.adaptive && !s.wantAdaptive {
+		if rep.Adaptive && !s.call.adaptive {
 			return nil, false, fmt.Errorf("pbs: peer granted adaptive re-planning without an offer")
 		}
-		s.adaptive = rep.adaptive
-		if rep.digest != nil {
-			theirs, ok := msethash.DigestFromBytes(rep.digest)
+		s.adaptive = rep.Adaptive
+		if rep.Digest != nil {
+			theirs, ok := msethash.DigestFromBytes(rep.Digest)
 			if !ok {
 				return nil, false, fmt.Errorf("pbs: malformed verification digest")
 			}
 			s.peerDigest, s.haveDigest = theirs, true
 		}
-		s.dhat = rep.dhat
-		s.estBytes += len(payload) - len(rep.roundReply)
-		if rep.answered {
+		s.dhat = rep.Dhat
+		s.estBytes += len(payload) - len(rep.RoundReply)
+		if rep.Answered {
 			if s.adaptive {
 				// Round 1 went out before the grant existed (always static);
 				// enabling here makes every round from 2 on carry re-planned
 				// (m, t) parameters, mirroring the responder exactly.
 				s.alice.EnableAdaptive()
 			}
-			if err := s.alice.AbsorbReply(rep.roundReply); err != nil {
+			if err := s.alice.AbsorbReply(rep.RoundReply); err != nil {
 				return nil, false, err
 			}
 			s.rounds++
-			s.bobWireBits += len(rep.roundReply) * 8
+			s.bobWireBits += len(rep.RoundReply) * 8
 			return s.advance()
 		}
 		// Speculation declined: its payload stays on the books, then both
 		// sides re-plan deterministically from the true d̂ and continue
 		// with the classic round flow.
 		s.specBits = s.alice.PayloadBits()
-		plan, err := syncPlan(rep.dhat, s.opt)
-		if err != nil {
+		if err := s.replan(rep.Dhat); err != nil {
 			return nil, false, err
 		}
-		alice, err := core.NewAliceFromSnapshot(s.shared.snap, plan)
-		if err != nil {
-			return nil, false, err
-		}
-		if s.adaptive {
-			// The fresh endpoint restarts its round numbering at 1, so its
-			// first message is static and re-planning engages from round 2 —
-			// the same rule the responder's fresh Bob applies.
-			alice.EnableAdaptive()
-		}
-		if s.onDelta != nil {
-			alice.OnVerifiedDelta(s.onDelta)
-		}
-		s.plan, s.alice = plan, alice
 		return s.advance()
 
 	case initWantVerifyReply:
-		if typ != msgVerifyReply {
-			return nil, false, unexpectedType(msgVerifyReply, typ, payload)
+		if typ != frame.MsgVerifyReply {
+			return nil, false, unexpectedType(frame.MsgVerifyReply, typ, payload)
 		}
 		theirs, ok := msethash.DigestFromBytes(payload)
 		if !ok {
 			return nil, false, fmt.Errorf("pbs: malformed verification digest")
 		}
-		s.state = initClosed
-		if s.expectedDigest() != theirs {
-			// The difference just failed verification: do not leave a
-			// Result claiming Complete=true reachable.
-			s.res = nil
-			return []Frame{{msgDone, nil}}, true, ErrVerificationFailed
-		}
-		return []Frame{{msgDone, nil}}, true, nil
+		return s.closeVerified(theirs)
 
 	default:
 		return nil, false, fmt.Errorf("pbs: step on a closed initiator session")
@@ -427,7 +377,7 @@ func (s *InitiatorSession) advance() ([]Frame, bool, error) {
 		if msg != nil {
 			s.aliceWireBits += len(msg) * 8
 			s.state = initWantRoundReply
-			return []Frame{{msgRound, msg}}, false, nil
+			return oneFrame(frame.MsgRound, msg), false, nil
 		}
 	}
 	return s.finish()
@@ -442,7 +392,7 @@ func (s *InitiatorSession) finish() ([]Frame, bool, error) {
 		// The initiator only knows its own payload bits exactly; the
 		// peer's contribution is included in WireBytes.
 		PayloadBytes:   (s.alice.PayloadBits() + s.specBits + 7) / 8,
-		WireBytes:      (s.aliceWireBits+s.bobWireBits)/8 + s.estBytes,
+		WireBytes:      (s.aliceWireBits+s.bobWireBits)/8 + s.estBytes + s.helloBytes,
 		EstimatorBytes: s.estBytes,
 		Replans:        s.alice.Replans(),
 	}
@@ -450,18 +400,26 @@ func (s *InitiatorSession) finish() ([]Frame, bool, error) {
 		if s.haveDigest {
 			// Fast path: the digest rode in on the hello reply, so the
 			// comparison is local and the msgVerify round trip vanishes.
-			s.state = initClosed
-			if s.expectedDigest() != s.peerDigest {
-				s.res = nil
-				return []Frame{{msgDone, nil}}, true, ErrVerificationFailed
-			}
-			return []Frame{{msgDone, nil}}, true, nil
+			return s.closeVerified(s.peerDigest)
 		}
 		s.state = initWantVerifyReply
-		return []Frame{{msgVerify, nil}}, false, nil
+		return oneFrame(frame.MsgVerify, nil), false, nil
 	}
 	s.state = initClosed
-	return []Frame{{msgDone, nil}}, true, nil
+	return oneFrame(frame.MsgDone, nil), true, nil
+}
+
+// closeVerified ends a StrongVerify session on the comparison of the
+// responder's whole-set digest with the one the learned difference implies.
+func (s *InitiatorSession) closeVerified(theirs msethash.Digest) ([]Frame, bool, error) {
+	s.state = initClosed
+	if s.expectedDigest() != theirs {
+		// The difference just failed verification: do not leave a Result
+		// claiming Complete=true reachable.
+		s.res = nil
+		return oneFrame(frame.MsgDone, nil), true, ErrVerificationFailed
+	}
+	return oneFrame(frame.MsgDone, nil), true, nil
 }
 
 // expectedDigest is the multiset-hash digest of what the responder's set
@@ -517,24 +475,14 @@ type SharedSet struct {
 	digest     msethash.Digest
 }
 
-// newLazySharedSet builds a SharedSet whose ToW sketch and verification
-// digest are preset from persisted metadata and whose snapshot is
-// materialized by load only when a session must decode rounds. opt must
-// already have defaults applied.
-func newLazySharedSet(opt Options, count int, sketch []int64, digest msethash.Digest, load func() (*core.Snapshot, error)) (*SharedSet, error) {
-	tow, err := estimator.NewToW(opt.EstimatorSketches, opt.Seed^towSeedTweak)
-	if err != nil {
-		return nil, err
-	}
-	if len(sketch) != tow.L() {
-		return nil, fmt.Errorf("pbs: persisted sketch length %d, want %d", len(sketch), tow.L())
-	}
-	ss := &SharedSet{opt: opt, tow: tow, loadSnap: load, count: count}
-	// Fire the Onces before the set is shared, so towSketch/verifyDigest
-	// answer from the persisted values without touching the snapshot.
+// preset fires the sketch and digest Onces with values the caller
+// maintains incrementally (or recovered from persisted metadata), before
+// the set is shared, so towSketch/verifyDigest never pass over — or, for a
+// lazy view, page in — the elements.
+func (ss *SharedSet) preset(sketch []int64, digest msethash.Digest) *SharedSet {
 	ss.sketchOnce.Do(func() { ss.sketch = sketch })
 	ss.digestOnce.Do(func() { ss.digest = digest })
-	return ss, nil
+	return ss
 }
 
 // snapshot returns the materialized element snapshot, invoking loadSnap at
@@ -604,13 +552,7 @@ func (ss *SharedSet) verifyDigest() msethash.Digest {
 // NewSession returns a responder session reconciling against the shared
 // set under the options the set was prepared with.
 func (ss *SharedSet) NewSession() *ResponderSession {
-	return ss.newResponderSession(ss.opt)
-}
-
-// newResponderSession returns a responder session under opt, which must
-// agree with ss.opt on Seed, SigBits, and EstimatorSketches.
-func (ss *SharedSet) newResponderSession(opt Options) *ResponderSession {
-	return &ResponderSession{opt: opt, shared: ss}
+	return &ResponderSession{opt: ss.opt, shared: ss}
 }
 
 // newServerSession is NewSession with the Server's untrusted-peer posture:
@@ -681,21 +623,6 @@ type ResponderSession struct {
 	specAccepted bool
 }
 
-// grantedFeatures reports the feature bitmap granted to the initiator's
-// version-2 hello, or zero before the hello (or when nothing was granted).
-func (s *ResponderSession) grantedFeatures() uint64 { return s.granted }
-
-// NewResponderSession starts a standalone responder session for set. For
-// many concurrent sessions over one set, build a SharedSet once and use
-// its NewSession instead.
-func NewResponderSession(set []uint64, o *Options) (*ResponderSession, error) {
-	ss, err := NewSharedSet(set, o)
-	if err != nil {
-		return nil, err
-	}
-	return ss.NewSession(), nil
-}
-
 // Step advances the session with one frame received from the initiator.
 // When done is true the initiator has closed the session.
 func (s *ResponderSession) Step(typ byte, payload []byte) (out []Frame, done bool, err error) {
@@ -703,97 +630,57 @@ func (s *ResponderSession) Step(typ byte, payload []byte) (out []Frame, done boo
 		return nil, true, fmt.Errorf("pbs: step on a closed responder session")
 	}
 	switch typ {
-	case msgEstimate:
-		if s.estimated {
-			// A mid-session re-estimate would silently discard all
-			// reconciliation state; treat it as the protocol violation it is.
-			return nil, false, fmt.Errorf("pbs: duplicate estimate in one session")
-		}
-		theirs, err := decodeSketches(payload)
-		if err != nil {
-			return nil, false, err
-		}
-		if len(theirs) != s.opt.EstimatorSketches {
-			return nil, false, fmt.Errorf("pbs: peer sent %d sketches, want %d", len(theirs), s.opt.EstimatorSketches)
-		}
-		dhatF, err := s.shared.tow.Estimate(theirs, s.shared.towSketch())
-		if err != nil {
-			return nil, false, err
-		}
-		dhat, err := s.opt.boundEstimate(dhatF)
-		if err != nil {
-			return nil, false, err
-		}
-		plan, err := syncPlan(dhat, s.opt)
+	case frame.MsgEstimate:
+		dhat, err := s.estimate(payload)
 		if err != nil {
 			return nil, false, err
 		}
 		// Bob is deferred to the first msgRound: the estimate itself is
 		// answered purely from the (possibly persisted) ToW sketch, so an
 		// estimate-only probe against a cold hosted set stays element-free.
-		s.plan = plan
-		s.estimated = true
-		return []Frame{{msgEstimateReply, binary.AppendUvarint(nil, dhat)}}, false, nil
-
-	case msgHelloV1:
-		if s.estimated {
-			return nil, false, fmt.Errorf("pbs: duplicate estimate in one session")
+		if s.plan, err = syncPlan(dhat, s.opt); err != nil {
+			return nil, false, err
 		}
-		h, err := parseFastHello(payload)
+		s.estimated = true
+		return oneFrame(frame.MsgEstimateReply, frame.AppendEstimateReply(nil, dhat)), false, nil
+
+	case frame.MsgHelloV1:
+		h, err := frame.ParseHello(payload)
 		if err != nil {
 			return nil, false, err
 		}
-		if h.version != fastProtoVersion && h.version != fastProtoVersionMux {
+		if h.Version != frame.Version1 && h.Version != frame.VersionMux {
 			// The resulting msgError is the negotiation signal: the
 			// initiator maps it to ErrFastSyncRejected and can retry with
 			// a protocol this responder speaks.
-			return nil, false, fmt.Errorf("pbs: unsupported fast protocol version %d", h.version)
+			return nil, false, fmt.Errorf("pbs: unsupported fast protocol version %d", h.Version)
 		}
-		theirs, err := decodeSketches(h.sketches)
-		if err != nil {
-			return nil, false, err
-		}
-		if len(theirs) != s.opt.EstimatorSketches {
-			return nil, false, fmt.Errorf("pbs: peer sent %d sketches, want %d", len(theirs), s.opt.EstimatorSketches)
-		}
-		dhatF, err := s.shared.tow.Estimate(theirs, s.shared.towSketch())
-		if err != nil {
-			return nil, false, err
-		}
-		dhat, err := s.opt.boundEstimate(dhatF)
+		dhat, err := s.estimate(h.Sketches)
 		if err != nil {
 			return nil, false, err
 		}
 		// An over-limit d_spec never sizes a plan — decline instead, which
 		// also keeps a forged d_spec from buying the DoS allocation MaxD
 		// exists to prevent.
-		accepted := h.specD <= s.opt.maxD() && fastSpecAccepted(h.specD, dhat)
-		s.adaptive = h.wantAdaptive
+		accepted := h.SpecD <= s.opt.maxD() && fastSpecAccepted(h.SpecD, dhat)
+		s.adaptive = h.WantAdaptive
 		planD := dhat
 		if accepted {
-			planD = h.specD
+			planD = h.SpecD
 		}
-		plan, err := syncPlan(planD, s.opt)
-		if err != nil {
+		if s.plan, err = syncPlan(planD, s.opt); err != nil {
 			return nil, false, err
 		}
-		s.plan = plan
 		s.estimated = true
-		rep := fastHelloReply{version: fastProtoVersion, dhat: dhat, adaptive: s.adaptive}
-		if h.version == fastProtoVersionMux {
+		rep := frame.HelloReply{Version: frame.Version1, Dhat: dhat, Adaptive: s.adaptive}
+		if h.Version == frame.VersionMux {
 			// Feature grant: the intersection of what the peer offered and
 			// what our driver allows (the Server sets allowFeatures on the
 			// connection loop's sessions; a bare Set.Respond leaves it zero,
 			// which declines every offer). Compression is only meaningful
 			// inside the mux envelope, so it is never granted alone.
-			granted := h.features & s.allowFeatures
-			if granted&featureMux == 0 {
-				granted = 0
-			}
-			if granted != 0 {
-				rep.version = fastProtoVersionMux
-				rep.features = granted
-				s.granted = granted
+			if granted := h.Features & s.allowFeatures; granted&frame.FeatureMux != 0 {
+				rep.Version, rep.Features, s.granted = frame.VersionMux, granted, granted
 			}
 		}
 		if accepted {
@@ -802,21 +689,20 @@ func (s *ResponderSession) Step(typ byte, payload []byte) (out []Frame, done boo
 			if err := s.materialize(); err != nil {
 				return nil, false, err
 			}
-			reply, err := s.bob.HandleRound(h.round1)
+			reply, err := s.bob.HandleRound(h.Round1)
 			if err != nil {
 				return nil, false, err
 			}
 			s.rounds++
-			rep.answered = true
-			rep.roundReply = reply
+			rep.Answered, rep.RoundReply = true, reply
 			s.specAccepted = true
 		}
-		if h.wantDigest {
-			rep.digest = s.shared.verifyDigest().Bytes()
+		if h.WantDigest {
+			rep.Digest = s.shared.verifyDigest().Bytes()
 		}
-		return []Frame{{msgHelloReplyV1, appendFastHelloReply(nil, rep)}}, false, nil
+		return oneFrame(frame.MsgHelloReplyV1, frame.AppendHelloReply(nil, rep)), false, nil
 
-	case msgRound:
+	case frame.MsgRound:
 		if !s.estimated {
 			return nil, false, fmt.Errorf("pbs: round before estimation")
 		}
@@ -828,21 +714,42 @@ func (s *ResponderSession) Step(typ byte, payload []byte) (out []Frame, done boo
 			return nil, false, err
 		}
 		s.rounds++
-		return []Frame{{msgRoundReply, reply}}, false, nil
+		return oneFrame(frame.MsgRoundReply, reply), false, nil
 
-	case msgVerify:
-		return []Frame{{msgVerifyReply, s.shared.verifyDigest().Bytes()}}, false, nil
+	case frame.MsgVerify:
+		return oneFrame(frame.MsgVerifyReply, s.shared.verifyDigest().Bytes()), false, nil
 
-	case msgDone:
+	case frame.MsgDone:
 		s.closed = true
 		return nil, true, nil
 
-	case msgError:
+	case frame.MsgError:
 		return nil, false, parsePeerErrPayload(payload)
 
 	default:
 		return nil, false, fmt.Errorf("pbs: unexpected message type %d", typ)
 	}
+}
+
+// estimate answers the peer's encoded sketch vector with the rounded,
+// bounded d̂ — once per session: a mid-session re-estimate would silently
+// discard all reconciliation state, so it is the protocol violation it is.
+func (s *ResponderSession) estimate(sketches []byte) (uint64, error) {
+	if s.estimated {
+		return 0, fmt.Errorf("pbs: duplicate estimate in one session")
+	}
+	theirs, err := frame.DecodeSketches(sketches)
+	if err != nil {
+		return 0, err
+	}
+	if len(theirs) != s.opt.EstimatorSketches {
+		return 0, fmt.Errorf("pbs: peer sent %d sketches, want %d", len(theirs), s.opt.EstimatorSketches)
+	}
+	dhatF, err := s.shared.tow.Estimate(theirs, s.shared.towSketch())
+	if err != nil {
+		return 0, err
+	}
+	return s.opt.boundEstimate(dhatF)
 }
 
 // materialize builds Bob from the agreed plan on first need, paging the

@@ -47,12 +47,6 @@ type Set struct {
 	// fraction of the last delta, so the previous outcome is the best
 	// available predictor of the next.
 	specPrior atomic.Uint64
-	// specAvoid is the last speculative bound whose round failed to decode
-	// in one round trip. Whether a given plan decodes a given difference
-	// is a per-(plan, hash) draw, so on a quiet set the same speculation
-	// would replay the same failing plan sync after sync; remembering the
-	// loser and hopping to a nearby bound re-rolls the partition instead.
-	specAvoid atomic.Uint64
 
 	// prior is the learned EWMA over realized difference cardinalities,
 	// fed by every completed sync and consulted by the adaptive controller
@@ -541,46 +535,27 @@ func (s *Set) syncAttempt(ctx context.Context, conn io.ReadWriter, cfg *setConfi
 	if fr, ok := conn.(featureRequester); ok {
 		features = fr.muxFeatureRequest()
 	}
-	var res *Result
+	call := initiatorCall{onDelta: cfg.onDelta, fast: cfg.fastSync, features: features, adaptive: !cfg.adaptiveOff, name: cfg.setName}
 	if cfg.fastSync {
-		spec := s.adaptiveSpeculativeD(cfg)
-		is, opening, err := ss.newFastInitiatorSessionFeatures(cfg.opt, cfg.onDelta, cfg.setName, spec, features, !cfg.adaptiveOff)
-		if err != nil {
-			return nil, err
-		}
-		if res, err = runInitiator(ctx, conn, is, opening, cfg.idleTimeout); err != nil {
-			// Even a failed session may have learned the peer's d̂; seed
-			// the speculation prior with it so a retry sizes its first
-			// round right and usually completes in one round trip.
-			if d := is.dhat; d > 0 {
-				s.specPrior.Store(d + 1)
-			}
-			return nil, err
-		}
-		if res != nil && res.Complete && res.Rounds > 1 {
-			s.specAvoid.Store(spec)
-		}
-	} else {
-		if features != 0 {
-			return nil, errors.New("pbs: mux negotiation requires the fast-path sync (WithFastSync)")
-		}
-		is, opening := ss.newInitiatorSession(cfg.opt, cfg.onDelta)
-		if cfg.setName != "" {
-			opening = append([]Frame{{msgHello, []byte(cfg.setName)}}, opening...)
-		}
-		if res, err = runInitiator(ctx, conn, is, opening, cfg.idleTimeout); err != nil {
-			if d := is.dhat; d > 0 {
-				s.specPrior.Store(d + 1)
-			}
-			return nil, err
-		}
-		if res != nil && cfg.setName != "" {
-			// The hello envelope is this side's extra cost; fold it in so
-			// WireBytes stays reconcilable with the server's BytesIn.
-			res.WireBytes += 5 + len(cfg.setName)
-		}
+		call.specD = s.adaptiveSpeculativeD(cfg)
+	} else if features != 0 {
+		return nil, errors.New("pbs: mux negotiation requires the fast-path sync (WithFastSync)")
 	}
-	if res != nil && res.Complete {
+	is, opening, err := ss.newInitiator(cfg.opt, call)
+	if err != nil {
+		return nil, err
+	}
+	if err := pumpSession(ctx, conn, is, opening, cfg.idleTimeout, false); err != nil {
+		// Even a failed session may have learned the peer's d̂; seed
+		// the speculation prior with it so a retry sizes its first
+		// round right and usually completes in one round trip.
+		if d := is.dhat; d > 0 {
+			s.specPrior.Store(d + 1)
+		}
+		return nil, err
+	}
+	res := is.Result()
+	if res.Complete {
 		// Remember the outcome to size the next fast sync's speculation:
 		// the raw value for the legacy heuristic, and folded into the
 		// learned EWMA prior the adaptive controller predicts from.
@@ -614,13 +589,7 @@ func (s *Set) speculativeD(opt Options) uint64 {
 		return DefaultSpeculativeD
 	}
 	d := p - 1
-	spec := d + d/8 + 8
-	if bad := s.specAvoid.Load(); bad != 0 && spec == bad {
-		// This exact bound just cost an extra round; a nearby larger one
-		// derives a different plan and so a fresh partition draw.
-		spec = bad + bad/8 + 4
-	}
-	return spec
+	return d + d/8 + 8
 }
 
 // Respond serves exactly one initiator session over conn — the peer-to-peer
@@ -636,7 +605,7 @@ func (s *Set) Respond(ctx context.Context, conn io.ReadWriter, opts ...Option) e
 	if err != nil {
 		return err
 	}
-	return runResponder(ctx, conn, ss.newResponderSession(cfg.opt), cfg.idleTimeout)
+	return pumpSession(ctx, conn, &ResponderSession{opt: cfg.opt, shared: ss}, nil, cfg.idleTimeout, true)
 }
 
 // Serve answers reconciliation sessions concurrently on ln until ctx ends,
