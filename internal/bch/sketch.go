@@ -43,11 +43,13 @@ type Sketch struct {
 }
 
 // powTableMaxM is the largest field degree whose odd powers are tabled.
-// PBS parity bitmaps live at m ≤ 11 and encode about half their 2^m − 1
-// positions per group per round, so for them a syndrome update is worth a
-// table row; at 2 bytes an entry the tables stay within a few hundred KiB
-// for every shape the optimizer picks. The wide fields (PinSketch's
-// GF(2^32)) cannot be tabled at all.
+// PBS parity bitmaps encode about half their 2^m − 1 positions per group per
+// round, so for them a syndrome update is worth a table row. The optimizer's
+// grid is m ∈ 6..11 and the tables stop one short of its top: at 2 bytes an
+// entry they stay within a few hundred KiB for every shape up to m = 10,
+// and each further degree doubles the rows. m ≥ 11, and the wide fields
+// (PinSketch's GF(2^32)) that cannot be tabled at all, pay one field
+// multiplication per syndrome instead.
 const powTableMaxM = 10
 
 // powTable maps x ∈ [1, 2^m) to its first stride odd powers
@@ -103,21 +105,40 @@ func addOddPowers(f *gf2.Field, x uint64, odd []uint64) {
 // elements. Valid elements are 1..2^m−1 (zero is excluded from the universe,
 // as in §2.1 of the paper).
 func New(m uint, t int) (*Sketch, error) {
-	f, err := gf2.NewField(m)
+	s, err := View(m, t, nil)
 	if err != nil {
 		return nil, err
 	}
+	s.odd = make([]uint64, t)
+	return &s, nil
+}
+
+// View returns a sketch of shape (m, t) over storage the caller owns: odd,
+// t words long, holds the syndromes as they stand (Reset empties them), and
+// nothing is allocated. A nil odd gives the bare shape, good only for Over.
+// A round keeps the syndromes of all its scopes in one slab this way.
+func View(m uint, t int, odd []uint64) (Sketch, error) {
+	f, err := gf2.NewField(m)
+	if err != nil {
+		return Sketch{}, err
+	}
 	if t < 1 {
-		return nil, fmt.Errorf("bch: capacity t=%d must be >= 1", t)
+		return Sketch{}, fmt.Errorf("bch: capacity t=%d must be >= 1", t)
 	}
 	if uint64(t) > f.Order()/2 {
-		return nil, fmt.Errorf("bch: capacity t=%d too large for field order %d", t, f.Order())
+		return Sketch{}, fmt.Errorf("bch: capacity t=%d too large for field order %d", t, f.Order())
 	}
-	s := &Sketch{f: f, t: t, odd: make([]uint64, t)}
+	s := Sketch{f: f, t: t, odd: odd}
 	if m <= powTableMaxM {
 		s.pow = powTableFor(f, t)
 	}
 	return s, nil
+}
+
+// Over returns a sketch of s's shape over odd (see View).
+func (s Sketch) Over(odd []uint64) Sketch {
+	s.odd = odd[:s.t:s.t]
+	return s
 }
 
 // MustNew is like New but panics on invalid parameters.

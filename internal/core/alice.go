@@ -56,68 +56,38 @@ type Alice struct {
 	encodeTime time.Duration // time spent building bitmaps and codewords
 	decodeTime time.Duration // time spent recovering and verifying elements
 
-	// scr is the scratch of the round exchange in flight, nil between
-	// exchanges (see aliceScratch).
+	// scr is the session's scratch, nil once the session has completed (see
+	// aliceScratch).
 	scr *aliceScratch
 }
 
-// aliceScratch is the reusable hot-path scratch of one round exchange.
-// BuildRound draws it from a process-wide pool and the matching AbsorbReply
-// hands it back once the round has merged, so steady-state rounds — of this
-// session or of the next — reuse these buffers instead of allocating.
-// sketches holds one codeword sketch per active-scope index, reset each
-// round, built for shape (skM, skT); parity is per-worker bitmap scratch;
-// sumsPool is a free list for the per-scope bin XOR-sum buffers that live on
-// scopes between BuildRound and AbsorbReply; durs is the per-worker timing
-// scratch; parsed, outcomes and errs are AbsorbReply's per-scope slots.
+// aliceScratch is the reusable storage of one session: flat slabs the
+// rounds re-slice to their shape, so that in steady state a round — of this
+// session or of the next — allocates per message, not per scope.
+// NewAliceFromSnapshot draws it from a process-wide pool and the AbsorbReply
+// that verifies the last scope hands it back; an abandoned session leaves
+// its scratch to the collector. scopes is the session's scope array, one a
+// group; syn holds the round's syndromes, t words per active scope, and sums
+// its bin XOR sums, n+1 words per active scope, which the scopes keep from
+// BuildRound to AbsorbReply (round 1 over a table reads the table's rows
+// instead); parity is a packed bitmap per worker. pos, xor and accepted hold
+// a reply's positions, XOR sums and accepted elements back to back, each
+// scope owning the stretch [lo, hi) its parsed slot names; parsed, outcomes
+// and errs are AbsorbReply's per-scope slots.
 type aliceScratch struct {
-	sketches []*bch.Sketch
-	skM      uint
-	skT      int
-	parity   [][]bool
-	sumsPool [][]uint64
-	durs     []time.Duration
+	scopes   []aliceScope
+	syn      []uint64
+	sums     []uint64
+	parity   [][]uint64
+	pos      []uint64
+	xor      []uint64
+	accepted []uint64
 	parsed   []aliceParsedScope
 	outcomes []aliceScopeOutcome
 	errs     scopeErrors
 }
 
 var aliceScratchPool = sync.Pool{New: func() any { return new(aliceScratch) }}
-
-// getSums pops a zeroed bin-sum buffer (1-based, n+1 slots) off the free
-// list, or allocates one. Wrong-sized buffers (left over from a round with
-// another bitmap size) are discarded.
-func (s *aliceScratch) getSums(n uint64) []uint64 {
-	for len(s.sumsPool) > 0 {
-		b := s.sumsPool[len(s.sumsPool)-1]
-		s.sumsPool = s.sumsPool[:len(s.sumsPool)-1]
-		if uint64(len(b)) == n+1 {
-			clear(b)
-			return b
-		}
-	}
-	return make([]uint64, n+1)
-}
-
-// releaseSums detaches the scope's bin sums. A buffer the scratch owns goes
-// back to the free list; a table row is shared with every other session on
-// the snapshot and must never get there, where getSums would clear it.
-func (s *aliceScratch) releaseSums(sc *aliceScope) {
-	if sc.binSums != nil && !sc.sumsShared {
-		s.sumsPool = append(s.sumsPool, sc.binSums)
-	}
-	sc.binSums, sc.sumsShared = nil, false
-}
-
-// roundDurs returns the per-worker timing scratch, zeroed.
-func (s *aliceScratch) roundDurs(nw int) []time.Duration {
-	if cap(s.durs) < nw {
-		s.durs = make([]time.Duration, nw)
-	}
-	s.durs = s.durs[:nw]
-	clear(s.durs)
-	return s.durs
-}
 
 // EncodeTime returns the cumulative time Alice spent encoding (hash
 // partitioning, parity bitmaps, BCH codewords). Parallel-phase work is
@@ -141,12 +111,11 @@ type aliceScope struct {
 	w        elemSet
 	checksum uint64 // c(W), maintained incrementally
 
-	// Round-scoped scratch, saved between BuildRound and AbsorbReply.
-	// sumsShared marks binSums as a row of the snapshot's round-one table
-	// rather than a buffer of this session's.
-	binSums    []uint64
-	sumsShared bool
-	binSeed    uint64
+	// Round-scoped, saved between BuildRound and AbsorbReply: binSums is a
+	// stretch of the scratch's sums slab or a row of the snapshot's round-one
+	// table, read-only either way once folded.
+	binSums []uint64
+	binSeed uint64
 
 	// loadHint is the adaptive re-planner's upper estimate of how many
 	// unreconciled distinct elements this scope still holds, set when the
@@ -190,10 +159,12 @@ func NewAliceFromSnapshot(snap *Snapshot, plan Plan) (*Alice, error) {
 	}
 	part := snap.partitionFor(plan)
 	a.table = part.table
-	scopes := make([]aliceScope, plan.Groups)
+	// A pooled scope array is all zero: its last session cleared what it used.
+	a.scr = aliceScratchPool.Get().(*aliceScratch)
+	a.scr.scopes = resized(a.scr.scopes, plan.Groups)
 	a.active = make([]*aliceScope, plan.Groups)
-	for g := range scopes {
-		sc := &scopes[g]
+	for g := range a.scr.scopes {
+		sc := &a.scr.scopes[g]
 		sc.id, sc.w = newScopeID(g), part.group(g)
 		if a.table != nil {
 			sc.checksum = a.table.rows[g].checksum
@@ -351,63 +322,43 @@ func (a *Alice) BuildRound() ([]byte, error) {
 		}
 	}
 	nw := a.plan.workersFor(work)
-	// Grow the pooled scratch to this round's shape; in steady state every
-	// buffer below is a reuse. A different (m, t) — an adaptive re-plan, or
-	// a previous owner's plan — invalidates the sketch scratch wholesale.
-	if a.scr == nil {
-		a.scr = aliceScratchPool.Get().(*aliceScratch)
+	shape, err := bch.View(a.curM, a.curT, nil)
+	if err != nil {
+		return nil, err
 	}
-	s := a.scr
-	if s.skM != a.curM || s.skT != a.curT {
-		s.sketches = s.sketches[:0]
-		s.skM, s.skT = a.curM, a.curT
+	// Re-slice the scratch to this round's shape; in steady state nothing
+	// below allocates, whatever (m, t) the last round or session ran at.
+	s, t, stride := a.scr, a.curT, int(n+1)
+	s.syn = resized(s.syn, len(a.active)*t)
+	if !useTable {
+		s.sums = resized(s.sums, len(a.active)*stride)
+		clear(s.sums)
 	}
 	for len(s.parity) < nw {
 		s.parity = append(s.parity, nil)
 	}
-	for len(s.sketches) < len(a.active) {
-		s.sketches = append(s.sketches, bch.MustNew(a.curM, a.curT))
-	}
-	for _, sc := range a.active {
-		s.releaseSums(sc) // attached only if the last AbsorbReply failed
-		if useTable {
-			sc.binSums, sc.sumsShared = a.table.rows[sc.id.group].sums, true
-		} else {
-			sc.binSums = s.getSums(n)
-		}
-	}
-	durs := s.roundDurs(nw)
-	forEachScope(nw, len(a.active), func(worker, i int) {
-		t0 := time.Now()
+	a.encodeTime += forEachScope(nw, len(a.active), func(worker, i int) {
 		sc := a.active[i]
 		sc.binSeed = a.sd.binSeed(sc.id, a.round)
-		var parity []bool
+		var parity []uint64
 		if useTable {
-			parity = a.table.rows[sc.id.group].parity
+			row := &a.table.rows[sc.id.group]
+			sc.binSums, parity = row.sums, row.parity
 		} else {
-			parity = s.parity[worker]
-			if uint64(len(parity)) != n+1 {
-				parity = make([]bool, n+1)
-				s.parity[worker] = parity
-			} else {
-				clear(parity)
-			}
+			sc.binSums = s.sums[i*stride : (i+1)*stride]
+			parity = resized(s.parity[worker], int(parityWords(n)))
+			s.parity[worker] = parity
+			clear(parity)
 			sc.w.fold(sc.binSeed, n, sc.binSums, parity)
 		}
-		sketch := s.sketches[i]
+		sketch := shape.Over(s.syn[i*t:])
 		sketch.Reset()
-		for j := uint64(1); j <= n; j++ {
-			if parity[j] {
-				sketch.Add(j)
-			}
-		}
-		durs[worker] += time.Since(t0)
+		addParity(&sketch, parity)
 	})
-	for _, d := range durs {
-		a.encodeTime += d
-	}
 	serStart := time.Now()
-	w := wire.NewWriter()
+	// A scope costs its codeword and an ID of some 20 bits; deeper split
+	// paths than that allows for just grow the buffer.
+	w := wire.NewWriterSize(64 + len(a.active)*(shape.Bits()+32))
 	w.WriteUvarint(uint64(a.round))
 	if a.adaptive && a.round >= 2 {
 		// Adaptive rounds carry their own parameters: the static plan no
@@ -420,10 +371,11 @@ func (a *Alice) BuildRound() ([]byte, error) {
 	w.WriteUvarint(uint64(len(a.active)))
 	for i, sc := range a.active {
 		writeScopeID(w, sc.id)
-		s.sketches[i].AppendTo(w)
-		a.payloadBits += s.sketches[i].Bits()
-		a.sketchesSent++
+		sketch := shape.Over(s.syn[i*t:])
+		sketch.AppendTo(w)
 	}
+	a.payloadBits += len(a.active) * shape.Bits()
+	a.sketchesSent += len(a.active)
 	a.awaiting = true
 	a.encodeTime += time.Since(serStart)
 	return w.Bytes(), nil
@@ -432,10 +384,9 @@ func (a *Alice) BuildRound() ([]byte, error) {
 // aliceParsedScope is one scope's slice of Bob's reply, parsed off the
 // sequential bit stream before the parallel processing phase.
 type aliceParsedScope struct {
-	ok        bool // BCH decoding succeeded on Bob's side
-	positions []uint64
-	sums      []uint64
-	bobCk     uint64
+	ok     bool // BCH decoding succeeded on Bob's side
+	lo, hi int  // the scope's stretch of the scratch's pos, xor and accepted
+	bobCk  uint64
 }
 
 // aliceScopeOutcome is the result of processing one scope's reply slice:
@@ -467,18 +418,15 @@ func (a *Alice) AbsorbReply(reply []byte) error {
 	}
 	a.awaiting = false
 	n := (uint64(1) << a.curM) - 1 // the in-flight round's bitmap size
-	parseStart := time.Now()
+	seqStart := time.Now()
 	r := wire.NewReader(reply)
 	scr := a.scr
-	if cap(scr.parsed) < len(a.active) {
-		scr.parsed = make([]aliceParsedScope, len(a.active))
-	}
-	parsed := scr.parsed[:len(a.active)]
-	for i := range a.active {
+	scr.parsed = resized(scr.parsed, len(a.active))
+	parsed := scr.parsed
+	positions, xors := scr.pos[:0], scr.xor[:0]
+	for i := range parsed {
 		p := &parsed[i]
-		p.positions = p.positions[:0]
-		p.sums = p.sums[:0]
-		p.bobCk = 0
+		*p = aliceParsedScope{lo: len(positions), hi: len(positions)}
 		ok, err := r.ReadBool()
 		if err != nil {
 			return fmt.Errorf("core: truncated reply: %w", err)
@@ -499,63 +447,58 @@ func (a *Alice) AbsorbReply(reply []byte) error {
 			if err != nil {
 				return fmt.Errorf("core: truncated reply: %w", err)
 			}
-			p.positions = append(p.positions, v)
+			positions = append(positions, v)
 		}
 		for j := uint64(0); j < count; j++ {
 			v, err := r.ReadBits(a.plan.SigBits)
 			if err != nil {
 				return fmt.Errorf("core: truncated reply: %w", err)
 			}
-			p.sums = append(p.sums, v)
+			xors = append(xors, v)
 		}
+		p.hi = len(positions)
 		if p.bobCk, err = r.ReadBits(a.plan.SigBits); err != nil {
 			return fmt.Errorf("core: truncated reply: %w", err)
 		}
 	}
-
-	a.decodeTime += time.Since(parseStart)
+	scr.pos, scr.xor = positions, xors
+	scr.accepted = resized(scr.accepted, len(positions))
 
 	// The parallel phase is strictly read-only on session state: workers
 	// compute accepted elements, the would-be checksum, and split children
 	// without mutating anything, so an error below leaves the session
 	// exactly as it was (no half-applied round).
-	if cap(scr.outcomes) < len(a.active) {
-		scr.outcomes = make([]aliceScopeOutcome, len(a.active))
-	}
-	outcomes := scr.outcomes[:len(a.active)]
+	scr.outcomes = resized(scr.outcomes, len(a.active))
+	outcomes := scr.outcomes
 	errs := &scr.errs
 	errs.reset(len(a.active))
 	work := 0
 	for i, sc := range a.active {
 		if parsed[i].ok {
-			work += len(parsed[i].positions) * recoverWork
+			work += (parsed[i].hi - parsed[i].lo) * recoverWork
 		} else {
 			work += sc.w.len()
 		}
 	}
-	nw := a.plan.workersFor(work)
-	durs := scr.roundDurs(nw)
-	forEachScope(nw, len(a.active), func(worker, i int) {
-		t0 := time.Now()
-		defer func() { durs[worker] += time.Since(t0) }()
+	a.decodeTime += time.Since(seqStart)
+	a.decodeTime += forEachScope(a.plan.workersFor(work), len(a.active), func(_, i int) {
 		sc := a.active[i]
 		p := &parsed[i]
 		out := &outcomes[i]
-		out.accepted = out.accepted[:0]
-		out.verified = false
-		out.splits = nil
+		*out = aliceScopeOutcome{accepted: scr.accepted[p.lo:p.lo:p.hi]}
 		if !p.ok {
 			// BCH decoding failure (§3.2): split three ways for next round.
 			out.splits = a.splitScope(sc)
 			return
 		}
 		ck := sc.checksum
-		for j, pos := range p.positions {
+		for j := p.lo; j < p.hi; j++ {
+			pos := positions[j]
 			if pos == 0 || pos > n {
 				errs.set(i, fmt.Errorf("core: reply position %d out of range", pos))
 				return
 			}
-			s := sc.binSums[pos] ^ p.sums[j]
+			s := sc.binSums[pos] ^ xors[j]
 			if !a.acceptRecovered(sc, s, pos) {
 				continue
 			}
@@ -565,21 +508,27 @@ func (a *Alice) AbsorbReply(reply []byte) error {
 		// Verified scopes are reconciled subset pairs (§2.2.3).
 		out.verified = ck == p.bobCk
 	})
-	for _, d := range durs {
-		a.decodeTime += d
-	}
 	if err := errs.first(); err != nil {
 		return err
 	}
 
-	mergeStart := time.Now()
+	seqStart = time.Now()
 	var next []*aliceScope
 	var delta []uint64
+	// A scope accepts at most its reply's positions, so one array has room
+	// for every scope's over layer after this round's toggles, and learned
+	// grows once.
+	room := len(positions)
+	for _, sc := range a.active {
+		room += len(sc.w.over)
+	}
+	overs := make([]uint64, 0, room)
+	a.learned = slices.Grow(a.learned, room)
 	for i, sc := range a.active {
 		out := &outcomes[i]
-		// The round is over for this scope either way: its bin sums go back
-		// to the scratch before the scratch goes back to the pool.
-		scr.releaseSums(sc)
+		start, end := len(overs), len(overs)+len(sc.w.over)+parsed[i].hi-parsed[i].lo
+		overs = append(overs, sc.w.over...)
+		sc.w.over, overs = overs[start:len(overs):end], overs[:end]
 		if out.splits != nil {
 			for _, child := range out.splits {
 				child.splitFresh = true
@@ -605,14 +554,19 @@ func (a *Alice) AbsorbReply(reply []byte) error {
 		}
 	}
 	a.active = next
-	a.scr = nil
-	aliceScratchPool.Put(scr)
+	if len(next) == 0 {
+		// Every scope has verified and nothing points into the scope array
+		// any more; zeroed, it pins no snapshot from the pool.
+		clear(scr.scopes)
+		a.scr = nil
+		aliceScratchPool.Put(scr)
+	}
 	if len(delta) > 0 {
 		// Sorted across scopes, as the callback's contract promises.
 		slices.Sort(delta)
 		a.onDelta(delta, a.round)
 	}
-	a.decodeTime += time.Since(mergeStart)
+	a.decodeTime += time.Since(seqStart)
 	return nil
 }
 

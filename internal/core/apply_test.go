@@ -281,7 +281,7 @@ func TestSnapshotViewsImmutableUnderApply(t *testing.T) {
 	}
 	type rowCopy struct {
 		sums     []uint64
-		parity   []bool
+		parity   []uint64
 		checksum uint64
 	}
 	var groups [][]uint64

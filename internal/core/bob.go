@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -101,13 +102,13 @@ func (b *Bob) scopeSet(id scopeID) elemSet {
 
 // bobScopeJob is one scope's decoded request: everything the parallel
 // phase needs, resolved off the sequential bit stream (and the lazily
-// partitioned scope-set cache) up front.
+// partitioned scope-set cache) up front. Alice's codeword for job i is the
+// i-th stretch of the scratch's syn slab.
 type bobScopeJob struct {
-	id    scopeID
-	alice *bch.Sketch
-	set   elemSet
-	seed  uint64
-	row   *foldRow // the scope's round-one table row, nil to fold set
+	id   scopeID
+	set  elemSet
+	seed uint64
+	row  *foldRow // the scope's round-one table row, nil to fold set
 }
 
 // bobScopeReply is one scope's computed answer, held until the sequential
@@ -122,34 +123,31 @@ type bobScopeReply struct {
 // bobScratch is HandleRound's reusable scratch, drawn from a process-wide
 // pool for the length of one call — a reply is fully serialized before the
 // call returns, so nothing in it outlives the round — so that in steady
-// state a round, of this session or the next, performs no per-scope
-// allocations. jobSketches are the reused parse targets for Alice's
-// codewords and, like the workers' sketches, are built for shape (m, t);
-// posBufs/xorBufs hold each scope index's reply until serialization.
+// state a round, of this session or the next, allocates its reply and
+// nothing per scope. Three flat slabs, re-sliced to the round's t words a
+// scope whatever shape the last round had: syn takes Alice's codewords off
+// the wire and becomes, in place, their XOR with Bob's; pos and xor hold
+// each scope's reply (a decode yields at most t positions) until
+// serialization.
 type bobScratch struct {
-	m           uint
-	t           int
-	workers     []bobWorker
-	jobSketches []*bch.Sketch
-	posBufs     [][]uint64
-	xorBufs     [][]uint64
-	jobs        []bobScopeJob
-	replies     []bobScopeReply
+	workers []bobWorker
+	syn     []uint64
+	pos     []uint64
+	xor     []uint64
+	jobs    []bobScopeJob
+	replies []bobScopeReply
 }
 
 var bobScratchPool = sync.Pool{New: func() any { return new(bobScratch) }}
 
 // bobWorker is per-worker state: the bin-fold buffers (cleared per scope
-// instead of reallocated, which matters at large g), the reusable parity
-// sketch, the BCH decode workspace, and the worker's accumulated
-// encode/decode time, folded into the Bob totals (and zeroed) after each
-// parallel phase joins.
+// instead of reallocated, which matters at large g), the BCH decode
+// workspace, and the worker's accumulated decode time, folded into the Bob
+// totals (and zeroed) after each parallel phase joins.
 type bobWorker struct {
 	sums   []uint64
-	parity []bool
-	sketch *bch.Sketch
-	dec    *bch.Decoder
-	encDur time.Duration
+	parity []uint64
+	dec    bch.Decoder
 	decDur time.Duration
 }
 
@@ -197,13 +195,9 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 		scr.jobs = jobs[:0]
 		bobScratchPool.Put(scr)
 	}()
-	if m != scr.m || t != scr.t {
-		// Another round shape: the sketch scratch (sized per codeword) is stale.
-		scr.jobSketches = scr.jobSketches[:0]
-		for i := range scr.workers {
-			scr.workers[i].sketch = nil
-		}
-		scr.m, scr.t = m, t
+	shape, err := bch.View(m, t, nil)
+	if err != nil {
+		return nil, err
 	}
 	nScopes, err := r.ReadUvarint()
 	if err != nil {
@@ -216,9 +210,11 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 		return nil, fmt.Errorf("core: implausible scope count %d", nScopes)
 	}
 	n := (uint64(1) << m) - 1
-	// Grow jobs as scopes parse successfully rather than pre-allocating by
-	// the peer-claimed count: a tiny frame claiming the plausibility cap
-	// must not force a multi-megabyte allocation before validation.
+	// Grow jobs and the codeword slab as scopes parse successfully rather
+	// than pre-allocating by the peer-claimed count: a tiny frame claiming
+	// the plausibility cap must not force a multi-megabyte allocation before
+	// validation.
+	syn := scr.syn[:0]
 	for s := uint64(0); s < nScopes; s++ {
 		id, err := readScopeID(r)
 		if err != nil {
@@ -227,23 +223,14 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 		if id.group < 0 || id.group >= b.plan.Groups {
 			return nil, fmt.Errorf("core: scope group %d out of range", id.group)
 		}
-		// Parse Alice's codeword into a long-lived per-index sketch instead
-		// of allocating one per scope per round.
-		if int(s) >= len(scr.jobSketches) {
-			scr.jobSketches = append(scr.jobSketches, bch.MustNew(m, t))
-		}
-		aliceSketch := scr.jobSketches[s]
-		if err := aliceSketch.ReadInto(r); err != nil {
+		syn = slices.Grow(syn, t)[:len(syn)+t]
+		sketch := shape.Over(syn[len(syn)-t:])
+		if err := sketch.ReadInto(r); err != nil {
 			return nil, fmt.Errorf("core: bad sketch: %w", err)
 		}
 		// scopeSet mutates the split cache, so it must stay in this
 		// sequential pass; the parallel phase then only reads the slices.
-		job := bobScopeJob{
-			id:    id,
-			alice: aliceSketch,
-			set:   b.scopeSet(id),
-			seed:  b.sd.binSeed(id, int(round)),
-		}
+		job := bobScopeJob{id: id, set: b.scopeSet(id), seed: b.sd.binSeed(id, int(round))}
 		// A whole group in round 1 at the table's bitmap size is what the
 		// round-one table holds; the header checks above make the last
 		// condition redundant for an honest peer.
@@ -269,63 +256,44 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 	for len(scr.workers) < workers {
 		scr.workers = append(scr.workers, bobWorker{})
 	}
-	for len(scr.posBufs) < len(jobs) {
-		scr.posBufs = append(scr.posBufs, nil)
-		scr.xorBufs = append(scr.xorBufs, nil)
-	}
-	if cap(scr.replies) < len(jobs) {
-		scr.replies = make([]bobScopeReply, len(jobs))
-	}
-	replies := scr.replies[:len(jobs)]
-	forEachScope(workers, len(jobs), func(worker, i int) {
+	scr.syn = syn
+	scr.pos = resized(scr.pos, len(syn))
+	scr.xor = resized(scr.xor, len(syn))
+	scr.replies = resized(scr.replies, len(jobs))
+	replies := scr.replies
+	busy := forEachScope(workers, len(jobs), func(worker, i int) {
 		replies[i] = bobScopeReply{}
-		sc := &scr.workers[worker]
-		if sc.sketch == nil {
-			sc.sketch = bch.MustNew(m, t)
-			if sc.dec == nil {
-				sc.dec = bch.NewDecoder()
-			}
-		}
+		wk := &scr.workers[worker]
 		job := &jobs[i]
-		encStart := time.Now()
-		var sums []uint64
-		var parity []bool
+		var sums, parity []uint64
 		if job.row != nil {
 			sums, parity = job.row.sums, job.row.parity
 		} else {
-			if uint64(len(sc.sums)) != n+1 {
-				sc.sums = make([]uint64, n+1)
-				sc.parity = make([]bool, n+1)
-			} else {
-				clear(sc.sums)
-				clear(sc.parity)
-			}
-			sums, parity = sc.sums, sc.parity
+			wk.sums = resized(wk.sums, int(n+1))
+			wk.parity = resized(wk.parity, int(parityWords(n)))
+			sums, parity = wk.sums, wk.parity
+			clear(sums)
+			clear(parity)
 			job.set.fold(job.seed, n, sums, parity)
 		}
-		sketch := sc.sketch
-		sketch.Reset()
-		for j := uint64(1); j <= n; j++ {
-			if parity[j] {
-				sketch.Add(j)
-			}
-		}
-		// The shapes match by construction (same plan), so Xor cannot fail.
-		sketch.Xor(job.alice)
-		sc.encDur += time.Since(encStart)
+		// Adding Bob's odd bins to Alice's codeword leaves the codeword of
+		// the bins where the two bitmaps differ.
+		lo, hi := i*t, (i+1)*t
+		sketch := shape.Over(syn[lo:hi])
+		addParity(&sketch, parity)
+		// The one boundary between Bob's two reported times that falls
+		// inside the fan-out: the rest of the share is encoding.
 		decStart := time.Now()
-		positions, derr := sketch.DecodeInto(sc.dec, scr.posBufs[i][:0])
-		scr.posBufs[i] = positions
-		sc.decDur += time.Since(decStart)
+		positions, derr := sketch.DecodeInto(&wk.dec, scr.pos[lo:lo:hi])
+		wk.decDur += time.Since(decStart)
 		if derr != nil {
 			// BCH decoding failure (§3.2): report it; Alice will split.
 			return
 		}
-		xors := scr.xorBufs[i][:0]
+		xors := scr.xor[lo:lo:hi]
 		for _, p := range positions {
 			xors = append(xors, sums[p])
 		}
-		scr.xorBufs[i] = xors
 		// A whole group's checksum is in its table row; any other scope's
 		// is one more pass over the elements the fold above just read.
 		var checksum uint64
@@ -336,14 +304,22 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 		}
 		replies[i] = bobScopeReply{ok: true, positions: positions, xors: xors, checksum: checksum}
 	})
+	var decoding time.Duration
 	for i := range scr.workers {
-		b.encodeTime += scr.workers[i].encDur
-		b.decodeTime += scr.workers[i].decDur
-		scr.workers[i].encDur = 0
+		decoding += scr.workers[i].decDur
 		scr.workers[i].decDur = 0
 	}
+	b.decodeTime += decoding
+	b.encodeTime += busy - decoding
 
-	out := wire.NewWriter()
+	// A scope costs its flag, a count of some 10 bits and a checksum, a
+	// position its m bits and an XOR sum.
+	replyBits := len(jobs) * (11 + int(b.plan.SigBits))
+	for i := range replies {
+		replyBits += len(replies[i].positions) * int(m+b.plan.SigBits)
+	}
+
+	out := wire.NewWriterSize(replyBits)
 	for i := range jobs {
 		rep := &replies[i]
 		if !rep.ok {

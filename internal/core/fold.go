@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
+	"pbs/internal/bch"
 	"pbs/internal/hashutil"
 )
 
@@ -32,7 +34,7 @@ func (e elemSet) contains(x uint64) bool {
 }
 
 // fold accumulates the set into the bin sums and parities (see binFold).
-func (e elemSet) fold(seed, n uint64, sums []uint64, parity []bool) {
+func (e elemSet) fold(seed, n uint64, sums, parity []uint64) {
 	binFold(e.base, seed, n, sums, parity)
 	binFold(e.lag, seed, n, sums, parity)
 	binFold(e.over, seed, n, sums, parity)
@@ -72,16 +74,30 @@ func (e elemSet) split(sd seeds, sc scopeID) [splitWays]elemSet {
 }
 
 // binFold hashes every element of set into a bin in [1, n], accumulating
-// per-bin XOR sums and cardinality parities into the caller's buffers
-// (both 1-based with n+1 slots). Both accumulators are involutions, so
-// folding an element in and folding it out are the same call — the one
-// fold loop behind a fresh round, a table row, and a row's update under
-// writes.
-func binFold(set []uint64, seed uint64, n uint64, sums []uint64, parity []bool) {
+// per-bin XOR sums (1-based, n+1 slots) and cardinality parities (bin b is
+// bit b&63 of word b>>6, parityWords(n) words) into the caller's buffers.
+// Both accumulators are involutions, so folding an element in and folding
+// it out are the same call — the one fold loop behind a fresh round, a
+// table row, and a row's update under writes.
+func binFold(set []uint64, seed uint64, n uint64, sums, parity []uint64) {
 	for _, x := range set {
 		b := hashutil.Bin(x, seed, n)
 		sums[b] ^= x
-		parity[b] = !parity[b]
+		parity[b>>6] ^= 1 << (b & 63)
+	}
+}
+
+// parityWords returns the length of a packed parity bitmap over bins [0, n].
+func parityWords(n uint64) uint64 { return n>>6 + 1 }
+
+// addParity toggles every odd bin of parity in sk — the parity bitmap's
+// codeword when sk starts empty, its XOR with a peer's codeword when sk
+// starts as that. It visits the set bits, not the bins.
+func addParity(sk *bch.Sketch, parity []uint64) {
+	for i, w := range parity {
+		for ; w != 0; w &= w - 1 {
+			sk.Add(uint64(i<<6 + bits.TrailingZeros64(w)))
+		}
 	}
 }
 
@@ -99,7 +115,7 @@ func checksumOf(set []uint64, mask uint64) uint64 {
 // immutable; Snapshot.Apply clones the rows a batch touches.
 type foldRow struct {
 	sums     []uint64
-	parity   []bool
+	parity   []uint64
 	checksum uint64
 }
 
@@ -132,13 +148,15 @@ type foldTable struct {
 // All rows share two backing arrays.
 func buildFoldTable(p partition, m uint, sd seeds, mask uint64, workers int) *foldTable {
 	n := (uint64(1) << m) - 1
+	pw := parityWords(n)
 	sums := make([]uint64, uint64(len(p.groups))*(n+1))
-	parity := make([]bool, len(sums))
+	parity := make([]uint64, uint64(len(p.groups))*pw)
 	t := &foldTable{m: m, rows: make([]foldRow, len(p.groups))}
 	forEachScope(workers, len(p.groups), func(_, g int) {
 		lo, hi := uint64(g)*(n+1), uint64(g+1)*(n+1)
+		plo, phi := uint64(g)*pw, uint64(g+1)*pw
 		set := p.group(g)
-		row := foldRow{sums: sums[lo:hi:hi], parity: parity[lo:hi:hi], checksum: set.checksum(mask)}
+		row := foldRow{sums: sums[lo:hi:hi], parity: parity[plo:phi:phi], checksum: set.checksum(mask)}
 		set.fold(sd.binSeed(newScopeID(g), 1), n, row.sums, row.parity)
 		t.rows[g] = row
 	})

@@ -1,0 +1,183 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"reflect"
+	"testing"
+
+	"pbs/internal/workload"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/round_golden.json from this build")
+
+const goldenPath = "testdata/round_golden.json"
+
+// goldenTranscript is one session as the wire saw it: the SHA-256 of every
+// BuildRound message and HandleRound reply in order, and of the learned
+// difference (sorted, 8 bytes little-endian an element).
+type goldenTranscript struct {
+	Messages   []string `json:"messages"`
+	Replies    []string `json:"replies"`
+	Difference string   `json:"difference"`
+}
+
+func sha(b []byte) string {
+	h := sha256.Sum256(b)
+	return hex.EncodeToString(h[:])
+}
+
+// goldenCase is one pinned session. planD is what the plan is sized for —
+// below d it forces BCH decoding failures, hence 3-way splits and rounds of
+// fold-path scopes; writes > 0 runs Alice over a snapshot that absorbed that
+// many writes through Apply after its round-one table was built, so the
+// maintained table rows are in the transcript too.
+type goldenCase struct {
+	name           string
+	sizeA, d       int
+	planD          int
+	writes         int
+	wantSplit      bool
+	workloadSeed   int64
+	planSeed       uint64
+	minRounds      int
+	tablePathRound bool
+}
+
+var goldenCases = []goldenCase{
+	{name: "d=20", sizeA: 2000, d: 20, planD: 20, workloadSeed: 1601, planSeed: 161, tablePathRound: true},
+	{name: "d=100", sizeA: 100000, d: 100, planD: 100, workloadSeed: 1602, planSeed: 162, tablePathRound: true},
+	{name: "d=5000", sizeA: 100000, d: 5000, planD: 5000, workloadSeed: 1603, planSeed: 163, minRounds: 2},
+	{name: "split", sizeA: 20000, d: 400, planD: 20, workloadSeed: 1604, planSeed: 164, minRounds: 3, wantSplit: true, tablePathRound: true},
+	{name: "applied", sizeA: 100000, d: 100, planD: 100, writes: 50, workloadSeed: 1605, planSeed: 165, tablePathRound: true},
+}
+
+// runGolden drives one session and records its transcript.
+func runGolden(t *testing.T, gc goldenCase, parallelism int, adaptive bool) goldenTranscript {
+	t.Helper()
+	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: gc.sizeA, D: gc.d, Seed: gc.workloadSeed})
+	plan := planFor(t, gc.planD, gc.planSeed)
+	plan.Parallelism = parallelism
+	a := p.A
+	var remove []uint64
+	if gc.writes > 0 {
+		// Start Alice's snapshot without the last writes elements of A plus
+		// some elements A lacks, build the shape, then write the difference
+		// back: the session runs on A, over table rows Apply maintained.
+		remove = []uint64{1, 2, 3, 4, 5, 6, 7}
+		a = append(append([]uint64(nil), p.A[:len(p.A)-gc.writes]...), remove...)
+	}
+	snap, err := NewSnapshot(a, Config{SigBits: plan.SigBits, Seed: plan.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gc.writes > 0 {
+		snap.partitionFor(plan)
+		snap = snap.Apply(p.A[len(p.A)-gc.writes:], remove)
+	}
+	alice, err := NewAliceFromSnapshot(snap, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gc.tablePathRound != (alice.table != nil) {
+		t.Fatalf("round-one table in use = %v, the case wants %v", alice.table != nil, gc.tablePathRound)
+	}
+	bob, err := NewBob(p.B, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adaptive {
+		alice.EnableAdaptive()
+		bob.EnableAdaptive()
+	}
+	var tr goldenTranscript
+	split := false
+	for !alice.Done() {
+		if len(tr.Messages) >= DefaultMaxRounds {
+			t.Fatalf("no convergence in %d rounds", DefaultMaxRounds)
+		}
+		msg, err := alice.BuildRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, err := bob.HandleRound(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := alice.AbsorbReply(reply); err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range alice.active {
+			split = split || sc.id.path != ""
+		}
+		tr.Messages = append(tr.Messages, sha(msg))
+		tr.Replies = append(tr.Replies, sha(reply))
+	}
+	if len(tr.Messages) < gc.minRounds {
+		t.Fatalf("session took %d rounds, the case wants at least %d", len(tr.Messages), gc.minRounds)
+	}
+	if gc.wantSplit && !split {
+		t.Fatal("session never split a scope")
+	}
+	diff := sortedU64(alice.Difference())
+	assertSameSet(t, diff, p.Diff)
+	buf := make([]byte, 0, 8*len(diff))
+	for _, x := range diff {
+		buf = binary.LittleEndian.AppendUint64(buf, x)
+	}
+	tr.Difference = sha(buf)
+	return tr
+}
+
+// TestRoundGolden pins the absolute bytes of the round exchange: every other
+// equivalence suite compares two paths of the same build, so a change that
+// moved both the same way would pass them all. The file is regenerated with
+// `go test ./internal/core -run TestRoundGolden -update-golden`, which is
+// only ever right in a change that means to alter the wire.
+func TestRoundGolden(t *testing.T) {
+	got := make(map[string]goldenTranscript)
+	for _, gc := range goldenCases {
+		for _, parallelism := range []int{1, 4} {
+			for _, adaptive := range []bool{false, true} {
+				name := fmt.Sprintf("%s/par=%d/adaptive=%v", gc.name, parallelism, adaptive)
+				got[name] = runGolden(t, gc, parallelism, adaptive)
+			}
+		}
+	}
+	if *updateGolden {
+		out, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]goldenTranscript)
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("golden file has %d sessions, the test runs %d", len(want), len(got))
+	}
+	for name, g := range got {
+		w, ok := want[name]
+		if !ok {
+			t.Errorf("%s: not in %s", name, goldenPath)
+			continue
+		}
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: transcript differs from %s\n got %+v\nwant %+v", name, goldenPath, g, w)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // PBS is "piecewise reconciliable": the n group pairs carry independent BCH
@@ -20,27 +21,34 @@ import (
 // everything inline on the calling goroutine — the reference sequential
 // path that parallel runs must match byte for byte.
 //
+// It returns the time the workers spent, summed across them: each times its
+// whole share with one pair of clock reads, so a phase's CPU time costs the
+// phase two reads a worker, not two a scope.
+//
 // fn must not touch shared state: each scope index must own its inputs and
 // outputs (typically slots of a pre-sized slice).
-func forEachScope(workers, n int, fn func(worker, i int)) {
+func forEachScope(workers, n int, fn func(worker, i int)) time.Duration {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
+		start := time.Now()
 		for i := 0; i < n; i++ {
 			fn(0, i)
 		}
-		return
+		return time.Since(start)
 	}
-	var next atomic.Int64
+	var next, busy atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(worker int) {
 			defer wg.Done()
+			start := time.Now()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
+					busy.Add(int64(time.Since(start)))
 					return
 				}
 				fn(worker, i)
@@ -48,6 +56,16 @@ func forEachScope(workers, n int, fn func(worker, i int)) {
 		}(w)
 	}
 	wg.Wait()
+	return time.Duration(busy.Load())
+}
+
+// resized returns s with length n, reusing its backing array when that is
+// large enough. The contents are unspecified unless the array is new.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // scopeErrors collects at most one error per scope index so the lowest
@@ -59,10 +77,7 @@ type scopeErrors struct {
 
 // reset sizes the collector for n scopes, all clear, reusing its storage.
 func (e *scopeErrors) reset(n int) {
-	if cap(e.errs) < n {
-		e.errs = make([]error, n)
-	}
-	e.errs = e.errs[:n]
+	e.errs = resized(e.errs, n)
 	clear(e.errs)
 }
 

@@ -1,0 +1,145 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"strings"
+	"testing"
+
+	"pbs/internal/bch"
+	"pbs/internal/workload"
+)
+
+// TestHandleRoundRejectsOverlongScopeCount builds a round header whose scope
+// count is a 17-group uvarint: sixteen continued zero groups and a final 1,
+// which a reader that shifted the last group out would take for "no scopes"
+// and answer with an empty reply.
+func TestHandleRoundRejectsOverlongScopeCount(t *testing.T) {
+	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 1000, D: 10, Seed: 3})
+	bob, err := NewBob(p.B, planFor(t, 10, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newTestWriter()
+	w.WriteUvarint(1) // round
+	for i := 0; i < 16; i++ {
+		w.WriteBits(0x10, 5)
+	}
+	w.WriteBits(0x01, 5)
+	reply, err := bob.HandleRound(w.Bytes())
+	if err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("HandleRound = %x, %v; want a uvarint overflow error", reply, err)
+	}
+}
+
+// roundBudget is the most heap objects one steady-state round —
+// BuildRound, HandleRound and AbsorbReply together — may allocate: the two
+// messages, the round's array of over layers, the doubling list of surviving
+// scopes, and the closures of three fan-outs (8 to 18 as measured). What it
+// must not scale with is the number of scopes.
+const roundBudget = 32
+
+// TestBulkRoundAllocationBudget runs sessions at d = 5,000 (1,400 groups)
+// and d = 1,000 (280 groups) over shared snapshots with
+// adaptive re-planning on, so round 2 runs at another (m, t) than round 1,
+// and from the third session on — the pooled scratch has seen both shapes by
+// then — holds every round to roundBudget allocations. A codeword, bin-sum
+// buffer or scratch sketch (bch.New) per scope, or a scratch thrown away when
+// the shape flips, is hundreds of times over it. The sessions are identical,
+// and the budget is held to the best of them: under the race detector
+// sync.Pool drops a quarter of what it is handed, and a session that drew an
+// empty scratch pays to grow it.
+func TestBulkRoundAllocationBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two 100k-element sets")
+	}
+	// A collection empties the scratch pools; that cost is the collector's.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, d := range []int{5000, 1000} {
+		p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 100000, D: d, Seed: int64(d)})
+		// Sized for 1.4·d, as a session sizes its plan from a scaled-up
+		// estimate: no group overflows its capacity, so round 2 holds
+		// survivors only and is re-planned (a split would replay the plan).
+		plan := planFor(t, d*14/10, uint64(d)+1)
+		plan.Parallelism = 1
+		cfg := Config{SigBits: plan.SigBits, Seed: plan.Seed}
+		snapA, err := NewSnapshot(p.A, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snapB, err := NewSnapshot(p.B, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := map[int]uint64{} // round -> fewest allocations any warm session made in it
+		for session := 0; session < 12; session++ {
+			alice, err := NewAliceFromSnapshot(snapA, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bob, err := NewBobFromSnapshot(snapB, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alice.EnableAdaptive()
+			bob.EnableAdaptive()
+			var before, after runtime.MemStats
+			for !alice.Done() {
+				runtime.ReadMemStats(&before)
+				msg, err := alice.BuildRound()
+				if err != nil {
+					t.Fatal(err)
+				}
+				reply, err := bob.HandleRound(msg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := alice.AbsorbReply(reply); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				n, round := after.Mallocs-before.Mallocs, alice.Rounds()
+				if was, seen := best[round]; session >= 2 && (!seen || n < was) {
+					best[round] = n
+				}
+			}
+			if alice.Rounds() < 2 || alice.Replans() == 0 {
+				t.Fatalf("d=%d: %d rounds, %d re-plans: no (m, t) flip to hold the budget across",
+					d, alice.Rounds(), alice.Replans())
+			}
+			assertSameSet(t, alice.Difference(), p.Diff)
+		}
+		for round, n := range best {
+			if n > roundBudget {
+				t.Errorf("d=%d (%d groups) round %d: %d allocations, budget %d", d, plan.Groups, round, n, roundBudget)
+			}
+		}
+	}
+}
+
+// BenchmarkEncodeParity encodes one group's parity bitmap, half its bins
+// odd, into a codeword — the per-scope kernel of BuildRound and HandleRound
+// — at the bulk plan's shape and at the smallest.
+func BenchmarkEncodeParity(b *testing.B) {
+	for _, shape := range []struct {
+		m uint
+		t int
+	}{{8, 12}, {6, 8}} {
+		b.Run(fmt.Sprintf("m=%d/t=%d", shape.m, shape.t), func(b *testing.B) {
+			n := uint64(1)<<shape.m - 1
+			set := make([]uint64, 3*n)
+			for i := range set {
+				set[i] = uint64(i+1) * 0x9E3779B97F4A7C15
+			}
+			sums, parity := make([]uint64, n+1), make([]uint64, parityWords(n))
+			binFold(set, 42, n, sums, parity)
+			sketch := bch.MustNew(shape.m, shape.t)
+			b.ReportAllocs()
+			for b.Loop() {
+				sketch.Reset()
+				addParity(sketch, parity)
+			}
+		})
+	}
+}

@@ -4,12 +4,16 @@
 // The paper reports communication overhead in bits (e.g. Formula (1):
 // t·log n + δ·log n + δ·log|U| + log|U| per group pair), so the protocol
 // messages here are bit-packed rather than byte-aligned: a BCH syndrome over
-// GF(2^11) costs exactly 11 bits on the wire.
+// GF(2^11) costs exactly 11 bits on the wire. Bit-packed is the layout, not
+// the loop: a value of any width goes in or out with one 64-bit store or
+// load at its byte offset.
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Writer accumulates a bit stream, most-significant-bit first within each
@@ -22,20 +26,38 @@ type Writer struct {
 // NewWriter returns an empty Writer.
 func NewWriter() *Writer { return &Writer{} }
 
-// WriteBits appends the low n bits of v (1 <= n <= 64).
+// NewWriterSize returns an empty Writer with room for bits bits (and the
+// width of WriteBits' last store), for a caller that knows its message size
+// up front.
+func NewWriterSize(bits int) *Writer {
+	return &Writer{buf: make([]byte, 0, (bits+7)/8+8)}
+}
+
+// WriteBits appends the low n bits of v (1 <= n <= 64) with one 64-bit
+// store over the last partial byte and the seven after it. Bytes past the
+// end of the stream are zero before the store and after it.
 func (w *Writer) WriteBits(v uint64, n uint) {
 	if n == 0 || n > 64 {
 		panic(fmt.Sprintf("wire: WriteBits width %d out of range", n))
 	}
-	for i := int(n) - 1; i >= 0; i-- {
-		if w.nbit%8 == 0 {
-			w.buf = append(w.buf, 0)
-		}
-		if v&(1<<uint(i)) != 0 {
-			w.buf[w.nbit/8] |= 0x80 >> uint(w.nbit%8)
-		}
-		w.nbit++
+	i, off := w.nbit>>3, uint(w.nbit&7)
+	if off+n > 64 {
+		// Nine bytes: the high half goes first.
+		w.WriteBits(v>>32, n-32)
+		w.WriteBits(v, 32)
+		return
 	}
+	if i+8 > cap(w.buf) {
+		w.buf = slices.Grow(w.buf, 8)
+	}
+	buf := w.buf[:i+8]
+	word := v << (64 - n) >> off // the low n bits, off bits into the word
+	if off > 0 {
+		word |= uint64(buf[i]) << 56
+	}
+	binary.BigEndian.PutUint64(buf[i:], word)
+	w.nbit += int(n)
+	w.buf = buf[:(w.nbit+7)>>3]
 }
 
 // WriteBool appends a single bit.
@@ -51,18 +73,10 @@ func (w *Writer) WriteBool(b bool) {
 // each group of 4 value bits is preceded by a continuation bit. Small
 // counts (the common case for protocol headers) cost 5 bits.
 func (w *Writer) WriteUvarint(v uint64) {
-	for {
-		group := v & 0xF
-		v >>= 4
-		if v != 0 {
-			w.WriteBits(1, 1)
-			w.WriteBits(group, 4)
-		} else {
-			w.WriteBits(0, 1)
-			w.WriteBits(group, 4)
-			return
-		}
+	for ; v > 0xF; v >>= 4 {
+		w.WriteBits(0x10|v&0xF, 5)
 	}
+	w.WriteBits(v, 5)
 }
 
 // Len returns the number of bits written so far.
@@ -85,7 +99,7 @@ type Reader struct {
 func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
 // ReadBits reads n bits (1 <= n <= 64) and returns them as the low bits of
-// the result.
+// the result. A read past the end fails without consuming anything.
 func (r *Reader) ReadBits(n uint) (uint64, error) {
 	if n == 0 || n > 64 {
 		return 0, fmt.Errorf("wire: ReadBits width %d out of range", n)
@@ -93,13 +107,17 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 	if r.pos+int(n) > 8*len(r.buf) {
 		return 0, ErrShortBuffer
 	}
-	var v uint64
-	for i := uint(0); i < n; i++ {
-		v <<= 1
-		if r.buf[r.pos/8]&(0x80>>uint(r.pos%8)) != 0 {
-			v |= 1
-		}
-		r.pos++
+	i, off := r.pos>>3, uint(r.pos&7)
+	r.pos += int(n)
+	src := r.buf[i:]
+	if len(src) < 8 {
+		var tail [8]byte
+		copy(tail[:], src)
+		src = tail[:]
+	}
+	v := binary.BigEndian.Uint64(src) << off >> (64 - n)
+	if rest := off + n; rest > 64 {
+		v |= uint64(r.buf[i+8]) >> (72 - rest) // the ninth byte's share
 	}
 	return v, nil
 }
@@ -110,23 +128,20 @@ func (r *Reader) ReadBool() (bool, error) {
 	return v == 1, err
 }
 
-// ReadUvarint reads a value written by WriteUvarint.
+// ReadUvarint reads a value written by WriteUvarint. Sixteen groups fill a
+// uint64; a seventeenth is rejected, not shifted out.
 func (r *Reader) ReadUvarint() (uint64, error) {
 	var v uint64
 	for shift := uint(0); ; shift += 4 {
-		if shift > 64 {
+		if shift >= 64 {
 			return 0, errors.New("wire: uvarint overflows uint64")
 		}
-		cont, err := r.ReadBits(1)
+		g, err := r.ReadBits(5)
 		if err != nil {
 			return 0, err
 		}
-		group, err := r.ReadBits(4)
-		if err != nil {
-			return 0, err
-		}
-		v |= group << shift
-		if cont == 0 {
+		v |= g & 0xF << shift
+		if g&0x10 == 0 {
 			return v, nil
 		}
 	}
