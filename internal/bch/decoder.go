@@ -63,6 +63,10 @@ func (s *Sketch) DecodeInto(ws *Decoder, dst []uint64) ([]uint64, error) {
 		return dst, nil
 	}
 	f, t := s.f, s.t
+	// A lone element x leaves the syndromes x, x³, …: its table row.
+	if x := s.odd[0]; x != 0 && s.pow != nil && s.equalsPacked(s.pow.row(x)) {
+		return append(dst, x), nil
+	}
 	// Build the full syndrome sequence syn[1..2t] using σ_{2k} = σ_k².
 	ws.syn = grown(ws.syn, 2*t+1)
 	syn := ws.syn
@@ -84,10 +88,10 @@ func (s *Sketch) DecodeInto(ws *Decoder, dst []uint64) ([]uint64, error) {
 		// Λ = c0 + c1·x has the single root c0/c1, whose inverse — the
 		// recovered element — is c1/c0. No search needed.
 		ws.elems = append(ws.elems, f.Div(locator[1], locator[0]))
-	case deg == 2 && f.M()%2 == 1:
-		// Quadratics over odd-degree fields solve in closed form via the
-		// half-trace. (Most PBS rounds beyond the first leave 1–2 differing
-		// bins per group, so these two shortcuts carry the late rounds.)
+	case deg == 2 && f.Tabled():
+		// Quadratics solve in closed form. (Most PBS rounds beyond the first
+		// leave 1–2 differing bins per group, so these two shortcuts carry
+		// the late rounds.)
 		e1, e2, ok := solveQuadratic(f, locator[0], locator[1], locator[2])
 		if !ok {
 			return dst, ErrDecodeFailure
@@ -122,53 +126,53 @@ func (s *Sketch) DecodeInto(ws *Decoder, dst []uint64) ([]uint64, error) {
 	// recovered elements and require an exact match. When the true
 	// difference exceeds t, Berlekamp–Massey may still emit a fully-rooted
 	// locator; this recheck catches essentially all such miscorrections.
+	// The elements go through the same packed fold as a parity bitmap.
 	ws.check = grown(ws.check, t)
-	check := ws.check
-	for _, x := range ws.elems {
-		w := f.Window(f.Sqr(x))
-		p := x
-		for k := 0; k < t; k++ {
-			check[k] ^= p
-			if k+1 < t {
-				p = w.Mul(p)
-			}
-		}
-	}
-	for k := range check {
-		if check[k] != s.odd[k] {
-			return dst, ErrDecodeFailure
-		}
+	check := s.Over(ws.check)
+	check.AddSet(ws.elems)
+	if !slices.Equal(check.odd, s.odd) {
+		return dst, ErrDecodeFailure
 	}
 	slices.Sort(ws.elems)
 	return append(dst, ws.elems...), nil
 }
 
+// equalsPacked reports whether the syndromes equal the leading t lanes of
+// packed, a table row or an XOR of several.
+func (s *Sketch) equalsPacked(packed []uint64) bool {
+	for k, v := range s.odd {
+		if v != lane(packed, k) {
+			return false
+		}
+	}
+	return true
+}
+
 // solveQuadratic returns the two recovered elements (inverse roots) of the
-// locator c0 + c1·x + c2·x² over an odd-degree field, or ok = false when
-// the quadratic has no pair of distinct roots in the field (which signals
-// a miscorrection). All three coefficients are nonzero for a trimmed
-// locator from Berlekamp–Massey (c0 = 1 by construction).
+// locator c0 + c1·x + c2·x² over a table-backed field, or ok = false when
+// the quadratic has no pair of distinct roots in the field (which signals a
+// miscorrection). c0 and c2 are nonzero for a trimmed locator from
+// Berlekamp–Massey (c0 = 1 by construction).
 func solveQuadratic(f *gf2.Field, c0, c1, c2 uint64) (e1, e2 uint64, ok bool) {
 	if c1 == 0 {
 		return 0, 0, false // double root: locator not squarefree
 	}
-	// Substituting x = (c1/c2)·y turns the quadratic into the Artin–
-	// Schreier form y² + y = u with u = c0·c2/c1², solvable iff Tr(u) = 0.
-	u := f.Div(f.Mul(c0, c2), f.Sqr(c1))
-	if u == 0 || f.Trace(u) != 0 {
+	// The elements are the roots of the reversed polynomial X² + bX + c with
+	// b = c1/c0 and c = c2/c0. Substituting X = b·y turns it into the
+	// Artin–Schreier form y² + y = c/b² = c0·c2/c1², solvable iff the trace
+	// of the right side is 0, and its solutions y, y + 1 scale back by b.
+	y := f.QuadRoot(f.Div(f.Mul(c0, c2), f.Sqr(c1)))
+	if y == 0 {
 		return 0, 0, false
 	}
-	y1 := f.HalfTrace(u)
-	y2 := y1 ^ 1
-	// u ≠ 0 rules y1, y2 out of {0, 1}, so both inversions are safe.
-	// Undoing the substitution, the elements are x^{-1} = c2/(c1·y).
-	s := f.Div(c2, c1)
-	return f.Mul(s, f.Inv(y1)), f.Mul(s, f.Inv(y2)), true
+	b := f.Div(c1, c0)
+	e1 = f.Mul(b, y)
+	return e1, e1 ^ b, true
 }
 
 // berlekampMassey computes the minimal LFSR (the error locator polynomial)
-// for the syndrome sequence syn[0..2t-1] entirely inside the workspace
-// buffers. The returned slice (trailing zeros trimmed) aliases workspace
+// for the syndrome sequence syn[0..2t-1] — σ_1..σ_2t with σ_2k = σ_k², which
+// it relies on — entirely inside the workspace buffers. The returned slice (trailing zeros trimmed) aliases workspace
 // memory and is valid until the next call.
 func (ws *Decoder) berlekampMassey(f *gf2.Field, syn []uint64) []uint64 {
 	n2 := len(syn)
@@ -182,39 +186,33 @@ func (ws *Decoder) berlekampMassey(f *gf2.Field, syn []uint64) []uint64 {
 	shift := 1
 	bInv := uint64(1) // inverse of the last nonzero discrepancy
 	for n := 0; n < n2; n++ {
-		// Discrepancy d = syn[n] + Σ_{i=1}^{l} c[i]·syn[n−i].
-		d := syn[n]
-		for i := 1; i <= l && i < len(c); i++ {
-			d ^= f.Mul(c[i], syn[n-i])
+		// Discrepancy d = Σ_{i=0}^{l} c[i]·syn[n−i], c[0] being 1. At every
+		// second step it is zero whatever the odd syndromes are, the even
+		// ones being squares (Berlekamp's binary simplification).
+		var d uint64
+		if n&1 == 0 {
+			d = f.DotRev(c[:min(l+1, len(c))], syn[:n+1])
 		}
 		if d == 0 {
 			shift++
 			continue
 		}
 		coef := f.Mul(d, bInv)
-		// tmp = c − coef·x^shift·b, built in scratch so c survives intact
-		// in case it must become the next b.
-		need := len(b) + shift
-		if need < len(c) {
-			need = len(c)
+		grows := 2*l <= n
+		if grows {
+			tmp = append(tmp[:0], c...) // c as it stands becomes the next b
 		}
-		tmp = append(tmp[:0], c...)
-		for len(tmp) < need {
-			tmp = append(tmp, 0)
+		// c −= coef·x^shift·b.
+		for len(c) < len(b)+shift {
+			c = append(c, 0)
 		}
-		w := f.Window(coef)
-		for i, bi := range b {
-			if bi != 0 {
-				tmp[i+shift] ^= w.Mul(bi)
-			}
-		}
-		if 2*l <= n {
-			c, b, tmp = tmp, c, b
+		f.MulAdd(c[shift:], b, coef)
+		if grows {
+			b, tmp = tmp, b
 			bInv = f.Inv(d)
 			l = n + 1 - l
 			shift = 1
 		} else {
-			c, tmp = tmp, c
 			shift++
 		}
 	}

@@ -53,16 +53,25 @@ type Sketch struct {
 const powTableMaxM = 10
 
 // powTable maps x ∈ [1, 2^m) to its first stride odd powers
-// (x, x³, …, x^(2·stride−1)), stride being the sketch capacity rounded up
-// to a power of two so that sketches of similar capacity share a table and
-// a row stays within a cache line or two.
+// (x, x³, …, x^(2·stride−1)), packed four 16-bit lanes to a word, low lane
+// first, so one XOR moves four syndromes. stride is the sketch capacity
+// rounded up to a power of two, and to at least one word, so that sketches
+// of similar capacity share a table and a row stays within a cache line or
+// two. Packed, an entry costs the 2 bytes it would in a []uint16.
 type powTable struct {
-	stride int
-	rows   []uint16 // rows[x*stride+k] = x^(2k+1)
+	lgw  uint     // log2 of the words in a row
+	rows []uint64 // lane k of rows[x<<lgw:] is x^(2k+1)
 }
 
-// powTables holds the lazily built tables by field degree and log2(stride).
-var powTables [powTableMaxM + 1][powTableMaxM]struct {
+// row returns x's packed powers, and whatever rows follow them.
+func (p *powTable) row(x uint64) []uint64 { return p.rows[x<<p.lgw:] }
+
+// lane returns 16-bit lane k of the packed words w.
+func lane(w []uint64, k int) uint64 { return w[k>>2] >> (k & 3 << 4) & 0xffff }
+
+// powTables holds the lazily built tables by field degree and log2 of the
+// row width in words.
+var powTables [powTableMaxM + 1][powTableMaxM - 2]struct {
 	once sync.Once
 	tab  *powTable
 }
@@ -70,17 +79,17 @@ var powTables [powTableMaxM + 1][powTableMaxM]struct {
 // powTableFor returns the shared table covering capacity t over f, building
 // it on first use.
 func powTableFor(f *gf2.Field, t int) *powTable {
-	lg := bits.Len(uint(t - 1))
-	slot := &powTables[f.M()][lg]
+	lgw := uint(bits.Len(uint(t-1) >> 2))
+	slot := &powTables[f.M()][lgw]
 	slot.once.Do(func() {
-		tab := &powTable{stride: 1 << lg}
-		tab.rows = make([]uint16, (int(f.Order())+1)*tab.stride)
-		row := make([]uint64, tab.stride)
+		tab := &powTable{lgw: lgw}
+		tab.rows = make([]uint64, (f.Order()+1)<<lgw)
+		row := make([]uint64, 4<<lgw)
 		for x := uint64(1); x <= f.Order(); x++ {
 			clear(row)
 			addOddPowers(f, x, row)
 			for k, p := range row {
-				tab.rows[int(x)*tab.stride+k] = uint16(p)
+				tab.rows[int(x)<<lgw+k>>2] |= p << (k & 3 << 4)
 			}
 		}
 		slot.tab = tab
@@ -168,28 +177,113 @@ func (s *Sketch) Clone() *Sketch {
 }
 
 // Add toggles element x in the sketched set. It panics if x is zero or out
-// of field range: the caller owns input validation in this hot path. For
-// small fields the update is t XORs of a shared table row.
+// of field range: the caller owns input validation in this hot path.
 func (s *Sketch) Add(x uint64) {
+	s.mustHold(x)
+	s.toggle(x)
+}
+
+func (s *Sketch) mustHold(x uint64) {
 	if x == 0 || !s.f.Valid(x) {
 		panic(fmt.Sprintf("bch: element %#x out of range for GF(2^%d)", x, s.f.M()))
 	}
+}
+
+// toggle is Add past its range check: for small fields, one shared table row.
+func (s *Sketch) toggle(x uint64) {
 	if s.pow == nil {
 		addOddPowers(s.f, x, s.odd)
 		return
 	}
-	odd := s.odd
-	row := s.pow.rows[int(x)*s.pow.stride:][:len(odd)]
-	for k, p := range row {
-		odd[k] ^= uint64(p)
+	row := s.pow.row(x)
+	for k := range s.odd {
+		s.odd[k] ^= lane(row, k)
 	}
 }
 
-// AddSet toggles every element of set.
-func (s *Sketch) AddSet(set []uint64) {
-	for _, x := range set {
-		s.Add(x)
+// AddBitmap toggles every set bit of parity — bin b is bit b&63 of word
+// b>>6, over bins [0, n] — in the sketched set: the bitmap's codeword when
+// s starts empty, its XOR with a peer's codeword when s starts as that. The
+// bitmap's shape is checked once, with Add's panic: bin 0 is no element and
+// nothing lies above n. At the shapes PBS plans (m ≥ 6, 4 < t ≤ 16: whole
+// bitmap words, rows of two or four table words) the rows of the set bits are
+// folded packed and unpacked into the syndromes once.
+func (s *Sketch) AddBitmap(parity []uint64) {
+	n := s.f.Order()
+	if uint64(len(parity)) != n>>6+1 || parity[0]&1 != 0 || parity[n>>6]>>(n&63+1) != 0 {
+		panic(fmt.Sprintf("bch: parity bitmap of %d words out of range for GF(2^%d)", len(parity), s.f.M()))
 	}
+	var a [4]uint64
+	switch blocks := s.pow != nil && n >= 63; {
+	case blocks && s.pow.lgw == 1:
+		a[0], a[1] = fold2(s.pow.rows, parity)
+	case blocks && s.pow.lgw == 2:
+		a[0], a[1], a[2], a[3] = fold4(s.pow.rows, parity)
+	default:
+		for i, w := range parity {
+			for ; w != 0; w &= w - 1 {
+				s.toggle(uint64(i<<6 + bits.TrailingZeros64(w)))
+			}
+		}
+		return
+	}
+	for k := range s.odd {
+		s.odd[k] ^= lane(a[:], k)
+	}
+}
+
+// fold2 and fold4 XOR the two- and four-word rows of the set bits of parity,
+// the accumulators in registers. Each bitmap word indexes a block of 64 rows
+// whose constant size lets the compiler drop the per-row bounds checks. They
+// stay out of line because, inlined, the register allocator spills the
+// accumulators into the bit loop; and they clear a bit through its index, not
+// with w &= w − 1, because that keeps the index's register from being the
+// last row load's target — on which the next bit scan, whose instruction
+// reads its output register, would then wait. (Measured, not deduced: 1.4×.)
+//
+//go:noinline
+func fold2(rows, parity []uint64) (a0, a1 uint64) {
+	for i, w := range parity {
+		blk := (*[64 * 2]uint64)(rows[i<<7:])
+		for w != 0 {
+			bit := bits.TrailingZeros64(w)
+			a0, a1 = a0^blk[bit<<1], a1^blk[bit<<1+1]
+			w &^= 1 << (bit & 63)
+		}
+	}
+	return a0, a1
+}
+
+//go:noinline
+func fold4(rows, parity []uint64) (a0, a1, a2, a3 uint64) {
+	for i, w := range parity {
+		blk := (*[64 * 4]uint64)(rows[i<<8:])
+		for w != 0 {
+			bit := bits.TrailingZeros64(w)
+			j := bit << 2
+			a0, a1, a2, a3 = a0^blk[j], a1^blk[j+1], a2^blk[j+2], a3^blk[j+3]
+			w &^= 1 << (bit & 63)
+		}
+	}
+	return a0, a1, a2, a3
+}
+
+// AddSet toggles every element of set, with Add's panic on a bad one. For
+// small fields it goes through the elements' parity bitmap, so a set costs
+// what its bitmap does.
+func (s *Sketch) AddSet(set []uint64) {
+	if s.pow == nil {
+		for _, x := range set {
+			s.Add(x)
+		}
+		return
+	}
+	var parity [1 << powTableMaxM >> 6]uint64
+	for _, x := range set {
+		s.mustHold(x)
+		parity[x>>6] ^= 1 << (x & 63)
+	}
+	s.AddBitmap(parity[:s.f.Order()>>6+1])
 }
 
 // Xor merges other into s, so s becomes the sketch of the symmetric

@@ -200,6 +200,35 @@ func TestAddValidation(t *testing.T) {
 			s.Add(bad)
 		}()
 	}
+	// AddBitmap checks the bitmap's shape once: its length, bin 0, and —
+	// where n + 1 does not fill the last word — the bits above bin n.
+	small := MustNew(5, 3)
+	for name, bad := range map[string]func(){
+		"short":        func() { s.AddBitmap(make([]uint64, 3)) },
+		"long":         func() { s.AddBitmap(make([]uint64, 5)) },
+		"bin 0":        func() { s.AddBitmap([]uint64{1, 0, 0, 0}) },
+		"bin 0, small": func() { small.AddBitmap([]uint64{1}) },
+		"above n":      func() { small.AddBitmap([]uint64{1 << 32}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddBitmap with %s should panic", name)
+				}
+			}()
+			bad()
+		}()
+	}
+	if !s.Empty() || !small.Empty() {
+		t.Error("a rejected bitmap must leave the sketch untouched")
+	}
+	s.AddBitmap([]uint64{0, 0, 0, 1 << 63}) // bin n itself is an element
+	small.AddBitmap([]uint64{1 << 31})
+	s.Add(255)
+	small.Add(31)
+	if !s.Empty() || !small.Empty() {
+		t.Error("AddBitmap of the top bin differs from Add of it")
+	}
 }
 
 func TestXorShapeMismatch(t *testing.T) {
@@ -325,5 +354,103 @@ func TestAddTableMatchesMultiplyPath(t *testing.T) {
 	}
 	if s := MustNew(powTableMaxM+1, 4); s.pow != nil {
 		t.Fatalf("m=%d is above the table bound but got a table", powTableMaxM+1)
+	}
+}
+
+// bitmapOf returns the parity bitmap of set over bins [0, n]: bin b is bit
+// b&63 of word b>>6, and an element listed twice cancels.
+func bitmapOf(n uint64, set []uint64) []uint64 {
+	parity := make([]uint64, n>>6+1)
+	for _, x := range set {
+		parity[x>>6] ^= 1 << (x & 63)
+	}
+	return parity
+}
+
+// TestAddBitmapMatchesReference holds AddBitmap, and AddSet which goes
+// through it, to the preserved multiply path for every field PBS can plan
+// plus the first untabled one, capacities on both sides of every row width,
+// empty, full and random bitmaps, into an empty sketch and into one that
+// already holds a codeword.
+func TestAddBitmapMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for m := uint(2); m <= 11; m++ {
+		f := gf2.MustField(m)
+		n := f.Order()
+		full := make([]uint64, n)
+		for i := range full {
+			full[i] = uint64(i + 1)
+		}
+		sets := [][]uint64{nil, full, {1}, {n}}
+		for trial := 0; trial < 6; trial++ {
+			sets = append(sets, distinctElems(rng, m, 1+rng.Intn(int(n))))
+		}
+		for _, tcap := range []int{1, 2, 3, 4, 5, 8, 12, 13, 16, 17, int(n / 2)} {
+			if uint64(tcap) > n/2 {
+				continue
+			}
+			for i, set := range sets {
+				prior := sets[(i+3)%len(sets)]
+				want := make([]uint64, tcap)
+				for _, x := range set {
+					referenceAdd(f, x, want)
+				}
+				s := MustNew(m, tcap)
+				s.AddBitmap(bitmapOf(n, set))
+				if !slices.Equal(s.odd, want) {
+					t.Fatalf("m=%d t=%d set %d: AddBitmap into an empty sketch diverges from the multiply path", m, tcap, i)
+				}
+				for _, x := range prior {
+					referenceAdd(f, x, want)
+				}
+				s.AddBitmap(bitmapOf(n, prior))
+				if !slices.Equal(s.odd, want) {
+					t.Fatalf("m=%d t=%d set %d: AddBitmap into a held codeword diverges from the multiply path", m, tcap, i)
+				}
+				s.AddSet(append(set, prior...)) // cancels both
+				if !s.Empty() {
+					t.Fatalf("m=%d t=%d set %d: AddSet does not cancel AddBitmap", m, tcap, i)
+				}
+			}
+		}
+	}
+}
+
+// TestPowTableBytesPerSlot pins the memory argument behind powTableMaxM: a
+// packed table holds 2 bytes per entry, as the []uint16 it replaces did, a
+// row being the capacity rounded up to a power of two and to a whole word.
+func TestPowTableBytesPerSlot(t *testing.T) {
+	for m := uint(2); m <= powTableMaxM; m++ {
+		f := gf2.MustField(m)
+		for tcap := 1; uint64(tcap) <= f.Order()/2; tcap++ {
+			stride := 4
+			for stride < tcap {
+				stride *= 2
+			}
+			tab := powTableFor(f, tcap)
+			if got, want := 8*len(tab.rows), 2*stride*int(f.Order()+1); got != want {
+				t.Fatalf("m=%d t=%d: table is %d bytes, want %d (stride %d at 2 bytes an entry)", m, tcap, got, want, stride)
+			}
+			if tab != powTableFor(f, stride) {
+				t.Fatalf("m=%d: t=%d and t=%d do not share a table", m, tcap, stride)
+			}
+		}
+	}
+}
+
+// TestAddBitmapZeroAllocs: the accumulators live on the stack.
+func TestAddBitmapZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, shape := range []struct {
+		m uint
+		t int
+	}{{6, 8}, {8, 12}, {5, 3}, {9, 20}, {11, 13}} {
+		s := MustNew(shape.m, shape.t)
+		n := s.f.Order()
+		set := distinctElems(rng, shape.m, int(n/3))
+		parity := bitmapOf(n, set)
+		if allocs := testing.AllocsPerRun(20, func() { s.AddBitmap(parity); s.AddSet(set) }); allocs != 0 {
+			t.Errorf("m=%d t=%d: AddBitmap + AddSet allocated %v times per run, want 0", shape.m, shape.t, allocs)
+		}
 	}
 }

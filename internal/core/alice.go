@@ -353,7 +353,7 @@ func (a *Alice) BuildRound() ([]byte, error) {
 		}
 		sketch := shape.Over(s.syn[i*t:])
 		sketch.Reset()
-		addParity(&sketch, parity)
+		sketch.AddBitmap(parity)
 	})
 	serStart := time.Now()
 	// A scope costs its codeword and an ID of some 20 bits; deeper split

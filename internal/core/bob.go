@@ -280,7 +280,7 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 		// the bins where the two bitmaps differ.
 		lo, hi := i*t, (i+1)*t
 		sketch := shape.Over(syn[lo:hi])
-		addParity(&sketch, parity)
+		sketch.AddBitmap(parity)
 		// The one boundary between Bob's two reported times that falls
 		// inside the fan-out: the rest of the share is encoding.
 		decStart := time.Now()

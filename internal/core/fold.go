@@ -1,10 +1,8 @@
 package core
 
 import (
-	"math/bits"
 	"slices"
 
-	"pbs/internal/bch"
 	"pbs/internal/hashutil"
 )
 
@@ -89,17 +87,6 @@ func binFold(set []uint64, seed uint64, n uint64, sums, parity []uint64) {
 
 // parityWords returns the length of a packed parity bitmap over bins [0, n].
 func parityWords(n uint64) uint64 { return n>>6 + 1 }
-
-// addParity toggles every odd bin of parity in sk — the parity bitmap's
-// codeword when sk starts empty, its XOR with a peer's codeword when sk
-// starts as that. It visits the set bits, not the bins.
-func addParity(sk *bch.Sketch, parity []uint64) {
-	for i, w := range parity {
-		for ; w != 0; w &= w - 1 {
-			sk.Add(uint64(i<<6 + bits.TrailingZeros64(w)))
-		}
-	}
-}
 
 // checksumOf returns the plain sum of set under mask.
 func checksumOf(set []uint64, mask uint64) uint64 {

@@ -138,7 +138,7 @@ func BenchmarkEncodeParity(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				sketch.Reset()
-				addParity(sketch, parity)
+				sketch.AddBitmap(parity)
 			}
 		})
 	}

@@ -79,82 +79,94 @@ const chienAccLimit = 1 << 14
 // Zeros scans one full multiplicative-group cycle of points α^i starting
 // from the workspace's current position (α^0 right after Init), appending
 // to dst the step offsets i at which the polynomial evaluates to zero. It
-// returns once max zeros have been collected, and may leave the
+// returns once dst holds limit zeros, and may leave the
 // incremental cursor in an unspecified position — call Init again before
 // reusing the workspace.
 //
-// For moderate group orders the scan runs transposed — term-major over a
-// per-point accumulator — so each term walks the antilog table with a
-// fixed stride and no cross-term dependency; the wraparound of each
-// stride is hoisted out of the inner loop, and the final term's pass is
-// fused with the zero test. This is markedly faster than evaluating
-// point by point.
-func (ws *Chien) Zeros(dst []uint64, max int) []uint64 {
-	if max <= 0 {
+// For moderate group orders the scan runs transposed — four terms a pass
+// over a per-point accumulator, each term walking the antilog table with
+// its own stride — and the last pass stops at each zero. This is markedly
+// faster than evaluating point by point.
+func (ws *Chien) Zeros(dst []uint64, limit int) []uint64 {
+	if limit <= 0 {
 		return dst
 	}
 	f := ws.f
-	expT := f.expT
 	ord := f.ord
 	if len(ws.logs) == 0 {
 		// Constant polynomial: zero everywhere or nowhere.
-		for i := uint64(0); ws.c0 == 0 && i < ord && len(dst) < max; i++ {
+		for i := uint64(0); ws.c0 == 0 && i < ord && len(dst) < limit; i++ {
 			dst = append(dst, i)
 		}
 		return dst
 	}
 	if ord > chienAccLimit {
-		return ws.zerosByPoint(dst, max)
+		return ws.zerosByPoint(dst, limit)
 	}
 	if uint64(cap(ws.acc)) < ord {
 		ws.acc = make([]uint64, ord)
 	}
-	n := int(ord)
-	acc := ws.acc[:n]
+	acc := ws.acc[:ord]
 	clear(acc)
-	last := len(ws.logs) - 1
-	for k := 0; k < last; k++ {
-		l := ws.logs[k]
-		j := ws.steps[k]
-		// Walk the antilog table in stride-j segments, reducing l only at
-		// each wraparound so the inner loop is branch-free.
-		for i := 0; i < n; {
-			end := i + int((ord-l+j-1)/j)
-			if end > n {
-				end = n
-			}
-			for ; i < end; i++ {
-				acc[i] ^= expT[l]
-				l += j
-			}
-			if l >= ord {
-				l -= ord
-			}
-		}
+	// Pad the terms to a multiple of four with constants 1 = α^0, never
+	// advanced, each folded into c0 to cancel.
+	for len(ws.logs)&3 != 0 {
+		ws.logs = append(ws.logs, 0)
+		ws.steps = append(ws.steps, 0)
+		ws.c0 ^= 1
 	}
-	// Final term fused with the zero test: p(α^i) = 0 ⟺ Σ terms = c0.
-	c0 := ws.c0
-	l := ws.logs[last]
-	j := ws.steps[last]
-	for i := 0; i < n; {
-		end := i + int((ord-l+j-1)/j)
-		if end > n {
-			end = n
+	last := len(ws.logs) - 4
+	for k := 0; k <= last; k += 4 {
+		// Only the last pass sees whole sums, p(α^i) = 0 ⟺ Σ terms = c0;
+		// the others stop at nothing a field element can equal.
+		stop := ^uint64(0)
+		if k == last {
+			stop = ws.c0
 		}
-		for ; i < end; i++ {
-			if acc[i]^expT[l] == c0 {
-				dst = append(dst, uint64(i))
-				if len(dst) >= max {
-					return dst
+		cur, steps := [4]uint64(ws.logs[k:]), (*[4]uint64)(ws.steps[k:])
+		// expT is two cycles long, so a cursor below ord may run on for
+		// ord/step points before it has to wrap: the cursors wrap between
+		// chunks that long, not inside the walk over a chunk's points.
+		chunk := int(ord / max(steps[0], steps[1], steps[2], steps[3], 1))
+		for i := 0; i < len(acc); {
+			for end := min(i+chunk, len(acc)); i < end; {
+				i += walkTerms(f.expT, acc[i:end], &cur, steps, stop)
+				if acc[i-1] == stop {
+					if dst = append(dst, uint64(i-1)); len(dst) >= limit {
+						return dst
+					}
 				}
 			}
-			l += j
-		}
-		if l >= ord {
-			l -= ord
+			for t, l := range cur {
+				if l >= ord {
+					cur[t] = l - ord
+				}
+			}
 		}
 	}
 	return dst
+}
+
+// walkTerms XORs into each acc[i] in turn the four terms whose logarithms
+// are cur at acc[0] and grow by steps from one point to the next, until a
+// sum comes to stop or acc ends. It returns the points walked and leaves cur
+// at the point after them. It is a function of its own so that the cursors
+// and the index are all its loop keeps in registers.
+func walkTerms(expT, acc []uint64, cur, steps *[4]uint64, stop uint64) int {
+	l0, l1, l2, l3 := cur[0], cur[1], cur[2], cur[3]
+	st := *steps
+	n := len(acc)
+	for i := range acc {
+		v := acc[i] ^ expT[l0] ^ expT[l1] ^ expT[l2] ^ expT[l3]
+		acc[i] = v
+		l0, l1, l2, l3 = l0+st[0], l1+st[1], l2+st[2], l3+st[3]
+		if v == stop {
+			n = i + 1
+			break
+		}
+	}
+	cur[0], cur[1], cur[2], cur[3] = l0, l1, l2, l3
+	return n
 }
 
 // zerosByPoint is the point-at-a-time variant of Zeros used when the

@@ -2,6 +2,7 @@ package gf2
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -78,50 +79,67 @@ func TestChienSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func TestHalfTraceSolvesArtinSchreier(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	for _, m := range []uint{3, 5, 11, 13} {
+// TestQuadRootMatchesBruteForce checks the whole y² + y = u solution table
+// of every field a PBS plan can reach: each u has a listed root exactly when
+// brute force finds one, the root solves the equation, and solvability is
+// Tr(u) = 0.
+func TestQuadRootMatchesBruteForce(t *testing.T) {
+	for m := uint(2); m <= 12; m++ {
 		f := MustField(m)
-		solved := 0
-		for trial := 0; trial < 200; trial++ {
-			a := rng.Uint64() & f.Order()
-			if f.Trace(a) != 0 {
-				continue
-			}
-			y := f.HalfTrace(a)
-			if f.Sqr(y)^y != a {
-				t.Fatalf("m=%d: HalfTrace(%#x) = %#x does not solve y²+y=a", m, a, y)
-			}
-			solved++
+		solvable := make([]bool, f.Order()+1)
+		for y := uint64(0); y <= f.Order(); y++ {
+			solvable[f.Sqr(y)^y] = true
 		}
-		if solved == 0 {
-			t.Fatalf("m=%d: no trace-zero samples drawn", m)
+		for u := uint64(0); u <= f.Order(); u++ {
+			y := f.QuadRoot(u)
+			switch {
+			case u == 0:
+				if y != 0 {
+					t.Fatalf("m=%d: QuadRoot(0) = %#x, want 0", m, y)
+				}
+			case solvable[u] != (y != 0) || solvable[u] != (f.Trace(u) == 0):
+				t.Fatalf("m=%d u=%#x: QuadRoot %#x, brute force solvable=%t, trace %d", m, u, y, solvable[u], f.Trace(u))
+			case y != 0 && f.Sqr(y)^y != u:
+				t.Fatalf("m=%d: QuadRoot(%#x) = %#x does not solve y²+y=u", m, u, y)
+			}
 		}
 	}
 }
 
+// TestChienZerosMatchesNext holds the bulk scan to the point-at-a-time one:
+// every term count from one to nine (one, two and three passes, each with
+// and without padding), zero coefficients among them, every max cutoff, and
+// a field on either side of chienAccLimit.
 func TestChienZerosMatchesNext(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
-	for _, m := range []uint{5, 8, 11} {
+	for _, m := range []uint{2, 5, 8, 11, 15} {
 		f := MustField(m)
-		for trial := 0; trial < 20; trial++ {
-			p := sparsePoly(rng, f, 1+rng.Intn(10))
-			var a, b Chien
-			a.Init(f, p)
-			b.Init(f, p)
-			var want []uint64
-			for i := uint64(0); i < f.Order(); i++ {
-				if a.Next() == 0 {
-					want = append(want, i)
+		for terms := 1; terms <= 9; terms++ {
+			for trial := 0; trial < 6; trial++ {
+				// A product of linear factors has roots to find; zeroing a
+				// coefficient or two keeps some and exercises the skip.
+				p := NewPoly(1)
+				for len(p) < terms+1 {
+					p = PolyMul(f, p, NewPoly(1+rng.Uint64()%f.Order(), 1))
 				}
-			}
-			got := b.Zeros(nil, len(want)+1)
-			if len(got) != len(want) {
-				t.Fatalf("m=%d: Zeros found %d zeros, Next found %d", m, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("m=%d: zero %d: got exponent %d want %d", m, i, got[i], want[i])
+				p = append(Poly(nil), p...)
+				for z := 0; z < trial%3 && len(p) > 2; z++ {
+					p[1+rng.Intn(len(p)-2)] = 0
+				}
+				var a, b Chien
+				a.Init(f, p)
+				var want []uint64
+				for i := uint64(0); i < f.Order(); i++ {
+					if a.Next() == 0 {
+						want = append(want, i)
+					}
+				}
+				for max := 0; max <= len(want)+1; max++ {
+					b.Init(f, p)
+					got := b.Zeros(nil, max)
+					if !slices.Equal(got, want[:min(max, len(want))]) {
+						t.Fatalf("m=%d %v max=%d: Zeros = %v, Next found %v", m, p, max, got, want)
+					}
 				}
 			}
 		}

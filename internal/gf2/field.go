@@ -67,7 +67,8 @@ const tableThreshold = 16
 
 // Field represents the finite field GF(2^m).
 //
-// A Field is immutable after construction and safe for concurrent use.
+// A Field is immutable after construction, but for the solution table
+// QuadRoot builds once, and safe for concurrent use.
 type Field struct {
 	m    uint
 	poly uint64 // irreducible polynomial, including the x^m term
@@ -82,6 +83,11 @@ type Field struct {
 	// red[b] = (b << m) mod poly, used for byte-at-a-time reduction of
 	// carry-less products when no tables are present.
 	red [256]uint64
+
+	// quad[u] is a y with y² + y = u, 0 where there is none; built on first
+	// use by QuadRoot, for table fields only.
+	quadOnce sync.Once
+	quad     []uint16
 }
 
 // fieldCache holds each field, built the first time it is asked for: the
@@ -275,17 +281,68 @@ func (f *Field) Trace(a uint64) uint64 {
 	return t
 }
 
-// HalfTrace returns the half-trace H(a) = Σ_{i=0}^{(m−1)/2} a^(2^(2i)) of
-// odd-degree fields. Whenever Tr(a) = 0 it is a solution y of the Artin–
-// Schreier equation y² + y = a (the other solution is y + 1), which gives
-// closed-form roots for quadratics in characteristic 2. It must only be
-// called on fields of odd degree m.
-func (f *Field) HalfTrace(a uint64) uint64 {
-	h := a
-	for i := uint(0); i < (f.m-1)/2; i++ {
-		h = f.Sqr(f.Sqr(h)) ^ a
+// Tabled reports whether the field has log/antilog tables (m ≤ 16), which
+// QuadRoot and Chien need.
+func (f *Field) Tabled() bool { return f.logT != nil }
+
+// QuadRoot returns a solution y of the Artin–Schreier equation y² + y = u
+// (the other is y + 1), or 0 when there is none — Tr(u) = 1 — or u = 0. It
+// gives quadratics in characteristic 2 closed-form roots. The answers come
+// from a 2^m-entry table built on first use; the field must be Tabled.
+func (f *Field) QuadRoot(u uint64) uint64 {
+	f.quadOnce.Do(func() {
+		f.quad = make([]uint16, f.ord+1)
+		for y := uint64(2); y <= f.ord; y++ {
+			f.quad[f.Sqr(y)^y] = uint16(y)
+		}
+	})
+	return uint64(f.quad[u])
+}
+
+// MulAdd XORs c·src[i] into dst[i] for every i: the row operation of
+// polynomial multiplication and division and of Berlekamp–Massey. Table
+// fields do it in the log domain, c's logarithm looked up once.
+func (f *Field) MulAdd(dst, src []uint64, c uint64) {
+	if c == 0 {
+		return
 	}
-	return h
+	dst = dst[:len(src)]
+	if f.logT != nil {
+		expc := f.expT[f.logT[c]:] // expc[log b] = c·b
+		for i, b := range src {
+			if b != 0 {
+				dst[i] ^= expc[f.logT[b]]
+			}
+		}
+		return
+	}
+	w := f.Window(c)
+	for i, b := range src {
+		if b != 0 {
+			dst[i] ^= w.Mul(b)
+		}
+	}
+}
+
+// DotRev returns Σ a[i]·b[len(b)−1−i] over a's indices: the top coefficient
+// a contributes to the product a·b, and Berlekamp–Massey's discrepancy. b is
+// at least as long as a.
+func (f *Field) DotRev(a, b []uint64) uint64 {
+	var d uint64
+	b = b[len(b)-len(a):]
+	if f.logT == nil {
+		for i, x := range a {
+			d ^= f.Mul(x, b[len(a)-1-i])
+		}
+		return d
+	}
+	logT, expT := f.logT, f.expT
+	for i, x := range a {
+		if y := b[len(a)-1-i]; x != 0 && y != 0 {
+			d ^= expT[logT[x]+logT[y]]
+		}
+	}
+	return d
 }
 
 // MulWindow precomputes a 16-entry carry-less multiplication window for the

@@ -77,15 +77,7 @@ func PolyMulInto(f *Field, a, b, dst Poly) Poly {
 	}
 	dst = growPoly(dst, len(a)+len(b)-1)
 	for i, ai := range a {
-		if ai == 0 {
-			continue
-		}
-		w := f.Window(ai)
-		for j, bj := range b {
-			if bj != 0 {
-				dst[i+j] ^= w.Mul(bj)
-			}
-		}
+		f.MulAdd(dst[i:], b, ai)
 	}
 	return dst.normalize()
 }
@@ -113,13 +105,7 @@ func PolyMod(f *Field, a, b Poly) Poly {
 	invLead := f.Inv(b[len(b)-1])
 	for r.Degree() >= b.Degree() {
 		d := r.Degree() - b.Degree()
-		c := f.Mul(r[len(r)-1], invLead)
-		w := f.Window(c)
-		for i, bi := range b {
-			if bi != 0 {
-				r[d+i] ^= w.Mul(bi)
-			}
-		}
+		f.MulAdd(r[d:], b, f.Mul(r[len(r)-1], invLead))
 		r = r.normalize()
 	}
 	return r
@@ -140,12 +126,7 @@ func PolyDivMod(f *Field, a, b Poly) (q, r Poly) {
 		d := r.Degree() - b.Degree()
 		c := f.Mul(r[len(r)-1], invLead)
 		q[d] = c
-		w := f.Window(c)
-		for i, bi := range b {
-			if bi != 0 {
-				r[d+i] ^= w.Mul(bi)
-			}
-		}
+		f.MulAdd(r[d:], b, c)
 		r = r.normalize()
 	}
 	return q.normalize(), r
