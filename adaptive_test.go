@@ -2,6 +2,7 @@ package pbs
 
 import (
 	"context"
+	"math/rand"
 	"net"
 	"testing"
 
@@ -226,4 +227,112 @@ func TestAdaptiveLegacyWrappersUnchanged(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAdaptiveNoWorseThanFixed is the adaptive controller's end-to-end
+// claim: over real wire syncs (Set.Sync against Set.Respond on net.Pipe),
+// a warm adaptive handle with no hand-set KnownD spends no more mean wire
+// bytes and no more mean rounds per sync than the paper-fixed
+// configuration — a fresh WithAdaptive(false) handle per sync, stock
+// DefaultSpeculativeD — at every d. Both arms sync the same peers, which
+// drift ±25% around d between syncs (real churn is not constant, and the
+// spread exercises the prior's variance term). The full run (seed 1,
+// |A| = 20000, 8 syncs) is the README's adaptive table; go test -v -run
+// TestAdaptiveNoWorseThanFixed prints it.
+func TestAdaptiveNoWorseThanFixed(t *testing.T) {
+	const seed = 1
+	ds, sizeA, syncs := []int{10, 100, 1000, 10000}, 20000, 8
+	if testing.Short() {
+		ds, sizeA, syncs = []int{10, 100}, 8000, 6
+	}
+	for _, d := range ds {
+		opt := Options{Seed: uint64(seed + d)}
+		rng := rand.New(rand.NewSource(int64(seed + d*7919)))
+		base := make([]uint64, 0, sizeA)
+		seen := make(map[uint64]struct{}, sizeA)
+		for len(base) < sizeA {
+			x := uint64(rng.Uint32())
+			if _, ok := seen[x]; ok {
+				continue
+			}
+			seen[x] = struct{}{}
+			base = append(base, x)
+		}
+		warm, err := NewSet(base, WithOptions(opt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		syncArm := func(initiator *Set, peer, diff []uint64, adaptive bool) *Result {
+			t.Helper()
+			responder, err := NewSet(peer, WithOptions(opt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, _, _ := teeSync(t, initiator, responder, WithFastSync(true), WithAdaptive(adaptive))
+			if !res.Complete {
+				t.Fatalf("d=%d adaptive=%v: incomplete after %d rounds", d, adaptive, res.Rounds)
+			}
+			assertSameSet(t, res.Difference, diff)
+			return res
+		}
+
+		var fixedB, adaptiveB, fixedR, adaptiveR, replans float64
+		for j := 0; j < syncs; j++ {
+			dj := max(d-d/4+rng.Intn(d/2+1), 1)
+			peer, diff := driftedPeer(base, dj, rng)
+			res := syncArm(warm, peer, diff, true)
+			adaptiveB += float64(res.WireBytes)
+			adaptiveR += float64(res.Rounds)
+			replans += float64(res.Replans)
+
+			fixed, err := NewSet(base, WithOptions(opt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res = syncArm(fixed, peer, diff, false)
+			fixedB += float64(res.WireBytes)
+			fixedR += float64(res.Rounds)
+		}
+		n := float64(syncs)
+		t.Logf("d=%-6d fixed %8.0f B %.2f rounds | adaptive %8.0f B %.2f rounds (%.2f replans/sync)",
+			d, fixedB/n, fixedR/n, adaptiveB/n, adaptiveR/n, replans/n)
+		if adaptiveB > fixedB {
+			t.Errorf("d=%d: adaptive put %.0f B/sync on the wire, paper-fixed %.0f", d, adaptiveB/n, fixedB/n)
+		}
+		if adaptiveR > fixedR {
+			t.Errorf("d=%d: adaptive took %.2f rounds/sync, paper-fixed %.2f", d, adaptiveR/n, fixedR/n)
+		}
+	}
+}
+
+// driftedPeer derives a peer at symmetric difference exactly d from a:
+// d/2 random members removed, d-d/2 fresh non-members added. It returns
+// the peer and the ground-truth difference.
+func driftedPeer(a []uint64, d int, rng *rand.Rand) (peer, diff []uint64) {
+	drop := d / 2
+	in := make(map[uint64]struct{}, len(a))
+	for _, x := range a {
+		in[x] = struct{}{}
+	}
+	dropped := make(map[int]struct{}, drop)
+	for _, i := range rng.Perm(len(a))[:drop] {
+		dropped[i] = struct{}{}
+		diff = append(diff, a[i])
+	}
+	peer = make([]uint64, 0, len(a)-drop+d-drop)
+	for i, x := range a {
+		if _, ok := dropped[i]; !ok {
+			peer = append(peer, x)
+		}
+	}
+	for len(peer) < len(a)-drop+d-drop {
+		x := uint64(rng.Uint32())
+		if _, ok := in[x]; ok {
+			continue
+		}
+		in[x] = struct{}{}
+		peer = append(peer, x)
+		diff = append(diff, x)
+	}
+	return peer, diff
 }

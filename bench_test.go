@@ -354,11 +354,10 @@ func steadyChurn(tb testing.TB, a *Set, p *workload.Pair, batch int) func(i int)
 // sync per iteration over an in-memory pipe, either from long-lived warm
 // handles (validation, ToW sketch, snapshot, and partitions carried over
 // between syncs) or rebuilt from raw slices per call the way the legacy
-// SyncInitiator/SyncResponder wrappers do. scripts/bench_api.sh emits the
-// comparison to BENCH_api.json.
+// SyncInitiator/SyncResponder wrappers do.
 func BenchmarkAPI(b *testing.B) {
 	// Enough untimed syncs for every processor's share of the scratch pools
-	// to fill, so a short timed run (CI uses -benchtime 3x) counts the steady
+	// to fill, so a short timed run (say -benchtime 3x) counts the steady
 	// state's allocations and not a pool miss or two.
 	const apiPrimingSyncs = 32
 

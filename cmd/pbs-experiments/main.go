@@ -7,33 +7,28 @@
 //	pbs-experiments -exp fig1 [-instances N] [-sizeA N] [-dmax D]
 //
 // Experiments: fig1, fig2, fig3, fig4, fig5, table1, table2, sec52, sec53,
-// sec23, appB, adaptive, all. Defaults are scaled down from the paper's
+// sec23, appB, all. Defaults are scaled down from the paper's
 // (|A|=10^6, 1000 instances) so a full run finishes in minutes; raise
 // -sizeA and -instances to match the paper's scale exactly.
 //
-// The adaptive experiment (not part of the paper) compares the online
-// adaptive controller against the paper-fixed configuration over real wire
-// syncs and, with -json, writes the table for scripts/bench_adaptive.sh to
-// gate on.
+// The adaptive controller (not part of the paper) is measured against the
+// paper-fixed configuration by the pbs package's TestAdaptiveNoWorseThanFixed.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 
-	"pbs/internal/adaptbench"
 	"pbs/internal/exper"
 	"pbs/internal/markov"
 )
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment id: fig1 fig2 fig3 fig4 fig5 table1 table2 sec52 sec53 sec23 appB adaptive all")
-		jsonOut    = flag.String("json", "", "write adaptive-experiment results as JSON to this file")
+		exp        = flag.String("exp", "all", "experiment id: fig1 fig2 fig3 fig4 fig5 table1 table2 sec52 sec53 sec23 appB all")
 		instances  = flag.Int("instances", 5, "instances per data point (paper: 1000)")
 		sizeA      = flag.Int("sizeA", 100000, "cardinality of set A (paper: 1000000)")
 		dmax       = flag.Int("dmax", 10000, "largest set-difference cardinality in sweeps (paper: 100000)")
@@ -56,7 +51,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	err := run(*exp, *instances, *sizeA, *dmax, *psmax, *seed, *parallel, *verbose, *jsonOut)
+	err := run(*exp, *instances, *sizeA, *dmax, *psmax, *seed, *parallel, *verbose)
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile() // explicit: os.Exit below would skip a defer
 	}
@@ -97,7 +92,7 @@ func dGrid(dmax int) []int {
 	return out
 }
 
-func run(exp string, instances, sizeA, dmax, psmax int, seed int64, parallel int, verbose bool, jsonOut string) error {
+func run(exp string, instances, sizeA, dmax, psmax int, seed int64, parallel int, verbose bool) error {
 	var progress *os.File
 	if verbose {
 		progress = os.Stderr
@@ -265,43 +260,6 @@ func run(exp string, instances, sizeA, dmax, psmax int, seed int64, parallel int
 		fmt.Printf("type (I) exception:    %.4f   (paper: ~0.04)\n", oc.TypeI)
 		fmt.Printf("type (II) exception:   %.3g   (paper: 1.52e-4)\n", oc.TypeII)
 		fmt.Printf("fake element passes:   %.3g   (paper: ~6e-7)\n", oc.TypeII/255)
-	}
-
-	// The adaptive comparison is deliberately excluded from "all": it runs
-	// full wire syncs (slower than core-level instances) and its output is
-	// a gate table, not a paper figure.
-	if exp == "adaptive" {
-		ran = true
-		fmt.Println("=== Adaptive controller vs paper-fixed parameters (wire syncs, no KnownD) ===")
-		ds := []int{}
-		for _, d := range []int{10, 100, 1000, 10000} {
-			if d <= dmax {
-				ds = append(ds, d)
-			}
-		}
-		pts, err := adaptbench.AdaptiveSweep(ds, sizeA, instances, seed, progress)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%8s %14s %14s %12s %12s %14s\n",
-			"d", "fixed B", "adaptive B", "fixed rds", "adaptive rds", "replans/sync")
-		for _, p := range pts {
-			fmt.Printf("%8d %14.0f %14.0f %12.2f %12.2f %14.2f\n",
-				p.D, p.FixedBytes, p.AdaptiveBytes, p.FixedRounds, p.AdaptiveRounds, p.Replans)
-		}
-		if jsonOut != "" {
-			blob, err := json.MarshalIndent(map[string]any{
-				"size_a": sizeA,
-				"syncs":  instances,
-				"points": pts,
-			}, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(jsonOut, append(blob, '\n'), 0o644); err != nil {
-				return err
-			}
-		}
 	}
 
 	if !ran {

@@ -1,7 +1,9 @@
 // Command pbs-loadgen drives a running pbs-serve instance with a fleet of
 // concurrent warm pbs.Set clients and reports what the server sustains:
 // syncs/s, bytes/s, and p50/p95/p99 sync latency — to stdout for humans
-// and to a JSON file (BENCH_load.json) for tooling.
+// and, with -json, to a file for tooling. It drives shapes the repository
+// benchmark (bench/) does not: hundreds of concurrent sessions, and hosted
+// catalogs of 10k–100k sets.
 //
 // The server must serve the B side of the same synthetic workload, i.e.
 // identical -size/-diff/-workload-seed (pbs-serve spells them -demo-size,
@@ -9,7 +11,7 @@
 //
 //	pbs-serve   -addr :9931 -demo-size 10000 -demo-d 100 -demo-seed 1
 //	pbs-loadgen -addr localhost:9931 -size 10000 -diff 100 -workload-seed 1 \
-//	    -workers 500 -duration 30s -churn 10 -json BENCH_load.json
+//	    -workers 500 -duration 30s -churn 10 -json load.json
 //
 // Closed-loop by default (every worker keeps one sync in flight, so
 // -workers is the concurrent-session count); -rate R switches to an
@@ -79,8 +81,7 @@ func main() {
 		maxD         = flag.Int("max-d", 0, "cap on the accepted difference estimate d̂ (0 = library default)")
 		strongVerify = flag.Bool("strong-verify", false, "request the strong multiset-hash verification")
 
-		jsonPath  = flag.String("json", "", "write the machine-readable report to this file (e.g. BENCH_load.json)")
-		benchPath = flag.String("latency-bench", "", "additionally write the sync-latency quantiles in benchgate format (e.g. BENCH_latency.json)")
+		jsonPath = flag.String("json", "", "write the machine-readable report to this file")
 	)
 	flag.Parse()
 	if *addr == "" {
@@ -142,13 +143,6 @@ func main() {
 			}
 			fmt.Printf("pbs-loadgen: wrote %s\n", *jsonPath)
 		}
-		if *benchPath != "" {
-			if werr := writeLatencyBench(*benchPath, rep); werr != nil {
-				fmt.Fprintln(os.Stderr, "pbs-loadgen:", werr)
-				os.Exit(1)
-			}
-			fmt.Printf("pbs-loadgen: wrote %s\n", *benchPath)
-		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pbs-loadgen:", err)
@@ -172,32 +166,6 @@ func main() {
 
 func writeJSON(path string, rep *load.Report) error {
 	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// writeLatencyBench exports the client-observed sync-latency quantiles in
-// the benchgate entry format, so scripts/bench_load.sh can gate loopback
-// sync latency against a committed BENCH_latency baseline exactly like
-// the decode and API benchmarks. Quantiles are microseconds in the
-// report; ns_per_op is the benchgate unit.
-func writeLatencyBench(path string, rep *load.Report) error {
-	type entry struct {
-		Name        string  `json:"name"`
-		Iterations  int64   `json:"iterations"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		BytesPerOp  float64 `json:"bytes_per_op"`
-		AllocsPerOp float64 `json:"allocs_per_op"`
-	}
-	lat := rep.LatencyUS
-	entries := []entry{
-		{Name: "SyncLatency/p50", Iterations: lat.Count, NsPerOp: lat.P50 * 1e3},
-		{Name: "SyncLatency/p95", Iterations: lat.Count, NsPerOp: lat.P95 * 1e3},
-		{Name: "SyncLatency/p99", Iterations: lat.Count, NsPerOp: lat.P99 * 1e3},
-	}
-	b, err := json.MarshalIndent(entries, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -46,8 +46,8 @@ func TestAdaptiveRoundsReconcileExactly(t *testing.T) {
 // Adaptive re-planning must never fall behind the static plan: no extra
 // rounds, and wire bytes within the per-round adaptive-header overhead
 // plus noise (the big adaptive savings — right-sizing round 1 from a
-// learned prior — are measured at the pbs layer and in bench_adaptive.sh;
-// this pins the re-planned rounds themselves).
+// learned prior — are pinned at the pbs layer by
+// TestAdaptiveNoWorseThanFixed; this pins the re-planned rounds themselves).
 func TestAdaptiveNoWorseThanStaticReplay(t *testing.T) {
 	for _, tc := range []struct {
 		d, planD int

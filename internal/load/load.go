@@ -1,7 +1,7 @@
 // Package load drives a pbs server with a fleet of concurrent warm
 // clients and measures what it sustains: syncs/s, bytes/s, and the
 // client-observed sync latency distribution. It is the capacity-
-// measurement layer behind cmd/pbs-loadgen and the CI load smoke.
+// measurement layer behind cmd/pbs-loadgen.
 //
 // Each worker holds a long-lived pbs.Set built once from the A side of a
 // synthetic workload (the server serves the B side of the same workload,
@@ -179,11 +179,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// ManySetName is workload.ManySetName, kept under its old name for this
-// package's tests; the catalog's naming lives beside workload.ManySet, where
-// the serving binary reaches it without importing the load generator.
-func ManySetName(idx int) string { return workload.ManySetName(idx) }
-
 // LatencySummary digests the client-observed sync latency distribution,
 // in microseconds.
 type LatencySummary struct {
@@ -195,8 +190,7 @@ type LatencySummary struct {
 	Mean  float64 `json:"mean"`
 }
 
-// Report is the machine-readable outcome of a run (the BENCH_load.json
-// payload).
+// Report is the machine-readable outcome of a run (pbs-loadgen -json).
 type Report struct {
 	Workers    int     `json:"workers"`
 	SetSize    int     `json:"set_size"`

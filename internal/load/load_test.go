@@ -3,6 +3,7 @@ package load
 import (
 	"context"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,19 +31,31 @@ func startServer(t *testing.T, cfg Config, srvOpt pbs.ServerOptions) (*pbs.Serve
 	if err := srv.RegisterSet(pbs.DefaultSetName, set); err != nil {
 		t.Fatal(err)
 	}
+	addr, _ := serve(t, srv)
+	return srv, addr
+}
+
+// serve runs srv on a loopback listener until the returned stop (or the
+// test's cleanup, whichever comes first) closes it.
+func serve(t *testing.T, srv *pbs.Server) (addr string, stop func()) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		srv.Close()
-		if err := <-serveErr; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
-	return srv, ln.Addr().String()
+	var once sync.Once
+	stop = func() {
+		once.Do(func() {
+			srv.Close()
+			if err := <-serveErr; err != nil {
+				t.Errorf("Serve: %v", err)
+			}
+		})
+	}
+	t.Cleanup(stop)
+	return ln.Addr().String(), stop
 }
 
 // waitStats polls until the server has accounted every completed session
@@ -63,84 +76,98 @@ func waitStats(t *testing.T, srv *pbs.Server, completed int64) pbs.ServerStats {
 // test: a deterministic run whose client-observed counts — sessions,
 // rounds, and wire bytes in both directions — must match the server's own
 // counters and histograms exactly. Run under -race this also exercises
-// many concurrent warm sessions against one live Set.
+// many concurrent warm sessions against one live Set; the 500-worker case
+// is the concurrent-session scale no bench/ workload drives.
 func TestRunReconcilesWithServerStats(t *testing.T) {
-	opt := &pbs.Options{Seed: 99}
-	cfg := Config{
-		Workers:        20,
-		SyncsPerWorker: 4,
-		SetSize:        1500,
-		DiffSize:       30,
-		Churn:          7,
-		Seed:           5,
-		Verify:         true,
-		Options:        opt,
-	}
-	srv, addr := startServer(t, cfg, pbs.ServerOptions{Protocol: opt})
-	cfg.Addr = addr
+	for _, tc := range []struct {
+		name           string
+		workers, syncs int
+	}{
+		{"20workers", 20, 4},
+		{"500workers", 500, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.workers > 100 && testing.Short() {
+				t.Skip("fleet-scale run skipped in -short mode")
+			}
+			opt := &pbs.Options{Seed: 99}
+			cfg := Config{
+				Workers:        tc.workers,
+				SyncsPerWorker: tc.syncs,
+				SetSize:        1500,
+				DiffSize:       30,
+				Churn:          7,
+				Seed:           5,
+				Verify:         true,
+				Options:        opt,
+			}
+			srv, addr := startServer(t, cfg, pbs.ServerOptions{Protocol: opt, MaxSessions: 2 * cfg.Workers})
+			cfg.Addr = addr
 
-	rep, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("Run: %v (first error: %s)", err, rep.FirstError)
-	}
-	wantSyncs := int64(cfg.Workers * cfg.SyncsPerWorker)
-	if rep.Syncs != wantSyncs || rep.Errors != 0 {
-		t.Fatalf("syncs=%d errors=%d (first: %s), want %d/0", rep.Syncs, rep.Errors, rep.FirstError, wantSyncs)
-	}
-	if rep.LatencyUS.Count != wantSyncs {
-		t.Fatalf("latency count %d, want %d", rep.LatencyUS.Count, wantSyncs)
-	}
-	if rep.LatencyUS.P50 > rep.LatencyUS.P95 || rep.LatencyUS.P95 > rep.LatencyUS.P99 ||
-		rep.LatencyUS.P99 > float64(rep.LatencyUS.Max) {
-		t.Fatalf("latency quantiles not monotone: %+v", rep.LatencyUS)
-	}
+			rep, err := Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("Run: %v (first error: %s)", err, rep.FirstError)
+			}
+			wantSyncs := int64(cfg.Workers * cfg.SyncsPerWorker)
+			if rep.Syncs != wantSyncs || rep.Errors != 0 {
+				t.Fatalf("syncs=%d errors=%d (first: %s), want %d/0", rep.Syncs, rep.Errors, rep.FirstError, wantSyncs)
+			}
+			if rep.LatencyUS.Count != wantSyncs {
+				t.Fatalf("latency count %d, want %d", rep.LatencyUS.Count, wantSyncs)
+			}
+			if rep.LatencyUS.P50 > rep.LatencyUS.P95 || rep.LatencyUS.P95 > rep.LatencyUS.P99 ||
+				rep.LatencyUS.P99 > float64(rep.LatencyUS.Max) {
+				t.Fatalf("latency quantiles not monotone: %+v", rep.LatencyUS)
+			}
 
-	st := waitStats(t, srv, wantSyncs)
+			st := waitStats(t, srv, wantSyncs)
 
-	// Client-observed counts must reconcile exactly with the server's.
-	if st.Completed != wantSyncs {
-		t.Fatalf("server completed %d, want %d (failed=%d rejected=%d)",
-			st.Completed, wantSyncs, st.Failed, st.Rejected)
-	}
-	if st.Failed != 0 || st.Rejected != 0 {
-		t.Fatalf("server failed=%d rejected=%d, want clean", st.Failed, st.Rejected)
-	}
-	if st.Rounds != rep.Rounds {
-		t.Fatalf("server rounds %d != client rounds %d", st.Rounds, rep.Rounds)
-	}
-	if st.BytesIn != rep.BytesWritten {
-		t.Fatalf("server BytesIn %d != client bytes written %d", st.BytesIn, rep.BytesWritten)
-	}
-	if st.BytesOut != rep.BytesRead {
-		t.Fatalf("server BytesOut %d != client bytes read %d", st.BytesOut, rep.BytesRead)
-	}
+			// Client-observed counts must reconcile exactly with the server's.
+			if st.Completed != wantSyncs {
+				t.Fatalf("server completed %d, want %d (failed=%d rejected=%d)",
+					st.Completed, wantSyncs, st.Failed, st.Rejected)
+			}
+			if st.Failed != 0 || st.Rejected != 0 || st.Active != 0 {
+				t.Fatalf("server failed=%d rejected=%d active=%d, want clean", st.Failed, st.Rejected, st.Active)
+			}
+			if st.Rounds != rep.Rounds {
+				t.Fatalf("server rounds %d != client rounds %d", st.Rounds, rep.Rounds)
+			}
+			if st.BytesIn != rep.BytesWritten {
+				t.Fatalf("server BytesIn %d != client bytes written %d", st.BytesIn, rep.BytesWritten)
+			}
+			if st.BytesOut != rep.BytesRead {
+				t.Fatalf("server BytesOut %d != client bytes read %d", st.BytesOut, rep.BytesRead)
+			}
 
-	// Every completed session must be in the server histograms, and the
-	// byte histogram must account every wire byte of the run.
-	if st.LatencyUS.Count != wantSyncs || st.SessionRounds.Count != wantSyncs ||
-		st.SessionBytes.Count != wantSyncs {
-		t.Fatalf("histogram counts %d/%d/%d, want %d", st.LatencyUS.Count,
-			st.SessionRounds.Count, st.SessionBytes.Count, wantSyncs)
-	}
-	if st.SessionBytes.Sum != st.BytesIn+st.BytesOut {
-		t.Fatalf("SessionBytes.Sum %d != BytesIn+BytesOut %d",
-			st.SessionBytes.Sum, st.BytesIn+st.BytesOut)
-	}
-	if st.SessionRounds.Sum != st.Rounds {
-		t.Fatalf("SessionRounds.Sum %d != Rounds %d", st.SessionRounds.Sum, st.Rounds)
-	}
+			// Every completed session must be in the server histograms, and the
+			// byte histogram must account every wire byte of the run.
+			if st.LatencyUS.Count != wantSyncs || st.SessionRounds.Count != wantSyncs ||
+				st.SessionBytes.Count != wantSyncs {
+				t.Fatalf("histogram counts %d/%d/%d, want %d", st.LatencyUS.Count,
+					st.SessionRounds.Count, st.SessionBytes.Count, wantSyncs)
+			}
+			if st.SessionBytes.Sum != st.BytesIn+st.BytesOut {
+				t.Fatalf("SessionBytes.Sum %d != BytesIn+BytesOut %d",
+					st.SessionBytes.Sum, st.BytesIn+st.BytesOut)
+			}
+			if st.SessionRounds.Sum != st.Rounds {
+				t.Fatalf("SessionRounds.Sum %d != Rounds %d", st.SessionRounds.Sum, st.Rounds)
+			}
 
-	// Warm connections: 20 workers, 80 sessions, exactly 20 dials.
-	if st.Accepted != int64(cfg.Workers) {
-		t.Fatalf("server accepted %d connections, want %d (warm reuse)", st.Accepted, cfg.Workers)
-	}
+			// Warm connections: one dial per worker, however many syncs.
+			if st.Accepted != int64(cfg.Workers) {
+				t.Fatalf("server accepted %d connections, want %d (warm reuse)", st.Accepted, cfg.Workers)
+			}
 
-	// The verified differences oscillate between DiffSize and
-	// DiffSize+Churn under the parked-churn model.
-	min := int64(cfg.DiffSize * cfg.Workers * cfg.SyncsPerWorker)
-	max := int64((cfg.DiffSize + cfg.Churn) * cfg.Workers * cfg.SyncsPerWorker)
-	if rep.DiffElements < min || rep.DiffElements > max {
-		t.Fatalf("total diff elements %d outside [%d, %d]", rep.DiffElements, min, max)
+			// The verified differences oscillate between DiffSize and
+			// DiffSize+Churn under the parked-churn model.
+			min := int64(cfg.DiffSize * cfg.Workers * cfg.SyncsPerWorker)
+			max := int64((cfg.DiffSize + cfg.Churn) * cfg.Workers * cfg.SyncsPerWorker)
+			if rep.DiffElements < min || rep.DiffElements > max {
+				t.Fatalf("total diff elements %d outside [%d, %d]", rep.DiffElements, min, max)
+			}
+		})
 	}
 }
 
@@ -212,53 +239,71 @@ func TestRunOpenLoopRate(t *testing.T) {
 // TestRunMuxMode covers the shared-connection shape: MuxStreams workers
 // multiplex their syncs over each dialed socket, and the client-observed
 // wire bytes must still reconcile exactly with the server's counters —
-// the envelope overhead is on the wire, so both sides count it alike.
+// the envelope overhead is on the wire, so both sides count it alike. The
+// 500-worker case rides 16 sockets, the last one partly filled.
 func TestRunMuxMode(t *testing.T) {
-	opt := &pbs.Options{Seed: 21}
-	cfg := Config{
-		Workers:        16,
-		SyncsPerWorker: 4,
-		SetSize:        1000,
-		DiffSize:       20,
-		Churn:          5,
-		Seed:           9,
-		MuxStreams:     4,
-		Verify:         true,
-		Options:        opt,
-	}
-	srv, addr := startServer(t, cfg, pbs.ServerOptions{Protocol: opt})
-	cfg.Addr = addr
+	for _, tc := range []struct {
+		name                    string
+		workers, streams, syncs int
+	}{
+		{"16workers", 16, 4, 4},
+		{"500workers", 500, 32, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.workers > 100 && testing.Short() {
+				t.Skip("fleet-scale run skipped in -short mode")
+			}
+			opt := &pbs.Options{Seed: 21}
+			cfg := Config{
+				Workers:        tc.workers,
+				SyncsPerWorker: tc.syncs,
+				SetSize:        1000,
+				DiffSize:       20,
+				Churn:          5,
+				Seed:           9,
+				MuxStreams:     tc.streams,
+				Verify:         true,
+				Options:        opt,
+			}
+			srv, addr := startServer(t, cfg, pbs.ServerOptions{Protocol: opt, MaxSessions: 2 * cfg.Workers})
+			cfg.Addr = addr
 
-	rep, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("Run: %v (first error: %s)", err, rep.FirstError)
-	}
-	want := int64(cfg.Workers * cfg.SyncsPerWorker)
-	if rep.Syncs != want || rep.Errors != 0 {
-		t.Fatalf("syncs=%d errors=%d (first: %s), want %d/0", rep.Syncs, rep.Errors, rep.FirstError, want)
-	}
-	if rep.MuxStreams != cfg.MuxStreams || rep.MuxConns != cfg.Workers/cfg.MuxStreams {
-		t.Fatalf("report mux shape %d/%d, want %d streams over %d conns",
-			rep.MuxStreams, rep.MuxConns, cfg.MuxStreams, cfg.Workers/cfg.MuxStreams)
-	}
+			rep, err := Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("Run: %v (first error: %s)", err, rep.FirstError)
+			}
+			want := int64(cfg.Workers * cfg.SyncsPerWorker)
+			if rep.Syncs != want || rep.Errors != 0 {
+				t.Fatalf("syncs=%d errors=%d (first: %s), want %d/0", rep.Syncs, rep.Errors, rep.FirstError, want)
+			}
+			conns := (cfg.Workers + cfg.MuxStreams - 1) / cfg.MuxStreams
+			if rep.MuxStreams != cfg.MuxStreams || rep.MuxConns != conns {
+				t.Fatalf("report mux shape %d/%d, want %d streams over %d conns",
+					rep.MuxStreams, rep.MuxConns, cfg.MuxStreams, conns)
+			}
 
-	st := waitStats(t, srv, want)
-	if st.Completed != want || st.Failed != 0 || st.Rejected != 0 {
-		t.Fatalf("server completed=%d failed=%d rejected=%d, want %d/0/0",
-			st.Completed, st.Failed, st.Rejected, want)
-	}
-	if st.StreamsTotal != want {
-		t.Fatalf("server StreamsTotal %d, want %d (one stream per sync)", st.StreamsTotal, want)
-	}
-	if st.Accepted != int64(cfg.Workers/cfg.MuxStreams) {
-		t.Fatalf("server accepted %d connections, want %d (one socket per group)",
-			st.Accepted, cfg.Workers/cfg.MuxStreams)
-	}
-	if st.BytesIn != rep.BytesWritten {
-		t.Fatalf("server BytesIn %d != client bytes written %d", st.BytesIn, rep.BytesWritten)
-	}
-	if st.BytesOut != rep.BytesRead {
-		t.Fatalf("server BytesOut %d != client bytes read %d", st.BytesOut, rep.BytesRead)
+			st := waitStats(t, srv, want)
+			if st.Completed != want || st.Failed != 0 || st.Rejected != 0 || st.Active != 0 {
+				t.Fatalf("server completed=%d failed=%d rejected=%d active=%d, want %d/0/0/0",
+					st.Completed, st.Failed, st.Rejected, st.Active, want)
+			}
+			if st.StreamsTotal != want {
+				t.Fatalf("server StreamsTotal %d, want %d (one stream per sync)", st.StreamsTotal, want)
+			}
+			if st.Accepted != int64(conns) {
+				t.Fatalf("server accepted %d connections, want %d (one socket per group)", st.Accepted, conns)
+			}
+			if st.BytesIn != rep.BytesWritten {
+				t.Fatalf("server BytesIn %d != client bytes written %d", st.BytesIn, rep.BytesWritten)
+			}
+			if st.BytesOut != rep.BytesRead {
+				t.Fatalf("server BytesOut %d != client bytes read %d", st.BytesOut, rep.BytesRead)
+			}
+			if st.LatencyUS.Count != want || st.SessionRounds.Count != want || st.SessionBytes.Count != want {
+				t.Fatalf("histogram counts %d/%d/%d, want %d", st.LatencyUS.Count,
+					st.SessionRounds.Count, st.SessionBytes.Count, want)
+			}
+		})
 	}
 }
 
@@ -334,7 +379,9 @@ func TestRunRetriesIdleDroppedWarmConn(t *testing.T) {
 // server with a resident cap small enough to force evictions: 30 hosted
 // sets, a fleet syncing random (zipf-skewed) catalog entries with
 // verification on, and every sync must reconcile exactly DiffSize
-// elements even when the target set is cold.
+// elements even when the target set is cold. A restarted server on the
+// same DataDir must then recover the whole catalog and serve it, all cold,
+// just as exactly.
 func TestManySetsRun(t *testing.T) {
 	opt := &pbs.Options{Seed: 17}
 	cfg := Config{
@@ -348,46 +395,45 @@ func TestManySetsRun(t *testing.T) {
 		Verify:         true,
 		Options:        opt,
 	}
-	srv := pbs.NewServer(pbs.ServerOptions{
-		Protocol:         opt,
-		DataDir:          t.TempDir(),
-		MaxResidentBytes: 20_000, // ~5 of 30 sets resident
-	})
-	if _, err := srv.EnableHosting(); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	newServer := func() (*pbs.Server, int) {
+		srv := pbs.NewServer(pbs.ServerOptions{
+			Protocol:         opt,
+			DataDir:          dir,
+			MaxResidentBytes: 20_000, // ~5 of 30 sets resident
+		})
+		recovered, err := srv.EnableHosting()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv, recovered
 	}
+	runVerified := func(addr string) {
+		t.Helper()
+		cfg.Addr = addr
+		rep, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Errors != 0 {
+			t.Fatalf("%d sync errors, first: %s", rep.Errors, rep.FirstError)
+		}
+		if want := int64(cfg.Workers * cfg.SyncsPerWorker); rep.Syncs != want {
+			t.Fatalf("syncs = %d, want %d", rep.Syncs, want)
+		}
+		if want := rep.Syncs * int64(cfg.DiffSize); rep.DiffElements != want {
+			t.Fatalf("diff elements = %d, want %d", rep.DiffElements, want)
+		}
+	}
+
+	srv, _ := newServer()
 	for i := 0; i < cfg.Sets; i++ {
-		if err := srv.Host(ManySetName(i), workload.ManySet(cfg.Seed, i, cfg.SetSize)); err != nil {
+		if err := srv.Host(workload.ManySetName(i), workload.ManySet(cfg.Seed, i, cfg.SetSize)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		srv.Close()
-		if err := <-serveErr; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
-	cfg.Addr = ln.Addr().String()
-
-	rep, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("%d sync errors, first: %s", rep.Errors, rep.FirstError)
-	}
-	if want := int64(cfg.Workers * cfg.SyncsPerWorker); rep.Syncs != want {
-		t.Fatalf("syncs = %d, want %d", rep.Syncs, want)
-	}
-	if want := rep.Syncs * int64(cfg.DiffSize); rep.DiffElements != want {
-		t.Fatalf("diff elements = %d, want %d", rep.DiffElements, want)
-	}
+	addr, stop := serve(t, srv)
+	runVerified(addr)
 	st := srv.Stats()
 	if st.SetsHosted != int64(cfg.Sets) {
 		t.Fatalf("SetsHosted = %d, want %d", st.SetsHosted, cfg.Sets)
@@ -397,6 +443,19 @@ func TestManySetsRun(t *testing.T) {
 	}
 	if st.ResidentBytes > 20_000+int64(cfg.SetSize*8+256) {
 		t.Fatalf("resident bytes %d far above cap", st.ResidentBytes)
+	}
+	stop()
+
+	// Restart: the catalog comes back from the DataDir alone, every set
+	// cold, and syncs against it must still reconcile exactly.
+	srv, recovered := newServer()
+	if recovered != cfg.Sets {
+		t.Fatalf("restart recovered %d sets, want %d", recovered, cfg.Sets)
+	}
+	addr, _ = serve(t, srv)
+	runVerified(addr)
+	if st := srv.Stats(); st.ColdLoads == 0 {
+		t.Fatal("no cold loads after restart: the recovered catalog was never read from disk")
 	}
 }
 
