@@ -1,11 +1,10 @@
 package pbs
 
 import (
-	"context"
 	"math/rand"
-	"net"
 	"testing"
 
+	"pbs/internal/frame"
 	"pbs/internal/workload"
 )
 
@@ -133,31 +132,8 @@ func TestAdaptiveOffWireFlags(t *testing.T) {
 	for _, adaptive := range []bool{false, true} {
 		p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 3000, D: 300, Seed: 83})
 		opt := Options{Seed: 84}
-		setA, err := NewSet(p.A, WithOptions(opt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		setB, err := NewSet(p.B, WithOptions(opt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ca, cb := net.Pipe()
-		iSide := &teeRW{ReadWriter: ca}
-		rSide := &teeRW{ReadWriter: cb}
-		respErr := make(chan error, 1)
-		go func() {
-			defer cb.Close()
-			respErr <- setB.Respond(context.Background(), rSide, WithAdaptive(adaptive))
-		}()
-		res, err := setA.Sync(context.Background(), iSide,
+		res, sent, received := teeSync(t, mustSet(t, p.A, WithOptions(opt)), mustSet(t, p.B, WithOptions(opt)),
 			WithFastSync(true), WithAdaptive(adaptive))
-		ca.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := <-respErr; err != nil {
-			t.Fatal(err)
-		}
 		if !res.Complete {
 			t.Fatalf("adaptive=%v: incomplete after %d rounds", adaptive, res.Rounds)
 		}
@@ -166,65 +142,48 @@ func TestAdaptiveOffWireFlags(t *testing.T) {
 			t.Fatalf("adaptive off reported %d re-planned rounds", res.Replans)
 		}
 
-		iFrames := parseStream(t, iSide.bytes())
-		if len(iFrames) == 0 || iFrames[0].Type != msgHelloV1 {
+		iFrames := parseStream(t, sent)
+		if len(iFrames) == 0 || iFrames[0].Type != frame.MsgHelloV1 {
 			t.Fatalf("adaptive=%v: initiator opened with %v", adaptive, frameTypes(iFrames))
 		}
-		hello, err := parseFastHello(iFrames[0].Payload)
+		hello, err := frame.ParseHello(iFrames[0].Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hello.wantAdaptive != adaptive {
-			t.Fatalf("adaptive=%v: hello wantAdaptive=%v", adaptive, hello.wantAdaptive)
+		if hello.WantAdaptive != adaptive {
+			t.Fatalf("adaptive=%v: hello WantAdaptive=%v", adaptive, hello.WantAdaptive)
 		}
-		rFrames := parseStream(t, rSide.bytes())
-		if len(rFrames) == 0 || rFrames[0].Type != msgHelloReplyV1 {
+		rFrames := parseStream(t, received)
+		if len(rFrames) == 0 || rFrames[0].Type != frame.MsgHelloReplyV1 {
 			t.Fatalf("adaptive=%v: responder answered with %v", adaptive, frameTypes(rFrames))
 		}
-		reply, err := parseFastHelloReply(rFrames[0].Payload)
+		reply, err := frame.ParseHelloReply(rFrames[0].Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reply.adaptive != adaptive {
-			t.Fatalf("adaptive=%v: reply granted adaptive=%v", adaptive, reply.adaptive)
+		if reply.Adaptive != adaptive {
+			t.Fatalf("adaptive=%v: reply granted adaptive=%v", adaptive, reply.Adaptive)
 		}
 	}
 }
 
-// TestAdaptiveLegacyWrappersUnchanged verifies the pre-Set wrappers never
-// negotiate adaptive mode: a SyncInitiator exchange puts no adaptive offer
-// on the wire regardless of any Set-level default.
+// TestAdaptiveLegacyWrappersUnchanged pins that the legacy protocol-0
+// flow never negotiates adaptive mode: a classic Set.Sync, adaptive on by
+// default, puts no fast hello — the only frame that can carry the offer —
+// on the wire, and re-plans nothing.
 func TestAdaptiveLegacyWrappersUnchanged(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 2000, D: 50, Seed: 85})
-	opt := &Options{Seed: 86}
-	ca, cb := net.Pipe()
-	iSide := &teeRW{ReadWriter: ca}
-	respErr := make(chan error, 1)
-	go func() {
-		defer cb.Close()
-		respErr <- SyncResponder(p.B, cb, opt)
-	}()
-	res, err := SyncInitiator(p.A, iSide, opt)
-	ca.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-respErr; err != nil {
-		t.Fatal(err)
-	}
+	res, sent, _ := teeSync(t, mustSet(t, p.A, WithSeed(86)), mustSet(t, p.B, WithSeed(86)))
 	if !res.Complete {
 		t.Fatal("legacy sync incomplete")
 	}
 	assertSameSet(t, res.Difference, p.Diff)
-	for _, f := range parseStream(t, iSide.bytes()) {
-		if f.Type == msgHelloV1 {
-			hello, err := parseFastHello(f.Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if hello.wantAdaptive {
-				t.Fatal("legacy wrapper offered adaptive mode on the wire")
-			}
+	if res.Replans != 0 {
+		t.Fatalf("legacy sync re-planned %d rounds", res.Replans)
+	}
+	for _, f := range parseStream(t, sent) {
+		if f.Type == frame.MsgHelloV1 {
+			t.Fatal("legacy sync sent a fast hello")
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"net"
 	"testing"
 
+	"pbs/internal/core"
 	"pbs/internal/exper"
 	"pbs/internal/markov"
 	"pbs/internal/workload"
@@ -193,7 +194,7 @@ func BenchmarkAblationBitmapSize(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			plan, err := PlanFor(inst.DHat, &Options{Seed: 5})
+			plan, err := core.NewPlan(inst.DHat, core.Config{Seed: 5})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -204,11 +205,11 @@ func BenchmarkAblationBitmapSize(b *testing.B) {
 			var comm, rounds float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				init, err := NewInitiator(inst.Pair.A, plan)
+				init, err := core.NewAlice(inst.Pair.A, plan)
 				if err != nil {
 					b.Fatal(err)
 				}
-				resp, err := NewResponder(inst.Pair.B, plan)
+				resp, err := core.NewBob(inst.Pair.B, plan)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -266,18 +267,18 @@ func BenchmarkParallelism(b *testing.B) {
 			workers int
 		}{{"seq", 1}, {"par", 0}} {
 			b.Run(fmt.Sprintf("%s/d=%d", mode.name, d), func(b *testing.B) {
-				plan, err := PlanFor(d, &Options{Seed: 9, Parallelism: mode.workers})
+				plan, err := core.NewPlan(d, core.Config{Seed: 9, Parallelism: mode.workers})
 				if err != nil {
 					b.Fatal(err)
 				}
 				var rounds float64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					init, err := NewInitiator(p.A, plan)
+					init, err := core.NewAlice(p.A, plan)
 					if err != nil {
 						b.Fatal(err)
 					}
-					resp, err := NewResponder(p.B, plan)
+					resp, err := core.NewBob(p.B, plan)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -316,7 +317,7 @@ func BenchmarkEstimator(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Reconcile(inst.Pair.A, inst.Pair.B, &Options{Seed: uint64(i)})
+		res, err := reconcile(inst.Pair.A, inst.Pair.B, WithSeed(uint64(i)))
 		if err != nil || !res.Complete {
 			b.Fatal("reconcile failed")
 		}
@@ -353,8 +354,7 @@ func steadyChurn(tb testing.TB, a *Set, p *workload.Pair, batch int) func(i int)
 // BenchmarkAPI quantifies the Set API's amortization win: one full wire
 // sync per iteration over an in-memory pipe, either from long-lived warm
 // handles (validation, ToW sketch, snapshot, and partitions carried over
-// between syncs) or rebuilt from raw slices per call the way the legacy
-// SyncInitiator/SyncResponder wrappers do.
+// between syncs) or rebuilt from raw slices per sync.
 func BenchmarkAPI(b *testing.B) {
 	// Enough untimed syncs for every processor's share of the scratch pools
 	// to fill, so a short timed run (say -benchtime 3x) counts the steady
@@ -365,7 +365,7 @@ func BenchmarkAPI(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := &Options{Seed: 78}
+	opt := WithSeed(78)
 
 	syncOnce := func(b *testing.B, initiate func(conn net.Conn) (*Result, error), respond func(conn net.Conn) error) {
 		b.Helper()
@@ -389,14 +389,7 @@ func BenchmarkAPI(b *testing.B) {
 	}
 
 	b.Run("warm-set/d=100", func(b *testing.B) {
-		sa, err := NewSet(p.A, withBaseOptions(opt))
-		if err != nil {
-			b.Fatal(err)
-		}
-		sb, err := NewSet(p.B, withBaseOptions(opt))
-		if err != nil {
-			b.Fatal(err)
-		}
+		sa, sb := mustSet(b, p.A, opt), mustSet(b, p.B, opt)
 		ctx := context.Background()
 		// Untimed priming syncs: the handle's lazy one-time costs
 		// (estimator sketch, snapshot, partitions, pooled scratch) land
@@ -422,14 +415,7 @@ func BenchmarkAPI(b *testing.B) {
 	// given rather than estimated: a noisy d̂ moves the group count from one
 	// reconcile to the next, and a gate needs the same plan shape every time.
 	b.Run("warm-set-churn/d=100", func(b *testing.B) {
-		sa, err := NewSet(p.A, withBaseOptions(opt))
-		if err != nil {
-			b.Fatal(err)
-		}
-		sb, err := NewSet(p.B, withBaseOptions(opt))
-		if err != nil {
-			b.Fatal(err)
-		}
+		sa, sb := mustSet(b, p.A, opt), mustSet(b, p.B, opt)
 		// 50 effective writes per iteration that keep |A△B| fixed: 25
 		// common elements leave A and the 25 that left last time return.
 		const batch = 25
@@ -456,10 +442,12 @@ func BenchmarkAPI(b *testing.B) {
 	})
 
 	b.Run("cold-construct/d=100", func(b *testing.B) {
+		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
+			sa, sb := mustSet(b, p.A, opt), mustSet(b, p.B, opt)
 			syncOnce(b,
-				func(conn net.Conn) (*Result, error) { return SyncInitiator(p.A, conn, opt) },
-				func(conn net.Conn) error { return SyncResponder(p.B, conn, opt) })
+				func(conn net.Conn) (*Result, error) { return sa.Sync(ctx, conn) },
+				func(conn net.Conn) error { return sb.Respond(ctx, conn) })
 		}
 	})
 }

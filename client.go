@@ -124,6 +124,16 @@ func (c *Client) SyncContext(ctx context.Context, local []uint64) (*Result, erro
 	return res, err
 }
 
+// withBaseOptions applies a Client's *Options (nil selects the defaults)
+// as a Set's base configuration.
+func withBaseOptions(o *Options) Option {
+	return func(c *setConfig) {
+		if o != nil {
+			c.opt = *o
+		}
+	}
+}
+
 // remoteName is the set name sent on the wire: Set, namespaced under
 // Tenant when one is configured. A tenant with no set name addresses the
 // tenant's own "default" set — distinct from the server-wide default.

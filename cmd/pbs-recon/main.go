@@ -9,6 +9,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -51,7 +52,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	res, err := pbs.Reconcile(a, b, &pbs.Options{Seed: *seed, Parallelism: *workers})
+	res, err := reconcile(a, b, pbs.WithSeed(*seed), pbs.WithParallelism(*workers))
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
 	}
@@ -79,6 +80,19 @@ func main() {
 	for _, x := range res.Difference {
 		fmt.Printf("%d\n", x)
 	}
+}
+
+// reconcile learns a △ b in process, both endpoints in this address space.
+func reconcile(a, b []uint64, opts ...pbs.Option) (*pbs.Result, error) {
+	sa, err := pbs.NewSet(a, opts...)
+	if err != nil {
+		return nil, err
+	}
+	sb, err := pbs.NewSet(b, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return sa.Reconcile(context.Background(), sb)
 }
 
 func readIDs(path string) ([]uint64, error) {

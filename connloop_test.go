@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pbs/internal/frame"
 )
 
 // dialLoopTest dials the test server on a deadline, so a diagnostic that
@@ -36,7 +38,7 @@ func (p *loopPeer) send(frames ...Frame) {
 	p.t.Helper()
 	var err error
 	if p.id == 0 {
-		err = writeFrames(p.conn, frames)
+		_, err = frame.WriteAll(p.conn, frames)
 	} else {
 		_, err = p.conn.Write(muxEnvelopeFrames(nil, p.id, !p.opened, frames))
 	}
@@ -51,9 +53,9 @@ func (p *loopPeer) recv() (byte, []byte) {
 	if p.id != 0 {
 		return readMuxFrame(p.t, p.conn, p.id)
 	}
-	typ, payload, err := readFrame(p.conn)
+	typ, payload, err := frame.ReadInto(p.conn, frame.MaxFrame, nil)
 	if err != nil {
-		p.t.Fatalf("readFrame: %v", err)
+		p.t.Fatalf("read: %v", err)
 	}
 	return typ, payload
 }
@@ -62,7 +64,7 @@ func (p *loopPeer) recv() (byte, []byte) {
 func (p *loopPeer) recvError() *PeerError {
 	p.t.Helper()
 	typ, body := p.recv()
-	if typ != msgError {
+	if typ != frame.MsgError {
 		p.t.Fatalf("got frame type %d, want msgError", typ)
 	}
 	return parsePeerErrPayload(body)
@@ -75,7 +77,7 @@ func (p *loopPeer) hangUp() {
 		p.conn.Close()
 		return
 	}
-	p.send(Frame{Type: msgStreamClose})
+	p.send(Frame{Type: frame.MsgStreamClose})
 }
 
 // loopSibling is a healthy fast sync split in two, so an abuse script can
@@ -94,7 +96,7 @@ func startLoopSibling(p *loopPeer, local []uint64, opt *Options, set string) *lo
 	if err != nil {
 		p.t.Fatal(err)
 	}
-	is, opening, err := ss.newFastInitiatorSession(ss.opt, nil, set, 32)
+	is, opening, err := ss.newInitiator(ss.opt, initiatorCall{fast: true, name: set, specD: 32, adaptive: true})
 	if err != nil {
 		p.t.Fatal(err)
 	}
@@ -155,21 +157,33 @@ type loopScript struct {
 	want      loopCounters // the abused session alone, sibling excluded
 }
 
+// classicInitiator starts a classic (estimate-first) initiator session on
+// local and returns it with its opening msgEstimate.
+func classicInitiator(t *testing.T, local []uint64, opt *Options) (*InitiatorSession, []Frame) {
+	t.Helper()
+	ss, err := NewSharedSet(local, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	is, opening, err := ss.newInitiator(ss.opt, initiatorCall{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return is, opening
+}
+
 // openLegacy runs the legacy estimate exchange and returns the frames the
 // initiator would send next: its first msgRound.
 func openLegacy(p *loopPeer, local []uint64, opt *Options) []Frame {
 	p.t.Helper()
-	is, opening, err := NewInitiatorSession(local, opt)
-	if err != nil {
-		p.t.Fatal(err)
-	}
+	is, opening := classicInitiator(p.t, local, opt)
 	p.send(opening...)
 	typ, body := p.recv()
 	out, _, err := is.Step(typ, body)
 	if err != nil {
 		p.t.Fatal(err)
 	}
-	if len(out) != 1 || out[0].Type != msgRound {
+	if len(out) != 1 || out[0].Type != frame.MsgRound {
 		p.t.Fatalf("expected one round frame, got %+v", frameTypes(out))
 	}
 	return out
@@ -187,10 +201,7 @@ var loopScripts = []loopScript{
 		// under either framing (mux pays 2 envelope bytes on each of the
 		// three frames) and is crossed by the round reply.
 		server: func(t *testing.T, base, local []uint64, opt *Options) ServerOptions {
-			is, estimate, err := NewInitiatorSession(local, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
+			is, estimate := classicInitiator(t, local, opt)
 			bss, err := NewSharedSet(base, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -209,7 +220,7 @@ var loopScripts = []loopScript{
 		run: func(p *loopPeer, local []uint64, opt *Options) *PeerError {
 			round := openLegacy(p, local, opt)
 			p.send(round...)
-			if typ, _ := p.recv(); typ != msgRoundReply {
+			if typ, _ := p.recv(); typ != frame.MsgRoundReply {
 				p.t.Fatalf("got frame type %d, want the round reply that crosses the budget", typ)
 			}
 			return p.recvError()
@@ -225,7 +236,7 @@ var loopScripts = []loopScript{
 		run: func(p *loopPeer, local []uint64, opt *Options) *PeerError {
 			round := openLegacy(p, local, opt)
 			p.send(round...)
-			if typ, _ := p.recv(); typ != msgRoundReply {
+			if typ, _ := p.recv(); typ != frame.MsgRoundReply {
 				p.t.Fatalf("got frame type %d, want msgRoundReply", typ)
 			}
 			p.send(round...)
@@ -237,8 +248,8 @@ var loopScripts = []loopScript{
 	{
 		name: "hello-after-open",
 		run: func(p *loopPeer, _ []uint64, _ *Options) *PeerError {
-			p.send(Frame{Type: msgHello, Payload: []byte(DefaultSetName)})
-			p.send(Frame{Type: msgHello, Payload: []byte(DefaultSetName)})
+			p.send(Frame{Type: frame.MsgHello, Payload: []byte(DefaultSetName)})
+			p.send(Frame{Type: frame.MsgHello, Payload: []byte(DefaultSetName)})
 			return p.recvError()
 		},
 		wantMsg: "hello after session start", wantCode: ErrCodeRejected,
@@ -247,7 +258,7 @@ var loopScripts = []loopScript{
 	{
 		name: "bare-done-probe",
 		run: func(p *loopPeer, _ []uint64, _ *Options) *PeerError {
-			p.send(Frame{Type: msgDone})
+			p.send(Frame{Type: frame.MsgDone})
 			return nil
 		},
 	},
@@ -263,7 +274,7 @@ var loopScripts = []loopScript{
 	{
 		name: "unknown-set",
 		run: func(p *loopPeer, _ []uint64, _ *Options) *PeerError {
-			p.send(Frame{Type: msgHello, Payload: []byte("nope")})
+			p.send(Frame{Type: frame.MsgHello, Payload: []byte("nope")})
 			return p.recvError()
 		},
 		wantMsg: `unknown set "nope"`, wantCode: ErrCodeRejected,
@@ -273,7 +284,7 @@ var loopScripts = []loopScript{
 		name:  "tenant-session-quota",
 		quota: true,
 		run: func(p *loopPeer, _ []uint64, _ *Options) *PeerError {
-			p.send(Frame{Type: msgHello, Payload: []byte(loopQuotaSet)})
+			p.send(Frame{Type: frame.MsgHello, Payload: []byte(loopQuotaSet)})
 			return p.recvError()
 		},
 		wantMsg: "quota", wantCode: ErrCodeQuota, wantRetry: true,
@@ -320,7 +331,7 @@ func runLoopScript(t *testing.T, sc loopScript, muxed bool) (*PeerError, loopCou
 	sibPeer := &loopPeer{t: t}
 	if muxed {
 		negLocal, _ := clientSetAndDiff(base, 0)
-		muxRawNegotiate(t, abuser.conn, negLocal, opt, featureMux)
+		muxRawNegotiate(t, abuser.conn, negLocal, opt, frame.FeatureMux)
 		waitForCompleted(t, srv, 1)
 		abuser.id, sibPeer.conn, sibPeer.id = 5, abuser.conn, 3
 	} else {
@@ -398,7 +409,7 @@ func TestConnLoopMuxHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	hello := func() (*InitiatorSession, []Frame) {
-		is, opening, err := ss.newFastInitiatorSessionFeatures(ss.opt, nil, "", 4, featureMux, true)
+		is, opening, err := ss.newInitiator(ss.opt, initiatorCall{fast: true, specD: 4, features: frame.FeatureMux, adaptive: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,7 +422,7 @@ func TestConnLoopMuxHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := bss.newServerSession(bss.opt)
-	rs.allowFeatures = featureMux | featureLZ
+	rs.allowFeatures = frame.FeatureMux | frame.FeatureLZ
 	reply, _, err := rs.Step(opening[0].Type, opening[0].Payload)
 	if err != nil {
 		t.Fatal(err)
@@ -431,10 +442,10 @@ func TestConnLoopMuxHandoff(t *testing.T) {
 			srv, addr := startTestServer(t, base, tc.srvOpt)
 			conn := dialLoopTest(t, addr)
 			is, opening := hello()
-			if err := writeFrames(conn, opening); err != nil {
+			if _, err := frame.WriteAll(conn, opening); err != nil {
 				t.Fatal(err)
 			}
-			typ, payload, err := readFrame(conn)
+			typ, payload, err := frame.ReadInto(conn, frame.MaxFrame, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -445,14 +456,14 @@ func TestConnLoopMuxHandoff(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(out) != 1 || out[0].Type != msgRound {
+			if len(out) != 1 || out[0].Type != frame.MsgRound {
 				t.Fatalf("undersized hello should be followed by a round, got %+v", frameTypes(out))
 			}
 			if _, err := conn.Write(muxEnvelopeFrames(nil, 1, false, out)); err != nil {
 				t.Fatal(err)
 			}
 			typ, body := readMuxFrame(t, conn, 1)
-			if typ != msgError {
+			if typ != frame.MsgError {
 				t.Fatalf("stream 1's first enveloped round answered with type %d, want msgError", typ)
 			}
 			if pe := parsePeerErrPayload(body); pe.Code != ErrCodeRejected || !strings.Contains(pe.Msg, tc.wantMsg) {
@@ -500,26 +511,23 @@ func TestConnLoopFailedWriteEndsConnection(t *testing.T) {
 	base := testBaseSet(500)
 	opt := &Options{Seed: 9705}
 	local, _ := clientSetAndDiff(base, 1)
-	_, estimate, err := NewInitiatorSession(local, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, estimate := classicInitiator(t, local, opt)
 	ss, err := NewSharedSet(local, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, hello, err := ss.newFastInitiatorSessionFeatures(ss.opt, nil, "", 32, featureMux, true)
+	_, hello, err := ss.newInitiator(ss.opt, initiatorCall{fast: true, specD: 32, features: frame.FeatureMux, adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var rawIn, muxIn []byte
 	for _, f := range estimate {
-		rawIn = appendFrame(rawIn, f.Type, f.Payload)
+		rawIn = frame.Append(rawIn, f.Type, f.Payload)
 	}
 	// Mux: the granted hello's reply is written, then stream 3 opens with
 	// an estimate whose reply is not — with stream 1 still mid-session.
-	muxIn = appendFrame(muxIn, hello[0].Type, hello[0].Payload)
+	muxIn = frame.Append(muxIn, hello[0].Type, hello[0].Payload)
 	muxIn = muxEnvelopeFrames(muxIn, 3, true, estimate)
 
 	for _, tc := range []struct {

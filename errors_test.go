@@ -10,8 +10,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
-	"unicode"
-	"unicode/utf8"
+
+	"pbs/internal/frame"
 )
 
 func TestErrCodeRoundTrip(t *testing.T) {
@@ -27,14 +27,14 @@ func TestErrCodeRoundTrip(t *testing.T) {
 		{"msg with [pbs:e=busy] inside", ErrCodeRejected, 5 * time.Millisecond},
 	}
 	for _, c := range cases {
-		wire := appendErrCode(c.msg, c.code, c.ra)
-		msg, code, ra := splitErrCode(wire)
+		wire := frame.AppendErrCode(c.msg, c.code, c.ra)
+		msg, code, ra := frame.SplitErrCode(wire)
 		if msg != c.msg || code != c.code || ra != c.ra {
 			t.Errorf("round trip %q/%q/%v -> %q -> %q/%q/%v", c.msg, c.code, c.ra, wire, msg, code, ra)
 		}
 	}
 	// No code: the message passes through untouched.
-	if got := appendErrCode("plain", "", time.Second); got != "plain" {
+	if got := frame.AppendErrCode("plain", "", time.Second); got != "plain" {
 		t.Errorf("empty code appended a suffix: %q", got)
 	}
 }
@@ -50,14 +50,14 @@ func TestSplitErrCodeRejectsMalformed(t *testing.T) {
 		"bad ra [pbs:e=busy,ra=-5s]",
 		"bad field [pbs:e=busy,xx=1s]",
 	} {
-		msg, code, ra := splitErrCode(s)
+		msg, code, ra := frame.SplitErrCode(s)
 		if msg != s || code != "" || ra != 0 {
 			t.Errorf("malformed %q parsed as %q/%q/%v", s, msg, code, ra)
 		}
 	}
 	// A huge retry-after is clamped, not trusted.
-	_, code, ra := splitErrCode("x [pbs:e=busy,ra=300h]")
-	if code != ErrCodeBusy || ra != maxRetryAfter {
+	_, code, ra := frame.SplitErrCode("x [pbs:e=busy,ra=300h]")
+	if code != ErrCodeBusy || ra != frame.MaxRetryAfter {
 		t.Errorf("oversized retry-after not clamped: %q %v", code, ra)
 	}
 }
@@ -146,56 +146,4 @@ func TestRetryPolicyDelay(t *testing.T) {
 			t.Fatalf("delay %v below the peer's retry-after floor", d)
 		}
 	}
-}
-
-// FuzzErrorPayload fuzzes the structured msgError payload parser with
-// hostile input: whatever arrives, the resulting PeerError must be
-// bounded, printable, and carry a valid-or-empty code and a clamped
-// retry-after; clean suffixes must round-trip exactly.
-func FuzzErrorPayload(f *testing.F) {
-	f.Add([]byte("server at session capacity [pbs:e=busy,ra=250ms]"))
-	f.Add([]byte("server over session watermark, retry later [pbs:e=busy]"))
-	f.Add([]byte("unknown set \"x\" [pbs:e=rejected]"))
-	f.Add([]byte("plain legacy diagnostic"))
-	f.Add([]byte("bad [pbs:e=busy,ra=-5s]"))
-	f.Add([]byte("bad [pbs:e=BUSY,ra=1s]"))
-	f.Add([]byte("clamp [pbs:e=busy,ra=10000h]"))
-	f.Add([]byte("nested [pbs:e=busy] tail [pbs:e=rejected,ra=1ms]"))
-	f.Add([]byte{0x00, 0x07, 0xff, 0xfe})
-	f.Add([]byte(""))
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		pe := parsePeerErrPayload(payload)
-		if pe == nil {
-			t.Fatal("nil PeerError")
-		}
-		if len(pe.Msg) > maxPeerErrLen+32 {
-			t.Fatalf("unbounded message: %d bytes", len(pe.Msg))
-		}
-		for i := 0; i < len(pe.Msg); {
-			r, size := utf8.DecodeRuneInString(pe.Msg[i:])
-			if r == utf8.RuneError && size == 1 {
-				t.Fatalf("invalid UTF-8 survived at %d: %q", i, pe.Msg)
-			}
-			if !unicode.IsPrint(r) && r != '?' {
-				t.Fatalf("non-printable %#x survived: %q", r, pe.Msg)
-			}
-			i += size
-		}
-		if pe.Code != "" && !validErrCode(pe.Code) {
-			t.Fatalf("invalid code %q parsed", pe.Code)
-		}
-		if pe.RetryAfter < 0 || pe.RetryAfter > maxRetryAfter {
-			t.Fatalf("retry-after %v outside [0, %v]", pe.RetryAfter, maxRetryAfter)
-		}
-		// A parsed code must re-encode into a suffix the parser accepts
-		// again with identical fields (sanitized message aside).
-		if pe.Code != "" {
-			wire := appendErrCode(pe.Msg, pe.Code, pe.RetryAfter)
-			msg, code, ra := splitErrCode(wire)
-			if msg != pe.Msg || code != pe.Code || ra != pe.RetryAfter {
-				t.Fatalf("re-encode mismatch: %q/%q/%v -> %q -> %q/%q/%v",
-					pe.Msg, pe.Code, pe.RetryAfter, wire, msg, code, ra)
-			}
-		}
-	})
 }

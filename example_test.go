@@ -79,13 +79,19 @@ func ExampleWithOnDelta() {
 	// streamed everything: true
 }
 
-// ExampleReconcile shows the one-call API: estimate the difference
+// ExampleSet_Reconcile shows the one-call path: estimate the difference
 // cardinality, pick parameters, and run the protocol in process.
-func ExampleReconcile() {
-	alice := []uint64{10, 20, 30, 40, 50}
-	bob := []uint64{10, 20, 30, 60}
+func ExampleSet_Reconcile() {
+	alice, err := pbs.NewSet([]uint64{10, 20, 30, 40, 50}, pbs.WithSeed(7))
+	if err != nil {
+		panic(err)
+	}
+	bob, err := pbs.NewSet([]uint64{10, 20, 30, 60}, pbs.WithSeed(7))
+	if err != nil {
+		panic(err)
+	}
 
-	res, err := pbs.Reconcile(alice, bob, &pbs.Options{Seed: 7})
+	res, err := alice.Reconcile(context.Background(), bob)
 	if err != nil {
 		panic(err)
 	}
@@ -108,31 +114,4 @@ func ExamplePlanFor() {
 		plan.N(), plan.T, plan.Groups)
 	// Output:
 	// bitmap bins n=127, BCH capacity t=11, groups g=200
-}
-
-// ExampleNewInitiator demonstrates the message-level endpoint API that a
-// networked deployment drives over its own transport.
-func ExampleNewInitiator() {
-	alice := []uint64{1, 2, 3, 4}
-	bob := []uint64{1, 2, 5}
-
-	plan, _ := pbs.PlanFor(4, &pbs.Options{Seed: 3})
-	init, _ := pbs.NewInitiator(alice, plan)
-	resp, _ := pbs.NewResponder(bob, plan)
-
-	for !init.Done() {
-		msg, _ := init.BuildRound() // send this to the peer
-		if msg == nil {
-			break
-		}
-		reply, _ := resp.HandleRound(msg) // peer answers
-		if err := init.AbsorbReply(reply); err != nil {
-			panic(err)
-		}
-	}
-	diff := init.Difference()
-	sort.Slice(diff, func(i, j int) bool { return diff[i] < diff[j] })
-	fmt.Println(diff)
-	// Output:
-	// [3 4 5]
 }

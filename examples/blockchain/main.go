@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -62,10 +63,7 @@ func main() {
 	var totalPayload, totalNaive int
 	for i, p := range peers {
 		q := peers[(i+1)%len(peers)]
-		res, err := pbs.Reconcile(p.slice(), q.slice(), &pbs.Options{
-			Seed:    uint64(i) + 7,
-			SigBits: sigBits,
-		})
+		res, err := reconcile(p, q, uint64(i)+7)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -97,9 +95,7 @@ func main() {
 	for pass := 0; pass < 2; pass++ {
 		for i, p := range peers {
 			q := peers[(i+1)%len(peers)]
-			res, err := pbs.Reconcile(p.slice(), q.slice(), &pbs.Options{
-				Seed: uint64(pass*10+i) + 100, SigBits: sigBits,
-			})
+			res, err := reconcile(p, q, uint64(pass*10+i)+100)
 			if err != nil || !res.Complete {
 				log.Fatal("follow-up sync failed")
 			}
@@ -114,6 +110,19 @@ func main() {
 		sizes[len(p.txs)] = true
 	}
 	fmt.Printf("converged: all %d peers hold identical mempools = %v\n", len(peers), len(sizes) == 1)
+}
+
+// reconcile learns p △ q under a fresh per-sync seed.
+func reconcile(p, q *mempool, seed uint64) (*pbs.Result, error) {
+	a, err := pbs.NewSet(p.slice(), pbs.WithSeed(seed), pbs.WithSigBits(sigBits))
+	if err != nil {
+		return nil, err
+	}
+	b, err := pbs.NewSet(q.slice(), pbs.WithSeed(seed), pbs.WithSigBits(sigBits))
+	if err != nil {
+		return nil, err
+	}
+	return a.Reconcile(context.Background(), b)
 }
 
 func newTx(rng *rand.Rand) uint64 {

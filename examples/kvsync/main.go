@@ -1,18 +1,17 @@
 // KV-store anti-entropy: the distributed-database motivation of §1.
 //
 // Two replicas of a key-value store drift apart (missed writes on either
-// side). Anti-entropy runs PBS over the 32-bit key-version signatures using
-// the explicit Session API across a real transport (net.Pipe), exactly as a
-// production system would across TCP — demonstrating that the endpoints
-// exchange only opaque byte messages.
+// side). Anti-entropy runs PBS over the 32-bit key-version signatures:
+// Set.Sync on the primary against Set.Respond on the backup, across a real
+// byte-stream transport (net.Pipe), exactly as a production system would
+// across TCP.
 //
 // Run with: go run ./examples/kvsync
 package main
 
 import (
-	"encoding/binary"
+	"context"
 	"fmt"
-	"io"
 	"log"
 	"math/rand"
 	"net"
@@ -71,61 +70,33 @@ func main() {
 		primary.data[rng.Uint32()&0x7FFFFF|0x400000] = 1
 	}
 
-	// Anti-entropy over a real byte-stream transport.
+	// Anti-entropy over a real byte-stream transport. WithKnownD provisions
+	// the fast sync's first round for the expected drift, so round one
+	// rides the opening hello instead of waiting on an estimate exchange.
+	primarySet, err := pbs.NewSet(primary.signatures(), pbs.WithSeed(31))
+	if err != nil {
+		log.Fatal(err)
+	}
+	backupSet, err := pbs.NewSet(backup.signatures(), pbs.WithSeed(31))
+	if err != nil {
+		log.Fatal(err)
+	}
 	connA, connB := net.Pipe()
-	plan, err := pbs.PlanFor(1200, &pbs.Options{Seed: 31}) // provisioned bound on drift
+	respErr := make(chan error, 1)
+	go func() { respErr <- backupSet.Respond(context.Background(), connB) }()
+	res, err := primarySet.Sync(context.Background(), connA,
+		pbs.WithFastSync(true), pbs.WithKnownD(1200))
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	go func() { // backup side: responder loop
-		resp, err := pbs.NewResponder(backup.signatures(), plan)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for {
-			msg, err := recvFrame(connB)
-			if err != nil {
-				return // initiator hung up: done
-			}
-			reply, err := resp.HandleRound(msg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := sendFrame(connB, reply); err != nil {
-				return
-			}
-		}
-	}()
-
-	init, err := pbs.NewInitiator(primary.signatures(), plan)
-	if err != nil {
+	if err := <-respErr; err != nil {
 		log.Fatal(err)
-	}
-	for !init.Done() {
-		msg, err := init.BuildRound()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if msg == nil {
-			break
-		}
-		if err := sendFrame(connA, msg); err != nil {
-			log.Fatal(err)
-		}
-		reply, err := recvFrame(connA)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := init.AbsorbReply(reply); err != nil {
-			log.Fatal(err)
-		}
 	}
 	connA.Close()
 
 	// Interpret the difference: which keys does the backup need?
 	stale, fresh := 0, 0
-	for _, s := range init.Difference() {
+	for _, s := range res.Difference {
 		key, ver := unpack(s)
 		cur, ok := primary.data[key]
 		switch {
@@ -137,7 +108,7 @@ func main() {
 		}
 	}
 	fmt.Printf("anti-entropy finished in %d rounds: pushed %d key versions (%d stale signatures retired)\n",
-		init.Rounds(), fresh, stale)
+		res.Rounds, fresh, stale)
 
 	// Verify convergence.
 	same := len(primary.data) == len(backup.data)
@@ -148,25 +119,4 @@ func main() {
 		}
 	}
 	fmt.Printf("replicas converged: %v (%d keys)\n", same, len(primary.data))
-}
-
-// sendFrame / recvFrame implement trivial length-prefixed framing.
-func sendFrame(w io.Writer, b []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(b)
-	return err
-}
-
-func recvFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	b := make([]byte, binary.BigEndian.Uint32(hdr[:]))
-	_, err := io.ReadFull(r, b)
-	return b, err
 }

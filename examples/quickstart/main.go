@@ -1,4 +1,4 @@
-// Quickstart: reconcile two in-memory sets with the one-call API.
+// Quickstart: reconcile two in-memory sets through Set handles.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -38,8 +38,17 @@ func main() {
 		bob = append(bob, fresh(rng, seen))
 	}
 
-	// One call: estimate d, pick near-optimal parameters, run the rounds.
-	res, err := pbs.Reconcile(alice, bob, &pbs.Options{Seed: 2024})
+	// Validate each set once, then one call: estimate d, pick near-optimal
+	// parameters, run the rounds.
+	setA, err := pbs.NewSet(alice, pbs.WithSeed(2024))
+	if err != nil {
+		log.Fatal(err)
+	}
+	setB, err := pbs.NewSet(bob, pbs.WithSeed(2024))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := setA.Reconcile(context.Background(), setB)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,20 +59,18 @@ func main() {
 	fmt.Printf("cost: %d payload bytes + %d estimator bytes (theoretical minimum %d bytes)\n",
 		res.PayloadBytes, res.EstimatorBytes, len(res.Difference)*4)
 
-	union := pbs.Union(alice, res)
-	fmt.Printf("after sync Alice holds %d items (was %d)\n", len(union), len(alice))
+	// Apply the difference: each side adds what only the other held.
+	for _, x := range res.Difference {
+		if setA.Contains(x) {
+			setB.Add(x)
+		} else {
+			setA.Add(x)
+		}
+	}
+	fmt.Printf("after sync Alice holds %d items (was %d)\n", setA.Len(), len(alice))
 
-	// Syncing repeatedly? Hold pbs.Set handles instead: validation happens
-	// once, the estimator sketch updates incrementally with Add/Remove, and
-	// each Reconcile reuses the cached snapshot.
-	setA, err := pbs.NewSet(union, pbs.WithSeed(2024))
-	if err != nil {
-		log.Fatal(err)
-	}
-	setB, err := pbs.NewSet(pbs.Union(bob, res), pbs.WithSeed(2024))
-	if err != nil {
-		log.Fatal(err)
-	}
+	// The handles stay warm: the estimator sketch updated incrementally
+	// with every Add, and the next Reconcile reuses the cached snapshot.
 	setA.Add(fresh(rng, seen)) // new local item since the last sync
 	res2, err := setA.Reconcile(context.Background(), setB)
 	if err != nil {

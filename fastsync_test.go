@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"testing"
 	"time"
 
+	"pbs/internal/frame"
 	"pbs/internal/workload"
 )
 
@@ -18,7 +18,7 @@ func parseStream(t *testing.T, b []byte) []Frame {
 	var frames []Frame
 	r := bytes.NewReader(b)
 	for r.Len() > 0 {
-		typ, payload, err := readFrame(r)
+		typ, payload, err := frame.ReadInto(r, frame.MaxFrame, nil)
 		if err != nil {
 			t.Fatalf("corrupt recorded stream: %v", err)
 		}
@@ -35,9 +35,10 @@ func frameTypes(frames []Frame) []byte {
 	return types
 }
 
-// driveFast runs a fast-path engine exchange to completion and returns the
-// initiator session plus both recorded frame streams.
-func driveFast(t *testing.T, is *InitiatorSession, opening []Frame, rs *ResponderSession) (iStream, rStream []byte) {
+// driveEngine steps an initiator and a responder session against each
+// other to completion, the closing frames delivered too, and returns both
+// recorded frame streams.
+func driveEngine(t *testing.T, is *InitiatorSession, opening []Frame, rs *ResponderSession) (iStream, rStream []byte) {
 	t.Helper()
 	toResponder := opening
 	done := false
@@ -85,53 +86,31 @@ func TestFastSyncSingleRoundTrip(t *testing.T) {
 		// shape Set.speculativeD produces from a prior — so round 1
 		// decodes everything and the exchange is one round trip.
 		opt := Options{Seed: 62, StrongVerify: strong, KnownD: 40}
-		setA, err := NewSet(p.A, WithOptions(opt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		setB, err := NewSet(p.B, WithOptions(opt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ca, cb := net.Pipe()
-		iSide := &teeRW{ReadWriter: ca}
-		rSide := &teeRW{ReadWriter: cb}
-		respErr := make(chan error, 1)
-		go func() {
-			defer cb.Close()
-			respErr <- setB.Respond(context.Background(), rSide)
-		}()
-		res, err := setA.Sync(context.Background(), iSide, WithFastSync(true))
-		ca.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := <-respErr; err != nil {
-			t.Fatal(err)
-		}
+		res, sent, received := teeSync(t, mustSet(t, p.A, WithOptions(opt)), mustSet(t, p.B, WithOptions(opt)),
+			WithFastSync(true))
 		if !res.Complete {
 			t.Fatalf("strong=%v: incomplete after %d rounds", strong, res.Rounds)
 		}
 		assertSameSet(t, res.Difference, p.Diff)
 
-		iFrames := parseStream(t, iSide.bytes())
-		rFrames := parseStream(t, rSide.bytes())
-		if it := frameTypes(iFrames); len(it) != 2 || it[0] != msgHelloV1 || it[1] != msgDone {
+		iFrames := parseStream(t, sent)
+		rFrames := parseStream(t, received)
+		if it := frameTypes(iFrames); len(it) != 2 || it[0] != frame.MsgHelloV1 || it[1] != frame.MsgDone {
 			t.Fatalf("strong=%v: initiator sent frame types %v, want [%d %d] (1 RTT)",
-				strong, it, msgHelloV1, msgDone)
+				strong, it, frame.MsgHelloV1, frame.MsgDone)
 		}
-		if rt := frameTypes(rFrames); len(rt) != 1 || rt[0] != msgHelloReplyV1 {
+		if rt := frameTypes(rFrames); len(rt) != 1 || rt[0] != frame.MsgHelloReplyV1 {
 			t.Fatalf("strong=%v: responder sent frame types %v, want [%d] (1 RTT)",
-				strong, rt, msgHelloReplyV1)
+				strong, rt, frame.MsgHelloReplyV1)
 		}
-		rep, err := parseFastHelloReply(rFrames[0].Payload)
+		rep, err := frame.ParseHelloReply(rFrames[0].Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rep.answered {
+		if !rep.Answered {
 			t.Fatalf("strong=%v: responder declined a correctly sized speculation", strong)
 		}
-		if strong && rep.digest == nil {
+		if strong && rep.Digest == nil {
 			t.Fatalf("requested verification digest missing from hello reply")
 		}
 		if res.Rounds != 1 {
@@ -143,7 +122,7 @@ func TestFastSyncSingleRoundTrip(t *testing.T) {
 // TestFastSyncWireEquivalence is the fast-path tee: Set.Sync with
 // WithFastSync against Set.Respond must put byte-identical streams on the
 // wire as the stepped engine sessions, with identical results — the same
-// contract TestSessionEngineWireEquivalence pins for the legacy flow.
+// contract TestSessionEngineWireEquivalence pins for the classic flow.
 func TestFastSyncWireEquivalence(t *testing.T) {
 	for _, strong := range []bool{false, true} {
 		p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 3000, D: 80, Seed: 63})
@@ -153,51 +132,29 @@ func TestFastSyncWireEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		is, opening, err := ssA.newFastInitiatorSession(ssA.opt, nil, "", 80)
+		is, opening, err := ssA.newInitiator(ssA.opt, initiatorCall{fast: true, specD: 80, adaptive: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := NewResponderSession(p.B, opt)
+		ssB, err := NewSharedSet(p.B, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		iStream, rStream := driveFast(t, is, opening, rs)
+		iStream, rStream := driveEngine(t, is, opening, ssB.NewSession())
 		engRes := is.Result()
 		if engRes == nil {
 			t.Fatal("engine produced no result")
 		}
 
-		setA, err := NewSet(p.A, WithOptions(*opt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		setB, err := NewSet(p.B, WithOptions(*opt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ca, cb := net.Pipe()
-		iSide := &teeRW{ReadWriter: ca}
-		rSide := &teeRW{ReadWriter: cb}
-		respErr := make(chan error, 1)
-		go func() {
-			defer cb.Close()
-			respErr <- setB.Respond(context.Background(), rSide)
-		}()
-		res, err := setA.Sync(context.Background(), iSide, WithFastSync(true))
-		ca.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := <-respErr; err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(iSide.bytes(), iStream) {
+		res, sent, received := teeSync(t, mustSet(t, p.A, WithOptions(*opt)), mustSet(t, p.B, WithOptions(*opt)),
+			WithFastSync(true))
+		if !bytes.Equal(sent, iStream) {
 			t.Fatalf("strong=%v: fast Set.Sync wire stream diverges from engine frames (%d vs %d bytes)",
-				strong, len(iSide.bytes()), len(iStream))
+				strong, len(sent), len(iStream))
 		}
-		if !bytes.Equal(rSide.bytes(), rStream) {
+		if !bytes.Equal(received, rStream) {
 			t.Fatalf("strong=%v: fast Set.Respond wire stream diverges from engine frames (%d vs %d bytes)",
-				strong, len(rSide.bytes()), len(rStream))
+				strong, len(received), len(rStream))
 		}
 		if len(res.Difference) != len(engRes.Difference) ||
 			res.Complete != engRes.Complete ||
@@ -227,29 +184,29 @@ func TestFastSyncUndersizedSpeculation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	is, opening, err := ssA.newFastInitiatorSession(ssA.opt, nil, "", specD)
+	is, opening, err := ssA.newInitiator(ssA.opt, initiatorCall{fast: true, specD: specD, adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := NewResponderSession(p.B, opt)
+	ssB, err := NewSharedSet(p.B, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rStream := driveFast(t, is, opening, rs)
+	_, rStream := driveEngine(t, is, opening, ssB.NewSession())
 
 	rFrames := parseStream(t, rStream)
-	if rFrames[0].Type != msgHelloReplyV1 {
-		t.Fatalf("first responder frame type %d, want %d", rFrames[0].Type, msgHelloReplyV1)
+	if rFrames[0].Type != frame.MsgHelloReplyV1 {
+		t.Fatalf("first responder frame type %d, want %d", rFrames[0].Type, frame.MsgHelloReplyV1)
 	}
-	rep, err := parseFastHelloReply(rFrames[0].Payload)
+	rep, err := frame.ParseHelloReply(rFrames[0].Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.answered {
-		t.Fatalf("speculation d_spec=%d declined at d̂=%d; want it inside the acceptance window", specD, rep.dhat)
+	if !rep.Answered {
+		t.Fatalf("speculation d_spec=%d declined at d̂=%d; want it inside the acceptance window", specD, rep.Dhat)
 	}
-	if !fastSpecAccepted(specD, rep.dhat) {
-		t.Fatalf("responder answered outside its own acceptance rule (d_spec=%d, d̂=%d)", specD, rep.dhat)
+	if !fastSpecAccepted(specD, rep.Dhat) {
+		t.Fatalf("responder answered outside its own acceptance rule (d_spec=%d, d̂=%d)", specD, rep.Dhat)
 	}
 	res := is.Result()
 	if res == nil || !res.Complete {
@@ -294,26 +251,26 @@ func TestFastSyncDeclinedSpeculation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	is, opening, err := ssA.newFastInitiatorSession(ssA.opt, nil, "", 1)
+	is, opening, err := ssA.newInitiator(ssA.opt, initiatorCall{fast: true, specD: 1, adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := NewResponderSession(p.B, opt)
+	ssB, err := NewSharedSet(p.B, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rStream := driveFast(t, is, opening, rs)
+	_, rStream := driveEngine(t, is, opening, ssB.NewSession())
 
 	rFrames := parseStream(t, rStream)
-	rep, err := parseFastHelloReply(rFrames[0].Payload)
+	rep, err := frame.ParseHelloReply(rFrames[0].Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.answered {
-		t.Fatalf("responder answered a d_spec=1 speculation at d̂=%d", rep.dhat)
+	if rep.Answered {
+		t.Fatalf("responder answered a d_spec=1 speculation at d̂=%d", rep.Dhat)
 	}
-	if fastSpecAccepted(1, rep.dhat) {
-		t.Fatalf("acceptance rule admits d̂=%d against d_spec=1", rep.dhat)
+	if fastSpecAccepted(1, rep.Dhat) {
+		t.Fatalf("acceptance rule admits d̂=%d against d_spec=1", rep.Dhat)
 	}
 	res := is.Result()
 	if res == nil || !res.Complete {
@@ -322,63 +279,29 @@ func TestFastSyncDeclinedSpeculation(t *testing.T) {
 	assertSameSet(t, res.Difference, p.Diff)
 }
 
-// TestClientLegacyFallback stands up a legacy-only responder — it answers
-// anything but the protocol-0 flow with msgError, exactly like a
-// pre-fast-path build — and checks both negotiation outcomes: the default
+// TestClientLegacyFallback stands up a legacy-only responder (serveV0: it
+// answers anything but the protocol-0 flow with msgError, exactly like a
+// pre-fast-path build) and checks both negotiation outcomes: the default
 // client transparently redials and completes over the legacy flow, and an
 // explicit LegacySync client never trips over the fast hello at all.
 func TestClientLegacyFallback(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 1000, D: 15, Seed: 69})
-	opt := &Options{Seed: 70}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	fastHellos := make(chan struct{}, 16)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
+	opt := Options{Seed: 70}
+	tl := startWireResponder(t, "v0", p.B, opt)
+	// opened lists the first frame type the responder read on each
+	// connection it has accepted.
+	opened := func() []byte {
+		var types []byte
+		for _, c := range tl.taps() {
+			if in, _ := c.bytes(); len(in) >= frame.HeaderLen {
+				_, typ := frame.ParseHeader(in)
+				types = append(types, typ)
 			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				rs, err := NewResponderSession(p.B, opt)
-				if err != nil {
-					return
-				}
-				for {
-					typ, payload, err := readFrame(conn)
-					if err != nil {
-						return
-					}
-					if typ > msgError {
-						// A legacy engine has no case for post-v0 frame
-						// types; it fails the session and reports the
-						// unexpected type to the peer.
-						fastHellos <- struct{}{}
-						writeFrame(conn, msgError, fmt.Appendf(nil, "pbs: unexpected message type %d", typ))
-						return
-					}
-					out, done, err := rs.Step(typ, payload)
-					if err != nil {
-						writeFrame(conn, msgError, []byte(err.Error()))
-						return
-					}
-					if err := writeFrames(conn, out); err != nil {
-						return
-					}
-					if done {
-						return
-					}
-				}
-			}(conn)
 		}
-	}()
+		return types
+	}
 
-	c := &Client{Addr: ln.Addr().String(), Options: opt, Timeout: time.Minute}
+	c := &Client{Addr: tl.Addr().String(), Options: &opt, Timeout: time.Minute}
 	res, err := c.Sync(p.A)
 	if err != nil {
 		t.Fatalf("fast client against legacy responder: %v", err)
@@ -387,22 +310,18 @@ func TestClientLegacyFallback(t *testing.T) {
 		t.Fatalf("incomplete after fallback: %+v", res)
 	}
 	assertSameSet(t, res.Difference, p.Diff)
-	select {
-	case <-fastHellos:
-	default:
-		t.Fatal("legacy responder never saw the fast hello; fallback path untested")
+	if got := opened(); !bytes.Equal(got, []byte{frame.MsgHelloV1, frame.MsgEstimate}) {
+		t.Fatalf("connections opened with frame types %v, want the fast hello, then the estimate on a redial", got)
 	}
 
-	lc := &Client{Addr: ln.Addr().String(), Options: opt, Timeout: time.Minute, LegacySync: true}
+	lc := &Client{Addr: tl.Addr().String(), Options: &opt, Timeout: time.Minute, LegacySync: true}
 	res, err = lc.Sync(p.A)
 	if err != nil {
 		t.Fatalf("legacy client: %v", err)
 	}
 	assertSameSet(t, res.Difference, p.Diff)
-	select {
-	case <-fastHellos:
-		t.Fatal("LegacySync client sent a fast hello")
-	default:
+	if got := opened(); len(got) != 3 || got[2] != frame.MsgEstimate {
+		t.Fatalf("connections opened with frame types %v, want the LegacySync client's to open with the estimate", got)
 	}
 }
 
@@ -479,12 +398,12 @@ func TestFastSyncServerNamedSet(t *testing.T) {
 func TestFastHelloVersionNegotiation(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 500, D: 5, Seed: 73})
 	opt := &Options{Seed: 74}
-	rs, err := NewResponderSession(p.B, opt)
+	ssB, err := NewSharedSet(p.B, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello := appendFastHello(nil, fastHello{version: 99})
-	if _, _, err := rs.Step(msgHelloV1, hello); err == nil {
+	hello := frame.AppendHello(nil, frame.Hello{Version: 99})
+	if _, _, err := ssB.NewSession().Step(frame.MsgHelloV1, hello); err == nil {
 		t.Fatal("responder accepted an unknown hello version")
 	}
 
@@ -492,11 +411,11 @@ func TestFastHelloVersionNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	is, _, err := ssA.newFastInitiatorSession(ssA.opt, nil, "", 5)
+	is, _, err := ssA.newInitiator(ssA.opt, initiatorCall{fast: true, specD: 5, adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = is.Step(msgError, []byte("pbs: unexpected message type 10"))
+	_, _, err = is.Step(frame.MsgError, []byte("pbs: unexpected message type 10"))
 	if !errors.Is(err, ErrFastSyncRejected) {
 		t.Fatalf("msgError answer = %v, want ErrFastSyncRejected wrapper", err)
 	}
@@ -506,14 +425,14 @@ func TestFastHelloVersionNegotiation(t *testing.T) {
 // buffer grown past maxPooledBuf by one huge frame must not be eligible
 // for the pool, while every normally sized buffer still recycles.
 func TestPayloadPoolCap(t *testing.T) {
-	if !poolableBuf(maxPooledBuf) {
-		t.Fatalf("buffer at the %d-byte cap should pool", maxPooledBuf)
+	if !frame.Poolable(frame.MaxPooledBuf) {
+		t.Fatalf("buffer at the %d-byte cap should pool", frame.MaxPooledBuf)
 	}
-	if poolableBuf(maxPooledBuf + 1) {
+	if frame.Poolable(frame.MaxPooledBuf + 1) {
 		t.Fatal("buffer past the cap must not pool")
 	}
-	big := make([]byte, 0, maxPooledBuf+1)
-	putPayloadBuf(&big) // must drop it, not pin it
+	big := make([]byte, 0, frame.MaxPooledBuf+1)
+	frame.PutBuf(&big) // must drop it, not pin it
 }
 
 // TestNotifyPeerErrorStalledPeer checks that the best-effort msgError

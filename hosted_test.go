@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pbs/internal/frame"
 )
 
 // hostedBase returns a deterministic element set for hosted set k.
@@ -111,31 +113,27 @@ func TestHostedColdEstimateWithoutLoad(t *testing.T) {
 	// Raw legacy probe: hello, estimate, read the reply, done. The set
 	// must answer without loading.
 	local, _ := hostedClientSet(base, 1)
-	init, opening, err := NewInitiatorSession(local, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = init
+	_, opening := classicInitiator(t, local, opt)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	if err := writeFrame(conn, msgHello, []byte("t1/cold")); err != nil {
+	if _, err := frame.WriteAll(conn, oneFrame(frame.MsgHello, []byte("t1/cold"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrames(conn, opening); err != nil {
+	if _, err := frame.WriteAll(conn, opening); err != nil {
 		t.Fatal(err)
 	}
-	typ, _, err := readFrame(conn)
+	typ, _, err := frame.ReadInto(conn, frame.MaxFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != msgEstimateReply {
+	if typ != frame.MsgEstimateReply {
 		t.Fatalf("probe got frame type %d, want msgEstimateReply", typ)
 	}
-	if err := writeFrame(conn, msgDone, nil); err != nil {
+	if _, err := frame.WriteAll(conn, oneFrame(frame.MsgDone, nil)); err != nil {
 		t.Fatal(err)
 	}
 	conn.Close()
@@ -301,7 +299,7 @@ func TestRegisterAfterServerClose(t *testing.T) {
 	if err := srv.RegisterShared("after", ss); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("RegisterShared after close: %v, want ErrServerClosed", err)
 	}
-	set, err := NewSet(testBaseSet(8), withBaseOptions(opt))
+	set, err := NewSet(testBaseSet(8), WithOptions(*opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,19 +367,16 @@ func TestTenantQuotas(t *testing.T) {
 	}
 	defer hold.Close()
 	hold.SetDeadline(time.Now().Add(30 * time.Second))
-	_, opening, err := NewInitiatorSession(local, opt)
-	if err != nil {
+	_, opening := classicInitiator(t, local, opt)
+	if _, err := frame.WriteAll(hold, oneFrame(frame.MsgHello, []byte("busy/s"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(hold, msgHello, []byte("busy/s")); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrames(hold, opening); err != nil {
+	if _, err := frame.WriteAll(hold, opening); err != nil {
 		t.Fatal(err)
 	}
 	// Reading the reply guarantees the server admitted the session (and
 	// charged the quota slot) before the second client arrives.
-	if typ, _, err := readFrame(hold); err != nil || typ != msgEstimateReply {
+	if typ, _, err := frame.ReadInto(hold, frame.MaxFrame, nil); err != nil || typ != frame.MsgEstimateReply {
 		t.Fatalf("hold session: typ=%d err=%v", typ, err)
 	}
 
@@ -395,7 +390,7 @@ func TestTenantQuotas(t *testing.T) {
 	}
 
 	// Releasing the held session frees the slot.
-	writeFrame(hold, msgDone, nil)
+	frame.WriteAll(hold, oneFrame(frame.MsgDone, nil))
 	hold.Close()
 	waitFor(t, func() bool {
 		_, _, sessions := srv.TenantUsage("busy")

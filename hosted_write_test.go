@@ -207,11 +207,8 @@ func TestHostedUpdateMatchesFreshHost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		is, opening, err := NewInitiatorSession(local, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sent, received = driveFast(t, is, opening, view.newServerSession(hs.sessionOptions()))
+		is, opening := classicInitiator(t, local, opt)
+		sent, received = driveEngine(t, is, opening, view.newServerSession(hs.sessionOptions()))
 		if res := is.Result(); !res.Complete || !slices.Equal(sortedU64(res.Difference), sortedU64(want)) {
 			t.Fatalf("session learned %d elements (complete=%v), want %d", len(res.Difference), res.Complete, len(want))
 		}

@@ -94,6 +94,7 @@ func FuzzMuxFrame(f *testing.F) {
 	f.Add(seal(99, FlagOpen|FlagCompressed, bytes.Repeat([]byte{3}, 32), false)) // flag lies
 	f.Add(seal(5, 1<<7, nil, false))                                             // unknown flag
 	f.Add([]byte{0xFF})                                                          // truncated stream-ID varint
+	f.Add(seal(5, FlagClose, nil, false))                                        // a bare stream close
 	f.Fuzz(func(t *testing.T, data []byte) {
 		id, flags, body, _, err := Open(data, true)
 		if err != nil {
@@ -157,7 +158,7 @@ func FuzzSketchCodec(f *testing.F) {
 // hostile input: whatever arrives, the message is a prefix of the input,
 // the code is valid or empty, the retry-after is clamped, and a parsed
 // suffix re-encodes into one the parser reads back identically. (The root
-// package's fuzzer of the same name covers the sanitising above this.)
+// package's TestSanitizeErrMsg covers the sanitising above this.)
 func FuzzErrorPayload(f *testing.F) {
 	f.Add("server at session capacity [pbs:e=busy,ra=250ms]")
 	f.Add("server over session watermark, retry later [pbs:e=busy]")
@@ -167,6 +168,8 @@ func FuzzErrorPayload(f *testing.F) {
 	f.Add("clamp [pbs:e=busy,ra=10000h]")
 	f.Add("nested [pbs:e=busy] tail [pbs:e=rejected,ra=1ms]")
 	f.Add("\x00\x07\xff\xfe")
+	f.Add("unknown set \"x\" [pbs:e=rejected]")
+	f.Add("")
 	f.Fuzz(func(t *testing.T, s string) {
 		msg, code, ra := SplitErrCode(s)
 		if code == "" {

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pbs/internal/frame"
 )
 
 // dialMux dials the test server and wraps the connection for multiplexing.
@@ -121,14 +123,14 @@ func TestMuxStreamBudgetIsolation(t *testing.T) {
 	go func() { cErr <- muxSyncClient(mc, base, opt, 1) }()
 
 	// Stream B opens with a single frame twice the per-stream byte budget.
-	if _, err := stB.Write(appendFrame(nil, msgRound, make([]byte, 128<<10))); err != nil {
+	if _, err := stB.Write(frame.Append(nil, frame.MsgRound, make([]byte, 128<<10))); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := readFrame(stB)
+	typ, payload, err := frame.ReadInto(stB, frame.MaxFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != msgError {
+	if typ != frame.MsgError {
 		t.Fatalf("budget violation answered with type %d, want msgError", typ)
 	}
 	pe := parsePeerErrPayload(payload)
@@ -170,12 +172,12 @@ func muxEnvelopeFrames(dst []byte, id uint64, open bool, frames []Frame) []byte 
 	for i, f := range frames {
 		var flags uint64
 		if open && i == 0 {
-			flags |= muxFlagOpen
+			flags |= frame.FlagOpen
 		}
-		if f.Type == msgDone || f.Type == msgStreamClose {
-			flags |= muxFlagClose
+		if f.Type == frame.MsgDone || f.Type == frame.MsgStreamClose {
+			flags |= frame.FlagClose
 		}
-		dst = muxAppendFrame(dst, id, flags, f.Type, f.Payload)
+		dst, _ = frame.Seal(dst, id, flags, f.Type, f.Payload, false)
 	}
 	return dst
 }
@@ -184,16 +186,13 @@ func muxEnvelopeFrames(dst []byte, id uint64, open bool, frames []Frame) []byte 
 // it belongs to stream id.
 func readMuxFrame(t *testing.T, conn net.Conn, id uint64) (byte, []byte) {
 	t.Helper()
-	typ, payload, err := readFrame(conn)
+	typ, payload, err := frame.ReadInto(conn, frame.MaxFrame, nil)
 	if err != nil {
-		t.Fatalf("readFrame: %v", err)
+		t.Fatalf("read: %v", err)
 	}
-	gotID, flags, body, err := parseMuxPayload(payload)
+	gotID, _, body, _, err := frame.Open(payload, false)
 	if err != nil {
-		t.Fatalf("parseMuxPayload: %v", err)
-	}
-	if flags&muxFlagCompressed != 0 {
-		t.Fatalf("compressed frame on a connection that never offered compression")
+		t.Fatalf("frame.Open: %v", err)
 	}
 	if gotID != id {
 		t.Fatalf("frame for stream %d, want %d", gotID, id)
@@ -211,28 +210,28 @@ func muxRawNegotiate(t *testing.T, conn net.Conn, local []uint64, opt *Options, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	is, opening, err := ss.newFastInitiatorSessionFeatures(ss.opt, nil, "", 32, features, true)
+	is, opening, err := ss.newInitiator(ss.opt, initiatorCall{fast: true, specD: 32, features: features, adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range opening {
-		if err := writeFrame(conn, f.Type, f.Payload); err != nil {
+		if _, err := frame.WriteAll(conn, oneFrame(f.Type, f.Payload)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	typ, payload, err := readFrame(conn)
+	typ, payload, err := frame.ReadInto(conn, frame.MaxFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != msgHelloReplyV1 {
+	if typ != frame.MsgHelloReplyV1 {
 		t.Fatalf("reply type %d, want msgHelloReplyV1", typ)
 	}
-	rep, err := parseFastHelloReply(payload)
+	rep, err := frame.ParseHelloReply(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.features&featureMux == 0 {
-		t.Fatalf("server declined mux: granted %#x", rep.features)
+	if rep.Features&frame.FeatureMux == 0 {
+		t.Fatalf("server declined mux: granted %#x", rep.Features)
 	}
 	out, done, err := is.Step(typ, payload)
 	if err != nil {
@@ -256,7 +255,7 @@ func muxRawNegotiate(t *testing.T, conn net.Conn, local []uint64, opt *Options, 
 	if res := is.Result(); res == nil || !res.Complete {
 		t.Fatal("negotiating sync incomplete")
 	}
-	return rep.features
+	return rep.Features
 }
 
 // muxRawSync drives one complete fast sync enveloped on stream id of an
@@ -267,7 +266,7 @@ func muxRawSync(t *testing.T, conn net.Conn, id uint64, local []uint64, opt *Opt
 	if err != nil {
 		t.Fatal(err)
 	}
-	is, opening, err := ss.newFastInitiatorSession(ss.opt, nil, "", 32)
+	is, opening, err := ss.newInitiator(ss.opt, initiatorCall{fast: true, specD: 32, adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +308,7 @@ func TestMuxStreamIDReuse(t *testing.T) {
 	}
 	defer conn.Close()
 	local0, _ := clientSetAndDiff(base, 0)
-	muxRawNegotiate(t, conn, local0, opt, featureMux)
+	muxRawNegotiate(t, conn, local0, opt, frame.FeatureMux)
 	for i := 1; i <= 2; i++ {
 		local, want := clientSetAndDiff(base, i)
 		res := muxRawSync(t, conn, 5, local, opt)
@@ -336,14 +335,14 @@ func TestMuxUnknownStreamRejected(t *testing.T) {
 	}
 	defer conn.Close()
 	local0, _ := clientSetAndDiff(base, 0)
-	muxRawNegotiate(t, conn, local0, opt, featureMux)
+	muxRawNegotiate(t, conn, local0, opt, frame.FeatureMux)
 
 	// A round frame for stream 99, which was never opened.
-	if _, err := conn.Write(muxAppendFrame(nil, 99, 0, msgRound, []byte{1, 2, 3})); err != nil {
+	if _, err := conn.Write(muxEnvelopeFrames(nil, 99, false, []Frame{{Type: frame.MsgRound, Payload: []byte{1, 2, 3}}})); err != nil {
 		t.Fatal(err)
 	}
 	typ, body := readMuxFrame(t, conn, 99)
-	if typ != msgError {
+	if typ != frame.MsgError {
 		t.Fatalf("unknown stream answered with type %d, want msgError", typ)
 	}
 	pe := parsePeerErrPayload(body)

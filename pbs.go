@@ -12,17 +12,19 @@
 //
 // # Quick start
 //
-//	res, err := pbs.Reconcile(mine, theirs, nil)
+//	a, _ := pbs.NewSet(mine)
+//	b, _ := pbs.NewSet(theirs)
+//	res, err := a.Reconcile(ctx, b)
 //	if err != nil { ... }
 //	fmt.Println(res.Difference) // = mine △ theirs
 //
-// Reconcile runs the full pipeline: a Tug-of-War estimate of d = |A△B|,
-// parameter optimization via the paper's Markov-chain framework, and the
-// multi-round PBS protocol.
+// Set.Reconcile runs the full pipeline in process: a Tug-of-War estimate
+// of d = |A△B|, parameter optimization via the paper's Markov-chain
+// framework, and the multi-round PBS protocol.
 //
 // # The Set API
 //
-// The primary surface is the Set handle: a long-lived, mutable,
+// The one public entry point is the Set handle: a long-lived, mutable,
 // concurrency-safe set that keeps its estimator sketch, validated
 // snapshot, and group partitions warm across reconciliations, and exposes
 // every protocol role with context cancellation and functional options:
@@ -35,11 +37,10 @@
 //
 // Set.Sync initiates over any connection, Set.Respond answers a single
 // peer, Set.Serve runs a concurrent server on a listener, and
-// Set.Reconcile runs both endpoints in process. See examples/serversync
-// and cmd/pbs-serve for deployments, and the README migration guide for
-// the mapping from the pre-Set entry points (SyncInitiator/SyncResponder,
-// Client.Sync, NewInitiator/NewResponder), which remain supported as thin
-// wrappers with byte-identical wire behavior.
+// Set.Reconcile runs both endpoints in process. Server, Client and MuxConn
+// carry the same sessions at deployment scale; see examples/serversync and
+// cmd/pbs-serve, and the README for what replaced the entry points that
+// predate Set.
 package pbs
 
 import (
@@ -90,10 +91,11 @@ type Options struct {
 	// unlimited 2^62 (never do this on a server exposed to untrusted
 	// peers).
 	MaxD int
-	// StrongVerify adds a final multiset-hash verification exchange to
-	// SyncInitiator/SyncResponder sessions — the §2.2.3 hardening that
-	// pushes the false-verification probability to practically zero at the
-	// cost of 32 extra bytes and one extra message.
+	// StrongVerify adds the §2.2.3 whole-set multiset-hash check to wire
+	// sessions, pushing the false-verification probability to practically
+	// zero for the cost of the 32-byte digest. On the fast path the digest
+	// rides the hello reply, so the session keeps its single round trip;
+	// the classic flow spends one more msgVerify/msgVerifyReply exchange.
 	StrongVerify bool
 	// Parallelism is the worker count for per-group encoding and decoding.
 	// PBS group pairs are piecewise reconciliable — each decodes
@@ -164,6 +166,21 @@ func (o *Options) withDefaultsValidated() (Options, error) {
 		return Options{}, err
 	}
 	return opt, nil
+}
+
+// Plan is the concrete protocol parameterization both endpoints must agree
+// on (bitmap size, BCH capacity, group count, seed). Wire sessions derive
+// it from the exchanged estimate; PlanFor exposes the same derivation.
+type Plan = core.Plan
+
+// PlanFor derives a Plan for a conservative difference estimate d. Both
+// parties must call it with identical arguments.
+func PlanFor(d int, o *Options) (Plan, error) {
+	opt, err := o.withDefaultsValidated()
+	if err != nil {
+		return Plan{}, err
+	}
+	return core.NewPlan(d, opt.coreConfig())
 }
 
 func (o Options) coreConfig() core.Config {

@@ -1,6 +1,7 @@
 package pbs
 
 import (
+	"context"
 	"errors"
 	"net"
 	"sort"
@@ -25,9 +26,32 @@ func assertSameSet(t *testing.T, got, want []uint64) {
 	}
 }
 
+// mustSet builds a Set or fails the test.
+func mustSet(t testing.TB, elems []uint64, opts ...Option) *Set {
+	t.Helper()
+	s, err := NewSet(elems, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// reconcile learns a △ b in process through two fresh Set handles.
+func reconcile(a, b []uint64, opts ...Option) (*Result, error) {
+	sa, err := NewSet(a, opts...)
+	if err != nil {
+		return nil, err
+	}
+	sb, err := NewSet(b, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return sa.Reconcile(context.Background(), sb)
+}
+
 func TestReconcileFullPipeline(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 20000, D: 150, Seed: 1})
-	res, err := Reconcile(p.A, p.B, &Options{Seed: 2})
+	res, err := reconcile(p.A, p.B, WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +72,7 @@ func TestReconcileFullPipeline(t *testing.T) {
 
 func TestReconcileKnownD(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 5000, D: 40, Seed: 3})
-	res, err := Reconcile(p.A, p.B, &Options{Seed: 4, KnownD: 40})
+	res, err := reconcile(p.A, p.B, WithSeed(4), WithKnownD(40))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +87,7 @@ func TestReconcileKnownD(t *testing.T) {
 
 func TestReconcileNilOptions(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 3000, D: 10, Seed: 5})
-	res, err := Reconcile(p.A, p.B, nil)
+	res, err := reconcile(p.A, p.B)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,93 +97,12 @@ func TestReconcileNilOptions(t *testing.T) {
 	assertSameSet(t, res.Difference, p.Diff)
 }
 
-func TestUnion(t *testing.T) {
-	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 1000, D: 20, BOnlyFrac: 0.5, Seed: 6})
-	res, err := Reconcile(p.A, p.B, &Options{Seed: 7, KnownD: 25})
-	if err != nil || !res.Complete {
-		t.Fatal("reconcile failed")
-	}
-	u := Union(p.A, res)
-	want := map[uint64]struct{}{}
-	for _, x := range p.A {
-		want[x] = struct{}{}
-	}
-	for _, x := range p.B {
-		want[x] = struct{}{}
-	}
-	if len(u) != len(want) {
-		t.Fatalf("|union| = %d, want %d", len(u), len(want))
-	}
-	for _, x := range u {
-		if _, ok := want[x]; !ok {
-			t.Fatalf("union contains stray element %#x", x)
-		}
-	}
-}
-
-func TestSessionDrivenExchange(t *testing.T) {
-	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 4000, D: 30, Seed: 8})
-	plan, err := PlanFor(30, &Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	init, err := NewInitiator(p.A, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := NewResponder(p.B, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rounds := 0; !init.Done() && rounds < 10; rounds++ {
-		msg, err := init.BuildRound()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if msg == nil {
-			break
-		}
-		reply, err := resp.HandleRound(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := init.AbsorbReply(reply); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !init.Done() {
-		t.Fatalf("session not done after %d rounds", init.Rounds())
-	}
-	assertSameSet(t, init.Difference(), p.Diff)
-}
-
-func TestSessionRoleEnforcement(t *testing.T) {
-	plan, _ := PlanFor(5, nil)
-	init, _ := NewInitiator([]uint64{1}, plan)
-	resp, _ := NewResponder([]uint64{2}, plan)
-	if _, err := init.HandleRound(nil); err == nil {
-		t.Error("initiator must not HandleRound")
-	}
-	if _, err := resp.BuildRound(); err == nil {
-		t.Error("responder must not BuildRound")
-	}
-	if err := resp.AbsorbReply(nil); err == nil {
-		t.Error("responder must not AbsorbReply")
-	}
-	if resp.Done() {
-		t.Error("responder is never done on its own")
-	}
-	if resp.Difference() != nil || resp.Rounds() != 0 {
-		t.Error("responder has no difference or rounds")
-	}
-}
-
 func TestOptionsSigBitsBounds(t *testing.T) {
 	// The valid signature range is [8, 64]; both ends must work and both
 	// out-of-range neighbours must be rejected up front.
 	small := []uint64{1, 2, 3, 40, 50, 60, 200, 250}
 	for _, bad := range []uint{1, 7, 65} {
-		if _, err := Reconcile(small, small[:4], &Options{SigBits: bad, KnownD: 4}); err == nil {
+		if _, err := reconcile(small, small[:4], WithSigBits(bad), WithKnownD(4)); err == nil {
 			t.Errorf("SigBits=%d accepted; want error", bad)
 		}
 		if _, err := PlanFor(4, &Options{SigBits: bad}); err == nil {
@@ -167,20 +110,20 @@ func TestOptionsSigBitsBounds(t *testing.T) {
 		}
 	}
 	// SigBits=8: the whole universe is {1..255}.
-	res, err := Reconcile(small, small[:4], &Options{SigBits: 8, KnownD: 4})
+	res, err := reconcile(small, small[:4], WithSigBits(8), WithKnownD(4))
 	if err != nil || !res.Complete {
 		t.Fatalf("SigBits=8: err=%v complete=%v", err, res != nil && res.Complete)
 	}
 	assertSameSet(t, res.Difference, small[4:])
 	// SigBits=64: full-width signatures, elements near the top of the range.
 	wide := []uint64{1, ^uint64(0), ^uint64(0) - 7, 1 << 63, 12345}
-	res, err = Reconcile(wide, wide[:2], &Options{SigBits: 64, KnownD: 3})
+	res, err = reconcile(wide, wide[:2], WithSigBits(64), WithKnownD(3))
 	if err != nil || !res.Complete {
 		t.Fatalf("SigBits=64: err=%v", err)
 	}
 	assertSameSet(t, res.Difference, wide[2:])
 	// Elements wider than SigBits must be rejected.
-	if _, err := Reconcile([]uint64{1 << 40}, []uint64{1}, &Options{SigBits: 32, KnownD: 1}); err == nil {
+	if _, err := reconcile([]uint64{1 << 40}, []uint64{1}, WithSigBits(32), WithKnownD(1)); err == nil {
 		t.Error("element wider than SigBits accepted")
 	}
 }
@@ -191,7 +134,7 @@ func TestOptionsKnownDUnderestimate(t *testing.T) {
 	// unlimited round budget the protocol must still converge to the exact
 	// difference.
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 8000, D: 200, Seed: 31})
-	res, err := Reconcile(p.A, p.B, &Options{Seed: 32, KnownD: 20})
+	res, err := reconcile(p.A, p.B, WithSeed(32), WithKnownD(20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +151,7 @@ func TestOptionsMaxRoundsExhaustion(t *testing.T) {
 	// One round against a badly undersized plan cannot finish: the result
 	// must report Complete=false rather than an error or a wrong answer.
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 8000, D: 500, Seed: 33})
-	res, err := Reconcile(p.A, p.B, &Options{Seed: 34, KnownD: 10, MaxRounds: 1})
+	res, err := reconcile(p.A, p.B, WithSeed(34), WithKnownD(10), WithMaxRounds(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +196,7 @@ func TestOptionsStrongVerifyMismatch(t *testing.T) {
 				defer cb.Close()
 				hackedResponder(p.B, cb, tc.digest)
 			}()
-			_, err := SyncInitiator(p.A, ca, &Options{Seed: 11, StrongVerify: true})
+			_, err := mustSet(t, p.A, WithSeed(11), WithStrongVerify(true)).Sync(context.Background(), ca)
 			ca.Close()
 			if tc.wantVerify {
 				if !errors.Is(err, ErrVerificationFailed) {
@@ -272,7 +215,7 @@ func TestOptionsParallelismEquivalence(t *testing.T) {
 	// The public API must return the same difference for any Parallelism.
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 6000, D: 80, Seed: 37})
 	for _, par := range []int{0, 1, 2, 8} {
-		res, err := Reconcile(p.A, p.B, &Options{Seed: 38, KnownD: 80, Parallelism: par})
+		res, err := reconcile(p.A, p.B, WithSeed(38), WithKnownD(80), WithParallelism(par))
 		if err != nil {
 			t.Fatalf("Parallelism=%d: %v", par, err)
 		}
@@ -286,7 +229,7 @@ func TestOptionsParallelismEquivalence(t *testing.T) {
 func TestLargeSignatures(t *testing.T) {
 	// 48-bit signatures exercise the non-default universe width.
 	p := workload.MustGenerate(workload.Config{UniverseBits: 48, SizeA: 3000, D: 25, Seed: 10})
-	res, err := Reconcile(p.A, p.B, &Options{Seed: 11, SigBits: 48, KnownD: 25})
+	res, err := reconcile(p.A, p.B, WithSeed(11), WithSigBits(48), WithKnownD(25))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pbs/internal/chaos"
+	"pbs/internal/frame"
 	"pbs/internal/workload"
 )
 
@@ -130,19 +131,19 @@ func TestRetryResumesFastPath(t *testing.T) {
 	}
 	frames := parseStream(t, rec.writes())
 	it := frameTypes(frames)
-	if len(it) != 2 || it[0] != msgHelloV1 || it[1] != msgDone {
-		t.Fatalf("attempt 2 initiator sent frame types %v, want [%d %d] (1 RTT)", it, msgHelloV1, msgDone)
+	if len(it) != 2 || it[0] != frame.MsgHelloV1 || it[1] != frame.MsgDone {
+		t.Fatalf("attempt 2 initiator sent frame types %v, want [%d %d] (1 RTT)", it, frame.MsgHelloV1, frame.MsgDone)
 	}
 	// And its hello was sized by the learned prior, not the cold default.
-	h, err := parseFastHello(frames[0].Payload)
+	h, err := frame.ParseHello(frames[0].Payload)
 	if err != nil {
 		t.Fatalf("attempt 2 hello did not parse: %v", err)
 	}
 	d := prior - 1
-	if want := d + d/8 + 8; h.specD != want {
-		t.Fatalf("attempt 2 speculated d = %d, want %d from the learned prior %d", h.specD, want, prior)
+	if want := d + d/8 + 8; h.SpecD != want {
+		t.Fatalf("attempt 2 speculated d = %d, want %d from the learned prior %d", h.SpecD, want, prior)
 	}
-	if h.specD == DefaultSpeculativeD {
+	if h.SpecD == DefaultSpeculativeD {
 		t.Fatalf("attempt 2 fell back to the cold DefaultSpeculativeD")
 	}
 }
@@ -190,17 +191,17 @@ func TestVerifyFailureNotRetried(t *testing.T) {
 			go func() { // responder -> initiator, digest tampered
 				defer cb.Close()
 				for {
-					typ, payload, err := readFrame(honest)
+					typ, payload, err := frame.ReadInto(honest, frame.MaxFrame, nil)
 					if err != nil {
 						return
 					}
-					if typ == msgHelloReplyV1 {
-						if rep, perr := parseFastHelloReply(payload); perr == nil && rep.digest != nil {
-							rep.digest[0] ^= 0xFF
-							payload = appendFastHelloReply(nil, rep)
+					if typ == frame.MsgHelloReplyV1 {
+						if rep, perr := frame.ParseHelloReply(payload); perr == nil && rep.Digest != nil {
+							rep.Digest[0] ^= 0xFF
+							payload = frame.AppendHelloReply(nil, rep)
 						}
 					}
-					if err := writeFrame(cb, typ, payload); err != nil {
+					if _, err := frame.WriteAll(cb, oneFrame(typ, payload)); err != nil {
 						return
 					}
 				}
@@ -355,11 +356,11 @@ func TestPeerErrorSanitized(t *testing.T) {
 	defer ca.Close()
 	go func() {
 		defer cb.Close()
-		if _, _, err := readFrame(cb); err != nil { // swallow the estimate
+		if _, _, err := frame.ReadInto(cb, frame.MaxFrame, nil); err != nil { // swallow the estimate
 			return
 		}
 		hostile := append(bytes.Repeat([]byte{0x07}, 2048), "tail"...)
-		writeFrame(cb, msgError, hostile)
+		frame.WriteAll(cb, oneFrame(frame.MsgError, hostile))
 	}()
 
 	errCh := make(chan error, 1)

@@ -36,7 +36,7 @@ import (
 // Protocol: a client may open with a msgHello frame naming the registered
 // set to reconcile against; without one the session uses DefaultSetName.
 // Everything after that is the standard wire protocol (internal/frame), so
-// SyncInitiator (via Client) talks to a Server unchanged. A fast client
+// a Set.Sync or Client initiator talks to a Server unchanged. A fast client
 // instead opens with a single msgHelloV1 frame (name, sketches, and a
 // speculative first round in one), which the server admits and answers
 // identically — the common warm sync then completes in one round trip.

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pbs/internal/frame"
 )
 
 // startTestServer builds a Server around one shared base set, serves it on
@@ -203,11 +205,11 @@ func TestServerSessionCapacity(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	typ, payload, err := readFrame(conn)
+	typ, payload, err := frame.ReadInto(conn, frame.MaxFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != msgError || !strings.Contains(string(payload), "capacity") {
+	if typ != frame.MsgError || !strings.Contains(string(payload), "capacity") {
 		t.Fatalf("want capacity msgError, got type %d %q", typ, payload)
 	}
 }
@@ -237,20 +239,17 @@ func TestServerRoundBudget(t *testing.T) {
 	// Drive the protocol by hand so the one permitted round frame can be
 	// replayed: the second msgRound must trip the budget.
 	local, _ := clientSetAndDiff(testBaseSet(500), 1)
-	sess, opening, err := NewInitiatorSession(local, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess, opening := classicInitiator(t, local, opt)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := writeFrames(conn, opening); err != nil {
+	if _, err := frame.WriteAll(conn, opening); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := readFrame(conn)
+	typ, payload, err := frame.ReadInto(conn, frame.MaxFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,25 +257,25 @@ func TestServerRoundBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 1 || out[0].Type != msgRound {
+	if len(out) != 1 || out[0].Type != frame.MsgRound {
 		t.Fatalf("expected a round frame, got %+v", out)
 	}
 	// Round 1: allowed.
-	if err := writeFrames(conn, out); err != nil {
+	if _, err := frame.WriteAll(conn, out); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := readFrame(conn); err != nil {
+	if _, _, err := frame.ReadInto(conn, frame.MaxFrame, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Round 2 (a replay): over budget, must come back as msgError.
-	if err := writeFrames(conn, out); err != nil {
+	if _, err := frame.WriteAll(conn, out); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err = readFrame(conn)
+	typ, payload, err = frame.ReadInto(conn, frame.MaxFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != msgError || !strings.Contains(string(payload), "round budget") {
+	if typ != frame.MsgError || !strings.Contains(string(payload), "round budget") {
 		t.Fatalf("want round-budget msgError, got type %d %q", typ, payload)
 	}
 }

@@ -78,14 +78,12 @@ func (o Options) boundEstimate(dhatF float64) (uint64, error) {
 	return uint64(math.Round(dhatF)), nil
 }
 
-// InitiatorSession is the non-blocking initiator (Alice) state machine.
-// Construct it with NewInitiatorSession (or take it from a Set via
-// Set.Sync), send the returned opening frames, then feed every frame
-// received from the responder to Step and send whatever it returns, until
-// done. The session reconciles against an immutable SharedSet view, so the
-// validated snapshot, the ToW sketch, and the group partitions are all
-// reusable across sessions — initiators get the same amortization servers
-// do.
+// InitiatorSession is the non-blocking initiator (Alice) state machine
+// behind Set.Sync: send its opening frames, then feed every frame received
+// from the responder to Step and send whatever it returns, until done. The
+// session reconciles against an immutable SharedSet view, so the validated
+// snapshot, the ToW sketch, and the group partitions are all reusable
+// across sessions — initiators get the same amortization servers do.
 type InitiatorSession struct {
 	opt    Options
 	shared *SharedSet
@@ -560,7 +558,7 @@ func (ss *SharedSet) NewSession() *ResponderSession {
 // to the set size, because the plan's group count (and hence the
 // responder's per-session allocation) scales with d̂ rather than |S| — a
 // forged estimate just under DefaultMaxD would otherwise cost a small-set
-// server tens of megabytes per session. Standalone SyncResponder peers
+// server tens of megabytes per session. Standalone Set.Respond peers
 // keep the plain default so asymmetric peer-to-peer reconciliation (tiny
 // local set, huge remote difference) still works; servers that need that
 // shape must set MaxD explicitly. opt is the server's protocol

@@ -2,237 +2,86 @@ package pbs
 
 import (
 	"bytes"
-	"context"
-	"io"
-	"net"
-	"sync"
 	"testing"
 
+	"pbs/internal/frame"
 	"pbs/internal/workload"
 )
 
-// teeRW records everything one endpoint writes, so the wire stream of the
-// blocking wrappers can be compared against the session engine's frames.
-type teeRW struct {
-	io.ReadWriter
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (t *teeRW) Write(p []byte) (int, error) {
-	t.mu.Lock()
-	t.buf.Write(p)
-	t.mu.Unlock()
-	return t.ReadWriter.Write(p)
-}
-
-func (t *teeRW) bytes() []byte {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]byte(nil), t.buf.Bytes()...)
-}
-
 // frameBytes serializes frames the way the wire does.
 func frameBytes(frames []Frame) []byte {
-	var buf bytes.Buffer
+	var b []byte
 	for _, f := range frames {
-		writeFrame(&buf, f.Type, f.Payload)
+		b = frame.Append(b, f.Type, f.Payload)
 	}
-	return buf.Bytes()
+	return b
 }
 
-// TestSessionEngineWireEquivalence drives the same reconciliation three
-// ways — through the blocking SyncInitiator/SyncResponder wrappers over a
-// pipe, by stepping InitiatorSession/ResponderSession directly, and
-// through the Set API (Set.Sync against Set.Respond, with a WithOnDelta
-// observer installed) — and requires byte-identical streams in both
-// directions plus identical results. This is the redesign's contract: the
-// engine IS the protocol, every surface only moves frames, and the
-// streaming-delta observer never perturbs the wire.
+// TestSessionEngineWireEquivalence drives the same classic reconciliation
+// two ways — by stepping InitiatorSession/ResponderSession directly, and
+// through the Set API (Set.Sync against Set.Respond over a pipe, with a
+// WithOnDelta observer installed) — and requires byte-identical streams in
+// both directions plus identical results. This is the redesign's contract:
+// the engine IS the protocol, every surface only moves frames, and the
+// streaming-delta observer never perturbs the wire. TestWireGolden holds
+// the same fixture to its absolute bytes.
 func TestSessionEngineWireEquivalence(t *testing.T) {
 	for _, strong := range []bool{false, true} {
 		p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 3000, D: 80, Seed: 51})
 		opt := &Options{Seed: 52, StrongVerify: strong}
 
-		// Blocking wrappers over net.Pipe, with both write sides recorded.
-		ca, cb := net.Pipe()
-		iSide := &teeRW{ReadWriter: ca}
-		rSide := &teeRW{ReadWriter: cb}
-		respErr := make(chan error, 1)
-		go func() {
-			defer cb.Close()
-			respErr <- SyncResponder(p.B, rSide, opt)
-		}()
-		wrapRes, err := SyncInitiator(p.A, iSide, opt)
-		ca.Close()
+		is, opening := classicInitiator(t, p.A, opt)
+		ssB, err := NewSharedSet(p.B, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := <-respErr; err != nil {
-			t.Fatal(err)
-		}
-
-		// The same exchange, engine only.
-		is, opening, err := NewInitiatorSession(p.A, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := NewResponderSession(p.B, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var iStream, rStream []byte
-		toResponder := opening
-		done := false
-		for !done {
-			iStream = append(iStream, frameBytes(toResponder)...)
-			var toInitiator []Frame
-			for _, f := range toResponder {
-				out, _, err := rs.Step(f.Type, f.Payload)
-				if err != nil {
-					t.Fatal(err)
-				}
-				toInitiator = append(toInitiator, out...)
-			}
-			rStream = append(rStream, frameBytes(toInitiator)...)
-			toResponder = nil
-			for _, f := range toInitiator {
-				out, d, err := is.Step(f.Type, f.Payload)
-				if err != nil {
-					t.Fatal(err)
-				}
-				toResponder = append(toResponder, out...)
-				done = d
-			}
-			if done {
-				// Deliver the closing frames (msgDone) to the responder so
-				// both machines finish.
-				iStream = append(iStream, frameBytes(toResponder)...)
-				for _, f := range toResponder {
-					if _, _, err := rs.Step(f.Type, f.Payload); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
-
-		if !bytes.Equal(iSide.bytes(), iStream) {
-			t.Fatalf("strong=%v: initiator wire stream diverges from engine frames (%d vs %d bytes)",
-				strong, len(iSide.bytes()), len(iStream))
-		}
-		if !bytes.Equal(rSide.bytes(), rStream) {
-			t.Fatalf("strong=%v: responder wire stream diverges from engine frames (%d vs %d bytes)",
-				strong, len(rSide.bytes()), len(rStream))
-		}
-
+		iStream, rStream := driveEngine(t, is, opening, ssB.NewSession())
 		engRes := is.Result()
 		if engRes == nil {
 			t.Fatal("engine produced no result")
 		}
-		if len(engRes.Difference) != len(wrapRes.Difference) ||
-			engRes.Complete != wrapRes.Complete ||
-			engRes.Rounds != wrapRes.Rounds ||
-			engRes.WireBytes != wrapRes.WireBytes ||
-			engRes.PayloadBytes != wrapRes.PayloadBytes ||
-			engRes.EstimatorBytes != wrapRes.EstimatorBytes ||
-			engRes.EstimatedD != wrapRes.EstimatedD {
-			t.Fatalf("strong=%v: engine result %+v != wrapper result %+v", strong, engRes, wrapRes)
-		}
 
-		// The same exchange again through the redesigned surface: Set.Sync
-		// against Set.Respond, with the streaming-delta observer on. Old
-		// API and new API must put exactly the same bytes on the wire.
-		setA, err := NewSet(p.A, WithOptions(*opt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		setB, err := NewSet(p.B, WithOptions(*opt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		na, nb := net.Pipe()
-		nSide := &teeRW{ReadWriter: na}
-		nrSide := &teeRW{ReadWriter: nb}
-		respErr = make(chan error, 1)
-		go func() {
-			defer nb.Close()
-			respErr <- setB.Respond(context.Background(), nrSide)
-		}()
 		var streamed []uint64
-		newRes, err := setA.Sync(context.Background(), nSide,
+		res, sent, received := teeSync(t, mustSet(t, p.A, WithOptions(*opt)), mustSet(t, p.B, WithOptions(*opt)),
 			WithOnDelta(func(elems []uint64, round int) {
 				streamed = append(streamed, elems...)
 			}))
-		na.Close()
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(sent, iStream) {
+			t.Fatalf("strong=%v: Set.Sync wire stream diverges from engine frames (%d vs %d bytes)",
+				strong, len(sent), len(iStream))
 		}
-		if err := <-respErr; err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(received, rStream) {
+			t.Fatalf("strong=%v: Set.Respond wire stream diverges from engine frames (%d vs %d bytes)",
+				strong, len(received), len(rStream))
 		}
-		if !bytes.Equal(nSide.bytes(), iStream) {
-			t.Fatalf("strong=%v: Set.Sync wire stream diverges from old API (%d vs %d bytes)",
-				strong, len(nSide.bytes()), len(iStream))
-		}
-		if !bytes.Equal(nrSide.bytes(), rStream) {
-			t.Fatalf("strong=%v: Set.Respond wire stream diverges from old API (%d vs %d bytes)",
-				strong, len(nrSide.bytes()), len(rStream))
-		}
-		if len(newRes.Difference) != len(wrapRes.Difference) ||
-			newRes.Complete != wrapRes.Complete ||
-			newRes.Rounds != wrapRes.Rounds ||
-			newRes.WireBytes != wrapRes.WireBytes ||
-			newRes.PayloadBytes != wrapRes.PayloadBytes ||
-			newRes.EstimatorBytes != wrapRes.EstimatorBytes ||
-			newRes.EstimatedD != wrapRes.EstimatedD {
-			t.Fatalf("strong=%v: Set result %+v != wrapper result %+v", strong, newRes, wrapRes)
+		if len(res.Difference) != len(engRes.Difference) ||
+			res.Complete != engRes.Complete ||
+			res.Rounds != engRes.Rounds ||
+			res.WireBytes != engRes.WireBytes ||
+			res.PayloadBytes != engRes.PayloadBytes ||
+			res.EstimatorBytes != engRes.EstimatorBytes ||
+			res.EstimatedD != engRes.EstimatedD {
+			t.Fatalf("strong=%v: Set result %+v != engine result %+v", strong, res, engRes)
 		}
 		// The streamed deltas must reconstruct the final difference exactly.
-		assertSameSet(t, streamed, newRes.Difference)
+		assertSameSet(t, streamed, res.Difference)
 	}
 }
 
 func TestInitiatorSessionClosedStep(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 200, D: 3, Seed: 53})
 	opt := &Options{Seed: 54}
-	is, opening, err := NewInitiatorSession(p.A, opt)
+	is, opening := classicInitiator(t, p.A, opt)
+	ssB, err := NewSharedSet(p.B, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := NewResponderSession(p.B, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	toResponder := opening
-	done := false
-	for !done {
-		var toInitiator []Frame
-		for _, f := range toResponder {
-			out, _, err := rs.Step(f.Type, f.Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			toInitiator = append(toInitiator, out...)
-		}
-		toResponder = nil
-		for _, f := range toInitiator {
-			out, d, err := is.Step(f.Type, f.Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			toResponder = append(toResponder, out...)
-			done = d
-		}
-	}
-	if _, _, err := is.Step(msgRoundReply, nil); err == nil {
+	rs := ssB.NewSession()
+	driveEngine(t, is, opening, rs)
+	if _, _, err := is.Step(frame.MsgRoundReply, nil); err == nil {
 		t.Fatal("closed initiator session accepted a frame")
 	}
-	for _, f := range toResponder {
-		if _, _, err := rs.Step(f.Type, f.Payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := rs.Step(msgRound, nil); err == nil {
+	if _, _, err := rs.Step(frame.MsgRound, nil); err == nil {
 		t.Fatal("closed responder session accepted a frame")
 	}
 }

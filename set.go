@@ -142,8 +142,9 @@ type setConfig struct {
 // different value to a per-call site returns an error from that call.
 type Option func(*setConfig)
 
-// WithOptions applies a flat Options struct wholesale — the migration
-// bridge from the pre-Set API. Later options override individual fields.
+// WithOptions applies a flat Options struct wholesale — the shape
+// ServerOptions.Protocol and Client.Options take. Later options override
+// individual fields.
 func WithOptions(o Options) Option { return func(c *setConfig) { c.opt = o } }
 
 // WithSeed sets the shared protocol hash seed. Both parties must agree.

@@ -14,17 +14,17 @@ import (
 )
 
 // teeSync runs a.Sync against b.Respond over a pipe and returns the result
-// with everything each side wrote.
+// with everything each side wrote, as the initiator's end recorded it.
 func teeSync(t testing.TB, a, b *Set, opts ...Option) (res *Result, sent, received []byte) {
 	t.Helper()
 	ca, cb := net.Pipe()
-	iSide, rSide := &teeRW{ReadWriter: ca}, &teeRW{ReadWriter: cb}
+	tap := newWireTap(ca)
 	respErr := make(chan error, 1)
 	go func() {
 		defer cb.Close()
-		respErr <- b.Respond(context.Background(), rSide)
+		respErr <- b.Respond(context.Background(), cb)
 	}()
-	res, err := a.Sync(context.Background(), iSide, opts...)
+	res, err := a.Sync(context.Background(), tap, opts...)
 	ca.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +32,8 @@ func teeSync(t testing.TB, a, b *Set, opts ...Option) (res *Result, sent, receiv
 	if err := <-respErr; err != nil {
 		t.Fatal(err)
 	}
-	return res, iSide.bytes(), rSide.bytes()
+	received, sent = tap.bytes()
+	return res, sent, received
 }
 
 // TestSetJournaledViewWireIdentical mutates a warm Set through every path

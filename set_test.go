@@ -60,61 +60,12 @@ func TestSetAddRemoveSemantics(t *testing.T) {
 	if _, err := s8.Add(256); err == nil {
 		t.Fatal("element wider than SigBits accepted")
 	}
-	// Constructor rejects duplicates and invalid elements like the old API.
+	// The constructor rejects duplicates and invalid elements.
 	if _, err := NewSet([]uint64{5, 5}); err == nil {
 		t.Fatal("duplicate accepted by NewSet")
 	}
 	if _, err := NewSet([]uint64{0}); err == nil {
 		t.Fatal("zero accepted by NewSet")
-	}
-}
-
-// TestSetReconcileMatchesLegacy checks the wrapper contract: pbs.Reconcile
-// and Set.Reconcile produce identical results, and mutations made through
-// the handle are equivalent to rebuilding from scratch.
-func TestSetReconcileMatchesLegacy(t *testing.T) {
-	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 4000, D: 90, Seed: 61})
-	opt := &Options{Seed: 62}
-	legacy, err := Reconcile(p.A, p.B, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa, err := NewSet(p.A, withBaseOptions(opt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := NewSet(p.B, withBaseOptions(opt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sa.Reconcile(context.Background(), sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Complete || res.EstimatedD != legacy.EstimatedD ||
-		res.EstimatorBytes != legacy.EstimatorBytes {
-		t.Fatalf("Set result %+v != legacy %+v", res, legacy)
-	}
-	assertSameSet(t, res.Difference, legacy.Difference)
-
-	// Mutate A through the handle until it equals B: the next reconcile
-	// must see an empty difference, proving the incremental sketch and the
-	// invalidated snapshot both track mutations.
-	for _, x := range res.Difference {
-		if sa.Contains(x) {
-			sa.Remove(x)
-		} else {
-			if _, err := sa.Add(x); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	res2, err := sa.Reconcile(context.Background(), sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res2.Complete || len(res2.Difference) != 0 {
-		t.Fatalf("after converging mutations: %d differences, complete=%v", len(res2.Difference), res2.Complete)
 	}
 }
 
@@ -379,11 +330,15 @@ func TestOptionsValidation(t *testing.T) {
 		{"negative Parallelism", Options{Parallelism: -4}},
 	}
 	small := []uint64{1, 2, 3}
+	valid := mustSet(t, small)
 	for _, tc := range cases {
 		for caller, err := range map[string]error{
-			"Reconcile": func() error { _, err := Reconcile(small, small[:1], &tc.opt); return err }(),
-			"PlanFor":   func() error { _, err := PlanFor(4, &tc.opt); return err }(),
-			"NewSet":    func() error { _, err := NewSet(small, withBaseOptions(&tc.opt)); return err }(),
+			"PlanFor": func() error { _, err := PlanFor(4, &tc.opt); return err }(),
+			"NewSet":  func() error { _, err := NewSet(small, WithOptions(tc.opt)); return err }(),
+			"Set.Reconcile": func() error {
+				_, err := valid.Reconcile(context.Background(), valid, WithOptions(tc.opt))
+				return err
+			}(),
 			"NewSharedSet": func() error {
 				_, err := NewSharedSet(small, &tc.opt)
 				return err

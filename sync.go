@@ -60,7 +60,7 @@ type Frame = frame.Frame
 // WithFastSync(false).
 var ErrFastSyncRejected = errors.New("pbs: peer rejected fast-path hello")
 
-// ErrVerificationFailed is returned by SyncInitiator when the strong
+// ErrVerificationFailed is returned by Set.Sync (and Client) when the strong
 // multiset-hash verification disagrees after the protocol reported
 // completion — the ~2^−|sig| false-checksum event of §2.2.3.
 var ErrVerificationFailed = errors.New("pbs: strong verification failed")

@@ -1,6 +1,7 @@
 package pbs
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -10,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"pbs/internal/core"
 	"pbs/internal/estimator"
+	"pbs/internal/frame"
 	"pbs/internal/workload"
 )
 
@@ -41,7 +44,8 @@ func withDeadline(t *testing.T, name string, fn func() error) error {
 func TestSyncResponderTruncatedHeader(t *testing.T) {
 	ca, cb := net.Pipe()
 	errCh := make(chan error, 1)
-	go func() { errCh <- SyncResponder([]uint64{1, 2, 3}, cb, nil) }()
+	resp := mustSet(t, []uint64{1, 2, 3})
+	go func() { errCh <- resp.Respond(context.Background(), cb) }()
 	// Three bytes of a five-byte frame header, then EOF.
 	if _, err := ca.Write([]byte{0x00, 0x00, 0x01}); err != nil {
 		t.Fatal(err)
@@ -60,11 +64,12 @@ func TestSyncResponderTruncatedHeader(t *testing.T) {
 func TestSyncResponderTruncatedPayload(t *testing.T) {
 	ca, cb := net.Pipe()
 	errCh := make(chan error, 1)
-	go func() { errCh <- SyncResponder([]uint64{1, 2, 3}, cb, nil) }()
+	resp := mustSet(t, []uint64{1, 2, 3})
+	go func() { errCh <- resp.Respond(context.Background(), cb) }()
 	// A header declaring 100 payload bytes, followed by only 4.
 	var hdr [5]byte
 	binary.BigEndian.PutUint32(hdr[:4], 100)
-	hdr[4] = msgEstimate
+	hdr[4] = frame.MsgEstimate
 	ca.Write(hdr[:])
 	ca.Write([]byte{1, 2, 3, 4})
 	ca.Close()
@@ -81,12 +86,13 @@ func TestSyncResponderTruncatedPayload(t *testing.T) {
 func TestSyncOversizedFrameRejected(t *testing.T) {
 	ca, cb := net.Pipe()
 	errCh := make(chan error, 1)
-	go func() { errCh <- SyncResponder([]uint64{1, 2, 3}, cb, nil) }()
+	resp := mustSet(t, []uint64{1, 2, 3})
+	go func() { errCh <- resp.Respond(context.Background(), cb) }()
 	// Header declaring a payload over maxFrame: must be rejected before any
 	// allocation or read of the body.
 	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], maxFrame+1)
-	hdr[4] = msgEstimate
+	binary.BigEndian.PutUint32(hdr[:4], frame.MaxFrame+1)
+	hdr[4] = frame.MsgEstimate
 	ca.Write(hdr[:])
 	select {
 	case err := <-errCh:
@@ -100,11 +106,12 @@ func TestSyncOversizedFrameRejected(t *testing.T) {
 }
 
 func TestSyncResponderUnexpectedType(t *testing.T) {
-	for _, typ := range []byte{msgEstimateReply, msgRoundReply, 0xEE} {
+	for _, typ := range []byte{frame.MsgEstimateReply, frame.MsgRoundReply, 0xEE} {
 		ca, cb := net.Pipe()
 		errCh := make(chan error, 1)
-		go func() { errCh <- SyncResponder([]uint64{1, 2, 3}, cb, nil) }()
-		if err := writeFrame(ca, typ, []byte{1}); err != nil {
+		resp := mustSet(t, []uint64{1, 2, 3})
+		go func() { errCh <- resp.Respond(context.Background(), cb) }()
+		if _, err := frame.WriteAll(ca, oneFrame(typ, []byte{1})); err != nil {
 			t.Fatal(err)
 		}
 		select {
@@ -122,8 +129,9 @@ func TestSyncResponderUnexpectedType(t *testing.T) {
 func TestSyncRoundBeforeEstimateRejected(t *testing.T) {
 	ca, cb := net.Pipe()
 	errCh := make(chan error, 1)
-	go func() { errCh <- SyncResponder([]uint64{1, 2, 3}, cb, nil) }()
-	writeFrame(ca, msgRound, []byte{0x08})
+	resp := mustSet(t, []uint64{1, 2, 3})
+	go func() { errCh <- resp.Respond(context.Background(), cb) }()
+	frame.WriteAll(ca, oneFrame(frame.MsgRound, []byte{0x08}))
 	select {
 	case err := <-errCh:
 		if err == nil || !strings.Contains(err.Error(), "round before estimation") {
@@ -141,13 +149,14 @@ func TestSyncInitiatorUnexpectedReplyType(t *testing.T) {
 	go func() {
 		defer cb.Close()
 		// Swallow the estimate, answer with the wrong message type.
-		if _, _, err := readFrame(cb); err != nil {
+		if _, _, err := frame.ReadInto(cb, frame.MaxFrame, nil); err != nil {
 			return
 		}
-		writeFrame(cb, msgRoundReply, []byte{1, 2, 3})
+		frame.WriteAll(cb, oneFrame(frame.MsgRoundReply, []byte{1, 2, 3}))
 	}()
+	initiator := mustSet(t, p.A, WithSeed(22))
 	err := withDeadline(t, "initiator", func() error {
-		_, err := SyncInitiator(p.A, ca, &Options{Seed: 22})
+		_, err := initiator.Sync(context.Background(), ca)
 		return err
 	})
 	ca.Close()
@@ -161,14 +170,15 @@ func TestSyncInitiatorCorruptEstimateReply(t *testing.T) {
 	ca, cb := net.Pipe()
 	go func() {
 		defer cb.Close()
-		if _, _, err := readFrame(cb); err != nil {
+		if _, _, err := frame.ReadInto(cb, frame.MaxFrame, nil); err != nil {
 			return
 		}
 		// An unterminated varint: ten continuation bytes and no final group.
-		writeFrame(cb, msgEstimateReply, []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80})
+		frame.WriteAll(cb, oneFrame(frame.MsgEstimateReply, []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}))
 	}()
+	initiator := mustSet(t, p.A, WithSeed(24))
 	err := withDeadline(t, "initiator", func() error {
-		_, err := SyncInitiator(p.A, ca, &Options{Seed: 24})
+		_, err := initiator.Sync(context.Background(), ca)
 		return err
 	})
 	ca.Close()
@@ -186,11 +196,11 @@ func corruptingResponder(set []uint64, conn net.Conn, seed uint64) {
 	if err != nil {
 		return
 	}
-	typ, payload, err := readFrame(conn)
-	if err != nil || typ != msgEstimate {
+	typ, payload, err := frame.ReadInto(conn, frame.MaxFrame, nil)
+	if err != nil || typ != frame.MsgEstimate {
 		return
 	}
-	theirs, err := decodeSketches(payload)
+	theirs, err := frame.DecodeSketches(payload)
 	if err != nil {
 		return
 	}
@@ -203,14 +213,14 @@ func corruptingResponder(set []uint64, conn net.Conn, seed uint64) {
 	if err != nil {
 		return
 	}
-	bob, err := NewResponder(set, plan)
+	bob, err := core.NewBob(set, plan)
 	if err != nil {
 		return
 	}
-	writeFrame(conn, msgEstimateReply, binary.AppendUvarint(nil, dhat))
+	frame.WriteAll(conn, oneFrame(frame.MsgEstimateReply, binary.AppendUvarint(nil, dhat)))
 	for {
-		typ, payload, err := readFrame(conn)
-		if err != nil || typ != msgRound {
+		typ, payload, err := frame.ReadInto(conn, frame.MaxFrame, nil)
+		if err != nil || typ != frame.MsgRound {
 			return
 		}
 		reply, err := bob.HandleRound(payload)
@@ -218,7 +228,7 @@ func corruptingResponder(set []uint64, conn net.Conn, seed uint64) {
 			return
 		}
 		// Truncate the reply mid-scope: Alice must detect it, not panic.
-		writeFrame(conn, msgRoundReply, reply[:len(reply)/2])
+		frame.WriteAll(conn, oneFrame(frame.MsgRoundReply, reply[:len(reply)/2]))
 	}
 }
 
@@ -226,8 +236,9 @@ func TestSyncInitiatorCorruptedRoundReply(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 2000, D: 20, Seed: 25})
 	ca, cb := net.Pipe()
 	go corruptingResponder(p.B, cb, 26)
+	initiator := mustSet(t, p.A, WithSeed(26))
 	err := withDeadline(t, "initiator", func() error {
-		_, err := SyncInitiator(p.A, ca, &Options{Seed: 26})
+		_, err := initiator.Sync(context.Background(), ca)
 		return err
 	})
 	ca.Close()
@@ -237,11 +248,12 @@ func TestSyncInitiatorCorruptedRoundReply(t *testing.T) {
 }
 
 func TestSyncResponderPeerDisconnect(t *testing.T) {
-	// The peer vanishing mid-session must end SyncResponder with an error,
+	// The peer vanishing mid-session must end Set.Respond with an error,
 	// not leave it blocked forever.
 	ca, cb := net.Pipe()
 	errCh := make(chan error, 1)
-	go func() { errCh <- SyncResponder([]uint64{1, 2, 3}, cb, nil) }()
+	resp := mustSet(t, []uint64{1, 2, 3})
+	go func() { errCh <- resp.Respond(context.Background(), cb) }()
 	ca.Close()
 	select {
 	case err := <-errCh:
@@ -263,13 +275,14 @@ func TestSyncInitiatorOversizedEstimateRejected(t *testing.T) {
 		ca, cb := net.Pipe()
 		go func() {
 			defer cb.Close()
-			if _, _, err := readFrame(cb); err != nil {
+			if _, _, err := frame.ReadInto(cb, frame.MaxFrame, nil); err != nil {
 				return
 			}
-			writeFrame(cb, msgEstimateReply, binary.AppendUvarint(nil, dhat))
+			frame.WriteAll(cb, oneFrame(frame.MsgEstimateReply, binary.AppendUvarint(nil, dhat)))
 		}()
+		initiator := mustSet(t, p.A, WithSeed(32))
 		err := withDeadline(t, "initiator", func() error {
-			_, err := SyncInitiator(p.A, ca, &Options{Seed: 32})
+			_, err := initiator.Sync(context.Background(), ca)
 			return err
 		})
 		ca.Close()
@@ -283,15 +296,16 @@ func TestSyncInitiatorCustomMaxD(t *testing.T) {
 	// An honest exchange whose true difference estimate exceeds the
 	// configured MaxD must fail cleanly on the initiator side too.
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 2000, D: 200, Seed: 33})
+	resp := mustSet(t, p.B, WithSeed(34))
 	ca, cb := net.Pipe()
 	respErr := make(chan error, 1)
 	go func() {
 		defer cb.Close()
 		// The responder's cap is left at the default so only the
 		// initiator's tighter limit can fire.
-		respErr <- SyncResponder(p.B, cb, &Options{Seed: 34})
+		respErr <- resp.Respond(context.Background(), cb)
 	}()
-	_, err := SyncInitiator(p.A, ca, &Options{Seed: 34, MaxD: 10})
+	_, err := mustSet(t, p.A, WithSeed(34), WithMaxD(10)).Sync(context.Background(), ca)
 	ca.Close()
 	<-respErr
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
@@ -303,13 +317,14 @@ func TestSyncResponderOversizedEstimateRejected(t *testing.T) {
 	// Hostile initiator sketches drive the responder's own estimate over
 	// its MaxD: the responder must refuse to build the plan.
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 2000, D: 200, Seed: 35})
+	resp := mustSet(t, p.B, WithSeed(36), WithMaxD(10))
 	ca, cb := net.Pipe()
 	respErr := make(chan error, 1)
 	go func() {
 		defer cb.Close()
-		respErr <- SyncResponder(p.B, cb, &Options{Seed: 36, MaxD: 10})
+		respErr <- resp.Respond(context.Background(), cb)
 	}()
-	_, initErr := SyncInitiator(p.A, ca, &Options{Seed: 36, MaxD: 10})
+	_, initErr := mustSet(t, p.A, WithSeed(36), WithMaxD(10)).Sync(context.Background(), ca)
 	ca.Close()
 	select {
 	case err := <-respErr:
@@ -325,7 +340,7 @@ func TestSyncResponderOversizedEstimateRejected(t *testing.T) {
 }
 
 func TestSyncAsymmetricSmallResponder(t *testing.T) {
-	// Peer-to-peer SyncResponder must keep the plain DefaultMaxD: a tiny
+	// Peer-to-peer Set.Respond must keep the plain DefaultMaxD: a tiny
 	// responder set reconciling against a much larger initiator set is
 	// legitimate (the server-side 64·|S| tightening applies only to
 	// Server-driven sessions).
@@ -334,7 +349,7 @@ func TestSyncAsymmetricSmallResponder(t *testing.T) {
 		big[i] = uint64(i + 1)
 	}
 	small := big[:10:10]
-	res, initErr, respErr := runSync(t, big, small, &Options{Seed: 41})
+	res, initErr, respErr := runSync(t, big, small, WithSeed(41))
 	if initErr != nil || respErr != nil {
 		t.Fatalf("asymmetric sync failed: init=%v resp=%v", initErr, respErr)
 	}
@@ -347,16 +362,18 @@ func TestSyncResponderRejectionNotifiesInitiator(t *testing.T) {
 	// When the responder's hardening rejects the session, the blocking
 	// initiator must receive the msgError diagnostic, not hang forever.
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 2000, D: 200, Seed: 43})
+	resp := mustSet(t, p.B, WithSeed(44), WithMaxD(10))
 	ca, cb := net.Pipe()
 	respErr := make(chan error, 1)
 	go func() {
 		defer cb.Close()
-		respErr <- SyncResponder(p.B, cb, &Options{Seed: 44, MaxD: 10})
+		respErr <- resp.Respond(context.Background(), cb)
 	}()
+	initiator := mustSet(t, p.A, WithSeed(44))
 	err := withDeadline(t, "initiator", func() error {
 		// The initiator keeps the default MaxD, so only the responder
 		// rejects; without the msgError frame this read would hang.
-		_, err := SyncInitiator(p.A, ca, &Options{Seed: 44})
+		_, err := initiator.Sync(context.Background(), ca)
 		return err
 	})
 	ca.Close()
@@ -375,18 +392,19 @@ func TestSyncResponderDuplicateEstimateRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := encodeSketches(tow.Sketch([]uint64{6, 7, 8}))
+	est := frame.EncodeSketches(tow.Sketch([]uint64{6, 7, 8}))
 
 	ca, cb := net.Pipe()
 	errCh := make(chan error, 1)
-	go func() { errCh <- SyncResponder(set, cb, &Options{Seed: 37}) }()
-	if err := writeFrame(ca, msgEstimate, est); err != nil {
+	resp := mustSet(t, set, WithSeed(37))
+	go func() { errCh <- resp.Respond(context.Background(), cb) }()
+	if _, err := frame.WriteAll(ca, oneFrame(frame.MsgEstimate, est)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := expectFrameT(t, ca, msgEstimateReply); err != nil {
+	if _, err := expectFrameT(t, ca, frame.MsgEstimateReply); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(ca, msgEstimate, est); err != nil {
+	if _, err := frame.WriteAll(ca, oneFrame(frame.MsgEstimate, est)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -404,7 +422,7 @@ func TestSyncResponderDuplicateEstimateRejected(t *testing.T) {
 // in fault tests.
 func expectFrameT(t *testing.T, r io.Reader, want byte) ([]byte, error) {
 	t.Helper()
-	typ, payload, err := readFrame(r)
+	typ, payload, err := frame.ReadInto(r, frame.MaxFrame, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -422,12 +440,13 @@ func TestSyncResponderTrailingSketchBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := append(encodeSketches(tow.Sketch([]uint64{6, 7, 8})), 0xAB)
+	est := append(frame.EncodeSketches(tow.Sketch([]uint64{6, 7, 8})), 0xAB)
 
 	ca, cb := net.Pipe()
 	errCh := make(chan error, 1)
-	go func() { errCh <- SyncResponder([]uint64{1, 2, 3}, cb, &Options{Seed: 38}) }()
-	if err := writeFrame(ca, msgEstimate, est); err != nil {
+	resp := mustSet(t, []uint64{1, 2, 3}, WithSeed(38))
+	go func() { errCh <- resp.Respond(context.Background(), cb) }()
+	if _, err := frame.WriteAll(ca, oneFrame(frame.MsgEstimate, est)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -446,14 +465,15 @@ func TestSyncInitiatorTrailingEstimateReplyBytes(t *testing.T) {
 	ca, cb := net.Pipe()
 	go func() {
 		defer cb.Close()
-		if _, _, err := readFrame(cb); err != nil {
+		if _, _, err := frame.ReadInto(cb, frame.MaxFrame, nil); err != nil {
 			return
 		}
 		// A valid d̂ varint followed by garbage the parser must not ignore.
-		writeFrame(cb, msgEstimateReply, append(binary.AppendUvarint(nil, 5), 0xCD, 0xEF))
+		frame.WriteAll(cb, oneFrame(frame.MsgEstimateReply, append(binary.AppendUvarint(nil, 5), 0xCD, 0xEF)))
 	}()
+	initiator := mustSet(t, p.A, WithSeed(40))
 	err := withDeadline(t, "initiator", func() error {
-		_, err := SyncInitiator(p.A, ca, &Options{Seed: 40})
+		_, err := initiator.Sync(context.Background(), ca)
 		return err
 	})
 	ca.Close()
@@ -466,13 +486,14 @@ func TestSyncWrongSketchCountRejected(t *testing.T) {
 	// An initiator configured with a different estimator width must be
 	// rejected by the responder during the estimate phase.
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 1000, D: 5, Seed: 27})
+	resp := mustSet(t, p.B, WithSeed(28), WithEstimatorSketches(64))
 	ca, cb := net.Pipe()
 	respErr := make(chan error, 1)
 	go func() {
 		defer cb.Close()
-		respErr <- SyncResponder(p.B, cb, &Options{Seed: 28, EstimatorSketches: 64})
+		respErr <- resp.Respond(context.Background(), cb)
 	}()
-	_, initErr := SyncInitiator(p.A, ca, &Options{Seed: 28, EstimatorSketches: 128})
+	_, initErr := mustSet(t, p.A, WithSeed(28), WithEstimatorSketches(128)).Sync(context.Background(), ca)
 	ca.Close()
 	select {
 	case err := <-respErr:

@@ -1,6 +1,7 @@
 package pbs
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -9,27 +10,29 @@ import (
 
 	"pbs/internal/core"
 	"pbs/internal/estimator"
+	"pbs/internal/frame"
 	"pbs/internal/workload"
 )
 
-// runSync drives a full wire session over net.Pipe and returns the
-// initiator's result plus the responder's error.
-func runSync(t *testing.T, a, b []uint64, opt *Options) (*Result, error, error) {
+// runSync drives a full wire session (Set.Sync against Set.Respond) over
+// net.Pipe and returns the initiator's result plus the responder's error.
+func runSync(t *testing.T, a, b []uint64, opts ...Option) (*Result, error, error) {
 	t.Helper()
+	initiator, responder := mustSet(t, a, opts...), mustSet(t, b, opts...)
 	ca, cb := net.Pipe()
 	respErr := make(chan error, 1)
 	go func() {
 		defer cb.Close()
-		respErr <- SyncResponder(b, cb, opt)
+		respErr <- responder.Respond(context.Background(), cb)
 	}()
-	res, initErr := SyncInitiator(a, ca, opt)
+	res, initErr := initiator.Sync(context.Background(), ca)
 	ca.Close()
 	return res, initErr, <-respErr
 }
 
 func TestSyncFullProtocol(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 10000, D: 80, Seed: 1})
-	res, initErr, respErr := runSync(t, p.A, p.B, &Options{Seed: 2})
+	res, initErr, respErr := runSync(t, p.A, p.B, WithSeed(2))
 	if initErr != nil || respErr != nil {
 		t.Fatalf("init=%v resp=%v", initErr, respErr)
 	}
@@ -47,7 +50,7 @@ func TestSyncFullProtocol(t *testing.T) {
 
 func TestSyncStrongVerify(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 5000, D: 30, Seed: 3})
-	res, initErr, respErr := runSync(t, p.A, p.B, &Options{Seed: 4, StrongVerify: true})
+	res, initErr, respErr := runSync(t, p.A, p.B, WithSeed(4), WithStrongVerify(true))
 	if initErr != nil || respErr != nil {
 		t.Fatalf("init=%v resp=%v", initErr, respErr)
 	}
@@ -59,7 +62,7 @@ func TestSyncStrongVerify(t *testing.T) {
 
 func TestSyncIdenticalSets(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 3000, D: 0, Seed: 5})
-	res, initErr, respErr := runSync(t, p.A, p.A, &Options{Seed: 6, StrongVerify: true})
+	res, initErr, respErr := runSync(t, p.A, p.A, WithSeed(6), WithStrongVerify(true))
 	if initErr != nil || respErr != nil {
 		t.Fatalf("init=%v resp=%v", initErr, respErr)
 	}
@@ -72,7 +75,7 @@ func TestSyncBidirectionalDifference(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{
 		UniverseBits: 32, SizeA: 5000, D: 50, BOnlyFrac: 0.4, Seed: 7,
 	})
-	res, initErr, respErr := runSync(t, p.A, p.B, &Options{Seed: 8})
+	res, initErr, respErr := runSync(t, p.A, p.B, WithSeed(8))
 	if initErr != nil || respErr != nil {
 		t.Fatalf("init=%v resp=%v", initErr, respErr)
 	}
@@ -84,13 +87,14 @@ func TestSyncSeedMismatchDetected(t *testing.T) {
 	// silently produce a wrong difference — checksums keep failing and the
 	// round budget runs out (Complete=false), or strong verify trips.
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 2000, D: 10, Seed: 9})
+	responder := mustSet(t, p.B, WithSeed(111), WithMaxRounds(3))
 	ca, cb := net.Pipe()
 	respDone := make(chan error, 1)
 	go func() {
 		defer cb.Close()
-		respDone <- SyncResponder(p.B, cb, &Options{Seed: 111, MaxRounds: 3})
+		respDone <- responder.Respond(context.Background(), cb)
 	}()
-	res, err := SyncInitiator(p.A, ca, &Options{Seed: 222, MaxRounds: 3})
+	res, err := mustSet(t, p.A, WithSeed(222), WithMaxRounds(3)).Sync(context.Background(), ca)
 	ca.Close()
 	<-respDone
 	if err == nil && res.Complete {
@@ -131,14 +135,14 @@ func TestSyncStrongVerifyCatchesCorruption(t *testing.T) {
 		}
 		hackedResponder(p.B, cb, corrupt)
 	}()
-	_, err := SyncInitiator(p.A, ca, &Options{Seed: 11, StrongVerify: true})
+	_, err := mustSet(t, p.A, WithSeed(11), WithStrongVerify(true)).Sync(context.Background(), ca)
 	ca.Close()
 	if !errors.Is(err, ErrVerificationFailed) {
 		t.Fatalf("want ErrVerificationFailed, got %v", err)
 	}
 }
 
-// hackedResponder behaves like SyncResponder but answers the verification
+// hackedResponder behaves like Set.Respond but answers the verification
 // phase with the given digest bytes instead of the honest multiset hash,
 // emulating the false-verification corner case (and, with a wrong-length
 // digest, a protocol-corruption one).
@@ -150,13 +154,13 @@ func hackedResponder(set []uint64, conn net.Conn, digest []byte) {
 	}
 	var bob *core.Bob
 	for {
-		typ, payload, err := readFrame(conn)
+		typ, payload, err := frame.ReadInto(conn, frame.MaxFrame, nil)
 		if err != nil {
 			return
 		}
 		switch typ {
-		case msgEstimate:
-			theirs, err := decodeSketches(payload)
+		case frame.MsgEstimate:
+			theirs, err := frame.DecodeSketches(payload)
 			if err != nil {
 				return
 			}
@@ -172,16 +176,16 @@ func hackedResponder(set []uint64, conn net.Conn, digest []byte) {
 			if bob, err = core.NewBob(set, plan); err != nil {
 				return
 			}
-			writeFrame(conn, msgEstimateReply, binary.AppendUvarint(nil, dhat))
-		case msgRound:
+			frame.WriteAll(conn, oneFrame(frame.MsgEstimateReply, binary.AppendUvarint(nil, dhat)))
+		case frame.MsgRound:
 			reply, err := bob.HandleRound(payload)
 			if err != nil {
 				return
 			}
-			writeFrame(conn, msgRoundReply, reply)
-		case msgVerify:
-			writeFrame(conn, msgVerifyReply, digest)
-		case msgDone:
+			frame.WriteAll(conn, oneFrame(frame.MsgRoundReply, reply))
+		case frame.MsgVerify:
+			frame.WriteAll(conn, oneFrame(frame.MsgVerifyReply, digest))
+		case frame.MsgDone:
 			return
 		}
 	}
