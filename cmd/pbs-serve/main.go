@@ -23,17 +23,17 @@
 // -max-resident-bytes evict cold sets to disk (they keep answering
 // estimates from their persisted sketch without loading), -tenant-quota
 // caps what each tenant namespace may register, and -host-sets N
-// populates a deterministic catalog for cmd/pbs-loadgen -sets runs:
+// populates a deterministic catalog (bench/s000000, bench/s000001, ...)
+// that -sync -set-name addresses:
 //
 //	pbs-serve -addr :9931 -data-dir /var/pbs -max-resident-bytes 64000000 \
 //	    -host-sets 10000 -host-size 400 -tenant-quota sets=100000,sessions=64
 //
 // Metrics: -metrics ADDR serves expvar on http://ADDR/debug/vars with the
 // server counters and the per-completed-session latency/round/byte
-// histograms published under "pbs_serve". A fleet to load the server with
-// lives in cmd/pbs-loadgen. SIGINT/SIGTERM drain
-// in-flight sessions (up to -drain) before exiting; a final stats line is
-// printed either way.
+// histograms published under "pbs_serve". SIGINT/SIGTERM drain in-flight
+// sessions (up to -drain) before exiting; a final stats line is printed
+// either way.
 package main
 
 import (
@@ -85,8 +85,8 @@ func main() {
 		dataDir     = flag.String("data-dir", "", "persist hosted sets as segment files under this directory (enables crash-safe hosting and eviction)")
 		maxResident = flag.Int64("max-resident-bytes", 0, "resident-bytes watermark above which cold hosted sets are evicted to disk (0 = keep everything resident; requires -data-dir to evict)")
 		tenantQuota = flag.String("tenant-quota", "", "default per-tenant quota as 'sets=N,bytes=N,sessions=N' (0 or absent key = unlimited)")
-		hostSets    = flag.Int("host-sets", 0, "host a synthetic catalog of N named sets (workload.ManySet of -demo-seed, names bench/s000000...) for many-sets load runs")
-		hostSize    = flag.Int("host-size", 400, "elements per hosted catalog set (loadgen -size must match)")
+		hostSets    = flag.Int("host-sets", 0, "host a synthetic catalog of N named sets (workload.ManySet of -demo-seed, names bench/s000000...) for hosting demos and smoke tests")
+		hostSize    = flag.Int("host-size", 400, "elements per hosted catalog set")
 	)
 	flag.Parse()
 

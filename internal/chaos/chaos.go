@@ -8,18 +8,16 @@
 // protocol phase, and a whole fleet run replays byte-identically from its
 // seed.
 //
-// The package is the fault layer behind the chaos soak: tests wrap
-// net.Pipe ends, internal/load wraps each worker connection, and
-// pbs-loadgen exposes it as -chaos. It deliberately knows nothing about
-// pbs beyond where one frame ends and the next begins.
+// The package is the fault layer of the tests: they wrap net.Pipe ends,
+// retry tests wrap a dialed connection, and the root TestFleet wraps
+// every connection its fault-injection rows dial. It deliberately knows
+// nothing about pbs beyond where one frame ends and the next begins.
 package chaos
 
 import (
 	"fmt"
 	"math/rand"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,11 +134,8 @@ func (c Config) Enabled() bool {
 		c.BandwidthBPS > 0 || c.MaxWriteChunk > 0 || len(c.Schedule) > 0
 }
 
-// Validate checks the fault probabilities for range errors; Wrap assumes
-// a valid configuration, so callers assembling a Config by hand (rather
-// than through ParseSpec or NewListener, which validate) should call it.
-func (c Config) Validate() error { return c.validate() }
-
+// validate checks the fault probabilities for range errors; Wrap assumes
+// a valid configuration.
 func (c Config) validate() error {
 	for _, p := range []float64{c.DropProb, c.ResetProb, c.CorruptProb, c.StallProb} {
 		if p < 0 || p > 1 {
@@ -487,81 +482,4 @@ func (l *Listener) Accept() (net.Conn, error) {
 		return nil, err
 	}
 	return Wrap(conn, l.cfg, l.nextID.Add(1)), nil
-}
-
-// ParseSpec parses the compact command-line fault spec pbs-loadgen's
-// -chaos flag takes: comma-separated key=value pairs, e.g.
-//
-//	drop=0.02,reset=0.01,corrupt=0.005,stall=0.05,stall-ms=200,latency-ms=1,jitter-ms=2,bw=1000000,chunk=512,seed=7
-//
-// drop/reset/corrupt/stall are per-frame probabilities in [0,1];
-// stall-ms the stall length; latency-ms and jitter-ms apply to both
-// directions; bw caps outbound bytes/s; chunk forces partial writes; seed
-// overrides the fault seed.
-func ParseSpec(spec string) (Config, error) {
-	var cfg Config
-	if strings.TrimSpace(spec) == "" {
-		return cfg, nil
-	}
-	for _, kv := range strings.Split(spec, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return Config{}, fmt.Errorf("chaos: bad spec entry %q (want key=value)", kv)
-		}
-		switch k {
-		case "drop", "reset", "corrupt", "stall":
-			p, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return Config{}, fmt.Errorf("chaos: bad %s=%q: %v", k, v, err)
-			}
-			switch k {
-			case "drop":
-				cfg.DropProb = p
-			case "reset":
-				cfg.ResetProb = p
-			case "corrupt":
-				cfg.CorruptProb = p
-			case "stall":
-				cfg.StallProb = p
-			}
-		case "stall-ms", "latency-ms", "jitter-ms":
-			ms, err := strconv.ParseInt(v, 10, 64)
-			if err != nil || ms < 0 {
-				return Config{}, fmt.Errorf("chaos: bad %s=%q", k, v)
-			}
-			d := time.Duration(ms) * time.Millisecond
-			switch k {
-			case "stall-ms":
-				cfg.Stall = d
-			case "latency-ms":
-				cfg.SendLatency, cfg.RecvLatency = d, d
-			case "jitter-ms":
-				cfg.SendJitter, cfg.RecvJitter = d, d
-			}
-		case "bw":
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil || n < 0 {
-				return Config{}, fmt.Errorf("chaos: bad bw=%q", v)
-			}
-			cfg.BandwidthBPS = n
-		case "chunk":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				return Config{}, fmt.Errorf("chaos: bad chunk=%q", v)
-			}
-			cfg.MaxWriteChunk = n
-		case "seed":
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return Config{}, fmt.Errorf("chaos: bad seed=%q", v)
-			}
-			cfg.Seed = n
-		default:
-			return Config{}, fmt.Errorf("chaos: unknown spec key %q", k)
-		}
-	}
-	if err := cfg.validate(); err != nil {
-		return Config{}, err
-	}
-	return cfg, nil
 }

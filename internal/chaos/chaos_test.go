@@ -293,33 +293,9 @@ func TestListenerAssignsIDs(t *testing.T) {
 	if !ids[1] || !ids[2] {
 		t.Fatalf("want conn ids {1,2}, got %v", ids)
 	}
-	if _, err := NewListener(ln, Config{DropProb: 2}); err == nil {
-		t.Fatalf("invalid probability accepted")
-	}
-}
-
-func TestParseSpec(t *testing.T) {
-	cfg, err := ParseSpec("drop=0.02,reset=0.01,corrupt=0.005,stall=0.05,stall-ms=250,latency-ms=1,jitter-ms=2,bw=1000000,chunk=512,seed=7")
-	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
-	}
-	if cfg.DropProb != 0.02 || cfg.ResetProb != 0.01 || cfg.CorruptProb != 0.005 || cfg.StallProb != 0.05 {
-		t.Fatalf("probabilities misparsed: %+v", cfg)
-	}
-	if cfg.Stall != 250*time.Millisecond || cfg.SendLatency != time.Millisecond ||
-		cfg.RecvJitter != 2*time.Millisecond || cfg.BandwidthBPS != 1000000 ||
-		cfg.MaxWriteChunk != 512 || cfg.Seed != 7 {
-		t.Fatalf("shaping misparsed: %+v", cfg)
-	}
-	if !cfg.Enabled() {
-		t.Fatalf("parsed spec not Enabled")
-	}
-	if c, err := ParseSpec(""); err != nil || c.Enabled() {
-		t.Fatalf("empty spec: %+v, %v", c, err)
-	}
-	for _, bad := range []string{"drop", "drop=x", "drop=1.5", "nope=1", "drop=0.6,reset=0.6"} {
-		if _, err := ParseSpec(bad); err == nil {
-			t.Fatalf("spec %q accepted", bad)
+	for _, bad := range []Config{{DropProb: 2}, {DropProb: 0.6, ResetProb: 0.6}} {
+		if _, err := NewListener(ln, bad); err == nil {
+			t.Fatalf("invalid probabilities accepted: %+v", bad)
 		}
 	}
 }
