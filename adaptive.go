@@ -36,9 +36,7 @@ import (
 // WithAdaptive(false) pins the paper-fixed behavior: the hello carries no
 // adaptive offer, every round runs the static plan, and speculation sizing
 // follows the legacy last-difference heuristic — the wire stream is
-// byte-identical to a build without adaptive mode. The classic
-// estimate-first flow (WithFastSync(false)) has no hello to carry the
-// offer, so its streams are unchanged either way.
+// byte-identical to a build without adaptive mode.
 func WithAdaptive(on bool) Option { return func(c *setConfig) { c.adaptiveOff = !on } }
 
 // specPredictHeadroom is the fixed slack added on top of the prior's

@@ -133,7 +133,7 @@ func TestAdaptiveOffWireFlags(t *testing.T) {
 		p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 3000, D: 300, Seed: 83})
 		opt := Options{Seed: 84}
 		res, sent, received := teeSync(t, mustSet(t, p.A, WithOptions(opt)), mustSet(t, p.B, WithOptions(opt)),
-			WithFastSync(true), WithAdaptive(adaptive))
+			WithAdaptive(adaptive))
 		if !res.Complete {
 			t.Fatalf("adaptive=%v: incomplete after %d rounds", adaptive, res.Rounds)
 		}
@@ -163,27 +163,6 @@ func TestAdaptiveOffWireFlags(t *testing.T) {
 		}
 		if reply.Adaptive != adaptive {
 			t.Fatalf("adaptive=%v: reply granted adaptive=%v", adaptive, reply.Adaptive)
-		}
-	}
-}
-
-// TestAdaptiveLegacyWrappersUnchanged pins that the legacy protocol-0
-// flow never negotiates adaptive mode: a classic Set.Sync, adaptive on by
-// default, puts no fast hello — the only frame that can carry the offer —
-// on the wire, and re-plans nothing.
-func TestAdaptiveLegacyWrappersUnchanged(t *testing.T) {
-	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 2000, D: 50, Seed: 85})
-	res, sent, _ := teeSync(t, mustSet(t, p.A, WithSeed(86)), mustSet(t, p.B, WithSeed(86)))
-	if !res.Complete {
-		t.Fatal("legacy sync incomplete")
-	}
-	assertSameSet(t, res.Difference, p.Diff)
-	if res.Replans != 0 {
-		t.Fatalf("legacy sync re-planned %d rounds", res.Replans)
-	}
-	for _, f := range parseStream(t, sent) {
-		if f.Type == frame.MsgHelloV1 {
-			t.Fatal("legacy sync sent a fast hello")
 		}
 	}
 }
@@ -227,7 +206,7 @@ func TestAdaptiveNoWorseThanFixed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, _, _ := teeSync(t, initiator, responder, WithFastSync(true), WithAdaptive(adaptive))
+			res, _, _ := teeSync(t, initiator, responder, WithAdaptive(adaptive))
 			if !res.Complete {
 				t.Fatalf("d=%d adaptive=%v: incomplete after %d rounds", d, adaptive, res.Rounds)
 			}

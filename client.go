@@ -2,7 +2,6 @@ package pbs
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -16,9 +15,9 @@ import (
 const DefaultClientIdleTimeout = 30 * time.Second
 
 // Client reconciles a local set against a pbs Server over TCP. It is the
-// initiator side of the wire protocol plus the thin server envelope: an
-// optional msgHello naming the remote set, and msgError diagnostics
-// surfaced as errors.
+// initiator side of the wire protocol plus the thin server envelope: the
+// remote set's name in the hello, and msgError diagnostics surfaced as
+// errors.
 //
 // The zero value is not usable — Addr is required — but every other field
 // defaults sensibly. A Client is stateless and safe for concurrent use;
@@ -30,7 +29,7 @@ type Client struct {
 	// Addr is the server address (host:port).
 	Addr string
 	// Set names the server-side set to reconcile against. Empty means the
-	// server's default set (DefaultSetName); no msgHello is sent.
+	// server's default set (DefaultSetName).
 	Set string
 	// Tenant, when non-empty, namespaces Set under a tenant: the wire name
 	// becomes "Tenant/Set" ("Tenant/default" when Set is empty), which is
@@ -49,19 +48,11 @@ type Client struct {
 	// for this long fails the sync with a timeout instead of hanging it.
 	// 0 selects DefaultClientIdleTimeout; negative disables the bound.
 	IdleTimeout time.Duration
-	// LegacySync disables the single-RTT fast path and opens with the
-	// multi-RTT protocol-0 negotiation. By default the client sends a
-	// msgHelloV1 fast hello and, if the server answers with msgError
-	// (a pre-fast-path build), transparently redials and retries the
-	// legacy flow once — so leaving this false is safe against old
-	// servers, at the cost of one wasted dial the first time.
-	LegacySync bool
 	// Retry, when set, retries retryable sync failures (dial errors,
 	// mid-round disconnects, stalls, server-busy shedding) under the
 	// policy: exponential backoff with full jitter, honoring any
 	// retry-after hint the server sent. Retry.Dial defaults to the
-	// client's own dialer. The fast-path downgrade negotiation composes
-	// with it — each protocol leg gets its own attempt budget.
+	// client's own dialer.
 	Retry *RetryPolicy
 }
 
@@ -93,35 +84,24 @@ func (c *Client) SyncContext(ctx context.Context, local []uint64) (*Result, erro
 	if idle == 0 {
 		idle = DefaultClientIdleTimeout
 	}
-	syncOnce := func(fast bool) (*Result, error) {
-		opts := []Option{WithIdleTimeout(idle), WithFastSync(fast)}
-		if name := c.remoteName(); name != "" {
-			opts = append(opts, WithSetName(name))
-		}
-		if c.Retry != nil {
-			pol := *c.Retry
-			if pol.Dial == nil {
-				pol.Dial = c.dial
-			}
-			// Sync dials (and closes) every attempt's connection itself.
-			return set.Sync(ctx, nil, append(opts, WithRetry(pol))...)
-		}
-		conn, err := c.dial(ctx)
-		if err != nil {
-			return nil, err
-		}
-		defer conn.Close()
-		return set.Sync(ctx, conn, opts...)
+	opts := []Option{WithIdleTimeout(idle)}
+	if name := c.remoteName(); name != "" {
+		opts = append(opts, WithSetName(name))
 	}
-	res, err := syncOnce(!c.LegacySync)
-	if err != nil && !c.LegacySync && errors.Is(err, ErrFastSyncRejected) {
-		// The server does not speak the fast hello (or rejected it before
-		// reading it); negotiate down to the multi-RTT flow over a fresh
-		// connection. A genuine rejection (unknown set, capacity) repeats
-		// here and surfaces as the server's own diagnostic.
-		return syncOnce(false)
+	if c.Retry != nil {
+		pol := *c.Retry
+		if pol.Dial == nil {
+			pol.Dial = c.dial
+		}
+		// Sync dials (and closes) every attempt's connection itself.
+		return set.Sync(ctx, nil, append(opts, WithRetry(pol))...)
 	}
-	return res, err
+	conn, err := c.dial(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	return set.Sync(ctx, conn, opts...)
 }
 
 // withBaseOptions applies a Client's *Options (nil selects the defaults)

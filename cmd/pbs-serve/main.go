@@ -71,7 +71,6 @@ func main() {
 		seed         = flag.Uint64("seed", 42, "shared protocol hash seed (must match on both sides)")
 		maxD         = flag.Int("max-d", 0, "cap on the accepted difference estimate d̂ (0 = library default)")
 		strongVerify = flag.Bool("strong-verify", false, "client: request the strong multiset-hash verification")
-		legacySync   = flag.Bool("legacy-sync", false, "client: use the multi-RTT protocol-0 flow instead of the single-RTT fast path")
 
 		maxSessions  = flag.Int("max-sessions", 0, "concurrent session cap (0 = default, <0 = uncapped)")
 		softSessions = flag.Int("soft-sessions", 0, "soft admission watermark: shed new connections above this before the hard cap (0 = default headroom, <0 = disabled)")
@@ -93,7 +92,7 @@ func main() {
 	opt := &pbs.Options{Seed: *seed, MaxD: *maxD, StrongVerify: *strongVerify}
 
 	if *syncTo != "" {
-		runClient(*syncTo, *setName, opt, *setPath, *demoSize, *demoD, *demoSeed, *legacySync)
+		runClient(*syncTo, *setName, opt, *setPath, *demoSize, *demoD, *demoSeed)
 		return
 	}
 
@@ -246,14 +245,14 @@ func parseQuota(spec string) (pbs.TenantQuota, error) {
 // runClient syncs the local set (from -set or workload side A) against a
 // running server and, when the workload ground truth is available,
 // verifies the learned difference exactly.
-func runClient(addr, setName string, opt *pbs.Options, setPath string, demoSize, demoD int, demoSeed int64, legacySync bool) {
+func runClient(addr, setName string, opt *pbs.Options, setPath string, demoSize, demoD int, demoSeed int64) {
 	local, want, err := loadSet(setPath, demoSize, demoD, demoSeed, true)
 	if err != nil {
 		fatal(err)
 	}
-	// The server resolves an absent hello to its default set; only name
-	// non-default sets explicitly.
-	c := &pbs.Client{Addr: addr, Options: opt, Timeout: 2 * time.Minute, LegacySync: legacySync}
+	// The server resolves a hello without a name to its default set; only
+	// name non-default sets explicitly.
+	c := &pbs.Client{Addr: addr, Options: opt, Timeout: 2 * time.Minute}
 	if setName != pbs.DefaultSetName {
 		c.Set = setName
 	}

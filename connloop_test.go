@@ -92,11 +92,11 @@ type loopSibling struct {
 
 func startLoopSibling(p *loopPeer, local []uint64, opt *Options, set string) *loopSibling {
 	p.t.Helper()
-	ss, err := NewSharedSet(local, opt)
+	ss, err := newSharedSet(local, opt)
 	if err != nil {
 		p.t.Fatal(err)
 	}
-	is, opening, err := ss.newInitiator(ss.opt, initiatorCall{fast: true, name: set, specD: 32, adaptive: true})
+	is, opening, err := ss.newInitiator(ss.opt, initiatorCall{name: set, specD: 32, adaptive: true})
 	if err != nil {
 		p.t.Fatal(err)
 	}
@@ -157,26 +157,16 @@ type loopScript struct {
 	want      loopCounters // the abused session alone, sibling excluded
 }
 
-// classicInitiator starts a classic (estimate-first) initiator session on
-// local and returns it with its opening msgEstimate.
-func classicInitiator(t *testing.T, local []uint64, opt *Options) (*InitiatorSession, []Frame) {
-	t.Helper()
-	ss, err := NewSharedSet(local, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	is, opening, err := ss.newInitiator(ss.opt, initiatorCall{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return is, opening
-}
+// loopSpecD is the speculation of an abuser's hello: the abuser's
+// difference from the base dwarfs it, so the server declines it and the
+// session goes on in msgRound frames.
+const loopSpecD = 4
 
-// openLegacy runs the legacy estimate exchange and returns the frames the
-// initiator would send next: its first msgRound.
-func openLegacy(p *loopPeer, local []uint64, opt *Options) []Frame {
+// openHello runs the hello exchange and returns the frames the initiator
+// would send next: its first msgRound.
+func openHello(p *loopPeer, local []uint64, opt *Options) []Frame {
 	p.t.Helper()
-	is, opening := classicInitiator(p.t, local, opt)
+	is, opening := helloInitiator(p.t, local, opt, "", loopSpecD)
 	p.send(opening...)
 	typ, body := p.recv()
 	out, _, err := is.Step(typ, body)
@@ -197,28 +187,28 @@ const (
 var loopScripts = []loopScript{
 	{
 		name: "byte-budget-crossed-by-reply",
-		// The budget admits the estimate exchange and the inbound round
-		// under either framing (mux pays 2 envelope bytes on each of the
-		// three frames) and is crossed by the round reply.
+		// The budget admits the hello exchange and the inbound round under
+		// either framing (mux pays 2 envelope bytes on each of the three
+		// frames) and is crossed by the round reply.
 		server: func(t *testing.T, base, local []uint64, opt *Options) ServerOptions {
-			is, estimate := classicInitiator(t, local, opt)
-			bss, err := NewSharedSet(base, opt)
+			is, hello := helloInitiator(t, local, opt, "", loopSpecD)
+			bss, err := newSharedSet(base, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			estReply, _, err := bss.newServerSession(bss.opt).Step(estimate[0].Type, estimate[0].Payload)
+			reply, _, err := bss.newServerSession(bss.opt).Step(hello[0].Type, hello[0].Payload)
 			if err != nil {
 				t.Fatal(err)
 			}
-			round, _, err := is.Step(estReply[0].Type, estReply[0].Payload)
+			round, _, err := is.Step(reply[0].Type, reply[0].Payload)
 			if err != nil {
 				t.Fatal(err)
 			}
-			spent := 3*(5+2) + len(estimate[0].Payload) + len(estReply[0].Payload) + len(round[0].Payload)
+			spent := 3*(5+2) + len(hello[0].Payload) + len(reply[0].Payload) + len(round[0].Payload)
 			return ServerOptions{Protocol: opt, SessionByteBudget: int64(spent)}
 		},
 		run: func(p *loopPeer, local []uint64, opt *Options) *PeerError {
-			round := openLegacy(p, local, opt)
+			round := openHello(p, local, opt)
 			p.send(round...)
 			if typ, _ := p.recv(); typ != frame.MsgRoundReply {
 				p.t.Fatalf("got frame type %d, want the round reply that crosses the budget", typ)
@@ -230,11 +220,13 @@ var loopScripts = []loopScript{
 	},
 	{
 		name: "round-budget-replayed-round",
+		// The hello carries a speculative round, so it spends the first of
+		// two; the first msgRound spends the second and its replay is over.
 		server: func(_ *testing.T, _, _ []uint64, opt *Options) ServerOptions {
-			return ServerOptions{Protocol: opt, SessionMaxRounds: 1}
+			return ServerOptions{Protocol: opt, SessionMaxRounds: 2}
 		},
 		run: func(p *loopPeer, local []uint64, opt *Options) *PeerError {
-			round := openLegacy(p, local, opt)
+			round := openHello(p, local, opt)
 			p.send(round...)
 			if typ, _ := p.recv(); typ != frame.MsgRoundReply {
 				p.t.Fatalf("got frame type %d, want msgRoundReply", typ)
@@ -247,12 +239,18 @@ var loopScripts = []loopScript{
 	},
 	{
 		name: "hello-after-open",
-		run: func(p *loopPeer, _ []uint64, _ *Options) *PeerError {
-			p.send(Frame{Type: frame.MsgHello, Payload: []byte(DefaultSetName)})
-			p.send(Frame{Type: frame.MsgHello, Payload: []byte(DefaultSetName)})
+		// A second hello on a stream whose session is open: it must fail
+		// that session, not re-open or be swallowed.
+		run: func(p *loopPeer, local []uint64, opt *Options) *PeerError {
+			_, hello := helloInitiator(p.t, local, opt, "", loopSpecD)
+			p.send(hello...)
+			if typ, _ := p.recv(); typ != frame.MsgHelloReplyV1 {
+				p.t.Fatalf("got frame type %d, want msgHelloReplyV1", typ)
+			}
+			p.send(hello...)
 			return p.recvError()
 		},
-		wantMsg: "hello after session start", wantCode: ErrCodeRejected,
+		wantMsg: "duplicate estimate", wantCode: ErrCodeRejected,
 		want: loopCounters{Failed: 1},
 	},
 	{
@@ -273,8 +271,9 @@ var loopScripts = []loopScript{
 	},
 	{
 		name: "unknown-set",
-		run: func(p *loopPeer, _ []uint64, _ *Options) *PeerError {
-			p.send(Frame{Type: frame.MsgHello, Payload: []byte("nope")})
+		run: func(p *loopPeer, local []uint64, opt *Options) *PeerError {
+			_, hello := helloInitiator(p.t, local, opt, "nope", loopSpecD)
+			p.send(hello...)
 			return p.recvError()
 		},
 		wantMsg: `unknown set "nope"`, wantCode: ErrCodeRejected,
@@ -283,8 +282,9 @@ var loopScripts = []loopScript{
 	{
 		name:  "tenant-session-quota",
 		quota: true,
-		run: func(p *loopPeer, _ []uint64, _ *Options) *PeerError {
-			p.send(Frame{Type: frame.MsgHello, Payload: []byte(loopQuotaSet)})
+		run: func(p *loopPeer, local []uint64, opt *Options) *PeerError {
+			_, hello := helloInitiator(p.t, local, opt, loopQuotaSet, loopSpecD)
+			p.send(hello...)
 			return p.recvError()
 		},
 		wantMsg: "quota", wantCode: ErrCodeQuota, wantRetry: true,
@@ -293,7 +293,7 @@ var loopScripts = []loopScript{
 	{
 		name: "mid-session-disconnect",
 		run: func(p *loopPeer, local []uint64, opt *Options) *PeerError {
-			openLegacy(p, local, opt)
+			openHello(p, local, opt)
 			p.hangUp()
 			return nil
 		},
@@ -404,12 +404,12 @@ func TestConnLoopMuxHandoff(t *testing.T) {
 	base := testBaseSet(2000)
 	opt := &Options{Seed: 9703}
 	local := append([]uint64(nil), base[400:]...)
-	ss, err := NewSharedSet(local, opt)
+	ss, err := newSharedSet(local, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hello := func() (*InitiatorSession, []Frame) {
-		is, opening, err := ss.newInitiator(ss.opt, initiatorCall{fast: true, specD: 4, features: frame.FeatureMux, adaptive: true})
+		is, opening, err := ss.newInitiator(ss.opt, initiatorCall{specD: 4, features: frame.FeatureMux, adaptive: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -417,7 +417,7 @@ func TestConnLoopMuxHandoff(t *testing.T) {
 	}
 	// The hello exchange's size, from the responder the server will run.
 	_, opening := hello()
-	bss, err := NewSharedSet(base, opt)
+	bss, err := newSharedSet(base, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,24 +511,21 @@ func TestConnLoopFailedWriteEndsConnection(t *testing.T) {
 	base := testBaseSet(500)
 	opt := &Options{Seed: 9705}
 	local, _ := clientSetAndDiff(base, 1)
-	_, estimate := classicInitiator(t, local, opt)
-	ss, err := NewSharedSet(local, opt)
+	_, open := helloInitiator(t, local, opt, "", 32)
+	ss, err := newSharedSet(local, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, hello, err := ss.newInitiator(ss.opt, initiatorCall{fast: true, specD: 32, features: frame.FeatureMux, adaptive: true})
+	_, negotiate, err := ss.newInitiator(ss.opt, initiatorCall{specD: 32, features: frame.FeatureMux, adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	var rawIn, muxIn []byte
-	for _, f := range estimate {
-		rawIn = frame.Append(rawIn, f.Type, f.Payload)
-	}
+	rawIn := frame.Append(nil, open[0].Type, open[0].Payload)
 	// Mux: the granted hello's reply is written, then stream 3 opens with
-	// an estimate whose reply is not — with stream 1 still mid-session.
-	muxIn = frame.Append(muxIn, hello[0].Type, hello[0].Payload)
-	muxIn = muxEnvelopeFrames(muxIn, 3, true, estimate)
+	// a hello whose reply is not — with stream 1 still mid-session.
+	muxIn := frame.Append(nil, negotiate[0].Type, negotiate[0].Payload)
+	muxIn = muxEnvelopeFrames(muxIn, 3, true, open)
 
 	for _, tc := range []struct {
 		name       string

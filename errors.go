@@ -117,7 +117,7 @@ func Retryable(err error) bool {
 	if errors.Is(err, ErrServerBusy) {
 		return true
 	}
-	if errors.Is(err, ErrVerificationFailed) || errors.Is(err, ErrFastSyncRejected) {
+	if errors.Is(err, ErrVerificationFailed) {
 		return false
 	}
 	var pe *PeerError

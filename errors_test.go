@@ -106,6 +106,7 @@ func TestRetryableClassification(t *testing.T) {
 		&PeerError{Code: ErrCodeBusy, Msg: "shed"},
 		&net.OpError{Op: "dial", Err: syscall.ECONNREFUSED},
 		fmt.Errorf("wrapped: %w", io.ErrUnexpectedEOF),
+		&PeerError{Code: ErrCodeQuota, RetryAfter: time.Second, Msg: "quota"},
 	}
 	for _, err := range retryable {
 		if !Retryable(err) {
@@ -117,7 +118,8 @@ func TestRetryableClassification(t *testing.T) {
 		context.Canceled,
 		context.DeadlineExceeded,
 		ErrVerificationFailed,
-		ErrFastSyncRejected,
+		&PeerError{Msg: "pbs: unexpected message type 10"},
+		&PeerError{Code: ErrCodeQuota, Msg: "byte quota"},
 		&PeerError{Code: ErrCodeRejected, Msg: "unknown set"},
 		&PeerError{Msg: "legacy uncoded"},
 		errors.New("pbs: peer estimate d̂ = 99 exceeds limit 10"),

@@ -84,8 +84,7 @@ func main() {
 	connA, connB := net.Pipe()
 	respErr := make(chan error, 1)
 	go func() { respErr <- backupSet.Respond(context.Background(), connB) }()
-	res, err := primarySet.Sync(context.Background(), connA,
-		pbs.WithFastSync(true), pbs.WithKnownD(1200))
+	res, err := primarySet.Sync(context.Background(), connA, pbs.WithKnownD(1200))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -86,8 +86,7 @@ func TestFastSyncSingleRoundTrip(t *testing.T) {
 		// shape Set.speculativeD produces from a prior — so round 1
 		// decodes everything and the exchange is one round trip.
 		opt := Options{Seed: 62, StrongVerify: strong, KnownD: 40}
-		res, sent, received := teeSync(t, mustSet(t, p.A, WithOptions(opt)), mustSet(t, p.B, WithOptions(opt)),
-			WithFastSync(true))
+		res, sent, received := teeSync(t, mustSet(t, p.A, WithOptions(opt)), mustSet(t, p.B, WithOptions(opt)))
 		if !res.Complete {
 			t.Fatalf("strong=%v: incomplete after %d rounds", strong, res.Rounds)
 		}
@@ -119,35 +118,42 @@ func TestFastSyncSingleRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFastSyncWireEquivalence is the fast-path tee: Set.Sync with
-// WithFastSync against Set.Respond must put byte-identical streams on the
-// wire as the stepped engine sessions, with identical results — the same
-// contract TestSessionEngineWireEquivalence pins for the classic flow.
+// TestFastSyncWireEquivalence drives the same reconciliation two ways — by
+// stepping InitiatorSession/ResponderSession directly, and through the Set
+// API (Set.Sync against Set.Respond over a pipe, with a WithOnDelta
+// observer installed) — and requires byte-identical streams in both
+// directions plus identical results. This is the engine's contract: the
+// engine IS the protocol, every surface only moves frames, and the
+// streaming-delta observer never perturbs the wire. TestWireGolden holds
+// the same fixture to its absolute bytes.
 func TestFastSyncWireEquivalence(t *testing.T) {
 	for _, strong := range []bool{false, true} {
 		p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 3000, D: 80, Seed: 63})
 		opt := &Options{Seed: 64, StrongVerify: strong, KnownD: 80}
 
-		ssA, err := NewSharedSet(p.A, opt)
+		ssA, err := newSharedSet(p.A, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		is, opening, err := ssA.newInitiator(ssA.opt, initiatorCall{fast: true, specD: 80, adaptive: true})
+		is, opening, err := ssA.newInitiator(ssA.opt, initiatorCall{specD: 80, adaptive: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ssB, err := NewSharedSet(p.B, opt)
+		ssB, err := newSharedSet(p.B, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		iStream, rStream := driveEngine(t, is, opening, ssB.NewSession())
+		iStream, rStream := driveEngine(t, is, opening, respondTo(ssB))
 		engRes := is.Result()
 		if engRes == nil {
 			t.Fatal("engine produced no result")
 		}
 
+		var streamed []uint64
 		res, sent, received := teeSync(t, mustSet(t, p.A, WithOptions(*opt)), mustSet(t, p.B, WithOptions(*opt)),
-			WithFastSync(true))
+			WithOnDelta(func(elems []uint64, round int) {
+				streamed = append(streamed, elems...)
+			}))
 		if !bytes.Equal(sent, iStream) {
 			t.Fatalf("strong=%v: fast Set.Sync wire stream diverges from engine frames (%d vs %d bytes)",
 				strong, len(sent), len(iStream))
@@ -166,6 +172,8 @@ func TestFastSyncWireEquivalence(t *testing.T) {
 			t.Fatalf("strong=%v: Set result %+v != engine result %+v", strong, res, engRes)
 		}
 		assertSameSet(t, res.Difference, p.Diff)
+		// The streamed deltas must reconstruct the final difference exactly.
+		assertSameSet(t, streamed, res.Difference)
 	}
 }
 
@@ -180,19 +188,19 @@ func TestFastSyncUndersizedSpeculation(t *testing.T) {
 	opt := &Options{Seed: 66}
 	const specD = 45 // true d̂ ≈ 80: inside the 2·45+16 acceptance window
 
-	ssA, err := NewSharedSet(p.A, opt)
+	ssA, err := newSharedSet(p.A, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	is, opening, err := ssA.newInitiator(ssA.opt, initiatorCall{fast: true, specD: specD, adaptive: true})
+	is, opening, err := ssA.newInitiator(ssA.opt, initiatorCall{specD: specD, adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ssB, err := NewSharedSet(p.B, opt)
+	ssB, err := newSharedSet(p.B, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rStream := driveEngine(t, is, opening, ssB.NewSession())
+	_, rStream := driveEngine(t, is, opening, respondTo(ssB))
 
 	rFrames := parseStream(t, rStream)
 	if rFrames[0].Type != frame.MsgHelloReplyV1 {
@@ -241,25 +249,24 @@ func TestSpeculativeDSizing(t *testing.T) {
 
 // TestFastSyncDeclinedSpeculation pins the decline path: a speculation the
 // estimate dwarfs is not answered; both sides re-plan deterministically
-// from the true d̂ and the session still converges on the exact difference
-// — costing what the legacy negotiation would have, never more.
+// from the true d̂ and the session still converges on the exact difference.
 func TestFastSyncDeclinedSpeculation(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 3000, D: 500, Seed: 67})
 	opt := &Options{Seed: 68}
 
-	ssA, err := NewSharedSet(p.A, opt)
+	ssA, err := newSharedSet(p.A, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	is, opening, err := ssA.newInitiator(ssA.opt, initiatorCall{fast: true, specD: 1, adaptive: true})
+	is, opening, err := ssA.newInitiator(ssA.opt, initiatorCall{specD: 1, adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ssB, err := NewSharedSet(p.B, opt)
+	ssB, err := newSharedSet(p.B, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rStream := driveEngine(t, is, opening, ssB.NewSession())
+	_, rStream := driveEngine(t, is, opening, respondTo(ssB))
 
 	rFrames := parseStream(t, rStream)
 	rep, err := frame.ParseHelloReply(rFrames[0].Payload)
@@ -279,57 +286,42 @@ func TestFastSyncDeclinedSpeculation(t *testing.T) {
 	assertSameSet(t, res.Difference, p.Diff)
 }
 
-// TestClientLegacyFallback stands up a legacy-only responder (serveV0: it
-// answers anything but the protocol-0 flow with msgError, exactly like a
-// pre-fast-path build) and checks both negotiation outcomes: the default
-// client transparently redials and completes over the legacy flow, and an
-// explicit LegacySync client never trips over the fast hello at all.
+// TestClientLegacyFallback stands up a protocol-0 peer (serveV0: it answers
+// every frame with msgError, as a build without the fast hello does) and
+// pins that there is no fallback: the client's sync ends on its one
+// connection with the peer's diagnostic as a *PeerError, and never redials
+// with another opening.
 func TestClientLegacyFallback(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 1000, D: 15, Seed: 69})
 	opt := Options{Seed: 70}
 	tl := startWireResponder(t, "v0", p.B, opt)
-	// opened lists the first frame type the responder read on each
-	// connection it has accepted.
-	opened := func() []byte {
-		var types []byte
-		for _, c := range tl.taps() {
-			if in, _ := c.bytes(); len(in) >= frame.HeaderLen {
-				_, typ := frame.ParseHeader(in)
-				types = append(types, typ)
-			}
-		}
-		return types
-	}
 
 	c := &Client{Addr: tl.Addr().String(), Options: &opt, Timeout: time.Minute}
-	res, err := c.Sync(p.A)
-	if err != nil {
-		t.Fatalf("fast client against legacy responder: %v", err)
+	_, err := c.Sync(p.A)
+	var pe *PeerError
+	if !errors.As(err, &pe) || pe.Msg != "pbs: unexpected message type 10" {
+		t.Fatalf("client against a protocol-0 peer: %v, want the peer's diagnostic as a *PeerError", err)
 	}
-	if !res.Complete {
-		t.Fatalf("incomplete after fallback: %+v", res)
+	if Retryable(err) {
+		t.Fatalf("an uncoded refusal is retryable: %v", err)
 	}
-	assertSameSet(t, res.Difference, p.Diff)
-	if got := opened(); !bytes.Equal(got, []byte{frame.MsgHelloV1, frame.MsgEstimate}) {
-		t.Fatalf("connections opened with frame types %v, want the fast hello, then the estimate on a redial", got)
+	var opened []byte
+	for _, c := range tl.taps() {
+		if in, _ := c.bytes(); len(in) >= frame.HeaderLen {
+			_, typ := frame.ParseHeader(in)
+			opened = append(opened, typ)
+		}
 	}
-
-	lc := &Client{Addr: tl.Addr().String(), Options: &opt, Timeout: time.Minute, LegacySync: true}
-	res, err = lc.Sync(p.A)
-	if err != nil {
-		t.Fatalf("legacy client: %v", err)
-	}
-	assertSameSet(t, res.Difference, p.Diff)
-	if got := opened(); len(got) != 3 || got[2] != frame.MsgEstimate {
-		t.Fatalf("connections opened with frame types %v, want the LegacySync client's to open with the estimate", got)
+	if !bytes.Equal(opened, []byte{frame.MsgHelloV1}) {
+		t.Fatalf("connections opened with frame types %v, want one fast hello and no redial", opened)
 	}
 }
 
 // TestFastSyncServerNamedSet covers the server-side admission path: a fast
 // hello names the registry set inline (no separate msgHello frame), the
 // server admits against it, and a warm connection runs fast sessions back
-// to back. An unknown name is rejected with the server's own diagnostic,
-// surfaced through the ErrFastSyncRejected wrapper.
+// to back. An unknown name is rejected with the server's own coded
+// diagnostic, surfaced as a *PeerError.
 func TestFastSyncServerNamedSet(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 2000, D: 20, Seed: 71})
 	opt := Options{Seed: 72}
@@ -360,7 +352,7 @@ func TestFastSyncServerNamedSet(t *testing.T) {
 	}
 	defer conn.Close()
 	for i := 0; i < 3; i++ { // warm connection: sessions in sequence
-		res, err := set.Sync(context.Background(), conn, WithFastSync(true), WithSetName("catalog"))
+		res, err := set.Sync(context.Background(), conn, WithSetName("catalog"))
 		if err != nil {
 			t.Fatalf("sync %d: %v", i, err)
 		}
@@ -384,40 +376,40 @@ func TestFastSyncServerNamedSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
-	_, err = set.Sync(context.Background(), conn2, WithFastSync(true), WithSetName("no-such-set"))
-	if !errors.Is(err, ErrFastSyncRejected) {
-		t.Fatalf("unknown set error = %v, want ErrFastSyncRejected wrapper", err)
+	_, err = set.Sync(context.Background(), conn2, WithSetName("no-such-set"))
+	if pe := (*PeerError)(nil); !errors.As(err, &pe) || pe.Code != ErrCodeRejected {
+		t.Fatalf("unknown set error = %v, want the server's rejected-coded PeerError", err)
 	}
 }
 
 // TestFastHelloVersionNegotiation pins the two engine-level negotiation
 // signals: a responder rejects a hello version it does not speak (the
 // resulting msgError is what an old initiator of the future sees), and an
-// initiator maps a msgError answer to its fast hello onto the
-// ErrFastSyncRejected sentinel.
+// initiator surfaces a msgError answer to its fast hello as the peer's
+// *PeerError.
 func TestFastHelloVersionNegotiation(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 500, D: 5, Seed: 73})
 	opt := &Options{Seed: 74}
-	ssB, err := NewSharedSet(p.B, opt)
+	ssB, err := newSharedSet(p.B, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hello := frame.AppendHello(nil, frame.Hello{Version: 99})
-	if _, _, err := ssB.NewSession().Step(frame.MsgHelloV1, hello); err == nil {
+	if _, _, err := respondTo(ssB).Step(frame.MsgHelloV1, hello); err == nil {
 		t.Fatal("responder accepted an unknown hello version")
 	}
 
-	ssA, err := NewSharedSet(p.A, opt)
+	ssA, err := newSharedSet(p.A, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	is, _, err := ssA.newInitiator(ssA.opt, initiatorCall{fast: true, specD: 5, adaptive: true})
+	is, _, err := ssA.newInitiator(ssA.opt, initiatorCall{specD: 5, adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, _, err = is.Step(frame.MsgError, []byte("pbs: unexpected message type 10"))
-	if !errors.Is(err, ErrFastSyncRejected) {
-		t.Fatalf("msgError answer = %v, want ErrFastSyncRejected wrapper", err)
+	if pe := (*PeerError)(nil); !errors.As(err, &pe) || pe.Msg != "pbs: unexpected message type 10" {
+		t.Fatalf("msgError answer = %v, want the peer's diagnostic as a *PeerError", err)
 	}
 }
 

@@ -267,7 +267,7 @@ func (f *fleet) run() {
 		if f.sets > 0 {
 			w.zipf = rand.NewZipf(w.rng, f.zipf, 1, uint64(f.sets-1))
 		} else {
-			set, err := NewSet(pair.A, WithOptions(f.opt), WithFastSync(true))
+			set, err := NewSet(pair.A, WithOptions(f.opt))
 			if err != nil {
 				f.fatalf("%v", err)
 			}
@@ -487,7 +487,7 @@ func (f *fleet) account(st ServerStats) {
 func (f *fleet) pick(w *fleetWorker) error {
 	idx := int(w.zipf.Uint64())
 	full := workload.ManySet(f.seed, idx, f.size)
-	set, err := NewSet(full[f.diff:], WithOptions(f.opt), WithFastSync(true))
+	set, err := NewSet(full[f.diff:], WithOptions(f.opt))
 	if err != nil {
 		return err
 	}

@@ -78,10 +78,11 @@ func mustSyncExact(t *testing.T, addr string, opt *Options, tenant, set string, 
 	}
 }
 
-// TestHostedColdEstimateWithoutLoad is the key ISSUE invariant: an evicted
-// (cold) hosted set answers a legacy hello + estimate probe entirely from
-// its persisted sketch, without paging a single element in. Only a real
-// reconciliation round forces the cold load.
+// TestHostedColdEstimateWithoutLoad is the key invariant of cold hosting:
+// an evicted (cold) hosted set answers a hello whose speculation it
+// declines entirely from its persisted footer — d̂ from the sketch, and
+// the strong-verification digest — without paging a single element in.
+// Only the next msgRound forces the cold load.
 func TestHostedColdEstimateWithoutLoad(t *testing.T) {
 	dir := t.TempDir()
 	opt := &Options{Seed: 4242}
@@ -110,48 +111,63 @@ func TestHostedColdEstimateWithoutLoad(t *testing.T) {
 	}
 	addr := serveHosted(t, srvB)
 
-	// Raw legacy probe: hello, estimate, read the reply, done. The set
-	// must answer without loading.
-	local, _ := hostedClientSet(base, 1)
-	_, opening := classicInitiator(t, local, opt)
+	// The local set is 100 elements short of the base, far outside the
+	// acceptance window of a d_spec = 1 speculation.
+	is, opening := helloInitiator(t, base[100:], &Options{Seed: 4242, StrongVerify: true}, "t1/cold", 1)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	if _, err := frame.WriteAll(conn, oneFrame(frame.MsgHello, []byte("t1/cold"))); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := frame.WriteAll(conn, opening); err != nil {
 		t.Fatal(err)
 	}
-	typ, _, err := frame.ReadInto(conn, frame.MaxFrame, nil)
+	typ, payload, err := frame.ReadInto(conn, frame.MaxFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != frame.MsgEstimateReply {
-		t.Fatalf("probe got frame type %d, want msgEstimateReply", typ)
+	if typ != frame.MsgHelloReplyV1 {
+		t.Fatalf("hello got frame type %d, want msgHelloReplyV1", typ)
 	}
-	if _, err := frame.WriteAll(conn, oneFrame(frame.MsgDone, nil)); err != nil {
+	rep, err := frame.ParseHelloReply(payload)
+	if err != nil {
 		t.Fatal(err)
 	}
-	conn.Close()
+	if rep.Answered || rep.Digest == nil || rep.Dhat == 0 {
+		t.Fatalf("reply answered=%v digest=%x d̂=%d, want a declined speculation with d̂ and the digest",
+			rep.Answered, rep.Digest, rep.Dhat)
+	}
+	if st := srvB.Stats(); st.ColdLoads != 0 || st.SetsResident != 0 {
+		t.Fatalf("the hello paged the set in: ColdLoads = %d, SetsResident = %d", st.ColdLoads, st.SetsResident)
+	}
 
+	// The first msgRound needs the bin sums, which is the cold load. The
+	// session then runs to completion, and its strong verification checks
+	// the footer's digest against the set the rounds reconciled to.
+	out, done, err := is.Step(typ, payload)
+	for rounds := 0; ; rounds++ {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := frame.WriteAll(conn, out); err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			break
+		}
+		if typ, payload, err = frame.ReadInto(conn, frame.MaxFrame, nil); err != nil {
+			t.Fatal(err)
+		}
+		if st := srvB.Stats(); rounds == 0 && st.ColdLoads != 1 {
+			t.Fatalf("first msgRound: ColdLoads = %d, want 1", st.ColdLoads)
+		}
+		out, done, err = is.Step(typ, payload)
+	}
+	assertSameSet(t, is.Result().Difference, base[:100])
 	waitFor(t, func() bool { return srvB.Stats().Completed == 1 })
-	st := srvB.Stats()
-	if st.ColdLoads != 0 {
-		t.Fatalf("estimate probe cold-loaded the set: ColdLoads = %d", st.ColdLoads)
-	}
-	if st.SetsResident != 0 {
-		t.Fatalf("estimate probe made the set resident: SetsResident = %d", st.SetsResident)
-	}
-
-	// A real sync must page the elements in and converge exactly.
-	local2, want := hostedClientSet(base, 1)
-	mustSyncExact(t, addr, opt, "t1", "cold", local2, want)
 	if st := srvB.Stats(); st.ColdLoads != 1 {
-		t.Fatalf("full sync: ColdLoads = %d, want 1", st.ColdLoads)
+		t.Fatalf("full session: ColdLoads = %d, want 1", st.ColdLoads)
 	}
 }
 
@@ -292,13 +308,6 @@ func TestRegisterAfterServerClose(t *testing.T) {
 	if err := srv.Register("after", testBaseSet(8)); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("Register after close: %v, want ErrServerClosed", err)
 	}
-	ss, err := NewSharedSet(testBaseSet(8), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.RegisterShared("after", ss); !errors.Is(err, ErrServerClosed) {
-		t.Fatalf("RegisterShared after close: %v, want ErrServerClosed", err)
-	}
 	set, err := NewSet(testBaseSet(8), WithOptions(*opt))
 	if err != nil {
 		t.Fatal(err)
@@ -367,19 +376,19 @@ func TestTenantQuotas(t *testing.T) {
 	}
 	defer hold.Close()
 	hold.SetDeadline(time.Now().Add(30 * time.Second))
-	_, opening := classicInitiator(t, local, opt)
-	if _, err := frame.WriteAll(hold, oneFrame(frame.MsgHello, []byte("busy/s"))); err != nil {
-		t.Fatal(err)
-	}
+	_, opening := helloInitiator(t, local, opt, "busy/s", 32)
 	if _, err := frame.WriteAll(hold, opening); err != nil {
 		t.Fatal(err)
 	}
 	// Reading the reply guarantees the server admitted the session (and
 	// charged the quota slot) before the second client arrives.
-	if typ, _, err := frame.ReadInto(hold, frame.MaxFrame, nil); err != nil || typ != frame.MsgEstimateReply {
+	if typ, _, err := frame.ReadInto(hold, frame.MaxFrame, nil); err != nil || typ != frame.MsgHelloReplyV1 {
 		t.Fatalf("hold session: typ=%d err=%v", typ, err)
 	}
 
+	// The refusal of the second session's hello keeps its code: one
+	// connection, one quota rejection, retryable with the server's hint.
+	rejections := srv.Stats().QuotaRejections
 	c := &Client{Addr: addr, Tenant: "busy", Set: "s", Options: opt, Timeout: 30 * time.Second}
 	_, err = c.Sync(local)
 	if !errors.Is(err, ErrQuotaExceeded) {
@@ -387,6 +396,12 @@ func TestTenantQuotas(t *testing.T) {
 	}
 	if !Retryable(err) {
 		t.Fatalf("session-quota rejection not retryable: %v", err)
+	}
+	if pe := (*PeerError)(nil); !errors.As(err, &pe) || pe.RetryAfter <= 0 {
+		t.Fatalf("session-quota rejection %v carries no retry-after hint", err)
+	}
+	if n := srv.Stats().QuotaRejections - rejections; n != 1 {
+		t.Fatalf("the refused sync charged %d quota rejections, want 1", n)
 	}
 
 	// Releasing the held session frees the slot.

@@ -207,7 +207,7 @@ func TestHostedUpdateMatchesFreshHost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		is, opening := classicInitiator(t, local, opt)
+		is, opening := helloInitiator(t, local, opt, "", 1)
 		sent, received = driveEngine(t, is, opening, view.newServerSession(hs.sessionOptions()))
 		if res := is.Result(); !res.Complete || !slices.Equal(sortedU64(res.Difference), sortedU64(want)) {
 			t.Fatalf("session learned %d elements (complete=%v), want %d", len(res.Difference), res.Complete, len(want))

@@ -6,22 +6,20 @@
 // layer all seal and open bytes through it; the protocol logic — who sends
 // what when, and what a value means — stays with them.
 //
-// Message flow (I = initiator, R = responder):
+// Message flow (I = initiator, R = responder), hello-v1 → round* → done:
 //
-//	I -> R  MsgEstimate      ℓ ToW sketches of I's set
-//	R -> I  MsgEstimateReply round(d̂) computed against R's sketches
+//	I -> R  MsgHelloV1       set name, ℓ ToW sketches of I's set, d_spec,
+//	                         and round 1 built under plan(d_spec)
+//	R -> I  MsgHelloReplyV1  round(d̂), the round-1 reply unless the
+//	                         speculation was declined, and (when asked) the
+//	                         32-byte multiset-hash digest of R's set
 //	I -> R  MsgRound         scope descriptors + BCH codewords   ┐ repeated
 //	R -> I  MsgRoundReply    positions, XOR sums, checksums      ┘ per round
-//	I -> R  MsgVerify        (only with StrongVerify)
-//	R -> I  MsgVerifyReply   32-byte multiset-hash digest of R's set
 //	I -> R  MsgDone          closes the session
 //
-// Frames are length-prefixed with a one-byte type. Two further frame types
-// exist only at the edges of a pbs-serve deployment: a client may open with
-// MsgHello naming the server-side set, and a server reports a rejected or
-// failed session with a final MsgError. The fast path folds estimate and
-// round 1 into one MsgHelloV1 / MsgHelloReplyV1 exchange (hello.go), which
-// may also negotiate the mux envelope (envelope.go).
+// Frames are length-prefixed with a one-byte type. A responder reports a
+// rejected or failed session with a final MsgError. The hello exchange
+// (hello.go) may also negotiate the mux envelope (envelope.go).
 package frame
 
 import (
@@ -40,16 +38,21 @@ type Frame struct {
 	Payload []byte
 }
 
+// Message types. Types 1, 2, 5, 6 and 8 belonged to protocol 0, whose
+// separate estimate, verify and naming exchanges the hello replaced. They
+// are retired — no session engine sends or accepts them, so a peer that
+// opens with one is refused like any unknown opening — and stay reserved
+// so every later type keeps its byte.
 const (
-	MsgEstimate = iota + 1
-	MsgEstimateReply
+	_ = iota + 1 // retired: estimate
+	_            // retired: estimate reply
 	MsgRound
 	MsgRoundReply
-	MsgVerify
-	MsgVerifyReply
+	_ // retired: verify
+	_ // retired: verify reply
 	MsgDone
-	MsgHello        // client -> server: name of the shared set to sync against
-	MsgError        // server -> client: session rejected or failed, payload = text
+	_               // retired: bare hello naming the set
+	MsgError        // responder -> initiator: session rejected or failed, payload = text
 	MsgHelloV1      // fast initiator open: version + name + sketches + speculative round 1
 	MsgHelloReplyV1 // fast responder answer: d̂ + optional round-1 reply + optional digest
 	MsgStreamClose  // mux only: bare stream teardown without a session message

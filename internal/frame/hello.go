@@ -38,22 +38,6 @@ func DecodeSketches(b []byte) ([]int64, error) {
 	return ys, nil
 }
 
-// AppendEstimateReply serializes a MsgEstimateReply payload: the rounded d̂.
-func AppendEstimateReply(dst []byte, dhat uint64) []byte {
-	return binary.AppendUvarint(dst, dhat)
-}
-
-func ParseEstimateReply(b []byte) (dhat uint64, err error) {
-	dhat, k := binary.Uvarint(b)
-	if k <= 0 {
-		return 0, fmt.Errorf("pbs: bad estimate reply")
-	}
-	if k != len(b) {
-		return 0, fmt.Errorf("pbs: %d trailing bytes after estimate reply", len(b)-k)
-	}
-	return dhat, nil
-}
-
 // Version1 is the wire-protocol version a fast hello negotiates. A
 // responder replies with the version it selected; initiators reject a
 // reply version they did not offer. VersionMux is version 1 plus hello-time
@@ -108,8 +92,7 @@ const (
 // round message with round number ≥ 2 carries a re-derived (m, t) header —
 // see internal/core's adaptive round format.
 
-// maxNameLen bounds the set name carried in a fast hello (the legacy
-// MsgHello is implicitly bounded by the frame limit; here the name shares
+// maxNameLen bounds the set name carried in a fast hello (the name shares
 // the frame with the sketch and round payloads, so it gets its own cap).
 const maxNameLen = 1 << 10
 

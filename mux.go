@@ -1,13 +1,13 @@
 package pbs
 
 // Stream multiplexing: protocol version 2. After a version-2 fast hello
-// negotiates the mux feature, every frame on the connection keeps the v0/v1
+// negotiates the mux feature, every frame on the connection keeps the v1
 // outer header but its payload gains the mux envelope (frame.Seal and
 // frame.Open own its layout), so N logical sessions interleave over one
 // connection, each stream driven by its own independent session engine. The
 // outer framing, frame budgets, and coalesced-write path are untouched, and
 // a connection that never negotiates v2 never sees an envelope byte — the
-// legacy wire format stays byte-identical.
+// version-1 wire format stays byte-identical.
 //
 // Negotiation rides the existing single-RTT hello, so it costs zero extra
 // round trips: the first stream taken from a MuxConn sends the fast hello
@@ -58,7 +58,7 @@ var (
 // featureRequester lets a connection ask Set.Sync to fold a protocol
 // feature request into its fast hello. The negotiating MuxStream is the
 // one implementation; everything else syncs with an empty request and a
-// byte-identical legacy hello.
+// byte-identical version-1 hello.
 type featureRequester interface{ muxFeatureRequest() uint64 }
 
 // muxDeadline makes a time.Time deadline selectable: wait returns a
@@ -126,12 +126,11 @@ const (
 // MuxConn multiplexes many concurrent Set.Sync sessions over one dialed
 // connection. Take streams with Stream; each stream is a net.Conn that
 // carries exactly one sync session. The first stream is the negotiator:
-// its Set.Sync (which must use the fast path, WithFastSync's default)
-// piggybacks the feature request on the hello, and every later Stream call
-// blocks until that reply lands. If the peer declines — a legacy or
-// mux-disabled server — the first sync still completes as a plain fast
-// sync and later Stream calls return ErrMuxDeclined so callers can fall
-// back to a connection per session.
+// its Set.Sync piggybacks the feature request on the hello, and every
+// later Stream call blocks until that reply lands. If the peer declines —
+// a Set.Respond peer or a mux-disabled server — the first sync still
+// completes as a plain fast sync and later Stream calls return
+// ErrMuxDeclined so callers can fall back to a connection per session.
 //
 // Retry and chaos layers compose per-stream: wrap the dialed net.Conn
 // before handing it to NewMuxConn and every stream's traffic flows through
@@ -343,8 +342,8 @@ func (m *MuxConn) readLoop() {
 		case muxNegotiating:
 			// The first frame of the conversation resolves the negotiation:
 			// a hello reply carries the grant flags; anything else (msgError
-			// from a rejecting server, a legacy estimate reply) means no
-			// grant and permanent passthrough.
+			// from a rejecting server) means no grant and permanent
+			// passthrough.
 			var granted uint64
 			if typ == frame.MsgHelloReplyV1 {
 				if rep, err := frame.ParseHelloReply(payload); err == nil {

@@ -39,7 +39,7 @@ func muxSyncClient(mc *MuxConn, base []uint64, opt *Options, i int) error {
 	if err != nil {
 		return fmt.Errorf("client %d: %w", i, err)
 	}
-	res, err := set.Sync(context.Background(), st, WithFastSync(true), WithIdleTimeout(time.Minute))
+	res, err := set.Sync(context.Background(), st, WithIdleTimeout(time.Minute))
 	if err != nil {
 		return fmt.Errorf("client %d: %w", i, err)
 	}
@@ -206,11 +206,11 @@ func readMuxFrame(t *testing.T, conn net.Conn, id uint64) (byte, []byte) {
 // enveloped — and the granted feature bits are returned.
 func muxRawNegotiate(t *testing.T, conn net.Conn, local []uint64, opt *Options, features uint64) uint64 {
 	t.Helper()
-	ss, err := NewSharedSet(local, opt)
+	ss, err := newSharedSet(local, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	is, opening, err := ss.newInitiator(ss.opt, initiatorCall{fast: true, specD: 32, features: features, adaptive: true})
+	is, opening, err := ss.newInitiator(ss.opt, initiatorCall{specD: 32, features: features, adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +262,11 @@ func muxRawNegotiate(t *testing.T, conn net.Conn, local []uint64, opt *Options, 
 // already-negotiated raw connection and returns its result.
 func muxRawSync(t *testing.T, conn net.Conn, id uint64, local []uint64, opt *Options) *Result {
 	t.Helper()
-	ss, err := NewSharedSet(local, opt)
+	ss, err := newSharedSet(local, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	is, opening, err := ss.newInitiator(ss.opt, initiatorCall{fast: true, specD: 32, adaptive: true})
+	is, opening, err := ss.newInitiator(ss.opt, initiatorCall{specD: 32, adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestMuxDeclined(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := set.Sync(context.Background(), st, WithFastSync(true), WithIdleTimeout(time.Second))
+		res, err := set.Sync(context.Background(), st, WithIdleTimeout(time.Second))
 		if err != nil {
 			t.Fatal(err)
 		}

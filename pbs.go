@@ -93,9 +93,8 @@ type Options struct {
 	MaxD int
 	// StrongVerify adds the §2.2.3 whole-set multiset-hash check to wire
 	// sessions, pushing the false-verification probability to practically
-	// zero for the cost of the 32-byte digest. On the fast path the digest
-	// rides the hello reply, so the session keeps its single round trip;
-	// the classic flow spends one more msgVerify/msgVerifyReply exchange.
+	// zero for the cost of the 32-byte digest. The digest rides the hello
+	// reply, so the session keeps its single round trip.
 	StrongVerify bool
 	// Parallelism is the worker count for per-group encoding and decoding.
 	// PBS group pairs are piecewise reconciliable — each decodes

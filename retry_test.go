@@ -102,7 +102,7 @@ func TestRetryResumesFastPath(t *testing.T) {
 		prior = setA.specPrior.Load()
 	}
 
-	res, err := setA.Sync(context.Background(), nil, WithFastSync(true), WithRetry(pol))
+	res, err := setA.Sync(context.Background(), nil, WithRetry(pol))
 	if err != nil {
 		t.Fatalf("retried sync failed: %v", err)
 	}
@@ -210,7 +210,7 @@ func TestVerifyFailureNotRetried(t *testing.T) {
 		},
 	}
 
-	_, err = setA.Sync(context.Background(), nil, WithFastSync(true), WithRetry(pol))
+	_, err = setA.Sync(context.Background(), nil, WithRetry(pol))
 	if !errors.Is(err, ErrVerificationFailed) {
 		t.Fatalf("want ErrVerificationFailed, got %v", err)
 	}
@@ -246,7 +246,7 @@ func TestMaxDViolationNotRetried(t *testing.T) {
 		},
 	}
 	_, err = setA.Sync(context.Background(), nil,
-		WithFastSync(true), WithMaxD(50), WithRetry(pol))
+		WithMaxD(50), WithRetry(pol))
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("want d̂-over-MaxD rejection, got %v", err)
 	}
@@ -356,7 +356,7 @@ func TestPeerErrorSanitized(t *testing.T) {
 	defer ca.Close()
 	go func() {
 		defer cb.Close()
-		if _, _, err := frame.ReadInto(cb, frame.MaxFrame, nil); err != nil { // swallow the estimate
+		if _, _, err := frame.ReadInto(cb, frame.MaxFrame, nil); err != nil { // swallow the hello
 			return
 		}
 		hostile := append(bytes.Repeat([]byte{0x07}, 2048), "tail"...)

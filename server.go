@@ -33,19 +33,17 @@ import (
 // frame under raw framing, that stream's final frame under mux — and
 // counted in the server stats.
 //
-// Protocol: a client may open with a msgHello frame naming the registered
-// set to reconcile against; without one the session uses DefaultSetName.
-// Everything after that is the standard wire protocol (internal/frame), so
-// a Set.Sync or Client initiator talks to a Server unchanged. A fast client
-// instead opens with a single msgHelloV1 frame (name, sketches, and a
-// speculative first round in one), which the server admits and answers
-// identically — the common warm sync then completes in one round trip.
-// After a completed session the connection stays open and accepts another
-// hello/estimate, so a warm client (Set.Sync over a held connection)
-// amortizes the dial across many syncs; each session gets fresh byte and
-// round budgets. A version-2 hello may instead negotiate stream
-// multiplexing (mux.go): the same loop then carries many sessions at once,
-// one per stream, each under its own budgets.
+// Protocol: a client opens a session with a single msgHelloV1 frame (the
+// registered set's name, sketches, and a speculative first round in one);
+// an empty name selects DefaultSetName. Everything after that is the
+// standard wire protocol (internal/frame), so a Set.Sync or Client
+// initiator talks to a Server unchanged, and the common warm sync completes
+// in one round trip. After a completed session the connection stays open
+// and accepts another hello, so a warm client (Set.Sync over a held
+// connection) amortizes the dial across many syncs; each session gets
+// fresh byte and round budgets. A version-2 hello may instead negotiate
+// stream multiplexing (mux.go): the same loop then carries many sessions
+// at once, one per stream, each under its own budgets.
 type Server struct {
 	opt ServerOptions
 	// protoOpt is opt.Protocol with defaults applied, resolved once; every
@@ -115,7 +113,7 @@ type Server struct {
 }
 
 // DefaultSetName is the registry entry a session reconciles against when
-// the client does not send a msgHello frame.
+// the client's hello names no set.
 const DefaultSetName = "default"
 
 // Defaults for the per-session limits of ServerOptions.
@@ -421,44 +419,19 @@ func (s *Server) TenantUsage(tenant string) (sets, bytes, sessions int64) {
 // reconciling against the snapshot they started with, new sessions see the
 // new one.
 func (s *Server) Register(name string, set []uint64) error {
-	ss, err := NewSharedSet(set, s.opt.Protocol)
+	ss, err := newSharedSet(set, s.opt.Protocol)
 	if err != nil {
 		return err
-	}
-	return s.RegisterShared(name, ss)
-}
-
-// RegisterShared publishes an already prepared SharedSet under name.
-// Sessions run under the shared set's own options, so those must agree
-// with the server's protocol options on every field that parameterizes
-// the exchange — a mismatch (e.g. a SharedSet built with a different
-// seed) would produce baffling mid-protocol failures, so it is rejected
-// here at registration time instead.
-func (s *Server) RegisterShared(name string, ss *SharedSet) error {
-	want := s.opt.Protocol.withDefaults()
-	got := ss.opt
-	switch {
-	case got.Seed != want.Seed:
-		return fmt.Errorf("pbs: shared set seed %#x does not match server seed %#x", got.Seed, want.Seed)
-	case got.EstimatorSketches != want.EstimatorSketches:
-		return fmt.Errorf("pbs: shared set sketch count %d does not match server %d", got.EstimatorSketches, want.EstimatorSketches)
-	case got.Gamma != want.Gamma:
-		return fmt.Errorf("pbs: shared set gamma %v does not match server %v", got.Gamma, want.Gamma)
-	case got.Delta != want.Delta || got.TargetRounds != want.TargetRounds ||
-		got.TargetSuccess != want.TargetSuccess || got.SigBits != want.SigBits:
-		return fmt.Errorf("pbs: shared set plan parameters do not match the server's")
-	case got.MaxD != want.MaxD:
-		return fmt.Errorf("pbs: shared set MaxD %d does not match server MaxD %d", got.MaxD, want.MaxD)
 	}
 	return s.publish(name, ss, hostedElemBytes*int64(ss.Len()))
 }
 
-// RegisterSet publishes a live, mutable Set under name. Unlike Register
-// and RegisterShared — which pin an immutable snapshot at registration
-// time — sessions admitted after a mutation see the mutated set: each
-// session takes the Set's current immutable view at admission (sessions
-// already in flight keep the view they started with), and the view rebuild
-// after a mutation is amortized across all sessions until the next one.
+// RegisterSet publishes a live, mutable Set under name. Unlike Register —
+// which pins an immutable snapshot at registration time — sessions
+// admitted after a mutation see the mutated set: each session takes the
+// Set's current immutable view at admission (sessions already in flight
+// keep the view they started with), and the view rebuild after a mutation
+// is amortized across all sessions until the next one.
 //
 // Sessions against the set run under the Set's own options; those must
 // agree with the server's protocol options on the structural fields
@@ -750,8 +723,8 @@ func (s *Server) Shutdown(timeout time.Duration) bool {
 // goroutine. The structured code and optional retry-after hint ride the
 // backward-compatible msgError suffix: current clients decode it into a
 // *PeerError, legacy clients see (and log) the suffix as part of the plain
-// string. The connection usually still has unread frames from the client
-// (e.g. the estimate of a just-rejected session); closing with those
+// string. The connection may still have unread frames from the client
+// (e.g. ones pipelined behind a rejected opening); closing with those
 // pending would RST the socket and can destroy the diagnostic before the
 // client reads it, so the write side is half-closed and the inbound
 // leftovers drained briefly first.
@@ -808,10 +781,10 @@ type srvStream struct {
 
 // handle is the connection loop: it pumps frames between one connection
 // and the responder sessions in its stream table, enforcing the
-// per-session limits. Raw v0/v1 framing is the table's degenerate case —
+// per-session limits. Raw v1 framing is the table's degenerate case —
 // at most one stream, implicit, ID 0: after a completed session (the
-// initiator's msgDone) the connection stays open and a fresh msgHello or
-// msgEstimate opens the next one with its budgets reset, which is how a
+// initiator's msgDone) the connection stays open and a fresh hello opens
+// the next one with its budgets reset, which is how a
 // warm client fleet amortizes the dial across many syncs. A granted
 // version-2 hello re-files that stream as ID 1 and switches the connection
 // to enveloped framing in place; from then on each frame is routed to its
@@ -939,7 +912,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 		}
 
-		st, opening := streams[id], false
+		st := streams[id]
 		if st == nil {
 			if muxed && flags&frame.FlagOpen == 0 {
 				if typ == frame.MsgStreamClose || flags&frame.FlagClose != 0 {
@@ -960,13 +933,12 @@ func (s *Server) handle(conn net.Conn) {
 				continue
 			}
 			name := DefaultSetName
-			switch typ {
-			case frame.MsgHello:
-				name = string(body)
-			case frame.MsgHelloV1:
-				// A fast hello both names the set and opens the session, so
-				// the admission happens here and the frame still reaches the
-				// engine.
+			if typ == frame.MsgHelloV1 {
+				// The hello both names the set and opens the session, so the
+				// admission happens here and the frame still reaches the
+				// engine. Any other opening is admitted against the default
+				// set and left to its engine, which refuses all but a bare
+				// msgDone probe.
 				h, herr := frame.ParseHello(body)
 				if herr != nil {
 					failStream(id, herr.Error())
@@ -991,7 +963,7 @@ func (s *Server) handle(conn net.Conn) {
 				// re-negotiate (no mux inside mux).
 				sess.allowFeatures = s.opt.allowedFeatures()
 			}
-			st, opening = &srvStream{sess: sess, start: time.Now()}, true
+			st = &srvStream{sess: sess, start: time.Now()}
 			streams[id] = st
 		} else if flags&frame.FlagOpen != 0 {
 			failStream(id, fmt.Sprintf("duplicate open for stream %d", id))
@@ -1011,14 +983,6 @@ func (s *Server) handle(conn net.Conn) {
 				s.failed.Add(1)
 			}
 			release(id)
-			continue
-		}
-		if typ == frame.MsgHello {
-			// A bare hello only exists as a stream's opening frame, where it
-			// already did the naming.
-			if !opening {
-				failStream(id, "hello after session start")
-			}
 			continue
 		}
 		if typ == frame.MsgRound || typ == frame.MsgHelloV1 {

@@ -163,24 +163,6 @@ func TestServerNamedSets(t *testing.T) {
 	}
 }
 
-func TestServerRegisterSharedOptionMismatch(t *testing.T) {
-	srv := NewServer(ServerOptions{Protocol: &Options{Seed: 31}})
-	ss, err := NewSharedSet([]uint64{1, 2, 3}, &Options{Seed: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.RegisterShared("x", ss); err == nil || !strings.Contains(err.Error(), "seed") {
-		t.Fatalf("want seed-mismatch rejection, got %v", err)
-	}
-	ok, err := NewSharedSet([]uint64{1, 2, 3}, &Options{Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.RegisterShared("x", ok); err != nil {
-		t.Fatalf("matching options rejected: %v", err)
-	}
-}
-
 func TestServerSessionCapacity(t *testing.T) {
 	opt := &Options{Seed: 13}
 	_, addr := startTestServer(t, testBaseSet(100), ServerOptions{
@@ -233,13 +215,14 @@ func TestServerRoundBudget(t *testing.T) {
 	opt := &Options{Seed: 19}
 	_, addr := startTestServer(t, testBaseSet(500), ServerOptions{
 		Protocol:         opt,
-		SessionMaxRounds: 1,
+		SessionMaxRounds: 2,
 	})
 
-	// Drive the protocol by hand so the one permitted round frame can be
-	// replayed: the second msgRound must trip the budget.
-	local, _ := clientSetAndDiff(testBaseSet(500), 1)
-	sess, opening := classicInitiator(t, local, opt)
+	// Drive the protocol by hand so the one permitted msgRound can be
+	// replayed: the hello (its speculative round declined) spends the
+	// first unit of the budget, the msgRound the second, and the replay
+	// must trip it.
+	sess, opening := helloInitiator(t, testBaseSet(500)[100:], opt, "", 1)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ import (
 //
 // The engine also hardens the protocol against hostile peers: the
 // exchanged difference estimate d̂ is validated against Options.MaxD on
-// both sides before it can size a Plan, a mid-session re-estimate is
+// both sides before it can size a Plan, a second hello mid-session is
 // rejected instead of silently discarding reconciliation state, and every
 // parse rejects trailing bytes.
 
@@ -79,7 +79,7 @@ func (o Options) boundEstimate(dhatF float64) (uint64, error) {
 }
 
 // InitiatorSession is the non-blocking initiator (Alice) state machine
-// behind Set.Sync: send its opening frames, then feed every frame received
+// behind Set.Sync: send its opening hello, then feed every frame received
 // from the responder to Step and send whatever it returns, until done. The
 // session reconciles against an immutable SharedSet view, so the validated
 // snapshot, the ToW sketch, and the group partitions are all reusable
@@ -95,17 +95,15 @@ type InitiatorSession struct {
 
 	dhat          uint64
 	estBytes      int
-	helloBytes    int // a leading msgHello frame, counted in WireBytes only
 	rounds        int
 	aliceWireBits int
 	bobWireBits   int
 
-	// Fast-path state: payload bits of a speculative round the responder
-	// declined (still spent on the wire, so still accounted), and the
-	// verification digest piggybacked on the hello reply, which lets a
-	// StrongVerify session skip the msgVerify round trip.
+	// specBits is the payload of a speculative round the responder declined
+	// (still spent on the wire, so still accounted); peerDigest is the
+	// responder's whole-set digest from the hello reply, which a
+	// StrongVerify session compares locally at the end.
 	specBits   int
-	haveDigest bool
 	peerDigest msethash.Digest
 
 	// adaptive records the responder's grant of the call's adaptive offer,
@@ -117,10 +115,8 @@ type InitiatorSession struct {
 }
 
 const (
-	initWantEstimateReply = iota
+	initWantHelloReply = iota // msgHelloV1 sent, awaiting msgHelloReplyV1
 	initWantRoundReply
-	initWantVerifyReply
-	initWantHelloReply // fast path: msgHelloV1 sent, awaiting msgHelloReplyV1
 	initClosed
 )
 
@@ -140,11 +136,8 @@ func fastSpecAccepted(specD, dhat uint64) bool {
 // initiatorCall is what varies per sync on the initiator side.
 type initiatorCall struct {
 	onDelta func(elems []uint64, round int)
-	// fast opens with the single-RTT msgHelloV1 (the fast path of sync.go)
-	// instead of the classic msgEstimate, round 1 already built under the
-	// plan for the speculative bound specD. The fields after it apply only
-	// then.
-	fast  bool
+	// specD is the speculative difference bound the hello's round 1 is
+	// built under.
 	specD uint64
 	// features is the protocol-feature request folded into the hello: a
 	// non-zero bitmap upgrades it to version 2 (want-flags in the existing
@@ -154,29 +147,19 @@ type initiatorCall struct {
 	// adaptive offers the peer adaptive round re-planning — one flag bit
 	// that changes nothing until the peer grants it.
 	adaptive bool
-	// name is the remote set to reconcile against (empty outside pbs-serve):
-	// a field of the fast hello, a leading msgHello frame on the classic flow.
+	// name is the remote set to reconcile against (empty outside pbs-serve),
+	// a field of the hello.
 	name string
 }
 
 // newInitiator starts an initiator session over the shared view and
-// returns its opening frames. opt must agree with ss.opt on Seed, SigBits,
-// and EstimatorSketches (the fields the cached snapshot and sketch were
-// built under); the remaining fields may vary per call.
+// returns its opening frame: the msgHelloV1 that carries the sketches and
+// round 1, already built under the plan for the speculative bound. opt
+// must agree with ss.opt on Seed, SigBits, and EstimatorSketches (the
+// fields the cached snapshot and sketch were built under); the remaining
+// fields may vary per call.
 func (ss *SharedSet) newInitiator(opt Options, c initiatorCall) (*InitiatorSession, []Frame, error) {
-	s := &InitiatorSession{opt: opt, shared: ss, call: c, state: initWantEstimateReply}
-	est := frame.EncodeSketches(ss.towSketch())
-	if !c.fast {
-		s.estBytes = len(est)
-		opening := oneFrame(frame.MsgEstimate, est)
-		if c.name != "" {
-			// The hello envelope is this side's extra cost; fold it in so
-			// WireBytes stays reconcilable with the server's BytesIn.
-			s.helloBytes = frame.HeaderLen + len(c.name)
-			opening = append(oneFrame(frame.MsgHello, []byte(c.name)), opening...)
-		}
-		return s, opening, nil
-	}
+	s := &InitiatorSession{opt: opt, shared: ss, call: c, state: initWantHelloReply}
 	specD := min(max(c.specD, 1), opt.maxD())
 	if err := s.replan(specD); err != nil {
 		return nil, nil, err
@@ -199,10 +182,9 @@ func (ss *SharedSet) newInitiator(opt Options, c initiatorCall) (*InitiatorSessi
 		Features:     c.features,
 		Name:         c.name,
 		SpecD:        specD,
-		Sketches:     est,
+		Sketches:     frame.EncodeSketches(ss.towSketch()),
 		Round1:       round1,
 	})
-	s.state = initWantHelloReply
 	// The hello envelope (version, flags, name, d_spec, sketch) is
 	// estimator overhead; the round-1 bytes are round traffic.
 	s.estBytes = len(hello) - len(round1)
@@ -241,23 +223,11 @@ func (s *InitiatorSession) replan(d uint64) error {
 // returns nil.
 func (s *InitiatorSession) Step(typ byte, payload []byte) (out []Frame, done bool, err error) {
 	switch s.state {
-	case initWantEstimateReply:
-		if typ != frame.MsgEstimateReply {
-			return nil, false, unexpectedType(frame.MsgEstimateReply, typ, payload)
+	case initWantHelloReply:
+		if typ != frame.MsgHelloReplyV1 {
+			return nil, false, unexpectedType(frame.MsgHelloReplyV1, typ, payload)
 		}
-		dhat, err := frame.ParseEstimateReply(payload)
-		if err != nil {
-			return nil, false, err
-		}
-		if max := s.opt.maxD(); dhat > max {
-			return nil, false, fmt.Errorf("pbs: peer estimate d̂ = %d exceeds limit %d", dhat, max)
-		}
-		s.dhat = dhat
-		s.estBytes += len(payload)
-		if err := s.replan(dhat); err != nil {
-			return nil, false, err
-		}
-		return s.advance()
+		return s.helloReply(payload)
 
 	case initWantRoundReply:
 		if typ != frame.MsgRoundReply {
@@ -270,97 +240,77 @@ func (s *InitiatorSession) Step(typ byte, payload []byte) (out []Frame, done boo
 		s.bobWireBits += len(payload) * 8
 		return s.advance()
 
-	case initWantHelloReply:
-		if typ != frame.MsgHelloReplyV1 {
-			if typ == frame.MsgError {
-				pe := parsePeerErrPayload(payload)
-				if pe.Code == ErrCodeBusy {
-					// Shed load, not a protocol mismatch: surface the busy
-					// error directly so callers retry instead of pointlessly
-					// downgrading to the legacy flow.
-					return nil, false, pe
-				}
-				// A legacy peer (or a rejecting server) answers the fast
-				// hello with msgError; surface the sentinel so callers can
-				// negotiate down to the multi-RTT flow.
-				return nil, false, fmt.Errorf("%w: %s", ErrFastSyncRejected, pe.Msg)
-			}
-			return nil, false, unexpectedType(frame.MsgHelloReplyV1, typ, payload)
-		}
-		rep, err := frame.ParseHelloReply(payload)
-		if err != nil {
-			return nil, false, err
-		}
-		switch rep.Version {
-		case frame.Version1:
-			// A v1 reply to a v2 hello is the decline path: the peer speaks
-			// the fast flow but grants no features; the session proceeds
-			// exactly as v1.
-			if rep.Features != 0 {
-				return nil, false, fmt.Errorf("pbs: version-1 reply carries feature grants %#x", rep.Features)
-			}
-		case frame.VersionMux:
-			if s.call.features == 0 {
-				return nil, false, fmt.Errorf("pbs: peer selected protocol version %d without an offer", rep.Version)
-			}
-			if rep.Features&^s.call.features != 0 {
-				return nil, false, fmt.Errorf("pbs: peer granted unrequested features %#x", rep.Features&^s.call.features)
-			}
-		default:
-			return nil, false, fmt.Errorf("pbs: peer selected unsupported protocol version %d", rep.Version)
-		}
-		if max := s.opt.maxD(); rep.Dhat > max {
-			return nil, false, fmt.Errorf("pbs: peer estimate d̂ = %d exceeds limit %d", rep.Dhat, max)
-		}
-		if rep.Adaptive && !s.call.adaptive {
-			return nil, false, fmt.Errorf("pbs: peer granted adaptive re-planning without an offer")
-		}
-		s.adaptive = rep.Adaptive
-		if rep.Digest != nil {
-			theirs, ok := msethash.DigestFromBytes(rep.Digest)
-			if !ok {
-				return nil, false, fmt.Errorf("pbs: malformed verification digest")
-			}
-			s.peerDigest, s.haveDigest = theirs, true
-		}
-		s.dhat = rep.Dhat
-		s.estBytes += len(payload) - len(rep.RoundReply)
-		if rep.Answered {
-			if s.adaptive {
-				// Round 1 went out before the grant existed (always static);
-				// enabling here makes every round from 2 on carry re-planned
-				// (m, t) parameters, mirroring the responder exactly.
-				s.alice.EnableAdaptive()
-			}
-			if err := s.alice.AbsorbReply(rep.RoundReply); err != nil {
-				return nil, false, err
-			}
-			s.rounds++
-			s.bobWireBits += len(rep.RoundReply) * 8
-			return s.advance()
-		}
-		// Speculation declined: its payload stays on the books, then both
-		// sides re-plan deterministically from the true d̂ and continue
-		// with the classic round flow.
-		s.specBits = s.alice.PayloadBits()
-		if err := s.replan(rep.Dhat); err != nil {
-			return nil, false, err
-		}
-		return s.advance()
-
-	case initWantVerifyReply:
-		if typ != frame.MsgVerifyReply {
-			return nil, false, unexpectedType(frame.MsgVerifyReply, typ, payload)
-		}
-		theirs, ok := msethash.DigestFromBytes(payload)
-		if !ok {
-			return nil, false, fmt.Errorf("pbs: malformed verification digest")
-		}
-		return s.closeVerified(theirs)
-
 	default:
 		return nil, false, fmt.Errorf("pbs: step on a closed initiator session")
 	}
+}
+
+// helloReply absorbs the responder's msgHelloReplyV1: the negotiated
+// version and grants, d̂, the digest, and the answer to round 1 — or, when
+// the speculation was declined, the re-plan from d̂.
+func (s *InitiatorSession) helloReply(payload []byte) ([]Frame, bool, error) {
+	rep, err := frame.ParseHelloReply(payload)
+	if err != nil {
+		return nil, false, err
+	}
+	switch rep.Version {
+	case frame.Version1:
+		// A v1 reply to a v2 hello is the decline path: the peer speaks
+		// the fast flow but grants no features; the session proceeds
+		// exactly as v1.
+		if rep.Features != 0 {
+			return nil, false, fmt.Errorf("pbs: version-1 reply carries feature grants %#x", rep.Features)
+		}
+	case frame.VersionMux:
+		if s.call.features == 0 {
+			return nil, false, fmt.Errorf("pbs: peer selected protocol version %d without an offer", rep.Version)
+		}
+		if rep.Features&^s.call.features != 0 {
+			return nil, false, fmt.Errorf("pbs: peer granted unrequested features %#x", rep.Features&^s.call.features)
+		}
+	default:
+		return nil, false, fmt.Errorf("pbs: peer selected unsupported protocol version %d", rep.Version)
+	}
+	if max := s.opt.maxD(); rep.Dhat > max {
+		return nil, false, fmt.Errorf("pbs: peer estimate d̂ = %d exceeds limit %d", rep.Dhat, max)
+	}
+	if rep.Adaptive && !s.call.adaptive {
+		return nil, false, fmt.Errorf("pbs: peer granted adaptive re-planning without an offer")
+	}
+	s.adaptive = rep.Adaptive
+	if rep.Digest != nil {
+		theirs, ok := msethash.DigestFromBytes(rep.Digest)
+		if !ok {
+			return nil, false, fmt.Errorf("pbs: malformed verification digest")
+		}
+		s.peerDigest = theirs
+	} else if s.opt.StrongVerify {
+		return nil, false, fmt.Errorf("pbs: hello reply carries no verification digest")
+	}
+	s.dhat = rep.Dhat
+	s.estBytes += len(payload) - len(rep.RoundReply)
+	if rep.Answered {
+		if s.adaptive {
+			// Round 1 went out before the grant existed (always static);
+			// enabling here makes every round from 2 on carry re-planned
+			// (m, t) parameters, mirroring the responder exactly.
+			s.alice.EnableAdaptive()
+		}
+		if err := s.alice.AbsorbReply(rep.RoundReply); err != nil {
+			return nil, false, err
+		}
+		s.rounds++
+		s.bobWireBits += len(rep.RoundReply) * 8
+		return s.advance()
+	}
+	// Speculation declined: its payload stays on the books, then both
+	// sides re-plan deterministically from the true d̂ and continue with
+	// msgRound.
+	s.specBits = s.alice.PayloadBits()
+	if err := s.replan(rep.Dhat); err != nil {
+		return nil, false, err
+	}
+	return s.advance()
 }
 
 // advance builds the next round message, or wraps the session up when the
@@ -381,7 +331,11 @@ func (s *InitiatorSession) advance() ([]Frame, bool, error) {
 	return s.finish()
 }
 
+// finish closes the session with msgDone. A complete StrongVerify session
+// first compares the responder's digest from the hello reply with the one
+// the learned difference implies.
 func (s *InitiatorSession) finish() ([]Frame, bool, error) {
+	s.state = initClosed
 	s.res = &Result{
 		Difference: s.alice.Difference(),
 		Complete:   s.alice.Done(),
@@ -390,28 +344,11 @@ func (s *InitiatorSession) finish() ([]Frame, bool, error) {
 		// The initiator only knows its own payload bits exactly; the
 		// peer's contribution is included in WireBytes.
 		PayloadBytes:   (s.alice.PayloadBits() + s.specBits + 7) / 8,
-		WireBytes:      (s.aliceWireBits+s.bobWireBits)/8 + s.estBytes + s.helloBytes,
+		WireBytes:      (s.aliceWireBits+s.bobWireBits)/8 + s.estBytes,
 		EstimatorBytes: s.estBytes,
 		Replans:        s.alice.Replans(),
 	}
-	if s.opt.StrongVerify && s.res.Complete {
-		if s.haveDigest {
-			// Fast path: the digest rode in on the hello reply, so the
-			// comparison is local and the msgVerify round trip vanishes.
-			return s.closeVerified(s.peerDigest)
-		}
-		s.state = initWantVerifyReply
-		return oneFrame(frame.MsgVerify, nil), false, nil
-	}
-	s.state = initClosed
-	return oneFrame(frame.MsgDone, nil), true, nil
-}
-
-// closeVerified ends a StrongVerify session on the comparison of the
-// responder's whole-set digest with the one the learned difference implies.
-func (s *InitiatorSession) closeVerified(theirs msethash.Digest) ([]Frame, bool, error) {
-	s.state = initClosed
-	if s.expectedDigest() != theirs {
+	if s.opt.StrongVerify && s.res.Complete && s.expectedDigest() != s.peerDigest {
 		// The difference just failed verification: do not leave a Result
 		// claiming Complete=true reachable.
 		s.res = nil
@@ -501,9 +438,9 @@ func (ss *SharedSet) snapshot() (*core.Snapshot, error) {
 	return ss.snap, nil
 }
 
-// NewSharedSet validates set once under o and prepares it for concurrent
+// newSharedSet validates set once under o and prepares it for concurrent
 // responder sessions.
-func NewSharedSet(set []uint64, o *Options) (*SharedSet, error) {
+func newSharedSet(set []uint64, o *Options) (*SharedSet, error) {
 	opt, err := o.withDefaultsValidated()
 	if err != nil {
 		return nil, err
@@ -547,23 +484,16 @@ func (ss *SharedSet) verifyDigest() msethash.Digest {
 	return ss.digest
 }
 
-// NewSession returns a responder session reconciling against the shared
-// set under the options the set was prepared with.
-func (ss *SharedSet) NewSession() *ResponderSession {
-	return &ResponderSession{opt: ss.opt, shared: ss}
-}
-
-// newServerSession is NewSession with the Server's untrusted-peer posture:
-// when MaxD was left at its default it is additionally tightened relative
+// newServerSession returns a responder session against the shared set
+// with the Server's untrusted-peer posture: when MaxD was left at its default it is additionally tightened relative
 // to the set size, because the plan's group count (and hence the
 // responder's per-session allocation) scales with d̂ rather than |S| — a
 // forged estimate just under DefaultMaxD would otherwise cost a small-set
 // server tens of megabytes per session. Standalone Set.Respond peers
 // keep the plain default so asymmetric peer-to-peer reconciliation (tiny
 // local set, huge remote difference) still works; servers that need that
-// shape must set MaxD explicitly. opt is the server's protocol
-// configuration (for sets registered as immutable SharedSets it is
-// identical to ss.opt, which registration enforces).
+// shape must set MaxD explicitly. opt is the options of the registered
+// source (for a Register'd set, the server's own protocol options).
 func (ss *SharedSet) newServerSession(opt Options) *ResponderSession {
 	if opt.MaxD == 0 {
 		if cap := 64*ss.Len() + 1024; cap < DefaultMaxD {
@@ -589,10 +519,10 @@ type ResponderSession struct {
 	rounds int
 	closed bool
 
-	// estimated records that an estimate was answered; plan holds the
+	// estimated records that the hello was answered; plan holds the
 	// agreed decoding plan until the first msgRound forces Bob (and, for a
-	// cold hosted set, the element snapshot) to materialize. Estimate-only
-	// probes against an evicted set therefore never page elements in.
+	// cold hosted set, the element snapshot) to materialize. A hello whose
+	// speculation is declined therefore never pages an evicted set in.
 	estimated bool
 	plan      core.Plan
 
@@ -628,29 +558,14 @@ func (s *ResponderSession) Step(typ byte, payload []byte) (out []Frame, done boo
 		return nil, true, fmt.Errorf("pbs: step on a closed responder session")
 	}
 	switch typ {
-	case frame.MsgEstimate:
-		dhat, err := s.estimate(payload)
-		if err != nil {
-			return nil, false, err
-		}
-		// Bob is deferred to the first msgRound: the estimate itself is
-		// answered purely from the (possibly persisted) ToW sketch, so an
-		// estimate-only probe against a cold hosted set stays element-free.
-		if s.plan, err = syncPlan(dhat, s.opt); err != nil {
-			return nil, false, err
-		}
-		s.estimated = true
-		return oneFrame(frame.MsgEstimateReply, frame.AppendEstimateReply(nil, dhat)), false, nil
-
 	case frame.MsgHelloV1:
 		h, err := frame.ParseHello(payload)
 		if err != nil {
 			return nil, false, err
 		}
 		if h.Version != frame.Version1 && h.Version != frame.VersionMux {
-			// The resulting msgError is the negotiation signal: the
-			// initiator maps it to ErrFastSyncRejected and can retry with
-			// a protocol this responder speaks.
+			// The resulting msgError reaches the initiator as a
+			// *PeerError.
 			return nil, false, fmt.Errorf("pbs: unsupported fast protocol version %d", h.Version)
 		}
 		dhat, err := s.estimate(h.Sketches)
@@ -714,9 +629,6 @@ func (s *ResponderSession) Step(typ byte, payload []byte) (out []Frame, done boo
 		s.rounds++
 		return oneFrame(frame.MsgRoundReply, reply), false, nil
 
-	case frame.MsgVerify:
-		return oneFrame(frame.MsgVerifyReply, s.shared.verifyDigest().Bytes()), false, nil
-
 	case frame.MsgDone:
 		s.closed = true
 		return nil, true, nil
@@ -730,7 +642,7 @@ func (s *ResponderSession) Step(typ byte, payload []byte) (out []Frame, done boo
 }
 
 // estimate answers the peer's encoded sketch vector with the rounded,
-// bounded d̂ — once per session: a mid-session re-estimate would silently
+// bounded d̂ — once per session: a second hello mid-session would silently
 // discard all reconciliation state, so it is the protocol violation it is.
 func (s *ResponderSession) estimate(sketches []byte) (uint64, error) {
 	if s.estimated {
@@ -785,7 +697,7 @@ func (s *ResponderSession) adaptiveReplans() int {
 // Rounds returns the number of rounds answered so far.
 func (s *ResponderSession) Rounds() int { return s.rounds }
 
-// started reports whether the session has answered an estimate — i.e.
+// started reports whether the session has answered a hello — i.e.
 // reconciliation actually began, as opposed to a probe that only opened
 // and closed the session.
 func (s *ResponderSession) started() bool { return s.estimated }

@@ -120,10 +120,9 @@ func netJournal(journal []journalEntry) (add, remove []uint64) {
 // control. Options given to NewSet become the Set's defaults; options given
 // to Sync/Serve/Respond/Reconcile override them for that call only.
 type setConfig struct {
-	opt      Options
-	onDelta  func(elems []uint64, round int)
-	setName  string
-	fastSync bool
+	opt     Options
+	onDelta func(elems []uint64, round int)
+	setName string
 	// adaptiveOff inverts WithAdaptive so the zero value keeps the
 	// adaptive controller on by default.
 	adaptiveOff bool
@@ -178,10 +177,10 @@ func WithTargetSuccess(p float64) Option {
 	return func(c *setConfig) { c.opt.TargetSuccess = p }
 }
 
-// WithKnownD asserts |A△B| <= d, skipping the estimation phase where the
-// protocol allows it (in-process Reconcile; wire sessions always run the
-// one-round-trip estimate exchange so both endpoints derive the plan from
-// the same value).
+// WithKnownD asserts |A△B| <= d. In-process Reconcile skips the estimation
+// phase; Sync sizes its speculative first round from it (the hello still
+// carries the sketches, so both endpoints derive the plan from the same
+// value).
 func WithKnownD(d int) Option { return func(c *setConfig) { c.opt.KnownD = d } }
 
 // WithMaxD caps the difference estimate d̂ a wire session will accept
@@ -218,17 +217,14 @@ func WithOnDelta(fn func(elems []uint64, round int)) Option {
 	return func(c *setConfig) { c.onDelta = fn }
 }
 
-// WithFastSync selects the single-RTT fast path for Sync: the opening
-// frame carries the protocol version, the set name, the estimator
-// sketches, and a speculative first round sized from WithKnownD, the
-// previous sync's outcome, or DefaultSpeculativeD — so a warm sync whose
-// speculation holds completes in one round trip instead of two-plus. A
-// responder that predates the fast path answers with msgError; Sync
-// surfaces that as ErrFastSyncRejected (wrapped), and the caller retries
-// over a fresh connection without this option (Client automates exactly
-// that). Off by default so existing deployments keep byte-identical
-// wire streams; Respond and Serve answer both flows regardless.
-func WithFastSync(on bool) Option { return func(c *setConfig) { c.fastSync = on } }
+// WithFastSync does nothing. Sync always opens with the single-RTT fast
+// hello: one frame carrying the protocol version, the set name, the
+// estimator sketches, and a speculative first round sized from WithKnownD,
+// the previous sync's outcome, or DefaultSpeculativeD.
+//
+// Deprecated: the fast hello is the only way a session opens; drop the
+// option.
+func WithFastSync(bool) Option { return func(*setConfig) {} }
 
 // WithSetName names a registry entry. On Sync it selects the remote set to
 // reconcile against (sent as the session's opening hello frame; empty
@@ -530,19 +526,18 @@ func (s *Set) syncAttempt(ctx context.Context, conn io.ReadWriter, cfg *setConfi
 		return nil, err
 	}
 	// A negotiating mux stream asks to fold its feature offer into the
-	// fast hello; the offer only exists on the fast path, where the hello
-	// reply is the one frame that can carry the answer back.
+	// hello, whose reply is the one frame that can carry the answer back.
 	var features uint64
 	if fr, ok := conn.(featureRequester); ok {
 		features = fr.muxFeatureRequest()
 	}
-	call := initiatorCall{onDelta: cfg.onDelta, fast: cfg.fastSync, features: features, adaptive: !cfg.adaptiveOff, name: cfg.setName}
-	if cfg.fastSync {
-		call.specD = s.adaptiveSpeculativeD(cfg)
-	} else if features != 0 {
-		return nil, errors.New("pbs: mux negotiation requires the fast-path sync (WithFastSync)")
-	}
-	is, opening, err := ss.newInitiator(cfg.opt, call)
+	is, opening, err := ss.newInitiator(cfg.opt, initiatorCall{
+		onDelta:  cfg.onDelta,
+		specD:    s.adaptiveSpeculativeD(cfg),
+		features: features,
+		adaptive: !cfg.adaptiveOff,
+		name:     cfg.setName,
+	})
 	if err != nil {
 		return nil, err
 	}

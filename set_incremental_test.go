@@ -41,8 +41,9 @@ func teeSync(t testing.TB, a, b *Set, opts ...Option) (res *Result, sent, receiv
 // between two syncs (and the reverse), writes that empty what the last sync
 // learned, and a burst that overflows the journal into a full rebuild — and
 // after each requires its sync to be byte-identical, in both directions, to
-// the sync of a Set built from scratch out of the same elements, for the
-// fast and the estimate-first flow.
+// the sync of a Set built from scratch out of the same elements, for a
+// speculation the responder answers and one it declines (re-planning from
+// d̂).
 func TestSetJournaledViewWireIdentical(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 12000, D: 60, Seed: 91})
 	rng := rand.New(rand.NewPCG(91, 92))
@@ -70,9 +71,9 @@ func TestSetJournaledViewWireIdentical(t *testing.T) {
 
 	check := func(step string) {
 		t.Helper()
-		for _, fast := range []bool{true, false} {
+		for _, knownD := range []int{150, 1} {
 			// Both handles must speculate alike: a fixed known d.
-			callOpts := []Option{WithFastSync(fast), WithKnownD(150)}
+			callOpts := []Option{WithKnownD(knownD)}
 			scratch, err := NewSet(warm.Elements(), opt...)
 			if err != nil {
 				t.Fatal(err)
@@ -80,11 +81,11 @@ func TestSetJournaledViewWireIdentical(t *testing.T) {
 			got, gotSent, gotRecv := teeSync(t, warm, peer, callOpts...)
 			want, wantSent, wantRecv := teeSync(t, scratch, peer, callOpts...)
 			if !bytes.Equal(gotSent, wantSent) || !bytes.Equal(gotRecv, wantRecv) {
-				t.Fatalf("%s (fast=%v): the journaled view syncs differently from a fresh build (%d/%d vs %d/%d bytes)",
-					step, fast, len(gotSent), len(gotRecv), len(wantSent), len(wantRecv))
+				t.Fatalf("%s (KnownD=%d): the journaled view syncs differently from a fresh build (%d/%d vs %d/%d bytes)",
+					step, knownD, len(gotSent), len(gotRecv), len(wantSent), len(wantRecv))
 			}
 			if !got.Complete || !want.Complete {
-				t.Fatalf("%s (fast=%v): incomplete sync", step, fast)
+				t.Fatalf("%s (KnownD=%d): incomplete sync", step, knownD)
 			}
 			assertSameSet(t, got.Difference, want.Difference)
 		}
@@ -126,7 +127,7 @@ func TestSetJournaledViewWireIdentical(t *testing.T) {
 	}
 
 	// Apply what the peer has: the difference empties out.
-	res, _, _ := teeSync(t, warm, peer, WithFastSync(true))
+	res, _, _ := teeSync(t, warm, peer)
 	for _, d := range res.Difference {
 		if warm.Contains(d) {
 			warm.Remove(d)
@@ -248,7 +249,7 @@ func TestSetViewsStableUnderWrites(t *testing.T) {
 					ca, cb := net.Pipe()
 					done := make(chan error, 1)
 					go func() { done <- b.Respond(ctx, cb) }()
-					res, err = a.Sync(ctx, ca, WithFastSync(true))
+					res, err = a.Sync(ctx, ca)
 					ca.Close()
 					if rerr := <-done; err == nil {
 						err = rerr
@@ -288,7 +289,7 @@ func TestWarmSyncAllocationBudget(t *testing.T) {
 	// 50 effective writes per sync that keep |A△B| at 125.
 	churn := steadyChurn(t, a, p, 25)
 	sync := func() {
-		res, _, _ := teeSync(t, a, b, WithFastSync(true))
+		res, _, _ := teeSync(t, a, b)
 		if !res.Complete || len(res.Difference) != len(p.Diff)+25 {
 			t.Fatalf("bad sync: complete=%v |diff|=%d", res.Complete, len(res.Difference))
 		}

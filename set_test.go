@@ -340,7 +340,7 @@ func TestOptionsValidation(t *testing.T) {
 				return err
 			}(),
 			"NewSharedSet": func() error {
-				_, err := NewSharedSet(small, &tc.opt)
+				_, err := newSharedSet(small, &tc.opt)
 				return err
 			}(),
 		} {

@@ -13,10 +13,10 @@ import (
 )
 
 // This file implements the blocking wire protocol over an io.ReadWriter:
-// the Tug-of-War estimation phase (§6.2), deterministic parameter
-// derivation on both sides, the multi-round PBS exchange, and an optional
-// strong final verification using a multiset hash (the §2.2.3 hardening).
-// The protocol logic itself lives in the non-blocking session engine
+// the Tug-of-War estimate (§6.2), deterministic parameter derivation on
+// both sides, the multi-round PBS exchange (§2), and an optional strong
+// final verification using a multiset hash (the §2.2.3 hardening). The
+// protocol logic itself lives in the non-blocking session engine
 // (session.go) and every byte layout in internal/frame (whose package
 // comment has the message flow); the pumps here only move frames between a
 // connection and a session, and the concurrent Server (server.go) drives
@@ -28,37 +28,24 @@ import (
 // local worker pool for per-group decoding, produces byte-identical frames
 // for any value, and so may differ freely between the two endpoints.
 //
-// Fast path (protocol version 1): the classic flow costs two round trips
-// before the first difference element lands (estimate, then round 1).
-// A fast initiator instead opens with a single msgHelloV1 frame carrying
-// the protocol version, the set name, its ToW sketches, a speculative
-// difference bound d_spec, and round 1 already built under the plan
-// derived from d_spec. The responder computes the true d̂ from the
-// piggybacked sketches and answers with one msgHelloReplyV1 frame: d̂,
-// the round-1 reply when the speculation was adequately sized (PBS is
-// piecewise decodable, so an undersized speculative round degrades into
-// 3-way splits in round 2 instead of failing), and — when requested —
-// the strong-verification digest, so even StrongVerify sessions finish
-// in one round trip. When the responder declines the speculation
-// (d̂ far above d_spec), both sides deterministically re-plan from d̂ and
-// continue with the classic msgRound flow, which costs exactly what the
-// legacy negotiation would have. A legacy peer answers msgHelloV1 with
-// msgError; initiators surface that as ErrFastSyncRejected so callers
-// (Client does this automatically) can negotiate down to the multi-RTT
-// flow. The legacy flow itself is byte-identical to protocol version 0.
+// Opening a session (protocol version 1): the initiator sends one
+// msgHelloV1 frame carrying the protocol version, the set name, its ToW
+// sketches, a speculative difference bound d_spec, and round 1 already
+// built under the plan derived from d_spec. The responder computes the
+// true d̂ from the piggybacked sketches and answers with one
+// msgHelloReplyV1 frame: d̂, the round-1 reply when the speculation was
+// adequately sized (PBS is piecewise decodable, so an undersized
+// speculative round degrades into 3-way splits in round 2 instead of
+// failing), and — when requested — the strong-verification digest, so
+// even StrongVerify sessions finish in one round trip. When the responder
+// declines the speculation (d̂ far above d_spec), both sides
+// deterministically re-plan from d̂ and continue with msgRound. A peer
+// that refuses the hello answers with msgError, which the initiator
+// surfaces as a *PeerError, as it does a refusal at any later step.
 
 // Frame is one protocol message: Type, its message-type byte, and Payload,
 // its body. The wire representation adds the 4-byte length prefix.
 type Frame = frame.Frame
-
-// ErrFastSyncRejected marks a fast-path msgHelloV1 open that the peer
-// answered with msgError instead of msgHelloReplyV1 — the signature of a
-// legacy peer that only speaks the multi-RTT flow (or a server that
-// rejected the session outright). Callers that hold the dial (Client
-// does) retry once over a fresh connection with the legacy negotiation;
-// Set.Sync callers on a borrowed connection can do the same with
-// WithFastSync(false).
-var ErrFastSyncRejected = errors.New("pbs: peer rejected fast-path hello")
 
 // ErrVerificationFailed is returned by Set.Sync (and Client) when the strong
 // multiset-hash verification disagrees after the protocol reported

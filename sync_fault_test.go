@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"pbs/internal/core"
 	"pbs/internal/estimator"
 	"pbs/internal/frame"
 	"pbs/internal/workload"
@@ -69,7 +68,7 @@ func TestSyncResponderTruncatedPayload(t *testing.T) {
 	// A header declaring 100 payload bytes, followed by only 4.
 	var hdr [5]byte
 	binary.BigEndian.PutUint32(hdr[:4], 100)
-	hdr[4] = frame.MsgEstimate
+	hdr[4] = frame.MsgHelloV1
 	ca.Write(hdr[:])
 	ca.Write([]byte{1, 2, 3, 4})
 	ca.Close()
@@ -92,7 +91,7 @@ func TestSyncOversizedFrameRejected(t *testing.T) {
 	// allocation or read of the body.
 	var hdr [5]byte
 	binary.BigEndian.PutUint32(hdr[:4], frame.MaxFrame+1)
-	hdr[4] = frame.MsgEstimate
+	hdr[4] = frame.MsgHelloV1
 	ca.Write(hdr[:])
 	select {
 	case err := <-errCh:
@@ -106,7 +105,9 @@ func TestSyncOversizedFrameRejected(t *testing.T) {
 }
 
 func TestSyncResponderUnexpectedType(t *testing.T) {
-	for _, typ := range []byte{frame.MsgEstimateReply, frame.MsgRoundReply, 0xEE} {
+	// The retired protocol-0 openings (estimate 1, verify 5, bare hello 8)
+	// are refused like any other stray type.
+	for _, typ := range []byte{1, 5, 8, frame.MsgHelloReplyV1, frame.MsgRoundReply, 0xEE} {
 		ca, cb := net.Pipe()
 		errCh := make(chan error, 1)
 		resp := mustSet(t, []uint64{1, 2, 3})
@@ -148,7 +149,7 @@ func TestSyncInitiatorUnexpectedReplyType(t *testing.T) {
 	ca, cb := net.Pipe()
 	go func() {
 		defer cb.Close()
-		// Swallow the estimate, answer with the wrong message type.
+		// Swallow the hello, answer with the wrong message type.
 		if _, _, err := frame.ReadInto(cb, frame.MaxFrame, nil); err != nil {
 			return
 		}
@@ -174,7 +175,7 @@ func TestSyncInitiatorCorruptEstimateReply(t *testing.T) {
 			return
 		}
 		// An unterminated varint: ten continuation bytes and no final group.
-		frame.WriteAll(cb, oneFrame(frame.MsgEstimateReply, []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}))
+		frame.WriteAll(cb, oneFrame(frame.MsgHelloReplyV1, []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}))
 	}()
 	initiator := mustSet(t, p.A, WithSeed(24))
 	err := withDeadline(t, "initiator", func() error {
@@ -183,52 +184,38 @@ func TestSyncInitiatorCorruptEstimateReply(t *testing.T) {
 	})
 	ca.Close()
 	if err == nil {
-		t.Fatal("initiator accepted a corrupt estimate reply")
+		t.Fatal("initiator accepted a corrupt hello reply")
 	}
 }
 
-// corruptingResponder runs the estimation phase honestly, then answers the
-// first round with a bit-flipped copy of the real reply.
+// corruptingResponder answers honestly, except that every round reply —
+// the one inside the hello reply included — is cut off mid-scope.
 func corruptingResponder(set []uint64, conn net.Conn, seed uint64) {
 	defer conn.Close()
-	opt := (&Options{Seed: seed}).withDefaults()
-	tow, err := estimator.NewToW(opt.EstimatorSketches, opt.Seed^towSeedTweak)
+	ss, err := newSharedSet(set, &Options{Seed: seed})
 	if err != nil {
 		return
 	}
-	typ, payload, err := frame.ReadInto(conn, frame.MaxFrame, nil)
-	if err != nil || typ != frame.MsgEstimate {
-		return
-	}
-	theirs, err := frame.DecodeSketches(payload)
-	if err != nil {
-		return
-	}
-	dhatF, err := tow.Estimate(theirs, tow.Sketch(set))
-	if err != nil {
-		return
-	}
-	dhat := uint64(math.Round(dhatF))
-	plan, err := syncPlan(dhat, opt)
-	if err != nil {
-		return
-	}
-	bob, err := core.NewBob(set, plan)
-	if err != nil {
-		return
-	}
-	frame.WriteAll(conn, oneFrame(frame.MsgEstimateReply, binary.AppendUvarint(nil, dhat)))
+	rs := respondTo(ss)
 	for {
 		typ, payload, err := frame.ReadInto(conn, frame.MaxFrame, nil)
-		if err != nil || typ != frame.MsgRound {
-			return
-		}
-		reply, err := bob.HandleRound(payload)
 		if err != nil {
 			return
 		}
-		// Truncate the reply mid-scope: Alice must detect it, not panic.
-		frame.WriteAll(conn, oneFrame(frame.MsgRoundReply, reply[:len(reply)/2]))
+		out, done, err := rs.Step(typ, payload)
+		if err != nil || done {
+			return
+		}
+		for i, f := range out {
+			cut := len(f.Payload) / 2
+			if f.Type == frame.MsgHelloReplyV1 {
+				rep, _ := frame.ParseHelloReply(f.Payload)
+				cut = len(f.Payload) - len(rep.RoundReply)/2
+			}
+			// Alice must detect the truncation, not panic.
+			out[i].Payload = f.Payload[:cut]
+		}
+		frame.WriteAll(conn, out)
 	}
 }
 
@@ -278,7 +265,7 @@ func TestSyncInitiatorOversizedEstimateRejected(t *testing.T) {
 			if _, _, err := frame.ReadInto(cb, frame.MaxFrame, nil); err != nil {
 				return
 			}
-			frame.WriteAll(cb, oneFrame(frame.MsgEstimateReply, binary.AppendUvarint(nil, dhat)))
+			frame.WriteAll(cb, oneFrame(frame.MsgHelloReplyV1, frame.AppendHelloReply(nil, frame.HelloReply{Version: frame.Version1, Dhat: dhat})))
 		}()
 		initiator := mustSet(t, p.A, WithSeed(32))
 		err := withDeadline(t, "initiator", func() error {
@@ -384,27 +371,20 @@ func TestSyncResponderRejectionNotifiesInitiator(t *testing.T) {
 }
 
 func TestSyncResponderDuplicateEstimateRejected(t *testing.T) {
-	// A second msgEstimate mid-session must be rejected, not silently
+	// A second msgHelloV1 mid-session must be rejected, not silently
 	// rebuild the responder and discard reconciliation state.
-	set := []uint64{1, 2, 3, 4, 5}
-	opt := (&Options{Seed: 37}).withDefaults()
-	tow, err := estimator.NewToW(opt.EstimatorSketches, opt.Seed^towSeedTweak)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := frame.EncodeSketches(tow.Sketch([]uint64{6, 7, 8}))
-
+	_, hello := helloInitiator(t, []uint64{6, 7, 8}, &Options{Seed: 37}, "", 8)
 	ca, cb := net.Pipe()
 	errCh := make(chan error, 1)
-	resp := mustSet(t, set, WithSeed(37))
+	resp := mustSet(t, []uint64{1, 2, 3, 4, 5}, WithSeed(37))
 	go func() { errCh <- resp.Respond(context.Background(), cb) }()
-	if _, err := frame.WriteAll(ca, oneFrame(frame.MsgEstimate, est)); err != nil {
+	if _, err := frame.WriteAll(ca, hello); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := expectFrameT(t, ca, frame.MsgEstimateReply); err != nil {
+	if _, err := expectFrameT(t, ca, frame.MsgHelloReplyV1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := frame.WriteAll(ca, oneFrame(frame.MsgEstimate, est)); err != nil {
+	if _, err := frame.WriteAll(ca, hello); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -441,12 +421,13 @@ func TestSyncResponderTrailingSketchBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := append(frame.EncodeSketches(tow.Sketch([]uint64{6, 7, 8})), 0xAB)
+	hello := frame.AppendHello(nil, frame.Hello{Version: frame.Version1, SpecD: 8, Sketches: est})
 
 	ca, cb := net.Pipe()
 	errCh := make(chan error, 1)
 	resp := mustSet(t, []uint64{1, 2, 3}, WithSeed(38))
 	go func() { errCh <- resp.Respond(context.Background(), cb) }()
-	if _, err := frame.WriteAll(ca, oneFrame(frame.MsgEstimate, est)); err != nil {
+	if _, err := frame.WriteAll(ca, oneFrame(frame.MsgHelloV1, hello)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -468,8 +449,10 @@ func TestSyncInitiatorTrailingEstimateReplyBytes(t *testing.T) {
 		if _, _, err := frame.ReadInto(cb, frame.MaxFrame, nil); err != nil {
 			return
 		}
-		// A valid d̂ varint followed by garbage the parser must not ignore.
-		frame.WriteAll(cb, oneFrame(frame.MsgEstimateReply, append(binary.AppendUvarint(nil, 5), 0xCD, 0xEF)))
+		// A valid declined reply followed by garbage the parser must not
+		// ignore.
+		reply := frame.AppendHelloReply(nil, frame.HelloReply{Version: frame.Version1, Dhat: 5})
+		frame.WriteAll(cb, oneFrame(frame.MsgHelloReplyV1, append(reply, 0xCD, 0xEF)))
 	}()
 	initiator := mustSet(t, p.A, WithSeed(40))
 	err := withDeadline(t, "initiator", func() error {

@@ -2,14 +2,10 @@ package pbs
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"math"
 	"net"
 	"testing"
 
-	"pbs/internal/core"
-	"pbs/internal/estimator"
 	"pbs/internal/frame"
 	"pbs/internal/workload"
 )
@@ -107,28 +103,13 @@ func TestSyncSeedMismatchDetected(t *testing.T) {
 }
 
 func TestSyncStrongVerifyCatchesCorruption(t *testing.T) {
-	// Simulate the false-verification corner: the responder claims a
-	// different set at verification time. Run a responder whose verify
-	// digest is computed over a mutated set by giving the responder a set
-	// that differs only after reconciliation would pass... simplest
-	// faithful check: mismatched StrongVerify seeds make digests disagree,
-	// which must surface as ErrVerificationFailed rather than success.
+	// The false-verification corner: a responder whose hello reply carries
+	// a digest that disagrees with the set the rounds reconcile to. The
+	// mismatch must surface as ErrVerificationFailed rather than success.
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 2000, D: 5, Seed: 10})
 	ca, cb := net.Pipe()
 	go func() {
 		defer cb.Close()
-		// Responder with a tampered verification digest: emulate by
-		// serving a set with one extra element only for the verify phase.
-		// Easiest faithful emulation: run the normal responder on a set
-		// with one extra element and a plan seeded identically; the
-		// protocol rounds will fix the difference (it is a real difference)
-		// so instead we tamper the seed only for msethash by flipping
-		// StrongVerify seed via Options.Seed — not possible per-phase, so
-		// this test uses a raw responder on a *different* set: rounds will
-		// reconcile to that set, and verification then passes. The real
-		// corruption case is exercised in unit form in msethash tests; here
-		// we only pin that a digest mismatch propagates as
-		// ErrVerificationFailed using a hacked responder below.
 		corrupt := make([]byte, 32)
 		for i := range corrupt {
 			corrupt[i] = byte(i + 1)
@@ -142,51 +123,32 @@ func TestSyncStrongVerifyCatchesCorruption(t *testing.T) {
 	}
 }
 
-// hackedResponder behaves like Set.Respond but answers the verification
-// phase with the given digest bytes instead of the honest multiset hash,
-// emulating the false-verification corner case (and, with a wrong-length
-// digest, a protocol-corruption one).
+// hackedResponder behaves like Set.Respond but ships the given digest bytes
+// in its hello reply instead of the honest multiset hash, emulating the
+// false-verification corner case (and, with a wrong-length digest, a
+// protocol-corruption one).
 func hackedResponder(set []uint64, conn net.Conn, digest []byte) {
-	opt := (&Options{Seed: 11}).withDefaults()
-	tow, err := estimator.NewToW(opt.EstimatorSketches, opt.Seed^towSeedTweak)
+	ss, err := newSharedSet(set, &Options{Seed: 11})
 	if err != nil {
 		return
 	}
-	var bob *core.Bob
+	rs := respondTo(ss)
 	for {
 		typ, payload, err := frame.ReadInto(conn, frame.MaxFrame, nil)
 		if err != nil {
 			return
 		}
-		switch typ {
-		case frame.MsgEstimate:
-			theirs, err := frame.DecodeSketches(payload)
-			if err != nil {
-				return
-			}
-			dhatF, err := tow.Estimate(theirs, tow.Sketch(set))
-			if err != nil {
-				return
-			}
-			dhat := uint64(math.Round(dhatF))
-			plan, err := syncPlan(dhat, opt)
-			if err != nil {
-				return
-			}
-			if bob, err = core.NewBob(set, plan); err != nil {
-				return
-			}
-			frame.WriteAll(conn, oneFrame(frame.MsgEstimateReply, binary.AppendUvarint(nil, dhat)))
-		case frame.MsgRound:
-			reply, err := bob.HandleRound(payload)
-			if err != nil {
-				return
-			}
-			frame.WriteAll(conn, oneFrame(frame.MsgRoundReply, reply))
-		case frame.MsgVerify:
-			frame.WriteAll(conn, oneFrame(frame.MsgVerifyReply, digest))
-		case frame.MsgDone:
+		out, done, err := rs.Step(typ, payload)
+		if err != nil || done {
 			return
 		}
+		for i, f := range out {
+			if f.Type == frame.MsgHelloReplyV1 {
+				rep, _ := frame.ParseHelloReply(f.Payload)
+				rep.Digest = digest
+				out[i].Payload = frame.AppendHelloReply(nil, rep)
+			}
+		}
+		frame.WriteAll(conn, out)
 	}
 }

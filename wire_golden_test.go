@@ -1,6 +1,7 @@
 package pbs
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -8,6 +9,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strings"
@@ -26,8 +28,10 @@ const wireGoldenPath = "testdata/wire_golden.json"
 // wireRow is one pinned exchange as the wire carried it: the SHA-256 of
 // every byte each side sent, the types of the frames each side sent (" | "
 // separates connections), and the outcome — for a negotiation cell the
-// negotiated protocol (v0, v1, v2, v2+lz) or the sentinel each sync ended
-// with, for an abuse row the code of the diagnostic the abuser got.
+// negotiated protocol (v1, v2, v2+lz) or the failure each sync ended with,
+// for an abuse row the code of the diagnostic the abuser got, for a
+// decline row the refusal. A refusal is named by its code
+// ("PeerError:rejected", or "PeerError:uncoded" when it has none).
 type wireRow struct {
 	Initiator       string `json:"initiator"`
 	Responder       string `json:"responder"`
@@ -109,11 +113,11 @@ func (l *tapListener) taps() []*wireTap {
 	return append([]*wireTap(nil), l.conns...)
 }
 
-// wireSync is one sync's end: the sentinel it failed with, or the index of
+// wireSync is one sync's end: the failure it ended with, or the index of
 // the accepted connection that carried it.
 type wireSync struct {
-	sentinel string
-	conn     int
+	failure string
+	conn    int
 }
 
 // row waits for the responder to close every connection it accepted — by
@@ -137,10 +141,10 @@ func (l *tapListener) row(t *testing.T, syncs []wireSync) wireRow {
 	}
 	var outcomes []string
 	for _, s := range syncs {
-		if s.sentinel == "" {
-			s.sentinel = protocols[s.conn]
+		if s.failure == "" {
+			s.failure = protocols[s.conn]
 		}
-		outcomes = append(outcomes, s.sentinel)
+		outcomes = append(outcomes, s.failure)
 	}
 	return wireRow{
 		Initiator:       wireSHA(in),
@@ -156,19 +160,24 @@ func wireSHA(b []byte) string {
 	return hex.EncodeToString(h[:])
 }
 
+// The retired protocol-0 types a v0-decline row opens with.
+const (
+	retiredMsgEstimate = 1
+	retiredMsgHello    = 8
+)
+
+// wireFrameNames names the frame types a pinned stream carries; the two
+// retired protocol-0 types appear only in the v0-decline openings.
 var wireFrameNames = map[byte]string{
-	frame.MsgEstimate:      "estimate",
-	frame.MsgEstimateReply: "estimate-reply",
-	frame.MsgRound:         "round",
-	frame.MsgRoundReply:    "round-reply",
-	frame.MsgVerify:        "verify",
-	frame.MsgVerifyReply:   "verify-reply",
-	frame.MsgDone:          "done",
-	frame.MsgHello:         "hello",
-	frame.MsgError:         "error",
-	frame.MsgHelloV1:       "hello-v1",
-	frame.MsgHelloReplyV1:  "hello-reply-v1",
-	frame.MsgStreamClose:   "stream-close",
+	retiredMsgEstimate:    "estimate",
+	frame.MsgRound:        "round",
+	frame.MsgRoundReply:   "round-reply",
+	frame.MsgDone:         "done",
+	retiredMsgHello:       "hello",
+	frame.MsgError:        "error",
+	frame.MsgHelloV1:      "hello-v1",
+	frame.MsgHelloReplyV1: "hello-reply-v1",
+	frame.MsgStreamClose:  "stream-close",
 }
 
 // wireFrameTypes names the type of every frame in a recorded stream. Mux
@@ -199,82 +208,64 @@ func wireProtocol(out []byte) string {
 		return "silent"
 	}
 	n, typ := frame.ParseHeader(out)
-	switch typ {
-	case frame.MsgEstimateReply:
-		return "v0"
-	case frame.MsgHelloReplyV1:
-		end := frame.HeaderLen + int(n)
-		if end > len(out) {
-			break
-		}
-		rep, err := frame.ParseHelloReply(out[frame.HeaderLen:end])
-		if err != nil {
-			break
-		}
-		switch {
-		case rep.Features&frame.FeatureLZ != 0:
-			return "v2+lz"
-		case rep.Features&frame.FeatureMux != 0:
-			return "v2"
-		}
-		return "v1"
+	end := frame.HeaderLen + int(n)
+	if typ != frame.MsgHelloReplyV1 || end > len(out) {
+		return "unknown"
 	}
-	return "unknown"
+	rep, err := frame.ParseHelloReply(out[frame.HeaderLen:end])
+	switch {
+	case err != nil:
+		return "unknown"
+	case rep.Features&frame.FeatureLZ != 0:
+		return "v2+lz"
+	case rep.Features&frame.FeatureMux != 0:
+		return "v2"
+	}
+	return "v1"
 }
 
-// wireSentinel names the documented sentinel a failed sync ended with; any
-// other failure fails the test.
-func wireSentinel(t *testing.T, err error) string {
+// wireFailure names how a failed sync ended: ErrMuxDeclined, or the peer's
+// refusal. Any other failure fails the test.
+func wireFailure(t *testing.T, err error) string {
 	t.Helper()
-	for _, s := range []struct {
-		name string
-		err  error
-	}{{"ErrFastSyncRejected", ErrFastSyncRejected}, {"ErrMuxDeclined", ErrMuxDeclined}} {
-		if errors.Is(err, s.err) {
-			return s.name
-		}
+	var pe *PeerError
+	switch {
+	case errors.Is(err, ErrMuxDeclined):
+		return "ErrMuxDeclined"
+	case errors.As(err, &pe):
+		return wireRefusal(pe)
 	}
 	t.Fatalf("sync failed outside the negotiation: %v", err)
 	return ""
 }
 
-// The negotiation matrix. Initiators: the classic estimate-first flow, the
-// fast single-RTT flow, a MuxConn stream (version 2) with and without lz,
-// and a Client with and without LegacySync. Responders: a protocol-0-only
-// peer, Set.Respond, a Server with mux disabled, and a full Server.
+// wireRefusal names a peer's msgError refusal by its diagnostic code.
+func wireRefusal(pe *PeerError) string {
+	if pe.Code == "" {
+		return "PeerError:uncoded"
+	}
+	return "PeerError:" + pe.Code
+}
+
+// The negotiation matrix. Initiators: Set.Sync's single-RTT hello, a
+// MuxConn stream (version 2) with and without lz, and a Client.
+// Responders: a protocol-0-only peer, Set.Respond, a Server with mux
+// disabled, and a full Server.
 var (
-	wireInitiators = []string{"classic", "fast", "mux", "mux+lz", "client", "client-legacy"}
+	wireInitiators = []string{"fast", "mux", "mux+lz", "client"}
 	wireResponders = []string{"v0", "respond", "server-nomux", "server"}
 )
 
-// serveV0 is a responder that predates the fast path: it speaks only the
-// protocol-0 flow and answers any later frame type with msgError, the way
-// such a build fails a session it has no case for. It serves sessions back
-// to back on one connection.
-func serveV0(conn net.Conn, ss *SharedSet) {
+// serveV0 is a protocol-0 peer as the hello meets it: a build that
+// predates the fast path answers the opening frame, a type it has no case
+// for, with msgError and closes the connection.
+func serveV0(conn net.Conn) {
 	defer conn.Close()
-	rs := ss.NewSession()
-	for {
-		typ, payload, err := frame.ReadInto(conn, frame.MaxFrame, nil)
-		if err != nil {
-			return
-		}
-		if typ > frame.MsgError {
-			frame.WriteAll(conn, []Frame{{Type: frame.MsgError, Payload: fmt.Appendf(nil, "pbs: unexpected message type %d", typ)}})
-			return
-		}
-		out, done, err := rs.Step(typ, payload)
-		if err != nil {
-			frame.WriteAll(conn, []Frame{{Type: frame.MsgError, Payload: []byte(err.Error())}})
-			return
-		}
-		if _, err := frame.WriteAll(conn, out); err != nil {
-			return
-		}
-		if done {
-			rs = ss.NewSession()
-		}
+	typ, _, err := frame.ReadInto(conn, frame.MaxFrame, nil)
+	if err != nil {
+		return
 	}
+	frame.WriteAll(conn, []Frame{{Type: frame.MsgError, Payload: fmt.Appendf(nil, "pbs: unexpected message type %d", typ)}})
 }
 
 // startWireResponder serves base under opt behind a tapped loopback
@@ -297,11 +288,7 @@ func startWireResponder(t *testing.T, kind string, base []uint64, opt Options) *
 	}
 	switch kind {
 	case "v0":
-		ss, err := NewSharedSet(base, &opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go acceptEach(func(c net.Conn) { serveV0(c, ss) })
+		go acceptEach(serveV0)
 		t.Cleanup(func() { tl.Close() })
 	case "respond":
 		set, err := NewSet(base, WithOptions(opt))
@@ -346,7 +333,7 @@ func runWireCell(t *testing.T, initiator, responder string, adaptive, strong boo
 	record := func(res *Result, err error) bool {
 		t.Helper()
 		if err != nil {
-			syncs = append(syncs, wireSync{sentinel: wireSentinel(t, err)})
+			syncs = append(syncs, wireSync{failure: wireFailure(t, err)})
 			return false
 		}
 		if !res.Complete {
@@ -357,8 +344,8 @@ func runWireCell(t *testing.T, initiator, responder string, adaptive, strong boo
 		return true
 	}
 
-	if strings.HasPrefix(initiator, "client") {
-		c := &Client{Addr: addr, Options: &opt, LegacySync: initiator == "client-legacy", Timeout: time.Minute}
+	if initiator == "client" {
+		c := &Client{Addr: addr, Options: &opt, Timeout: time.Minute}
 		for i := 0; i < 2; i++ {
 			if !record(c.Sync(p.A)) {
 				break
@@ -375,9 +362,9 @@ func runWireCell(t *testing.T, initiator, responder string, adaptive, strong boo
 		t.Fatal(err)
 	}
 	switch initiator {
-	case "classic", "fast":
+	case "fast":
 		for i := 0; i < 2; i++ {
-			if !record(set.Sync(ctx, conn, WithFastSync(initiator == "fast"))) {
+			if !record(set.Sync(ctx, conn)) {
 				break
 			}
 		}
@@ -390,7 +377,7 @@ func runWireCell(t *testing.T, initiator, responder string, adaptive, strong boo
 				record(nil, err)
 				break
 			}
-			res, err := set.Sync(ctx, st, WithFastSync(true))
+			res, err := set.Sync(ctx, st)
 			st.Close()
 			if !record(res, err) {
 				break
@@ -405,7 +392,7 @@ func runWireCell(t *testing.T, initiator, responder string, adaptive, strong boo
 
 // pipeRow pins one Set.Sync against Set.Respond over a net.Pipe, tapped on
 // the initiator's end: what it wrote, and the responder's bytes it read.
-func pipeRow(t *testing.T, p *workload.Pair, opt Options, opts ...Option) wireRow {
+func pipeRow(t *testing.T, p *workload.Pair, opt Options) wireRow {
 	t.Helper()
 	a, err := NewSet(p.A, WithOptions(opt))
 	if err != nil {
@@ -422,7 +409,7 @@ func pipeRow(t *testing.T, p *workload.Pair, opt Options, opts ...Option) wireRo
 		defer cb.Close()
 		respErr <- b.Respond(context.Background(), cb)
 	}()
-	res, err := a.Sync(context.Background(), tap, opts...)
+	res, err := a.Sync(context.Background(), tap)
 	ca.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -442,6 +429,39 @@ func pipeRow(t *testing.T, p *workload.Pair, opt Options, opts ...Option) wireRo
 		ResponderFrames: wireFrameTypes(in),
 		Outcome:         wireProtocol(in),
 	}
+}
+
+// declineRow sends responder a hand-written protocol-0 opening — a bare
+// msgHello naming the default set, then msgEstimate with the initiator's
+// sketches — and pins the refusal: the bytes each side put on the wire
+// (the responder's reads being the initiator's bytes it consumed) and the
+// code of the msgError it answered with.
+func declineRow(t *testing.T, responder string, p *workload.Pair) wireRow {
+	opt := Options{Seed: 3102}
+	tl := startWireResponder(t, responder, p.B, opt)
+	ss, err := newSharedSet(p.A, &opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := dialLoopTest(t, tl.Addr().String())
+	opening := []Frame{
+		{Type: retiredMsgHello, Payload: []byte(DefaultSetName)},
+		{Type: retiredMsgEstimate, Payload: frame.EncodeSketches(ss.towSketch())},
+	}
+	if _, err := frame.WriteAll(conn, opening); err != nil {
+		t.Fatal(err)
+	}
+	// The refusal is all the responder sends before it hangs up.
+	io.Copy(io.Discard, conn)
+	conn.Close()
+	row := tl.row(t, nil)
+	_, out := tl.taps()[0].bytes()
+	typ, body, err := frame.ReadInto(bytes.NewReader(out), frame.MaxFrame, nil)
+	if err != nil || typ != frame.MsgError {
+		t.Fatalf("protocol-0 opening answered with type %d (%v), want msgError", typ, err)
+	}
+	row.Outcome = wireRefusal(parsePeerErrPayload(body))
+	return row
 }
 
 // loopRow runs one TestConnLoopParity abuse script the way that test does —
@@ -498,10 +518,11 @@ func loopRow(t *testing.T, sc loopScript, muxed bool) wireRow {
 // TestWireGolden pins the absolute bytes of the negotiated wire protocol:
 // the §6 estimate, the §2 rounds, the §2.2.3 verification and the §3.2
 // splits as every pairing of initiator and responder generation puts them
-// on the wire, plus the fixtures of the engine and fast-path equivalence
-// suites and the server's side of every connection-loop abuse script. The
-// equivalence suites compare two paths of one build, so a change that
-// moved both would pass them; it cannot pass this. The file is regenerated
+// on the wire, plus the fixture of the fast-path equivalence suite, the
+// refusal each current responder gives a protocol-0 opening, and the
+// server's side of every connection-loop abuse script. The equivalence
+// suite compares two paths of one build, so a change that moved both would
+// pass it; it cannot pass this. The file is regenerated
 // with `go test . -run TestWireGolden -update-golden`, which is only ever
 // right in a change that means to alter the wire.
 func TestWireGolden(t *testing.T) {
@@ -512,7 +533,7 @@ func TestWireGolden(t *testing.T) {
 			for _, strong := range []bool{false, true} {
 				for _, adaptive := range []bool{false, true} {
 					name := fmt.Sprintf("%s/%s/adaptive=%v/strong=%v", initiator, responder, adaptive, strong)
-					if strings.HasPrefix(initiator, "client") {
+					if initiator == "client" {
 						// A Client has no adaptive switch: its Set runs the default.
 						if !adaptive {
 							continue
@@ -527,18 +548,17 @@ func TestWireGolden(t *testing.T) {
 		}
 	}
 	for _, strong := range []bool{false, true} {
-		// The fixtures of TestSessionEngineWireEquivalence (the classic flow)
-		// and TestFastSyncWireEquivalence (a fast sync speculating at KnownD).
-		name := fmt.Sprintf("engine-equivalence/strong=%v", strong)
-		t.Run(name, func(t *testing.T) {
-			p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 3000, D: 80, Seed: 51})
-			got[name] = pipeRow(t, p, Options{Seed: 52, StrongVerify: strong})
-		})
-		name = fmt.Sprintf("fast-equivalence/strong=%v", strong)
+		// The fixture of TestFastSyncWireEquivalence: a sync speculating at
+		// KnownD.
+		name := fmt.Sprintf("fast-equivalence/strong=%v", strong)
 		t.Run(name, func(t *testing.T) {
 			p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 3000, D: 80, Seed: 63})
-			got[name] = pipeRow(t, p, Options{Seed: 64, StrongVerify: strong, KnownD: 80}, WithFastSync(true))
+			got[name] = pipeRow(t, p, Options{Seed: 64, StrongVerify: strong, KnownD: 80})
 		})
+	}
+	for _, responder := range wireResponders[1:] {
+		name := "v0-decline/" + responder
+		t.Run(name, func(t *testing.T) { got[name] = declineRow(t, responder, p) })
 	}
 	for _, sc := range loopScripts {
 		for _, muxed := range []bool{false, true} {
