@@ -26,7 +26,7 @@ type Alice struct {
 
 	// table is the snapshot's round-one table for this plan's shape, nil
 	// when the shape is over the snapshot's budget: round 1 then reads each
-	// group's bin sums, parities and checksum from it instead of folding.
+	// group's bin sums and parities from it instead of folding.
 	table *foldTable
 
 	// learned holds the verified scopes' share of the difference
@@ -142,10 +142,10 @@ func NewAlice(set []uint64, plan Plan) (*Alice, error) {
 }
 
 // NewAliceFromSnapshot creates an Alice endpoint over a pre-validated
-// shared Snapshot. Nothing is copied: every scope starts as the snapshot's
-// group with nothing toggled, and its checksum comes from the round-one
-// table when the snapshot keeps one for the plan's shape. The plan's Seed
-// and SigBits must match the snapshot's.
+// shared Snapshot. Nothing is copied and nothing is passed over: every scope
+// starts as the snapshot's group with nothing toggled, its checksum read
+// from the group's slot in the cached shape. The plan's Seed and SigBits
+// must match the snapshot's.
 func NewAliceFromSnapshot(snap *Snapshot, plan Plan) (*Alice, error) {
 	if err := snap.checkPlan(plan); err != nil {
 		return nil, err
@@ -165,12 +165,7 @@ func NewAliceFromSnapshot(snap *Snapshot, plan Plan) (*Alice, error) {
 	a.active = make([]*aliceScope, plan.Groups)
 	for g := range a.scr.scopes {
 		sc := &a.scr.scopes[g]
-		sc.id, sc.w = newScopeID(g), part.group(g)
-		if a.table != nil {
-			sc.checksum = a.table.rows[g].checksum
-		} else {
-			sc.checksum = sc.w.checksum(a.sigMask)
-		}
+		sc.id, sc.w, sc.checksum = newScopeID(g), part.group(g), part.groups[g].check
 		a.active[g] = sc
 	}
 	return a, nil
@@ -392,10 +387,12 @@ type aliceParsedScope struct {
 // aliceScopeOutcome is the result of processing one scope's reply slice:
 // the accepted recovered elements (not yet applied — the sequential merge
 // phase toggles them into the working set and the global difference
-// together), the checksum verdict, and — for BCH decoding failures — the
-// 3-way split children.
+// together), the checksum the working set will have once they are, the
+// verdict on it, and — for BCH decoding failures — the 3-way split
+// children.
 type aliceScopeOutcome struct {
 	accepted []uint64
+	checksum uint64
 	verified bool
 	splits   []*aliceScope
 }
@@ -491,13 +488,23 @@ func (a *Alice) AbsorbReply(reply []byte) error {
 			out.splits = a.splitScope(sc)
 			return
 		}
-		ck := sc.checksum
+		// The one membership test an accepted element gets: the merge installs
+		// the checksum it yields and toggles the element without asking again.
+		// Ascending positions — which is how Bob's decoder lists them — make
+		// the accepted elements distinct, so each toggles against W as the
+		// round found it.
+		ck, prev := sc.checksum, uint64(0)
 		for j := p.lo; j < p.hi; j++ {
 			pos := positions[j]
 			if pos == 0 || pos > n {
 				errs.set(i, fmt.Errorf("core: reply position %d out of range", pos))
 				return
 			}
+			if pos <= prev {
+				errs.set(i, fmt.Errorf("core: reply positions not ascending at %d", pos))
+				return
+			}
+			prev = pos
 			s := sc.binSums[pos] ^ xors[j]
 			if !a.acceptRecovered(sc, s, pos) {
 				continue
@@ -506,7 +513,7 @@ func (a *Alice) AbsorbReply(reply []byte) error {
 			out.accepted = append(out.accepted, s)
 		}
 		// Verified scopes are reconciled subset pairs (§2.2.3).
-		out.verified = ck == p.bobCk
+		out.checksum, out.verified = ck, ck == p.bobCk
 	})
 	if err := errs.first(); err != nil {
 		return err
@@ -538,8 +545,9 @@ func (a *Alice) AbsorbReply(reply []byte) error {
 			continue
 		}
 		for _, s := range out.accepted {
-			a.toggle(sc, s)
+			sc.toggle(s)
 		}
+		sc.checksum = out.checksum
 		if out.verified {
 			// The scope's toggles just passed verification: they are
 			// confirmed difference elements, deliverable now.
@@ -594,12 +602,12 @@ func (a *Alice) acceptRecovered(sc *aliceScope, s uint64, pos uint64) bool {
 	return true
 }
 
-// toggle applies s to the scope's working set (W ← W △ {s}) and its
-// checksum; the over layer it lands in is also the scope's share of the
-// learned difference. It runs only in the sequential merge phase so a
-// malformed reply that aborts a round leaves nothing half-applied.
-func (a *Alice) toggle(sc *aliceScope, s uint64) {
-	sc.checksum = checksumToggle(sc.checksum, s, sc.w.contains(s), a.sigMask)
+// toggle applies s to the scope's working set (W ← W △ {s}) by flipping it
+// in the over layer, which is also the scope's share of the learned
+// difference; the checksum is the caller's, worked out by the round's worker.
+// It runs only in the sequential merge phase so a malformed reply that
+// aborts a round leaves nothing half-applied.
+func (sc *aliceScope) toggle(s uint64) {
 	if i, in := slices.BinarySearch(sc.w.over, s); in {
 		sc.w.over = slices.Delete(sc.w.over, i, i+1)
 	} else {

@@ -27,12 +27,15 @@ func applyShapes(seed uint64) []Plan {
 
 // assertSamePartition requires got (from a snapshot grown by Apply) to
 // describe exactly what want (from a snapshot built afresh) does: the same
-// group contents and, row for row, the same round-one table.
+// group contents and checksums and, row for row, the same round-one table.
 func assertSamePartition(t *testing.T, plan Plan, got, want partition) {
 	t.Helper()
 	for g := range want.groups {
-		if !slices.Equal(got.merged(g), want.groups[g]) {
-			t.Fatalf("G=%d: group %d holds %d elements, a fresh build %d", plan.Groups, g, len(got.merged(g)), len(want.groups[g]))
+		if !slices.Equal(got.merged(g), want.merged(g)) {
+			t.Fatalf("G=%d: group %d holds %d elements, a fresh build %d", plan.Groups, g, len(got.merged(g)), len(want.merged(g)))
+		}
+		if got.groups[g].check != want.groups[g].check {
+			t.Fatalf("G=%d: group %d checksum %#x, a fresh build %#x", plan.Groups, g, got.groups[g].check, want.groups[g].check)
 		}
 	}
 	if (got.table == nil) != (want.table == nil) {
@@ -43,7 +46,7 @@ func assertSamePartition(t *testing.T, plan Plan, got, want partition) {
 	}
 	for g, w := range want.table.rows {
 		r := got.table.rows[g]
-		if r.checksum != w.checksum || !slices.Equal(r.sums, w.sums) || !slices.Equal(r.parity, w.parity) {
+		if !slices.Equal(r.sums, w.sums) || !slices.Equal(r.parity, w.parity) {
 			t.Fatalf("G=%d m=%d: table row %d differs from a fresh fold", plan.Groups, plan.M, g)
 		}
 	}
@@ -245,10 +248,10 @@ func TestApplySessionsWireIdentical(t *testing.T) {
 
 // TestSnapshotViewsImmutableUnderApply runs sessions on a snapshot while
 // successors are applied and brought up to date beside it. Whatever a
-// session holds — group slices, lag lists, table rows — must read the same
-// afterwards: Apply copies what it changes, and an endpoint never writes to,
-// pools, or clears a row it shares. Run under -race, which also flags any
-// such write the comparison would miss.
+// session holds — group slices, lag lists, checksums, table rows — must
+// read the same afterwards: Apply copies what it changes, and an endpoint
+// never writes to, pools, or clears a row it shares. Run under -race, which
+// also flags any such write the comparison would miss.
 func TestSnapshotViewsImmutableUnderApply(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 9))
 	seen := map[uint64]bool{0: true}
@@ -280,16 +283,17 @@ func TestSnapshotViewsImmutableUnderApply(t *testing.T) {
 		t.Fatal("the test needs a shape within the table budget")
 	}
 	type rowCopy struct {
-		sums     []uint64
-		parity   []uint64
-		checksum uint64
+		sums   []uint64
+		parity []uint64
 	}
 	var groups [][]uint64
+	var checks []uint64
 	var rows []rowCopy
 	for g := range held.groups {
 		groups = append(groups, held.merged(g))
+		checks = append(checks, held.groups[g].check)
 		r := held.table.rows[g]
-		rows = append(rows, rowCopy{slices.Clone(r.sums), slices.Clone(r.parity), r.checksum})
+		rows = append(rows, rowCopy{slices.Clone(r.sums), slices.Clone(r.parity)})
 	}
 
 	reconcile := func(snap *Snapshot, want []uint64) {
@@ -338,11 +342,11 @@ func TestSnapshotViewsImmutableUnderApply(t *testing.T) {
 
 	after := root.partitionFor(plan)
 	for g := range groups {
-		if !slices.Equal(after.merged(g), groups[g]) {
+		if !slices.Equal(after.merged(g), groups[g]) || held.groups[g].check != checks[g] || after.groups[g].check != checks[g] {
 			t.Fatalf("group %d of a held snapshot changed", g)
 		}
 		r := held.table.rows[g]
-		if r.checksum != rows[g].checksum || !slices.Equal(r.sums, rows[g].sums) || !slices.Equal(r.parity, rows[g].parity) {
+		if !slices.Equal(r.sums, rows[g].sums) || !slices.Equal(r.parity, rows[g].parity) {
 			t.Fatalf("table row %d of a held snapshot changed", g)
 		}
 	}

@@ -21,9 +21,9 @@ type Bob struct {
 	sigMask uint64
 
 	// part holds Bob's elements partitioned by group — stable across
-	// rounds because the group hash never changes — and, when the snapshot
-	// keeps one for the plan's shape, the round-one table with each group's
-	// round-1 fold and checksum.
+	// rounds because the group hash never changes — with each group's
+	// checksum and, when the snapshot keeps one for the plan's shape, the
+	// round-one table with each group's round-1 fold.
 	part partition
 	// scopeSets caches the element sets of split scopes.
 	scopeSets map[scopeID]elemSet
@@ -294,11 +294,12 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 		for _, p := range positions {
 			xors = append(xors, sums[p])
 		}
-		// A whole group's checksum is in its table row; any other scope's
-		// is one more pass over the elements the fold above just read.
+		// Bob never toggles a group, so a whole group's checksum, in any
+		// round, is the one its partition slot keeps; a split scope's is
+		// one more pass over the elements the fold above just read.
 		var checksum uint64
-		if job.row != nil {
-			checksum = job.row.checksum
+		if job.id.path == "" {
+			checksum = b.part.groups[job.id.group].check
 		} else {
 			checksum = job.set.checksum(b.sigMask)
 		}

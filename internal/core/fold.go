@@ -38,7 +38,9 @@ func (e elemSet) fold(seed, n uint64, sums, parity []uint64) {
 	binFold(e.over, seed, n, sums, parity)
 }
 
-// checksum returns the plain-sum checksum c(set) under mask (§2.2.3).
+// checksum returns the plain-sum checksum c(set) under mask (§2.2.3). The
+// sessions need it only for split children: a whole group's is kept in its
+// partition slot, and a scope's after a round is its worker's running sum.
 func (e elemSet) checksum(mask uint64) uint64 {
 	c := checksumOf(e.base, mask)
 	for _, x := range e.lag {
@@ -98,25 +100,24 @@ func checksumOf(set []uint64, mask uint64) uint64 {
 }
 
 // foldRow is one group's round-one fold: its bin XOR sums and parities
-// under the group's round-1 bin seed, and its checksum. A published row is
+// under the group's round-1 bin seed. The group's checksum is not here but in
+// its partition slot, which every shape has, table or not. A published row is
 // immutable; Snapshot.Apply clones the rows a batch touches.
 type foldRow struct {
-	sums     []uint64
-	parity   []uint64
-	checksum uint64
+	sums   []uint64
+	parity []uint64
 }
 
 func (r foldRow) clone() foldRow {
-	return foldRow{sums: slices.Clone(r.sums), parity: slices.Clone(r.parity), checksum: r.checksum}
+	return foldRow{sums: slices.Clone(r.sums), parity: slices.Clone(r.parity)}
 }
 
 // toggle folds a batch of writes to the row's group into r, which the
 // caller owns.
-func (r *foldRow) toggle(d delta, seed uint64, m uint, mask uint64) {
+func (r *foldRow) toggle(d delta, seed uint64, m uint) {
 	n := (uint64(1) << m) - 1
 	binFold(d.adds, seed, n, r.sums, r.parity)
 	binFold(d.removes, seed, n, r.sums, r.parity)
-	r.checksum = (r.checksum + checksumOf(d.adds, mask) - checksumOf(d.removes, mask)) & mask
 }
 
 // foldTable is the round-one table of one plan shape (groups, m): a
@@ -124,8 +125,8 @@ func (r *foldRow) toggle(d delta, seed uint64, m uint, mask uint64) {
 // advance — its seed depends on the group and the round number alone — and
 // the fold is linear in the set, so a snapshot can keep it across sessions
 // and Apply can maintain it under writes. Alice's first BuildRound and
-// Bob's first HandleRound read their sums, parities and checksums straight
-// from it; later rounds and split scopes fold afresh.
+// Bob's first HandleRound read their sums and parities straight from it;
+// later rounds and split scopes fold afresh.
 type foldTable struct {
 	m    uint
 	rows []foldRow
@@ -133,7 +134,7 @@ type foldTable struct {
 
 // buildFoldTable folds every group of a partition under its round-1 seed.
 // All rows share two backing arrays.
-func buildFoldTable(p partition, m uint, sd seeds, mask uint64, workers int) *foldTable {
+func buildFoldTable(p partition, m uint, sd seeds, workers int) *foldTable {
 	n := (uint64(1) << m) - 1
 	pw := parityWords(n)
 	sums := make([]uint64, uint64(len(p.groups))*(n+1))
@@ -142,9 +143,8 @@ func buildFoldTable(p partition, m uint, sd seeds, mask uint64, workers int) *fo
 	forEachScope(workers, len(p.groups), func(_, g int) {
 		lo, hi := uint64(g)*(n+1), uint64(g+1)*(n+1)
 		plo, phi := uint64(g)*pw, uint64(g+1)*pw
-		set := p.group(g)
-		row := foldRow{sums: sums[lo:hi:hi], parity: parity[plo:phi:phi], checksum: set.checksum(mask)}
-		set.fold(sd.binSeed(newScopeID(g), 1), n, row.sums, row.parity)
+		row := foldRow{sums: sums[lo:hi:hi], parity: parity[plo:phi:phi]}
+		p.group(g).fold(sd.binSeed(newScopeID(g), 1), n, row.sums, row.parity)
 		t.rows[g] = row
 	})
 	return t

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -141,5 +142,63 @@ func BenchmarkEncodeParity(b *testing.B) {
 				sketch.AddBitmap(parity)
 			}
 		})
+	}
+}
+
+// BenchmarkBulkSession runs one session of the bulk shape per iteration —
+// |S| = 100k, d = 5,000, adaptive re-planning on — after 250 writes applied
+// to Alice's set through Snapshot.Apply, which the session's snapshot then
+// absorbs. Half the writes heal a difference (Alice adds an element only Bob
+// holds) and half open one (she removes an element both hold), so d holds.
+func BenchmarkBulkSession(b *testing.B) {
+	const d, writes = 5000, 250
+	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 100000, D: d, BOnlyFrac: 0.5, Seed: 5})
+	plan := planFor(b, d*14/10, d+1)
+	cfg := Config{SigBits: plan.SigBits, Seed: plan.Seed}
+	snapA, err := NewSnapshot(p.A, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	snapB, err := NewSnapshot(p.B, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var bOnly, common []uint64
+	for _, x := range p.B {
+		if snapA.Contains(x) {
+			common = append(common, x)
+		} else {
+			bOnly = append(bOnly, x)
+		}
+	}
+	rng := rand.New(rand.NewPCG(5, 5))
+	take := func(pool *[]uint64) uint64 {
+		i, last := rng.IntN(len(*pool)), len(*pool)-1
+		x := (*pool)[i]
+		(*pool)[i] = (*pool)[last]
+		*pool = (*pool)[:last]
+		return x
+	}
+	add, remove := make([]uint64, writes/2), make([]uint64, writes/2)
+	b.ReportAllocs()
+	for b.Loop() {
+		for i := range add {
+			add[i], remove[i] = take(&bOnly), take(&common)
+		}
+		snapA = snapA.Apply(add, remove)
+		bOnly, common = append(bOnly, remove...), append(common, add...)
+		alice, err := NewAliceFromSnapshot(snapA, plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bob, err := NewBobFromSnapshot(snapB, plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		alice.EnableAdaptive()
+		bob.EnableAdaptive()
+		if res, err := Drive(alice, bob, 0); err != nil || !res.Complete {
+			b.Fatalf("session failed: %v", err)
+		}
 	}
 }

@@ -19,10 +19,11 @@ import (
 // cached shape together with the writes it has yet to absorb, and brings a
 // shape up to date the first time a session asks for it. A written element
 // joins its group's short lag list, which the endpoints read alongside the
-// group slice (see elemSet), and only the table rows the writes hash into
-// are cloned and toggled; a group slice is rewritten only once its lag list
-// has grown to a fixed share of it. A long-lived mutable set therefore pays
-// for its writes, not for its size, each time it is reconciled.
+// group slice (see elemSet), its group's checksum takes one ± per write,
+// and only the table rows the writes hash into are cloned and toggled; a
+// group slice is rewritten only once its lag list has grown to a fixed share
+// of it. A long-lived mutable set therefore pays for its writes, not for its
+// size, each time it is reconciled.
 //
 // The elements themselves are a sorted base slice, shared by a snapshot and
 // its successors until enough writes accumulate to re-base, plus the log of
@@ -57,28 +58,33 @@ type Snapshot struct {
 // shape is what the snapshot keeps per plan shape: the partition for a
 // group count and, while it fits the budget, the round-one table for one
 // bitmap degree on top of it. A shape inherited through Apply may be
-// behind: the net writes in behind have reached neither lags nor table.
+// behind: the net writes in behind have reached neither groups nor table.
 type shape struct {
 	partition
 	behind delta // net writes still to absorb
 }
 
-// partition is a shape as the endpoints see it. Group g is groups[g] △
-// lags[g]: the sorted slice cut when the shape was built, and the sorted
-// list of elements written since (lags is nil while there are none). table,
-// when kept, is current. Everything is shared and read-only.
+// partition is a shape as the endpoints see it: one slot per group and, when
+// kept, the round-one table. Both are current, shared and read-only.
 type partition struct {
-	groups [][]uint64
-	lags   [][]uint64
+	groups []groupSlot
 	table  *foldTable
+}
+
+// groupSlot is one group of a shape. The group is base △ lag: the sorted
+// slice cut when the shape was built, and the sorted list of elements
+// written since (nil while there are none). check is its plain-sum checksum
+// (§2.2.3), the one place a whole group's checksum is kept: cut sums it,
+// absorb moves it by one ± per write, and both endpoints read it at the start
+// of a session instead of passing over the group.
+type groupSlot struct {
+	base, lag []uint64
+	check     uint64
 }
 
 // group returns group g as an element set.
 func (p partition) group(g int) elemSet {
-	if p.lags == nil {
-		return elemSet{base: p.groups[g]}
-	}
-	return elemSet{base: p.groups[g], lag: p.lags[g]}
+	return elemSet{base: p.groups[g].base, lag: p.groups[g].lag}
 }
 
 // delta is a net batch of writes: elements to insert and elements to
@@ -320,7 +326,7 @@ func (s *Snapshot) partitionFor(plan Plan) partition {
 		sh = s.absorb(sh)
 	}
 	if buildTable {
-		sh.table = buildFoldTable(sh.partition, m, s.sd, sigMask(s.sigBits), plan.workersFor(s.n+groups<<m))
+		sh.table = buildFoldTable(sh.partition, m, s.sd, plan.workersFor(s.n+groups<<m))
 	}
 	if s.cacheableGroups(groups) {
 		s.mu.Lock()
@@ -337,36 +343,41 @@ func (s *Snapshot) partitionFor(plan Plan) partition {
 }
 
 // cut hash-partitions the elements into groups buckets: one counting pass,
-// then every group filled in element order into its exact-size stretch of
-// a single backing array.
-func (s *Snapshot) cut(groups int) [][]uint64 {
+// which also sums each group's checksum, then every group filled in element
+// order into its exact-size stretch of a single backing array.
+func (s *Snapshot) cut(groups int) []groupSlot {
 	elems := s.Elements()
 	idx := make([]uint32, len(elems))
 	sizes := make([]int, groups)
+	parts := make([]groupSlot, groups)
 	for i, x := range elems {
 		g := s.sd.groupOf(x, groups)
 		idx[i] = uint32(g)
 		sizes[g]++
+		parts[g].check += x
 	}
 	backing := make([]uint64, len(elems))
-	parts := make([][]uint64, groups)
+	mask := sigMask(s.sigBits)
 	off := 0
 	for g, size := range sizes {
-		parts[g] = backing[off : off : off+size]
+		parts[g].base = backing[off : off : off+size]
+		parts[g].check &= mask
 		off += size
 	}
 	for i, x := range elems {
-		parts[idx[i]] = append(parts[idx[i]], x)
+		p := &parts[idx[i]]
+		p.base = append(p.base, x)
 	}
 	return parts
 }
 
 // absorb brings an inherited shape up to date, copy-on-write: each write
-// it is behind by is flipped in its group's lag list and toggled into its
-// group's table row — fresh copies of just those lists and rows — and a
-// group whose lag list has outgrown its share is rewritten with the list
-// folded in. Every slice, list and row the writes miss stays shared with
-// the predecessor the shape came from.
+// it is behind by is flipped in its group's lag list, added to or taken from
+// its group's checksum, and toggled into its group's table row — fresh
+// copies of the slot array and of just those lists and rows — and a group
+// whose lag list has outgrown its share is rewritten with the list folded
+// in. Every slice, list and row the writes miss stays shared with the
+// predecessor the shape came from.
 func (s *Snapshot) absorb(sh shape) shape {
 	groups := len(sh.groups)
 	touched := make(map[int]*delta)
@@ -388,22 +399,23 @@ func (s *Snapshot) absorb(sh shape) shape {
 		d := at(x)
 		d.removes = append(d.removes, x)
 	}
-	out := shape{partition: partition{groups: slices.Clone(sh.groups), lags: make([][]uint64, groups)}}
-	copy(out.lags, sh.lags)
+	out := shape{partition: partition{groups: slices.Clone(sh.groups)}}
 	if sh.table != nil {
 		out.table = &foldTable{m: sh.table.m, rows: slices.Clone(sh.table.rows)}
 	}
 	mask := sigMask(s.sigBits)
 	for g, d := range touched {
+		slot := &out.groups[g]
 		// An element written before and written back leaves the lag list.
-		lag := symDiffSorted(out.lags[g], symDiffSorted(d.adds, d.removes))
-		if len(lag) > len(out.groups[g])/lagFraction+lagFraction {
-			out.groups[g], lag = symDiffSorted(out.groups[g], lag), nil
+		lag := symDiffSorted(slot.lag, symDiffSorted(d.adds, d.removes))
+		if len(lag) > len(slot.base)/lagFraction+lagFraction {
+			slot.base, lag = symDiffSorted(slot.base, lag), nil
 		}
-		out.lags[g] = lag
+		slot.lag = lag
+		slot.check = (slot.check + checksumOf(d.adds, mask) - checksumOf(d.removes, mask)) & mask
 		if out.table != nil {
 			row := sh.table.rows[g].clone()
-			row.toggle(*d, s.sd.binSeed(newScopeID(g), 1), out.table.m, mask)
+			row.toggle(*d, s.sd.binSeed(newScopeID(g), 1), out.table.m)
 			out.table.rows[g] = row
 		}
 	}
