@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -244,6 +245,168 @@ func TestApplySessionsWireIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// retainedTableWords sums the round-one tables of s's cached shapes.
+func (s *Snapshot) retainedTableWords() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var words uint64
+	for _, sh := range s.shapes {
+		if sh.table != nil {
+			words += tableWords(len(sh.table.rows), sh.table.m)
+		}
+	}
+	return words
+}
+
+// assertFreshTable requires the table of got to equal, row for row, one
+// folded from a fresh cut of snap.
+func assertFreshTable(t *testing.T, snap *Snapshot, plan Plan, got partition) {
+	t.Helper()
+	if got.table == nil {
+		t.Fatalf("G=%d m=%d: no round-one table", plan.Groups, plan.M)
+	}
+	want := buildFoldTable(partition{groups: snap.cut(plan.Groups)}, plan.M, snap.sd, 1)
+	for g, w := range want.rows {
+		r := got.table.rows[g]
+		if !slices.Equal(r.sums, w.sums) || !slices.Equal(r.parity, w.parity) {
+			t.Fatalf("G=%d m=%d: table row %d differs from a fresh fold", plan.Groups, plan.M, g)
+		}
+	}
+}
+
+// TestRoundOneTableBudget holds partitionFor to its two table rules and
+// their ceiling: a shape over |S| gets its table on the second read with no
+// write in between, and never through Apply; a shape within tableFits gets
+// its table on its first read and keeps it, maintained, under writes; and
+// however many forged shapes are read twice, concurrently, the tables a
+// snapshot retains total at most maxCachedShapes·|S| words.
+func TestRoundOneTableBudget(t *testing.T) {
+	rng := rand.New(rand.NewPCG(36, 1))
+	seen := map[uint64]bool{0: true}
+	draw := func() uint64 {
+		for {
+			if x := uint64(rng.Uint32()); !seen[x] {
+				seen[x] = true
+				return x
+			}
+		}
+	}
+	elems := make([]uint64, 2000)
+	for i := range elems {
+		elems[i] = draw()
+	}
+	const seed = 0x7AB1
+	shape := func(groups int, m uint) Plan {
+		return Plan{M: m, T: 5, Groups: groups, MaxRounds: DefaultMaxRounds, SigBits: 32, Seed: seed, Parallelism: 1}
+	}
+	newSnap := func() *Snapshot {
+		snap, err := NewSnapshot(elems, Config{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	over, fitting := shape(35, 6), shape(7, 6) // 2,240 and 448 words on 2,000 elements
+
+	t.Run("over-size/second-read", func(t *testing.T) {
+		snap := newSnap()
+		if snap.tableFits(over.Groups, over.M) {
+			t.Fatal("the shape must be over |S|")
+		}
+		if snap.partitionFor(over).table != nil {
+			t.Fatal("first read kept a table over |S|")
+		}
+		assertFreshTable(t, snap, over, snap.partitionFor(over))
+		if snap.partitionFor(over).table != snap.partitionFor(over).table {
+			t.Fatal("later reads rebuild the table instead of sharing it")
+		}
+	})
+
+	t.Run("over-size/apply-drops", func(t *testing.T) {
+		snap := newSnap()
+		snap.partitionFor(over)
+		held := snap.partitionFor(over)
+		var rows []foldRow
+		for _, r := range held.table.rows {
+			rows = append(rows, r.clone())
+		}
+		next := snap.Apply([]uint64{draw(), draw(), draw()}, elems[:2])
+		if words := next.retainedTableWords(); words != 0 {
+			t.Fatalf("the successor inherited %d table words it will not maintain", words)
+		}
+		if next.partitionFor(over).table != nil {
+			t.Fatal("the successor's first read has a table: it was maintained under writes")
+		}
+		assertFreshTable(t, next, over, next.partitionFor(over))
+		for g, r := range snap.partitionFor(over).table.rows {
+			if !slices.Equal(r.sums, rows[g].sums) || !slices.Equal(r.parity, rows[g].parity) {
+				t.Fatalf("row %d of the predecessor's table changed", g)
+			}
+		}
+	})
+
+	t.Run("forged-shapes/ceiling", func(t *testing.T) {
+		snap := newSnap()
+		ceiling := uint64(maxCachedShapes) * uint64(snap.Len())
+		var plans []Plan
+		for i := 0; i < 64; i++ {
+			m := uint(5 + i%3) // tables from 0.6× |S| to past the ceiling
+			if i%16 == 15 {
+				m = 20 // one table alone past the ceiling: never built
+			}
+			plans = append(plans, shape(40+i*3, m))
+		}
+		var wg sync.WaitGroup
+		var overKept atomic.Int32 // reads that got a table over |S|
+		for w := 0; w < 4; w++ {
+			order := rand.New(rand.NewPCG(36, uint64(w))).Perm(len(plans))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, i := range order {
+					plan := plans[i]
+					for read := 0; read < 2; read++ {
+						p := snap.partitionFor(plan)
+						if p.table != nil && tableWords(plan.Groups, plan.M) > ceiling {
+							t.Errorf("G=%d m=%d: a table of %d words, over the ceiling %d", plan.Groups, plan.M, tableWords(plan.Groups, plan.M), ceiling)
+						}
+						if words := snap.retainedTableWords(); words > ceiling {
+							t.Errorf("retained tables total %d words, ceiling %d", words, ceiling)
+						}
+						if p.table != nil && !snap.tableFits(plan.Groups, plan.M) {
+							overKept.Add(1)
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if overKept.Load() == 0 {
+			t.Fatal("no forged shape over |S| ever got a table: the test exercises nothing")
+		}
+	})
+
+	t.Run("fitting/maintained", func(t *testing.T) {
+		snap := newSnap()
+		first := snap.partitionFor(fitting)
+		assertFreshTable(t, snap, fitting, first)
+		// Five writes reach at most five of the seven rows: the rest are
+		// shared with the predecessor, which a rebuilt table would not be.
+		next := snap.Apply([]uint64{draw(), draw()}, elems[5:8])
+		got := next.partitionFor(fitting)
+		assertFreshTable(t, next, fitting, got)
+		shared := 0
+		for g, r := range got.table.rows {
+			if &r.sums[0] == &first.table.rows[g].sums[0] {
+				shared++
+			}
+		}
+		if shared < 2 {
+			t.Fatalf("%d of %d rows shared with the predecessor: the table was rebuilt, not maintained", shared, fitting.Groups)
+		}
+	})
 }
 
 // TestSnapshotViewsImmutableUnderApply runs sessions on a snapshot while

@@ -124,7 +124,8 @@ func (r *foldRow) toggle(d delta, seed uint64, m uint) {
 // foldRow per group. Round 1 is the only round whose bin hash is known in
 // advance — its seed depends on the group and the round number alone — and
 // the fold is linear in the set, so a snapshot can keep it across sessions
-// and Apply can maintain it under writes. Alice's first BuildRound and
+// and Apply can maintain it under writes (Snapshot.partitionFor says which
+// tables are kept, and which maintained). Alice's first BuildRound and
 // Bob's first HandleRound read their sums and parities straight from it;
 // later rounds and split scopes fold afresh.
 type foldTable struct {

@@ -36,7 +36,9 @@ func sha(b []byte) string {
 // below d it forces BCH decoding failures, hence 3-way splits and rounds of
 // fold-path scopes; writes > 0 runs Alice over a snapshot that absorbed that
 // many writes through Apply after its round-one table was built, so the
-// maintained table rows are in the transcript too.
+// maintained table rows are in the transcript too. tableOverB marks the
+// case whose round-one table is over |B| (G·2^m = 256k words on 95k), which
+// a responder's snapshot keeps only from its second session on.
 type goldenCase struct {
 	name           string
 	sizeA, d       int
@@ -47,22 +49,58 @@ type goldenCase struct {
 	planSeed       uint64
 	minRounds      int
 	tablePathRound bool
+	tableOverB     bool
 }
 
 var goldenCases = []goldenCase{
 	{name: "d=20", sizeA: 2000, d: 20, planD: 20, workloadSeed: 1601, planSeed: 161, tablePathRound: true},
 	{name: "d=100", sizeA: 100000, d: 100, planD: 100, workloadSeed: 1602, planSeed: 162, tablePathRound: true},
-	{name: "d=5000", sizeA: 100000, d: 5000, planD: 5000, workloadSeed: 1603, planSeed: 163, minRounds: 2},
+	{name: "d=5000", sizeA: 100000, d: 5000, planD: 5000, workloadSeed: 1603, planSeed: 163, minRounds: 2, tableOverB: true},
 	{name: "split", sizeA: 20000, d: 400, planD: 20, workloadSeed: 1604, planSeed: 164, minRounds: 3, wantSplit: true, tablePathRound: true},
 	{name: "applied", sizeA: 100000, d: 100, planD: 100, writes: 50, workloadSeed: 1605, planSeed: 165, tablePathRound: true},
 }
 
-// runGolden drives one session and records its transcript.
-func runGolden(t *testing.T, gc goldenCase, parallelism int, adaptive bool) goldenTranscript {
+// runGolden drives one session and records its transcript. With warmBob,
+// Bob answers from a snapshot of B that has already served the case once,
+// so the shape is current and Bob reads a round-one table in every case —
+// on d=5000 one over |B|, which only an unwritten snapshot keeps.
+func runGolden(t *testing.T, gc goldenCase, parallelism int, adaptive, warmBob bool) goldenTranscript {
 	t.Helper()
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: gc.sizeA, D: gc.d, Seed: gc.workloadSeed})
 	plan := planFor(t, gc.planD, gc.planSeed)
 	plan.Parallelism = parallelism
+	if !warmBob {
+		bob, err := NewBob(p.B, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return driveGolden(t, gc, p, newGoldenAlice(t, gc, p, plan), bob, adaptive)
+	}
+	snapB, err := NewSnapshot(p.B, Config{SigBits: plan.SigBits, Seed: plan.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := NewBobFromSnapshot(snapB, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept := cold.part.table != nil; kept == gc.tableOverB {
+		t.Fatalf("first read: table kept=%v, the case wants %v (G=%d, m=%d, |B|=%d)", kept, !gc.tableOverB, plan.Groups, plan.M, len(p.B))
+	}
+	driveGolden(t, gc, p, newGoldenAlice(t, gc, p, plan), cold, adaptive)
+	bob, err := NewBobFromSnapshot(snapB, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bob.part.table == nil {
+		t.Fatalf("the warm Bob holds no round-one table (G=%d, m=%d, |B|=%d)", plan.Groups, plan.M, len(p.B))
+	}
+	return driveGolden(t, gc, p, newGoldenAlice(t, gc, p, plan), bob, adaptive)
+}
+
+// newGoldenAlice builds the case's Alice, over a snapshot of her own.
+func newGoldenAlice(t *testing.T, gc goldenCase, p *workload.Pair, plan Plan) *Alice {
+	t.Helper()
 	a := p.A
 	var remove []uint64
 	if gc.writes > 0 {
@@ -87,10 +125,12 @@ func runGolden(t *testing.T, gc goldenCase, parallelism int, adaptive bool) gold
 	if gc.tablePathRound != (alice.table != nil) {
 		t.Fatalf("round-one table in use = %v, the case wants %v", alice.table != nil, gc.tablePathRound)
 	}
-	bob, err := NewBob(p.B, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return alice
+}
+
+// driveGolden runs alice against bob to the end and records the transcript.
+func driveGolden(t *testing.T, gc goldenCase, p *workload.Pair, alice *Alice, bob *Bob, adaptive bool) goldenTranscript {
+	t.Helper()
 	if adaptive {
 		alice.EnableAdaptive()
 		bob.EnableAdaptive()
@@ -138,17 +178,23 @@ func runGolden(t *testing.T, gc goldenCase, parallelism int, adaptive bool) gold
 // equivalence suite compares two paths of the same build, so a change that
 // moved both the same way would pass them all. The file is regenerated with
 // `go test ./internal/core -run TestRoundGolden -update-golden`, which is
-// only ever right in a change that means to alter the wire.
+// only ever right in a change that means to alter the wire. Its second leg
+// replays every session against a warm responder — Bob's snapshot has
+// served the case once — and holds it to the same rows: a round-one table
+// kept for an unwritten set must not move a byte.
 func TestRoundGolden(t *testing.T) {
 	got := make(map[string]goldenTranscript)
+	warm := make(map[string]goldenTranscript)
 	for _, gc := range goldenCases {
 		for _, parallelism := range []int{1, 4} {
 			for _, adaptive := range []bool{false, true} {
 				name := fmt.Sprintf("%s/par=%d/adaptive=%v", gc.name, parallelism, adaptive)
-				got[name] = runGolden(t, gc, parallelism, adaptive)
+				got[name] = runGolden(t, gc, parallelism, adaptive, false)
+				warm[name] = runGolden(t, gc, parallelism, adaptive, true)
 			}
 		}
 	}
+	want := got
 	if *updateGolden {
 		out, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -157,27 +203,32 @@ func TestRoundGolden(t *testing.T) {
 		if err := os.WriteFile(goldenPath, append(out, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return
-	}
-	raw, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make(map[string]goldenTranscript)
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(got) {
-		t.Errorf("golden file has %d sessions, the test runs %d", len(want), len(got))
-	}
-	for name, g := range got {
-		w, ok := want[name]
-		if !ok {
-			t.Errorf("%s: not in %s", name, goldenPath)
-			continue
+	} else {
+		raw, err := os.ReadFile(goldenPath)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(g, w) {
-			t.Errorf("%s: transcript differs from %s\n got %+v\nwant %+v", name, goldenPath, g, w)
+		want = make(map[string]goldenTranscript)
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatal(err)
+		}
+		if len(want) != len(got) {
+			t.Errorf("golden file has %d sessions, the test runs %d", len(want), len(got))
+		}
+	}
+	for _, leg := range []struct {
+		name string
+		got  map[string]goldenTranscript
+	}{{"cold responder", got}, {"warm responder", warm}} {
+		for name, g := range leg.got {
+			w, ok := want[name]
+			if !ok {
+				t.Errorf("%s: not in %s", name, goldenPath)
+				continue
+			}
+			if !reflect.DeepEqual(g, w) {
+				t.Errorf("%s, %s: transcript differs from %s\n got %+v\nwant %+v", name, leg.name, goldenPath, g, w)
+			}
 		}
 	}
 }

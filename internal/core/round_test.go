@@ -151,9 +151,24 @@ func BenchmarkEncodeParity(b *testing.B) {
 // absorbs. Half the writes heal a difference (Alice adds an element only Bob
 // holds) and half open one (she removes an element both hold), so d holds.
 func BenchmarkBulkSession(b *testing.B) {
-	const d, writes = 5000, 250
-	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 100000, D: d, BOnlyFrac: 0.5, Seed: 5})
-	plan := planFor(b, d*14/10, d+1)
+	benchSession(b, 100000, 5000, 5000*14/10, 250, 5, 5000+1)
+}
+
+// BenchmarkWarmSession is the warm small sync as one in-process session
+// per iteration: |S| = 2k, d = 20, a plan sized for the speculative
+// 1.38·128, and 5 writes to Alice (two heal and three open a difference,
+// then the other way round). Bob's snapshot is reused and never written,
+// as a server's is between its writers.
+func BenchmarkWarmSession(b *testing.B) {
+	benchSession(b, 2000, 20, 128*138/100, 5, 20, 21)
+}
+
+// benchSession runs one session per iteration between Alice's snapshot,
+// after writes applied through Apply, and one snapshot of Bob's that serves
+// every session.
+func benchSession(b *testing.B, size, d, planD, writes int, workloadSeed int64, planSeed uint64) {
+	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: size, D: d, BOnlyFrac: 0.5, Seed: workloadSeed})
+	plan := planFor(b, planD, planSeed)
 	cfg := Config{SigBits: plan.SigBits, Seed: plan.Seed}
 	snapA, err := NewSnapshot(p.A, cfg)
 	if err != nil {
@@ -171,7 +186,7 @@ func BenchmarkBulkSession(b *testing.B) {
 			bOnly = append(bOnly, x)
 		}
 	}
-	rng := rand.New(rand.NewPCG(5, 5))
+	rng := rand.New(rand.NewPCG(uint64(workloadSeed), uint64(workloadSeed)))
 	take := func(pool *[]uint64) uint64 {
 		i, last := rng.IntN(len(*pool)), len(*pool)-1
 		x := (*pool)[i]
@@ -179,11 +194,16 @@ func BenchmarkBulkSession(b *testing.B) {
 		*pool = (*pool)[:last]
 		return x
 	}
-	add, remove := make([]uint64, writes/2), make([]uint64, writes/2)
+	add, remove := make([]uint64, 0, writes), make([]uint64, 0, writes)
 	b.ReportAllocs()
-	for b.Loop() {
-		for i := range add {
-			add[i], remove[i] = take(&bOnly), take(&common)
+	for iter := 0; b.Loop(); iter++ {
+		heals := writes/2 + writes%2*(iter%2) // an odd write heals every other time
+		add, remove = add[:0], remove[:0]
+		for len(add) < heals {
+			add = append(add, take(&bOnly))
+		}
+		for len(remove) < writes-heals {
+			remove = append(remove, take(&common))
 		}
 		snapA = snapA.Apply(add, remove)
 		bOnly, common = append(bOnly, remove...), append(common, add...)

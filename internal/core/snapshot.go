@@ -10,9 +10,10 @@ import (
 // once and shared by any number of concurrent endpoints. A server holding
 // a large set and answering thousands of reconciliation sessions pays the
 // O(|S|) validation (zero/range/duplicate checks) a single time, and the
-// per-plan group partition — plus, for shapes small enough to keep, the
-// round-one fold table (see foldTable) — is computed once per distinct
-// shape and then shared read-only.
+// per-plan group partition — plus the round-one fold table (see foldTable)
+// for a shape that fits the set's size or that a session reads a second
+// time with no write in between (see partitionFor) — is computed once per
+// distinct shape and then shared read-only.
 //
 // A Snapshot is also persistent: Apply returns the successor after a batch
 // of writes in time proportional to the batch. The successor inherits every
@@ -20,10 +21,12 @@ import (
 // shape up to date the first time a session asks for it. A written element
 // joins its group's short lag list, which the endpoints read alongside the
 // group slice (see elemSet), its group's checksum takes one ± per write,
-// and only the table rows the writes hash into are cloned and toggled; a
-// group slice is rewritten only once its lag list has grown to a fixed share
-// of it. A long-lived mutable set therefore pays for its writes, not for its
-// size, each time it is reconciled.
+// and only the table rows the writes hash into are cloned and toggled (a
+// table that does not fit the set is dropped instead: it was kept only
+// because the set went unwritten); a group slice is rewritten only once its
+// lag list has grown to a fixed share of it. A long-lived mutable set
+// therefore pays for its writes, not for its size, each time it is
+// reconciled.
 //
 // The elements themselves are a sorted base slice, shared by a snapshot and
 // its successors until enough writes accumulate to re-base, plus the log of
@@ -56,7 +59,7 @@ type Snapshot struct {
 }
 
 // shape is what the snapshot keeps per plan shape: the partition for a
-// group count and, while it fits the budget, the round-one table for one
+// group count and, when partitionFor keeps one, the round-one table for one
 // bitmap degree on top of it. A shape inherited through Apply may be
 // behind: the net writes in behind have reached neither groups nor table.
 type shape struct {
@@ -262,7 +265,10 @@ func (s *Snapshot) flatten() {
 // traffic clusters around a handful of group counts, which all fit. At the
 // cap an arbitrary entry is evicted, so forged estimates can at worst
 // force recomputation — per-session O(|S|), exactly like NewBob — never
-// unbounded growth or a poisoned cache.
+// unbounded growth or a poisoned cache. It also sets the ceiling on the
+// round-one tables one snapshot retains: maxCachedShapes·|S| words in all
+// (see tableRoom), the most that maxCachedShapes tables within tableFits
+// could already add up to.
 const maxCachedShapes = 8
 
 // rebaseFraction re-bases a successor once its log holds more than
@@ -288,35 +294,72 @@ func (s *Snapshot) cacheableGroups(groups int) bool {
 	return groups <= 4*s.n+64
 }
 
-// tableFits is the budget rule for keeping a round-one table: its
-// groups·(n+1) words of bin sums must not exceed the set itself. Small sets
-// and large-d plans (many groups, each a bitmap wide) stay on the fold
-// path, where the table would cost more memory than the elements it
-// summarizes and no more than one session would read it before a write.
+// tableWords is the size of the round-one table of shape (groups, m),
+// counted in words of bin sums, groups·2^m; the parities add a 64th of that
+// plus a word a group.
+func tableWords(groups int, m uint) uint64 { return uint64(groups) << m }
+
+// tableFits is the rule for a table kept under writes: its bin sums must
+// not exceed the set itself. Such a table is built on a shape's first read
+// and maintained by Apply, which clones the rows a batch touches, so what a
+// written set keeps stays bounded by its size. Small sets and large-d plans
+// (many groups, each a bitmap wide) fail it; they get a table only while
+// the set goes unwritten (see partitionFor).
 func (s *Snapshot) tableFits(groups int, m uint) bool {
-	return uint64(groups)<<m <= uint64(s.n)
+	return tableWords(groups, m) <= uint64(s.n)
+}
+
+// tableRoom returns the table words the ceiling leaves to the shape for
+// groups: maxCachedShapes·|S| less the tables of every other cached shape.
+// The caller holds s.mu.
+func (s *Snapshot) tableRoom(groups int) uint64 {
+	room := uint64(maxCachedShapes) * uint64(s.n)
+	for g, sh := range s.shapes {
+		if g != groups && sh.table != nil {
+			room -= min(room, tableWords(len(sh.table.rows), sh.table.m))
+		}
+	}
+	return room
 }
 
 // partitionFor returns the partition for plan.Groups, with the round-one
-// table for (plan.Groups, plan.M) when the shape fits the table budget; a
-// nil table sends the endpoint down the fold path. Up to maxCachedShapes
-// shapes are cached, each with the table of one bitmap degree (a request
-// for another degree replaces it). An inherited shape that is behind
-// absorbs its writes here, once. All of that work runs outside the lock so
-// concurrent sessions are never serialized behind it; two sessions may race
-// to compute the same shape, which is a function of the snapshot alone, so
-// either result is valid and the later one keeps the cache slot.
+// table for (plan.Groups, plan.M) when one of two rules keeps it; a nil
+// table sends the endpoint down the fold path.
+//
+//   - A shape within tableFits gets its table on its first read, and Apply
+//     maintains it under writes.
+//   - A shape that is cached and current on entry gets its table whatever
+//     its size: this is its second read with no write in between, the mark
+//     of a set that is served more than it is written. Apply drops such a
+//     table, so no row of it is ever cloned, and a set written before every
+//     session never builds one.
+//
+// Either way the tables of the cached shapes total at most
+// maxCachedShapes·|S| words: a table is built only if tableRoom has room
+// for it, and retained only if the room is still there when the shape is
+// stored. One that lost its room to a concurrent session serves the session
+// that built it and is not retained.
+//
+// Up to maxCachedShapes shapes are cached, each with the table of one
+// bitmap degree (a request for another degree replaces it). An inherited
+// shape that is behind absorbs its writes here, once. All of that work runs
+// outside the lock so concurrent sessions are never serialized behind it;
+// two sessions may race to compute the same shape, which is a function of
+// the snapshot alone, so either result is valid and the later one keeps the
+// cache slot.
 func (s *Snapshot) partitionFor(plan Plan) partition {
 	groups, m := plan.Groups, plan.M
 	s.mu.Lock()
 	sh, cached := s.shapes[groups]
+	current := cached && sh.behind.len() == 0
+	room := s.tableRoom(groups)
 	s.mu.Unlock()
-	fits := s.tableFits(groups, m)
-	if sh.table != nil && (sh.table.m != m || !fits) {
+	wantTable := (current || s.tableFits(groups, m)) && tableWords(groups, m) <= room
+	if sh.table != nil && (sh.table.m != m || !wantTable) {
 		sh.table = nil
 	}
-	buildTable := fits && sh.table == nil
-	if cached && sh.behind.len() == 0 && !buildTable {
+	buildTable := wantTable && sh.table == nil
+	if current && !buildTable {
 		return sh.partition
 	}
 
@@ -336,7 +379,11 @@ func (s *Snapshot) partitionFor(plan Plan) partition {
 				break
 			}
 		}
-		s.shapes[groups] = sh
+		kept := sh
+		if kept.table != nil && tableWords(groups, m) > s.tableRoom(groups) {
+			kept.table = nil
+		}
+		s.shapes[groups] = kept
 		s.mu.Unlock()
 	}
 	return sh.partition
@@ -474,6 +521,9 @@ func (s *Snapshot) Apply(add, remove []uint64) *Snapshot {
 	defer s.mu.Unlock()
 	for groups, sh := range s.shapes {
 		sh.behind = sh.behind.then(batch)
+		if sh.table != nil && sh.behind.len() > 0 && !ns.tableFits(groups, sh.table.m) {
+			sh.table = nil // kept while the set went unwritten, never maintained
+		}
 		if sh.behind.len() <= ns.n/lagFraction && ns.cacheableGroups(groups) {
 			ns.shapes[groups] = sh
 		}
