@@ -34,7 +34,7 @@ type loopPeer struct {
 	opened bool
 }
 
-func (p *loopPeer) send(frames ...Frame) {
+func (p *loopPeer) send(frames ...frame.Frame) {
 	p.t.Helper()
 	var err error
 	if p.id == 0 {
@@ -77,7 +77,7 @@ func (p *loopPeer) hangUp() {
 		p.conn.Close()
 		return
 	}
-	p.send(Frame{Type: frame.MsgStreamClose})
+	p.send(frame.Frame{Type: frame.MsgStreamClose})
 }
 
 // loopSibling is a healthy fast sync split in two, so an abuse script can
@@ -85,8 +85,8 @@ func (p *loopPeer) hangUp() {
 // (at the latest, its msgDone) unsent.
 type loopSibling struct {
 	peer *loopPeer
-	is   *InitiatorSession
-	out  []Frame
+	is   *initiatorSession
+	out  []frame.Frame
 	done bool
 }
 
@@ -110,7 +110,7 @@ func (s *loopSibling) step() {
 	s.peer.t.Helper()
 	typ, body := s.peer.recv()
 	var err error
-	if s.out, s.done, err = s.is.Step(typ, body); err != nil {
+	if s.out, s.done, err = s.is.step(typ, body); err != nil {
 		s.peer.t.Fatalf("sibling sync: %v", err)
 	}
 }
@@ -124,7 +124,7 @@ func (s *loopSibling) finish() {
 		}
 		s.step()
 	}
-	if res := s.is.Result(); res == nil || !res.Complete {
+	if res := s.is.res; res == nil || !res.Complete {
 		s.peer.t.Fatal("sibling sync disturbed: incomplete")
 	}
 }
@@ -164,12 +164,12 @@ const loopSpecD = 4
 
 // openHello runs the hello exchange and returns the frames the initiator
 // would send next: its first msgRound.
-func openHello(p *loopPeer, local []uint64, opt *Options) []Frame {
+func openHello(p *loopPeer, local []uint64, opt *Options) []frame.Frame {
 	p.t.Helper()
 	is, opening := helloInitiator(p.t, local, opt, "", loopSpecD)
 	p.send(opening...)
 	typ, body := p.recv()
-	out, _, err := is.Step(typ, body)
+	out, _, err := is.step(typ, body)
 	if err != nil {
 		p.t.Fatal(err)
 	}
@@ -196,11 +196,11 @@ var loopScripts = []loopScript{
 			if err != nil {
 				t.Fatal(err)
 			}
-			reply, _, err := bss.newServerSession(bss.opt).Step(hello[0].Type, hello[0].Payload)
+			reply, _, err := bss.newServerSession(bss.opt).step(hello[0].Type, hello[0].Payload)
 			if err != nil {
 				t.Fatal(err)
 			}
-			round, _, err := is.Step(reply[0].Type, reply[0].Payload)
+			round, _, err := is.step(reply[0].Type, reply[0].Payload)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,14 +256,14 @@ var loopScripts = []loopScript{
 	{
 		name: "bare-done-probe",
 		run: func(p *loopPeer, _ []uint64, _ *Options) *PeerError {
-			p.send(Frame{Type: frame.MsgDone})
+			p.send(frame.Frame{Type: frame.MsgDone})
 			return nil
 		},
 	},
 	{
 		name: "unknown-frame-type",
 		run: func(p *loopPeer, _ []uint64, _ *Options) *PeerError {
-			p.send(Frame{Type: 0x7F, Payload: []byte{1, 2, 3}})
+			p.send(frame.Frame{Type: 0x7F, Payload: []byte{1, 2, 3}})
 			return p.recvError()
 		},
 		wantMsg: "unexpected message type 127", wantCode: ErrCodeRejected,
@@ -408,7 +408,7 @@ func TestConnLoopMuxHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello := func() (*InitiatorSession, []Frame) {
+	hello := func() (*initiatorSession, []frame.Frame) {
 		is, opening, err := ss.newInitiator(ss.opt, initiatorCall{specD: 4, features: frame.FeatureMux, adaptive: true})
 		if err != nil {
 			t.Fatal(err)
@@ -423,7 +423,7 @@ func TestConnLoopMuxHandoff(t *testing.T) {
 	}
 	rs := bss.newServerSession(bss.opt)
 	rs.allowFeatures = frame.FeatureMux | frame.FeatureLZ
-	reply, _, err := rs.Step(opening[0].Type, opening[0].Payload)
+	reply, _, err := rs.step(opening[0].Type, opening[0].Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestConnLoopMuxHandoff(t *testing.T) {
 			if !bytes.Equal(payload, reply[0].Payload) {
 				t.Fatal("server's hello reply differs from the in-process responder's")
 			}
-			out, _, err := is.Step(typ, payload)
+			out, _, err := is.step(typ, payload)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,19 +3,20 @@
 // One pbs.Set holds a reference catalog (a software-update catalog, a
 // certificate-transparency log tip, a mempool) and serves a fleet of
 // clients that concurrently reconcile their drifted local copies against
-// it over TCP via Set.Serve. Every session shares the set's current
-// immutable view — one validated snapshot, one ToW sketch, one group
-// partition per plan size — and the set stays mutable while serving:
-// catalog updates land with Add/Remove, the estimator sketch follows
-// incrementally, and the next admitted session sees the new contents.
-// Per-session limits (d̂ cap, bytes, rounds, idle time) keep one hostile
-// or broken client from hurting the rest.
+// it over TCP: a pbs.Server holds the Set under DefaultSetName
+// (Server.RegisterSet) and Serve answers every connection. Every session
+// shares the set's current immutable view — one validated snapshot, one
+// ToW sketch, one group partition per plan size — and the set stays
+// mutable while serving: catalog updates land with Add/Remove, the
+// estimator sketch follows incrementally, and the next admitted session
+// sees the new contents. The server's per-session limits (d̂ cap, bytes,
+// rounds, idle time) keep one hostile or broken client from hurting the
+// rest.
 //
 // Run with: go run ./examples/serversync
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -38,22 +39,27 @@ func main() {
 		reference = append(reference, x)
 	}
 
-	catalog, err := pbs.NewSet(reference, pbs.WithSeed(42), pbs.WithStrongVerify(true))
+	// Server and clients run under the same protocol options; the Set is
+	// built under them too, so it can be registered with the server.
+	opt := &pbs.Options{Seed: 42, StrongVerify: true}
+	catalog, err := pbs.NewSet(reference, pbs.WithOptions(*opt))
 	if err != nil {
+		log.Fatal(err)
+	}
+	srv := pbs.NewServer(pbs.ServerOptions{Protocol: opt})
+	if err := srv.RegisterSet(pbs.DefaultSetName, catalog); err != nil {
 		log.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctx, stopServing := context.WithCancel(context.Background())
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- catalog.Serve(ctx, ln) }()
+	go func() { serveErr <- srv.Serve(ln) }()
 	fmt.Printf("serving %d IDs on %s\n", catalog.Len(), ln.Addr())
 
 	// 32 clients, each missing a different few hundred IDs and carrying a
 	// few local extras, sync concurrently.
-	opt := &pbs.Options{Seed: 42, StrongVerify: true}
 	const clients = 32
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
@@ -97,8 +103,12 @@ func main() {
 	fmt.Printf("after live catalog update: client learned %d IDs (500 of them fresh)\n",
 		len(res.Difference))
 
-	stopServing()
-	<-serveErr
+	if !srv.Shutdown(10 * time.Second) {
+		log.Fatal("server: sessions still in flight after the drain timeout")
+	}
+	if err := <-serveErr; err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("server: drained and stopped — one shared snapshot per epoch, zero per-session copies")
 }
 

@@ -13,21 +13,21 @@ import (
 )
 
 // parseStream splits a recorded wire stream back into frames.
-func parseStream(t *testing.T, b []byte) []Frame {
+func parseStream(t *testing.T, b []byte) []frame.Frame {
 	t.Helper()
-	var frames []Frame
+	var frames []frame.Frame
 	r := bytes.NewReader(b)
 	for r.Len() > 0 {
 		typ, payload, err := frame.ReadInto(r, frame.MaxFrame, nil)
 		if err != nil {
 			t.Fatalf("corrupt recorded stream: %v", err)
 		}
-		frames = append(frames, Frame{Type: typ, Payload: append([]byte(nil), payload...)})
+		frames = append(frames, frame.Frame{Type: typ, Payload: append([]byte(nil), payload...)})
 	}
 	return frames
 }
 
-func frameTypes(frames []Frame) []byte {
+func frameTypes(frames []frame.Frame) []byte {
 	types := make([]byte, len(frames))
 	for i, f := range frames {
 		types[i] = f.Type
@@ -38,15 +38,15 @@ func frameTypes(frames []Frame) []byte {
 // driveEngine steps an initiator and a responder session against each
 // other to completion, the closing frames delivered too, and returns both
 // recorded frame streams.
-func driveEngine(t *testing.T, is *InitiatorSession, opening []Frame, rs *ResponderSession) (iStream, rStream []byte) {
+func driveEngine(t *testing.T, is *initiatorSession, opening []frame.Frame, rs *responderSession) (iStream, rStream []byte) {
 	t.Helper()
 	toResponder := opening
 	done := false
 	for !done {
 		iStream = append(iStream, frameBytes(toResponder)...)
-		var toInitiator []Frame
+		var toInitiator []frame.Frame
 		for _, f := range toResponder {
-			out, _, err := rs.Step(f.Type, f.Payload)
+			out, _, err := rs.step(f.Type, f.Payload)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +55,7 @@ func driveEngine(t *testing.T, is *InitiatorSession, opening []Frame, rs *Respon
 		rStream = append(rStream, frameBytes(toInitiator)...)
 		toResponder = nil
 		for _, f := range toInitiator {
-			out, d, err := is.Step(f.Type, f.Payload)
+			out, d, err := is.step(f.Type, f.Payload)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +65,7 @@ func driveEngine(t *testing.T, is *InitiatorSession, opening []Frame, rs *Respon
 		if done {
 			iStream = append(iStream, frameBytes(toResponder)...)
 			for _, f := range toResponder {
-				if _, _, err := rs.Step(f.Type, f.Payload); err != nil {
+				if _, _, err := rs.step(f.Type, f.Payload); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -119,7 +119,7 @@ func TestFastSyncSingleRoundTrip(t *testing.T) {
 }
 
 // TestFastSyncWireEquivalence drives the same reconciliation two ways — by
-// stepping InitiatorSession/ResponderSession directly, and through the Set
+// stepping initiatorSession/responderSession directly, and through the Set
 // API (Set.Sync against Set.Respond over a pipe, with a WithOnDelta
 // observer installed) — and requires byte-identical streams in both
 // directions plus identical results. This is the engine's contract: the
@@ -144,7 +144,7 @@ func TestFastSyncWireEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		iStream, rStream := driveEngine(t, is, opening, respondTo(ssB))
-		engRes := is.Result()
+		engRes := is.res
 		if engRes == nil {
 			t.Fatal("engine produced no result")
 		}
@@ -216,7 +216,7 @@ func TestFastSyncUndersizedSpeculation(t *testing.T) {
 	if !fastSpecAccepted(specD, rep.Dhat) {
 		t.Fatalf("responder answered outside its own acceptance rule (d_spec=%d, d̂=%d)", specD, rep.Dhat)
 	}
-	res := is.Result()
+	res := is.res
 	if res == nil || !res.Complete {
 		t.Fatalf("undersized speculation did not complete: %+v", res)
 	}
@@ -279,7 +279,7 @@ func TestFastSyncDeclinedSpeculation(t *testing.T) {
 	if fastSpecAccepted(1, rep.Dhat) {
 		t.Fatalf("acceptance rule admits d̂=%d against d_spec=1", rep.Dhat)
 	}
-	res := is.Result()
+	res := is.res
 	if res == nil || !res.Complete {
 		t.Fatalf("declined speculation did not complete: %+v", res)
 	}
@@ -395,7 +395,7 @@ func TestFastHelloVersionNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	hello := frame.AppendHello(nil, frame.Hello{Version: 99})
-	if _, _, err := respondTo(ssB).Step(frame.MsgHelloV1, hello); err == nil {
+	if _, _, err := respondTo(ssB).step(frame.MsgHelloV1, hello); err == nil {
 		t.Fatal("responder accepted an unknown hello version")
 	}
 
@@ -407,7 +407,7 @@ func TestFastHelloVersionNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = is.Step(frame.MsgError, []byte("pbs: unexpected message type 10"))
+	_, _, err = is.step(frame.MsgError, []byte("pbs: unexpected message type 10"))
 	if pe := (*PeerError)(nil); !errors.As(err, &pe) || pe.Msg != "pbs: unexpected message type 10" {
 		t.Fatalf("msgError answer = %v, want the peer's diagnostic as a *PeerError", err)
 	}

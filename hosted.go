@@ -78,7 +78,7 @@ func (h *hostedStore) metaFor(elems []uint64) setstore.Meta {
 
 // hostedSet is one named set under hostedStore management. It implements
 // setSource, so the Server's registry serves sessions from it directly:
-// resident, sessions get a materialized SharedSet; cold, they get a lazy
+// resident, sessions get a materialized sharedSet; cold, they get a lazy
 // view that answers estimates from the persisted sketch/digest and pages
 // elements in only for a real delta round.
 type hostedSet struct {
@@ -93,7 +93,7 @@ type hostedSet struct {
 	// partitions and fold tables sessions cached on it carry across a
 	// HostedUpdate.
 	snap      *core.Snapshot
-	view      *SharedSet          // cached until mutation or demotion invalidates it
+	view      *sharedSet          // cached until mutation or demotion invalidates it
 	persisted bool                // at least one full segment on disk
 	dirtyAdds map[uint64]struct{} // changes since the last persisted segment
 	dirtyDels map[uint64]struct{}
@@ -156,13 +156,13 @@ func (hs *hostedSet) persist() error {
 }
 
 // sharedView implements setSource.
-func (hs *hostedSet) sharedView() (*SharedSet, error) {
+func (hs *hostedSet) sharedView() (*sharedSet, error) {
 	hs.mu.Lock()
 	if hs.view == nil {
 		// Either view answers estimates and verification from the
 		// incrementally maintained sketch and digest, never from a pass over
 		// the elements; a cold one pages the elements in only for a round.
-		v := &SharedSet{opt: hs.h.opt, snap: hs.snap, tow: hs.h.tow}
+		v := &sharedSet{opt: hs.h.opt, snap: hs.snap, tow: hs.h.tow}
 		if hs.snap == nil {
 			v.loadSnap, v.count = hs.loadSnapshot, int(hs.meta.Count)
 		}
@@ -210,7 +210,7 @@ func (hs *hostedSet) materializeLocked() error {
 
 // loadSnapshot is the lazy view's cold-load path: page the elements in and
 // promote the set to resident. Runs at most once per lazy view
-// (SharedSet.snapOnce).
+// (sharedSet.snapOnce).
 func (hs *hostedSet) loadSnapshot() (*core.Snapshot, error) {
 	hs.mu.Lock()
 	wasCold := hs.snap == nil

@@ -145,7 +145,7 @@ func TestHostedColdEstimateWithoutLoad(t *testing.T) {
 	// The first msgRound needs the bin sums, which is the cold load. The
 	// session then runs to completion, and its strong verification checks
 	// the footer's digest against the set the rounds reconciled to.
-	out, done, err := is.Step(typ, payload)
+	out, done, err := is.step(typ, payload)
 	for rounds := 0; ; rounds++ {
 		if err != nil {
 			t.Fatal(err)
@@ -162,9 +162,9 @@ func TestHostedColdEstimateWithoutLoad(t *testing.T) {
 		if st := srvB.Stats(); rounds == 0 && st.ColdLoads != 1 {
 			t.Fatalf("first msgRound: ColdLoads = %d, want 1", st.ColdLoads)
 		}
-		out, done, err = is.Step(typ, payload)
+		out, done, err = is.step(typ, payload)
 	}
-	assertSameSet(t, is.Result().Difference, base[:100])
+	assertSameSet(t, is.res.Difference, base[:100])
 	waitFor(t, func() bool { return srvB.Stats().Completed == 1 })
 	if st := srvB.Stats(); st.ColdLoads != 1 {
 		t.Fatalf("full session: ColdLoads = %d, want 1", st.ColdLoads)

@@ -209,7 +209,7 @@ func TestHostedUpdateMatchesFreshHost(t *testing.T) {
 		}
 		is, opening := helloInitiator(t, local, opt, "", 1)
 		sent, received = driveEngine(t, is, opening, view.newServerSession(hs.sessionOptions()))
-		if res := is.Result(); !res.Complete || !slices.Equal(sortedU64(res.Difference), sortedU64(want)) {
+		if res := is.res; !res.Complete || !slices.Equal(sortedU64(res.Difference), sortedU64(want)) {
 			t.Fatalf("session learned %d elements (complete=%v), want %d", len(res.Difference), res.Complete, len(want))
 		}
 		return sent, received

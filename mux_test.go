@@ -168,7 +168,7 @@ func TestMuxStreamIDExhaustion(t *testing.T) {
 // muxEnvelopeFrames serializes session frames as enveloped wire frames on
 // one stream: the open flag on the first frame when open is set, the close
 // flag riding the session's own goodbye.
-func muxEnvelopeFrames(dst []byte, id uint64, open bool, frames []Frame) []byte {
+func muxEnvelopeFrames(dst []byte, id uint64, open bool, frames []frame.Frame) []byte {
 	for i, f := range frames {
 		var flags uint64
 		if open && i == 0 {
@@ -233,7 +233,7 @@ func muxRawNegotiate(t *testing.T, conn net.Conn, local []uint64, opt *Options, 
 	if rep.Features&frame.FeatureMux == 0 {
 		t.Fatalf("server declined mux: granted %#x", rep.Features)
 	}
-	out, done, err := is.Step(typ, payload)
+	out, done, err := is.step(typ, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,12 +247,12 @@ func muxRawNegotiate(t *testing.T, conn net.Conn, local []uint64, opt *Options, 
 			break
 		}
 		typ, body := readMuxFrame(t, conn, 1)
-		out, done, err = is.Step(typ, body)
+		out, done, err = is.step(typ, body)
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if res := is.Result(); res == nil || !res.Complete {
+	if res := is.res; res == nil || !res.Complete {
 		t.Fatal("negotiating sync incomplete")
 	}
 	return rep.Features
@@ -275,7 +275,7 @@ func muxRawSync(t *testing.T, conn net.Conn, id uint64, local []uint64, opt *Opt
 	}
 	for {
 		typ, body := readMuxFrame(t, conn, id)
-		out, done, err := is.Step(typ, body)
+		out, done, err := is.step(typ, body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +288,7 @@ func muxRawSync(t *testing.T, conn net.Conn, id uint64, local []uint64, opt *Opt
 			break
 		}
 	}
-	res := is.Result()
+	res := is.res
 	if res == nil || !res.Complete {
 		t.Fatalf("sync on stream %d incomplete", id)
 	}
@@ -338,7 +338,7 @@ func TestMuxUnknownStreamRejected(t *testing.T) {
 	muxRawNegotiate(t, conn, local0, opt, frame.FeatureMux)
 
 	// A round frame for stream 99, which was never opened.
-	if _, err := conn.Write(muxEnvelopeFrames(nil, 99, false, []Frame{{Type: frame.MsgRound, Payload: []byte{1, 2, 3}}})); err != nil {
+	if _, err := conn.Write(muxEnvelopeFrames(nil, 99, false, []frame.Frame{{Type: frame.MsgRound, Payload: []byte{1, 2, 3}}})); err != nil {
 		t.Fatal(err)
 	}
 	typ, body := readMuxFrame(t, conn, 99)

@@ -36,11 +36,12 @@
 //		}))
 //
 // Set.Sync initiates over any connection, Set.Respond answers a single
-// peer, Set.Serve runs a concurrent server on a listener, and
-// Set.Reconcile runs both endpoints in process. Server, Client and MuxConn
-// carry the same sessions at deployment scale; see examples/serversync and
-// cmd/pbs-serve, and the README for what replaced the entry points that
-// predate Set.
+// peer, and Set.Reconcile runs both endpoints in process. A Server answers
+// many sessions concurrently on a listener, against sets published with
+// Server.RegisterSet (a live Set) or Server.Register (an immutable
+// snapshot); Client and MuxConn carry initiator sessions at deployment
+// scale. See examples/serversync and cmd/pbs-serve, and the README for
+// what replaced the entry points that predate Set.
 package pbs
 
 import (
@@ -205,8 +206,12 @@ type Result struct {
 	Complete bool
 	// Rounds is the number of message exchanges used.
 	Rounds int
-	// EstimatedD is the conservative difference-cardinality estimate the
-	// parameters were derived from (γ·d̂, or KnownD).
+	// EstimatedD is the conservative difference-cardinality estimate.
+	// Reconcile reports the value its parameters were derived from: γ·d̂,
+	// or KnownD when set. A wire Sync always reports γ·d̂ from the
+	// responder's estimate, under WithKnownD too; when the responder
+	// answered the speculative first round, the plan came from γ·d_spec,
+	// not from this value.
 	EstimatedD int
 	// PayloadBytes is the protocol communication overhead — codewords,
 	// positions, XOR sums, checksums — the quantity the paper reports.

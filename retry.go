@@ -91,74 +91,62 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // caller-provided conn — because a sync error leaves the stream in an
 // unknown state. A successful attempt's connection is closed only when it
 // was dialed here; a caller-provided conn that succeeds stays open and
-// remains the caller's to manage.
+// remains the caller's to manage. A failure that is not retried, including
+// one of Dial itself, is returned as it is.
 func (s *Set) syncRetry(ctx context.Context, conn net.Conn, cfg *setConfig) (*Result, error) {
 	pol := cfg.retry.withDefaults()
-	var lastErr error
-	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
-		c := conn
+	for attempt := 1; ; attempt++ {
+		res, err := s.retryAttempt(ctx, conn, &pol, cfg)
 		conn = nil // only the first attempt may use the caller's conn
-		dialed := c == nil
-		if c == nil {
-			if pol.Dial == nil {
-				if lastErr != nil {
-					return nil, fmt.Errorf("pbs: cannot retry without a RetryPolicy.Dial hook: %w", lastErr)
-				}
-				return nil, errors.New("pbs: Sync needs a connection or a RetryPolicy.Dial hook")
-			}
-			var err error
-			c, err = pol.Dial(ctx)
-			if err != nil {
-				lastErr = err
-				if ctx.Err() != nil || !Retryable(err) || attempt == pol.MaxAttempts-1 {
-					break
-				}
-				d := pol.delay(attempt+1, err)
-				if pol.OnRetry != nil {
-					pol.OnRetry(attempt+1, err, d)
-				}
-				if serr := sleepCtx(ctx, d); serr != nil {
-					return nil, serr
-				}
-				continue
-			}
-		}
-		attemptCtx, cancel := ctx, context.CancelFunc(nil)
-		if pol.AttemptTimeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, pol.AttemptTimeout)
-		}
-		res, err := s.syncAttempt(attemptCtx, c, cfg)
-		if cancel != nil {
-			cancel()
-		}
 		if err == nil {
-			if dialed {
-				c.Close()
-			}
 			return res, nil
-		}
-		c.Close()
-		lastErr = err
-		if ctx.Err() != nil {
-			return nil, err
 		}
 		// An attempt-deadline expiry is a stall, retryable as long as
 		// the parent ctx is still live.
 		retryable := Retryable(err) ||
 			(pol.AttemptTimeout > 0 && errors.Is(err, context.DeadlineExceeded))
-		if !retryable {
+		switch {
+		case ctx.Err() != nil || !retryable:
 			return nil, err
+		case attempt >= pol.MaxAttempts:
+			return nil, fmt.Errorf("pbs: sync failed after %d attempts: %w", attempt, err)
+		case pol.Dial == nil:
+			return nil, fmt.Errorf("pbs: cannot retry without a RetryPolicy.Dial hook: %w", err)
 		}
-		if attempt == pol.MaxAttempts-1 {
-			break
-		}
-		d := pol.delay(attempt+1, err)
+		d := pol.delay(attempt, err)
 		if pol.OnRetry != nil {
-			pol.OnRetry(attempt+1, err, d)
+			pol.OnRetry(attempt, err, d)
 		}
 		if serr := sleepCtx(ctx, d); serr != nil {
 			return nil, serr
 		}
 	}
-	return nil, fmt.Errorf("pbs: sync failed after %d attempts: %w", pol.MaxAttempts, lastErr)
+}
+
+// retryAttempt is one attempt of syncRetry: a sync over conn, or over a
+// connection dialed through pol.Dial when conn is nil, under the policy's
+// per-attempt deadline. It closes the connection unless the sync succeeded
+// over the caller's conn.
+func (s *Set) retryAttempt(ctx context.Context, conn net.Conn, pol *RetryPolicy, cfg *setConfig) (*Result, error) {
+	dialed := conn == nil
+	if dialed {
+		if pol.Dial == nil {
+			return nil, errors.New("pbs: Sync needs a connection or a RetryPolicy.Dial hook")
+		}
+		c, err := pol.Dial(ctx)
+		if err != nil {
+			return nil, err
+		}
+		conn = c
+	}
+	if pol.AttemptTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, pol.AttemptTimeout)
+		defer cancel()
+	}
+	res, err := s.syncAttempt(ctx, conn, cfg)
+	if err != nil || dialed {
+		conn.Close()
+	}
+	return res, err
 }

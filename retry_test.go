@@ -258,6 +258,58 @@ func TestMaxDViolationNotRetried(t *testing.T) {
 	}
 }
 
+// TestRetryDialFailures: a Dial failure that is not retried — a
+// non-retryable error, or any error once the context has ended — comes
+// back as it is after one call of the hook, not dressed up as an exhausted
+// attempt budget; a retryable one is retried up to the budget, and the
+// final error counts the attempts made.
+func TestRetryDialFailures(t *testing.T) {
+	set, err := NewSet([]uint64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noRoute := errors.New("no route to catalog")
+	for _, tc := range []struct {
+		name      string
+		dial      func(context.Context, context.CancelFunc) error
+		wantDials int
+		wantMsg   string // empty: the error must be the hook's own
+	}{
+		{"non-retryable", func(context.Context, context.CancelFunc) error { return noRoute }, 1, ""},
+		{"cancelled", func(ctx context.Context, cancel context.CancelFunc) error {
+			cancel()
+			return ctx.Err()
+		}, 1, ""},
+		{"retryable", func(context.Context, context.CancelFunc) error { return net.ErrClosed }, 3, "after 3 attempts"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var dials int
+			var hookErr error
+			pol := RetryPolicy{
+				MaxAttempts: 3,
+				BaseDelay:   time.Millisecond,
+				Dial: func(ctx context.Context) (net.Conn, error) {
+					dials++
+					hookErr = tc.dial(ctx, cancel)
+					return nil, hookErr
+				},
+			}
+			_, err := set.Sync(ctx, nil, WithRetry(pol))
+			if dials != tc.wantDials {
+				t.Fatalf("Dial called %d times, want %d", dials, tc.wantDials)
+			}
+			switch {
+			case tc.wantMsg == "" && err != hookErr:
+				t.Fatalf("Sync returned %v, want the hook's own error %v", err, hookErr)
+			case tc.wantMsg != "" && (!errors.Is(err, hookErr) || !strings.Contains(err.Error(), tc.wantMsg)):
+				t.Fatalf("Sync returned %v, want %v %s", err, hookErr, tc.wantMsg)
+			}
+		})
+	}
+}
+
 // TestServerBusyRetry: a hard-capacity rejection surfaces as ErrServerBusy
 // (not a fast-path downgrade), and a retrying client succeeds once the
 // capacity frees up.

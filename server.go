@@ -18,8 +18,8 @@ import (
 
 // Server answers reconciliation sessions concurrently over TCP (or any
 // net.Listener). It is the deployment shape the non-blocking session
-// engine exists for: every session drives a ResponderSession against an
-// immutable SharedSet from the server's registry, so N concurrent sessions
+// engine exists for: every session drives a responderSession against an
+// immutable sharedSet from the server's registry, so N concurrent sessions
 // share one validated snapshot of each set — one ToW sketch, one
 // strong-verification digest, one group partition per plan size — instead
 // of N private copies.
@@ -174,10 +174,6 @@ type ServerOptions struct {
 	// feature offer is declined and connections stay single-stream).
 	MaxStreams int
 
-	// RegistryShards is the stripe count of the set registry (rounded up to
-	// a power of two). 0 selects a default sized for tens of lookup
-	// goroutines; raise it for servers pushing lookups from many cores.
-	RegistryShards int
 	// TenantQuota is the default per-tenant quota; a zero value means
 	// unlimited. Per-tenant overrides via SetTenantQuota. Tenants are the
 	// prefix of "tenant/name" set names; unprefixed names share the
@@ -261,13 +257,6 @@ func (o ServerOptions) retryAfterHint() time.Duration {
 		return 0
 	}
 	return DefaultRetryAfterHint
-}
-
-func (o ServerOptions) registryShards() int {
-	if o.RegistryShards > 0 {
-		return o.RegistryShards
-	}
-	return registry.DefaultShards
 }
 
 func (o ServerOptions) maxStreams() int {
@@ -364,24 +353,14 @@ func summarize(s hist.Snapshot) HistogramSummary {
 }
 
 // setSource is a registry entry: something that can produce the immutable
-// SharedSet view a new session reconciles against, plus the protocol
-// options sessions against it run under. An immutable SharedSet is its own
+// sharedSet view a new session reconciles against, plus the protocol
+// options sessions against it run under. An immutable sharedSet is its own
 // (constant) source; a mutable Set returns its current view, rebuilt
 // lazily after mutations.
 type setSource interface {
-	sharedView() (*SharedSet, error)
+	sharedView() (*sharedSet, error)
 	sessionOptions() Options
 }
-
-// setWithOptions overrides the session options of a registered Set — how
-// Set.Serve applies per-call options to the sessions a server admits.
-type setWithOptions struct {
-	set *Set
-	opt Options
-}
-
-func (sw setWithOptions) sharedView() (*SharedSet, error) { return sw.set.sharedView() }
-func (sw setWithOptions) sessionOptions() Options         { return sw.opt }
 
 // NewServer returns a Server with an empty set registry. Register at least
 // one set (typically DefaultSetName) before calling Serve.
@@ -389,7 +368,7 @@ func NewServer(opt ServerOptions) *Server {
 	s := &Server{
 		opt:       opt,
 		protoOpt:  opt.Protocol.withDefaults(),
-		sets:      registry.New[setSource](opt.registryShards(), opt.TenantQuota.toRegistry()),
+		sets:      registry.New[setSource](registry.DefaultShards, opt.TenantQuota.toRegistry()),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 		drainCh:   make(chan struct{}),
@@ -423,7 +402,7 @@ func (s *Server) Register(name string, set []uint64) error {
 	if err != nil {
 		return err
 	}
-	return s.publish(name, ss, hostedElemBytes*int64(ss.Len()))
+	return s.publish(name, ss, hostedElemBytes*int64(ss.len()))
 }
 
 // RegisterSet publishes a live, mutable Set under name. Unlike Register —
@@ -452,15 +431,6 @@ func (s *Server) RegisterSet(name string, set *Set) error {
 		return fmt.Errorf("pbs: set sketch count %d does not match server %d", got.EstimatorSketches, want.EstimatorSketches)
 	}
 	return s.publish(name, set, hostedElemBytes*int64(set.Len()))
-}
-
-// registerSource publishes a pre-checked source directly (Set.Serve's
-// per-call option override path).
-func (s *Server) registerSource(name string, src setSource, bytes int64) error {
-	if err := src.sessionOptions().validate(); err != nil {
-		return err
-	}
-	return s.publish(name, src, bytes)
 }
 
 // ErrServerClosed is returned by registration and hosting calls made after
@@ -532,7 +502,7 @@ func (r *rejection) count(s *Server) {
 // outside both. The returned session carries a release hook returning the
 // tenant's session-quota slot; every sessActive decrement must pair with
 // runRelease.
-func (s *Server) startSession(name string) (*ResponderSession, *rejection) {
+func (s *Server) startSession(name string) (*responderSession, *rejection) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -772,7 +742,7 @@ func (s *Server) sessionError(conn net.Conn, muxed bool, id uint64, msg, code st
 // session engine plus the budget and accounting state every session is
 // limited by, whichever framing carries it.
 type srvStream struct {
-	sess        *ResponderSession
+	sess        *responderSession
 	start       time.Time
 	bytes       int64
 	roundFrames int
@@ -995,7 +965,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 		}
 
-		out, done, stepErr := st.sess.Step(typ, body)
+		out, done, stepErr := st.sess.step(typ, body)
 		if len(out) > 0 {
 			// The idle deadline covers writes too: a client that stops
 			// reading must not pin this goroutine (and its session slots) in
@@ -1044,14 +1014,14 @@ func (s *Server) handle(conn net.Conn) {
 			// msgDone must not inflate the success counter.
 			if st.sess.started() {
 				s.completed.Add(1)
-				s.rounds.Add(int64(st.sess.Rounds()))
+				s.rounds.Add(int64(st.sess.rounds))
 				s.adaptiveReplans.Add(int64(st.sess.adaptiveReplans()))
 				if st.sess.specAccepted {
 					s.priorHits.Add(1)
 				}
 				hint := uint64(cur)
 				s.latencyHist.Record(hint, time.Since(st.start).Microseconds())
-				s.roundsHist.Record(hint, int64(st.sess.Rounds()))
+				s.roundsHist.Record(hint, int64(st.sess.rounds))
 				s.bytesHist.Record(hint, st.bytes)
 			}
 			// Keep the connection: the next opening frame starts a fresh

@@ -236,7 +236,7 @@ func TestServerRoundBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := sess.Step(typ, payload)
+	out, _, err := sess.step(typ, payload)
 	if err != nil {
 		t.Fatal(err)
 	}

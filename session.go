@@ -12,11 +12,10 @@ import (
 )
 
 // This file holds the non-blocking session engine behind the wire protocol:
-// InitiatorSession and ResponderSession advance one received frame at a
-// time via Step, returning the frames to send back. The blocking pump of
+// initiatorSession and responderSession advance one received frame at a
+// time via step, returning the frames to send back. The blocking pump of
 // sync.go is a thin wrapper over these machines, and the concurrent Server
-// (server.go) drives many ResponderSessions
-// without dedicating a full protocol loop (or a private copy of the set)
+// (server.go) drives many responder sessions without dedicating a full protocol loop (or a private copy of the set)
 // to each connection.
 //
 // The engine also hardens the protocol against hostile peers: the
@@ -34,9 +33,9 @@ const (
 	verifySeedTweak = 0x5EC   // §2.2.3 strong-verification multiset hash
 )
 
-// oneFrame is the common shape of a Step's output: a single frame.
-func oneFrame(typ byte, payload []byte) []Frame {
-	return []Frame{{Type: typ, Payload: payload}}
+// oneFrame is the common shape of a step's output: a single frame.
+func oneFrame(typ byte, payload []byte) []frame.Frame {
+	return []frame.Frame{{Type: typ, Payload: payload}}
 }
 
 // unexpectedType reports a frame of the wrong type, surfacing a peer's
@@ -78,15 +77,15 @@ func (o Options) boundEstimate(dhatF float64) (uint64, error) {
 	return uint64(math.Round(dhatF)), nil
 }
 
-// InitiatorSession is the non-blocking initiator (Alice) state machine
+// initiatorSession is the non-blocking initiator (Alice) state machine
 // behind Set.Sync: send its opening hello, then feed every frame received
-// from the responder to Step and send whatever it returns, until done. The
-// session reconciles against an immutable SharedSet view, so the validated
+// from the responder to step and send whatever it returns, until done. The
+// session reconciles against an immutable sharedSet view, so the validated
 // snapshot, the ToW sketch, and the group partitions are all reusable
 // across sessions — initiators get the same amortization servers do.
-type InitiatorSession struct {
+type initiatorSession struct {
 	opt    Options
-	shared *SharedSet
+	shared *sharedSet
 	call   initiatorCall // what this sync asked for, including its offers
 
 	state int
@@ -158,8 +157,8 @@ type initiatorCall struct {
 // must agree with ss.opt on Seed, SigBits, and EstimatorSketches (the
 // fields the cached snapshot and sketch were built under); the remaining
 // fields may vary per call.
-func (ss *SharedSet) newInitiator(opt Options, c initiatorCall) (*InitiatorSession, []Frame, error) {
-	s := &InitiatorSession{opt: opt, shared: ss, call: c, state: initWantHelloReply}
+func (ss *sharedSet) newInitiator(opt Options, c initiatorCall) (*initiatorSession, []frame.Frame, error) {
+	s := &initiatorSession{opt: opt, shared: ss, call: c, state: initWantHelloReply}
 	specD := min(max(c.specD, 1), opt.maxD())
 	if err := s.replan(specD); err != nil {
 		return nil, nil, err
@@ -196,7 +195,7 @@ func (ss *SharedSet) newInitiator(opt Options, c initiatorCall) (*InitiatorSessi
 // granted adaptive mode the fresh endpoint restarts its round numbering at
 // 1, so its first message is static and re-planning engages from round 2 —
 // the same rule the responder's fresh Bob applies.
-func (s *InitiatorSession) replan(d uint64) error {
+func (s *initiatorSession) replan(d uint64) error {
 	plan, err := syncPlan(d, s.opt)
 	if err != nil {
 		return err
@@ -215,13 +214,13 @@ func (s *InitiatorSession) replan(d uint64) error {
 	return nil
 }
 
-// Step advances the session with one frame received from the responder.
+// step advances the session with one frame received from the responder.
 // The returned frames must be sent to the peer even when err is non-nil
 // (a failed strong verification still closes the session with msgDone) —
 // so err must be checked even when done is true. When done is true and
-// err is nil the exchange succeeded and Result is valid; on error Result
-// returns nil.
-func (s *InitiatorSession) Step(typ byte, payload []byte) (out []Frame, done bool, err error) {
+// err is nil the exchange succeeded and res holds the outcome; after a
+// failed strong verification res is nil.
+func (s *initiatorSession) step(typ byte, payload []byte) (out []frame.Frame, done bool, err error) {
 	switch s.state {
 	case initWantHelloReply:
 		if typ != frame.MsgHelloReplyV1 {
@@ -248,7 +247,7 @@ func (s *InitiatorSession) Step(typ byte, payload []byte) (out []Frame, done boo
 // helloReply absorbs the responder's msgHelloReplyV1: the negotiated
 // version and grants, d̂, the digest, and the answer to round 1 — or, when
 // the speculation was declined, the re-plan from d̂.
-func (s *InitiatorSession) helloReply(payload []byte) ([]Frame, bool, error) {
+func (s *initiatorSession) helloReply(payload []byte) ([]frame.Frame, bool, error) {
 	rep, err := frame.ParseHelloReply(payload)
 	if err != nil {
 		return nil, false, err
@@ -316,7 +315,7 @@ func (s *InitiatorSession) helloReply(payload []byte) ([]Frame, bool, error) {
 // advance builds the next round message, or wraps the session up when the
 // round budget is exhausted, reconciliation converged, or nothing is left
 // to ask.
-func (s *InitiatorSession) advance() ([]Frame, bool, error) {
+func (s *initiatorSession) advance() ([]frame.Frame, bool, error) {
 	if s.rounds < s.plan.MaxRounds && !s.alice.Done() {
 		msg, err := s.alice.BuildRound()
 		if err != nil {
@@ -334,7 +333,7 @@ func (s *InitiatorSession) advance() ([]Frame, bool, error) {
 // finish closes the session with msgDone. A complete StrongVerify session
 // first compares the responder's digest from the hello reply with the one
 // the learned difference implies.
-func (s *InitiatorSession) finish() ([]Frame, bool, error) {
+func (s *initiatorSession) finish() ([]frame.Frame, bool, error) {
 	s.state = initClosed
 	s.res = &Result{
 		Difference: s.alice.Difference(),
@@ -361,7 +360,7 @@ func (s *InitiatorSession) finish() ([]Frame, bool, error) {
 // must be if the learned difference is right: the local set with the
 // difference toggled in (§2.2.3). It resumes from the shared view's cached
 // whole-set digest, so only the |D̂| toggles are hashed here.
-func (s *InitiatorSession) expectedDigest() msethash.Digest {
+func (s *initiatorSession) expectedDigest() msethash.Digest {
 	h := msethash.FromDigest(s.opt.Seed^verifySeedTweak, s.shared.verifyDigest())
 	for _, x := range s.res.Difference {
 		if s.shared.snap.Contains(x) {
@@ -373,21 +372,14 @@ func (s *InitiatorSession) expectedDigest() msethash.Digest {
 	return h.Sum()
 }
 
-// Result returns the reconciliation outcome once Step has reported done
-// without an error; it is nil after a failed strong verification.
-func (s *InitiatorSession) Result() *Result { return s.res }
-
-// Rounds returns the number of completed round exchanges so far.
-func (s *InitiatorSession) Rounds() int { return s.rounds }
-
-// SharedSet is an immutable responder set prepared once and shared by any
-// number of concurrent ResponderSessions. Element validation, the
+// sharedSet is an immutable responder set prepared once and shared by any
+// number of concurrent responder sessions. Element validation, the
 // per-plan group partitions, the ToW sketch of the set, and the
 // strong-verification digest are each computed a single time instead of
 // per session — the difference between a server carrying N sessions and a
 // server carrying N copies of its set. All methods are safe for
 // concurrent use.
-type SharedSet struct {
+type sharedSet struct {
 	opt  Options // defaults applied; every session inherits these
 	snap *core.Snapshot
 	tow  *estimator.ToW
@@ -414,7 +406,7 @@ type SharedSet struct {
 // maintains incrementally (or recovered from persisted metadata), before
 // the set is shared, so towSketch/verifyDigest never pass over — or, for a
 // lazy view, page in — the elements.
-func (ss *SharedSet) preset(sketch []int64, digest msethash.Digest) *SharedSet {
+func (ss *sharedSet) preset(sketch []int64, digest msethash.Digest) *sharedSet {
 	ss.sketchOnce.Do(func() { ss.sketch = sketch })
 	ss.digestOnce.Do(func() { ss.digest = digest })
 	return ss
@@ -422,7 +414,7 @@ func (ss *SharedSet) preset(sketch []int64, digest msethash.Digest) *SharedSet {
 
 // snapshot returns the materialized element snapshot, invoking loadSnap at
 // most once for lazily built shared sets.
-func (ss *SharedSet) snapshot() (*core.Snapshot, error) {
+func (ss *sharedSet) snapshot() (*core.Snapshot, error) {
 	ss.snapOnce.Do(func() {
 		if ss.snap != nil || ss.loadSnap == nil {
 			return
@@ -440,7 +432,7 @@ func (ss *SharedSet) snapshot() (*core.Snapshot, error) {
 
 // newSharedSet validates set once under o and prepares it for concurrent
 // responder sessions.
-func newSharedSet(set []uint64, o *Options) (*SharedSet, error) {
+func newSharedSet(set []uint64, o *Options) (*sharedSet, error) {
 	opt, err := o.withDefaultsValidated()
 	if err != nil {
 		return nil, err
@@ -453,11 +445,11 @@ func newSharedSet(set []uint64, o *Options) (*SharedSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SharedSet{opt: opt, snap: snap, tow: tow}, nil
+	return &sharedSet{opt: opt, snap: snap, tow: tow}, nil
 }
 
 // Len returns the number of elements in the set.
-func (ss *SharedSet) Len() int {
+func (ss *sharedSet) len() int {
 	if ss.loadSnap != nil {
 		// Sized by the persisted count, never by peeking at snap: a session
 		// is admitted (and calls Len) while a sibling pages the snapshot in.
@@ -468,14 +460,14 @@ func (ss *SharedSet) Len() int {
 
 // towSketch returns the set's ToW sketch vector, computed on first use and
 // then shared read-only by every session.
-func (ss *SharedSet) towSketch() []int64 {
+func (ss *sharedSet) towSketch() []int64 {
 	ss.sketchOnce.Do(func() { ss.sketch = ss.tow.Sketch(ss.snap.Elements()) })
 	return ss.sketch
 }
 
 // verifyDigest returns the §2.2.3 strong-verification digest of the set,
 // computed on first use.
-func (ss *SharedSet) verifyDigest() msethash.Digest {
+func (ss *sharedSet) verifyDigest() msethash.Digest {
 	ss.digestOnce.Do(func() {
 		h := msethash.New(ss.opt.Seed ^ verifySeedTweak)
 		h.AddSet(ss.snap.Elements())
@@ -494,27 +486,27 @@ func (ss *SharedSet) verifyDigest() msethash.Digest {
 // local set, huge remote difference) still works; servers that need that
 // shape must set MaxD explicitly. opt is the options of the registered
 // source (for a Register'd set, the server's own protocol options).
-func (ss *SharedSet) newServerSession(opt Options) *ResponderSession {
+func (ss *sharedSet) newServerSession(opt Options) *responderSession {
 	if opt.MaxD == 0 {
-		if cap := 64*ss.Len() + 1024; cap < DefaultMaxD {
+		if cap := 64*ss.len() + 1024; cap < DefaultMaxD {
 			opt.MaxD = cap
 		}
 	}
-	return &ResponderSession{opt: opt, shared: ss}
+	return &responderSession{opt: opt, shared: ss}
 }
 
-// sharedView and sessionOptions let an immutable SharedSet serve as a
+// sharedView and sessionOptions let an immutable sharedSet serve as a
 // Server registry source alongside the mutable Set.
-func (ss *SharedSet) sharedView() (*SharedSet, error) { return ss, nil }
-func (ss *SharedSet) sessionOptions() Options         { return ss.opt }
+func (ss *sharedSet) sharedView() (*sharedSet, error) { return ss, nil }
+func (ss *sharedSet) sessionOptions() Options         { return ss.opt }
 
-// ResponderSession is the non-blocking responder (Bob) state machine: feed
-// every received frame to Step and send back whatever it returns. A
-// session serves exactly one initiator; a server shares one SharedSet
+// responderSession is the non-blocking responder (Bob) state machine: feed
+// every received frame to step and send back whatever it returns. A
+// session serves exactly one initiator; a server shares one sharedSet
 // across many sessions.
-type ResponderSession struct {
+type responderSession struct {
 	opt    Options
-	shared *SharedSet
+	shared *sharedSet
 	bob    *core.Bob
 	rounds int
 	closed bool
@@ -551,9 +543,9 @@ type ResponderSession struct {
 	specAccepted bool
 }
 
-// Step advances the session with one frame received from the initiator.
+// step advances the session with one frame received from the initiator.
 // When done is true the initiator has closed the session.
-func (s *ResponderSession) Step(typ byte, payload []byte) (out []Frame, done bool, err error) {
+func (s *responderSession) step(typ byte, payload []byte) (out []frame.Frame, done bool, err error) {
 	if s.closed {
 		return nil, true, fmt.Errorf("pbs: step on a closed responder session")
 	}
@@ -644,7 +636,7 @@ func (s *ResponderSession) Step(typ byte, payload []byte) (out []Frame, done boo
 // estimate answers the peer's encoded sketch vector with the rounded,
 // bounded d̂ — once per session: a second hello mid-session would silently
 // discard all reconciliation state, so it is the protocol violation it is.
-func (s *ResponderSession) estimate(sketches []byte) (uint64, error) {
+func (s *responderSession) estimate(sketches []byte) (uint64, error) {
 	if s.estimated {
 		return 0, fmt.Errorf("pbs: duplicate estimate in one session")
 	}
@@ -664,7 +656,7 @@ func (s *ResponderSession) estimate(sketches []byte) (uint64, error) {
 
 // materialize builds Bob from the agreed plan on first need, paging the
 // shared set's snapshot in if it is cold.
-func (s *ResponderSession) materialize() error {
+func (s *responderSession) materialize() error {
 	if s.bob != nil {
 		return nil
 	}
@@ -687,25 +679,22 @@ func (s *ResponderSession) materialize() error {
 // re-planned away from the static plan — 0 for sessions that never
 // negotiated adaptive mode (or never decoded a round). The Server
 // aggregates it into ServerStats.AdaptiveReplans.
-func (s *ResponderSession) adaptiveReplans() int {
+func (s *responderSession) adaptiveReplans() int {
 	if s.bob == nil {
 		return 0
 	}
 	return s.bob.Replans()
 }
 
-// Rounds returns the number of rounds answered so far.
-func (s *ResponderSession) Rounds() int { return s.rounds }
-
 // started reports whether the session has answered a hello — i.e.
 // reconciliation actually began, as opposed to a probe that only opened
 // and closed the session.
-func (s *ResponderSession) started() bool { return s.estimated }
+func (s *responderSession) started() bool { return s.estimated }
 
 // runRelease fires the session's release hook at most once. The Server
 // attaches per-tenant session slots and resident-set pins here and calls
 // this from every path that retires a session.
-func (s *ResponderSession) runRelease() {
+func (s *responderSession) runRelease() {
 	if s.release != nil {
 		r := s.release
 		s.release = nil

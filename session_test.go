@@ -8,7 +8,7 @@ import (
 )
 
 // frameBytes serializes frames the way the wire does.
-func frameBytes(frames []Frame) []byte {
+func frameBytes(frames []frame.Frame) []byte {
 	var b []byte
 	for _, f := range frames {
 		b = frame.Append(b, f.Type, f.Payload)
@@ -18,14 +18,14 @@ func frameBytes(frames []Frame) []byte {
 
 // respondTo is the stepped responder Set.Respond runs: a session against
 // ss under the options ss was prepared with.
-func respondTo(ss *SharedSet) *ResponderSession {
-	return &ResponderSession{opt: ss.opt, shared: ss}
+func respondTo(ss *sharedSet) *responderSession {
+	return &responderSession{opt: ss.opt, shared: ss}
 }
 
 // helloInitiator starts an initiator session on local and returns it with
 // its opening msgHelloV1. The speculation is sized for specD, and the hello
 // offers adaptive mode, as Set.Sync does by default.
-func helloInitiator(t *testing.T, local []uint64, opt *Options, name string, specD uint64) (*InitiatorSession, []Frame) {
+func helloInitiator(t *testing.T, local []uint64, opt *Options, name string, specD uint64) (*initiatorSession, []frame.Frame) {
 	t.Helper()
 	ss, err := newSharedSet(local, opt)
 	if err != nil {
@@ -48,10 +48,10 @@ func TestInitiatorSessionClosedStep(t *testing.T) {
 	}
 	rs := respondTo(ssB)
 	driveEngine(t, is, opening, rs)
-	if _, _, err := is.Step(frame.MsgRoundReply, nil); err == nil {
+	if _, _, err := is.step(frame.MsgRoundReply, nil); err == nil {
 		t.Fatal("closed initiator session accepted a frame")
 	}
-	if _, _, err := rs.Step(frame.MsgRound, nil); err == nil {
+	if _, _, err := rs.step(frame.MsgRound, nil); err == nil {
 		t.Fatal("closed responder session accepted a frame")
 	}
 }

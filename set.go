@@ -19,8 +19,8 @@ import (
 // Set is a long-lived, mutable, concurrency-safe set handle and the primary
 // entry point of the package: build it once, mutate it with Add/Remove as
 // the underlying data changes, and reconcile it any number of times — as
-// the initiator (Sync), the responder (Respond), a concurrent server
-// (Serve), or fully in process (Reconcile).
+// the initiator (Sync), the responder (Respond), a registered set of a
+// concurrent Server (Server.RegisterSet), or fully in process (Reconcile).
 //
 // The handle is what makes repeated reconciliation cheap. Element
 // validation happens once, at insertion. The Tug-of-War estimator sketch is
@@ -66,7 +66,7 @@ type Set struct {
 	// shared is the last immutable view handed out (nil before the first,
 	// and after the journal overflowed); journal lists the effective writes
 	// since, in order. The next view applies the journal to shared.
-	shared  *SharedSet
+	shared  *sharedSet
 	journal []journalEntry
 }
 
@@ -118,7 +118,7 @@ func netJournal(journal []journalEntry) (add, remove []uint64) {
 // setConfig is the resolved configuration a Set call runs under: the
 // protocol Options plus the call-scoped extras that functional options
 // control. Options given to NewSet become the Set's defaults; options given
-// to Sync/Serve/Respond/Reconcile override them for that call only.
+// to Sync/Respond/Reconcile override them for that call only.
 type setConfig struct {
 	opt     Options
 	onDelta func(elems []uint64, round int)
@@ -127,10 +127,7 @@ type setConfig struct {
 	// adaptive controller on by default.
 	adaptiveOff bool
 
-	maxSessions       int
-	idleTimeout       time.Duration
-	sessionByteBudget int64
-	sessionMaxRounds  int
+	idleTimeout time.Duration
 
 	retry *RetryPolicy
 }
@@ -226,38 +223,20 @@ func WithOnDelta(fn func(elems []uint64, round int)) Option {
 // option.
 func WithFastSync(bool) Option { return func(*setConfig) {} }
 
-// WithSetName names a registry entry. On Sync it selects the remote set to
-// reconcile against (sent as the session's opening hello frame; empty
-// means the server's DefaultSetName). On Serve it additionally publishes
-// the served set under this name alongside DefaultSetName. Respond and
-// Reconcile have no registry and ignore it.
+// WithSetName selects the remote set a Sync reconciles against: the name
+// of a Server registry entry, sent in the session's opening hello frame
+// (empty means the server's DefaultSetName). Respond and Reconcile have no
+// registry and ignore it.
 func WithSetName(name string) Option { return func(c *setConfig) { c.setName = name } }
 
 // WithIdleTimeout bounds how long a sync waits for a single frame (and for
 // a single frame write): a peer silent for longer fails the session with a
 // timeout instead of hanging it forever. It requires a deadline-capable
-// connection (net.Conn); on a bare io.ReadWriter it is ignored. For Serve
-// it is the per-session idle deadline (ServerOptions.IdleTimeout:
-// 0 selects DefaultIdleTimeout, negative disables). For Sync and Respond,
-// 0 means no idle bound.
+// connection (net.Conn); on a bare io.ReadWriter it is ignored. 0 means no
+// idle bound. A Server bounds the sessions it serves by its own
+// ServerOptions.IdleTimeout instead.
 func WithIdleTimeout(d time.Duration) Option {
 	return func(c *setConfig) { c.idleTimeout = d }
-}
-
-// WithMaxSessions caps a Serve call's concurrently open connections
-// (ServerOptions.MaxSessions semantics).
-func WithMaxSessions(n int) Option { return func(c *setConfig) { c.maxSessions = n } }
-
-// WithSessionByteBudget caps the total wire bytes of one served session
-// (ServerOptions.SessionByteBudget semantics).
-func WithSessionByteBudget(n int64) Option {
-	return func(c *setConfig) { c.sessionByteBudget = n }
-}
-
-// WithSessionMaxRounds caps the rounds answered in one served session
-// (ServerOptions.SessionMaxRounds semantics).
-func WithSessionMaxRounds(n int) Option {
-	return func(c *setConfig) { c.sessionMaxRounds = n }
 }
 
 // WithRetry makes Sync retry retryable failures (see Retryable for the
@@ -410,7 +389,7 @@ func (s *Set) Remove(xs ...uint64) int {
 // Elements are never re-validated (they were at insertion) and the sketch
 // is never recomputed (it is maintained incrementally); the verification
 // digest is re-derived lazily inside the view if a session needs it.
-func (s *Set) sharedView() (*SharedSet, error) {
+func (s *Set) sharedView() (*sharedSet, error) {
 	return s.view(true)
 }
 
@@ -418,7 +397,7 @@ func (s *Set) sharedView() (*SharedSet, error) {
 // materializes the set's incrementally maintained ToW sketch into the
 // view; callers that cannot need an estimate (a known-d in-process
 // reconcile) pass false and skip the sketch entirely.
-func (s *Set) view(withSketch bool) (*SharedSet, error) {
+func (s *Set) view(withSketch bool) (*sharedSet, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.shared == nil {
@@ -430,10 +409,10 @@ func (s *Set) view(withSketch bool) (*SharedSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.shared = &SharedSet{opt: s.cfg.opt, snap: snap, tow: s.tow}
+		s.shared = &sharedSet{opt: s.cfg.opt, snap: snap, tow: s.tow}
 	} else if len(s.journal) > 0 {
 		if add, remove := netJournal(s.journal); len(add)+len(remove) > 0 {
-			s.shared = &SharedSet{opt: s.cfg.opt, snap: s.shared.snap.Apply(add, remove), tow: s.tow}
+			s.shared = &sharedSet{opt: s.cfg.opt, snap: s.shared.snap.Apply(add, remove), tow: s.tow}
 		}
 	}
 	s.journal = s.journal[:0]
@@ -489,8 +468,8 @@ func (s *Set) callConfig(opts []Option) (setConfig, error) {
 // Sync reconciles this set against a remote responder over conn, as the
 // initiator (the side that learns the difference). It blocks until the
 // exchange completes, the context is cancelled or expires, or the
-// connection fails. The remote side runs Respond, Serve, or a
-// server-driven responder session with matching options.
+// connection fails. The remote side runs Respond or a Server with
+// matching options.
 //
 // ctx cancellation and deadline are plumbed into the connection's
 // read/write deadlines when conn supports them (any net.Conn does), so a
@@ -550,7 +529,7 @@ func (s *Set) syncAttempt(ctx context.Context, conn io.ReadWriter, cfg *setConfi
 		}
 		return nil, err
 	}
-	res := is.Result()
+	res := is.res
 	if res.Complete {
 		// Remember the outcome to size the next fast sync's speculation:
 		// the raw value for the legacy heuristic, and folded into the
@@ -591,7 +570,8 @@ func (s *Set) speculativeD(opt Options) uint64 {
 // Respond serves exactly one initiator session over conn — the peer-to-peer
 // responder role (the counterpart of a remote Sync). It returns nil when
 // the initiator signals completion, and ctx.Err() if the context ends
-// first. For many concurrent sessions, use Serve instead.
+// first. For many concurrent sessions, register the set with a Server
+// (Server.RegisterSet) and serve it there.
 func (s *Set) Respond(ctx context.Context, conn io.ReadWriter, opts ...Option) error {
 	cfg, err := s.callConfig(opts)
 	if err != nil {
@@ -601,48 +581,7 @@ func (s *Set) Respond(ctx context.Context, conn io.ReadWriter, opts ...Option) e
 	if err != nil {
 		return err
 	}
-	return pumpSession(ctx, conn, &ResponderSession{opt: cfg.opt, shared: ss}, nil, cfg.idleTimeout, true)
-}
-
-// Serve answers reconciliation sessions concurrently on ln until ctx ends,
-// then tears the server down and returns ctx.Err(). Every session
-// reconciles against this set's current immutable view (sessions in flight
-// across a mutation keep the view they started with), under the per-session
-// limits of WithMaxSessions, WithIdleTimeout, WithSessionByteBudget, and
-// WithSessionMaxRounds. For registry-style deployments serving several
-// named sets — or drain-first shutdown — use Server directly and register
-// the Set with RegisterSet.
-func (s *Set) Serve(ctx context.Context, ln net.Listener, opts ...Option) error {
-	cfg, err := s.callConfig(opts)
-	if err != nil {
-		return err
-	}
-	srv := NewServer(ServerOptions{
-		Protocol:          &cfg.opt,
-		MaxSessions:       cfg.maxSessions,
-		IdleTimeout:       cfg.idleTimeout,
-		SessionByteBudget: cfg.sessionByteBudget,
-		SessionMaxRounds:  cfg.sessionMaxRounds,
-	})
-	src := setWithOptions{set: s, opt: cfg.opt}
-	if err := srv.registerSource(DefaultSetName, src, hostedElemBytes*int64(s.Len())); err != nil {
-		return err
-	}
-	if cfg.setName != "" && cfg.setName != DefaultSetName {
-		if err := srv.registerSource(cfg.setName, src, hostedElemBytes*int64(s.Len())); err != nil {
-			return err
-		}
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	select {
-	case <-ctx.Done():
-		srv.Close()
-		<-serveErr
-		return ctx.Err()
-	case err := <-serveErr:
-		return err
-	}
+	return pumpSession(ctx, conn, &responderSession{opt: cfg.opt, shared: ss}, nil, cfg.idleTimeout, true)
 }
 
 // Reconcile learns this set △ other fully in process (both endpoints in
@@ -677,9 +616,9 @@ func (s *Set) Reconcile(ctx context.Context, other *Set, opts ...Option) (*Resul
 			return nil, err
 		}
 		d = estimator.ConservativeD(dhat, cfg.opt.Gamma)
-		n := mine.Len()
-		if remote.Len() > n {
-			n = remote.Len()
+		n := mine.len()
+		if remote.len() > n {
+			n = remote.len()
 		}
 		estBytes = (s.tow.Bits(n) + 7) / 8
 	}

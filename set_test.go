@@ -135,25 +135,37 @@ func TestSetSyncDeadline(t *testing.T) {
 	}
 }
 
-// TestSetServeCancellation runs a server via Set.Serve, completes one sync
-// against it, cancels the context, and requires Serve to return
-// context.Canceled without leaking its accept/handler goroutines.
-func TestSetServeCancellation(t *testing.T) {
-	base := runtime.NumGoroutine()
-	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 2000, D: 40, Seed: 63})
-	server, err := NewSet(p.B, WithSeed(64))
-	if err != nil {
+// serveSet registers set under name on a fresh Server whose protocol
+// options are opt, and serves it on a loopback listener. The caller owns
+// the returned Server and must Close it; serveErr yields Serve's result.
+func serveSet(t *testing.T, name string, set *Set, opt *Options) (srv *Server, addr string, serveErr <-chan error) {
+	t.Helper()
+	srv = NewServer(ServerOptions{Protocol: opt})
+	if err := srv.RegisterSet(name, set); err != nil {
 		t.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- server.Serve(ctx, ln) }()
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.Serve(ln) }()
+	return srv, ln.Addr().String(), errCh
+}
 
-	c := &Client{Addr: ln.Addr().String(), Options: &Options{Seed: 64}, Timeout: 10 * time.Second}
+// TestServerCloseCancellation serves a registered Set, completes one sync
+// against it, closes the server, and requires Serve to return nil without
+// leaking its accept/handler goroutines.
+func TestServerCloseCancellation(t *testing.T) {
+	base := runtime.NumGoroutine()
+	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 2000, D: 40, Seed: 63})
+	server, err := NewSet(p.B, WithSeed(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr, serveErr := serveSet(t, DefaultSetName, server, &Options{Seed: 64})
+
+	c := &Client{Addr: addr, Options: &Options{Seed: 64}, Timeout: 10 * time.Second}
 	res, err := c.Sync(p.A)
 	if err != nil {
 		t.Fatal(err)
@@ -163,14 +175,14 @@ func TestSetServeCancellation(t *testing.T) {
 	}
 	assertSameSet(t, res.Difference, p.Diff)
 
-	cancel()
+	srv.Close()
 	select {
 	case err := <-serveErr:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Serve returned %v, want context.Canceled", err)
+		if err != nil {
+			t.Fatalf("Serve returned %v after Close, want nil", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not return after cancel")
+		t.Fatal("Serve did not return after Close")
 	}
 	waitNoExtraGoroutines(t, base)
 }
@@ -339,7 +351,7 @@ func TestOptionsValidation(t *testing.T) {
 				_, err := valid.Reconcile(context.Background(), valid, WithOptions(tc.opt))
 				return err
 			}(),
-			"NewSharedSet": func() error {
+			"newSharedSet": func() error {
 				_, err := newSharedSet(small, &tc.opt)
 				return err
 			}(),
@@ -486,23 +498,16 @@ func TestClientBlackHoleServer(t *testing.T) {
 
 // TestServeLiveMutation: sessions admitted after a mutation of a
 // registered Set see the new contents; the amortized view rebuild is
-// exercised end to end through Serve + Client.
+// exercised end to end through RegisterSet, Serve and Client.
 func TestServeLiveMutation(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 2500, D: 50, Seed: 69})
 	server, err := NewSet(p.B, WithSeed(70))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- server.Serve(ctx, ln) }()
+	srv, addr, serveErr := serveSet(t, DefaultSetName, server, &Options{Seed: 70})
 
-	c := &Client{Addr: ln.Addr().String(), Options: &Options{Seed: 70}, Timeout: 10 * time.Second}
+	c := &Client{Addr: addr, Options: &Options{Seed: 70}, Timeout: 10 * time.Second}
 	res, err := c.Sync(p.A)
 	if err != nil {
 		t.Fatal(err)
@@ -525,8 +530,8 @@ func TestServeLiveMutation(t *testing.T) {
 	if len(res.Difference) != 0 || !res.Complete {
 		t.Fatalf("after server mutation: %d differences, complete=%v", len(res.Difference), res.Complete)
 	}
-	cancel()
-	if err := <-serveErr; !errors.Is(err, context.Canceled) {
+	srv.Close()
+	if err := <-serveErr; err != nil {
 		t.Fatalf("Serve returned %v", err)
 	}
 }
@@ -576,38 +581,33 @@ func TestServerRegisterSetNamed(t *testing.T) {
 	assertSameSet(t, res.Difference, []uint64{30, 99})
 }
 
-// TestSetSyncAgainstServeNamed exercises WithSetName on both ends of the
-// new surface, including hello-byte accounting.
+// TestSetSyncAgainstServeNamed: Set.Sync with WithSetName reaches a Set a
+// Server registered under that name.
 func TestSetSyncAgainstServeNamed(t *testing.T) {
 	server, err := NewSet([]uint64{7, 8, 9}, WithSeed(72))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- server.Serve(ctx, ln, WithSetName("catalog")) }()
+	srv, addr, serveErr := serveSet(t, "catalog", server, &Options{Seed: 72})
 
 	client, err := NewSet([]uint64{7}, WithSeed(72))
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	res, err := client.Sync(ctx, conn, WithSetName("catalog"))
+	res, err := client.Sync(context.Background(), conn, WithSetName("catalog"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameSet(t, res.Difference, []uint64{8, 9})
-	cancel()
-	<-serveErr
+	srv.Close()
+	if err := <-serveErr; err != nil {
+		t.Fatalf("Serve returned %v", err)
+	}
 }
 
 // TestReconcileContextCancelled: the in-process driver honors ctx too.
@@ -668,23 +668,5 @@ func TestSetWarmReuseManySyncs(t *testing.T) {
 			t.Fatal(err)
 		}
 		extras = append(extras, x)
-	}
-}
-
-// TestSetServeRejectsBadPerCallOptions: option validation also guards the
-// Serve entry point.
-func TestSetServeRejectsBadPerCallOptions(t *testing.T) {
-	s, err := NewSet([]uint64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	if err := s.Serve(context.Background(), ln, WithDelta(-1)); err == nil ||
-		!strings.HasPrefix(err.Error(), "pbs:") {
-		t.Fatalf("Serve accepted invalid options: %v", err)
 	}
 }

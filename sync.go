@@ -43,10 +43,6 @@ import (
 // that refuses the hello answers with msgError, which the initiator
 // surfaces as a *PeerError, as it does a refusal at any later step.
 
-// Frame is one protocol message: Type, its message-type byte, and Payload,
-// its body. The wire representation adds the 4-byte length prefix.
-type Frame = frame.Frame
-
 // ErrVerificationFailed is returned by Set.Sync (and Client) when the strong
 // multiset-hash verification disagrees after the protocol reported
 // completion — the ~2^−|sig| false-checksum event of §2.2.3.
@@ -98,41 +94,33 @@ type framePump struct {
 	buf         *[]byte   // pooled payload buffer reused across frames
 }
 
-// newFramePump builds a pump and starts the cancellation watcher. The
-// returned stop function must be called when pumping ends; it releases the
-// watcher goroutine (guaranteeing none is leaked, cancelled or not) and
-// clears any deadline the pump set, so the caller gets its connection back
-// in the state it lent it — reusable for a follow-up protocol.
+// newFramePump builds a pump and registers the cancellation hook. The
+// returned stop function must be called when pumping ends; it deregisters
+// the hook (waiting it out if it already started) and clears any deadline
+// the pump set, so the caller gets its connection back in the state it
+// lent it — reusable for a follow-up protocol.
 func newFramePump(ctx context.Context, conn io.ReadWriter, idle time.Duration) (*framePump, func()) {
 	p := &framePump{ctx: ctx, conn: conn, idle: idle, buf: frame.GetBuf()}
 	p.dl, _ = conn.(deadlineConn)
 	if d, ok := ctx.Deadline(); ok {
 		p.ctxDeadline = d
 	}
-	var (
-		done   chan struct{}
-		exited chan struct{}
-	)
+	stopHook := func() bool { return true }
+	var poisoned chan struct{}
 	if p.dl != nil && ctx.Done() != nil {
-		done = make(chan struct{})
-		exited = make(chan struct{})
-		go func() {
-			defer close(exited)
-			select {
-			case <-ctx.Done():
-				p.armed = true
-				p.dl.SetReadDeadline(aLongTimeAgo)
-				p.dl.SetWriteDeadline(aLongTimeAgo)
-			case <-done:
-			}
-		}()
+		poisoned = make(chan struct{})
+		stopHook = context.AfterFunc(ctx, func() {
+			defer close(poisoned)
+			p.dl.SetReadDeadline(aLongTimeAgo)
+			p.dl.SetWriteDeadline(aLongTimeAgo)
+		})
 	}
 	stop := func() {
-		if done != nil {
-			close(done)
-			// Wait the watcher out so its poisoning cannot land after the
-			// reset below (the channels also order its p.armed write).
-			<-exited
+		if !stopHook() {
+			// The hook already started: wait it out so its poisoning
+			// cannot land after the reset below.
+			<-poisoned
+			p.armed = true
 		}
 		if p.dl != nil && p.armed {
 			p.dl.SetReadDeadline(time.Time{})
@@ -160,8 +148,8 @@ func (p *framePump) deadline() time.Time {
 
 // armRead prepares the connection for one frame read. The post-set
 // re-check closes the race where cancellation fires between the check and
-// the deadline store: whichever of the watcher and this sequence runs
-// last leaves the poisoned deadline in place.
+// the deadline store: whichever of the cancellation hook and this sequence
+// runs last leaves the poisoned deadline in place.
 func (p *framePump) armRead() {
 	if p.dl == nil {
 		return
@@ -210,7 +198,7 @@ func (p *framePump) readFrame() (byte, []byte, error) {
 }
 
 // writeFrames sends every frame a session step produced, in order.
-func (p *framePump) writeFrames(frames []Frame) error {
+func (p *framePump) writeFrames(frames []frame.Frame) error {
 	if len(frames) == 0 {
 		return nil
 	}
@@ -243,16 +231,16 @@ func (p *framePump) mapErr(err error) error {
 
 // stepper is what pumpSession drives: either session engine.
 type stepper interface {
-	Step(typ byte, payload []byte) ([]Frame, bool, error)
+	step(typ byte, payload []byte) ([]frame.Frame, bool, error)
 }
 
 // pumpSession drives one session engine over conn — opening frames out,
-// then every received frame through Step and its replies back — until the
+// then every received frame through step and its replies back — until the
 // session is done, the context ends, or the exchange fails. With notify
-// set (the responder side) a Step failure is reported to the peer as a
+// set (the responder side) a step failure is reported to the peer as a
 // msgError frame before returning, so a blocking initiator gets the
 // diagnostic instead of waiting forever on a reply that will never come.
-func pumpSession(ctx context.Context, conn io.ReadWriter, s stepper, opening []Frame, idle time.Duration, notify bool) error {
+func pumpSession(ctx context.Context, conn io.ReadWriter, s stepper, opening []frame.Frame, idle time.Duration, notify bool) error {
 	p, stop := newFramePump(ctx, conn, idle)
 	defer stop()
 	if err := p.writeFrames(opening); err != nil {
@@ -263,7 +251,7 @@ func pumpSession(ctx context.Context, conn io.ReadWriter, s stepper, opening []F
 		if err != nil {
 			return err
 		}
-		out, done, stepErr := s.Step(typ, payload)
+		out, done, stepErr := s.step(typ, payload)
 		// Frames are flushed even on error: a failed strong verification
 		// still closes the session with msgDone.
 		if werr := p.writeFrames(out); werr != nil && stepErr == nil {

@@ -202,7 +202,7 @@ func corruptingResponder(set []uint64, conn net.Conn, seed uint64) {
 		if err != nil {
 			return
 		}
-		out, done, err := rs.Step(typ, payload)
+		out, done, err := rs.step(typ, payload)
 		if err != nil || done {
 			return
 		}

@@ -138,7 +138,7 @@ func hackedResponder(set []uint64, conn net.Conn, digest []byte) {
 		if err != nil {
 			return
 		}
-		out, done, err := rs.Step(typ, payload)
+		out, done, err := rs.step(typ, payload)
 		if err != nil || done {
 			return
 		}

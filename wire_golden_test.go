@@ -265,7 +265,7 @@ func serveV0(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	frame.WriteAll(conn, []Frame{{Type: frame.MsgError, Payload: fmt.Appendf(nil, "pbs: unexpected message type %d", typ)}})
+	frame.WriteAll(conn, []frame.Frame{{Type: frame.MsgError, Payload: fmt.Appendf(nil, "pbs: unexpected message type %d", typ)}})
 }
 
 // startWireResponder serves base under opt behind a tapped loopback
@@ -444,7 +444,7 @@ func declineRow(t *testing.T, responder string, p *workload.Pair) wireRow {
 		t.Fatal(err)
 	}
 	conn := dialLoopTest(t, tl.Addr().String())
-	opening := []Frame{
+	opening := []frame.Frame{
 		{Type: retiredMsgHello, Payload: []byte(DefaultSetName)},
 		{Type: retiredMsgEstimate, Payload: frame.EncodeSketches(ss.towSketch())},
 	}
