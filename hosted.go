@@ -26,10 +26,16 @@ const (
 // background merger folds a hosted set's chain into one full segment.
 const DefaultMergeThreshold = 4
 
+// maxEvictWrites bounds the evicted sets whose segment writes are in flight
+// at once; an eviction past it waits for a slot. Each holds its set's
+// snapshot until the write commits, so resident memory can exceed
+// MaxResidentBytes by that many sets while the disk catches up.
+const maxEvictWrites = 8
+
 // hostedStore manages the Server's hosted sets: resident-bytes accounting
 // with LRU eviction, cold loads from the segment store, and flush of
-// dirty state on eviction. It is the in-memory head over setstore's
-// immutable segments.
+// dirty state on eviction — written behind, off the evicting goroutine.
+// It is the in-memory head over setstore's immutable segments.
 type hostedStore struct {
 	opt Options // server protocol options, defaults applied
 	tow *estimator.ToW
@@ -48,6 +54,14 @@ type hostedStore struct {
 	residentSets  atomic.Int64
 	coldLoads     atomic.Int64
 	evictions     atomic.Int64
+
+	// Eviction writes in flight: slots bounds them (maxEvictWrites),
+	// writing counts them, and writesClosed — set under writeMu by
+	// flushAll before it waits — sends any later one inline.
+	slots        chan struct{}
+	writeMu      sync.Mutex
+	writesClosed bool
+	writing      sync.WaitGroup
 }
 
 func newHostedStore(opt Options, maxResident int64) (*hostedStore, error) {
@@ -55,7 +69,8 @@ func newHostedStore(opt Options, maxResident int64) (*hostedStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &hostedStore{opt: opt, tow: tow, maxResident: maxResident, lru: list.New()}, nil
+	return &hostedStore{opt: opt, tow: tow, maxResident: maxResident, lru: list.New(),
+		slots: make(chan struct{}, maxEvictWrites)}, nil
 }
 
 // sketchSeed is the seed stamped into persisted segment footers, checked
@@ -97,6 +112,9 @@ type hostedSet struct {
 	persisted bool                // at least one full segment on disk
 	dirtyAdds map[uint64]struct{} // changes since the last persisted segment
 	dirtyDels map[uint64]struct{}
+	// pending is the eviction write in flight, nil when none. While it is
+	// set the set is cold and its unpersisted state lives only there.
+	pending *segmentWrite
 
 	// lruPos and charge are guarded by h.mu (LRU bookkeeping), not mu.
 	lruPos *list.Element
@@ -119,7 +137,7 @@ func (hs *hostedSet) residentCharge() int64 {
 // registers it (quota checks) and then calls persist, which writes its
 // first full segment when the disk layer is enabled.
 func (h *hostedStore) host(name string, elems []uint64) (*hostedSet, error) {
-	snap, err := core.NewSnapshot(sortedUnique(elems), h.opt.coreConfig())
+	snap, err := core.NewValidatedSnapshot(sortedUnique(elems), h.opt.coreConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -186,9 +204,13 @@ func (hs *hostedSet) digestLocked() msethash.Digest {
 }
 
 // materializeLocked pages a cold set's elements in from the segment store
-// and validates them into the snapshot — the one place a hosted set's
-// elements are re-read. A no-op while the snapshot is held. Requires hs.mu.
+// and adopts them as the snapshot — the one place a hosted set's elements
+// are re-read. It first waits out an eviction write of the set still in
+// flight, which either commits (the load then reads it) or fails and
+// leaves the set resident. A no-op while the snapshot is held. Requires
+// hs.mu, which it may release while it waits.
 func (hs *hostedSet) materializeLocked() error {
+	hs.awaitWriteLocked()
 	if hs.snap != nil {
 		return nil
 	}
@@ -199,13 +221,34 @@ func (hs *hostedSet) materializeLocked() error {
 	if err != nil {
 		return err
 	}
-	snap, err := core.NewSnapshot(elems, hs.h.opt.coreConfig())
+	// Load's replay is strictly increasing, so its ends bound every element:
+	// these two checks are NewSnapshot's validation, without its copy.
+	bits := hs.h.opt.SigBits
+	if n := len(elems); n > 0 && (elems[0] == 0 || elems[n-1]&^sigMaskFor(bits) != 0) {
+		bad := elems[n-1]
+		if elems[0] == 0 {
+			bad = 0
+		}
+		return fmt.Errorf("pbs: hosted set %q: element %#x outside %d-bit universe (0 excluded)", hs.name, bad, bits)
+	}
+	snap, err := core.NewValidatedSnapshot(elems, hs.h.opt.coreConfig())
 	if err != nil {
 		return fmt.Errorf("pbs: hosted set %q: %w", hs.name, err)
 	}
 	hs.snap, hs.meta = snap, meta
 	hs.h.coldLoads.Add(1)
 	return nil
+}
+
+// awaitWriteLocked returns once no eviction write of the set is in flight,
+// releasing hs.mu while it waits. Requires hs.mu.
+func (hs *hostedSet) awaitWriteLocked() {
+	for hs.pending != nil {
+		done := hs.pending.done
+		hs.mu.Unlock()
+		<-done
+		hs.mu.Lock()
+	}
 }
 
 // loadSnapshot is the lazy view's cold-load path: page the elements in and
@@ -286,39 +329,70 @@ func sortedUnique(xs []uint64) []uint64 {
 	return slices.Compact(out)
 }
 
+// segmentWrite is the segment a set's unpersisted state makes: its first,
+// full segment, or a delta of the net writes since the last one, either
+// carrying the cumulative metadata.
+type segmentWrite struct {
+	full       bool
+	snap       *core.Snapshot // the elements, for a full segment
+	adds, dels map[uint64]struct{}
+	meta       setstore.Meta
+	done       chan struct{} // closed when an eviction write settles
+}
+
+// takeWriteLocked hands the set's unpersisted state to a segmentWrite,
+// or returns nil when the store has all of it. Requires hs.mu.
+func (hs *hostedSet) takeWriteLocked() *segmentWrite {
+	if hs.persisted && len(hs.dirtyAdds) == 0 && len(hs.dirtyDels) == 0 {
+		return nil
+	}
+	w := &segmentWrite{full: !hs.persisted, snap: hs.snap, adds: hs.dirtyAdds, dels: hs.dirtyDels, meta: hs.meta}
+	hs.dirtyAdds, hs.dirtyDels = nil, nil
+	return w
+}
+
+// commit writes w to the store.
+func (w *segmentWrite) commit(store *setstore.Store, name string) error {
+	if w.full {
+		return store.AppendFull(name, w.snap.Elements(), w.meta)
+	}
+	adds := make([]uint64, 0, len(w.adds))
+	for e := range w.adds {
+		adds = append(adds, e)
+	}
+	dels := make([]uint64, 0, len(w.dels))
+	for e := range w.dels {
+		dels = append(dels, e)
+	}
+	return store.AppendDelta(name, adds, dels, w.meta)
+}
+
+// settleLocked records how w ended: committed, the store has the state;
+// failed, it is the set's unpersisted state again. Requires hs.mu.
+func (hs *hostedSet) settleLocked(w *segmentWrite, err error) {
+	if err != nil {
+		hs.dirtyAdds, hs.dirtyDels = w.adds, w.dels
+		return
+	}
+	hs.persisted = true
+}
+
 // flushLocked persists the dirty state: the first flush is a full
 // segment, later ones are deltas carrying the cumulative metadata, and a
 // set with nothing dirty — one that only answered syncs — writes nothing.
 // Requires hs.mu; a no-op for memory-only hosting and for a cold set, whose
-// writes were flushed when it was evicted.
+// writes went to its eviction write.
 func (hs *hostedSet) flushLocked() error {
 	if hs.h.store == nil || hs.snap == nil {
 		return nil
 	}
-	if !hs.persisted {
-		if err := hs.h.store.AppendFull(hs.name, hs.snap.Elements(), hs.meta); err != nil {
-			return err
-		}
-		hs.persisted = true
-		hs.dirtyAdds, hs.dirtyDels = nil, nil
+	w := hs.takeWriteLocked()
+	if w == nil {
 		return nil
 	}
-	if len(hs.dirtyAdds) == 0 && len(hs.dirtyDels) == 0 {
-		return nil
-	}
-	adds := make([]uint64, 0, len(hs.dirtyAdds))
-	for e := range hs.dirtyAdds {
-		adds = append(adds, e)
-	}
-	dels := make([]uint64, 0, len(hs.dirtyDels))
-	for e := range hs.dirtyDels {
-		dels = append(dels, e)
-	}
-	if err := hs.h.store.AppendDelta(hs.name, adds, dels, hs.meta); err != nil {
-		return err
-	}
-	hs.dirtyAdds, hs.dirtyDels = nil, nil
-	return nil
+	err := w.commit(hs.h.store, hs.name)
+	hs.settleLocked(w, err)
+	return err
 }
 
 // flush persists dirty state without demoting (shutdown path).
@@ -328,21 +402,23 @@ func (hs *hostedSet) flush() error {
 	return hs.flushLocked()
 }
 
-// demote evicts a resident set: flush dirty state, then drop the elements
-// and the cached view. Sessions holding the old view keep their snapshot;
-// new sessions get a lazy (estimate-only) view. If the flush fails the
-// set stays resident — dropping unflushed data would lose writes — and is
-// re-inserted into the accounting.
+// demote evicts a resident set: drop the elements and the cached view,
+// and hand any dirty state to an eviction write that runs behind
+// (writeBehind). Sessions holding the old view keep their snapshot; new
+// sessions get a lazy (estimate-only) view, whose cold load waits for the
+// write to commit. If the write fails the set comes back resident with
+// the snapshot and writes it had — dropping unflushed data would lose
+// them.
 func (hs *hostedSet) demote() {
 	hs.mu.Lock()
 	if hs.snap == nil || hs.h.store == nil {
 		hs.mu.Unlock()
 		return
 	}
-	if err := hs.flushLocked(); err != nil {
-		hs.mu.Unlock()
-		hs.h.noteResident(hs)
-		return
+	w := hs.takeWriteLocked()
+	if w != nil {
+		w.done = make(chan struct{})
+		hs.pending = w
 	}
 	hs.snap = nil
 	hs.view = nil
@@ -352,21 +428,73 @@ func (hs *hostedSet) demote() {
 	// accounting never carries a cold set.
 	hs.h.forget(hs)
 	hs.h.evictions.Add(1)
+	if w != nil {
+		hs.h.writeBehind(hs, w)
+	}
 }
 
-// noteResident inserts a set into the resident accounting (idempotent)
-// and evicts least-recently-used sets while over the watermark. Eviction
-// requires the disk layer; memory-only hosting never evicts.
-func (h *hostedStore) noteResident(hs *hostedSet) {
+// writeBehind commits a victim's eviction write on a goroutine of its
+// own, at most maxEvictWrites at once; once flushAll has begun it commits
+// inline instead.
+func (h *hostedStore) writeBehind(hs *hostedSet, w *segmentWrite) {
+	h.writeMu.Lock()
+	if h.writesClosed {
+		h.writeMu.Unlock()
+		hs.endEviction(w)
+		return
+	}
+	h.writing.Add(1)
+	h.writeMu.Unlock()
+	h.slots <- struct{}{}
+	go func() {
+		defer h.writing.Done()
+		hs.endEviction(w)
+		<-h.slots
+	}()
+}
+
+// endEviction runs an eviction write and settles it. On failure the set
+// is resident again: the snapshot goes back, and it re-enters the
+// accounting without evicting anything (the next noteResident does).
+func (hs *hostedSet) endEviction(w *segmentWrite) {
+	err := w.commit(hs.h.store, hs.name)
+	hs.mu.Lock()
+	hs.settleLocked(w, err)
+	if err != nil {
+		hs.snap, hs.view = w.snap, nil
+	}
+	hs.pending = nil
 	charge := hs.residentCharge()
-	var victims []*hostedSet
-	h.mu.Lock()
+	hs.mu.Unlock()
+	close(w.done)
+	if err != nil {
+		hs.h.mu.Lock()
+		hs.h.admitLocked(hs, charge)
+		hs.h.mu.Unlock()
+	}
+}
+
+// admitLocked inserts a set into the resident accounting at the front of
+// the LRU; a no-op for a set already there. Requires h.mu.
+func (h *hostedStore) admitLocked(hs *hostedSet, charge int64) {
 	if hs.lruPos == nil {
 		hs.charge = charge
 		hs.lruPos = h.lru.PushFront(hs)
 		h.residentBytes.Add(charge)
 		h.residentSets.Add(1)
 	}
+}
+
+// noteResident inserts a set into the resident accounting (idempotent)
+// and evicts least-recently-used sets while over the watermark. Eviction
+// requires the disk layer; memory-only hosting never evicts. Which sets
+// are evicted, and that they turn cold, is settled here, on the caller's
+// goroutine; only their segment writes run behind.
+func (h *hostedStore) noteResident(hs *hostedSet) {
+	charge := hs.residentCharge()
+	var victims []*hostedSet
+	h.mu.Lock()
+	h.admitLocked(hs, charge)
 	if h.maxResident > 0 && h.store != nil {
 		for h.residentBytes.Load() > h.maxResident && h.lru.Len() > 1 {
 			back := h.lru.Back()
@@ -422,11 +550,17 @@ func (h *hostedStore) forget(hs *hostedSet) {
 	h.mu.Unlock()
 }
 
-// flushAll persists every resident set's dirty state (shutdown).
+// flushAll waits for every eviction write in flight, then persists every
+// resident set's dirty state (shutdown). Evictions after it has begun
+// write inline.
 func (h *hostedStore) flushAll() error {
 	if h.store == nil {
 		return nil
 	}
+	h.writeMu.Lock()
+	h.writesClosed = true
+	h.writeMu.Unlock()
+	h.writing.Wait()
 	h.mu.Lock()
 	sets := make([]*hostedSet, 0, h.lru.Len())
 	for e := h.lru.Front(); e != nil; e = e.Next() {
@@ -513,6 +647,11 @@ func (s *Server) Host(name string, elems []uint64) error {
 	if hadOld {
 		if ohs, ok := old.(*hostedSet); ok {
 			s.hosted.forget(ohs)
+			// The replaced set's eviction write, if one is in flight, lands
+			// before this set's full segment, which replay then starts from.
+			ohs.mu.Lock()
+			ohs.awaitWriteLocked()
+			ohs.mu.Unlock()
 		}
 	}
 	if err := hs.persist(); err != nil {
@@ -529,8 +668,10 @@ func (s *Server) Host(name string, elems []uint64) error {
 // and count are maintained incrementally on this write path — which costs
 // the batch, not the set, and is what lets the set answer difference
 // estimates even after eviction; changes are persisted as a delta segment
-// when the set is next evicted or the server shuts down. Growth is
-// reserved against the tenant's byte quota before the set is touched.
+// when the set is next evicted (written off the evicting goroutine; a write
+// to the set meanwhile waits for it to commit) or the server shuts down.
+// Growth is reserved against the tenant's byte quota before the set is
+// touched.
 func (s *Server) HostedUpdate(name string, add, remove []uint64) error {
 	src, ok := s.sets.Get(name)
 	if !ok {

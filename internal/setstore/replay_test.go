@@ -76,7 +76,11 @@ func TestLoadMatchesMapReplay(t *testing.T) {
 		want := mapReplay(segs)
 		segs[len(segs)-1].Meta.Count = uint64(len(want))
 		for i, seg := range segs {
-			if err := s.writeSegment("r", uint64(i+1), seg); err != nil {
+			tmp, err := s.writeTemp(seg)
+			if err == nil {
+				err = s.commitTemp(tmp, "r", uint64(i+1))
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			s.addSeq("r", uint64(i+1))

@@ -132,13 +132,9 @@ type decoder struct {
 	off int
 }
 
-func (d *decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("setstore: truncated varint at offset %d", d.off)
-	}
-	d.off += n
-	return v, nil
+func (d *decoder) uvarint() (v uint64, err error) {
+	v, d.off, err = uvarintAt(d.b, d.off)
+	return v, err
 }
 
 func (d *decoder) varint() (int64, error) {
@@ -150,39 +146,70 @@ func (d *decoder) varint() (int64, error) {
 	return v, nil
 }
 
-func (d *decoder) elems(what string) ([]uint64, error) {
+// elems decodes a count and that many delta-varint elements into a slice
+// with room for that many more. The count is refused before anything is
+// allocated when the bytes left cannot hold it (every uvarint takes at
+// least one). This is a cold load's hot loop, so it runs over a local slice
+// and offset and decodes the one-, two- and three-byte varints that dense
+// sets are made of inline; anything longer, and anything within ten bytes
+// of the end, goes through binary.Uvarint.
+func (d *decoder) elems(what string, room int) ([]uint64, error) {
 	n, err := d.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if n > maxSegmentElems {
-		return nil, fmt.Errorf("setstore: segment claims %d %s", n, what)
+	if n > maxSegmentElems || n > uint64(len(d.b)-d.off) {
+		return nil, fmt.Errorf("setstore: segment claims %d %s in %d bytes", n, what, len(d.b)-d.off)
 	}
-	if n == 0 {
+	if n == 0 && room == 0 {
 		return nil, nil
 	}
-	out := make([]uint64, n)
+	out := make([]uint64, n, int(n)+room)
+	b, off := d.b, d.off
 	prev := uint64(0)
 	for i := range out {
-		v, err := d.uvarint()
+		var v uint64
+		if len(b)-off >= binary.MaxVarintLen64 {
+			if c := b[off]; c < 0x80 {
+				v = uint64(c)
+				off++
+			} else if c1 := b[off+1]; c1 < 0x80 {
+				v = uint64(c&0x7f) | uint64(c1)<<7
+				off += 2
+			} else if c2 := b[off+2]; c2 < 0x80 {
+				v = uint64(c&0x7f) | uint64(c1&0x7f)<<7 | uint64(c2)<<14
+				off += 3
+			} else {
+				v, off, err = uvarintAt(b, off)
+			}
+		} else {
+			v, off, err = uvarintAt(b, off)
+		}
 		if err != nil {
 			return nil, err
 		}
-		if i == 0 {
-			out[i] = v
-		} else {
+		if i > 0 {
 			if v == 0 {
 				return nil, fmt.Errorf("setstore: non-increasing %s at index %d", what, i)
 			}
-			next := prev + v
-			if next < prev {
+			if v += prev; v < prev {
 				return nil, fmt.Errorf("setstore: %s overflow at index %d", what, i)
 			}
-			out[i] = next
 		}
-		prev = out[i]
+		out[i] = v
+		prev = v
 	}
+	d.off = off
 	return out, nil
+}
+
+// uvarintAt decodes the uvarint at b[off:] and returns the offset past it.
+func uvarintAt(b []byte, off int) (uint64, int, error) {
+	v, n := binary.Uvarint(b[off:])
+	if n <= 0 {
+		return 0, off, fmt.Errorf("setstore: truncated varint at offset %d", off)
+	}
+	return v, off + n, nil
 }
 
 // splitSegment validates the tail and CRCs of a raw segment file and
@@ -230,7 +257,7 @@ func decodeFooter(footer []byte) (Meta, error) {
 	if err != nil {
 		return m, err
 	}
-	if l > 1<<16 {
+	if l > 1<<16 || l > uint64(len(footer)-d.off) {
 		return m, fmt.Errorf("setstore: sketch length %d out of range", l)
 	}
 	m.Sketch = make([]int64, l)
@@ -288,7 +315,12 @@ func DecodeMeta(data []byte) (Meta, error) {
 }
 
 // DecodeSegment fully parses and validates a raw segment file.
-func DecodeSegment(data []byte) (*Segment, error) {
+func DecodeSegment(data []byte) (*Segment, error) { return decodeSegment(data, 0) }
+
+// decodeSegment is DecodeSegment leaving room for that many more elements
+// after a full segment's adds, so that a replay folds its later writes in
+// without a second copy of the set.
+func decodeSegment(data []byte, room int) (*Segment, error) {
 	body, footer, err := splitSegment(data, true)
 	if err != nil {
 		return nil, err
@@ -297,12 +329,15 @@ func DecodeSegment(data []byte) (*Segment, error) {
 	if err != nil {
 		return nil, err
 	}
+	if !meta.Full {
+		room = 0
+	}
 	d := &decoder{b: body}
-	adds, err := d.elems("adds")
+	adds, err := d.elems("adds", room)
 	if err != nil {
 		return nil, err
 	}
-	dels, err := d.elems("dels")
+	dels, err := d.elems("dels", 0)
 	if err != nil {
 		return nil, err
 	}

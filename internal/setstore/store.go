@@ -2,6 +2,7 @@ package setstore
 
 import (
 	"fmt"
+	"io"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -17,7 +18,8 @@ import (
 // Files are named "<escaped name>@<seq>.seg"; the chain is the ascending
 // seq order. All methods are safe for concurrent use; operations on
 // different sets proceed in parallel (per-name lock stripes), operations
-// on one set serialize.
+// on one set serialize — except that appends and merges write and fsync
+// their segment before taking the lock, and only commit it under it.
 type Store struct {
 	dir    string
 	thresh int
@@ -156,31 +158,38 @@ func (s *Store) Segments(name string) int {
 	return len(s.index[name])
 }
 
-// writeSegment encodes seg and commits it atomically: temp file in the
-// same directory, fsync, rename. The rename is the durability point; the
-// directory itself is not fsynced (a crash in that window can lose the
-// newest segment but never corrupts the chain).
-func (s *Store) writeSegment(name string, seq uint64, seg *Segment) error {
+// writeTemp encodes seg into a new temp file in the store's directory and
+// fsyncs it, before any lock is taken: committing it is the caller's
+// rename (commitTemp).
+func (s *Store) writeTemp(seg *Segment) (string, error) {
 	data := AppendSegment(nil, seg)
 	f, err := os.CreateTemp(s.dir, ".tmp-seg-*")
 	if err != nil {
-		return err
+		return "", err
 	}
 	tmp := f.Name()
 	if _, err := f.Write(data); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return err
+		return "", err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return err
+		return "", err
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return err
+		return "", err
 	}
+	return tmp, nil
+}
+
+// commitTemp renames a written temp file into name's chain as segment seq,
+// or removes it if that fails. The rename is the durability point; the
+// directory itself is not fsynced (a crash in that window can lose the
+// newest segment but never corrupts the chain).
+func (s *Store) commitTemp(tmp, name string, seq uint64) error {
 	if err := os.Rename(tmp, filepath.Join(s.dir, segFileName(name, seq))); err != nil {
 		os.Remove(tmp)
 		return err
@@ -220,18 +229,10 @@ func sortedCopy(elems []uint64) []uint64 {
 // AppendFull persists the complete element list of a set as a new full
 // segment. meta's sketch/digest/count must describe exactly elems.
 func (s *Store) AppendFull(name string, elems []uint64, meta Meta) error {
-	st := s.stripe(name)
-	st.Lock()
-	defer st.Unlock()
 	meta.Full = true
 	seg := &Segment{Adds: sortedCopy(elems), Meta: meta}
 	seg.Meta.Count = uint64(len(seg.Adds))
-	seq := s.nextSeq(name)
-	if err := s.writeSegment(name, seq, seg); err != nil {
-		return err
-	}
-	s.addSeq(name, seq)
-	return nil
+	return s.appendChain(name, seg)
 }
 
 // AppendDelta persists the changes since the previous segment. meta must
@@ -239,16 +240,28 @@ func (s *Store) AppendFull(name string, elems []uint64, meta Meta) error {
 // that is what keeps a cold chain able to answer estimates from its
 // newest footer alone.
 func (s *Store) AppendDelta(name string, adds, dels []uint64, meta Meta) error {
+	meta.Full = false
+	return s.appendChain(name, &Segment{Adds: sortedCopy(adds), Dels: sortedCopy(dels), Meta: meta})
+}
+
+// appendChain writes seg and commits it as the next segment of name's chain.
+// The write and its fsync happen before the set's stripe lock is taken, so
+// a Load of the set, or of another on its stripe, waits for a rename, not
+// for the disk. Appends to one set land in the order they take the lock.
+func (s *Store) appendChain(name string, seg *Segment) error {
+	tmp, err := s.writeTemp(seg)
+	if err != nil {
+		return err
+	}
 	st := s.stripe(name)
 	st.Lock()
 	defer st.Unlock()
-	if s.Segments(name) == 0 {
+	if !seg.Meta.Full && s.Segments(name) == 0 {
+		os.Remove(tmp)
 		return fmt.Errorf("setstore: delta append to unpersisted set %q", name)
 	}
-	meta.Full = false
-	seg := &Segment{Adds: sortedCopy(adds), Dels: sortedCopy(dels), Meta: meta}
 	seq := s.nextSeq(name)
-	if err := s.writeSegment(name, seq, seg); err != nil {
+	if err := s.commitTemp(tmp, name, seq); err != nil {
 		return err
 	}
 	s.addSeq(name, seq)
@@ -302,10 +315,14 @@ func readMetaFile(path string) (Meta, error) {
 	return DecodeMeta(buf)
 }
 
-// Load replays a chain into the full element list, sorted: starting from
-// the newest full segment, each segment's adds and then its deletes apply in
-// seq order — a merge of sorted lists, since that is how they are on disk.
-// The returned Meta is the newest footer's.
+// Load replays a chain into the full element list, sorted and strictly
+// increasing: the newest full segment's adds, then each later segment's
+// adds and then its deletes, in seq order. The deltas are read first,
+// newest to oldest, and netted to the newest write of each element they
+// touch; the full segment is then decoded with room for the net adds and
+// the net writes folded into it in place, so the returned slice is the
+// load's one copy of the set and the caller owns it. The returned Meta is
+// the newest footer's.
 func (s *Store) Load(name string) ([]uint64, Meta, error) {
 	st := s.stripe(name)
 	st.Lock()
@@ -318,95 +335,164 @@ func (s *Store) loadLocked(name string) ([]uint64, Meta, error) {
 	if len(seqs) == 0 {
 		return nil, Meta{}, fmt.Errorf("setstore: set %q not persisted", name)
 	}
-	segs := make([]*Segment, len(seqs))
-	start := 0
+	buf := readBufs.Get().(*[]byte)
+	defer readBufs.Put(buf)
+	var (
+		meta       Meta
+		base       []uint64
+		adds, dels []uint64 // net writes of the deltas read so far; disjoint
+	)
 	for i := len(seqs) - 1; i >= 0; i-- {
-		data, err := os.ReadFile(filepath.Join(s.dir, segFileName(name, seqs[i])))
+		data, err := s.readSegment(name, seqs[i], buf)
 		if err != nil {
 			return nil, Meta{}, err
 		}
-		seg, err := DecodeSegment(data)
+		seg, err := decodeSegment(data, len(adds))
 		if err != nil {
 			return nil, Meta{}, fmt.Errorf("setstore: segment %s@%d: %w", name, seqs[i], err)
 		}
-		segs[i] = seg
+		if i == len(seqs)-1 {
+			meta = seg.Meta
+		}
 		if seg.Meta.Full {
-			start = i
+			base = seg.Adds
 			break
 		}
+		adds, dels = netOlder(adds, dels, seg.Adds, seg.Dels)
 	}
-	var elems []uint64
-	for _, seg := range segs[start:] {
-		elems = foldSorted(elems, seg.Adds, seg.Dels)
-	}
-	meta := segs[len(segs)-1].Meta
+	elems := foldInPlace(base, adds, dels)
 	if uint64(len(elems)) != meta.Count {
 		return nil, Meta{}, fmt.Errorf("setstore: set %q replays to %d elements, footer says %d", name, len(elems), meta.Count)
 	}
 	return elems, meta, nil
 }
 
-// foldSorted returns (cur ∪ adds) ∖ dels, sorted, for sorted duplicate-free
-// inputs. With nothing to fold in it returns cur itself, and adds itself
-// when that is all there is — a one-segment chain loads as decoded. It
-// walks the writes, not the set: each is located in what is left of cur by
-// binary search and the run before it copied whole, so a delta of a few
-// elements costs one copy of cur.
-func foldSorted(cur, adds, dels []uint64) []uint64 {
-	if len(dels) == 0 {
-		if len(adds) == 0 {
-			return cur
-		}
-		if len(cur) == 0 {
-			return adds
-		}
+// readBufs holds the buffers Load reads segment files into; nothing decoded
+// from one aliases it.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readSegment reads one segment file into *buf, growing it as needed.
+func (s *Store) readSegment(name string, seq uint64, buf *[]byte) ([]byte, error) {
+	f, err := os.Open(filepath.Join(s.dir, segFileName(name, seq)))
+	if err != nil {
+		return nil, err
 	}
-	out := make([]uint64, 0, len(cur)+len(adds))
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	size := int(fi.Size())
+	if cap(*buf) < size {
+		*buf = make([]byte, size)
+	}
+	data := (*buf)[:size]
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
+// netOlder folds an older delta's writes under the net writes of the newer
+// deltas: an element's newest write wins, and within one segment its
+// delete (adds land first, so an element in both ends absent). It filters
+// the older slices in place.
+func netOlder(adds, dels, olderAdds, olderDels []uint64) ([]uint64, []uint64) {
+	touched := func(x uint64) bool {
+		_, inAdds := slices.BinarySearch(adds, x)
+		_, inDels := slices.BinarySearch(dels, x)
+		return inAdds || inDels
+	}
+	olderAdds = slices.DeleteFunc(olderAdds, func(x uint64) bool {
+		_, deleted := slices.BinarySearch(olderDels, x)
+		return deleted || touched(x)
+	})
+	olderDels = slices.DeleteFunc(olderDels, touched)
+	adds, dels = append(adds, olderAdds...), append(dels, olderDels...)
+	slices.Sort(adds)
+	slices.Sort(dels)
+	return adds, dels
+}
+
+// foldInPlace returns (cur ∪ adds) ∖ dels, sorted, for sorted duplicate-free
+// inputs, in cur's array (grown only if its capacity lacks room for adds).
+// It walks the writes, not the set, from the largest down: each is located
+// in what is left of cur by binary search and the run above it moved up
+// whole, by the room the adds still need — so the move never overwrites an
+// element not yet moved — and one move at the end closes the gap deletes
+// left. A delete of x also consumes an add of x (adds land first, so x
+// ends absent).
+func foldInPlace(cur, adds, dels []uint64) []uint64 {
+	if len(adds) == 0 && len(dels) == 0 {
+		return cur
+	}
+	out := slices.Grow(cur, len(adds))
+	cur = out[:len(cur)]
+	out = out[:len(cur)+len(adds)]
+	w, r := len(out), len(cur) // out[w:] is written, cur[:r] not yet moved
 	for len(adds) > 0 || len(dels) > 0 {
-		// The next write, in element order; a delete of x also consumes an
-		// add of x (adds land first, so x ends absent).
-		del := len(adds) == 0 || (len(dels) > 0 && dels[0] <= adds[0])
+		del := len(adds) == 0 || (len(dels) > 0 && dels[len(dels)-1] >= adds[len(adds)-1])
 		var x uint64
 		if del {
-			x, dels = dels[0], dels[1:]
-			if len(adds) > 0 && adds[0] == x {
-				adds = adds[1:]
+			x, dels = dels[len(dels)-1], dels[:len(dels)-1]
+			if len(adds) > 0 && adds[len(adds)-1] == x {
+				adds = adds[:len(adds)-1]
 			}
 		} else {
-			x, adds = adds[0], adds[1:]
+			x, adds = adds[len(adds)-1], adds[:len(adds)-1]
 		}
-		i, found := slices.BinarySearch(cur, x)
-		out = append(out, cur[:i]...)
-		if cur = cur[i:]; found {
-			cur = cur[1:]
+		i, found := slices.BinarySearch(cur[:r], x)
+		above := i
+		if found {
+			above++
 		}
+		w -= copy(out[w-(r-above):w], cur[above:r])
+		r = i
 		if !del {
-			out = append(out, x)
+			w--
+			out[w] = x
 		}
 	}
-	return append(out, cur...)
+	if w > r {
+		copy(out[r:], out[w:])
+	}
+	return out[:r+len(out)-w]
 }
 
 // Merge folds a chain of 2+ segments into a single full segment. It
-// reports whether a merge happened. Crash-safe: the merged segment is
-// committed (with a higher seq) before the old files are removed, and
-// replay always starts from the newest full segment, so a crash anywhere
-// in between leaves a correct — merely unpruned — chain.
+// reports whether a merge happened. The chain is replayed under the set's
+// stripe lock and the merged segment written and fsynced outside it; a
+// chain that changed in between (an append, a Remove, another merge) is
+// left as it is and the merged segment dropped. Crash-safe: the merged
+// segment is committed (with a higher seq) before the old files are
+// removed, and replay always starts from the newest full segment, so a
+// crash anywhere in between leaves a correct — merely unpruned — chain.
 func (s *Store) Merge(name string) (bool, error) {
 	st := s.stripe(name)
 	st.Lock()
-	defer st.Unlock()
 	seqs := s.chain(name)
 	if len(seqs) < 2 {
+		st.Unlock()
 		return false, nil
 	}
 	elems, meta, err := s.loadLocked(name)
+	st.Unlock()
 	if err != nil {
 		return false, err
 	}
 	meta.Full = true
+	tmp, err := s.writeTemp(&Segment{Adds: elems, Meta: meta})
+	if err != nil {
+		return false, err
+	}
+	st.Lock()
+	defer st.Unlock()
+	if !slices.Equal(s.chain(name), seqs) {
+		os.Remove(tmp)
+		return false, nil
+	}
 	newSeq := seqs[len(seqs)-1] + 1
-	if err := s.writeSegment(name, newSeq, &Segment{Adds: elems, Meta: meta}); err != nil {
+	if err := s.commitTemp(tmp, name, newSeq); err != nil {
 		return false, err
 	}
 	s.mu.Lock()

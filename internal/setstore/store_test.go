@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -340,5 +341,68 @@ func TestRemove(t *testing.T) {
 	ents, _ := os.ReadDir(dir)
 	if len(ents) != 0 {
 		t.Fatalf("%d files survived Remove", len(ents))
+	}
+}
+
+// TestMergeRacingAppends merges a chain over and over while deltas are
+// appended to it: a merge whose chain moved on while it wrote is dropped,
+// so whatever interleaving happens the chain replays to every write, and no
+// temp file is left behind.
+func TestMergeRacingAppends(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	cur := seqElems(2000, 3)
+	if err := s.AppendFull("s", cur, testMeta(cur)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	merges := make(chan error, 1)
+	go func() {
+		defer close(merges)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, err := s.Merge("s"); err != nil {
+				merges <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < 60; i++ {
+		add, del := []uint64{uint64(1<<20 + i)}, []uint64{cur[0]}
+		cur = append(cur[1:], add...)
+		if err := s.AppendDelta("s", add, del, testMeta(cur)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	if err := <-merges; err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := s.Load("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, cur) {
+		t.Fatalf("replay after racing merges: %d elements, want %d", len(got), len(cur))
+	}
+	if s.Merges() == 0 {
+		t.Fatal("no merge committed")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), ".seg") {
+			t.Fatalf("stray file %s", e.Name())
+		}
 	}
 }
