@@ -25,8 +25,8 @@ type Alice struct {
 	round  int
 
 	// table is the snapshot's round-one table for this plan's shape, nil
-	// when the shape is over the snapshot's budget: round 1 then reads each
-	// group's bin sums and parities from it instead of folding.
+	// when the snapshot keeps none. Round 1 over it reads each group's bin
+	// sums and parities from its row, folding only the group's lag on top.
 	table *foldTable
 
 	// learned holds the verified scopes' share of the difference
@@ -69,11 +69,11 @@ type Alice struct {
 // its scratch to the collector. scopes is the session's scope array, one a
 // group; syn holds the round's syndromes, t words per active scope, and sums
 // its bin XOR sums, n+1 words per active scope, which the scopes keep from
-// BuildRound to AbsorbReply (round 1 over a table reads the table's rows
-// instead); parity is a packed bitmap per worker. pos, xor and accepted hold
-// a reply's positions, XOR sums and accepted elements back to back, each
-// scope owning the stretch [lo, hi) its parsed slot names; parsed, outcomes
-// and errs are AbsorbReply's per-scope slots.
+// BuildRound to AbsorbReply (round 1 over a table reads the row of a group
+// with no lag instead); parity is a packed bitmap per worker. pos, xor and
+// accepted hold a reply's positions, XOR sums and accepted elements back to
+// back, each scope owning the stretch [lo, hi) its parsed slot names;
+// parsed, outcomes and errs are AbsorbReply's per-scope slots.
 type aliceScratch struct {
 	scopes   []aliceScope
 	syn      []uint64
@@ -308,11 +308,14 @@ func (a *Alice) BuildRound() ([]byte, error) {
 	}
 	n := (uint64(1) << a.curM) - 1
 	// Round 1 finds every scope a whole group with nothing toggled yet:
-	// exactly what the round-one table holds.
+	// what the round-one table holds, once each group's lag is folded on
+	// top of its row.
 	useTable := a.round == 1 && a.table != nil
 	work := len(a.active) * int(n+1)
-	if !useTable {
-		for _, sc := range a.active {
+	for _, sc := range a.active {
+		if useTable {
+			work += len(sc.w.lag)
+		} else {
 			work += sc.w.len()
 		}
 	}
@@ -325,8 +328,8 @@ func (a *Alice) BuildRound() ([]byte, error) {
 	// below allocates, whatever (m, t) the last round or session ran at.
 	s, t, stride := a.scr, a.curT, int(n+1)
 	s.syn = resized(s.syn, len(a.active)*t)
+	s.sums = resized(s.sums, len(a.active)*stride)
 	if !useTable {
-		s.sums = resized(s.sums, len(a.active)*stride)
 		clear(s.sums)
 	}
 	for len(s.parity) < nw {
@@ -335,16 +338,15 @@ func (a *Alice) BuildRound() ([]byte, error) {
 	a.encodeTime += forEachScope(nw, len(a.active), func(worker, i int) {
 		sc := a.active[i]
 		sc.binSeed = a.sd.binSeed(sc.id, a.round)
-		var parity []uint64
+		sums := s.sums[i*stride : (i+1)*stride]
+		parity := resized(s.parity[worker], int(parityWords(n)))
+		s.parity[worker] = parity
 		if useTable {
-			row := &a.table.rows[sc.id.group]
-			sc.binSums, parity = row.sums, row.parity
+			sc.binSums, parity = a.table.rows[sc.id.group].withLag(sc.w.lag, sc.binSeed, n, sums, parity)
 		} else {
-			sc.binSums = s.sums[i*stride : (i+1)*stride]
-			parity = resized(s.parity[worker], int(parityWords(n)))
-			s.parity[worker] = parity
 			clear(parity)
-			sc.w.fold(sc.binSeed, n, sc.binSums, parity)
+			sc.w.fold(sc.binSeed, n, sums, parity)
+			sc.binSums = sums
 		}
 		sketch := shape.Over(s.syn[i*t:])
 		sketch.Reset()

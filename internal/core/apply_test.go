@@ -26,9 +26,33 @@ func applyShapes(seed uint64) []Plan {
 	return []Plan{shape(3, 6), shape(7, 6), shape(7, 7), shape(40, 5), shape(5000, 6)}
 }
 
+// laggedRow returns row g of p's round-one table with the group's lag list
+// folded on top: the round-one fold of the whole group, as the endpoints
+// read it.
+func (p partition) laggedRow(sd seeds, g int) foldRow {
+	n := (uint64(1) << p.table.m) - 1
+	sums, parity := p.table.rows[g].withLag(p.groups[g].lag, sd.binSeed(newScopeID(g), 1), n, make([]uint64, n+1), make([]uint64, parityWords(n)))
+	return foldRow{sums: sums, parity: parity}
+}
+
+// sameRow reports whether two rows hold the same sums and parities.
+func sameRow(a, b foldRow) bool {
+	return slices.Equal(a.sums, b.sums) && slices.Equal(a.parity, b.parity)
+}
+
+// cloneRows returns a deep copy of a table's rows.
+func cloneRows(tab *foldTable) []foldRow {
+	rows := make([]foldRow, len(tab.rows))
+	for g, r := range tab.rows {
+		rows[g] = foldRow{sums: slices.Clone(r.sums), parity: slices.Clone(r.parity)}
+	}
+	return rows
+}
+
 // assertSamePartition requires got (from a snapshot grown by Apply) to
 // describe exactly what want (from a snapshot built afresh) does: the same
-// group contents and checksums and, row for row, the same round-one table.
+// group contents and checksums and, row for row, the same round-one table
+// once each group's lag is folded on top of its row.
 func assertSamePartition(t *testing.T, plan Plan, got, want partition) {
 	t.Helper()
 	for g := range want.groups {
@@ -45,10 +69,10 @@ func assertSamePartition(t *testing.T, plan Plan, got, want partition) {
 	if want.table == nil {
 		return
 	}
+	sd := deriveSeeds(plan.Seed)
 	for g, w := range want.table.rows {
-		r := got.table.rows[g]
-		if !slices.Equal(r.sums, w.sums) || !slices.Equal(r.parity, w.parity) {
-			t.Fatalf("G=%d m=%d: table row %d differs from a fresh fold", plan.Groups, plan.M, g)
+		if !sameRow(got.laggedRow(sd, g), w) {
+			t.Fatalf("G=%d m=%d: table row %d with its lag on top differs from a fresh fold", plan.Groups, plan.M, g)
 		}
 	}
 }
@@ -260,8 +284,8 @@ func (s *Snapshot) retainedTableWords() uint64 {
 	return words
 }
 
-// assertFreshTable requires the table of got to equal, row for row, one
-// folded from a fresh cut of snap.
+// assertFreshTable requires the table of got, each group's lag folded on
+// top of its row, to equal row for row one folded from a fresh cut of snap.
 func assertFreshTable(t *testing.T, snap *Snapshot, plan Plan, got partition) {
 	t.Helper()
 	if got.table == nil {
@@ -269,18 +293,18 @@ func assertFreshTable(t *testing.T, snap *Snapshot, plan Plan, got partition) {
 	}
 	want := buildFoldTable(partition{groups: snap.cut(plan.Groups)}, plan.M, snap.sd, 1)
 	for g, w := range want.rows {
-		r := got.table.rows[g]
-		if !slices.Equal(r.sums, w.sums) || !slices.Equal(r.parity, w.parity) {
-			t.Fatalf("G=%d m=%d: table row %d differs from a fresh fold", plan.Groups, plan.M, g)
+		if !sameRow(got.laggedRow(snap.sd, g), w) {
+			t.Fatalf("G=%d m=%d: table row %d with its lag on top differs from a fresh fold", plan.Groups, plan.M, g)
 		}
 	}
 }
 
-// TestRoundOneTableBudget holds partitionFor to its two table rules and
-// their ceiling: a shape over |S| gets its table on the second read with no
-// write in between, and never through Apply; a shape within tableFits gets
-// its table on its first read and keeps it, maintained, under writes; and
-// however many forged shapes are read twice, concurrently, the tables a
+// TestRoundOneTableBudget holds partitionFor to its table rule and its
+// ceiling: a shape over |S| gets its table on the second read, a shape
+// within tableFits on its first; either way a successor inherits the table
+// and shares every row no base rewrite touched, the rows with their lags on
+// top reading as a fresh fold; and however many forged shapes are read
+// twice, concurrently, or however far a write shrinks the set, the tables a
 // snapshot retains total at most maxCachedShapes·|S| words.
 func TestRoundOneTableBudget(t *testing.T) {
 	rng := rand.New(rand.NewPCG(36, 1))
@@ -324,26 +348,45 @@ func TestRoundOneTableBudget(t *testing.T) {
 		}
 	})
 
-	t.Run("over-size/apply-drops", func(t *testing.T) {
+	t.Run("over-size/apply-keeps", func(t *testing.T) {
 		snap := newSnap()
 		snap.partitionFor(over)
 		held := snap.partitionFor(over)
-		var rows []foldRow
-		for _, r := range held.table.rows {
-			rows = append(rows, r.clone())
-		}
+		rows := cloneRows(held.table)
+		// Five writes over 35 groups of about 57 rewrite no base, so no row
+		// is copied.
 		next := snap.Apply([]uint64{draw(), draw(), draw()}, elems[:2])
-		if words := next.retainedTableWords(); words != 0 {
-			t.Fatalf("the successor inherited %d table words it will not maintain", words)
+		if words, want := next.retainedTableWords(), tableWords(over.Groups, over.M); words != want {
+			t.Fatalf("the successor inherited %d table words, want the predecessor's %d", words, want)
 		}
-		if next.partitionFor(over).table != nil {
-			t.Fatal("the successor's first read has a table: it was maintained under writes")
+		got := next.partitionFor(over)
+		assertFreshTable(t, next, over, got)
+		for g, r := range got.table.rows {
+			if &r.sums[0] != &held.table.rows[g].sums[0] || &r.parity[0] != &held.table.rows[g].parity[0] {
+				t.Fatalf("row %d was copied, though no write rewrote its base", g)
+			}
 		}
-		assertFreshTable(t, next, over, next.partitionFor(over))
 		for g, r := range snap.partitionFor(over).table.rows {
-			if !slices.Equal(r.sums, rows[g].sums) || !slices.Equal(r.parity, rows[g].parity) {
+			if !sameRow(r, rows[g]) {
 				t.Fatalf("row %d of the predecessor's table changed", g)
 			}
+		}
+	})
+
+	t.Run("apply/ceiling", func(t *testing.T) {
+		snap := newSnap()
+		// Three tables of 5,120–5,376 words: 15,744 in all, within the
+		// ceiling of 8·2,000 but not within 8·1,780.
+		for _, groups := range []int{40, 41, 42} {
+			snap.partitionFor(shape(groups, 7))
+			if snap.partitionFor(shape(groups, 7)).table == nil {
+				t.Fatalf("G=%d: the second read kept no table", groups)
+			}
+		}
+		next := snap.Apply(nil, elems[:220])
+		ceiling := uint64(maxCachedShapes) * uint64(next.Len())
+		if words := next.retainedTableWords(); words > ceiling || words < 10000 {
+			t.Fatalf("the successor inherited %d table words, want two tables within its ceiling %d", words, ceiling)
 		}
 	})
 
@@ -392,21 +435,140 @@ func TestRoundOneTableBudget(t *testing.T) {
 		snap := newSnap()
 		first := snap.partitionFor(fitting)
 		assertFreshTable(t, snap, fitting, first)
-		// Five writes reach at most five of the seven rows: the rest are
-		// shared with the predecessor, which a rebuilt table would not be.
+		// Five writes over seven groups of about 285 rewrite no base: every
+		// row is shared with the predecessor, which a rebuilt table's would
+		// not be.
 		next := snap.Apply([]uint64{draw(), draw()}, elems[5:8])
 		got := next.partitionFor(fitting)
 		assertFreshTable(t, next, fitting, got)
-		shared := 0
 		for g, r := range got.table.rows {
-			if &r.sums[0] == &first.table.rows[g].sums[0] {
-				shared++
+			if &r.sums[0] != &first.table.rows[g].sums[0] {
+				t.Fatalf("row %d is not shared with the predecessor: the table was rebuilt or copied", g)
 			}
 		}
-		if shared < 2 {
-			t.Fatalf("%d of %d rows shared with the predecessor: the table was rebuilt, not maintained", shared, fitting.Groups)
-		}
 	})
+}
+
+// TestTableRowRebasedAtRewrite pushes one group's lag list past its share
+// (base/lagFraction + lagFraction) in two batches under a table kept past
+// |S|. The first batch leaves the row shared and the lag on top of it; the
+// second rewrites the group's base, and the row must be refreshed with it:
+// equal to a fresh fold of the new base, a copy rather than the
+// predecessor's row, while every other row stays shared. Sessions read the
+// predecessor's table throughout, and its rows must read as before (run
+// under -race, which also flags a write the comparison would miss).
+func TestTableRowRebasedAtRewrite(t *testing.T) {
+	rng := rand.New(rand.NewPCG(40, 2))
+	seen := map[uint64]bool{0: true}
+	draw := func() uint64 {
+		for {
+			if x := uint64(rng.Uint32()); !seen[x] {
+				seen[x] = true
+				return x
+			}
+		}
+	}
+	elems := make([]uint64, 2000)
+	for i := range elems {
+		elems[i] = draw()
+	}
+	var extra []uint64
+	for i := 0; i < 12; i++ {
+		extra = append(extra, draw())
+	}
+	plan := Plan{M: 6, T: 5, Groups: 35, MaxRounds: DefaultMaxRounds, SigBits: 32, Seed: 0x40B, Parallelism: 2}
+	snap, err := NewSnapshot(elems, Config{Seed: plan.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.tableFits(plan.Groups, plan.M) {
+		t.Fatal("the shape must be over |S|")
+	}
+	snap.partitionFor(plan)
+	held := snap.partitionFor(plan)
+	if held.table == nil {
+		t.Fatal("the second read kept no table")
+	}
+	rows := cloneRows(held.table)
+
+	// Writes that all land in group 0: enough to pass its share in two
+	// batches, neither of which passes it alone.
+	const g0 = 0
+	base := held.groups[g0].base
+	share := len(base)/lagFraction + lagFraction
+	var writes []uint64
+	for len(writes) <= share {
+		if x := draw(); snap.sd.groupOf(x, plan.Groups) == g0 {
+			writes = append(writes, x)
+		}
+	}
+	// A removal rides along in the second batch.
+	first, second := writes[:share/2], writes[share/2:]
+	removed := base[len(base)/2]
+
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 10; j++ {
+				alice, err := NewAliceFromSnapshot(snap, plan)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				bob, err := NewBob(append(slices.Clone(elems), extra...), plan)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res, err := Drive(alice, bob, 0)
+				if err != nil || !res.Complete || !slices.Equal(sortedU64(res.Difference), sortedU64(extra)) {
+					t.Errorf("session on the predecessor failed: err=%v", err)
+					return
+				}
+			}
+		}()
+	}
+
+	mid := snap.Apply(first, nil)
+	lagged := mid.partitionFor(plan)
+	if len(lagged.groups[g0].lag) != len(first) {
+		t.Errorf("group %d has %d lagged elements after the first batch, want %d", g0, len(lagged.groups[g0].lag), len(first))
+	}
+	if lagged.table != held.table {
+		t.Error("the first batch copied the table, though it rewrote no base")
+	}
+	assertFreshTable(t, mid, plan, lagged)
+
+	next := mid.Apply(second, []uint64{removed})
+	got := next.partitionFor(plan)
+	slot := got.groups[g0]
+	if slot.lag != nil {
+		t.Fatalf("group %d kept a lag of %d past its share of %d: no rewrite", g0, len(slot.lag), share)
+	}
+	n := (uint64(1) << plan.M) - 1
+	want := foldRow{sums: make([]uint64, n+1), parity: make([]uint64, parityWords(n))}
+	binFold(slot.base, snap.sd.binSeed(newScopeID(g0), 1), n, want.sums, want.parity)
+	if !sameRow(got.table.rows[g0], want) {
+		t.Fatalf("row %d differs from a fresh fold of its rewritten base", g0)
+	}
+	if &got.table.rows[g0].sums[0] == &held.table.rows[g0].sums[0] {
+		t.Fatalf("row %d was rebased in place, under the predecessor's sessions", g0)
+	}
+	for g, r := range got.table.rows {
+		if g != g0 && &r.sums[0] != &held.table.rows[g].sums[0] {
+			t.Fatalf("row %d was copied, though its base was not rewritten", g)
+		}
+	}
+	assertFreshTable(t, next, plan, got)
+	wg.Wait()
+
+	for g, r := range snap.partitionFor(plan).table.rows {
+		if !sameRow(r, rows[g]) || !sameRow(held.table.rows[g], rows[g]) {
+			t.Fatalf("row %d of the predecessor's table changed", g)
+		}
+	}
 }
 
 // TestSnapshotViewsImmutableUnderApply runs sessions on a snapshot while
@@ -445,19 +607,13 @@ func TestSnapshotViewsImmutableUnderApply(t *testing.T) {
 	if held.table == nil {
 		t.Fatal("the test needs a shape within the table budget")
 	}
-	type rowCopy struct {
-		sums   []uint64
-		parity []uint64
-	}
 	var groups [][]uint64
 	var checks []uint64
-	var rows []rowCopy
 	for g := range held.groups {
 		groups = append(groups, held.merged(g))
 		checks = append(checks, held.groups[g].check)
-		r := held.table.rows[g]
-		rows = append(rows, rowCopy{slices.Clone(r.sums), slices.Clone(r.parity)})
 	}
+	rows := cloneRows(held.table)
 
 	reconcile := func(snap *Snapshot, want []uint64) {
 		alice, err := NewAliceFromSnapshot(snap, plan)
@@ -508,8 +664,7 @@ func TestSnapshotViewsImmutableUnderApply(t *testing.T) {
 		if !slices.Equal(after.merged(g), groups[g]) || held.groups[g].check != checks[g] || after.groups[g].check != checks[g] {
 			t.Fatalf("group %d of a held snapshot changed", g)
 		}
-		r := held.table.rows[g]
-		if !slices.Equal(r.sums, rows[g].sums) || !slices.Equal(r.parity, rows[g].parity) {
+		if !sameRow(held.table.rows[g], rows[g]) {
 			t.Fatalf("table row %d of a held snapshot changed", g)
 		}
 	}

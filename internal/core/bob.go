@@ -108,7 +108,7 @@ type bobScopeJob struct {
 	id   scopeID
 	set  elemSet
 	seed uint64
-	row  *foldRow // the scope's round-one table row, nil to fold set
+	row  *foldRow // the scope's round-one table row, nil to fold set whole
 }
 
 // bobScopeReply is one scope's computed answer, held until the sequential
@@ -232,8 +232,9 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 		// sequential pass; the parallel phase then only reads the slices.
 		job := bobScopeJob{id: id, set: b.scopeSet(id), seed: b.sd.binSeed(id, int(round))}
 		// A whole group in round 1 at the table's bitmap size is what the
-		// round-one table holds; the header checks above make the last
-		// condition redundant for an honest peer.
+		// round-one table holds, once the group's lag is folded on top of
+		// its row; the header checks above make the last condition
+		// redundant for an honest peer.
 		if tab := b.part.table; round == 1 && id.path == "" && tab != nil && tab.m == m {
 			job.row = &tab.rows[id.group]
 		}
@@ -244,6 +245,8 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 	for i := range jobs {
 		if jobs[i].row == nil {
 			work += jobs[i].set.len()
+		} else {
+			work += len(jobs[i].set.lag)
 		}
 	}
 	workers := b.plan.workersFor(work)
@@ -265,13 +268,12 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 		replies[i] = bobScopeReply{}
 		wk := &scr.workers[worker]
 		job := &jobs[i]
-		var sums, parity []uint64
+		wk.sums = resized(wk.sums, int(n+1))
+		wk.parity = resized(wk.parity, int(parityWords(n)))
+		sums, parity := wk.sums, wk.parity
 		if job.row != nil {
-			sums, parity = job.row.sums, job.row.parity
+			sums, parity = job.row.withLag(job.set.lag, job.seed, n, sums, parity)
 		} else {
-			wk.sums = resized(wk.sums, int(n+1))
-			wk.parity = resized(wk.parity, int(parityWords(n)))
-			sums, parity = wk.sums, wk.parity
 			clear(sums)
 			clear(parity)
 			job.set.fold(job.seed, n, sums, parity)
@@ -281,14 +283,21 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 		lo, hi := i*t, (i+1)*t
 		sketch := shape.Over(syn[lo:hi])
 		sketch.AddBitmap(parity)
-		// The one boundary between Bob's two reported times that falls
-		// inside the fan-out: the rest of the share is encoding.
-		decStart := time.Now()
-		positions, derr := sketch.DecodeInto(&wk.dec, scr.pos[lo:lo:hi])
-		wk.decDur += time.Since(decStart)
-		if derr != nil {
-			// BCH decoding failure (§3.2): report it; Alice will split.
-			return
+		// An empty codeword decodes to no positions (DecodeInto returns at
+		// once); most scopes of a small-d round are, so they skip the call
+		// and its clock reads.
+		positions := scr.pos[lo:lo:hi]
+		if !sketch.Empty() {
+			// The one boundary between Bob's two reported times that falls
+			// inside the fan-out: the rest of the share is encoding.
+			decStart := time.Now()
+			var derr error
+			positions, derr = sketch.DecodeInto(&wk.dec, positions)
+			wk.decDur += time.Since(decStart)
+			if derr != nil {
+				// BCH decoding failure (§3.2): report it; Alice will split.
+				return
+			}
 		}
 		xors := scr.xor[lo:lo:hi]
 		for _, p := range positions {

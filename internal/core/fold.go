@@ -78,7 +78,7 @@ func (e elemSet) split(sd seeds, sc scopeID) [splitWays]elemSet {
 // bit b&63 of word b>>6, parityWords(n) words) into the caller's buffers.
 // Both accumulators are involutions, so folding an element in and folding
 // it out are the same call — the one fold loop behind a fresh round, a
-// table row, and a row's update under writes.
+// table row, a group's lag on top of its row, and a row's rebase.
 func binFold(set []uint64, seed uint64, n uint64, sums, parity []uint64) {
 	for _, x := range set {
 		b := hashutil.Bin(x, seed, n)
@@ -99,42 +99,56 @@ func checksumOf(set []uint64, mask uint64) uint64 {
 	return c & mask
 }
 
-// foldRow is one group's round-one fold: its bin XOR sums and parities
-// under the group's round-1 bin seed. The group's checksum is not here but in
-// its partition slot, which every shape has, table or not. A published row is
-// immutable; Snapshot.Apply clones the rows a batch touches.
+// foldRow is the round-one fold of one group's base slice: its bin sums and
+// parities under the group's round-1 bin seed. The group's lag list is not
+// in it: a session reading the row folds the lag on top (see withLag), which
+// the fold's linearity makes byte-identical to folding the whole group. The
+// group's checksum is not here either but in its partition slot, which every
+// shape has, table or not. A published row is immutable; Snapshot.absorb
+// replaces the row of a group whose base it rewrites (see rebased).
 type foldRow struct {
 	sums   []uint64
 	parity []uint64
 }
 
-func (r foldRow) clone() foldRow {
-	return foldRow{sums: slices.Clone(r.sums), parity: slices.Clone(r.parity)}
+// withLag returns the round-one sums and parities of the group whose base r
+// folds and whose lag list is lag: r's own slices while the lag is empty,
+// else r copied into sums and parity (n+1 and parityWords(n) words, the
+// caller's scratch) with the lag folded on top.
+func (r *foldRow) withLag(lag []uint64, seed, n uint64, sums, parity []uint64) ([]uint64, []uint64) {
+	if len(lag) == 0 {
+		return r.sums, r.parity
+	}
+	copy(sums, r.sums)
+	copy(parity, r.parity)
+	binFold(lag, seed, n, sums, parity)
+	return sums, parity
 }
 
-// toggle folds a batch of writes to the row's group into r, which the
-// caller owns.
-func (r *foldRow) toggle(d delta, seed uint64, m uint) {
-	n := (uint64(1) << m) - 1
-	binFold(d.adds, seed, n, r.sums, r.parity)
-	binFold(d.removes, seed, n, r.sums, r.parity)
+// rebased returns a fresh copy of r with lag folded in: the row of the new
+// base when absorb rewrites the group's base as base △ lag.
+func (r *foldRow) rebased(lag []uint64, seed uint64, m uint) foldRow {
+	out := foldRow{sums: slices.Clone(r.sums), parity: slices.Clone(r.parity)}
+	binFold(lag, seed, (uint64(1)<<m)-1, out.sums, out.parity)
+	return out
 }
 
 // foldTable is the round-one table of one plan shape (groups, m): a
 // foldRow per group. Round 1 is the only round whose bin hash is known in
 // advance — its seed depends on the group and the round number alone — and
 // the fold is linear in the set, so a snapshot can keep it across sessions
-// and Apply can maintain it under writes (Snapshot.partitionFor says which
-// tables are kept, and which maintained). Alice's first BuildRound and
-// Bob's first HandleRound read their sums and parities straight from it;
-// later rounds and split scopes fold afresh.
+// and writes: a write joins its group's lag list and leaves the row alone
+// (Snapshot.partitionFor says which tables are kept). Alice's first
+// BuildRound and Bob's first HandleRound read their sums and parities from
+// it, with each group's lag folded on top; later rounds and split scopes
+// fold afresh.
 type foldTable struct {
 	m    uint
 	rows []foldRow
 }
 
-// buildFoldTable folds every group of a partition under its round-1 seed.
-// All rows share two backing arrays.
+// buildFoldTable folds the base of every group of a partition under its
+// round-1 seed. All rows share two backing arrays.
 func buildFoldTable(p partition, m uint, sd seeds, workers int) *foldTable {
 	n := (uint64(1) << m) - 1
 	pw := parityWords(n)
@@ -145,7 +159,7 @@ func buildFoldTable(p partition, m uint, sd seeds, workers int) *foldTable {
 		lo, hi := uint64(g)*(n+1), uint64(g+1)*(n+1)
 		plo, phi := uint64(g)*pw, uint64(g+1)*pw
 		row := foldRow{sums: sums[lo:hi:hi], parity: parity[plo:phi:phi]}
-		p.group(g).fold(sd.binSeed(newScopeID(g), 1), n, row.sums, row.parity)
+		binFold(p.groups[g].base, sd.binSeed(newScopeID(g), 1), n, row.sums, row.parity)
 		t.rows[g] = row
 	})
 	return t

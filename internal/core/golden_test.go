@@ -7,8 +7,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pbs/internal/workload"
@@ -35,8 +37,8 @@ func sha(b []byte) string {
 // goldenCase is one pinned session. planD is what the plan is sized for —
 // below d it forces BCH decoding failures, hence 3-way splits and rounds of
 // fold-path scopes; writes > 0 runs Alice over a snapshot that absorbed that
-// many writes through Apply after its round-one table was built, so the
-// maintained table rows are in the transcript too. tableOverB marks the
+// many writes through Apply after its round-one table was built, so table
+// rows read with lags on top are in the transcript too. tableOverB marks the
 // case whose round-one table is over |B| (G·2^m = 256k words on 95k), which
 // a responder's snapshot keeps only from its second session on.
 type goldenCase struct {
@@ -62,8 +64,8 @@ var goldenCases = []goldenCase{
 
 // runGolden drives one session and records its transcript. With warmBob,
 // Bob answers from a snapshot of B that has already served the case once,
-// so the shape is current and Bob reads a round-one table in every case —
-// on d=5000 one over |B|, which only an unwritten snapshot keeps.
+// so this is the shape's second read and Bob reads a round-one table in
+// every case — on d=5000 one over |B|, which a first read does not keep.
 func runGolden(t *testing.T, gc goldenCase, parallelism int, adaptive, warmBob bool) goldenTranscript {
 	t.Helper()
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: gc.sizeA, D: gc.d, Seed: gc.workloadSeed})
@@ -98,32 +100,113 @@ func runGolden(t *testing.T, gc goldenCase, parallelism int, adaptive, warmBob b
 	return driveGolden(t, gc, p, newGoldenAlice(t, gc, p, plan), bob, adaptive)
 }
 
+// runGoldenLagged drives one session with both endpoints over a snapshot
+// that holds a round-one table and a lag under it: each set S is cut and its
+// shape read twice as S ∪ X, for a few dozen elements X neither set holds,
+// and the session runs on the successor that removes X again. Every group
+// X reached reads its row with its lag folded on top, in every case — on
+// d=5000 from tables over |S|, which the second read keeps.
+func runGoldenLagged(t *testing.T, gc goldenCase, parallelism int, adaptive bool) goldenTranscript {
+	t.Helper()
+	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: gc.sizeA, D: gc.d, Seed: gc.workloadSeed})
+	plan := planFor(t, gc.planD, gc.planSeed)
+	plan.Parallelism = parallelism
+	x := goldenLag(p, gc.workloadSeed)
+	snapB, err := NewSnapshot(append(slices.Clone(p.B), x...), Config{SigBits: plan.SigBits, Seed: plan.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapB.partitionFor(plan)
+	snapB.partitionFor(plan)
+	snapB = snapB.Apply(nil, x)
+	assertLaggedTable(t, snapB.partitionFor(plan))
+	bob, err := NewBobFromSnapshot(snapB, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return driveGolden(t, gc, p, newLaggedAlice(t, gc, p, plan, x), bob, adaptive)
+}
+
+// goldenLag returns the X of runGoldenLagged: 48 elements of the 32-bit
+// universe that neither set of the pair holds, nor newGoldenAlice's
+// removals.
+func goldenLag(p *workload.Pair, seed int64) []uint64 {
+	held := make(map[uint64]bool, len(p.A)+len(p.B))
+	for _, x := range p.A {
+		held[x] = true
+	}
+	for _, x := range p.B {
+		held[x] = true
+	}
+	rng := rand.New(rand.NewPCG(uint64(seed), 40))
+	var x []uint64
+	for len(x) < 48 {
+		if e := uint64(rng.Uint32()); e > 7 && !held[e] {
+			held[e] = true
+			x = append(x, e)
+		}
+	}
+	return x
+}
+
+// assertLaggedTable requires p to hold a round-one table and at least one
+// group with a lag under it.
+func assertLaggedTable(t *testing.T, p partition) {
+	t.Helper()
+	if p.table == nil {
+		t.Fatal("the lagged snapshot holds no round-one table")
+	}
+	for _, slot := range p.groups {
+		if len(slot.lag) > 0 {
+			return
+		}
+	}
+	t.Fatal("no group of the lagged snapshot has a lag")
+}
+
 // newGoldenAlice builds the case's Alice, over a snapshot of her own.
 func newGoldenAlice(t *testing.T, gc goldenCase, p *workload.Pair, plan Plan) *Alice {
+	t.Helper()
+	alice := newLaggedAlice(t, gc, p, plan, nil)
+	if gc.tablePathRound != (alice.table != nil) {
+		t.Fatalf("round-one table in use = %v, the case wants %v", alice.table != nil, gc.tablePathRound)
+	}
+	return alice
+}
+
+// newLaggedAlice builds the case's Alice over a snapshot cut from her set
+// plus x and then written to remove x (see runGoldenLagged); with x empty,
+// that is newGoldenAlice's.
+func newLaggedAlice(t *testing.T, gc goldenCase, p *workload.Pair, plan Plan, x []uint64) *Alice {
 	t.Helper()
 	a := p.A
 	var remove []uint64
 	if gc.writes > 0 {
 		// Start Alice's snapshot without the last writes elements of A plus
 		// some elements A lacks, build the shape, then write the difference
-		// back: the session runs on A, over table rows Apply maintained.
+		// back: the session runs on A, over table rows and lag lists Apply
+		// left.
 		remove = []uint64{1, 2, 3, 4, 5, 6, 7}
 		a = append(append([]uint64(nil), p.A[:len(p.A)-gc.writes]...), remove...)
 	}
+	a = append(slices.Clone(a), x...)
 	snap, err := NewSnapshot(a, Config{SigBits: plan.SigBits, Seed: plan.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gc.writes > 0 {
+	if gc.writes > 0 || len(x) > 0 {
 		snap.partitionFor(plan)
-		snap = snap.Apply(p.A[len(p.A)-gc.writes:], remove)
+		if len(x) > 0 {
+			snap.partitionFor(plan) // a second read keeps a table past |S|
+		}
+		snap = snap.Apply(p.A[len(p.A)-gc.writes:], append(remove, x...))
+	}
+	if len(x) > 0 {
+		assertLaggedTable(t, snap.partitionFor(plan))
 	}
 	alice, err := NewAliceFromSnapshot(snap, plan)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if gc.tablePathRound != (alice.table != nil) {
-		t.Fatalf("round-one table in use = %v, the case wants %v", alice.table != nil, gc.tablePathRound)
 	}
 	return alice
 }
@@ -181,16 +264,20 @@ func driveGolden(t *testing.T, gc goldenCase, p *workload.Pair, alice *Alice, bo
 // only ever right in a change that means to alter the wire. Its second leg
 // replays every session against a warm responder — Bob's snapshot has
 // served the case once — and holds it to the same rows: a round-one table
-// kept for an unwritten set must not move a byte.
+// kept for an unwritten set must not move a byte. Its third runs both
+// endpoints over tables with lags under them (see runGoldenLagged): a row
+// of a group's base with the lag folded on top must not move a byte either.
 func TestRoundGolden(t *testing.T) {
 	got := make(map[string]goldenTranscript)
 	warm := make(map[string]goldenTranscript)
+	lagged := make(map[string]goldenTranscript)
 	for _, gc := range goldenCases {
 		for _, parallelism := range []int{1, 4} {
 			for _, adaptive := range []bool{false, true} {
 				name := fmt.Sprintf("%s/par=%d/adaptive=%v", gc.name, parallelism, adaptive)
 				got[name] = runGolden(t, gc, parallelism, adaptive, false)
 				warm[name] = runGolden(t, gc, parallelism, adaptive, true)
+				lagged[name] = runGoldenLagged(t, gc, parallelism, adaptive)
 			}
 		}
 	}
@@ -219,7 +306,7 @@ func TestRoundGolden(t *testing.T) {
 	for _, leg := range []struct {
 		name string
 		got  map[string]goldenTranscript
-	}{{"cold responder", got}, {"warm responder", warm}} {
+	}{{"cold responder", got}, {"warm responder", warm}, {"lagged tables", lagged}} {
 		for name, g := range leg.got {
 			w, ok := want[name]
 			if !ok {

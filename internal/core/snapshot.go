@@ -12,21 +12,19 @@ import (
 // O(|S|) validation (zero/range/duplicate checks) a single time, and the
 // per-plan group partition — plus the round-one fold table (see foldTable)
 // for a shape that fits the set's size or that a session reads a second
-// time with no write in between (see partitionFor) — is computed once per
-// distinct shape and then shared read-only.
+// time (see partitionFor) — is computed once per distinct shape and then
+// shared read-only.
 //
 // A Snapshot is also persistent: Apply returns the successor after a batch
 // of writes in time proportional to the batch. The successor inherits every
 // cached shape together with the writes it has yet to absorb, and brings a
 // shape up to date the first time a session asks for it. A written element
 // joins its group's short lag list, which the endpoints read alongside the
-// group slice (see elemSet), its group's checksum takes one ± per write,
-// and only the table rows the writes hash into are cloned and toggled (a
-// table that does not fit the set is dropped instead: it was kept only
-// because the set went unwritten); a group slice is rewritten only once its
-// lag list has grown to a fixed share of it. A long-lived mutable set
-// therefore pays for its writes, not for its size, each time it is
-// reconciled.
+// group slice (see elemSet) and fold on top of its table row, and its
+// group's checksum takes one ± per write; a group slice is rewritten, and
+// its table row with it, only once its lag list has grown to a fixed share
+// of it. A long-lived mutable set therefore pays for its writes, not for
+// its size, each time it is reconciled.
 //
 // The elements themselves are a sorted base slice, shared by a snapshot and
 // its successors until enough writes accumulate to re-base, plus the log of
@@ -61,14 +59,16 @@ type Snapshot struct {
 // shape is what the snapshot keeps per plan shape: the partition for a
 // group count and, when partitionFor keeps one, the round-one table for one
 // bitmap degree on top of it. A shape inherited through Apply may be
-// behind: the net writes in behind have reached neither groups nor table.
+// behind: the net writes in behind have yet to reach its groups (and,
+// where they rewrite a base, its table).
 type shape struct {
 	partition
 	behind delta // net writes still to absorb
 }
 
 // partition is a shape as the endpoints see it: one slot per group and, when
-// kept, the round-one table. Both are current, shared and read-only.
+// kept, the round-one table, whose rows fold the slots' base slices. Both
+// are current, shared and read-only.
 type partition struct {
 	groups []groupSlot
 	table  *foldTable
@@ -299,12 +299,11 @@ func (s *Snapshot) cacheableGroups(groups int) bool {
 // plus a word a group.
 func tableWords(groups int, m uint) uint64 { return uint64(groups) << m }
 
-// tableFits is the rule for a table kept under writes: its bin sums must
-// not exceed the set itself. Such a table is built on a shape's first read
-// and maintained by Apply, which clones the rows a batch touches, so what a
-// written set keeps stays bounded by its size. Small sets and large-d plans
-// (many groups, each a bitmap wide) fail it; they get a table only while
-// the set goes unwritten (see partitionFor).
+// tableFits reports whether a shape's table is worth building on its first
+// read: its bin sums do not exceed the set itself, so a table built for a
+// shape no session asks for again costs no more than the cut. Small sets
+// and large-d plans (many groups, each a bitmap wide) fail it and wait for
+// a second read (see partitionFor).
 func (s *Snapshot) tableFits(groups int, m uint) bool {
 	return tableWords(groups, m) <= uint64(s.n)
 }
@@ -323,22 +322,18 @@ func (s *Snapshot) tableRoom(groups int) uint64 {
 }
 
 // partitionFor returns the partition for plan.Groups, with the round-one
-// table for (plan.Groups, plan.M) when one of two rules keeps it; a nil
-// table sends the endpoint down the fold path.
+// table for (plan.Groups, plan.M) when the one rule keeps it; a nil table
+// sends the endpoint down the fold path. A shape gets its table on its
+// first read if it is within tableFits, and on its second otherwise — a
+// shape inherited through Apply has been read — and keeps it across
+// writes: a table row folds its group's base alone, so a write costs the
+// table nothing until absorb rewrites that base.
 //
-//   - A shape within tableFits gets its table on its first read, and Apply
-//     maintains it under writes.
-//   - A shape that is cached and current on entry gets its table whatever
-//     its size: this is its second read with no write in between, the mark
-//     of a set that is served more than it is written. Apply drops such a
-//     table, so no row of it is ever cloned, and a set written before every
-//     session never builds one.
-//
-// Either way the tables of the cached shapes total at most
-// maxCachedShapes·|S| words: a table is built only if tableRoom has room
-// for it, and retained only if the room is still there when the shape is
-// stored. One that lost its room to a concurrent session serves the session
-// that built it and is not retained.
+// The tables of the cached shapes total at most maxCachedShapes·|S| words:
+// a table is built only if tableRoom has room for it, retained only if the
+// room is still there when the shape is stored, and inherited only within
+// the successor's ceiling (see Apply). One that lost its room to a
+// concurrent session serves the session that built it and is not retained.
 //
 // Up to maxCachedShapes shapes are cached, each with the table of one
 // bitmap degree (a request for another degree replaces it). An inherited
@@ -351,15 +346,14 @@ func (s *Snapshot) partitionFor(plan Plan) partition {
 	groups, m := plan.Groups, plan.M
 	s.mu.Lock()
 	sh, cached := s.shapes[groups]
-	current := cached && sh.behind.len() == 0
 	room := s.tableRoom(groups)
 	s.mu.Unlock()
-	wantTable := (current || s.tableFits(groups, m)) && tableWords(groups, m) <= room
+	wantTable := (cached || s.tableFits(groups, m)) && tableWords(groups, m) <= room
 	if sh.table != nil && (sh.table.m != m || !wantTable) {
 		sh.table = nil
 	}
 	buildTable := wantTable && sh.table == nil
-	if current && !buildTable {
+	if cached && sh.behind.len() == 0 && !buildTable {
 		return sh.partition
 	}
 
@@ -419,12 +413,13 @@ func (s *Snapshot) cut(groups int) []groupSlot {
 }
 
 // absorb brings an inherited shape up to date, copy-on-write: each write
-// it is behind by is flipped in its group's lag list, added to or taken from
-// its group's checksum, and toggled into its group's table row — fresh
-// copies of the slot array and of just those lists and rows — and a group
-// whose lag list has outgrown its share is rewritten with the list folded
-// in. Every slice, list and row the writes miss stays shared with the
-// predecessor the shape came from.
+// it is behind by is flipped in its group's lag list and added to or taken
+// from its group's checksum — fresh copies of the slot array and of just
+// those lists — and a group whose lag list has outgrown its share is
+// rewritten with the list folded in, its table row with it (the row array
+// is copied once, on the first such rewrite). Every slice, list and row
+// the writes do not rewrite stays shared with the predecessor the shape
+// came from.
 func (s *Snapshot) absorb(sh shape) shape {
 	groups := len(sh.groups)
 	touched := make(map[int]*delta)
@@ -446,25 +441,24 @@ func (s *Snapshot) absorb(sh shape) shape {
 		d := at(x)
 		d.removes = append(d.removes, x)
 	}
-	out := shape{partition: partition{groups: slices.Clone(sh.groups)}}
-	if sh.table != nil {
-		out.table = &foldTable{m: sh.table.m, rows: slices.Clone(sh.table.rows)}
-	}
+	out := shape{partition: partition{groups: slices.Clone(sh.groups), table: sh.table}}
 	mask := sigMask(s.sigBits)
 	for g, d := range touched {
 		slot := &out.groups[g]
 		// An element written before and written back leaves the lag list.
 		lag := symDiffSorted(slot.lag, symDiffSorted(d.adds, d.removes))
 		if len(lag) > len(slot.base)/lagFraction+lagFraction {
-			slot.base, lag = symDiffSorted(slot.base, lag), nil
+			slot.base = symDiffSorted(slot.base, lag)
+			if out.table != nil {
+				if out.table == sh.table {
+					out.table = &foldTable{m: sh.table.m, rows: slices.Clone(sh.table.rows)}
+				}
+				out.table.rows[g] = out.table.rows[g].rebased(lag, s.sd.binSeed(newScopeID(g), 1), out.table.m)
+			}
+			lag = nil
 		}
 		slot.lag = lag
 		slot.check = (slot.check + checksumOf(d.adds, mask) - checksumOf(d.removes, mask)) & mask
-		if out.table != nil {
-			row := sh.table.rows[g].clone()
-			row.toggle(*d, s.sd.binSeed(newScopeID(g), 1), out.table.m)
-			out.table.rows[g] = row
-		}
 	}
 	return out
 }
@@ -493,8 +487,11 @@ func symDiffSorted(a, b []uint64) []uint64 {
 //
 // Apply costs O(batch + writes the cached shapes have yet to absorb), not
 // O(|S|): the successor shares the base slice, conses the batch onto the
-// log, and inherits every cached shape with the batch added to what it is
-// behind by (see partitionFor).
+// log, and inherits every cached shape, its round-one table included, with
+// the batch added to what it is behind by (see partitionFor). A shape is
+// inherited while it is behind by at most |S|/lagFraction writes, and its
+// table while the tables inherited so far fit the successor's ceiling of
+// maxCachedShapes·|S| words.
 func (s *Snapshot) Apply(add, remove []uint64) *Snapshot {
 	if s.log == nil {
 		s.flatten() // a successor shares base: make sure it is sorted
@@ -521,12 +518,14 @@ func (s *Snapshot) Apply(add, remove []uint64) *Snapshot {
 	defer s.mu.Unlock()
 	for groups, sh := range s.shapes {
 		sh.behind = sh.behind.then(batch)
-		if sh.table != nil && sh.behind.len() > 0 && !ns.tableFits(groups, sh.table.m) {
-			sh.table = nil // kept while the set went unwritten, never maintained
+		if sh.behind.len() > ns.n/lagFraction || !ns.cacheableGroups(groups) {
+			continue
 		}
-		if sh.behind.len() <= ns.n/lagFraction && ns.cacheableGroups(groups) {
-			ns.shapes[groups] = sh
+		// ns is not shared yet, so tableRoom needs no lock.
+		if sh.table != nil && tableWords(len(sh.table.rows), sh.table.m) > ns.tableRoom(groups) {
+			sh.table = nil
 		}
+		ns.shapes[groups] = sh
 	}
 	return ns
 }

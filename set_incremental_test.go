@@ -272,9 +272,13 @@ func TestSetViewsStableUnderWrites(t *testing.T) {
 // TestWarmSyncAllocationBudget is ROADMAP 2(a)'s budget as an assertion,
 // over a pipe, both endpoints together.
 func TestWarmSyncAllocationBudget(t *testing.T) {
-	// |A| = 100k, d = 100, 50 writes a sync: at most 1 MB (the benchmark
-	// read 6.4 MB per sync on this shape before the view became
-	// incremental).
+	// |A| = 100k, d = 100, 50 writes a sync (the benchmark read 6.4 MB per
+	// sync on this shape before the view became incremental). The budget
+	// is the median measured once a write stopped costing the initiator's
+	// round-one table a row copy, 28,584 B, plus 8 KB; with the copies the
+	// median read 44,144 B (five runs each, go1.24, linux/amd64). Under
+	// the race detector sync.Pool drops a quarter of what it is handed and
+	// the median reads 70–100 KB, so there the budget stays at 1 MB.
 	t.Run("100k", func(t *testing.T) {
 		if testing.Short() {
 			t.Skip("builds two 100k-element sets")
@@ -287,17 +291,22 @@ func TestWarmSyncAllocationBudget(t *testing.T) {
 			churn(i)
 			return len(p.Diff) + 25
 		})
-		if median := costs[len(costs)/2]; median > 1<<20 {
-			t.Fatalf("a warm sync after 50 writes allocated %d KB (median of %v), budget 1024 KB", median>>10, costs)
+		budget := uint64(28584 + 8<<10)
+		if raceDetector {
+			budget = 1 << 20
+		}
+		if median := costs[len(costs)/2]; median > budget {
+			t.Fatalf("a warm sync after 50 writes allocated %d B (median of %v), budget %d B", median, costs, budget)
 		}
 	})
 	// warm_small's shape: |A| = 2k, d = 20, 5 writes a sync. The responder's
 	// set is never written, so from its second session on it reads a
 	// round-one table (G = 35, m = 6: 2,240 words, over |B|) it keeps; the
-	// written initiator must still fold round 1, not build such a table
-	// every sync (~18 KB). The budget is the median measured before the
-	// responder kept that table, 14,560 B, plus 8 KB; with it kept the
-	// median reads 14,560 B too (seven runs each, go1.24, linux/amd64). It
+	// written initiator keeps one too from its second sync on, carried
+	// across its writes, and must not build it again every sync (~18 KB).
+	// The budget is the median measured before the responder kept that
+	// table, 14,560 B, plus 8 KB; with both tables kept the best of five
+	// reads 14,440–14,496 B (go1.24, linux/amd64). It
 	// is held to the best of the five syncs, whose writes differ only in
 	// direction: under the race detector sync.Pool drops a quarter of what
 	// it is handed, and the median there reads up to 23 KB.
