@@ -49,29 +49,55 @@ func cloneRows(tab *foldTable) []foldRow {
 	return rows
 }
 
-// assertSamePartition requires got (from a snapshot grown by Apply) to
-// describe exactly what want (from a snapshot built afresh) does: the same
-// group contents and checksums and, row for row, the same round-one table
-// once each group's lag is folded on top of its row.
-func assertSamePartition(t *testing.T, plan Plan, got, want partition) {
+// uncut reports whether p's table was folded and its groups are still
+// uncut (see lazyCut). It reads the lazy cut unsynchronized: not for use
+// while a session may be cutting it.
+func (p partition) uncut() bool {
+	return p.table != nil && p.table.uncut != nil && p.table.uncut.bases == nil
+}
+
+// uncutShapes counts the shapes cached on s that are folded and still
+// uncut.
+func (s *Snapshot) uncutShapes() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, sh := range s.shapes {
+		if sh.uncut() {
+			n++
+		}
+	}
+	return n
+}
+
+// assertSamePartition requires got (from a snapshot grown by Apply, or
+// folded and cut lazily) to describe exactly what a cut of fresh, a
+// snapshot built afresh from the same elements, does: the same group
+// checksums and, row for row, the same round-one table once each group's
+// lag is folded on top of its row, kept on the same terms as fresh's first
+// read keeps it. With groups it compares the group contents too, which cuts
+// a folded shape. The reference is the eager cut and a table folded from
+// it, never a folded shape, so a fault of the lazy path shows.
+func assertSamePartition(t *testing.T, plan Plan, got partition, fresh *Snapshot, groups bool) {
 	t.Helper()
+	want := partition{groups: fresh.cut(plan.Groups)}
 	for g := range want.groups {
-		if !slices.Equal(got.merged(g), want.merged(g)) {
-			t.Fatalf("G=%d: group %d holds %d elements, a fresh build %d", plan.Groups, g, len(got.merged(g)), len(want.merged(g)))
+		if groups && !slices.Equal(got.merged(g), want.merged(g)) {
+			t.Fatalf("G=%d: group %d holds %d elements, a fresh cut %d", plan.Groups, g, len(got.merged(g)), len(want.merged(g)))
 		}
 		if got.groups[g].check != want.groups[g].check {
-			t.Fatalf("G=%d: group %d checksum %#x, a fresh build %#x", plan.Groups, g, got.groups[g].check, want.groups[g].check)
+			t.Fatalf("G=%d: group %d checksum %#x, a fresh cut %#x", plan.Groups, g, got.groups[g].check, want.groups[g].check)
 		}
 	}
-	if (got.table == nil) != (want.table == nil) {
-		t.Fatalf("G=%d m=%d: table kept=%v, a fresh build keeps=%v", plan.Groups, plan.M, got.table != nil, want.table != nil)
+	kept := fresh.partitionFor(plan).table != nil
+	if (got.table != nil) != kept {
+		t.Fatalf("G=%d m=%d: table kept=%v, a fresh build keeps=%v", plan.Groups, plan.M, got.table != nil, kept)
 	}
-	if want.table == nil {
+	if got.table == nil {
 		return
 	}
-	sd := deriveSeeds(plan.Seed)
-	for g, w := range want.table.rows {
-		if !sameRow(got.laggedRow(sd, g), w) {
+	for g, w := range buildFoldTable(want, plan.M, fresh.sd, 1).rows {
+		if !sameRow(got.laggedRow(fresh.sd, g), w) {
 			t.Fatalf("G=%d m=%d: table row %d with its lag on top differs from a fresh fold", plan.Groups, plan.M, g)
 		}
 	}
@@ -82,7 +108,10 @@ func assertSamePartition(t *testing.T, plan Plan, got, want partition) {
 // what a snapshot built afresh from the same elements holds. The batches
 // include re-adding what an earlier batch removed (and the reverse), draining
 // groups empty, and bursts large enough to re-base the element slice, rewrite
-// group slices and drop shapes that fell too far behind.
+// group slices and drop shapes that fell too far behind. The shapes whose
+// tables fit are folded on their first read and their groups left uncut;
+// a check reads only checksums and rows half the time, so many such shapes
+// meet their first write, through Apply and absorb, still uncut.
 func TestApplyMatchesFreshBuild(t *testing.T) {
 	const seed = 0xA991
 	rng := rand.New(rand.NewPCG(1, 2))
@@ -109,6 +138,7 @@ func TestApplyMatchesFreshBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	inheritedUncut := 0 // shapes a write reached while their groups were uncut
 	for step := 0; step < 120; step++ {
 		// Most generations serve a few of the shapes, so every shape spends
 		// some generations behind before it is asked for again.
@@ -150,6 +180,7 @@ func TestApplyMatchesFreshBuild(t *testing.T) {
 			present[x] = true
 		}
 		gone = append(gone, remove...)
+		inheritedUncut += snap.uncutShapes()
 		snap = snap.Apply(add, remove)
 
 		truth := make([]uint64, 0, len(present))
@@ -169,7 +200,7 @@ func TestApplyMatchesFreshBuild(t *testing.T) {
 			if rng.IntN(2) == 0 && step != 119 {
 				continue
 			}
-			assertSamePartition(t, plan, snap.partitionFor(plan), want.partitionFor(plan))
+			assertSamePartition(t, plan, snap.partitionFor(plan), want, rng.IntN(2) == 0 || step == 119)
 		}
 		if step%10 == 9 {
 			if !slices.Equal(snap.Elements(), want.Elements()) {
@@ -186,6 +217,9 @@ func TestApplyMatchesFreshBuild(t *testing.T) {
 				}
 			}
 		}
+	}
+	if inheritedUncut == 0 {
+		t.Fatal("no write reached a shape with uncut groups: the test exercises nothing")
 	}
 }
 
@@ -299,13 +333,24 @@ func assertFreshTable(t *testing.T, snap *Snapshot, plan Plan, got partition) {
 	}
 }
 
+// eagerBob returns a Bob over snap's elements cut eagerly, with the
+// round-one table folded from the cut: the reference a folded shape's
+// replies must match.
+func eagerBob(snap *Snapshot, plan Plan) *Bob {
+	part := partition{groups: snap.cut(plan.Groups)}
+	part.table = buildFoldTable(part, plan.M, snap.sd, 1)
+	return &Bob{plan: plan, sd: snap.sd, sigMask: sigMask(plan.SigBits), part: part, scopeSets: make(map[scopeID]elemSet)}
+}
+
 // TestRoundOneTableBudget holds partitionFor to its table rule and its
 // ceiling: a shape over |S| gets its table on the second read, a shape
 // within tableFits on its first; either way a successor inherits the table
 // and shares every row no base rewrite touched, the rows with their lags on
 // top reading as a fresh fold; and however many forged shapes are read
 // twice, concurrently, or however far a write shrinks the set, the tables a
-// snapshot retains total at most maxCachedShapes·|S| words.
+// snapshot retains total at most maxCachedShapes·|S| words. A shape folded
+// on its first read stays uncut under round-one sessions and reads as an
+// eager cut once a write or concurrent round twos cut it.
 func TestRoundOneTableBudget(t *testing.T) {
 	rng := rand.New(rand.NewPCG(36, 1))
 	seen := map[uint64]bool{0: true}
@@ -429,6 +474,133 @@ func TestRoundOneTableBudget(t *testing.T) {
 		if overKept.Load() == 0 {
 			t.Fatal("no forged shape over |S| ever got a table: the test exercises nothing")
 		}
+	})
+
+	// A shape within tableFits is folded on its first read, its groups left
+	// uncut. Its round one reads only rows, lags and checksums; a write, a
+	// round two or a split cuts the groups, once.
+	t.Run("folded/round-one-only", func(t *testing.T) {
+		snap := newSnap()
+		peer := append(slices.Clone(elems[4:]), draw(), draw(), draw())
+		alice, err := NewAlice(peer, fitting)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := alice.BuildRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := eagerBob(newSnap(), fitting).HandleRound(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			bob, err := NewBobFromSnapshot(snap, fitting)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reply, err := bob.HandleRound(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(reply, want) {
+				t.Fatalf("session %d: the folded shape's round-one reply differs from a cut one's", i)
+			}
+		}
+		got := snap.partitionFor(fitting)
+		if !got.uncut() {
+			t.Fatal("round-one sessions cut the groups of a folded shape")
+		}
+		assertSamePartition(t, fitting, got, newSnap(), false)
+		if !got.uncut() {
+			t.Fatal("reading checksums and rows cut the groups")
+		}
+		assertSamePartition(t, fitting, got, newSnap(), true)
+	})
+
+	t.Run("folded/apply-first", func(t *testing.T) {
+		snap := newSnap()
+		held := snap.partitionFor(fitting)
+		if !held.uncut() {
+			t.Fatal("the first read did not fold the shape")
+		}
+		rows := cloneRows(held.table)
+		// Enough writes in group 0 to rewrite its base (share: 2,000/7/8 + 8,
+		// about 43), and a few elsewhere that only join lag lists.
+		const g0 = 0
+		var add []uint64
+		for len(add) < 2000/fitting.Groups/lagFraction+lagFraction+4 {
+			if x := draw(); snap.sd.groupOf(x, fitting.Groups) == g0 {
+				add = append(add, x)
+			}
+		}
+		add = append(add, draw(), draw())
+		remove := elems[100:103]
+		next := snap.Apply(add, remove)
+		truth := slices.DeleteFunc(append(slices.Clone(elems), add...), func(x uint64) bool { return slices.Contains(remove, x) })
+		fresh, err := NewSnapshot(truth, Config{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := next.partitionFor(fitting)
+		if got.groups[g0].lag != nil {
+			t.Fatalf("group %d kept a lag of %d past its share: no rewrite", g0, len(got.groups[g0].lag))
+		}
+		assertSamePartition(t, fitting, got, fresh, true)
+		for g, r := range got.table.rows {
+			if shared := &r.sums[0] == &held.table.rows[g].sums[0]; shared == (g == g0) {
+				t.Fatalf("row %d shared=%v with the predecessor's table", g, shared)
+			}
+		}
+		// The cut the write forced is published beside the predecessor's
+		// slot array, never into it, and its rows read as before.
+		for g := range held.groups {
+			if held.groups[g].base != nil || !sameRow(held.table.rows[g], rows[g]) {
+				t.Fatalf("group %d of the predecessor's folded shape was written", g)
+			}
+		}
+		assertSamePartition(t, fitting, snap.partitionFor(fitting), newSnap(), true)
+	})
+
+	t.Run("folded/concurrent-round-two", func(t *testing.T) {
+		snap := newSnap()
+		if !snap.partitionFor(fitting).uncut() {
+			t.Fatal("the first read did not fold the shape")
+		}
+		// 60 differences over 7 groups at t = 5: every group fails to decode
+		// in round one, so every session splits Bob's groups in round two.
+		var extra []uint64
+		for len(extra) < 60 {
+			extra = append(extra, draw())
+		}
+		peer := append(slices.Clone(elems), extra...)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				alice, err := NewAlice(peer, fitting)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				bob, err := NewBobFromSnapshot(snap, fitting)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res, err := Drive(alice, bob, 0)
+				if err != nil || !res.Complete || res.Stats.Rounds < 2 || !slices.Equal(sortedU64(res.Difference), sortedU64(extra)) {
+					t.Errorf("session over the folded shape: err=%v complete=%v", err, res != nil && res.Complete)
+				}
+			}()
+		}
+		wg.Wait()
+		got := snap.partitionFor(fitting)
+		if got.uncut() {
+			t.Fatal("round two left the groups uncut")
+		}
+		assertSamePartition(t, fitting, got, newSnap(), true)
 	})
 
 	t.Run("fitting/maintained", func(t *testing.T) {

@@ -228,15 +228,20 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 		if err := sketch.ReadInto(r); err != nil {
 			return nil, fmt.Errorf("core: bad sketch: %w", err)
 		}
-		// scopeSet mutates the split cache, so it must stay in this
-		// sequential pass; the parallel phase then only reads the slices.
-		job := bobScopeJob{id: id, set: b.scopeSet(id), seed: b.sd.binSeed(id, int(round))}
+		job := bobScopeJob{id: id, seed: b.sd.binSeed(id, int(round))}
 		// A whole group in round 1 at the table's bitmap size is what the
 		// round-one table holds, once the group's lag is folded on top of
 		// its row; the header checks above make the last condition
-		// redundant for an honest peer.
+		// redundant for an honest peer. Such a job reads the row, the lag
+		// and the slot's checksum, never the group's base, which a folded
+		// shape has not cut. Every other job reads its scope's set:
+		// scopeSet mutates the split cache, so it must stay in this
+		// sequential pass; the parallel phase then only reads the slices.
 		if tab := b.part.table; round == 1 && id.path == "" && tab != nil && tab.m == m {
 			job.row = &tab.rows[id.group]
+			job.set.lag = b.part.groups[id.group].lag
+		} else {
+			job.set = b.scopeSet(id)
 		}
 		jobs = append(jobs, job)
 	}

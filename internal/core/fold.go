@@ -145,22 +145,37 @@ func (r *foldRow) rebased(lag []uint64, seed uint64, m uint) foldRow {
 type foldTable struct {
 	m    uint
 	rows []foldRow
+	// uncut, when not nil, cuts the groups of the shape the table was folded
+	// for, which its slot array does not hold (see Snapshot.fold).
+	uncut *lazyCut
 }
 
-// buildFoldTable folds the base of every group of a partition under its
-// round-1 seed. All rows share two backing arrays.
+// buildFoldTable folds the base of every group of a cut partition under
+// its round-1 seed, fanning the groups out over workers. All rows share two
+// backing arrays. It builds a table on a shape's second read, or on a first
+// read whose fold fans out; a shape's first read otherwise folds the table
+// without cutting the groups (see Snapshot.fold).
 func buildFoldTable(p partition, m uint, sd seeds, workers int) *foldTable {
+	t := newFoldTable(len(p.groups), m)
+	n := (uint64(1) << m) - 1
+	forEachScope(workers, len(p.groups), func(_, g int) {
+		binFold(p.groups[g].base, sd.binSeed(newScopeID(g), 1), n, t.rows[g].sums, t.rows[g].parity)
+	})
+	return t
+}
+
+// newFoldTable returns a table of groups zero rows at degree m, all of them
+// stretches of two backing arrays.
+func newFoldTable(groups int, m uint) *foldTable {
 	n := (uint64(1) << m) - 1
 	pw := parityWords(n)
-	sums := make([]uint64, uint64(len(p.groups))*(n+1))
-	parity := make([]uint64, uint64(len(p.groups))*pw)
-	t := &foldTable{m: m, rows: make([]foldRow, len(p.groups))}
-	forEachScope(workers, len(p.groups), func(_, g int) {
+	sums := make([]uint64, uint64(groups)*(n+1))
+	parity := make([]uint64, uint64(groups)*pw)
+	t := &foldTable{m: m, rows: make([]foldRow, groups)}
+	for g := range t.rows {
 		lo, hi := uint64(g)*(n+1), uint64(g+1)*(n+1)
 		plo, phi := uint64(g)*pw, uint64(g+1)*pw
-		row := foldRow{sums: sums[lo:hi:hi], parity: parity[plo:phi:phi]}
-		binFold(p.groups[g].base, sd.binSeed(newScopeID(g), 1), n, row.sums, row.parity)
-		t.rows[g] = row
-	})
+		t.rows[g] = foldRow{sums: sums[lo:hi:hi], parity: parity[plo:phi:phi]}
+	}
 	return t
 }

@@ -222,3 +222,27 @@ func benchSession(b *testing.B, size, d, planD, writes int, workloadSeed int64, 
 		}
 	}
 }
+
+// BenchmarkColdPartition is the partition a cold hosted sync pays for once
+// it has paged its set in: a fresh snapshot of 20k sorted elements and the
+// shape of the cold_hosted workload (G = 35, m = 6), whose table is built on
+// its first read. Each iteration wraps a copy of the elements, so the sort
+// check and the partition are all it times.
+func BenchmarkColdPartition(b *testing.B) {
+	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 20000, D: 1, Seed: 51})
+	elems := sortedU64(p.A)
+	plan := Plan{M: 6, T: 5, Groups: 35, MaxRounds: DefaultMaxRounds, SigBits: 32, Seed: 0xC01D}
+	cfg := Config{SigBits: plan.SigBits, Seed: plan.Seed}
+	buf := make([]uint64, len(elems))
+	b.ReportAllocs()
+	for b.Loop() {
+		copy(buf, elems)
+		snap, err := NewValidatedSnapshot(buf, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if snap.partitionFor(plan).table == nil {
+			b.Fatal("the cold shape kept no round-one table")
+		}
+	}
+}

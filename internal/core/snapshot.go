@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+
+	"pbs/internal/hashutil"
 )
 
 // Snapshot is an immutable, pre-validated view of one party's set, built
@@ -13,7 +15,10 @@ import (
 // per-plan group partition — plus the round-one fold table (see foldTable)
 // for a shape that fits the set's size or that a session reads a second
 // time (see partitionFor) — is computed once per distinct shape and then
-// shared read-only.
+// shared read-only. A table built on a shape's first read is folded in one
+// pass over the sorted elements, and the group slices are cut only when a
+// session or a write first needs them (see lazyCut): a session that ends
+// after round one reads rows, lags and checksums alone.
 //
 // A Snapshot is also persistent: Apply returns the successor after a batch
 // of writes in time proportional to the batch. The successor inherits every
@@ -67,27 +72,88 @@ type shape struct {
 }
 
 // partition is a shape as the endpoints see it: one slot per group and, when
-// kept, the round-one table, whose rows fold the slots' base slices. Both
-// are current, shared and read-only.
+// kept, the round-one table, whose rows fold the groups' base slices. Both
+// are current, shared and read-only. A shape whose table was folded from
+// the elements holds its base slices in the table's lazyCut, not in its
+// slots, until absorb copies them in: read a group through group, which
+// cuts them on first need.
 type partition struct {
 	groups []groupSlot
 	table  *foldTable
 }
 
 // groupSlot is one group of a shape. The group is base △ lag: the sorted
-// slice cut when the shape was built, and the sorted list of elements
+// slice cut when the shape was built (nil in a folded shape's slots, whose
+// slices the table's lazyCut holds), and the sorted list of elements
 // written since (nil while there are none). check is its plain-sum checksum
-// (§2.2.3), the one place a whole group's checksum is kept: cut sums it,
-// absorb moves it by one ± per write, and both endpoints read it at the start
-// of a session instead of passing over the group.
+// (§2.2.3), the one place a whole group's checksum is kept: cut or fold sums
+// it, absorb moves it by one ± per write, and both endpoints read it at the
+// start of a session instead of passing over the group.
 type groupSlot struct {
 	base, lag []uint64
 	check     uint64
 }
 
-// group returns group g as an element set.
+// group returns group g as an element set, cutting a folded shape's groups
+// first if no session has yet (see lazyCut).
 func (p partition) group(g int) elemSet {
-	return elemSet{base: p.groups[g].base, lag: p.groups[g].lag}
+	slot := &p.groups[g]
+	if p.table != nil && p.table.uncut != nil {
+		return elemSet{base: p.table.uncut.cut()[g], lag: slot.lag}
+	}
+	return elemSet{base: slot.base, lag: slot.lag}
+}
+
+// withGroups returns p with every group slice in its own slot array: p
+// itself unless its table was folded with the groups left uncut, else a
+// copy of the slots filled from the lazy cut, under a copy of the table
+// header that shares the rows and points at no lazy cut.
+func (p partition) withGroups() partition {
+	if p.table == nil || p.table.uncut == nil {
+		return p
+	}
+	bases := p.table.uncut.cut()
+	out := partition{groups: slices.Clone(p.groups), table: &foldTable{m: p.table.m, rows: p.table.rows}}
+	for g := range out.groups {
+		out.groups[g].base = bases[g]
+	}
+	return out
+}
+
+// lazyCut is the group partition of a shape whose round-one table was folded
+// straight from the sorted elements (see Snapshot.fold): the slot array
+// holds each group's checksum but no slice, and the slices are cut here, on
+// first need, once — a round one reads only rows, lags and checksums, so a
+// session that ends after it never pays for them. They are published here,
+// beside the slot array rather than into it, so nothing a session can
+// already see is ever written.
+type lazyCut struct {
+	once  sync.Once
+	sd    seeds
+	elems []uint64 // the sorted elements the table was folded from; nil once cut
+	sizes []int    // each group's size
+	bases [][]uint64
+}
+
+// cut returns the group slices, cutting them on the first call: each
+// group's exact-size stretch of one backing array is known from sizes, so
+// one pass fills them in element order, sorted.
+func (c *lazyCut) cut() [][]uint64 {
+	c.once.Do(func() {
+		backing := make([]uint64, len(c.elems))
+		bases := make([][]uint64, len(c.sizes))
+		off := 0
+		for g, size := range c.sizes {
+			bases[g] = backing[off : off : off+size]
+			off += size
+		}
+		for _, x := range c.elems {
+			g := c.sd.groupOf(x, len(bases))
+			bases[g] = append(bases[g], x)
+		}
+		c.bases, c.elems, c.sizes = bases, nil, nil
+	})
+	return c.bases
 }
 
 // delta is a net batch of writes: elements to insert and elements to
@@ -329,6 +395,12 @@ func (s *Snapshot) tableRoom(groups int) uint64 {
 // writes: a table row folds its group's base alone, so a write costs the
 // table nothing until absorb rewrites that base.
 //
+// A table built on a shape's first read is folded straight from the sorted
+// elements, and the group slices are cut later, on first need (see fold and
+// lazyCut), unless the fold would fan out over several workers, which the
+// eager cut and buildFoldTable do. Bob reads a shape through partitionFor:
+// a session that ends after round one never cuts it.
+//
 // The tables of the cached shapes total at most maxCachedShapes·|S| words:
 // a table is built only if tableRoom has room for it, retained only if the
 // room is still there when the shape is stored, and inherited only within
@@ -342,7 +414,13 @@ func (s *Snapshot) tableRoom(groups int) uint64 {
 // two sessions may race to compute the same shape, which is a function of
 // the snapshot alone, so either result is valid and the later one keeps the
 // cache slot.
-func (s *Snapshot) partitionFor(plan Plan) partition {
+func (s *Snapshot) partitionFor(plan Plan) partition { return s.shapeFor(plan, false) }
+
+// shapeFor is partitionFor, with eager for a reader that needs every group
+// slice at once: Alice, whose scopes start as the groups. A shape she
+// reads first is cut, not folded, since folding would only defer a cut she
+// forces at once.
+func (s *Snapshot) shapeFor(plan Plan, eager bool) partition {
 	groups, m := plan.Groups, plan.M
 	s.mu.Lock()
 	sh, cached := s.shapes[groups]
@@ -350,6 +428,7 @@ func (s *Snapshot) partitionFor(plan Plan) partition {
 	s.mu.Unlock()
 	wantTable := (cached || s.tableFits(groups, m)) && tableWords(groups, m) <= room
 	if sh.table != nil && (sh.table.m != m || !wantTable) {
+		sh.partition = sh.withGroups()
 		sh.table = nil
 	}
 	buildTable := wantTable && sh.table == nil
@@ -357,27 +436,34 @@ func (s *Snapshot) partitionFor(plan Plan) partition {
 		return sh.partition
 	}
 
-	if !cached {
+	workers := plan.workersFor(s.n + groups<<m)
+	switch {
+	case !cached && buildTable && workers == 1 && !eager:
+		sh.partition, buildTable = s.fold(groups, m), false
+	case !cached:
 		sh.groups = s.cut(groups)
-	} else if sh.behind.len() > 0 {
+	case sh.behind.len() > 0:
 		sh = s.absorb(sh)
 	}
 	if buildTable {
-		sh.table = buildFoldTable(sh.partition, m, s.sd, plan.workersFor(s.n+groups<<m))
+		sh.table = buildFoldTable(sh.partition, m, s.sd, workers)
 	}
 	if s.cacheableGroups(groups) {
 		s.mu.Lock()
-		if _, ok := s.shapes[groups]; !ok && len(s.shapes) >= maxCachedShapes {
-			for k := range s.shapes {
-				delete(s.shapes, k)
-				break
-			}
-		}
-		kept := sh
+		kept, keep := sh, true
 		if kept.table != nil && tableWords(groups, m) > s.tableRoom(groups) {
-			kept.table = nil
+			// A folded shape has no group slices without its table.
+			kept.table, keep = nil, kept.table.uncut == nil
 		}
-		s.shapes[groups] = kept
+		if keep {
+			if _, ok := s.shapes[groups]; !ok && len(s.shapes) >= maxCachedShapes {
+				for k := range s.shapes {
+					delete(s.shapes, k)
+					break
+				}
+			}
+			s.shapes[groups] = kept
+		}
 		s.mu.Unlock()
 	}
 	return sh.partition
@@ -385,7 +471,9 @@ func (s *Snapshot) partitionFor(plan Plan) partition {
 
 // cut hash-partitions the elements into groups buckets: one counting pass,
 // which also sums each group's checksum, then every group filled in element
-// order into its exact-size stretch of a single backing array.
+// order into its exact-size stretch of a single backing array. It is how a
+// shape is built whose table waits for a second read or that has none; a
+// shape whose table is built on its first read is folded instead (see fold).
 func (s *Snapshot) cut(groups int) []groupSlot {
 	elems := s.Elements()
 	idx := make([]uint32, len(elems))
@@ -412,15 +500,66 @@ func (s *Snapshot) cut(groups int) []groupSlot {
 	return parts
 }
 
+// foldBlock is how many elements fold hashes before it scatters them.
+const foldBlock = 256
+
+// fold builds the partition for groups and its round-one table at degree m
+// in one pass over the sorted elements, without cutting the groups: a
+// group's size, checksum and round-one row all accumulate element by
+// element in any order, and nothing in round one crosses a group (§5.3).
+// The pass hashes a block of elements to their groups, then to their bins
+// under each group's round-1 seed, and only then scatters the block into
+// the table, so the hash chains of neighbouring elements overlap instead of
+// waiting on one another or on the scatter. The group slices are left to
+// the table's lazyCut.
+func (s *Snapshot) fold(groups int, m uint) partition {
+	elems := s.Elements()
+	n := (uint64(1) << m) - 1
+	t := newFoldTable(groups, m)
+	slots := make([]groupSlot, groups)
+	sizes := make([]int, groups)
+	seeds := make([]uint64, groups)
+	for g := range seeds {
+		seeds[g] = s.sd.binSeed(newScopeID(g), 1)
+	}
+	var gs [foldBlock]uint32
+	var bins [foldBlock]uint64
+	for lo := 0; lo < len(elems); lo += foldBlock {
+		block := elems[lo:min(lo+foldBlock, len(elems))]
+		for i, x := range block {
+			gs[i] = uint32(s.sd.groupOf(x, groups))
+		}
+		for i, x := range block {
+			bins[i] = hashutil.Bin(x, seeds[gs[i]], n)
+		}
+		for i, x := range block {
+			g, b := gs[i], bins[i]
+			row := &t.rows[g]
+			row.sums[b] ^= x
+			row.parity[b>>6] ^= 1 << (b & 63)
+			sizes[g]++
+			slots[g].check += x
+		}
+	}
+	mask := sigMask(s.sigBits)
+	for g := range slots {
+		slots[g].check &= mask
+	}
+	t.uncut = &lazyCut{sd: s.sd, elems: elems, sizes: sizes}
+	return partition{groups: slots, table: t}
+}
+
 // absorb brings an inherited shape up to date, copy-on-write: each write
 // it is behind by is flipped in its group's lag list and added to or taken
 // from its group's checksum — fresh copies of the slot array and of just
 // those lists — and a group whose lag list has outgrown its share is
 // rewritten with the list folded in, its table row with it (the row array
-// is copied once, on the first such rewrite). Every slice, list and row
-// the writes do not rewrite stays shared with the predecessor the shape
-// came from.
+// is copied once, on the first such rewrite). A folded shape has its groups
+// cut first, if no session has yet, and copied into the fresh slot array
+// (see withGroups). Every slice, list and row the writes do not rewrite
+// stays shared with the predecessor the shape came from.
 func (s *Snapshot) absorb(sh shape) shape {
+	sh.partition = sh.withGroups()
 	groups := len(sh.groups)
 	touched := make(map[int]*delta)
 	at := func(x uint64) *delta {
@@ -491,7 +630,8 @@ func symDiffSorted(a, b []uint64) []uint64 {
 // the batch added to what it is behind by (see partitionFor). A shape is
 // inherited while it is behind by at most |S|/lagFraction writes, and its
 // table while the tables inherited so far fit the successor's ceiling of
-// maxCachedShapes·|S| words.
+// maxCachedShapes·|S| words; a folded shape whose table does not fit is
+// not inherited, since its slot array holds no group slices.
 func (s *Snapshot) Apply(add, remove []uint64) *Snapshot {
 	if s.log == nil {
 		s.flatten() // a successor shares base: make sure it is sorted
@@ -523,6 +663,9 @@ func (s *Snapshot) Apply(add, remove []uint64) *Snapshot {
 		}
 		// ns is not shared yet, so tableRoom needs no lock.
 		if sh.table != nil && tableWords(len(sh.table.rows), sh.table.m) > ns.tableRoom(groups) {
+			if sh.table.uncut != nil {
+				continue // a folded shape has no group slices without its table
+			}
 			sh.table = nil
 		}
 		ns.shapes[groups] = sh

@@ -29,7 +29,12 @@ type Store struct {
 
 	stripes [64]sync.Mutex
 
-	merges atomic.Int64
+	merges  atomic.Int64
+	removes atomic.Int64 // Remove calls since Open: a merge read before one is void
+
+	// mergeWritten, when set (by tests), runs after Merge has written its
+	// segment and before it takes the lock to commit it.
+	mergeWritten func()
 
 	mergeCh chan string
 	done    chan struct{}
@@ -461,16 +466,20 @@ func foldInPlace(cur, adds, dels []uint64) []uint64 {
 
 // Merge folds a chain of 2+ segments into a single full segment. It
 // reports whether a merge happened. The chain is replayed under the set's
-// stripe lock and the merged segment written and fsynced outside it; a
-// chain that changed in between (an append, a Remove, another merge) is
-// left as it is and the merged segment dropped. Crash-safe: the merged
-// segment is committed (with a higher seq) before the old files are
-// removed, and replay always starts from the newest full segment, so a
-// crash anywhere in between leaves a correct — merely unpruned — chain.
+// stripe lock and the merged segment written and fsynced outside it. It
+// commits if the chain still starts with the segments it replayed: the
+// merged segment is renamed over the last of them, the deltas appended
+// meanwhile stay after it, and the earlier files are removed. A Remove of
+// any set, or another merge of this one, in between voids it and the merged
+// segment is dropped. Crash-safe: the rename replaces one segment with a
+// full one holding the same state, and replay always starts from the
+// newest full segment, so a crash before the removals leaves a correct —
+// merely unpruned — chain.
 func (s *Store) Merge(name string) (bool, error) {
 	st := s.stripe(name)
 	st.Lock()
 	seqs := s.chain(name)
+	removes := s.removes.Load()
 	if len(seqs) < 2 {
 		st.Unlock()
 		return false, nil
@@ -485,20 +494,24 @@ func (s *Store) Merge(name string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	if s.mergeWritten != nil {
+		s.mergeWritten()
+	}
 	st.Lock()
 	defer st.Unlock()
-	if !slices.Equal(s.chain(name), seqs) {
+	cur := s.chain(name)
+	if s.removes.Load() != removes || len(cur) < len(seqs) || !slices.Equal(cur[:len(seqs)], seqs) {
 		os.Remove(tmp)
 		return false, nil
 	}
-	newSeq := seqs[len(seqs)-1] + 1
-	if err := s.commitTemp(tmp, name, newSeq); err != nil {
+	last := len(seqs) - 1
+	if err := s.commitTemp(tmp, name, seqs[last]); err != nil {
 		return false, err
 	}
 	s.mu.Lock()
-	s.index[name] = []uint64{newSeq}
+	s.index[name] = cur[last:]
 	s.mu.Unlock()
-	for _, seq := range seqs {
+	for _, seq := range seqs[:last] {
 		os.Remove(filepath.Join(s.dir, segFileName(name, seq)))
 	}
 	s.merges.Add(1)
@@ -527,6 +540,7 @@ func (s *Store) Remove(name string) error {
 	st.Lock()
 	defer st.Unlock()
 	seqs := s.chain(name)
+	s.removes.Add(1)
 	s.mu.Lock()
 	delete(s.index, name)
 	s.mu.Unlock()

@@ -406,3 +406,175 @@ func TestMergeRacingAppends(t *testing.T) {
 		}
 	}
 }
+
+// segFiles lists the segment files of dir in name order.
+func segFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), ".seg") {
+			t.Fatalf("stray file %s", e.Name())
+		}
+		files = append(files, e.Name())
+	}
+	return files
+}
+
+// TestMergeCommitsUnderAppends lands a delta between every merge's write
+// and its commit — the interleaving a steady stream of appends produces
+// for every merge. Each merge must still commit: its full segment replaces
+// the last segment it read, the delta appended meanwhile stays after it,
+// and the files it folded are gone. A Remove in the same window, even one
+// followed by appends that rebuild a chain with the same seqs, voids it.
+func TestMergeCommitsUnderAppends(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	cur := seqElems(500, 3)
+	if err := s.AppendFull("s", cur, testMeta(cur)); err != nil {
+		t.Fatal(err)
+	}
+	step := 0
+	appendOne := func() {
+		step++
+		add, del := []uint64{uint64(1<<20 + step)}, []uint64{cur[0]}
+		cur = append(cur[1:], add...)
+		if err := s.AppendDelta("s", add, del, testMeta(cur)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendOne()
+	s.mergeWritten = appendOne
+	for i := 0; i < 5; i++ {
+		before := s.chain("s")
+		merged, err := s.Merge("s")
+		if err != nil || !merged {
+			t.Fatalf("merge %d under an append: merged=%v err=%v", i, merged, err)
+		}
+		// The chain read was before; one delta landed after it.
+		want := []uint64{before[len(before)-1], before[len(before)-1] + 1}
+		if got := s.chain("s"); !slices.Equal(got, want) {
+			t.Fatalf("merge %d: chain %v, want %v", i, got, want)
+		}
+		if files := segFiles(t, dir); len(files) != 2 {
+			t.Fatalf("merge %d: %d segment files on disk, want 2", i, len(files))
+		}
+		got, meta, err := s.Load("s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, cur) || meta.Count != uint64(len(cur)) {
+			t.Fatalf("merge %d: replay holds %d elements, want %d", i, len(got), len(cur))
+		}
+	}
+	if s.Merges() != 5 {
+		t.Fatalf("Merges = %d, want 5", s.Merges())
+	}
+
+	// A Remove in the window voids the merge, though the chain it leaves
+	// starts with the very seqs the merge read.
+	s.mergeWritten = nil
+	if err := s.Remove("s"); err != nil {
+		t.Fatal(err)
+	}
+	cur = seqElems(100, 7)
+	if err := s.AppendFull("s", cur, testMeta(cur)); err != nil {
+		t.Fatal(err)
+	}
+	appendOne()
+	fresh := slices.Clone(cur)
+	s.mergeWritten = func() {
+		if err := s.Remove("s"); err != nil {
+			t.Fatal(err)
+		}
+		cur = fresh
+		if err := s.AppendFull("s", cur, testMeta(cur)); err != nil {
+			t.Fatal(err)
+		}
+		appendOne()
+		appendOne()
+	}
+	if merged, err := s.Merge("s"); err != nil || merged {
+		t.Fatalf("a merge across a Remove: merged=%v err=%v", merged, err)
+	}
+	got, _, err := s.Load("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, cur) {
+		t.Fatalf("replay after a voided merge: %d elements, want %d", len(got), len(cur))
+	}
+}
+
+// TestReplayOldMergeLayout replays chains merged the way stores before
+// this one merged: the full segment committed at the seq after the last
+// one folded, with the folded files removed, or left behind by a crash.
+// Both replay, take appends, and merge again.
+func TestReplayOldMergeLayout(t *testing.T) {
+	for _, pruned := range []bool{true, false} {
+		dir := t.TempDir()
+		s, err := Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur := seqElems(300, 5)
+		if err := s.AppendFull("s", cur, testMeta(cur)); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			add, del := []uint64{uint64(1<<30 + i)}, []uint64{cur[0]}
+			cur = append(cur[1:], add...)
+			if err := s.AppendDelta("s", add, del, testMeta(cur)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The old merge: replay, write a full segment, commit it at last+1.
+		meta := testMeta(cur)
+		meta.Full = true
+		tmp, err := s.writeTemp(&Segment{Adds: cur, Meta: meta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.commitTemp(tmp, "s", 5); err != nil {
+			t.Fatal(err)
+		}
+		if pruned {
+			for seq := uint64(1); seq <= 4; seq++ {
+				os.Remove(filepath.Join(dir, segFileName("s", seq)))
+			}
+		}
+		s.Close()
+
+		s, err = Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := s.Load("s")
+		if err != nil || !slices.Equal(got, cur) {
+			t.Fatalf("pruned=%v: replay of the old layout: %d elements, want %d (err %v)", pruned, len(got), len(cur), err)
+		}
+		add := []uint64{1 << 40}
+		cur = append(slices.Clone(cur), add...)
+		if err := s.AppendDelta("s", add, nil, testMeta(cur)); err != nil {
+			t.Fatal(err)
+		}
+		if merged, err := s.Merge("s"); err != nil || !merged {
+			t.Fatalf("pruned=%v: merge of the old layout: merged=%v err=%v", pruned, merged, err)
+		}
+		if files := segFiles(t, dir); len(files) != 1 || files[0] != segFileName("s", 6) {
+			t.Fatalf("pruned=%v: files after merge %v, want only seq 6", pruned, files)
+		}
+		got, _, err = s.Load("s")
+		if err != nil || !slices.Equal(got, cur) {
+			t.Fatalf("pruned=%v: replay after merge: %d elements, want %d (err %v)", pruned, len(got), len(cur), err)
+		}
+		s.Close()
+	}
+}
