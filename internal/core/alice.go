@@ -157,7 +157,7 @@ func NewAliceFromSnapshot(snap *Snapshot, plan Plan) (*Alice, error) {
 		curM:    plan.M,
 		curT:    plan.T,
 	}
-	part := snap.shapeFor(plan, true)
+	part := snap.partitionFor(plan)
 	a.table = part.table
 	// A pooled scope array is all zero: its last session cleared what it used.
 	a.scr = aliceScratchPool.Get().(*aliceScratch)

@@ -49,15 +49,12 @@ func cloneRows(tab *foldTable) []foldRow {
 	return rows
 }
 
-// uncut reports whether p's table was folded and its groups are still
-// uncut (see lazyCut). It reads the lazy cut unsynchronized: not for use
-// while a session may be cutting it.
-func (p partition) uncut() bool {
-	return p.table != nil && p.table.uncut != nil && p.table.uncut.bases == nil
-}
+// uncut reports whether p's groups are still uncut (see lazyCut). It reads
+// the lazy cut unsynchronized: not for use while a session may be cutting
+// it.
+func (p partition) uncut() bool { return p.cut.cuts == nil }
 
-// uncutShapes counts the shapes cached on s that are folded and still
-// uncut.
+// uncutShapes counts the shapes cached on s whose groups are still uncut.
 func (s *Snapshot) uncutShapes() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -70,17 +67,43 @@ func (s *Snapshot) uncutShapes() int {
 	return n
 }
 
-// assertSamePartition requires got (from a snapshot grown by Apply, or
-// folded and cut lazily) to describe exactly what a cut of fresh, a
-// snapshot built afresh from the same elements, does: the same group
-// checksums and, row for row, the same round-one table once each group's
-// lag is folded on top of its row, kept on the same terms as fresh's first
-// read keeps it. With groups it compares the group contents too, which cuts
-// a folded shape. The reference is the eager cut and a table folded from
-// it, never a folded shape, so a fault of the lazy path shows.
-func assertSamePartition(t *testing.T, plan Plan, got partition, fresh *Snapshot, groups bool) {
+// refCut is the reference partition of snap into groups, cut eagerly: one
+// counting pass records each element's group in an index array and sums
+// the groups' checksums, then every group is filled in element order into
+// its exact-size stretch of one backing array. It shares no pass with fold
+// or lazyCut, so a fault of theirs shows against it.
+func refCut(snap *Snapshot, groups int) partition {
+	elems := snap.Elements()
+	idx := make([]uint32, len(elems))
+	sizes := make([]int, groups)
+	slots := make([]groupSlot, groups)
+	for i, x := range elems {
+		g := snap.sd.groupOf(x, groups)
+		idx[i] = uint32(g)
+		sizes[g]++
+		slots[g].check += x
+	}
+	backing := make([]uint64, len(elems))
+	bases := make([][]uint64, groups)
+	mask := sigMask(snap.sigBits)
+	off := 0
+	for g, size := range sizes {
+		bases[g] = backing[off : off : off+size]
+		slots[g].check &= mask
+		off += size
+	}
+	for i, x := range elems {
+		bases[idx[i]] = append(bases[idx[i]], x)
+	}
+	return partition{groups: slots, cut: cutOf(bases)}
+}
+
+// assertSameGroups requires got to hold the group checksums of a refCut of
+// fresh, a snapshot built afresh from the same elements, and with groups
+// the group contents too, which cuts got's groups if no reader has yet.
+func assertSameGroups(t *testing.T, plan Plan, got partition, fresh *Snapshot, groups bool) {
 	t.Helper()
-	want := partition{groups: fresh.cut(plan.Groups)}
+	want := refCut(fresh, plan.Groups)
 	for g := range want.groups {
 		if groups && !slices.Equal(got.merged(g), want.merged(g)) {
 			t.Fatalf("G=%d: group %d holds %d elements, a fresh cut %d", plan.Groups, g, len(got.merged(g)), len(want.merged(g)))
@@ -89,6 +112,17 @@ func assertSamePartition(t *testing.T, plan Plan, got partition, fresh *Snapshot
 			t.Fatalf("G=%d: group %d checksum %#x, a fresh cut %#x", plan.Groups, g, got.groups[g].check, want.groups[g].check)
 		}
 	}
+}
+
+// assertSamePartition requires got (from a snapshot grown by Apply, or
+// folded and cut lazily) to describe exactly what a cut of fresh does: the
+// same groups (see assertSameGroups) and, row for row, the same round-one
+// table once each group's lag is folded on top of its row, kept on the same
+// terms as fresh's first read keeps it. The reference is refCut and a table
+// folded from it, never a folded shape, so a fault of the lazy path shows.
+func assertSamePartition(t *testing.T, plan Plan, got partition, fresh *Snapshot, groups bool) {
+	t.Helper()
+	assertSameGroups(t, plan, got, fresh, groups)
 	kept := fresh.partitionFor(plan).table != nil
 	if (got.table != nil) != kept {
 		t.Fatalf("G=%d m=%d: table kept=%v, a fresh build keeps=%v", plan.Groups, plan.M, got.table != nil, kept)
@@ -96,7 +130,7 @@ func assertSamePartition(t *testing.T, plan Plan, got partition, fresh *Snapshot
 	if got.table == nil {
 		return
 	}
-	for g, w := range buildFoldTable(want, plan.M, fresh.sd, 1).rows {
+	for g, w := range buildFoldTable(refCut(fresh, plan.Groups), plan.M, fresh.sd, 1).rows {
 		if !sameRow(got.laggedRow(fresh.sd, g), w) {
 			t.Fatalf("G=%d m=%d: table row %d with its lag on top differs from a fresh fold", plan.Groups, plan.M, g)
 		}
@@ -108,10 +142,10 @@ func assertSamePartition(t *testing.T, plan Plan, got partition, fresh *Snapshot
 // what a snapshot built afresh from the same elements holds. The batches
 // include re-adding what an earlier batch removed (and the reverse), draining
 // groups empty, and bursts large enough to re-base the element slice, rewrite
-// group slices and drop shapes that fell too far behind. The shapes whose
-// tables fit are folded on their first read and their groups left uncut;
-// a check reads only checksums and rows half the time, so many such shapes
-// meet their first write, through Apply and absorb, still uncut.
+// group slices and drop shapes that fell too far behind. Every shape is
+// folded on its first read and its groups left uncut; a check reads only
+// checksums and rows half the time, so many shapes meet their first write,
+// through Apply and absorb, still uncut.
 func TestApplyMatchesFreshBuild(t *testing.T) {
 	const seed = 0xA991
 	rng := rand.New(rand.NewPCG(1, 2))
@@ -252,7 +286,7 @@ func TestApplySessionsWireIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		grown.partitionFor(plan) // the shape must be inherited, not cut anew
+		grown.partitionFor(plan) // the shape must be inherited, not folded anew
 		for lo := 5000; lo < 6000; lo += 125 {
 			// Each batch also removes an element and puts it back in the next.
 			grown = grown.Apply(a[lo:lo+125], a[lo-5000:lo-4999])
@@ -325,7 +359,7 @@ func assertFreshTable(t *testing.T, snap *Snapshot, plan Plan, got partition) {
 	if got.table == nil {
 		t.Fatalf("G=%d m=%d: no round-one table", plan.Groups, plan.M)
 	}
-	want := buildFoldTable(partition{groups: snap.cut(plan.Groups)}, plan.M, snap.sd, 1)
+	want := buildFoldTable(refCut(snap, plan.Groups), plan.M, snap.sd, 1)
 	for g, w := range want.rows {
 		if !sameRow(got.laggedRow(snap.sd, g), w) {
 			t.Fatalf("G=%d m=%d: table row %d with its lag on top differs from a fresh fold", plan.Groups, plan.M, g)
@@ -333,13 +367,37 @@ func assertFreshTable(t *testing.T, snap *Snapshot, plan Plan, got partition) {
 	}
 }
 
-// eagerBob returns a Bob over snap's elements cut eagerly, with the
-// round-one table folded from the cut: the reference a folded shape's
-// replies must match.
-func eagerBob(snap *Snapshot, plan Plan) *Bob {
-	part := partition{groups: snap.cut(plan.Groups)}
+// eagerSnapshot caches on snap, for plan, a refCut of it with the
+// round-one table folded from the cut, and returns snap: an endpoint built
+// over it reads the reference partition, which a folded shape's messages
+// must match byte for byte.
+func eagerSnapshot(snap *Snapshot, plan Plan) *Snapshot {
+	part := refCut(snap, plan.Groups)
 	part.table = buildFoldTable(part, plan.M, snap.sd, 1)
-	return &Bob{plan: plan, sd: snap.sd, sigMask: sigMask(plan.SigBits), part: part, scopeSets: make(map[scopeID]elemSet)}
+	snap.mu.Lock()
+	snap.shapes[plan.Groups] = shape{partition: part}
+	snap.mu.Unlock()
+	return snap
+}
+
+// eagerBob returns a Bob over eagerSnapshot(snap, plan).
+func eagerBob(t *testing.T, snap *Snapshot, plan Plan) *Bob {
+	t.Helper()
+	bob, err := NewBobFromSnapshot(eagerSnapshot(snap, plan), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bob
+}
+
+// newSnapOf returns a snapshot of a copy of elems under seed.
+func newSnapOf(t *testing.T, elems []uint64, seed uint64) *Snapshot {
+	t.Helper()
+	snap, err := NewSnapshot(elems, Config{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 // TestRoundOneTableBudget holds partitionFor to its table rule and its
@@ -348,9 +406,12 @@ func eagerBob(snap *Snapshot, plan Plan) *Bob {
 // and shares every row no base rewrite touched, the rows with their lags on
 // top reading as a fresh fold; and however many forged shapes are read
 // twice, concurrently, or however far a write shrinks the set, the tables a
-// snapshot retains total at most maxCachedShapes·|S| words. A shape folded
-// on its first read stays uncut under round-one sessions and reads as an
-// eager cut once a write or concurrent round twos cut it.
+// snapshot retains total at most maxCachedShapes·|S| words. Every shape is
+// folded on its first read, with or without its table, and read against
+// refCut: it stays uncut under round-one sessions, reads as refCut once a
+// write, an Alice or concurrent round twos cut it, answers byte for byte as
+// refCut does when the fold would fan out, and stays cached with its groups
+// when its table is dropped.
 func TestRoundOneTableBudget(t *testing.T) {
 	rng := rand.New(rand.NewPCG(36, 1))
 	seen := map[uint64]bool{0: true}
@@ -370,13 +431,7 @@ func TestRoundOneTableBudget(t *testing.T) {
 	shape := func(groups int, m uint) Plan {
 		return Plan{M: m, T: 5, Groups: groups, MaxRounds: DefaultMaxRounds, SigBits: 32, Seed: seed, Parallelism: 1}
 	}
-	newSnap := func() *Snapshot {
-		snap, err := NewSnapshot(elems, Config{Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return snap
-	}
+	newSnap := func() *Snapshot { return newSnapOf(t, elems, seed) }
 	over, fitting := shape(35, 6), shape(7, 6) // 2,240 and 448 words on 2,000 elements
 
 	t.Run("over-size/second-read", func(t *testing.T) {
@@ -384,10 +439,15 @@ func TestRoundOneTableBudget(t *testing.T) {
 		if snap.tableFits(over.Groups, over.M) {
 			t.Fatal("the shape must be over |S|")
 		}
-		if snap.partitionFor(over).table != nil {
+		first := snap.partitionFor(over)
+		if first.table != nil {
 			t.Fatal("first read kept a table over |S|")
 		}
-		assertFreshTable(t, snap, over, snap.partitionFor(over))
+		second := snap.partitionFor(over)
+		assertFreshTable(t, snap, over, second)
+		if second.cut != first.cut {
+			t.Fatal("the second read folded the groups afresh instead of cutting the first read's")
+		}
 		if snap.partitionFor(over).table != snap.partitionFor(over).table {
 			t.Fatal("later reads rebuild the table instead of sharing it")
 		}
@@ -490,7 +550,7 @@ func TestRoundOneTableBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := eagerBob(newSnap(), fitting).HandleRound(msg)
+		want, err := eagerBob(t, newSnap(), fitting).HandleRound(msg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -552,11 +612,20 @@ func TestRoundOneTableBudget(t *testing.T) {
 				t.Fatalf("row %d shared=%v with the predecessor's table", g, shared)
 			}
 		}
-		// The cut the write forced is published beside the predecessor's
-		// slot array, never into it, and its rows read as before.
-		for g := range held.groups {
-			if held.groups[g].base != nil || !sameRow(held.table.rows[g], rows[g]) {
+		// The write cut the predecessor's groups and rewrote group 0 in a
+		// fresh slice array: the predecessor's array, its slices and its
+		// rows read as before, and only group 0's slice is not shared.
+		before, after := held.cut.bases(), got.cut.bases()
+		if &before[0] == &after[0] {
+			t.Fatal("the successor rewrote group 0 in the predecessor's slice array")
+		}
+		ref := refCut(newSnap(), fitting.Groups).cut.bases()
+		for g := range before {
+			if !slices.Equal(before[g], ref[g]) || !sameRow(held.table.rows[g], rows[g]) {
 				t.Fatalf("group %d of the predecessor's folded shape was written", g)
+			}
+			if shared := &after[g][0] == &before[g][0]; shared == (g == g0) {
+				t.Fatalf("group %d's slice shared=%v with the predecessor's", g, shared)
 			}
 		}
 		assertSamePartition(t, fitting, snap.partitionFor(fitting), newSnap(), true)
@@ -601,6 +670,184 @@ func TestRoundOneTableBudget(t *testing.T) {
 			t.Fatal("round two left the groups uncut")
 		}
 		assertSamePartition(t, fitting, got, newSnap(), true)
+	})
+
+	t.Run("folded/no-table", func(t *testing.T) {
+		snap := newSnap()
+		got := snap.partitionFor(over)
+		if got.table != nil || !got.uncut() {
+			t.Fatalf("the first read of a shape over |S| kept a table=%v, cut=%v", got.table != nil, !got.uncut())
+		}
+		assertSamePartition(t, over, got, newSnap(), false)
+		if !got.uncut() {
+			t.Fatal("reading checksums cut the groups")
+		}
+		assertSamePartition(t, over, got, newSnap(), true)
+	})
+
+	// |S| + G·2^m ≥ 2^15: a phase of that size fans out, but the fold that
+	// builds the shape is one pass whatever the plan's Parallelism.
+	t.Run("folded/fan-out", func(t *testing.T) {
+		big := slices.Clone(elems)
+		for len(big) < 30000 {
+			big = append(big, draw())
+		}
+		peer := slices.Clone(big[300:])
+		for i := 0; i < 300; i++ {
+			peer = append(peer, draw())
+		}
+		for _, par := range []int{0, 4} {
+			plan := shape(100, 8) // 25,600 words on 30,000 elements
+			plan.Parallelism = par
+			snap, err := NewSnapshot(big, Config{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !snap.tableFits(plan.Groups, plan.M) || snap.Len()+plan.Groups<<plan.M < 1<<15 {
+				t.Fatal("the shape must fit |S| and be big enough to fan out")
+			}
+			bob, err := NewBobFromSnapshot(snap, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bob.part.uncut() {
+				t.Fatalf("Parallelism %d: the first read cut the groups", par)
+			}
+			ref := eagerBob(t, newSnapOf(t, big, seed), plan)
+			alice, err := NewAlice(peer, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rounds := 0
+			for ; !alice.Done(); rounds++ {
+				msg, err := alice.BuildRound()
+				if err != nil {
+					t.Fatal(err)
+				}
+				reply, err := bob.HandleRound(msg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ref.HandleRound(msg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(reply, want) {
+					t.Fatalf("Parallelism %d: round %d's reply differs from refCut's", par, rounds+1)
+				}
+				if err := alice.AbsorbReply(reply); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if rounds < 2 {
+				t.Fatalf("Parallelism %d: the session ended after %d round(s): no round two read the groups", par, rounds)
+			}
+			assertSameSet(t, alice.Difference(), append(slices.Clone(big[:300]), peer[len(peer)-300:]...))
+		}
+	})
+
+	t.Run("folded/alice-first", func(t *testing.T) {
+		peer := append(slices.Clone(elems[4:]), draw(), draw(), draw())
+		snap := newSnap()
+		alice, err := NewAliceFromSnapshot(snap, fitting)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alice.table == nil {
+			t.Fatal("Alice's first read kept no table within |S|")
+		}
+		ref, err := NewAliceFromSnapshot(eagerSnapshot(newSnap(), fitting), fitting)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := alice.BuildRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.BuildRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(msg, want) {
+			t.Fatal("Alice's round-one message over a folded shape differs from refCut's")
+		}
+		bob, err := NewBob(peer, fitting)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, err := bob.HandleRound(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := alice.AbsorbReply(reply); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Drive(alice, bob, 0)
+		if err != nil || !res.Complete {
+			t.Fatalf("session over the folded shape: err=%v", err)
+		}
+		assertSameSet(t, res.Difference, append(slices.Clone(elems[:4]), peer[len(peer)-3:]...))
+		assertSamePartition(t, fitting, snap.partitionFor(fitting), newSnap(), true)
+	})
+
+	// A table dropped from a folded shape takes nothing else with it: the
+	// shape stays cached, its groups uncut until a reader needs them, and
+	// Apply inherits it.
+	t.Run("folded/table-dropped", func(t *testing.T) {
+		snap := newSnap()
+		folded := snap.partitionFor(fitting)
+		rows := cloneRows(folded.table)
+		narrow, wide := shape(fitting.Groups, 5), shape(fitting.Groups, 12) // 224 words; 28,672, past the ceiling
+		if got := snap.partitionFor(wide); got.table != nil || got.cut != folded.cut || !got.uncut() {
+			t.Fatal("a read at a degree with no room for its table did not read the folded groups, uncut")
+		}
+		if snap.partitionFor(fitting).table != folded.table {
+			t.Fatal("a read at a degree with no room dropped the cached table")
+		}
+		got := snap.partitionFor(narrow)
+		if got.cut != folded.cut {
+			t.Fatal("the read at another degree folded the groups afresh")
+		}
+		assertFreshTable(t, snap, narrow, got)
+		for g := range rows {
+			if !sameRow(folded.table.rows[g], rows[g]) {
+				t.Fatalf("row %d of the replaced table changed", g)
+			}
+		}
+		next := snap.Apply([]uint64{draw(), draw()}, elems[5:8])
+		assertSamePartition(t, narrow, next.partitionFor(narrow), newSnapOf(t, next.Elements(), seed), true)
+
+		// Four tables of 14,656 words in all, within 8·2,000 but not within
+		// the successor's 8·1,780: Apply drops at least one table and
+		// inherits every shape.
+		snap = newSnap()
+		plans := []Plan{fitting, shape(40, 7), shape(41, 7), shape(30, 7)}
+		for _, plan := range plans {
+			snap.partitionFor(plan)
+			if snap.partitionFor(plan).table == nil {
+				t.Fatalf("G=%d: the second read kept no table", plan.Groups)
+			}
+		}
+		next = snap.Apply(nil, elems[:220])
+		next.mu.Lock()
+		inherited, dropped := len(next.shapes), 0
+		for _, sh := range next.shapes {
+			if sh.table == nil {
+				dropped++
+			}
+		}
+		next.mu.Unlock()
+		if inherited != len(plans) || dropped == 0 {
+			t.Fatalf("the successor inherited %d of %d shapes, %d without a table; want all, at least one without", inherited, len(plans), dropped)
+		}
+		fresh := newSnapOf(t, elems[220:], seed)
+		for _, plan := range plans {
+			got := next.partitionFor(plan)
+			assertSameGroups(t, plan, got, fresh, true)
+			if got.table != nil {
+				assertFreshTable(t, next, plan, got)
+			}
+		}
 	})
 
 	t.Run("fitting/maintained", func(t *testing.T) {
@@ -666,7 +913,7 @@ func TestTableRowRebasedAtRewrite(t *testing.T) {
 	// Writes that all land in group 0: enough to pass its share in two
 	// batches, neither of which passes it alone.
 	const g0 = 0
-	base := held.groups[g0].base
+	base := held.group(g0).base
 	share := len(base)/lagFraction + lagFraction
 	var writes []uint64
 	for len(writes) <= share {
@@ -721,7 +968,7 @@ func TestTableRowRebasedAtRewrite(t *testing.T) {
 	}
 	n := (uint64(1) << plan.M) - 1
 	want := foldRow{sums: make([]uint64, n+1), parity: make([]uint64, parityWords(n))}
-	binFold(slot.base, snap.sd.binSeed(newScopeID(g0), 1), n, want.sums, want.parity)
+	binFold(got.group(g0).base, snap.sd.binSeed(newScopeID(g0), 1), n, want.sums, want.parity)
 	if !sameRow(got.table.rows[g0], want) {
 		t.Fatalf("row %d differs from a fresh fold of its rewritten base", g0)
 	}

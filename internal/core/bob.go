@@ -233,8 +233,8 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 		// round-one table holds, once the group's lag is folded on top of
 		// its row; the header checks above make the last condition
 		// redundant for an honest peer. Such a job reads the row, the lag
-		// and the slot's checksum, never the group's base, which a folded
-		// shape has not cut. Every other job reads its scope's set:
+		// and the slot's checksum, never the group's base, which may not be
+		// cut yet. Every other job reads its scope's set:
 		// scopeSet mutates the split cache, so it must stay in this
 		// sequential pass; the parallel phase then only reads the slices.
 		if tab := b.part.table; round == 1 && id.path == "" && tab != nil && tab.m == m {

@@ -141,25 +141,24 @@ func (r *foldRow) rebased(lag []uint64, seed uint64, m uint) foldRow {
 // (Snapshot.partitionFor says which tables are kept). Alice's first
 // BuildRound and Bob's first HandleRound read their sums and parities from
 // it, with each group's lag folded on top; later rounds and split scopes
-// fold afresh.
+// fold afresh. A table built on a shape's first read is folded with the
+// shape (see Snapshot.fold), one built later from its cut groups (see
+// buildFoldTable).
 type foldTable struct {
 	m    uint
 	rows []foldRow
-	// uncut, when not nil, cuts the groups of the shape the table was folded
-	// for, which its slot array does not hold (see Snapshot.fold).
-	uncut *lazyCut
 }
 
-// buildFoldTable folds the base of every group of a cut partition under
-// its round-1 seed, fanning the groups out over workers. All rows share two
-// backing arrays. It builds a table on a shape's second read, or on a first
-// read whose fold fans out; a shape's first read otherwise folds the table
-// without cutting the groups (see Snapshot.fold).
+// buildFoldTable folds the base of every group of p under its round-1
+// seed, cutting the groups first if no reader has yet, and fanning the
+// groups out over workers. All rows share two backing arrays. It builds the
+// table a shape gets on its second read.
 func buildFoldTable(p partition, m uint, sd seeds, workers int) *foldTable {
-	t := newFoldTable(len(p.groups), m)
+	bases := p.cut.bases()
+	t := newFoldTable(len(bases), m)
 	n := (uint64(1) << m) - 1
-	forEachScope(workers, len(p.groups), func(_, g int) {
-		binFold(p.groups[g].base, sd.binSeed(newScopeID(g), 1), n, t.rows[g].sums, t.rows[g].parity)
+	forEachScope(workers, len(bases), func(_, g int) {
+		binFold(bases[g], sd.binSeed(newScopeID(g), 1), n, t.rows[g].sums, t.rows[g].parity)
 	})
 	return t
 }

@@ -223,26 +223,47 @@ func benchSession(b *testing.B, size, d, planD, writes int, workloadSeed int64, 
 	}
 }
 
-// BenchmarkColdPartition is the partition a cold hosted sync pays for once
-// it has paged its set in: a fresh snapshot of 20k sorted elements and the
-// shape of the cold_hosted workload (G = 35, m = 6), whose table is built on
-// its first read. Each iteration wraps a copy of the elements, so the sort
-// check and the partition are all it times.
+// BenchmarkColdPartition is the partition a fresh snapshot pays for on its
+// first read. Each iteration wraps a copy of sorted elements, so the sort
+// check and the partition are all it times:
+//   - cold_hosted: a cold hosted sync's, once it has paged its set in: 20k
+//     elements at G = 35, m = 6, whose table is folded on the first read;
+//     a round-one Bob reads it uncut, so the cut is left out;
+//   - no-table: 2k elements at the same shape, over |S|, so no table on
+//     the first read; the groups are cut too;
+//   - 100k: the shape large_set_churn builds at set-up (G = 35, m = 6 on
+//     100k), its table folded on the first read; the groups are cut too.
 func BenchmarkColdPartition(b *testing.B) {
-	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 20000, D: 1, Seed: 51})
-	elems := sortedU64(p.A)
-	plan := Plan{M: 6, T: 5, Groups: 35, MaxRounds: DefaultMaxRounds, SigBits: 32, Seed: 0xC01D}
-	cfg := Config{SigBits: plan.SigBits, Seed: plan.Seed}
-	buf := make([]uint64, len(elems))
-	b.ReportAllocs()
-	for b.Loop() {
-		copy(buf, elems)
-		snap, err := NewValidatedSnapshot(buf, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if snap.partitionFor(plan).table == nil {
-			b.Fatal("the cold shape kept no round-one table")
-		}
+	for _, bc := range []struct {
+		name       string
+		size       int
+		table, cut bool
+	}{
+		{"cold_hosted", 20000, true, false},
+		{"no-table", 2000, false, true},
+		{"100k", 100000, true, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: bc.size, D: 1, Seed: 51})
+			elems := sortedU64(p.A)
+			plan := Plan{M: 6, T: 5, Groups: 35, MaxRounds: DefaultMaxRounds, SigBits: 32, Seed: 0xC01D}
+			cfg := Config{SigBits: plan.SigBits, Seed: plan.Seed}
+			buf := make([]uint64, len(elems))
+			b.ReportAllocs()
+			for b.Loop() {
+				copy(buf, elems)
+				snap, err := NewValidatedSnapshot(buf, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				part := snap.partitionFor(plan)
+				if (part.table != nil) != bc.table {
+					b.Fatalf("table kept=%v, want %v", part.table != nil, bc.table)
+				}
+				if bc.cut {
+					part.group(0)
+				}
+			}
+		})
 	}
 }

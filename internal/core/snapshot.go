@@ -15,10 +15,11 @@ import (
 // per-plan group partition — plus the round-one fold table (see foldTable)
 // for a shape that fits the set's size or that a session reads a second
 // time (see partitionFor) — is computed once per distinct shape and then
-// shared read-only. A table built on a shape's first read is folded in one
-// pass over the sorted elements, and the group slices are cut only when a
-// session or a write first needs them (see lazyCut): a session that ends
-// after round one reads rows, lags and checksums alone.
+// shared read-only. A shape is built in one pass over the sorted elements,
+// which sums each group's checksum and, with a first-read table, folds its
+// rows; the group slices are cut only when a session or a write first
+// needs them (see lazyCut): a Bob whose session ends after round one reads
+// rows, lags and checksums alone.
 //
 // A Snapshot is also persistent: Apply returns the successor after a batch
 // of writes in time proportional to the batch. The successor inherits every
@@ -52,7 +53,7 @@ type Snapshot struct {
 	n    int       // |S|
 
 	// flat is S as one sorted slice, worked out on first need (a shape to
-	// cut, Elements, Contains): base itself, sorted if it came unsorted,
+	// fold, Elements, Contains): base itself, sorted if it came unsorted,
 	// while the log is empty; otherwise base with the log merged in.
 	flatOnce sync.Once
 	flat     []uint64
@@ -71,74 +72,60 @@ type shape struct {
 	behind delta // net writes still to absorb
 }
 
-// partition is a shape as the endpoints see it: one slot per group and, when
-// kept, the round-one table, whose rows fold the groups' base slices. Both
-// are current, shared and read-only. A shape whose table was folded from
-// the elements holds its base slices in the table's lazyCut, not in its
-// slots, until absorb copies them in: read a group through group, which
-// cuts them on first need.
+// partition is a shape as the endpoints see it: one slot per group, the
+// group slices behind a lazy cut, and, when kept, the round-one table,
+// whose rows fold the groups' base slices. All three are current, shared
+// and read-only. Read a group through group, which cuts the slices on
+// first need.
 type partition struct {
 	groups []groupSlot
 	table  *foldTable
+	cut    *lazyCut
 }
 
 // groupSlot is one group of a shape. The group is base △ lag: the sorted
-// slice cut when the shape was built (nil in a folded shape's slots, whose
-// slices the table's lazyCut holds), and the sorted list of elements
-// written since (nil while there are none). check is its plain-sum checksum
-// (§2.2.3), the one place a whole group's checksum is kept: cut or fold sums
-// it, absorb moves it by one ± per write, and both endpoints read it at the
+// slice the shape's lazy cut holds, and the sorted list of elements written
+// since (nil while there are none). check is its plain-sum checksum
+// (§2.2.3), the one place a whole group's checksum is kept: fold sums it,
+// absorb moves it by one ± per write, and both endpoints read it at the
 // start of a session instead of passing over the group.
 type groupSlot struct {
-	base, lag []uint64
-	check     uint64
+	lag   []uint64
+	check uint64
 }
 
-// group returns group g as an element set, cutting a folded shape's groups
-// first if no session has yet (see lazyCut).
+// group returns group g as an element set, cutting the groups first if no
+// reader has yet (see lazyCut).
 func (p partition) group(g int) elemSet {
-	slot := &p.groups[g]
-	if p.table != nil && p.table.uncut != nil {
-		return elemSet{base: p.table.uncut.cut()[g], lag: slot.lag}
-	}
-	return elemSet{base: slot.base, lag: slot.lag}
+	return elemSet{base: p.cut.bases()[g], lag: p.groups[g].lag}
 }
 
-// withGroups returns p with every group slice in its own slot array: p
-// itself unless its table was folded with the groups left uncut, else a
-// copy of the slots filled from the lazy cut, under a copy of the table
-// header that shares the rows and points at no lazy cut.
-func (p partition) withGroups() partition {
-	if p.table == nil || p.table.uncut == nil {
-		return p
-	}
-	bases := p.table.uncut.cut()
-	out := partition{groups: slices.Clone(p.groups), table: &foldTable{m: p.table.m, rows: p.table.rows}}
-	for g := range out.groups {
-		out.groups[g].base = bases[g]
-	}
-	return out
-}
-
-// lazyCut is the group partition of a shape whose round-one table was folded
-// straight from the sorted elements (see Snapshot.fold): the slot array
-// holds each group's checksum but no slice, and the slices are cut here, on
-// first need, once — a round one reads only rows, lags and checksums, so a
-// session that ends after it never pays for them. They are published here,
-// beside the slot array rather than into it, so nothing a session can
-// already see is ever written.
+// lazyCut is the group slices of a shape, cut on first need, once. fold
+// builds a shape's checksums, sizes and round-one rows without them: a
+// round one reads only rows, lags and checksums (§5.3), so a session that
+// ends after it never pays for the cut. A round two or a split scope, an
+// Alice, absorb and a second-read buildFoldTable cut them. Once cut, the
+// slice array is never written: absorb gives a shape whose groups it
+// rewrites a fresh one (see cutOf).
 type lazyCut struct {
 	once  sync.Once
 	sd    seeds
-	elems []uint64 // the sorted elements the table was folded from; nil once cut
-	sizes []int    // each group's size
-	bases [][]uint64
+	elems []uint64 // the sorted elements the shape was folded from; nil once cut
+	sizes []int    // each group's size; nil once cut
+	cuts  [][]uint64
 }
 
-// cut returns the group slices, cutting them on the first call: each
+// cutOf returns a lazy cut whose groups are already cut into bases.
+func cutOf(bases [][]uint64) *lazyCut {
+	c := &lazyCut{cuts: bases}
+	c.once.Do(func() {})
+	return c
+}
+
+// bases returns the group slices, cutting them on the first call: each
 // group's exact-size stretch of one backing array is known from sizes, so
 // one pass fills them in element order, sorted.
-func (c *lazyCut) cut() [][]uint64 {
+func (c *lazyCut) bases() [][]uint64 {
 	c.once.Do(func() {
 		backing := make([]uint64, len(c.elems))
 		bases := make([][]uint64, len(c.sizes))
@@ -151,9 +138,9 @@ func (c *lazyCut) cut() [][]uint64 {
 			g := c.sd.groupOf(x, len(bases))
 			bases[g] = append(bases[g], x)
 		}
-		c.bases, c.elems, c.sizes = bases, nil, nil
+		c.cuts, c.elems, c.sizes = bases, nil, nil
 	})
-	return c.bases
+	return c.cuts
 }
 
 // delta is a net batch of writes: elements to insert and elements to
@@ -347,7 +334,7 @@ const rebaseFraction = 2
 // lag list is that long, so lag lists stay short next to their groups and
 // the rewriting is spread over the groups instead of falling on one sync;
 // and a cached shape no session has asked for while that many writes piled
-// up behind it is dropped, to be cut afresh if one ever does.
+// up behind it is dropped, to be folded afresh if one ever does.
 const lagFraction = 8
 
 // cacheableGroups bounds the size of an individual cached partition: a
@@ -367,9 +354,9 @@ func tableWords(groups int, m uint) uint64 { return uint64(groups) << m }
 
 // tableFits reports whether a shape's table is worth building on its first
 // read: its bin sums do not exceed the set itself, so a table built for a
-// shape no session asks for again costs no more than the cut. Small sets
-// and large-d plans (many groups, each a bitmap wide) fail it and wait for
-// a second read (see partitionFor).
+// shape no session asks for again costs no more than its group slices
+// would. Small sets and large-d plans (many groups, each a bitmap wide)
+// fail it and wait for a second read (see partitionFor).
 func (s *Snapshot) tableFits(groups int, m uint) bool {
 	return tableWords(groups, m) <= uint64(s.n)
 }
@@ -395,17 +382,17 @@ func (s *Snapshot) tableRoom(groups int) uint64 {
 // writes: a table row folds its group's base alone, so a write costs the
 // table nothing until absorb rewrites that base.
 //
-// A table built on a shape's first read is folded straight from the sorted
-// elements, and the group slices are cut later, on first need (see fold and
-// lazyCut), unless the fold would fan out over several workers, which the
-// eager cut and buildFoldTable do. Bob reads a shape through partitionFor:
-// a session that ends after round one never cuts it.
+// A shape not cached is built by one pass over the sorted elements, which
+// folds the table too when the rule wants one on the first read (see fold).
+// Its group slices are cut later, on first need (see lazyCut): a Bob whose
+// session ends after round one never cuts them. A table built on a second
+// read folds the cut groups (see buildFoldTable).
 //
 // The tables of the cached shapes total at most maxCachedShapes·|S| words:
 // a table is built only if tableRoom has room for it, retained only if the
 // room is still there when the shape is stored, and inherited only within
-// the successor's ceiling (see Apply). One that lost its room to a
-// concurrent session serves the session that built it and is not retained.
+// the successor's ceiling (see Apply). A shape whose table lost its room to
+// a concurrent session is retained without it.
 //
 // Up to maxCachedShapes shapes are cached, each with the table of one
 // bitmap degree (a request for another degree replaces it). An inherited
@@ -414,13 +401,7 @@ func (s *Snapshot) tableRoom(groups int) uint64 {
 // two sessions may race to compute the same shape, which is a function of
 // the snapshot alone, so either result is valid and the later one keeps the
 // cache slot.
-func (s *Snapshot) partitionFor(plan Plan) partition { return s.shapeFor(plan, false) }
-
-// shapeFor is partitionFor, with eager for a reader that needs every group
-// slice at once: Alice, whose scopes start as the groups. A shape she
-// reads first is cut, not folded, since folding would only defer a cut she
-// forces at once.
-func (s *Snapshot) shapeFor(plan Plan, eager bool) partition {
+func (s *Snapshot) partitionFor(plan Plan) partition {
 	groups, m := plan.Groups, plan.M
 	s.mu.Lock()
 	sh, cached := s.shapes[groups]
@@ -428,7 +409,6 @@ func (s *Snapshot) shapeFor(plan Plan, eager bool) partition {
 	s.mu.Unlock()
 	wantTable := (cached || s.tableFits(groups, m)) && tableWords(groups, m) <= room
 	if sh.table != nil && (sh.table.m != m || !wantTable) {
-		sh.partition = sh.withGroups()
 		sh.table = nil
 	}
 	buildTable := wantTable && sh.table == nil
@@ -436,130 +416,100 @@ func (s *Snapshot) shapeFor(plan Plan, eager bool) partition {
 		return sh.partition
 	}
 
-	workers := plan.workersFor(s.n + groups<<m)
 	switch {
-	case !cached && buildTable && workers == 1 && !eager:
-		sh.partition, buildTable = s.fold(groups, m), false
 	case !cached:
-		sh.groups = s.cut(groups)
+		sh.partition, buildTable = s.fold(groups, m, buildTable), false
 	case sh.behind.len() > 0:
 		sh = s.absorb(sh)
 	}
 	if buildTable {
-		sh.table = buildFoldTable(sh.partition, m, s.sd, workers)
+		sh.table = buildFoldTable(sh.partition, m, s.sd, plan.workersFor(s.n+groups<<m))
 	}
 	if s.cacheableGroups(groups) {
 		s.mu.Lock()
-		kept, keep := sh, true
+		kept := sh
 		if kept.table != nil && tableWords(groups, m) > s.tableRoom(groups) {
-			// A folded shape has no group slices without its table.
-			kept.table, keep = nil, kept.table.uncut == nil
+			kept.table = nil
 		}
-		if keep {
-			if _, ok := s.shapes[groups]; !ok && len(s.shapes) >= maxCachedShapes {
-				for k := range s.shapes {
-					delete(s.shapes, k)
-					break
-				}
+		if _, ok := s.shapes[groups]; !ok && len(s.shapes) >= maxCachedShapes {
+			for k := range s.shapes {
+				delete(s.shapes, k)
+				break
 			}
-			s.shapes[groups] = kept
 		}
+		s.shapes[groups] = kept
 		s.mu.Unlock()
 	}
 	return sh.partition
 }
 
-// cut hash-partitions the elements into groups buckets: one counting pass,
-// which also sums each group's checksum, then every group filled in element
-// order into its exact-size stretch of a single backing array. It is how a
-// shape is built whose table waits for a second read or that has none; a
-// shape whose table is built on its first read is folded instead (see fold).
-func (s *Snapshot) cut(groups int) []groupSlot {
-	elems := s.Elements()
-	idx := make([]uint32, len(elems))
-	sizes := make([]int, groups)
-	parts := make([]groupSlot, groups)
-	for i, x := range elems {
-		g := s.sd.groupOf(x, groups)
-		idx[i] = uint32(g)
-		sizes[g]++
-		parts[g].check += x
-	}
-	backing := make([]uint64, len(elems))
-	mask := sigMask(s.sigBits)
-	off := 0
-	for g, size := range sizes {
-		parts[g].base = backing[off : off : off+size]
-		parts[g].check &= mask
-		off += size
-	}
-	for i, x := range elems {
-		p := &parts[idx[i]]
-		p.base = append(p.base, x)
-	}
-	return parts
-}
-
 // foldBlock is how many elements fold hashes before it scatters them.
 const foldBlock = 256
 
-// fold builds the partition for groups and its round-one table at degree m
-// in one pass over the sorted elements, without cutting the groups: a
-// group's size, checksum and round-one row all accumulate element by
-// element in any order, and nothing in round one crosses a group (§5.3).
-// The pass hashes a block of elements to their groups, then to their bins
-// under each group's round-1 seed, and only then scatters the block into
-// the table, so the hash chains of neighbouring elements overlap instead of
-// waiting on one another or on the scatter. The group slices are left to
-// the table's lazyCut.
-func (s *Snapshot) fold(groups int, m uint) partition {
+// fold builds the partition for groups in one pass over the sorted
+// elements, and with table its round-one table at degree m, without
+// cutting the groups: a group's size, checksum and round-one row all
+// accumulate element by element in any order, and nothing in round one
+// crosses a group (§5.3). The pass hashes a block of elements to their
+// groups, summing sizes and checksums, then to their bins under each
+// group's round-1 seed, and only then scatters the block into the table,
+// so the hash chains of neighbouring elements overlap instead of waiting
+// on one another or on the scatter. The group slices are left to a
+// lazyCut.
+func (s *Snapshot) fold(groups int, m uint, table bool) partition {
 	elems := s.Elements()
-	n := (uint64(1) << m) - 1
-	t := newFoldTable(groups, m)
 	slots := make([]groupSlot, groups)
 	sizes := make([]int, groups)
-	seeds := make([]uint64, groups)
-	for g := range seeds {
-		seeds[g] = s.sd.binSeed(newScopeID(g), 1)
+	n := (uint64(1) << m) - 1
+	var t *foldTable
+	var seeds []uint64
+	if table {
+		t = newFoldTable(groups, m)
+		seeds = make([]uint64, groups)
+		for g := range seeds {
+			seeds[g] = s.sd.binSeed(newScopeID(g), 1)
+		}
 	}
 	var gs [foldBlock]uint32
 	var bins [foldBlock]uint64
 	for lo := 0; lo < len(elems); lo += foldBlock {
 		block := elems[lo:min(lo+foldBlock, len(elems))]
 		for i, x := range block {
-			gs[i] = uint32(s.sd.groupOf(x, groups))
+			g := s.sd.groupOf(x, groups)
+			gs[i] = uint32(g)
+			sizes[g]++
+			slots[g].check += x
+		}
+		if t == nil {
+			continue
 		}
 		for i, x := range block {
 			bins[i] = hashutil.Bin(x, seeds[gs[i]], n)
 		}
 		for i, x := range block {
-			g, b := gs[i], bins[i]
-			row := &t.rows[g]
+			b := bins[i]
+			row := &t.rows[gs[i]]
 			row.sums[b] ^= x
 			row.parity[b>>6] ^= 1 << (b & 63)
-			sizes[g]++
-			slots[g].check += x
 		}
 	}
 	mask := sigMask(s.sigBits)
 	for g := range slots {
 		slots[g].check &= mask
 	}
-	t.uncut = &lazyCut{sd: s.sd, elems: elems, sizes: sizes}
-	return partition{groups: slots, table: t}
+	return partition{groups: slots, table: t, cut: &lazyCut{sd: s.sd, elems: elems, sizes: sizes}}
 }
 
 // absorb brings an inherited shape up to date, copy-on-write: each write
 // it is behind by is flipped in its group's lag list and added to or taken
 // from its group's checksum — fresh copies of the slot array and of just
 // those lists — and a group whose lag list has outgrown its share is
-// rewritten with the list folded in, its table row with it (the row array
-// is copied once, on the first such rewrite). A folded shape has its groups
-// cut first, if no session has yet, and copied into the fresh slot array
-// (see withGroups). Every slice, list and row the writes do not rewrite
-// stays shared with the predecessor the shape came from.
+// rewritten with the list folded in, its table row with it. The groups are
+// cut first, if no reader has yet; the slice array and the row array are
+// each copied once, on the first rewrite. Every slice, list and row the
+// writes do not rewrite stays shared with the predecessor the shape came
+// from.
 func (s *Snapshot) absorb(sh shape) shape {
-	sh.partition = sh.withGroups()
 	groups := len(sh.groups)
 	touched := make(map[int]*delta)
 	at := func(x uint64) *delta {
@@ -580,14 +530,18 @@ func (s *Snapshot) absorb(sh shape) shape {
 		d := at(x)
 		d.removes = append(d.removes, x)
 	}
-	out := shape{partition: partition{groups: slices.Clone(sh.groups), table: sh.table}}
+	out := shape{partition: partition{groups: slices.Clone(sh.groups), table: sh.table, cut: sh.cut}}
+	bases := sh.cut.bases()
 	mask := sigMask(s.sigBits)
 	for g, d := range touched {
 		slot := &out.groups[g]
 		// An element written before and written back leaves the lag list.
 		lag := symDiffSorted(slot.lag, symDiffSorted(d.adds, d.removes))
-		if len(lag) > len(slot.base)/lagFraction+lagFraction {
-			slot.base = symDiffSorted(slot.base, lag)
+		if len(lag) > len(bases[g])/lagFraction+lagFraction {
+			if out.cut == sh.cut {
+				out.cut = cutOf(slices.Clone(bases))
+			}
+			out.cut.cuts[g] = symDiffSorted(bases[g], lag)
 			if out.table != nil {
 				if out.table == sh.table {
 					out.table = &foldTable{m: sh.table.m, rows: slices.Clone(sh.table.rows)}
@@ -630,8 +584,8 @@ func symDiffSorted(a, b []uint64) []uint64 {
 // the batch added to what it is behind by (see partitionFor). A shape is
 // inherited while it is behind by at most |S|/lagFraction writes, and its
 // table while the tables inherited so far fit the successor's ceiling of
-// maxCachedShapes·|S| words; a folded shape whose table does not fit is
-// not inherited, since its slot array holds no group slices.
+// maxCachedShapes·|S| words; a shape whose table does not fit is inherited
+// without it.
 func (s *Snapshot) Apply(add, remove []uint64) *Snapshot {
 	if s.log == nil {
 		s.flatten() // a successor shares base: make sure it is sorted
@@ -663,9 +617,6 @@ func (s *Snapshot) Apply(add, remove []uint64) *Snapshot {
 		}
 		// ns is not shared yet, so tableRoom needs no lock.
 		if sh.table != nil && tableWords(len(sh.table.rows), sh.table.m) > ns.tableRoom(groups) {
-			if sh.table.uncut != nil {
-				continue // a folded shape has no group slices without its table
-			}
 			sh.table = nil
 		}
 		ns.shapes[groups] = sh
