@@ -71,7 +71,11 @@ func (c *Client) SyncContext(ctx context.Context, local []uint64) (*Result, erro
 	if c.Addr == "" {
 		return nil, fmt.Errorf("pbs: client has no server address")
 	}
-	set, err := NewSet(local, withBaseOptions(c.Options))
+	var base []Option
+	if c.Options != nil {
+		base = append(base, WithOptions(*c.Options))
+	}
+	set, err := NewSet(local, base...)
 	if err != nil {
 		return nil, err
 	}
@@ -102,16 +106,6 @@ func (c *Client) SyncContext(ctx context.Context, local []uint64) (*Result, erro
 	}
 	defer conn.Close()
 	return set.Sync(ctx, conn, opts...)
-}
-
-// withBaseOptions applies a Client's *Options (nil selects the defaults)
-// as a Set's base configuration.
-func withBaseOptions(o *Options) Option {
-	return func(c *setConfig) {
-		if o != nil {
-			c.opt = *o
-		}
-	}
 }
 
 // remoteName is the set name sent on the wire: Set, namespaced under

@@ -103,21 +103,17 @@ func main() {
 	hosting := *dataDir != "" || *hostSets > 0
 
 	// A hosting server needs no default set; a classic one still requires
-	// -set or -demo-size. The served catalog (when present) is a live
-	// pbs.Set: validated once, estimator sketch maintained incrementally,
-	// and mutable while serving (a reloaded catalog would land with
-	// Add/Remove; new sessions pick it up, in-flight sessions keep the
-	// view they started with).
-	var set *pbs.Set
-	if !hosting || *setPath != "" || *demoSize > 0 {
-		elems, _, err := loadSet(*setPath, *demoSize, *demoD, *demoSeed, false)
-		if err != nil {
+	// -set or -demo-size. The served catalog (when present) is hosted like
+	// any other set: validated once, duplicates dropped, and on a -data-dir
+	// persisted and evictable.
+	var elems []uint64
+	catalog := !hosting || *setPath != "" || *demoSize > 0
+	if catalog {
+		if elems, _, err = loadSet(*setPath, *demoSize, *demoD, *demoSeed, false); err != nil {
 			fatal(err)
 		}
-		set, err = pbs.NewSet(elems, pbs.WithOptions(*opt))
-		if err != nil {
-			fatal(err)
-		}
+		slices.Sort(elems)
+		elems = slices.Compact(elems)
 	}
 	srv := pbs.NewServer(pbs.ServerOptions{
 		Protocol:             opt,
@@ -132,14 +128,16 @@ func main() {
 		MaxResidentBytes:     *maxResident,
 		TenantQuota:          quota,
 	})
-	if set != nil {
-		if err := srv.RegisterSet(*setName, set); err != nil {
-			fatal(err)
-		}
-	}
 	recovered := 0
 	if *dataDir != "" {
 		if recovered, err = srv.EnableHosting(); err != nil {
+			fatal(err)
+		}
+	}
+	// After EnableHosting, so a recovered set of the same name is replaced
+	// rather than replacing the catalog.
+	if catalog {
+		if err := srv.Host(*setName, elems); err != nil {
 			fatal(err)
 		}
 	}
@@ -173,8 +171,8 @@ func main() {
 	}
 	// Exactly one startup line carries the "serving ... on ADDR" suffix —
 	// scripts parse the bound address off its end.
-	if set != nil {
-		fmt.Printf("pbs-serve: serving %d elements as %q on %s\n", set.Len(), *setName, ln.Addr())
+	if catalog {
+		fmt.Printf("pbs-serve: serving %d elements as %q on %s\n", len(elems), *setName, ln.Addr())
 	} else {
 		fmt.Printf("pbs-serve: serving %d hosted sets on %s\n", srv.Stats().SetsHosted, ln.Addr())
 	}

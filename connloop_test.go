@@ -196,7 +196,7 @@ var loopScripts = []loopScript{
 			if err != nil {
 				t.Fatal(err)
 			}
-			reply, _, err := bss.newServerSession(bss.opt).step(hello[0].Type, hello[0].Payload)
+			reply, _, err := bss.newServerSession().step(hello[0].Type, hello[0].Payload)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -421,7 +421,7 @@ func TestConnLoopMuxHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := bss.newServerSession(bss.opt)
+	rs := bss.newServerSession()
 	rs.allowFeatures = frame.FeatureMux | frame.FeatureLZ
 	reply, _, err := rs.step(opening[0].Type, opening[0].Payload)
 	if err != nil {

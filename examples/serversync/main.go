@@ -1,17 +1,15 @@
 // Hub-and-spoke reconciliation: the millions-of-clients deployment shape.
 //
-// One pbs.Set holds a reference catalog (a software-update catalog, a
-// certificate-transparency log tip, a mempool) and serves a fleet of
-// clients that concurrently reconcile their drifted local copies against
-// it over TCP: a pbs.Server holds the Set under DefaultSetName
-// (Server.RegisterSet) and Serve answers every connection. Every session
-// shares the set's current immutable view — one validated snapshot, one
-// ToW sketch, one group partition per plan size — and the set stays
-// mutable while serving: catalog updates land with Add/Remove, the
-// estimator sketch follows incrementally, and the next admitted session
-// sees the new contents. The server's per-session limits (d̂ cap, bytes,
-// rounds, idle time) keep one hostile or broken client from hurting the
-// rest.
+// A pbs.Server hosts a reference catalog (a software-update catalog, a
+// certificate-transparency log tip, a mempool) under DefaultSetName
+// (Server.Host) and serves a fleet of clients that concurrently reconcile
+// their drifted local copies against it over TCP. Every session shares the
+// set's current immutable view — one validated snapshot, one ToW sketch,
+// one group partition per plan size — and the set stays writable while
+// serving: a catalog update lands with Server.HostedUpdate, the estimator
+// sketch follows incrementally, and the next admitted session sees the new
+// contents. The server's per-session limits (d̂ cap, bytes, rounds, idle
+// time) keep one hostile or broken client from hurting the rest.
 //
 // Run with: go run ./examples/serversync
 package main
@@ -28,7 +26,7 @@ import (
 )
 
 func main() {
-	// The reference set: 200k random 32-bit IDs, held as a live handle.
+	// The reference set: 200k random 32-bit IDs.
 	rng := rand.New(rand.NewSource(7))
 	catalogIDs := make(map[uint64]struct{})
 	for len(catalogIDs) < 200_000 {
@@ -39,15 +37,10 @@ func main() {
 		reference = append(reference, x)
 	}
 
-	// Server and clients run under the same protocol options; the Set is
-	// built under them too, so it can be registered with the server.
+	// Server and clients run under the same protocol options.
 	opt := &pbs.Options{Seed: 42, StrongVerify: true}
-	catalog, err := pbs.NewSet(reference, pbs.WithOptions(*opt))
-	if err != nil {
-		log.Fatal(err)
-	}
 	srv := pbs.NewServer(pbs.ServerOptions{Protocol: opt})
-	if err := srv.RegisterSet(pbs.DefaultSetName, catalog); err != nil {
+	if err := srv.Host(pbs.DefaultSetName, reference); err != nil {
 		log.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -56,7 +49,7 @@ func main() {
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	fmt.Printf("serving %d IDs on %s\n", catalog.Len(), ln.Addr())
+	fmt.Printf("serving %d IDs on %s\n", len(reference), ln.Addr())
 
 	// 32 clients, each missing a different few hundred IDs and carrying a
 	// few local extras, sync concurrently.
@@ -82,8 +75,8 @@ func main() {
 	wg.Wait()
 
 	// A catalog update lands while the server keeps running: publish 500
-	// fresh IDs through the live handle (the sketch updates incrementally;
-	// the next session rebuilds the shared view once and reuses it).
+	// fresh IDs (the sketch updates incrementally; the next session builds
+	// the shared view once and every later one reuses it).
 	fresh := make([]uint64, 0, 500)
 	for len(fresh) < 500 {
 		x := uint64(rng.Uint32() &^ 1) // even IDs are guaranteed novel
@@ -91,7 +84,7 @@ func main() {
 			fresh = append(fresh, x)
 		}
 	}
-	if _, err := catalog.Add(fresh...); err != nil {
+	if err := srv.HostedUpdate(pbs.DefaultSetName, fresh, nil); err != nil {
 		log.Fatal(err)
 	}
 	local, _ := driftedCopy(reference, 999)

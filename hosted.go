@@ -32,7 +32,8 @@ const DefaultMergeThreshold = 4
 // MaxResidentBytes by that many sets while the disk catches up.
 const maxEvictWrites = 8
 
-// hostedStore manages the Server's hosted sets: resident-bytes accounting
+// hostedStore manages the Server's sets, every one of them hosted:
+// resident-bytes accounting
 // with LRU eviction, cold loads from the segment store, and flush of
 // dirty state on eviction — written behind, off the evicting goroutine.
 // It is the in-memory head over setstore's immutable segments.
@@ -64,7 +65,11 @@ type hostedStore struct {
 	writing      sync.WaitGroup
 }
 
-func newHostedStore(opt Options, maxResident int64) (*hostedStore, error) {
+func newHostedStore(o *Options, maxResident int64) (*hostedStore, error) {
+	opt, err := o.withDefaultsValidated()
+	if err != nil {
+		return nil, err
+	}
 	tow, err := estimator.NewToW(opt.EstimatorSketches, opt.Seed^towSeedTweak)
 	if err != nil {
 		return nil, err
@@ -91,11 +96,12 @@ func (h *hostedStore) metaFor(elems []uint64) setstore.Meta {
 	}
 }
 
-// hostedSet is one named set under hostedStore management. It implements
-// setSource, so the Server's registry serves sessions from it directly:
+// hostedSet is one named set under hostedStore management, and the value
+// the Server's registry holds, so sessions are served from it directly:
 // resident, sessions get a materialized sharedSet; cold, they get a lazy
 // view that answers estimates from the persisted sketch/digest and pages
-// elements in only for a real delta round.
+// elements in only for a real delta round. Without a DataDir it is
+// memory-only and never evicted.
 type hostedSet struct {
 	h    *hostedStore
 	name string
@@ -116,9 +122,11 @@ type hostedSet struct {
 	// set the set is cold and its unpersisted state lives only there.
 	pending *segmentWrite
 
-	// lruPos and charge are guarded by h.mu (LRU bookkeeping), not mu.
-	lruPos *list.Element
-	charge int64
+	// lruPos, charge and dropped (the set left the registry, never to be
+	// admitted to the LRU again) are guarded by h.mu, not mu.
+	lruPos  *list.Element
+	charge  int64
+	dropped bool
 }
 
 // logicalBytes is the tenant-quota charge of this set.
@@ -134,8 +142,8 @@ func (hs *hostedSet) residentCharge() int64 {
 
 // host builds a new resident hosted set from elems — validated by the
 // caller (checkElems), duplicates allowed and dropped here. The caller
-// registers it (quota checks) and then calls persist, which writes its
-// first full segment when the disk layer is enabled.
+// registers it (quota checks), then flushes its first full segment when the
+// disk layer is enabled and enters it into the resident accounting.
 func (h *hostedStore) host(name string, elems []uint64) (*hostedSet, error) {
 	snap, err := core.NewValidatedSnapshot(sortedUnique(elems), h.opt.coreConfig())
 	if err != nil {
@@ -163,18 +171,8 @@ func (h *hostedStore) recover(name string) (*hostedSet, error) {
 	return &hostedSet{h: h, name: name, meta: meta, persisted: true}, nil
 }
 
-// persist writes the initial full segment of a freshly hosted set and
-// inserts it into the resident accounting (which may evict others).
-func (hs *hostedSet) persist() error {
-	if err := hs.flush(); err != nil {
-		return err
-	}
-	hs.h.noteResident(hs)
-	return nil
-}
-
-// sharedView implements setSource.
-func (hs *hostedSet) sharedView() (*sharedSet, error) {
+// sharedView returns the view a new session reconciles against.
+func (hs *hostedSet) sharedView() *sharedSet {
 	hs.mu.Lock()
 	if hs.view == nil {
 		// Either view answers estimates and verification from the
@@ -191,12 +189,8 @@ func (hs *hostedSet) sharedView() (*sharedSet, error) {
 	if resident {
 		hs.h.touch(hs)
 	}
-	return v, nil
+	return v
 }
-
-// sessionOptions implements setSource: hosted sessions run under the
-// server's protocol options.
-func (hs *hostedSet) sessionOptions() Options { return hs.h.opt }
 
 func (hs *hostedSet) digestLocked() msethash.Digest {
 	d, _ := msethash.DigestFromBytes(hs.meta.Digest)
@@ -426,7 +420,7 @@ func (hs *hostedSet) demote() {
 	// A promote or update racing this demotion may have re-inserted the set
 	// into the LRU between our removal and here; undo that so the resident
 	// accounting never carries a cold set.
-	hs.h.forget(hs)
+	hs.h.forget(hs, false)
 	hs.h.evictions.Add(1)
 	if w != nil {
 		hs.h.writeBehind(hs, w)
@@ -475,9 +469,9 @@ func (hs *hostedSet) endEviction(w *segmentWrite) {
 }
 
 // admitLocked inserts a set into the resident accounting at the front of
-// the LRU; a no-op for a set already there. Requires h.mu.
+// the LRU; a no-op for a set already there or dropped. Requires h.mu.
 func (h *hostedStore) admitLocked(hs *hostedSet, charge int64) {
-	if hs.lruPos == nil {
+	if hs.lruPos == nil && !hs.dropped {
 		hs.charge = charge
 		hs.lruPos = h.lru.PushFront(hs)
 		h.residentBytes.Add(charge)
@@ -538,9 +532,12 @@ func (h *hostedStore) touch(hs *hostedSet) {
 	h.mu.Unlock()
 }
 
-// forget removes a set from the resident accounting (Unregister path).
-func (h *hostedStore) forget(hs *hostedSet) {
+// forget removes a set from the resident accounting. With drop it is for
+// good: the set left the registry (unregistered or replaced), and a write
+// or cold load racing its removal does not re-admit it.
+func (h *hostedStore) forget(hs *hostedSet, drop bool) {
 	h.mu.Lock()
+	hs.dropped = hs.dropped || drop
 	if hs.lruPos != nil {
 		h.lru.Remove(hs.lruPos)
 		hs.lruPos = nil
@@ -580,7 +577,8 @@ func (h *hostedStore) flushAll() error {
 // ServerOptions.DataDir, registers every set already persisted there as a
 // cold entry — a footer-only read per set, no elements touched — and
 // starts the background segment merger. Call it once, before Serve and
-// before the first Host. It returns how many sets were recovered.
+// before the first Host or Register. It returns how many sets were
+// recovered.
 func (s *Server) EnableHosting() (int, error) {
 	if s.hosted == nil {
 		return 0, s.hostedErr
@@ -611,7 +609,7 @@ func (s *Server) EnableHosting() (int, error) {
 		if err != nil {
 			return n, err
 		}
-		if err := s.publish(name, hs, hs.logicalBytes()); err != nil {
+		if err := s.publish(name, hs, hs.logicalBytes(), false); err != nil {
 			return n, err
 		}
 		n++
@@ -619,10 +617,11 @@ func (s *Server) EnableHosting() (int, error) {
 	return n, nil
 }
 
-// Host registers a hosted set built from elems: persisted as a full
-// segment when hosting is enabled, and evictable under MaxResidentBytes —
-// the deployment shape for servers carrying far more named sets than fit
-// in memory. Re-hosting a name replaces its contents. Elements must be
+// Host registers a hosted set built from elems — the one kind of set a
+// Server serves: persisted as a full segment when hosting is enabled, and
+// then evictable under MaxResidentBytes (the deployment shape for servers
+// carrying far more named sets than fit in memory); memory-only otherwise.
+// Re-hosting a name replaces its contents. Elements must be
 // nonzero and fit in the protocol's SigBits (duplicates are dropped); an
 // invalid one fails the call before anything changes, and tenant quotas are
 // checked before anything is written.
@@ -641,23 +640,22 @@ func (s *Server) Host(name string, elems []uint64) error {
 	if err != nil {
 		return err
 	}
-	if err := s.publish(name, hs, hs.logicalBytes()); err != nil {
+	if err := s.publish(name, hs, hs.logicalBytes(), false); err != nil {
 		return err
 	}
 	if hadOld {
-		if ohs, ok := old.(*hostedSet); ok {
-			s.hosted.forget(ohs)
-			// The replaced set's eviction write, if one is in flight, lands
-			// before this set's full segment, which replay then starts from.
-			ohs.mu.Lock()
-			ohs.awaitWriteLocked()
-			ohs.mu.Unlock()
-		}
+		s.hosted.forget(old, true)
+		// The replaced set's eviction write, if one is in flight, lands
+		// before this set's full segment, which replay then starts from.
+		old.mu.Lock()
+		old.awaitWriteLocked()
+		old.mu.Unlock()
 	}
-	if err := hs.persist(); err != nil {
+	if err := hs.flush(); err != nil {
 		s.Unregister(name)
 		return err
 	}
+	s.hosted.noteResident(hs) // may evict others
 	return nil
 }
 
@@ -671,15 +669,12 @@ func (s *Server) Host(name string, elems []uint64) error {
 // when the set is next evicted (written off the evicting goroutine; a write
 // to the set meanwhile waits for it to commit) or the server shuts down.
 // Growth is reserved against the tenant's byte quota before the set is
-// touched.
+// touched. A set unregistered or replaced while the update runs stays
+// gone: the call then fails as an unknown set.
 func (s *Server) HostedUpdate(name string, add, remove []uint64) error {
-	src, ok := s.sets.Get(name)
+	hs, ok := s.sets.Get(name)
 	if !ok {
-		return fmt.Errorf("pbs: unknown set %q", name)
-	}
-	hs, isHosted := src.(*hostedSet)
-	if !isHosted {
-		return fmt.Errorf("pbs: set %q is not hosted", name)
+		return unknownSet(name)
 	}
 	if err := checkElems(add, s.hosted.opt.SigBits); err != nil {
 		return err
@@ -687,12 +682,14 @@ func (s *Server) HostedUpdate(name string, add, remove []uint64) error {
 	if len(add) > 0 {
 		// Worst-case reservation: every add is new. Settled to the actual
 		// size below.
-		if err := s.publish(name, src, hs.logicalBytes()+hostedElemBytes*int64(len(add))); err != nil {
+		if err := s.publish(name, hs, hs.logicalBytes()+hostedElemBytes*int64(len(add)), true); err != nil {
 			return err
 		}
 	}
 	err := hs.update(add, remove)
-	s.publish(name, src, hs.logicalBytes())
+	if cerr := s.publish(name, hs, hs.logicalBytes(), true); cerr != nil {
+		return cerr
+	}
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -308,15 +310,177 @@ func TestRegisterAfterServerClose(t *testing.T) {
 	if err := srv.Register("after", testBaseSet(8)); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("Register after close: %v, want ErrServerClosed", err)
 	}
-	set, err := NewSet(testBaseSet(8), WithOptions(*opt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.RegisterSet("after", set); !errors.Is(err, ErrServerClosed) {
-		t.Fatalf("RegisterSet after close: %v, want ErrServerClosed", err)
-	}
 	if err := srv.Host("after", testBaseSet(8)); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("Host after close: %v, want ErrServerClosed", err)
+	}
+}
+
+// TestRegisterPersists: Register is Host, so on a server with a DataDir the
+// set is persisted — its duplicates dropped, an empty name refused — and a
+// fresh server on the same directory recovers it cold through
+// EnableHosting, and a sync against it learns the exact difference.
+func TestRegisterPersists(t *testing.T) {
+	dir := t.TempDir()
+	opt := &Options{Seed: 91}
+	base := hostedBase(3, 500)
+	srv := NewServer(ServerOptions{Protocol: opt, DataDir: dir})
+	if _, err := srv.EnableHosting(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Register(DefaultSetName, append(slices.Clone(base), base[:10]...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Register("", base); err == nil {
+		t.Fatal("Register accepted an empty name")
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := NewServer(ServerOptions{Protocol: opt, DataDir: dir})
+	if n, err := re.EnableHosting(); err != nil || n != 1 {
+		t.Fatalf("recovered %d sets (%v), want 1", n, err)
+	}
+	if st := re.Stats(); st.SetsHosted != 1 || st.SetsResident != 0 {
+		t.Fatalf("after recovery: %d sets, %d resident; want 1, cold", st.SetsHosted, st.SetsResident)
+	}
+	addr := serveHosted(t, re)
+	local, want := hostedClientSet(base, 3)
+	mustSyncExact(t, addr, opt, "", "", local, want)
+	if got := re.Stats().ColdLoads; got != 1 {
+		t.Fatalf("ColdLoads = %d, want 1", got)
+	}
+}
+
+// TestHostedUpdateRacingUnregister: a set unregistered or replaced while a
+// HostedUpdate of it runs is not brought back — the update fails as an
+// unknown set, and neither re-registers the name nor re-admits the set to
+// the resident accounting. The update is held on the set's lock while the
+// race runs: with adds it is held before its quota reservation, with
+// removes only inside the write. A free-running race follows.
+func TestHostedUpdateRacingUnregister(t *testing.T) {
+	opt := &Options{Seed: 93}
+	base := hostedBase(2, 20_000)
+	replacement := hostedBase(4, 100)
+	gone := func(srv *Server) error {
+		if !srv.Unregister("r") {
+			return errors.New("Unregister found no set")
+		}
+		return nil
+	}
+	replaced := func(srv *Server) error { return srv.Host("r", replacement) }
+	// settled checks the server holds exactly what the race left: no set,
+	// or the replacement, charged once.
+	settled := func(t *testing.T, srv *Server, want []uint64) {
+		t.Helper()
+		st := srv.Stats()
+		sets, bytes, _ := srv.TenantUsage("")
+		hs, ok := srv.sets.Get("r")
+		switch {
+		case want == nil && ok:
+			t.Fatal("the unregistered name is registered again")
+		case want != nil && (!ok || hs.snap.Len() != len(want)):
+			t.Fatal("the replacement is not what the name maps to")
+		}
+		n := int64(len(want))
+		wantSets := min(n, 1)
+		if st.SetsHosted != wantSets || st.SetsResident != wantSets || sets != wantSets ||
+			bytes != hostedElemBytes*n || st.ResidentBytes != wantSets*(hostedSetOverhead+hostedElemBytes*n) {
+			t.Fatalf("accounting: %d sets, %d resident (%d B), tenant %d sets %d B; want %d sets of %d elements",
+				st.SetsHosted, st.SetsResident, st.ResidentBytes, sets, bytes, wantSets, n)
+		}
+	}
+	for _, tc := range []struct {
+		name        string
+		add, remove []uint64
+		race        func(*Server) error
+		left        []uint64
+	}{
+		{"adds/unregister", hostedBase(3, 1000), nil, gone, nil},
+		{"removes/unregister", nil, base[:1000], gone, nil},
+		{"adds/host", hostedBase(3, 1000), nil, replaced, replacement},
+		{"removes/host", nil, base[:1000], replaced, replacement},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewServer(ServerOptions{Protocol: opt})
+			defer srv.Close()
+			if err := srv.Host("r", base); err != nil {
+				t.Fatal(err)
+			}
+			hs := hostedOf(t, srv, "r")
+			hs.mu.Lock()
+			done := make(chan error, 1)
+			go func() { done <- srv.HostedUpdate("r", tc.add, tc.remove) }()
+			time.Sleep(20 * time.Millisecond) // the update reaches the set's lock
+			raced := make(chan error, 1)
+			go func() { raced <- tc.race(srv) }()
+			// A replacing Host takes the old set's lock after it has swapped
+			// the name: let go once the name has left hs.
+			waitFor(t, func() bool { cur, _ := srv.sets.Get("r"); return cur != hs })
+			hs.mu.Unlock()
+			if err := <-raced; err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err == nil || !strings.Contains(err.Error(), "unknown set") {
+				t.Fatalf("HostedUpdate returned %v, want an unknown set", err)
+			}
+			settled(t, srv, tc.left)
+		})
+	}
+	t.Run("free", func(t *testing.T) {
+		for try := 0; try < 3; try++ {
+			srv := NewServer(ServerOptions{Protocol: opt})
+			if err := srv.Host("r", base); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- srv.HostedUpdate("r", hostedBase(3, 20_000), nil) }()
+			time.Sleep(2 * time.Millisecond)
+			if err := gone(srv); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil && !strings.Contains(err.Error(), "unknown set") {
+				t.Fatal(err)
+			}
+			settled(t, srv, nil)
+			srv.Close()
+		}
+	})
+}
+
+// TestHostedColdLoadAfterUnregister: a session admitted against a cold set
+// that is then unregistered still pages the set in for its round, but the
+// set stays out of the resident accounting — it left the registry, and in
+// the LRU it would evict a registered set and, written, be flushed under a
+// name it no longer holds.
+func TestHostedColdLoadAfterUnregister(t *testing.T) {
+	opt := &Options{Seed: 95}
+	const size = 200
+	charge := int64(hostedSetOverhead + hostedElemBytes*size)
+	srv := NewServer(ServerOptions{Protocol: opt, DataDir: t.TempDir(), MaxResidentBytes: charge + 64})
+	defer srv.Close()
+	if _, err := srv.EnableHosting(); err != nil {
+		t.Fatal(err)
+	}
+	for k, name := range []string{"c/a", "c/b"} { // c/b evicts c/a
+		if err := srv.Host(name, hostedBase(k, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	view := hostedOf(t, srv, "c/a").sharedView()
+	if view.loadSnap == nil {
+		t.Fatal("c/a was not evicted")
+	}
+	if !srv.Unregister("c/a") {
+		t.Fatal("Unregister found no set")
+	}
+	if _, err := view.snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	st := srv.Stats()
+	if st.ColdLoads != 1 || st.Evictions != 1 || st.SetsResident != 1 || st.ResidentBytes != charge {
+		t.Fatalf("cold loads %d, evictions %d, %d resident (%d B); want 1, 1, c/b alone (%d B)",
+			st.ColdLoads, st.Evictions, st.SetsResident, st.ResidentBytes, charge)
 	}
 }
 

@@ -16,13 +16,9 @@ import (
 // hostedOf returns the hosted set registered under name.
 func hostedOf(t *testing.T, srv *Server, name string) *hostedSet {
 	t.Helper()
-	src, ok := srv.sets.Get(name)
+	hs, ok := srv.sets.Get(name)
 	if !ok {
 		t.Fatalf("set %q not registered", name)
-	}
-	hs, ok := src.(*hostedSet)
-	if !ok {
-		t.Fatalf("set %q is %T, not hosted", name, src)
 	}
 	return hs
 }
@@ -203,12 +199,8 @@ func TestHostedUpdateMatchesFreshHost(t *testing.T) {
 	}
 	local, want := hostedClientSet(sortedU64(final), 5)
 	session := func(hs *hostedSet) (sent, received []byte) {
-		view, err := hs.sharedView()
-		if err != nil {
-			t.Fatal(err)
-		}
 		is, opening := helloInitiator(t, local, opt, "", 1)
-		sent, received = driveEngine(t, is, opening, view.newServerSession(hs.sessionOptions()))
+		sent, received = driveEngine(t, is, opening, hs.sharedView().newServerSession())
 		if res := is.res; !res.Complete || !slices.Equal(sortedU64(res.Difference), sortedU64(want)) {
 			t.Fatalf("session learned %d elements (complete=%v), want %d", len(res.Difference), res.Complete, len(want))
 		}

@@ -127,7 +127,7 @@ type shard[V any] struct {
 
 // Registry is the sharded, tenant-accounted name → value map. The zero
 // value is not usable; construct with New.
-type Registry[V any] struct {
+type Registry[V comparable] struct {
 	shards []shard[V]
 	mask   uint64
 	count  atomic.Int64
@@ -139,7 +139,7 @@ type Registry[V any] struct {
 // New returns a registry striped over the given shard count (rounded up
 // to a power of two; <= 0 selects DefaultShards). defQuota applies to
 // every tenant without an explicit SetQuota override.
-func New[V any](shards int, defQuota Quota) *Registry[V] {
+func New[V comparable](shards int, defQuota Quota) *Registry[V] {
 	if shards <= 0 {
 		shards = DefaultShards
 	}
@@ -233,14 +233,30 @@ func (r *Registry[V]) Range(fn func(name string, v V) bool) {
 // returns a *QuotaError when the tenant is over quota, with nothing
 // changed.
 func (r *Registry[V]) Register(name string, v V, bytes int64) error {
+	_, err := r.put(name, v, bytes, false)
+	return err
+}
+
+// Recharge re-charges the entry under name to bytes, provided name still
+// holds v; it reports false, with nothing changed, when name is gone or
+// holds another value. A quota failure is Register's.
+func (r *Registry[V]) Recharge(name string, v V, bytes int64) (bool, error) {
+	return r.put(name, v, bytes, true)
+}
+
+// put is Register, or under onlySame Recharge.
+func (r *Registry[V]) put(name string, v V, bytes int64, onlySame bool) (bool, error) {
 	ts := r.tenant(name)
 	sh := r.shard(name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	old, existed := sh.m[name]
+	if onlySame && (!existed || old.v != v) {
+		return false, nil
+	}
 	if !existed {
 		if used, ok := reserve(&ts.sets, 1, ts.maxSets.Load()); !ok {
-			return &QuotaError{Tenant: Tenant(name), Resource: "sets", Used: used, Limit: ts.maxSets.Load()}
+			return false, &QuotaError{Tenant: Tenant(name), Resource: "sets", Used: used, Limit: ts.maxSets.Load()}
 		}
 	}
 	delta := bytes
@@ -251,13 +267,13 @@ func (r *Registry[V]) Register(name string, v V, bytes int64) error {
 		if !existed {
 			ts.sets.Add(-1)
 		}
-		return &QuotaError{Tenant: Tenant(name), Resource: "bytes", Used: used, Limit: ts.maxBytes.Load()}
+		return false, &QuotaError{Tenant: Tenant(name), Resource: "bytes", Used: used, Limit: ts.maxBytes.Load()}
 	}
 	sh.m[name] = entry[V]{v: v, bytes: bytes}
 	if !existed {
 		r.count.Add(1)
 	}
-	return nil
+	return true, nil
 }
 
 // Unregister removes name, releasing its set and byte reservations, and

@@ -67,6 +67,31 @@ func TestRegisterLookupUnregister(t *testing.T) {
 	}
 }
 
+// TestRecharge: a recharge re-charges only the value it names, under the
+// byte quota, and leaves a name that is gone or swapped alone.
+func TestRecharge(t *testing.T) {
+	r := New[int](4, Quota{MaxBytes: 1000})
+	if err := r.Register("acme/a", 1, 100); err != nil {
+		t.Fatal(err)
+	}
+	if same, err := r.Recharge("acme/a", 1, 400); !same || err != nil {
+		t.Fatalf("Recharge of the registered value = %v, %v", same, err)
+	}
+	var qe *QuotaError
+	if _, err := r.Recharge("acme/a", 1, 2000); !errors.As(err, &qe) || qe.Resource != "bytes" {
+		t.Fatalf("Recharge over the byte quota: %v", err)
+	}
+	if same, err := r.Recharge("acme/a", 2, 500); same || err != nil {
+		t.Fatalf("Recharge of another value = %v, %v", same, err)
+	}
+	if same, err := r.Recharge("acme/missing", 1, 500); same || err != nil {
+		t.Fatalf("Recharge of a missing name = %v, %v", same, err)
+	}
+	if sets, bytes, _ := r.TenantUsage("acme"); sets != 1 || bytes != 400 || r.Len() != 1 {
+		t.Fatalf("usage = %d sets / %d bytes / Len %d, want 1/400/1", sets, bytes, r.Len())
+	}
+}
+
 func TestQuotaSets(t *testing.T) {
 	r := New[int](4, Quota{MaxSets: 2})
 	if err := r.Register("t/a", 1, 0); err != nil {

@@ -38,9 +38,8 @@
 // Set.Sync initiates over any connection, Set.Respond answers a single
 // peer, and Set.Reconcile runs both endpoints in process. A Server answers
 // many sessions concurrently on a listener, against sets published with
-// Server.RegisterSet (a live Set) or Server.Register (an immutable
-// snapshot); Client and MuxConn carry initiator sessions at deployment
-// scale. See examples/serversync and cmd/pbs-serve, and the README for
+// Server.Host and written with Server.HostedUpdate; Client and MuxConn
+// carry initiator sessions at deployment scale. See examples/serversync and cmd/pbs-serve, and the README for
 // what replaced the entry points that predate Set.
 package pbs
 

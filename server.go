@@ -18,11 +18,11 @@ import (
 
 // Server answers reconciliation sessions concurrently over TCP (or any
 // net.Listener). It is the deployment shape the non-blocking session
-// engine exists for: every session drives a responderSession against an
-// immutable sharedSet from the server's registry, so N concurrent sessions
-// share one validated snapshot of each set — one ToW sketch, one
-// strong-verification digest, one group partition per plan size — instead
-// of N private copies.
+// engine exists for: every session drives a responderSession against the
+// current immutable view of a hosted set from the server's registry, so N
+// concurrent sessions share one validated snapshot of each set — one ToW
+// sketch, one strong-verification digest, one group partition per plan
+// size — instead of N private copies.
 //
 // One connection loop (handle) serves every connection, whatever framing it
 // negotiated, through a per-connection table of session runners. It
@@ -46,16 +46,14 @@ import (
 // at once, one per stream, each under its own budgets.
 type Server struct {
 	opt ServerOptions
-	// protoOpt is opt.Protocol with defaults applied, resolved once; every
-	// session runs under it.
-	protoOpt Options
 
 	// sets is the sharded set registry: striped by name hash so lookups on
 	// the session hot path take only one shard's read lock, with per-tenant
 	// ("tenant/name") quota accounting layered on top.
-	sets *registry.Registry[setSource]
-	// hosted manages evictable persistent sets (see hosted.go); store is
-	// the segment layer, non-nil once EnableHosting has opened DataDir.
+	sets *registry.Registry[*hostedSet]
+	// hosted manages the registered sets and their protocol options (nil,
+	// with hostedErr, when those are invalid; see hosted.go); store is the
+	// segment layer, non-nil once EnableHosting has opened DataDir.
 	hosted      *hostedStore
 	hostedErr   error
 	store       *setstore.Store
@@ -305,9 +303,10 @@ type ServerStats struct {
 	AdaptiveReplans int64
 	PriorHits       int64
 
-	// Hosted-set registry counters. SetsHosted counts every registered set
-	// (hosted or not); the rest cover the hosted layer: sets currently
-	// resident in memory, their summed charge, elements paged in from the
+	// Hosted-set registry counters; every registered set is hosted,
+	// Register's included. SetsHosted counts them; the rest cover the hosted
+	// layer: sets currently resident in memory, their summed charge, elements
+	// paged in from the
 	// segment store (cold loads), LRU evictions under MaxResidentBytes,
 	// background segment-chain merges, and sessions or registrations
 	// rejected on a tenant quota.
@@ -352,31 +351,20 @@ func summarize(s hist.Snapshot) HistogramSummary {
 	}
 }
 
-// setSource is a registry entry: something that can produce the immutable
-// sharedSet view a new session reconciles against, plus the protocol
-// options sessions against it run under. An immutable sharedSet is its own
-// (constant) source; a mutable Set returns its current view, rebuilt
-// lazily after mutations.
-type setSource interface {
-	sharedView() (*sharedSet, error)
-	sessionOptions() Options
-}
-
 // NewServer returns a Server with an empty set registry. Register at least
 // one set (typically DefaultSetName) before calling Serve.
 func NewServer(opt ServerOptions) *Server {
 	s := &Server{
 		opt:       opt,
-		protoOpt:  opt.Protocol.withDefaults(),
-		sets:      registry.New[setSource](registry.DefaultShards, opt.TenantQuota.toRegistry()),
+		sets:      registry.New[*hostedSet](registry.DefaultShards, opt.TenantQuota.toRegistry()),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 		drainCh:   make(chan struct{}),
 	}
-	// The hosted layer needs a valid estimator configuration; an invalid
-	// one surfaces on the first Host/EnableHosting call, not here, so
-	// NewServer keeps its no-error signature.
-	s.hosted, s.hostedErr = newHostedStore(s.protoOpt, opt.MaxResidentBytes)
+	// Invalid protocol options surface on the first Host, Register or
+	// EnableHosting call, not here, so NewServer keeps its no-error
+	// signature.
+	s.hosted, s.hostedErr = newHostedStore(opt.Protocol, opt.MaxResidentBytes)
 	return s
 }
 
@@ -393,84 +381,58 @@ func (s *Server) TenantUsage(tenant string) (sets, bytes, sessions int64) {
 	return s.sets.TenantUsage(tenant)
 }
 
-// Register validates set once and publishes it under name. Re-registering
-// a name swaps the snapshot atomically: sessions already in flight keep
-// reconciling against the snapshot they started with, new sessions see the
-// new one.
-func (s *Server) Register(name string, set []uint64) error {
-	ss, err := newSharedSet(set, s.opt.Protocol)
-	if err != nil {
-		return err
-	}
-	return s.publish(name, ss, hostedElemBytes*int64(ss.len()))
-}
-
-// RegisterSet publishes a live, mutable Set under name. Unlike Register —
-// which pins an immutable snapshot at registration time — sessions
-// admitted after a mutation see the mutated set: each session takes the
-// Set's current immutable view at admission (sessions already in flight
-// keep the view they started with), and the view rebuild after a mutation
-// is amortized across all sessions until the next one.
-//
-// Sessions against the set run under the Set's own options; those must
-// agree with the server's protocol options on the structural fields
-// (Seed, SigBits, EstimatorSketches) that bind the Set's cached snapshot
-// and sketch.
-func (s *Server) RegisterSet(name string, set *Set) error {
-	if err := s.protoOpt.validate(); err != nil {
-		return err
-	}
-	want := s.protoOpt
-	got := set.cfg.opt
-	switch {
-	case got.Seed != want.Seed:
-		return fmt.Errorf("pbs: set seed %#x does not match server seed %#x", got.Seed, want.Seed)
-	case got.SigBits != want.SigBits:
-		return fmt.Errorf("pbs: set sigBits %d does not match server sigBits %d", got.SigBits, want.SigBits)
-	case got.EstimatorSketches != want.EstimatorSketches:
-		return fmt.Errorf("pbs: set sketch count %d does not match server %d", got.EstimatorSketches, want.EstimatorSketches)
-	}
-	return s.publish(name, set, hostedElemBytes*int64(set.Len()))
-}
+// Register publishes set under name: it is Host under its older name, with
+// Host's rules. Duplicate elements are dropped, not rejected; an empty name
+// is rejected; and on a server with hosting enabled the set is persisted
+// and can be evicted like any hosted set.
+func (s *Server) Register(name string, set []uint64) error { return s.Host(name, set) }
 
 // ErrServerClosed is returned by registration and hosting calls made after
 // Close or Shutdown.
 var ErrServerClosed = errors.New("pbs: server closed")
 
-// publish inserts src into the sharded registry, charging bytes against
-// the tenant's quota. The closed check rides the same lock Close takes, so
-// a registration can never land after Shutdown observed a clean registry.
-func (s *Server) publish(name string, src setSource, bytes int64) error {
+// publish charges bytes for hs under name against the tenant's quota. A
+// registration inserts hs, or swaps it in for the set the name held; a
+// recharge only re-charges the entry, and fails as an unknown set when the
+// name no longer maps to hs — it was unregistered or replaced meanwhile.
+// The closed check rides the same lock Close takes, so a registration can
+// never land after Shutdown observed a clean registry.
+func (s *Server) publish(name string, hs *hostedSet, bytes int64, recharge bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrServerClosed
 	}
-	if err := s.sets.Register(name, src, bytes); err != nil {
-		var qe *registry.QuotaError
-		if errors.As(err, &qe) {
-			s.quotaRejections.Add(1)
-			return fmt.Errorf("%w: %v", ErrQuotaExceeded, err)
+	var err error
+	if recharge {
+		var same bool
+		if same, err = s.sets.Recharge(name, hs, bytes); err == nil && !same {
+			return unknownSet(name)
 		}
-		return err
+	} else {
+		err = s.sets.Register(name, hs, bytes)
 	}
-	return nil
+	var qe *registry.QuotaError
+	if errors.As(err, &qe) {
+		s.quotaRejections.Add(1)
+		return fmt.Errorf("%w: %v", ErrQuotaExceeded, err)
+	}
+	return err
 }
+
+func unknownSet(name string) error { return fmt.Errorf("pbs: unknown set %q", name) }
 
 // Unregister removes a named set from the registry, releasing its quota
 // charge; it reports whether the name was registered. Sessions already
-// reconciling against the set finish undisturbed. A hosted set's persisted
-// segments stay on disk (recovered again by the next EnableHosting);
-// removing those too is the store's Remove.
+// reconciling against the set finish undisturbed. Its persisted segments
+// stay on disk (recovered again by the next EnableHosting); removing those
+// too is the store's Remove.
 func (s *Server) Unregister(name string) bool {
-	src, ok := s.sets.Unregister(name)
-	if !ok {
-		return false
+	hs, ok := s.sets.Unregister(name)
+	if ok {
+		s.hosted.forget(hs, true)
 	}
-	if hs, isHosted := src.(*hostedSet); isHosted {
-		s.hosted.forget(hs)
-	}
-	return true
+	return ok
 }
 
 // rejection is why startSession turned a session away: the client-facing
@@ -497,11 +459,10 @@ func (r *rejection) count(s *Server) {
 // shutdown check and the sessActive increment happen under one lock so
 // Shutdown can never sample a clean drain while a session is
 // half-admitted; the registry lookup takes only the name's shard read
-// lock, and the view materialization (which may be O(|S|) right after a
-// mutation of a registered Set, or a cold load for a hosted one) happens
-// outside both. The returned session carries a release hook returning the
-// tenant's session-quota slot; every sessActive decrement must pair with
-// runRelease.
+// lock, and taking the set's view happens outside both (a cold set's view
+// pages nothing in; its first delta round does). The returned session
+// carries a release hook returning the tenant's session-quota slot; every
+// sessActive decrement must pair with runRelease.
 func (s *Server) startSession(name string) (*responderSession, *rejection) {
 	s.mu.Lock()
 	if s.closed {
@@ -510,7 +471,7 @@ func (s *Server) startSession(name string) (*responderSession, *rejection) {
 	}
 	s.sessActive.Add(1)
 	s.mu.Unlock()
-	src, ok := s.sets.Get(name)
+	hs, ok := s.sets.Get(name)
 	if !ok {
 		s.sessActive.Add(-1)
 		return nil, &rejection{msg: fmt.Sprintf("unknown set %q", name), code: ErrCodeRejected}
@@ -522,13 +483,7 @@ func (s *Server) startSession(name string) (*responderSession, *rejection) {
 		// rejection is retryable with the standard hint.
 		return nil, &rejection{msg: err.Error(), code: ErrCodeQuota, retry: s.opt.retryAfterHint(), transient: true}
 	}
-	ss, err := src.sharedView()
-	if err != nil {
-		s.sets.EndSession(name)
-		s.sessActive.Add(-1)
-		return nil, &rejection{msg: err.Error(), code: ErrCodeRejected}
-	}
-	sess := ss.newServerSession(src.sessionOptions())
+	sess := hs.sharedView().newServerSession()
 	sess.release = func() { s.sets.EndSession(name) }
 	return sess, nil
 }

@@ -421,31 +421,7 @@ func (ss *sharedSet) snapshot() (*core.Snapshot, error) {
 		}
 		ss.snap, ss.snapErr = ss.loadSnap()
 	})
-	if ss.snapErr != nil {
-		return nil, ss.snapErr
-	}
-	if ss.snap == nil {
-		return nil, fmt.Errorf("pbs: shared set has no snapshot")
-	}
-	return ss.snap, nil
-}
-
-// newSharedSet validates set once under o and prepares it for concurrent
-// responder sessions.
-func newSharedSet(set []uint64, o *Options) (*sharedSet, error) {
-	opt, err := o.withDefaultsValidated()
-	if err != nil {
-		return nil, err
-	}
-	tow, err := estimator.NewToW(opt.EstimatorSketches, opt.Seed^towSeedTweak)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := core.NewSnapshot(set, opt.coreConfig())
-	if err != nil {
-		return nil, err
-	}
-	return &sharedSet{opt: opt, snap: snap, tow: tow}, nil
+	return ss.snap, ss.snapErr
 }
 
 // Len returns the number of elements in the set.
@@ -484,9 +460,10 @@ func (ss *sharedSet) verifyDigest() msethash.Digest {
 // server tens of megabytes per session. Standalone Set.Respond peers
 // keep the plain default so asymmetric peer-to-peer reconciliation (tiny
 // local set, huge remote difference) still works; servers that need that
-// shape must set MaxD explicitly. opt is the options of the registered
-// source (for a Register'd set, the server's own protocol options).
-func (ss *sharedSet) newServerSession(opt Options) *responderSession {
+// shape must set MaxD explicitly. The session runs under the set's options,
+// which for a served set are the server's.
+func (ss *sharedSet) newServerSession() *responderSession {
+	opt := ss.opt
 	if opt.MaxD == 0 {
 		if cap := 64*ss.len() + 1024; cap < DefaultMaxD {
 			opt.MaxD = cap
@@ -494,11 +471,6 @@ func (ss *sharedSet) newServerSession(opt Options) *responderSession {
 	}
 	return &responderSession{opt: opt, shared: ss}
 }
-
-// sharedView and sessionOptions let an immutable sharedSet serve as a
-// Server registry source alongside the mutable Set.
-func (ss *sharedSet) sharedView() (*sharedSet, error) { return ss, nil }
-func (ss *sharedSet) sessionOptions() Options         { return ss.opt }
 
 // responderSession is the non-blocking responder (Bob) state machine: feed
 // every received frame to step and send back whatever it returns. A

@@ -3,9 +3,29 @@ package pbs
 import (
 	"testing"
 
+	"pbs/internal/core"
+	"pbs/internal/estimator"
 	"pbs/internal/frame"
 	"pbs/internal/workload"
 )
+
+// newSharedSet validates set once under o and prepares it for concurrent
+// sessions: a view built without a Server or a Set, for engine tests.
+func newSharedSet(set []uint64, o *Options) (*sharedSet, error) {
+	opt, err := o.withDefaultsValidated()
+	if err != nil {
+		return nil, err
+	}
+	tow, err := estimator.NewToW(opt.EstimatorSketches, opt.Seed^towSeedTweak)
+	if err != nil {
+		return nil, err
+	}
+	snap, err := core.NewSnapshot(set, opt.coreConfig())
+	if err != nil {
+		return nil, err
+	}
+	return &sharedSet{opt: opt, snap: snap, tow: tow}, nil
+}
 
 // frameBytes serializes frames the way the wire does.
 func frameBytes(frames []frame.Frame) []byte {

@@ -19,8 +19,8 @@ import (
 // Set is a long-lived, mutable, concurrency-safe set handle and the primary
 // entry point of the package: build it once, mutate it with Add/Remove as
 // the underlying data changes, and reconcile it any number of times — as
-// the initiator (Sync), the responder (Respond), a registered set of a
-// concurrent Server (Server.RegisterSet), or fully in process (Reconcile).
+// the initiator (Sync), the responder (Respond), or fully in process
+// (Reconcile). A concurrent Server serves sets of its own (Server.Host).
 //
 // The handle is what makes repeated reconciliation cheap. Element
 // validation happens once, at insertion. The Tug-of-War estimator sketch is
@@ -381,22 +381,16 @@ func (s *Set) Remove(xs ...uint64) int {
 	return removed
 }
 
-// sharedView returns the current immutable view of the set (with its
-// estimator sketch materialized). After a mutation the new view is the
-// previous one with the journaled writes applied — the snapshot shares
-// everything they left alone — and only the first view, or one after a
-// journal overflow, collects the elements afresh (the snapshot sorts them).
-// Elements are never re-validated (they were at insertion) and the sketch
-// is never recomputed (it is maintained incrementally); the verification
-// digest is re-derived lazily inside the view if a session needs it.
-func (s *Set) sharedView() (*sharedSet, error) {
-	return s.view(true)
-}
-
-// view returns the cached immutable view. withSketch additionally
-// materializes the set's incrementally maintained ToW sketch into the
-// view; callers that cannot need an estimate (a known-d in-process
-// reconcile) pass false and skip the sketch entirely.
+// view returns the current immutable view of the set. After a mutation
+// the new view is the previous one with the journaled writes applied — the
+// snapshot shares everything they left alone — and only the first view, or
+// one after a journal overflow, collects the elements afresh (the snapshot
+// sorts them). Elements are never re-validated (they were at insertion);
+// the verification digest is re-derived lazily inside the view if a
+// session needs it. withSketch additionally materializes the set's
+// incrementally maintained ToW sketch into the view; callers that cannot
+// need an estimate (a known-d in-process reconcile) pass false and skip
+// the sketch entirely.
 func (s *Set) view(withSketch bool) (*sharedSet, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -433,10 +427,6 @@ func (s *Set) view(withSketch bool) (*sharedSet, error) {
 	}
 	return s.shared, nil
 }
-
-// sessionOptions makes a Set a Server registry source (see RegisterSet):
-// sessions admitted against it run under the Set's own options.
-func (s *Set) sessionOptions() Options { return s.cfg.opt }
 
 // callConfig resolves one call's configuration: the Set's defaults with the
 // per-call options applied, rejecting changes to the structural fields the
@@ -500,7 +490,7 @@ func (s *Set) Sync(ctx context.Context, conn io.ReadWriter, opts ...Option) (*Re
 // re-resolved per attempt, so a retry picks up any set churn since the
 // failed try.
 func (s *Set) syncAttempt(ctx context.Context, conn io.ReadWriter, cfg *setConfig) (*Result, error) {
-	ss, err := s.sharedView()
+	ss, err := s.view(true)
 	if err != nil {
 		return nil, err
 	}
@@ -570,14 +560,14 @@ func (s *Set) speculativeD(opt Options) uint64 {
 // Respond serves exactly one initiator session over conn — the peer-to-peer
 // responder role (the counterpart of a remote Sync). It returns nil when
 // the initiator signals completion, and ctx.Err() if the context ends
-// first. For many concurrent sessions, register the set with a Server
-// (Server.RegisterSet) and serve it there.
+// first. For many concurrent sessions, publish the elements on a Server
+// (Server.Host, written with Server.HostedUpdate) and serve them there.
 func (s *Set) Respond(ctx context.Context, conn io.ReadWriter, opts ...Option) error {
 	cfg, err := s.callConfig(opts)
 	if err != nil {
 		return err
 	}
-	ss, err := s.sharedView()
+	ss, err := s.view(true)
 	if err != nil {
 		return err
 	}

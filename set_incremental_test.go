@@ -119,10 +119,10 @@ func TestSetJournaledViewWireIdentical(t *testing.T) {
 	check("cancelling writes")
 
 	// A journal that cancels completely leaves the view as it was.
-	before, _ := warm.sharedView()
+	before, _ := warm.view(true)
 	warm.Remove(y)
 	warm.Add(y)
-	if after, _ := warm.sharedView(); after != before {
+	if after, _ := warm.view(true); after != before {
 		t.Fatal("a journal with no net effect produced a new view")
 	}
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -135,13 +136,13 @@ func TestSetSyncDeadline(t *testing.T) {
 	}
 }
 
-// serveSet registers set under name on a fresh Server whose protocol
-// options are opt, and serves it on a loopback listener. The caller owns
-// the returned Server and must Close it; serveErr yields Serve's result.
-func serveSet(t *testing.T, name string, set *Set, opt *Options) (srv *Server, addr string, serveErr <-chan error) {
+// serveSet hosts elems under name on a fresh Server whose protocol options
+// are opt, and serves it on a loopback listener. The caller owns the
+// returned Server and must Close it; serveErr yields Serve's result.
+func serveSet(t *testing.T, name string, elems []uint64, opt *Options) (srv *Server, addr string, serveErr <-chan error) {
 	t.Helper()
 	srv = NewServer(ServerOptions{Protocol: opt})
-	if err := srv.RegisterSet(name, set); err != nil {
+	if err := srv.Host(name, elems); err != nil {
 		t.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -153,17 +154,13 @@ func serveSet(t *testing.T, name string, set *Set, opt *Options) (srv *Server, a
 	return srv, ln.Addr().String(), errCh
 }
 
-// TestServerCloseCancellation serves a registered Set, completes one sync
+// TestServerCloseCancellation serves a hosted set, completes one sync
 // against it, closes the server, and requires Serve to return nil without
 // leaking its accept/handler goroutines.
 func TestServerCloseCancellation(t *testing.T) {
 	base := runtime.NumGoroutine()
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 2000, D: 40, Seed: 63})
-	server, err := NewSet(p.B, WithSeed(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, addr, serveErr := serveSet(t, DefaultSetName, server, &Options{Seed: 64})
+	srv, addr, serveErr := serveSet(t, DefaultSetName, p.B, &Options{Seed: 64})
 
 	c := &Client{Addr: addr, Options: &Options{Seed: 64}, Timeout: 10 * time.Second}
 	res, err := c.Sync(p.A)
@@ -355,6 +352,12 @@ func TestOptionsValidation(t *testing.T) {
 				_, err := newSharedSet(small, &tc.opt)
 				return err
 			}(),
+			"Server.Host": func() error {
+				return NewServer(ServerOptions{Protocol: &tc.opt}).Host("s", small)
+			}(),
+			"Server.Register": func() error {
+				return NewServer(ServerOptions{Protocol: &tc.opt}).Register("s", small)
+			}(),
 		} {
 			if err == nil {
 				t.Errorf("%s: %s accepted invalid options", tc.name, caller)
@@ -496,16 +499,12 @@ func TestClientBlackHoleServer(t *testing.T) {
 	}
 }
 
-// TestServeLiveMutation: sessions admitted after a mutation of a
-// registered Set see the new contents; the amortized view rebuild is
-// exercised end to end through RegisterSet, Serve and Client.
+// TestServeLiveMutation: sessions admitted after a HostedUpdate of a
+// served set see the new contents; the view rebuild is exercised end to
+// end through Host, HostedUpdate, Serve and Client.
 func TestServeLiveMutation(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 2500, D: 50, Seed: 69})
-	server, err := NewSet(p.B, WithSeed(70))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, addr, serveErr := serveSet(t, DefaultSetName, server, &Options{Seed: 70})
+	srv, addr, serveErr := serveSet(t, DefaultSetName, p.B, &Options{Seed: 70})
 
 	c := &Client{Addr: addr, Options: &Options{Seed: 70}, Timeout: 10 * time.Second}
 	res, err := c.Sync(p.A)
@@ -516,12 +515,16 @@ func TestServeLiveMutation(t *testing.T) {
 
 	// Converge the server to the client's set; the next sync sees zero
 	// difference — through the same long-lived Serve.
+	var add, remove []uint64
 	for _, x := range p.Diff {
-		if server.Contains(x) {
-			server.Remove(x)
-		} else if _, err := server.Add(x); err != nil {
-			t.Fatal(err)
+		if slices.Contains(p.B, x) {
+			remove = append(remove, x)
+		} else {
+			add = append(add, x)
 		}
+	}
+	if err := srv.HostedUpdate(DefaultSetName, add, remove); err != nil {
+		t.Fatal(err)
 	}
 	res, err = c.Sync(p.A)
 	if err != nil {
@@ -536,27 +539,15 @@ func TestServeLiveMutation(t *testing.T) {
 	}
 }
 
-// TestServerRegisterSetNamed: a live Set in a multi-set Server registry,
-// alongside an immutable one.
-func TestServerRegisterSetNamed(t *testing.T) {
-	live, err := NewSet([]uint64{10, 20, 30}, WithSeed(71))
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestServerHostedNamed: a named set written with HostedUpdate in a
+// multi-set Server registry, beside one published with Register.
+func TestServerHostedNamed(t *testing.T) {
 	srv := NewServer(ServerOptions{Protocol: &Options{Seed: 71}})
-	if err := srv.RegisterSet("live", live); err != nil {
+	if err := srv.Host("live", []uint64{10, 20, 30}); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Register(DefaultSetName, []uint64{10, 20, 30, 40}); err != nil {
 		t.Fatal(err)
-	}
-	// Structural mismatch is rejected at registration.
-	other, err := NewSet([]uint64{1}, WithSeed(99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.RegisterSet("bad", other); err == nil {
-		t.Fatal("seed-mismatched Set registered")
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -571,7 +562,7 @@ func TestServerRegisterSetNamed(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameSet(t, res.Difference, []uint64{30})
-	if _, err := live.Add(99); err != nil {
+	if err := srv.HostedUpdate("live", []uint64{99}, nil); err != nil {
 		t.Fatal(err)
 	}
 	res, err = c.Sync([]uint64{10, 20})
@@ -579,16 +570,17 @@ func TestServerRegisterSetNamed(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameSet(t, res.Difference, []uint64{30, 99})
-}
-
-// TestSetSyncAgainstServeNamed: Set.Sync with WithSetName reaches a Set a
-// Server registered under that name.
-func TestSetSyncAgainstServeNamed(t *testing.T) {
-	server, err := NewSet([]uint64{7, 8, 9}, WithSeed(72))
-	if err != nil {
+	c.Set = ""
+	if res, err = c.Sync([]uint64{10, 20}); err != nil {
 		t.Fatal(err)
 	}
-	srv, addr, serveErr := serveSet(t, "catalog", server, &Options{Seed: 72})
+	assertSameSet(t, res.Difference, []uint64{30, 40})
+}
+
+// TestSetSyncAgainstServeNamed: Set.Sync with WithSetName reaches a set a
+// Server hosts under that name.
+func TestSetSyncAgainstServeNamed(t *testing.T) {
+	srv, addr, serveErr := serveSet(t, "catalog", []uint64{7, 8, 9}, &Options{Seed: 72})
 
 	client, err := NewSet([]uint64{7}, WithSeed(72))
 	if err != nil {
