@@ -422,7 +422,7 @@ func TestConnLoopMuxHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := bss.newServerSession()
-	rs.allowFeatures = frame.FeatureMux | frame.FeatureLZ
+	rs.allowFeatures = frame.FeatureMux
 	reply, _, err := rs.step(opening[0].Type, opening[0].Payload)
 	if err != nil {
 		t.Fatal(err)

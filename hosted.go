@@ -47,7 +47,8 @@ type hostedStore struct {
 	store       *setstore.Store
 	maxResident int64
 
-	// mu guards the LRU list and each member's lruPos/charge fields.
+	// mu guards the LRU list and each member's lruPos/charge fields. It may
+	// be taken under a set's mu, never the other way round.
 	mu  sync.Mutex
 	lru *list.List // of *hostedSet; front = most recently used
 
@@ -121,6 +122,11 @@ type hostedSet struct {
 	// pending is the eviction write in flight, nil when none. While it is
 	// set the set is cold and its unpersisted state lives only there.
 	pending *segmentWrite
+	// firstFlush is closed once the Host that built the set has written its
+	// first full segment, or failed to; nil for a recovered set. A Host
+	// replacing the set waits on it, so full segments land in the order
+	// the registry swapped the sets in.
+	firstFlush chan struct{}
 
 	// lruPos, charge and dropped (the set left the registry, never to be
 	// admitted to the LRU again) are guarded by h.mu, not mu.
@@ -136,9 +142,8 @@ func (hs *hostedSet) logicalBytes() int64 {
 	return hostedElemBytes * int64(hs.meta.Count)
 }
 
-func (hs *hostedSet) residentCharge() int64 {
-	return hostedSetOverhead + hostedElemBytes*int64(hs.meta.Count)
-}
+// residentCharge is the set's charge against MaxResidentBytes.
+func (hs *hostedSet) residentCharge() int64 { return hostedSetOverhead + hs.logicalBytes() }
 
 // host builds a new resident hosted set from elems — validated by the
 // caller (checkElems), duplicates allowed and dropped here. The caller
@@ -149,7 +154,7 @@ func (h *hostedStore) host(name string, elems []uint64) (*hostedSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &hostedSet{h: h, name: name, snap: snap, meta: h.metaFor(snap.Elements())}, nil
+	return &hostedSet{h: h, name: name, snap: snap, meta: h.metaFor(snap.Elements()), firstFlush: make(chan struct{})}, nil
 }
 
 // recover builds a cold hosted set from the newest persisted segment
@@ -258,7 +263,7 @@ func (hs *hostedSet) loadSnapshot() (*core.Snapshot, error) {
 		return nil, err
 	}
 	if wasCold {
-		hs.h.noteResident(hs)
+		hs.h.noteResident(hs, hs.residentCharge())
 	}
 	return snap, nil
 }
@@ -409,7 +414,17 @@ func (hs *hostedSet) demote() {
 		hs.mu.Unlock()
 		return
 	}
-	w := hs.takeWriteLocked()
+	// A set that left the registry writes nothing more: a Host that
+	// replaced it may already have written its own full segment, which a
+	// later segment of this set would land on top of. A write taken before
+	// the flag was set, that Host waits out (awaitWriteLocked).
+	hs.h.mu.Lock()
+	dropped := hs.dropped
+	hs.h.mu.Unlock()
+	var w *segmentWrite
+	if !dropped {
+		w = hs.takeWriteLocked()
+	}
 	if w != nil {
 		w.done = make(chan struct{})
 		hs.pending = w
@@ -458,10 +473,10 @@ func (hs *hostedSet) endEviction(w *segmentWrite) {
 		hs.snap, hs.view = w.snap, nil
 	}
 	hs.pending = nil
-	charge := hs.residentCharge()
 	hs.mu.Unlock()
 	close(w.done)
 	if err != nil {
+		charge := hs.residentCharge()
 		hs.h.mu.Lock()
 		hs.h.admitLocked(hs, charge)
 		hs.h.mu.Unlock()
@@ -469,23 +484,29 @@ func (hs *hostedSet) endEviction(w *segmentWrite) {
 }
 
 // admitLocked inserts a set into the resident accounting at the front of
-// the LRU; a no-op for a set already there or dropped. Requires h.mu.
+// the LRU at charge, or settles the charge of a set already there; a
+// dropped set is never admitted. Requires h.mu.
 func (h *hostedStore) admitLocked(hs *hostedSet, charge int64) {
-	if hs.lruPos == nil && !hs.dropped {
-		hs.charge = charge
+	switch {
+	case hs.lruPos != nil:
+		h.residentBytes.Add(charge - hs.charge)
+	case !hs.dropped:
 		hs.lruPos = h.lru.PushFront(hs)
 		h.residentBytes.Add(charge)
 		h.residentSets.Add(1)
+	default:
+		return
 	}
+	hs.charge = charge
 }
 
-// noteResident inserts a set into the resident accounting (idempotent)
-// and evicts least-recently-used sets while over the watermark. Eviction
-// requires the disk layer; memory-only hosting never evicts. Which sets
-// are evicted, and that they turn cold, is settled here, on the caller's
-// goroutine; only their segment writes run behind.
-func (h *hostedStore) noteResident(hs *hostedSet) {
-	charge := hs.residentCharge()
+// noteResident enters a set into the resident accounting at charge — read
+// by the caller under hs.mu — or settles the charge of a set already
+// there, and evicts least-recently-used sets while over the watermark.
+// Eviction requires the disk layer; memory-only hosting never evicts.
+// Which sets are evicted, and that they turn cold, is settled here, on the
+// caller's goroutine; only their segment writes run behind.
+func (h *hostedStore) noteResident(hs *hostedSet, charge int64) {
 	var victims []*hostedSet
 	h.mu.Lock()
 	h.admitLocked(hs, charge)
@@ -508,17 +529,6 @@ func (h *hostedStore) noteResident(hs *hostedSet) {
 	for _, v := range victims {
 		v.demote()
 	}
-}
-
-// recharge settles a mutated set's resident charge to its current size.
-func (h *hostedStore) recharge(hs *hostedSet) {
-	charge := hs.residentCharge()
-	h.mu.Lock()
-	if hs.lruPos != nil {
-		h.residentBytes.Add(charge - hs.charge)
-		hs.charge = charge
-	}
-	h.mu.Unlock()
 }
 
 // touch marks a resident set most-recently-used. A set mid-eviction
@@ -609,7 +619,7 @@ func (s *Server) EnableHosting() (int, error) {
 		if err != nil {
 			return n, err
 		}
-		if err := s.publish(name, hs, hs.logicalBytes(), false); err != nil {
+		if _, err := s.publish(name, hs, hs.logicalBytes(), false); err != nil {
 			return n, err
 		}
 		n++
@@ -635,18 +645,24 @@ func (s *Server) Host(name string, elems []uint64) error {
 	if err := checkElems(elems, s.hosted.opt.SigBits); err != nil {
 		return err
 	}
-	old, hadOld := s.sets.Get(name)
 	hs, err := s.hosted.host(name, elems)
 	if err != nil {
 		return err
 	}
-	if err := s.publish(name, hs, hs.logicalBytes(), false); err != nil {
+	defer close(hs.firstFlush)
+	old, err := s.publish(name, hs, hs.logicalBytes(), false)
+	if err != nil {
 		return err
 	}
-	if hadOld {
+	if old != nil {
 		s.hosted.forget(old, true)
-		// The replaced set's eviction write, if one is in flight, lands
-		// before this set's full segment, which replay then starts from.
+		// Every segment of the replaced set lands before this set's full
+		// segment, which replay then starts from: its own first one, which
+		// the Host that built it may still be writing, and its eviction
+		// write in flight.
+		if old.firstFlush != nil {
+			<-old.firstFlush
+		}
 		old.mu.Lock()
 		old.awaitWriteLocked()
 		old.mu.Unlock()
@@ -655,7 +671,7 @@ func (s *Server) Host(name string, elems []uint64) error {
 		s.Unregister(name)
 		return err
 	}
-	s.hosted.noteResident(hs) // may evict others
+	s.hosted.noteResident(hs, hs.residentCharge()) // may evict others
 	return nil
 }
 
@@ -682,20 +698,20 @@ func (s *Server) HostedUpdate(name string, add, remove []uint64) error {
 	if len(add) > 0 {
 		// Worst-case reservation: every add is new. Settled to the actual
 		// size below.
-		if err := s.publish(name, hs, hs.logicalBytes()+hostedElemBytes*int64(len(add)), true); err != nil {
+		if _, err := s.publish(name, hs, hs.logicalBytes()+hostedElemBytes*int64(len(add)), true); err != nil {
 			return err
 		}
 	}
 	err := hs.update(add, remove)
-	if cerr := s.publish(name, hs, hs.logicalBytes(), true); cerr != nil {
+	bytes := hs.logicalBytes()
+	if _, cerr := s.publish(name, hs, bytes, true); cerr != nil {
 		return cerr
 	}
 	if err != nil {
 		return err
 	}
-	s.hosted.recharge(hs)
-	// The update may have paged a cold set in; settle residency (and run
-	// the eviction loop) — a no-op when it was already tracked.
-	s.hosted.noteResident(hs)
+	// The update may have paged a cold set in: enter it, or settle its
+	// charge to the new size, and run the eviction loop.
+	s.hosted.noteResident(hs, hostedSetOverhead+bytes)
 	return nil
 }

@@ -413,3 +413,137 @@ func TestHostedOpensParentDataDir(t *testing.T) {
 		mustSyncExact(t, addr, opt, "old", fmt.Sprintf("s%d", k), local, want)
 	}
 }
+
+// TestHostedConcurrentHostOfOneName: concurrent Hosts of one name leave
+// exactly one set resident, because each forgets the set its own
+// registration replaced; and the newest full segment on disk is the
+// registered winner's, so a fresh server recovering the directory reads
+// back the winner's elements.
+func TestHostedConcurrentHostOfOneName(t *testing.T) {
+	opt := &Options{Seed: 4404}
+	for try := 0; try < 20; try++ {
+		dir := t.TempDir()
+		srv := NewServer(ServerOptions{Protocol: opt, DataDir: dir})
+		if _, err := srv.EnableHosting(); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for k := 0; k < 4; k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := srv.Host("x", hostedBase(k, 300)); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if got := srv.Stats().SetsResident; got != 1 {
+			t.Fatalf("try %d: %d sets resident for one registered name", try, got)
+		}
+		winner := hostedOf(t, srv, "x")
+		winner.mu.Lock()
+		want := winner.snap.Elements()
+		winner.mu.Unlock()
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		re := NewServer(ServerOptions{Protocol: opt, DataDir: dir})
+		if _, err := re.EnableHosting(); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := re.hosted.store.Load("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("try %d: recovered %d elements from %#x, the registered winner holds %d from %#x",
+				try, len(got), got[0], len(want), want[0])
+		}
+		re.Close()
+	}
+}
+
+// TestHostedConcurrentUpdatesOfOneName runs concurrent HostedUpdates of one
+// set, each of which settles the set's resident charge while another may be
+// writing its count: under the race detector the charge must be read under
+// the set's lock. Every update lands, and one set stays resident.
+func TestHostedConcurrentUpdatesOfOneName(t *testing.T) {
+	srv := NewServer(ServerOptions{Protocol: &Options{Seed: 4405}})
+	base := hostedBase(1, 100)
+	if err := srv.Host("x", base); err != nil {
+		t.Fatal(err)
+	}
+	const writers, iters = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				if err := srv.HostedUpdate("x", []uint64{uint64(w+2)<<20 | uint64(i+1)}, nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := hostedOf(t, srv, "x").logicalBytes(), int64(hostedElemBytes*(len(base)+writers*iters)); got != want {
+		t.Fatalf("logical bytes %d, want %d", got, want)
+	}
+	if st := srv.Stats(); st.SetsResident != 1 {
+		t.Fatalf("%d sets resident", st.SetsResident)
+	}
+}
+
+// TestHostedReplacedVictimWritesNothing: a set picked as an eviction victim
+// and replaced by Host before its demotion runs writes no segment — its
+// dirty delta would land on top of the replacer's full segment, and a
+// recovery would read the replaced set's writes over the winner's elements.
+func TestHostedReplacedVictimWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	opt := &Options{Seed: 4406}
+	srv := NewServer(ServerOptions{Protocol: opt, DataDir: dir})
+	if _, err := srv.EnableHosting(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Host("x", hostedBase(1, 200)); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.HostedUpdate("x", []uint64{1<<20 | 1000}, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Pick the set as noteResident's eviction loop does, leaving the
+	// demotion for later.
+	victim := hostedOf(t, srv, "x")
+	h := srv.hosted
+	h.mu.Lock()
+	h.lru.Remove(victim.lruPos)
+	victim.lruPos = nil
+	h.residentBytes.Add(-victim.charge)
+	h.residentSets.Add(-1)
+	h.mu.Unlock()
+
+	want := hostedBase(2, 200)
+	if err := srv.Host("x", want); err != nil {
+		t.Fatal(err)
+	}
+	victim.demote()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := NewServer(ServerOptions{Protocol: opt, DataDir: dir})
+	if _, err := re.EnableHosting(); err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	got, _, err := re.hosted.store.Load("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("recovered %d elements, the replacer holds %d", len(got), len(want))
+	}
+}

@@ -1,10 +1,10 @@
 // Package frame is the one module that knows the byte layout of the PBS
 // wire protocol: the length-prefixed frame header, the ToW sketch vector,
-// the fast-path hello and its reply, the version-2 mux envelope (with its
-// lz compression), and the structured suffix of a msgError payload. The
-// session engines, the connection loops of both mux ends and the chaos
-// layer all seal and open bytes through it; the protocol logic — who sends
-// what when, and what a value means — stays with them.
+// the fast-path hello and its reply, the version-2 mux envelope, and the
+// structured suffix of a msgError payload. The session engines, the
+// connection loops of both mux ends and the chaos layer all seal and open
+// bytes through it; the protocol logic — who sends what when, and what a
+// value means — stays with them.
 //
 // Message flow (I = initiator, R = responder), hello-v1 → round* → done:
 //

@@ -9,80 +9,59 @@ import (
 	"testing"
 )
 
-// TestSealOpen pins the envelope's rules at both ends: what Seal compresses
-// and what it leaves plain, that saved is exactly the byte difference on
-// the wire, and every envelope Open must refuse.
+// TestSealOpen pins the envelope's rules at both ends: Seal appends one
+// frame whose body goes out plain and comes back from Open unchanged — each
+// body the retired lz pass once decided on among them — and Open refuses
+// every malformed envelope, a body flagged compressed (bit 2) included.
 func TestSealOpen(t *testing.T) {
 	compressible := bytes.Repeat([]byte("parity bitmap sketch "), 200)
-	noise := make([]byte, 4*compressMin)
+	noise := make([]byte, 2048)
 	rand.New(rand.NewSource(1)).Read(noise)
+	const oldThreshold = 512
 
 	seal := []struct {
-		name       string
-		body       []byte
-		lzOn       bool
-		compressed bool
+		name string
+		body []byte
 	}{
-		{"compressible body under a grant", compressible, true, true},
-		{"same body without a grant", compressible, false, false},
-		{"below the threshold", compressible[:compressMin-1], true, false},
-		{"at the threshold", compressible[:compressMin], true, true},
-		{"incompressible", noise, true, false},
-		{"empty", nil, true, false},
+		{"compressible body under a grant", compressible},
+		{"same body without a grant", compressible},
+		{"below the threshold", compressible[:oldThreshold-1]},
+		{"at the threshold", compressible[:oldThreshold]},
+		{"incompressible", noise},
+		{"empty", nil},
 	}
 	for _, tc := range seal {
 		t.Run(tc.name, func(t *testing.T) {
-			plain, plainSaved := Seal(nil, 7, FlagOpen, MsgRound, tc.body, false)
-			if plainSaved != 0 {
-				t.Fatalf("plain seal reports %d bytes saved", plainSaved)
-			}
 			// Sealing appends: whatever dst held stays in front.
-			out, saved := Seal([]byte("prefix"), 7, FlagOpen, MsgRound, tc.body, tc.lzOn)
-			out = out[len("prefix"):]
-			if saved != len(plain)-len(out) {
-				t.Fatalf("saved = %d, wire shrank by %d", saved, len(plain)-len(out))
+			out := Seal([]byte("prefix"), 7, FlagOpen, MsgRound, tc.body)[len("prefix"):]
+			if want := Append(nil, MsgRound, append([]byte{7, FlagOpen}, tc.body...)); !bytes.Equal(out, want) {
+				t.Fatalf("sealed %d bytes, want the %d of a plain envelope", len(out), len(want))
 			}
-			if (saved > 0) != tc.compressed {
-				t.Fatalf("saved = %d, want compressed = %v", saved, tc.compressed)
-			}
-			n, typ := ParseHeader(out)
-			if int(n) != len(out)-HeaderLen || typ != MsgRound {
-				t.Fatalf("outer header says %d bytes of type %d for a %d-byte frame", n, typ, len(out))
-			}
-			id, flags, body, opened, err := Open(out[HeaderLen:], tc.lzOn)
+			id, flags, body, err := Open(out[HeaderLen:])
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantFlags := uint64(FlagOpen)
-			if tc.compressed {
-				wantFlags |= FlagCompressed
-			}
-			if id != 7 || flags != wantFlags || !bytes.Equal(body, tc.body) || opened != saved {
-				t.Fatalf("opened (%d, %#x, %d bytes, saved %d), sealed (7, %#x, %d bytes, saved %d)",
-					id, flags, len(body), opened, wantFlags, len(tc.body), saved)
+			if id != 7 || flags != FlagOpen || !bytes.Equal(body, tc.body) {
+				t.Fatalf("opened (%d, %#x, %d bytes), sealed (7, %#x, %d bytes)", id, flags, len(body), FlagOpen, len(tc.body))
 			}
 		})
 	}
 
-	compressedFrame, _ := Seal(nil, 1, 0, MsgRound, compressible, true)
-	lying, _ := Seal(nil, 1, FlagCompressed, MsgRound, []byte("not an lz stream"), false)
-	unknown, _ := Seal(nil, 1, 1<<5, MsgRound, nil, false)
 	refuse := []struct {
 		name    string
 		payload []byte
-		granted bool
 		want    string
 	}{
-		{"compressed without a grant", compressedFrame[HeaderLen:], false, "without an lz grant"},
-		{"compressed flag on a body that does not decode", lying[HeaderLen:], true, "mux envelope"},
-		{"unknown flag", unknown[HeaderLen:], true, "unknown flags"},
-		{"truncated stream ID", []byte{0x80}, true, "truncated stream ID"},
-		{"truncated flags", []byte{0x01, 0x80}, true, "truncated flags"},
-		{"empty", nil, true, "truncated stream ID"},
+		{"compressed without a grant", Seal(nil, 1, 1<<2, MsgRound, compressible)[HeaderLen:], "unknown flags 0x4"},
+		{"compressed flag on a body that does not decode", Seal(nil, 1, 1<<2, MsgRound, []byte("not an lz stream"))[HeaderLen:], "unknown flags 0x4"},
+		{"unknown flag", Seal(nil, 1, 1<<5, MsgRound, nil)[HeaderLen:], "unknown flags"},
+		{"truncated stream ID", []byte{0x80}, "truncated stream ID"},
+		{"truncated flags", []byte{0x01, 0x80}, "truncated flags"},
+		{"empty", nil, "truncated stream ID"},
 	}
 	for _, tc := range refuse {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, _, _, _, err := Open(tc.payload, tc.granted); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if _, _, _, err := Open(tc.payload); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want one mentioning %q", err, tc.want)
 			}
 		})

@@ -76,51 +76,44 @@ func FuzzFrameDecoderGarbage(f *testing.F) {
 	})
 }
 
-// FuzzMuxFrame exercises the version-2 mux envelope: whatever Open accepts
-// (under an lz grant, so compressed bodies are in play) must survive a
-// semantic round trip through Seal — garbage may use non-canonical varints
-// or a compressed body Seal would have sent plain, so compare decoded
-// fields, not bytes — the canonical re-encoding must be a fixed point, and
-// the envelope must sit behind exactly the outer header Append would give
-// it.
+// FuzzMuxFrame exercises the version-2 mux envelope: any flag outside
+// Open|Close is rejected, and whatever Open accepts must survive a semantic
+// round trip through Seal — garbage may use non-canonical varints, so
+// compare decoded fields, not bytes — the canonical re-encoding must be a
+// fixed point, and the envelope must sit behind exactly the outer header
+// Append would give it.
 func FuzzMuxFrame(f *testing.F) {
-	seal := func(id, flags uint64, body []byte, lzOn bool) []byte {
-		out, _ := Seal(nil, id, flags, MsgRound, body, lzOn)
-		return out[HeaderLen:]
+	seal := func(id, flags uint64, body []byte) []byte {
+		return Seal(nil, id, flags, MsgRound, body)[HeaderLen:]
 	}
-	f.Add(seal(1, FlagOpen, []byte("hello"), false))
-	f.Add(seal(7, FlagClose, nil, false))
-	f.Add(seal(99, FlagOpen, bytes.Repeat([]byte{3}, 4*compressMin), true))
-	f.Add(seal(99, FlagOpen|FlagCompressed, bytes.Repeat([]byte{3}, 32), false)) // flag lies
-	f.Add(seal(5, 1<<7, nil, false))                                             // unknown flag
-	f.Add([]byte{0xFF})                                                          // truncated stream-ID varint
-	f.Add(seal(5, FlagClose, nil, false))                                        // a bare stream close
+	f.Add(seal(1, FlagOpen, []byte("hello")))
+	f.Add(seal(7, FlagClose, nil))
+	f.Add(seal(99, FlagOpen|1<<2, bytes.Repeat([]byte{3}, 32))) // retired compression flag
+	f.Add(seal(5, 1<<7, nil))                                   // unknown flag
+	f.Add([]byte{0xFF})                                         // truncated stream-ID varint
+	f.Add(seal(5, FlagClose, nil))                              // a bare stream close
+	f.Add(seal(3, FlagOpen|FlagClose, []byte("whole stream")))  // a one-frame stream
 	f.Fuzz(func(t *testing.T, data []byte) {
-		id, flags, body, _, err := Open(data, true)
+		id, flags, body, err := Open(data)
 		if err != nil {
 			return
 		}
-		if flags&^uint64(flagKnown) != 0 {
-			t.Fatalf("accepted unknown flags %#x", flags)
+		if flags&^uint64(FlagOpen|FlagClose) != 0 {
+			t.Fatalf("accepted flags %#x outside Open|Close", flags)
 		}
-		if _, _, _, _, err := Open(data, false); (err != nil) != (flags&FlagCompressed != 0) {
-			t.Fatalf("without an lz grant: err=%v for flags %#x", err, flags)
-		}
-		life := flags &^ FlagCompressed
-		enc := seal(id, life, body, true)
-		id2, flags2, body2, _, err := Open(enc, true)
+		enc := seal(id, flags, body)
+		id2, flags2, body2, err := Open(enc)
 		if err != nil {
 			t.Fatalf("re-opening own encoding failed: %v", err)
 		}
-		if id2 != id || flags2&^FlagCompressed != life || !bytes.Equal(body2, body) {
+		if id2 != id || flags2 != flags || !bytes.Equal(body2, body) {
 			t.Fatalf("envelope changed across round trip: (%d,%#x,%d bytes) -> (%d,%#x,%d bytes)",
 				id, flags, len(body), id2, flags2, len(body2))
 		}
-		if enc2 := seal(id2, life, body2, true); !bytes.Equal(enc, enc2) {
+		if enc2 := seal(id2, flags2, body2); !bytes.Equal(enc, enc2) {
 			t.Fatal("canonical encoding is not a fixed point")
 		}
-		frame, _ := Seal(nil, id, life, MsgRound, body, true)
-		if want := Append(nil, MsgRound, enc); !bytes.Equal(frame, want) {
+		if frame, want := Seal(nil, id, flags, MsgRound, body), Append(nil, MsgRound, enc); !bytes.Equal(frame, want) {
 			t.Fatal("Seal disagrees with Append over the envelope")
 		}
 	})

@@ -41,7 +41,7 @@ func DecodeSketches(b []byte) ([]int64, error) {
 // Version1 is the wire-protocol version a fast hello negotiates. A
 // responder replies with the version it selected; initiators reject a
 // reply version they did not offer. VersionMux is version 1 plus hello-time
-// feature negotiation (mux, compression): a version-2 hello carries
+// feature negotiation (mux): a version-2 hello carries
 // want-flags, and the responder answers with version 2 and grant-flags only
 // when it grants stream multiplexing — otherwise it replies version 1 and
 // the session proceeds exactly as the fast v1 flow.
@@ -50,12 +50,12 @@ const (
 	VersionMux = 2
 )
 
-// Feature bits negotiated by a version-2 fast hello. LZ compression is
-// only ever granted together with mux — the compressed flag lives in the
-// per-frame mux envelope, so there is nowhere to signal it without one.
+// Feature bits negotiated by a version-2 fast hello. FeatureLZ once
+// offered per-frame lz compression inside the mux envelope; older clients
+// may still offer it, and no responder grants it.
 const (
 	FeatureMux = 1 << 0 // multiplex N logical streams over the connection
-	FeatureLZ  = 1 << 1 // per-frame internal/lz payload compression
+	FeatureLZ  = 1 << 1 // retired offer bit: lz compression, never granted
 
 	featureMask = FeatureMux | FeatureLZ
 )

@@ -229,34 +229,36 @@ func (r *Registry[V]) Range(fn func(name string, v V) bool) {
 
 // Register publishes v under name, charging bytes against the tenant's
 // byte quota and one set against its set quota. Re-registering an existing
-// name swaps the value in place, re-charging only the byte delta. It
-// returns a *QuotaError when the tenant is over quota, with nothing
-// changed.
-func (r *Registry[V]) Register(name string, v V, bytes int64) error {
-	_, err := r.put(name, v, bytes, false)
-	return err
+// name swaps the value in place, re-charging only the byte delta, and
+// returns the value it replaced. It returns a *QuotaError when the tenant
+// is over quota, with nothing changed.
+func (r *Registry[V]) Register(name string, v V, bytes int64) (old V, replaced bool, err error) {
+	return r.put(name, v, bytes, false)
 }
 
 // Recharge re-charges the entry under name to bytes, provided name still
 // holds v; it reports false, with nothing changed, when name is gone or
 // holds another value. A quota failure is Register's.
 func (r *Registry[V]) Recharge(name string, v V, bytes int64) (bool, error) {
-	return r.put(name, v, bytes, true)
+	_, same, err := r.put(name, v, bytes, true)
+	return same, err
 }
 
-// put is Register, or under onlySame Recharge.
-func (r *Registry[V]) put(name string, v V, bytes int64, onlySame bool) (bool, error) {
+// put is Register, or under onlySame Recharge. It returns the value name
+// held before and whether it held one; a refusal returns neither.
+func (r *Registry[V]) put(name string, v V, bytes int64, onlySame bool) (V, bool, error) {
+	var none V
 	ts := r.tenant(name)
 	sh := r.shard(name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	old, existed := sh.m[name]
 	if onlySame && (!existed || old.v != v) {
-		return false, nil
+		return none, false, nil
 	}
 	if !existed {
 		if used, ok := reserve(&ts.sets, 1, ts.maxSets.Load()); !ok {
-			return false, &QuotaError{Tenant: Tenant(name), Resource: "sets", Used: used, Limit: ts.maxSets.Load()}
+			return none, false, &QuotaError{Tenant: Tenant(name), Resource: "sets", Used: used, Limit: ts.maxSets.Load()}
 		}
 	}
 	delta := bytes
@@ -267,13 +269,13 @@ func (r *Registry[V]) put(name string, v V, bytes int64, onlySame bool) (bool, e
 		if !existed {
 			ts.sets.Add(-1)
 		}
-		return false, &QuotaError{Tenant: Tenant(name), Resource: "bytes", Used: used, Limit: ts.maxBytes.Load()}
+		return none, false, &QuotaError{Tenant: Tenant(name), Resource: "bytes", Used: used, Limit: ts.maxBytes.Load()}
 	}
 	sh.m[name] = entry[V]{v: v, bytes: bytes}
 	if !existed {
 		r.count.Add(1)
 	}
-	return true, nil
+	return old.v, existed, nil
 }
 
 // Unregister removes name, releasing its set and byte reservations, and

@@ -24,11 +24,11 @@ func TestTenantParsing(t *testing.T) {
 
 func TestRegisterLookupUnregister(t *testing.T) {
 	r := New[int](8, Quota{})
-	if err := r.Register("acme/a", 1, 100); err != nil {
+	if _, _, err := r.Register("acme/a", 1, 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Register("acme/b", 2, 200); err != nil {
-		t.Fatal(err)
+	if old, replaced, err := r.Register("acme/b", 2, 200); err != nil || replaced || old != 0 {
+		t.Fatalf("first Register(acme/b) = %d, %v, %v", old, replaced, err)
 	}
 	if v, ok := r.Get("acme/a"); !ok || v != 1 {
 		t.Fatalf("Get(acme/a) = %d, %v", v, ok)
@@ -44,9 +44,9 @@ func TestRegisterLookupUnregister(t *testing.T) {
 		t.Fatalf("usage = %d sets / %d bytes, want 2/300", sets, bytes)
 	}
 
-	// Re-register charges only the delta.
-	if err := r.Register("acme/a", 3, 150); err != nil {
-		t.Fatal(err)
+	// Re-register charges only the delta, and returns the value it replaced.
+	if old, replaced, err := r.Register("acme/a", 3, 150); err != nil || !replaced || old != 1 {
+		t.Fatalf("re-Register(acme/a) = %d, %v, %v; want 1, true", old, replaced, err)
 	}
 	if v, _ := r.Get("acme/a"); v != 3 {
 		t.Fatal("re-register did not swap value")
@@ -71,7 +71,7 @@ func TestRegisterLookupUnregister(t *testing.T) {
 // byte quota, and leaves a name that is gone or swapped alone.
 func TestRecharge(t *testing.T) {
 	r := New[int](4, Quota{MaxBytes: 1000})
-	if err := r.Register("acme/a", 1, 100); err != nil {
+	if _, _, err := r.Register("acme/a", 1, 100); err != nil {
 		t.Fatal(err)
 	}
 	if same, err := r.Recharge("acme/a", 1, 400); !same || err != nil {
@@ -94,13 +94,13 @@ func TestRecharge(t *testing.T) {
 
 func TestQuotaSets(t *testing.T) {
 	r := New[int](4, Quota{MaxSets: 2})
-	if err := r.Register("t/a", 1, 0); err != nil {
+	if _, _, err := r.Register("t/a", 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Register("t/b", 1, 0); err != nil {
+	if _, _, err := r.Register("t/b", 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	err := r.Register("t/c", 1, 0)
+	_, _, err := r.Register("t/c", 1, 0)
 	var qe *QuotaError
 	if !errors.As(err, &qe) || qe.Resource != "sets" || qe.Tenant != "t" {
 		t.Fatalf("want sets QuotaError, got %v", err)
@@ -109,26 +109,26 @@ func TestQuotaSets(t *testing.T) {
 		t.Fatal("sets quota must not be transient")
 	}
 	// Re-registering an existing name is not a new set.
-	if err := r.Register("t/a", 2, 0); err != nil {
+	if _, _, err := r.Register("t/a", 2, 0); err != nil {
 		t.Fatalf("re-register under full set quota: %v", err)
 	}
 	// Another tenant is unaffected.
-	if err := r.Register("u/a", 1, 0); err != nil {
+	if _, _, err := r.Register("u/a", 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Freeing a slot re-admits.
 	r.Unregister("t/b")
-	if err := r.Register("t/c", 1, 0); err != nil {
+	if _, _, err := r.Register("t/c", 1, 0); err != nil {
 		t.Fatalf("register after free: %v", err)
 	}
 }
 
 func TestQuotaBytes(t *testing.T) {
 	r := New[int](4, Quota{MaxBytes: 1000})
-	if err := r.Register("t/a", 1, 800); err != nil {
+	if _, _, err := r.Register("t/a", 1, 800); err != nil {
 		t.Fatal(err)
 	}
-	err := r.Register("t/b", 1, 300)
+	_, _, err := r.Register("t/b", 1, 300)
 	var qe *QuotaError
 	if !errors.As(err, &qe) || qe.Resource != "bytes" {
 		t.Fatalf("want bytes QuotaError, got %v", err)
@@ -138,10 +138,10 @@ func TestQuotaBytes(t *testing.T) {
 		t.Fatalf("sets leaked to %d after failed byte reservation", sets)
 	}
 	// Shrinking an existing set frees budget.
-	if err := r.Register("t/a", 1, 500); err != nil {
+	if _, _, err := r.Register("t/a", 1, 500); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Register("t/b", 1, 300); err != nil {
+	if _, _, err := r.Register("t/b", 1, 300); err != nil {
 		t.Fatalf("register after shrink: %v", err)
 	}
 }
@@ -172,14 +172,14 @@ func TestSetQuotaOverride(t *testing.T) {
 	r := New[int](4, Quota{MaxSets: 1})
 	r.SetQuota("big", Quota{MaxSets: 100})
 	for i := 0; i < 10; i++ {
-		if err := r.Register(fmt.Sprintf("big/s%d", i), i, 0); err != nil {
+		if _, _, err := r.Register(fmt.Sprintf("big/s%d", i), i, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := r.Register("small/a", 1, 0); err != nil {
+	if _, _, err := r.Register("small/a", 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Register("small/b", 1, 0); err == nil {
+	if _, _, err := r.Register("small/b", 1, 0); err == nil {
 		t.Fatal("default quota not applied to other tenant")
 	}
 }
@@ -190,7 +190,7 @@ func TestRangeSeesAll(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		name := fmt.Sprintf("t%d/s%d", i%7, i)
 		want[name] = i
-		if err := r.Register(name, i, 0); err != nil {
+		if _, _, err := r.Register(name, i, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -225,7 +225,7 @@ func TestConcurrentHammer(t *testing.T) {
 				name := fmt.Sprintf("t%d/s%d", g%8, i%32)
 				switch i % 4 {
 				case 0:
-					if err := r.Register(name, i, int64(i%128)); err != nil {
+					if _, _, err := r.Register(name, i, int64(i%128)); err != nil {
 						t.Error(err)
 						return
 					}
@@ -271,7 +271,7 @@ func BenchmarkGet(b *testing.B) {
 	names := make([]string, 1024)
 	for i := range names {
 		names[i] = fmt.Sprintf("t%d/set-%d", i%32, i)
-		if err := r.Register(names[i], i, 8); err != nil {
+		if _, _, err := r.Register(names[i], i, 8); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -137,14 +137,13 @@ const (
 // the wrapper; a RetryPolicy whose Dial returns fresh streams retries
 // individual syncs without re-dialing.
 type MuxConn struct {
-	conn     net.Conn
-	compress bool
+	conn net.Conn
 
 	wmu sync.Mutex // serializes writes to conn
 
 	mu              sync.Mutex
 	state           int
-	granted         uint64
+	granted         bool
 	err             error         // first terminal connection error
 	negCh           chan struct{} // closed once negotiation resolves (or dies)
 	streams         map[uint64]*MuxStream
@@ -155,14 +154,11 @@ type MuxConn struct {
 // MuxOption configures a MuxConn.
 type MuxOption func(*MuxConn)
 
-// WithMuxCompression offers lz frame compression during negotiation; the
-// peer may decline. Compressed framing only applies to frames at or above
-// an internal size threshold that actually shrink, so enabling it on
-// small-frame workloads costs one cheap encoding pass per large frame and
-// nothing else.
-func WithMuxCompression(on bool) MuxOption {
-	return func(m *MuxConn) { m.compress = on }
-}
+// WithMuxCompression is a no-op.
+//
+// Deprecated: the mux envelope carries no compression. PBS payloads are
+// parity bitmaps, BCH codewords and XOR sums, which lz cannot shrink.
+func WithMuxCompression(bool) MuxOption { return func(*MuxConn) {} }
 
 // NewMuxConn wraps a dialed connection for stream multiplexing and starts
 // its demultiplexing reader. The caller must run a fast-path Set.Sync on
@@ -233,12 +229,12 @@ func (m *MuxConn) newStreamLocked(id uint64, negotiator bool) *MuxStream {
 	return st
 }
 
-// Granted reports the feature bitmap the peer granted; valid after the
+// Granted reports whether the peer granted mux; valid after the
 // negotiation resolves (any Stream call past the first has waited for it).
-func (m *MuxConn) Granted() (mux, compression bool) {
+func (m *MuxConn) Granted() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.granted&frame.FeatureMux != 0, m.granted&frame.FeatureLZ != 0
+	return m.granted
 }
 
 // Close closes the underlying connection and fails every open stream.
@@ -280,8 +276,8 @@ func (m *MuxConn) resolve(granted uint64) {
 	if m.state != muxNegotiating {
 		return
 	}
-	m.granted = granted
-	if granted&frame.FeatureMux != 0 {
+	m.granted = granted&frame.FeatureMux != 0
+	if m.granted {
 		m.state = muxOn
 	} else {
 		m.state = muxPassthrough
@@ -329,13 +325,13 @@ func (m *MuxConn) readLoop() {
 			return
 		}
 		m.mu.Lock()
-		state, lzOn := m.state, m.granted&frame.FeatureLZ != 0
+		state := m.state
 		m.mu.Unlock()
 		// Negotiating or passthrough: every frame belongs to stream 1, as is.
 		id, flags, body := uint64(1), uint64(0), payload
 		switch state {
 		case muxOn:
-			if id, flags, body, _, err = frame.Open(payload, lzOn); err != nil {
+			if id, flags, body, err = frame.Open(payload); err != nil {
 				m.fail(fmt.Errorf("pbs: mux read: %w (type %d)", err, typ))
 				return
 			}
@@ -436,11 +432,7 @@ func (s *MuxStream) muxFeatureRequest() uint64 {
 	if s.m.state != muxNegotiating {
 		return 0
 	}
-	f := uint64(frame.FeatureMux)
-	if s.m.compress {
-		f |= frame.FeatureLZ
-	}
-	return f
+	return frame.FeatureMux
 }
 
 func (s *MuxStream) teardown(err error) {
@@ -534,9 +526,6 @@ func (s *MuxStream) Write(p []byte) (int, error) {
 	}
 	s.wpending = append(s.wpending, p...)
 	var out []byte
-	s.m.mu.Lock()
-	lzOn := s.m.granted&frame.FeatureLZ != 0
-	s.m.mu.Unlock()
 	for len(s.wpending) >= frame.HeaderLen {
 		n, typ := frame.ParseHeader(s.wpending)
 		if n > frame.MaxFrame {
@@ -555,7 +544,7 @@ func (s *MuxStream) Write(p []byte) (int, error) {
 			flags |= frame.FlagClose
 			s.closeSent = true
 		}
-		out, _ = frame.Seal(out, s.id, flags, typ, s.wpending[frame.HeaderLen:end], lzOn)
+		out = frame.Seal(out, s.id, flags, typ, s.wpending[frame.HeaderLen:end])
 		s.wpending = s.wpending[end:]
 	}
 	if len(s.wpending) == 0 {
@@ -580,8 +569,7 @@ func (s *MuxStream) Close() error {
 		s.wmu.Unlock()
 		if needsWire && s.m.muxed() {
 			// Best effort: the connection may already be gone.
-			bye, _ := frame.Seal(nil, s.id, frame.FlagClose, frame.MsgStreamClose, nil, false)
-			s.m.writeWire(bye, time.Time{})
+			s.m.writeWire(frame.Seal(nil, s.id, frame.FlagClose, frame.MsgStreamClose, nil), time.Time{})
 		}
 		s.teardown(nil)
 		s.m.removeStream(s.id)

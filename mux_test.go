@@ -85,7 +85,7 @@ func TestMuxManyStreamsOneConn(t *testing.T) {
 	for err := range errCh {
 		t.Error(err)
 	}
-	if muxOn, _ := mc.Granted(); !muxOn {
+	if !mc.Granted() {
 		t.Fatal("server did not grant multiplexing")
 	}
 	st := waitForCompleted(t, srv, streams)
@@ -177,7 +177,7 @@ func muxEnvelopeFrames(dst []byte, id uint64, open bool, frames []frame.Frame) [
 		if f.Type == frame.MsgDone || f.Type == frame.MsgStreamClose {
 			flags |= frame.FlagClose
 		}
-		dst, _ = frame.Seal(dst, id, flags, f.Type, f.Payload, false)
+		dst = frame.Seal(dst, id, flags, f.Type, f.Payload)
 	}
 	return dst
 }
@@ -190,7 +190,7 @@ func readMuxFrame(t *testing.T, conn net.Conn, id uint64) (byte, []byte) {
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	gotID, _, body, _, err := frame.Open(payload, false)
+	gotID, _, body, err := frame.Open(payload)
 	if err != nil {
 		t.Fatalf("frame.Open: %v", err)
 	}
@@ -360,31 +360,53 @@ func TestMuxUnknownStreamRejected(t *testing.T) {
 	waitForCompleted(t, srv, 2)
 }
 
-// TestMuxCompression negotiates lz frame compression and checks large
-// sketch frames actually shrink on the wire: the server's saved-bytes
-// counter must move while every sync still reconciles exactly.
+// TestMuxCompression pins compression's retirement at both ends: the
+// deprecated WithMuxCompression offers nothing, the server grants mux alone
+// to a raw hello that still offers FeatureLZ, and an enveloped frame that
+// sets the old compressed flag (bit 2) is unknown framing, so the server
+// drops the connection.
 func TestMuxCompression(t *testing.T) {
-	// A small set keeps the ToW counters tiny, so the zigzag-varint sketch
-	// payload (4 KiB of it) is low-entropy and genuinely compressible —
-	// lz.Compress declines high-entropy bodies rather than padding them.
-	base := testBaseSet(8)
-	opt := &Options{Seed: 8101, EstimatorSketches: 4096}
+	base := testBaseSet(500)
+	opt := &Options{Seed: 8101}
 	srv, addr := startTestServer(t, base, ServerOptions{Protocol: opt})
 	mc := dialMux(t, addr, WithMuxCompression(true))
-
 	for i := 0; i < 2; i++ {
 		if err := muxSyncClient(mc, base, opt, i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	muxOn, lzOn := mc.Granted()
-	if !muxOn || !lzOn {
-		t.Fatalf("Granted() = (%v, %v), want both features", muxOn, lzOn)
+	if !mc.Granted() {
+		t.Fatal("server did not grant multiplexing")
 	}
-	st := waitForCompleted(t, srv, 2)
-	if st.BytesSavedCompression <= 0 {
-		t.Fatalf("BytesSavedCompression = %d after compressed sketch frames", st.BytesSavedCompression)
+
+	conn := dialLoopTest(t, addr)
+	local0, _ := clientSetAndDiff(base, 0)
+	if got := muxRawNegotiate(t, conn, local0, opt, frame.FeatureMux|frame.FeatureLZ); got != frame.FeatureMux {
+		t.Fatalf("granted %#x to a mux|lz offer, want mux alone", got)
 	}
+	if st := waitForCompleted(t, srv, 3); st.BytesSavedCompression != 0 {
+		t.Fatalf("BytesSavedCompression = %d", st.BytesSavedCompression)
+	}
+	local1, _ := clientSetAndDiff(base, 1)
+	ss, err := newSharedSet(local1, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, opening, err := ss.newInitiator(ss.opt, initiatorCall{specD: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frame.Seal(nil, 2, frame.FlagOpen|1<<2, opening[0].Type, opening[0].Payload)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if typ, _, err := frame.ReadInto(conn, frame.MaxFrame, nil); err == nil {
+		t.Fatalf("server answered a frame flagged compressed with type %d, want the connection closed", typ)
+	}
+	waitFor(t, func() bool {
+		st := srv.Stats()
+		return st.Active == 0 && st.StreamsOpen == 0 && st.Completed == 3 && st.Failed == 0
+	})
 }
 
 // TestMuxDeclined pins the downgrade paths: a legacy single-stream peer and
@@ -429,8 +451,8 @@ func TestMuxDeclined(t *testing.T) {
 		if _, err := mc.Stream(); !errors.Is(err, ErrMuxDeclined) {
 			t.Fatalf("second Stream: err = %v, want ErrMuxDeclined", err)
 		}
-		if muxOn, lzOn := mc.Granted(); muxOn || lzOn {
-			t.Fatalf("Granted() = (%v, %v) from a legacy peer", muxOn, lzOn)
+		if mc.Granted() {
+			t.Fatal("Granted() from a legacy peer")
 		}
 	})
 

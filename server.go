@@ -87,12 +87,9 @@ type Server struct {
 	quotaRejections atomic.Int64
 
 	// Mux accounting: streamsOpen gauges currently open mux streams across
-	// all connections, streamsTotal counts every stream ever opened, and
-	// bytesSaved sums the wire bytes the negotiated lz compression saved in
-	// both directions.
+	// all connections, and streamsTotal counts every stream ever opened.
 	streamsOpen  atomic.Int64
 	streamsTotal atomic.Int64
-	bytesSaved   atomic.Int64
 
 	// Adaptive-controller accounting across completed sessions: rounds
 	// served under re-planned (m, t) parameters, and fast hellos whose
@@ -268,12 +265,12 @@ func (o ServerOptions) maxStreams() int {
 }
 
 // allowedFeatures is the feature bitmap the connection loop may grant to a
-// version-2 fast hello: mux (plus compression) whenever mux is enabled.
+// version-2 fast hello: mux whenever mux is enabled.
 func (o ServerOptions) allowedFeatures() uint64 {
 	if o.maxStreams() <= 0 {
 		return 0
 	}
-	return frame.FeatureMux | frame.FeatureLZ
+	return frame.FeatureMux
 }
 
 // ServerStats is a point-in-time snapshot of a Server's counters, fit for
@@ -289,9 +286,12 @@ type ServerStats struct {
 	BytesOut  int64 // wire bytes written across all sessions
 	Rounds    int64 // protocol rounds answered in completed sessions
 
-	StreamsOpen           int64 // mux streams currently open across all connections
-	StreamsTotal          int64 // mux streams ever opened
-	BytesSavedCompression int64 // wire bytes saved by negotiated lz compression, both directions
+	StreamsOpen  int64 // mux streams currently open across all connections
+	StreamsTotal int64 // mux streams ever opened
+	// BytesSavedCompression is always 0.
+	//
+	// Deprecated: no connection negotiates compression.
+	BytesSavedCompression int64
 
 	// Adaptive-controller counters over completed sessions. AdaptiveReplans
 	// is the total number of rounds served under (m, t) parameters the
@@ -392,32 +392,31 @@ func (s *Server) Register(name string, set []uint64) error { return s.Host(name,
 var ErrServerClosed = errors.New("pbs: server closed")
 
 // publish charges bytes for hs under name against the tenant's quota. A
-// registration inserts hs, or swaps it in for the set the name held; a
-// recharge only re-charges the entry, and fails as an unknown set when the
-// name no longer maps to hs — it was unregistered or replaced meanwhile.
-// The closed check rides the same lock Close takes, so a registration can
-// never land after Shutdown observed a clean registry.
-func (s *Server) publish(name string, hs *hostedSet, bytes int64, recharge bool) error {
+// registration inserts hs, or swaps it in for the set the name held and
+// returns that set; a recharge only re-charges the entry, and fails as an
+// unknown set when the name no longer maps to hs — it was unregistered or
+// replaced meanwhile. The closed check rides the same lock Close takes, so
+// a registration can never land after Shutdown observed a clean registry.
+func (s *Server) publish(name string, hs *hostedSet, bytes int64, recharge bool) (replaced *hostedSet, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return ErrServerClosed
+		return nil, ErrServerClosed
 	}
-	var err error
 	if recharge {
 		var same bool
 		if same, err = s.sets.Recharge(name, hs, bytes); err == nil && !same {
-			return unknownSet(name)
+			return nil, unknownSet(name)
 		}
 	} else {
-		err = s.sets.Register(name, hs, bytes)
+		replaced, _, err = s.sets.Register(name, hs, bytes)
 	}
 	var qe *registry.QuotaError
 	if errors.As(err, &qe) {
 		s.quotaRejections.Add(1)
-		return fmt.Errorf("%w: %v", ErrQuotaExceeded, err)
+		return nil, fmt.Errorf("%w: %v", ErrQuotaExceeded, err)
 	}
-	return err
+	return replaced, err
 }
 
 func unknownSet(name string) error { return fmt.Errorf("pbs: unknown set %q", name) }
@@ -491,25 +490,24 @@ func (s *Server) startSession(name string) (*responderSession, *rejection) {
 // Stats returns a snapshot of the server counters and session histograms.
 func (s *Server) Stats() ServerStats {
 	st := ServerStats{
-		SetsHosted:            int64(s.sets.Len()),
-		QuotaRejections:       s.quotaRejections.Load(),
-		Active:                s.sessActive.Load(),
-		Accepted:              s.accepted.Load(),
-		Completed:             s.completed.Load(),
-		Failed:                s.failed.Load(),
-		Rejected:              s.rejected.Load(),
-		Shed:                  s.shed.Load(),
-		BytesIn:               s.bytesIn.Load(),
-		BytesOut:              s.bytesOut.Load(),
-		Rounds:                s.rounds.Load(),
-		StreamsOpen:           s.streamsOpen.Load(),
-		StreamsTotal:          s.streamsTotal.Load(),
-		BytesSavedCompression: s.bytesSaved.Load(),
-		AdaptiveReplans:       s.adaptiveReplans.Load(),
-		PriorHits:             s.priorHits.Load(),
-		LatencyUS:             summarize(s.latencyHist.Snapshot()),
-		SessionRounds:         summarize(s.roundsHist.Snapshot()),
-		SessionBytes:          summarize(s.bytesHist.Snapshot()),
+		SetsHosted:      int64(s.sets.Len()),
+		QuotaRejections: s.quotaRejections.Load(),
+		Active:          s.sessActive.Load(),
+		Accepted:        s.accepted.Load(),
+		Completed:       s.completed.Load(),
+		Failed:          s.failed.Load(),
+		Rejected:        s.rejected.Load(),
+		Shed:            s.shed.Load(),
+		BytesIn:         s.bytesIn.Load(),
+		BytesOut:        s.bytesOut.Load(),
+		Rounds:          s.rounds.Load(),
+		StreamsOpen:     s.streamsOpen.Load(),
+		StreamsTotal:    s.streamsTotal.Load(),
+		AdaptiveReplans: s.adaptiveReplans.Load(),
+		PriorHits:       s.priorHits.Load(),
+		LatencyUS:       summarize(s.latencyHist.Snapshot()),
+		SessionRounds:   summarize(s.roundsHist.Snapshot()),
+		SessionBytes:    summarize(s.bytesHist.Snapshot()),
 	}
 	if s.hosted != nil {
 		st.SetsResident = s.hosted.residentSets.Load()
@@ -682,7 +680,7 @@ func (s *Server) sessionError(conn net.Conn, muxed bool, id uint64, msg, code st
 		conn.Close()
 		return
 	}
-	b, _ := frame.Seal(nil, id, frame.FlagClose, frame.MsgError, []byte(frame.AppendErrCode(msg, code, retryAfter)), false)
+	b := frame.Seal(nil, id, frame.FlagClose, frame.MsgError, []byte(frame.AppendErrCode(msg, code, retryAfter)))
 	if t := s.opt.idleTimeout(); t > 0 {
 		conn.SetWriteDeadline(time.Now().Add(t))
 	}
@@ -749,9 +747,9 @@ func (s *Server) handle(conn net.Conn) {
 	defer frame.PutBuf(buf)
 
 	var (
-		streams     = map[uint64]*srvStream{}
-		muxed, lzOn bool
-		lastSweep   = time.Now()
+		streams   = map[uint64]*srvStream{}
+		muxed     bool
+		lastSweep = time.Now()
 	)
 	idle, budget := s.opt.idleTimeout(), s.opt.sessionByteBudget()
 	// release returns everything stream id's session holds: its tenant
@@ -826,14 +824,10 @@ func (s *Server) handle(conn net.Conn) {
 		s.bytesIn.Add(n)
 		var id, flags uint64
 		if muxed {
-			var saved int
-			if id, flags, body, saved, err = frame.Open(body, lzOn); err != nil {
+			if id, flags, body, err = frame.Open(body); err != nil {
 				// A malformed envelope means framing trust is gone; there is no
 				// stream to blame it on, so the connection dies.
 				return
-			}
-			if saved != 0 {
-				s.bytesSaved.Add(int64(saved))
 			}
 		}
 
@@ -935,10 +929,7 @@ func (s *Server) handle(conn net.Conn) {
 				batch := frame.GetBuf()
 				b := (*batch)[:0]
 				for _, f := range out {
-					var saved int
-					if b, saved = frame.Seal(b, id, 0, f.Type, f.Payload, lzOn); saved != 0 {
-						s.bytesSaved.Add(int64(saved))
-					}
+					b = frame.Seal(b, id, 0, f.Type, f.Payload)
 				}
 				wn, werr = conn.Write(b)
 				*batch = b[:0]
@@ -990,7 +981,7 @@ func (s *Server) handle(conn net.Conn) {
 			// already charged; it is only re-filed as stream 1.
 			delete(streams, 0)
 			streams[1] = st
-			muxed, lzOn = true, g&frame.FeatureLZ != 0
+			muxed = true
 			s.streamsOpen.Add(1)
 			s.streamsTotal.Add(1)
 		}

@@ -554,8 +554,8 @@ func (s *responderSession) step(typ byte, payload []byte) (out []frame.Frame, do
 			// Feature grant: the intersection of what the peer offered and
 			// what our driver allows (the Server sets allowFeatures on the
 			// connection loop's sessions; a bare Set.Respond leaves it zero,
-			// which declines every offer). Compression is only meaningful
-			// inside the mux envelope, so it is never granted alone.
+			// which declines every offer). Mux is the one grantable
+			// feature; a FeatureLZ offer is never granted.
 			if granted := h.Features & s.allowFeatures; granted&frame.FeatureMux != 0 {
 				rep.Version, rep.Features, s.granted = frame.VersionMux, granted, granted
 			}

@@ -28,7 +28,7 @@ const wireGoldenPath = "testdata/wire_golden.json"
 // wireRow is one pinned exchange as the wire carried it: the SHA-256 of
 // every byte each side sent, the types of the frames each side sent (" | "
 // separates connections), and the outcome — for a negotiation cell the
-// negotiated protocol (v1, v2, v2+lz) or the failure each sync ended with,
+// negotiated protocol (v1, v2) or the failure each sync ended with,
 // for an abuse row the code of the diagnostic the abuser got, for a
 // decline row the refusal. A refusal is named by its code
 // ("PeerError:rejected", or "PeerError:uncoded" when it has none).
@@ -216,8 +216,6 @@ func wireProtocol(out []byte) string {
 	switch {
 	case err != nil:
 		return "unknown"
-	case rep.Features&frame.FeatureLZ != 0:
-		return "v2+lz"
 	case rep.Features&frame.FeatureMux != 0:
 		return "v2"
 	}
@@ -248,11 +246,11 @@ func wireRefusal(pe *PeerError) string {
 }
 
 // The negotiation matrix. Initiators: Set.Sync's single-RTT hello, a
-// MuxConn stream (version 2) with and without lz, and a Client.
+// MuxConn stream (version 2), and a Client.
 // Responders: a protocol-0-only peer, Set.Respond, a Server with mux
 // disabled, and a full Server.
 var (
-	wireInitiators = []string{"fast", "mux", "mux+lz", "client"}
+	wireInitiators = []string{"fast", "mux", "client"}
 	wireResponders = []string{"v0", "respond", "server-nomux", "server"}
 )
 
@@ -369,8 +367,8 @@ func runWireCell(t *testing.T, initiator, responder string, adaptive, strong boo
 			}
 		}
 		conn.Close()
-	case "mux", "mux+lz":
-		mc := NewMuxConn(conn, WithMuxCompression(initiator == "mux+lz"))
+	case "mux":
+		mc := NewMuxConn(conn)
 		for i := 0; i < 2; i++ {
 			st, err := mc.Stream()
 			if err != nil {
@@ -464,6 +462,20 @@ func declineRow(t *testing.T, responder string, p *workload.Pair) wireRow {
 	return row
 }
 
+// lzDeclineRow pins a raw version-2 hello that still offers the retired
+// FeatureLZ beside FeatureMux: the server grants mux alone, and the
+// negotiating session completes under the plain envelope.
+func lzDeclineRow(t *testing.T, p *workload.Pair) wireRow {
+	opt := Options{Seed: 3102}
+	tl := startWireResponder(t, "server", p.B, opt)
+	conn := dialLoopTest(t, tl.Addr().String())
+	if got := muxRawNegotiate(t, conn, p.A, &opt, frame.FeatureMux|frame.FeatureLZ); got != frame.FeatureMux {
+		t.Fatalf("a mux|lz offer was granted %#x, want mux alone", got)
+	}
+	conn.Close()
+	return tl.row(t, []wireSync{{conn: 0}})
+}
+
 // loopRow runs one TestConnLoopParity abuse script the way that test does —
 // a healthy sibling sync in flight, on a second raw connection or on stream
 // 3 beside the abuser's stream 5 — and pins the abuser's connection as the
@@ -519,7 +531,8 @@ func loopRow(t *testing.T, sc loopScript, muxed bool) wireRow {
 // the §6 estimate, the §2 rounds, the §2.2.3 verification and the §3.2
 // splits as every pairing of initiator and responder generation puts them
 // on the wire, plus the fixture of the fast-path equivalence suite, the
-// refusal each current responder gives a protocol-0 opening, and the
+// refusal each current responder gives a protocol-0 opening, the mux-only
+// grant a server gives a hello that still offers lz, and the
 // server's side of every connection-loop abuse script. The equivalence
 // suite compares two paths of one build, so a change that moved both would
 // pass it; it cannot pass this. The file is regenerated
@@ -560,6 +573,7 @@ func TestWireGolden(t *testing.T) {
 		name := "v0-decline/" + responder
 		t.Run(name, func(t *testing.T) { got[name] = declineRow(t, responder, p) })
 	}
+	t.Run("lz-decline/server", func(t *testing.T) { got["lz-decline/server"] = lzDeclineRow(t, p) })
 	for _, sc := range loopScripts {
 		for _, muxed := range []bool{false, true} {
 			name := fmt.Sprintf("connloop/%s/mux=%v", sc.name, muxed)
