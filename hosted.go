@@ -22,8 +22,9 @@ const (
 	hostedSetOverhead = 256
 )
 
-// DefaultMergeThreshold is the segment-chain length at which the store's
-// background merger folds a hosted set's chain into one full segment.
+// DefaultMergeThreshold is the segment-chain length a hosted set's chain
+// never reaches: the write that would bring it there is a full segment of
+// the set's snapshot instead of a delta, and its append prunes the chain.
 const DefaultMergeThreshold = 4
 
 // maxEvictWrites bounds the evicted sets whose segment writes are in flight
@@ -115,12 +116,17 @@ type hostedSet struct {
 	// partitions and fold tables sessions cached on it carry across a
 	// HostedUpdate.
 	snap      *core.Snapshot
-	view      *sharedSet          // cached until mutation or demotion invalidates it
-	persisted bool                // at least one full segment on disk
-	dirtyAdds map[uint64]struct{} // changes since the last persisted segment
+	view      *sharedSet // cached until mutation or demotion invalidates it
+	persisted bool       // at least one full segment on disk
+	// dirtyAdds and dirtyDels are the changes since the last persisted
+	// segment, tracked only once there is one: until then the next write
+	// is a full segment of the snapshot.
+	dirtyAdds map[uint64]struct{}
 	dirtyDels map[uint64]struct{}
 	// pending is the eviction write in flight, nil when none. While it is
-	// set the set is cold and its unpersisted state lives only there.
+	// set the set is cold, or was taken back from it by a sync's cold load,
+	// and no update lands (update waits it out): the set's unpersisted
+	// state lives only there.
 	pending *segmentWrite
 	// firstFlush is closed once the Host that built the set has written its
 	// first full segment, or failed to; nil for a recovered set. A Host
@@ -251,12 +257,19 @@ func (hs *hostedSet) awaitWriteLocked() {
 }
 
 // loadSnapshot is the lazy view's cold-load path: page the elements in and
-// promote the set to resident. Runs at most once per lazy view
-// (sharedSet.snapOnce).
+// promote the set to resident. A set whose eviction write is still in
+// flight takes the write's snapshot back instead, so a sync never waits on
+// the disk. Runs at most once per lazy view (sharedSet.snapOnce).
 func (hs *hostedSet) loadSnapshot() (*core.Snapshot, error) {
 	hs.mu.Lock()
 	wasCold := hs.snap == nil
-	err := hs.materializeLocked()
+	var err error
+	if wasCold && hs.pending != nil {
+		hs.snap = hs.pending.snap
+		hs.h.coldLoads.Add(1)
+	} else {
+		err = hs.materializeLocked()
+	}
 	snap := hs.snap
 	hs.mu.Unlock()
 	if err != nil {
@@ -269,12 +282,15 @@ func (hs *hostedSet) loadSnapshot() (*core.Snapshot, error) {
 }
 
 // update applies adds and removes to the set — adds first, so an element in
-// both ends absent — in time proportional to the batch: the batch is netted
-// against the snapshot's membership and handed to Snapshot.Apply, and the
-// cumulative sketch/digest/count are maintained incrementally (the property
-// that lets the set keep answering estimates after eviction). add must have
-// passed checkElems: Apply trusts its caller. A cold set is paged in; the
-// caller settles its residency afterwards (noteResident).
+// both ends absent. The batch is netted against the snapshot's membership
+// and handed to Snapshot.Apply, and the cumulative sketch/digest/count are
+// maintained incrementally (the property that lets the set keep answering
+// estimates after eviction). Once the snapshot has taken a write, netting
+// a batch costs O(|S|), not O(batch): Snapshot.Contains flattens the
+// successor's write log into a fresh copy of the set (ROADMAP 14(a) is the
+// fix). add must have passed checkElems: Apply trusts its caller. A cold
+// set is paged in; the caller settles its residency afterwards
+// (noteResident).
 func (hs *hostedSet) update(add, remove []uint64) error {
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
@@ -290,7 +306,7 @@ func (hs *hostedSet) update(add, remove []uint64) error {
 	if len(add) == 0 && len(remove) == 0 {
 		return nil
 	}
-	if hs.dirtyAdds == nil {
+	if hs.persisted && hs.dirtyAdds == nil {
 		hs.dirtyAdds = make(map[uint64]struct{})
 		hs.dirtyDels = make(map[uint64]struct{})
 	}
@@ -300,7 +316,7 @@ func (hs *hostedSet) update(add, remove []uint64) error {
 		mh.Add(x)
 		if _, wasDel := hs.dirtyDels[x]; wasDel {
 			delete(hs.dirtyDels, x)
-		} else {
+		} else if hs.persisted {
 			hs.dirtyAdds[x] = struct{}{}
 		}
 	}
@@ -309,7 +325,7 @@ func (hs *hostedSet) update(add, remove []uint64) error {
 		mh.Remove(x)
 		if _, wasAdd := hs.dirtyAdds[x]; wasAdd {
 			delete(hs.dirtyAdds, x)
-		} else {
+		} else if hs.persisted {
 			hs.dirtyDels[x] = struct{}{}
 		}
 	}
@@ -328,9 +344,10 @@ func sortedUnique(xs []uint64) []uint64 {
 	return slices.Compact(out)
 }
 
-// segmentWrite is the segment a set's unpersisted state makes: its first,
-// full segment, or a delta of the net writes since the last one, either
-// carrying the cumulative metadata.
+// segmentWrite is the segment a set's unpersisted state makes: a full
+// segment of the snapshot — the set's first, or one that compacts its chain
+// before it reaches DefaultMergeThreshold — or a delta of the net writes
+// since the last one, either carrying the cumulative metadata.
 type segmentWrite struct {
 	full       bool
 	snap       *core.Snapshot // the elements, for a full segment
@@ -345,7 +362,7 @@ func (hs *hostedSet) takeWriteLocked() *segmentWrite {
 	if hs.persisted && len(hs.dirtyAdds) == 0 && len(hs.dirtyDels) == 0 {
 		return nil
 	}
-	w := &segmentWrite{full: !hs.persisted, snap: hs.snap, adds: hs.dirtyAdds, dels: hs.dirtyDels, meta: hs.meta}
+	w := &segmentWrite{full: !hs.persisted || hs.h.store.FullDue(hs.name), snap: hs.snap, adds: hs.dirtyAdds, dels: hs.dirtyDels, meta: hs.meta}
 	hs.dirtyAdds, hs.dirtyDels = nil, nil
 	return w
 }
@@ -377,8 +394,9 @@ func (hs *hostedSet) settleLocked(w *segmentWrite, err error) {
 }
 
 // flushLocked persists the dirty state: the first flush is a full
-// segment, later ones are deltas carrying the cumulative metadata, and a
-// set with nothing dirty — one that only answered syncs — writes nothing.
+// segment, later ones are deltas carrying the cumulative metadata (or a
+// full segment, when the store says one is due), and a set with nothing
+// dirty — one that only answered syncs — writes nothing.
 // Requires hs.mu; a no-op for memory-only hosting and for a cold set, whose
 // writes went to its eviction write.
 func (hs *hostedSet) flushLocked() error {
@@ -404,10 +422,10 @@ func (hs *hostedSet) flush() error {
 // demote evicts a resident set: drop the elements and the cached view,
 // and hand any dirty state to an eviction write that runs behind
 // (writeBehind). Sessions holding the old view keep their snapshot; new
-// sessions get a lazy (estimate-only) view, whose cold load waits for the
-// write to commit. If the write fails the set comes back resident with
-// the snapshot and writes it had — dropping unflushed data would lose
-// them.
+// sessions get a lazy (estimate-only) view, whose cold load takes the
+// snapshot back from the write while it runs. If the write fails the set
+// comes back resident with the snapshot and writes it had — dropping
+// unflushed data would lose them.
 func (hs *hostedSet) demote() {
 	hs.mu.Lock()
 	if hs.snap == nil || hs.h.store == nil {
@@ -417,7 +435,9 @@ func (hs *hostedSet) demote() {
 	// A set that left the registry writes nothing more: a Host that
 	// replaced it may already have written its own full segment, which a
 	// later segment of this set would land on top of. A write taken before
-	// the flag was set, that Host waits out (awaitWriteLocked).
+	// the flag was set, that Host waits out (awaitWriteLocked). A set taken
+	// back from its write in flight has had no update since (update waits
+	// the write out), so it has nothing more to write.
 	hs.h.mu.Lock()
 	dropped := hs.dropped
 	hs.h.mu.Unlock()
@@ -585,10 +605,9 @@ func (h *hostedStore) flushAll() error {
 
 // EnableHosting opens the persistent segment store under
 // ServerOptions.DataDir, registers every set already persisted there as a
-// cold entry — a footer-only read per set, no elements touched — and
-// starts the background segment merger. Call it once, before Serve and
-// before the first Host or Register. It returns how many sets were
-// recovered.
+// cold entry — a footer-only read per set, no elements touched. Call it
+// once, before Serve and before the first Host or Register. It returns how
+// many sets were recovered.
 func (s *Server) EnableHosting() (int, error) {
 	if s.hosted == nil {
 		return 0, s.hostedErr
@@ -679,11 +698,16 @@ func (s *Server) Host(name string, elems []uint64) error {
 // element in both ends absent); elements already present, or already
 // absent, are no-ops. An added element that is zero or wider than SigBits
 // fails the call before anything changes. The cumulative sketch, digest,
-// and count are maintained incrementally on this write path — which costs
-// the batch, not the set, and is what lets the set answer difference
-// estimates even after eviction; changes are persisted as a delta segment
-// when the set is next evicted (written off the evicting goroutine; a write
-// to the set meanwhile waits for it to commit) or the server shuts down.
+// and count are maintained incrementally on this write path, which is what
+// lets the set answer difference estimates even after eviction. Once a
+// resident set has taken a write, each batch costs O(|S|), not O(batch):
+// netting it against the set's membership flattens the snapshot (ROADMAP
+// 14(a) is the fix).
+// Changes are persisted as a delta segment (or, where one more delta would
+// bring the set's chain to DefaultMergeThreshold, as a full segment that
+// replaces the chain) when the set is next evicted (written off the
+// evicting goroutine; a write to the set meanwhile waits for it to commit)
+// or the server shuts down.
 // Growth is reserved against the tenant's byte quota before the set is
 // touched. A set unregistered or replaced while the update runs stays
 // gone: the call then fails as an unknown set.

@@ -8,7 +8,9 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"pbs/internal/setstore"
 )
@@ -64,8 +66,8 @@ func TestHostedEvictionDecisionsPinned(t *testing.T) {
 
 // TestHostedEvictedDirtySyncsNewestWrites evicts a freshly written set and
 // syncs it straight away, over and over: the eviction's segment write runs
-// behind, and the cold load the sync needs waits for it, so every sync
-// learns the set with its newest writes.
+// behind, a write's cold load waits for it and a sync's takes the snapshot
+// back from it, so every sync learns the set with its newest writes.
 func TestHostedEvictedDirtySyncsNewestWrites(t *testing.T) {
 	dir := t.TempDir()
 	opt := &Options{Seed: 146}
@@ -130,6 +132,139 @@ func TestHostedEvictedDirtySyncsNewestWrites(t *testing.T) {
 	for k := range cur {
 		local, want := hostedClientSet(cur[k], k)
 		mustSyncExact(t, addr, opt, "d", fmt.Sprintf("s%d", k), local, want)
+	}
+}
+
+// TestHostedSyncTakesBackInFlightWrite holds a dirty set's eviction write
+// in flight (every write slot taken) and syncs the set: the sync's cold
+// load takes the snapshot back from the write instead of waiting for it,
+// and learns the set's newest writes. Evicted again meanwhile, the set adds
+// no write of its own; a write to it waits the eviction write out; and a
+// restart recovers every write.
+func TestHostedSyncTakesBackInFlightWrite(t *testing.T) {
+	dir := t.TempDir()
+	opt := &Options{Seed: 149}
+	const size = 200
+	srv := NewServer(ServerOptions{Protocol: opt, DataDir: dir, MaxResidentBytes: 256 + 8*(size+64)})
+	if _, err := srv.EnableHosting(); err != nil {
+		t.Fatal(err)
+	}
+	a, b := hostedBase(1, size), hostedBase(2, size)
+	if err := srv.Host("w/a", a); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Host("w/b", b); err != nil {
+		t.Fatal(err)
+	}
+	addA := []uint64{1<<20 | 1<<18}
+	if err := srv.HostedUpdate("w/a", addA, a[:1]); err != nil {
+		t.Fatal(err)
+	}
+	a = append(a[1:], addA...)
+	addr := serveHosted(t, srv)
+
+	srv.hosted.writing.Wait()
+	for range maxEvictWrites {
+		srv.hosted.slots <- struct{}{}
+	}
+	var releaseOnce sync.Once
+	release := func() {
+		releaseOnce.Do(func() {
+			for range maxEvictWrites {
+				<-srv.hosted.slots
+			}
+		})
+	}
+	t.Cleanup(release)
+	within := func(what string, f func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- f() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(30 * time.Second):
+			release()
+			t.Fatalf("%s waited for the eviction write", what)
+		}
+	}
+	syncA := func() error {
+		local, want := hostedClientSet(a, 0)
+		c := &Client{Addr: addr, Tenant: "w", Set: "a", Options: opt, Timeout: time.Minute}
+		res, err := c.Sync(local)
+		if err == nil && !slices.Equal(sortedU64(res.Difference), sortedU64(want)) {
+			err = fmt.Errorf("learned %d differences, want %d", len(res.Difference), len(want))
+		}
+		return err
+	}
+
+	// Paging b in evicts a, whose delta write then waits for a slot.
+	evicting := make(chan error, 1)
+	go func() { evicting <- srv.HostedUpdate("w/b", nil, nil) }()
+	hs := hostedOf(t, srv, "w/a")
+	var w *segmentWrite
+	for deadline := time.Now().Add(30 * time.Second); w == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a was never evicted")
+		}
+		hs.mu.Lock()
+		w = hs.pending
+		hs.mu.Unlock()
+	}
+	state := func() (resident bool, pending *segmentWrite) {
+		hs.mu.Lock()
+		defer hs.mu.Unlock()
+		return hs.snap != nil, hs.pending
+	}
+	for i := 0; i < 2; i++ {
+		loads := srv.Stats().ColdLoads
+		within("sync of a", syncA)
+		if resident, p := state(); !resident || p != w || srv.Stats().ColdLoads != loads+1 {
+			t.Fatalf("sync %d: resident %v, write in flight %v, %d cold loads (was %d)", i, resident, p == w, srv.Stats().ColdLoads, loads)
+		}
+		if i == 0 {
+			// Paging b back in evicts a again, with no write of its own: it
+			// would otherwise wait for a slot too.
+			within("second eviction of a", func() error { return srv.HostedUpdate("w/b", nil, nil) })
+			if resident, p := state(); resident || p != w {
+				t.Fatalf("second eviction: resident %v, write in flight %v", resident, p == w)
+			}
+		}
+	}
+
+	addA2 := []uint64{1<<20 | 1<<18 | 1}
+	updated := make(chan error, 1)
+	go func() { updated <- srv.HostedUpdate("w/a", addA2, nil) }()
+	select {
+	case err := <-updated:
+		t.Fatalf("update of a did not wait for its eviction write (%v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	for _, ch := range []chan error{evicting, updated} {
+		if err := <-ch; err != nil {
+			t.Fatal(err)
+		}
+	}
+	a = append(a, addA2...)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := NewServer(ServerOptions{Protocol: opt, DataDir: dir})
+	if _, err := re.EnableHosting(); err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for name, want := range map[string][]uint64{"w/a": a, "w/b": b} {
+		got, _, err := re.hosted.store.Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, sortedU64(want)) {
+			t.Fatalf("%s recovered %d elements, want %d", name, len(got), len(want))
+		}
 	}
 }
 

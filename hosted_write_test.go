@@ -547,3 +547,91 @@ func TestHostedReplacedVictimWritesNothing(t *testing.T) {
 		t.Fatalf("recovered %d elements, the replacer holds %d", len(got), len(want))
 	}
 }
+
+// TestHostedWriterCompactsChain alternates updates between two sets under a
+// watermark that holds one, so every update evicts the other set with a
+// segment write. Once each write commits no chain is DefaultMergeThreshold
+// segments long: the write that would make it so is a full segment, whose
+// append prunes the chain. A fresh server recovers both sets exactly.
+func TestHostedWriterCompactsChain(t *testing.T) {
+	dir := t.TempDir()
+	opt := &Options{Seed: 4801}
+	const size = 200
+	srv := NewServer(ServerOptions{Protocol: opt, DataDir: dir, MaxResidentBytes: 256 + 8*(size+64)})
+	if _, err := srv.EnableHosting(); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"c/a", "c/b"}
+	cur := make([][]uint64, len(names))
+	for k, name := range names {
+		cur[k] = hostedBase(k, size)
+		if err := srv.Host(name, cur[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store := srv.hosted.store
+	for i := 0; i < 24; i++ {
+		k := i % 2
+		add := []uint64{uint64(k)<<20 | uint64(1<<16+i)}
+		if err := srv.HostedUpdate(names[k], add, cur[k][:1]); err != nil {
+			t.Fatal(err)
+		}
+		cur[k] = append(cur[k][1:], add...)
+		srv.hosted.writing.Wait()
+		segs := 0
+		for _, name := range names {
+			n := store.Segments(name)
+			if n >= DefaultMergeThreshold {
+				t.Fatalf("update %d: %s has a chain of %d segments", i, name, n)
+			}
+			segs += n
+		}
+		if files := len(dirListing(t, dir)); files != segs {
+			t.Fatalf("update %d: %d files on disk for %d segments", i, files, segs)
+		}
+	}
+	// Updates 1–23 each evict the set the one before wrote: 12 writes of
+	// c/a and 11 of c/b, every third of a set's a full segment.
+	if m := srv.Stats().SegmentMerges; m != 7 {
+		t.Fatalf("%d segment merges, want 7", m)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := NewServer(ServerOptions{Protocol: opt, DataDir: dir})
+	if _, err := re.EnableHosting(); err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for k, name := range names {
+		got, _, err := re.hosted.store.Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, sortedU64(cur[k])) {
+			t.Fatalf("%s recovered %d elements, want %d", name, len(got), len(cur[k]))
+		}
+	}
+}
+
+// TestHostedMemoryOnlyTracksNoWrites: a memory-only set never writes a
+// segment, so its updates leave no per-element record behind — the dirty
+// maps feed only a delta after a persisted segment.
+func TestHostedMemoryOnlyTracksNoWrites(t *testing.T) {
+	srv := NewServer(ServerOptions{Protocol: &Options{Seed: 4802}})
+	if err := srv.Host("m", hostedBase(1, 100)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		if err := srv.HostedUpdate("m", []uint64{2<<20 | uint64(i+1)}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hs := hostedOf(t, srv, "m")
+	hs.mu.Lock()
+	adds, dels, persisted := len(hs.dirtyAdds), len(hs.dirtyDels), hs.persisted
+	hs.mu.Unlock()
+	if adds != 0 || dels != 0 || persisted {
+		t.Fatalf("memory-only set tracks %d adds and %d deletes (persisted %v)", adds, dels, persisted)
+	}
+}

@@ -160,11 +160,6 @@ func (p Poly) Monic(f *Field) Poly {
 	return q
 }
 
-// PolyMulMod returns a * b mod m over the field f.
-func PolyMulMod(f *Field, a, b, m Poly) Poly {
-	return PolyMod(f, PolyMul(f, a, b), m)
-}
-
 // PolySqrMod returns p^2 mod m. In characteristic 2, squaring a polynomial
 // squares each coefficient and doubles each exponent.
 func PolySqrMod(f *Field, p, m Poly) Poly {

@@ -1,7 +1,9 @@
 // Package setstore is the persistent layer behind the Server's hosted
 // sets: an LSM-flavoured store of sorted immutable segment files, one
 // chain per set, in the spirit of VictoriaMetrics lib/mergeset (immutable
-// parts, background merges, an in-memory head owned by the caller).
+// parts, an in-memory head owned by the caller). The caller holds the whole
+// set in its head, so its own full append compacts a chain (Store.FullDue
+// says when).
 //
 // Each segment carries the set's delta since the previous segment (or the
 // full element list, for full segments) in the body, and — crucially — a

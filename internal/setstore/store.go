@@ -18,8 +18,8 @@ import (
 // Files are named "<escaped name>@<seq>.seg"; the chain is the ascending
 // seq order. All methods are safe for concurrent use; operations on
 // different sets proceed in parallel (per-name lock stripes), operations
-// on one set serialize — except that appends and merges write and fsync
-// their segment before taking the lock, and only commit it under it.
+// on one set serialize — except that appends write and fsync their
+// segment before taking the lock, and only commit it under it.
 type Store struct {
 	dir    string
 	thresh int
@@ -29,22 +29,14 @@ type Store struct {
 
 	stripes [64]sync.Mutex
 
-	merges  atomic.Int64
-	removes atomic.Int64 // Remove calls since Open: a merge read before one is void
-
-	// mergeWritten, when set (by tests), runs after Merge has written its
-	// segment and before it takes the lock to commit it.
-	mergeWritten func()
-
-	mergeCh chan string
-	done    chan struct{}
-	wg      sync.WaitGroup
+	merges atomic.Int64
 }
 
-// Open scans dir (creating it if needed) and starts the background merger
-// when mergeThreshold > 0: a chain reaching that many segments is folded
-// into one full segment off the caller's path. mergeThreshold <= 0
-// disables background merging; Merge can still be called directly.
+// Open scans dir, creating it if needed. mergeThreshold is the chain
+// length a set's writer must not reach: FullDue tells it when its next
+// segment has to be a full one, whose append prunes the chain. The store
+// runs nothing in the background. mergeThreshold <= 0 never asks for a
+// full segment; Merge can still be called directly.
 func Open(dir string, mergeThreshold int) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -53,7 +45,6 @@ func Open(dir string, mergeThreshold int) (*Store, error) {
 		dir:    dir,
 		thresh: mergeThreshold,
 		index:  make(map[string][]uint64),
-		done:   make(chan struct{}),
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -77,27 +68,15 @@ func Open(dir string, mergeThreshold int) (*Store, error) {
 	for name := range s.index {
 		slices.Sort(s.index[name])
 	}
-	if s.thresh > 0 {
-		s.mergeCh = make(chan string, 1024)
-		s.wg.Add(1)
-		go s.mergeLoop()
-	}
 	return s, nil
 }
 
-// Close stops the background merger and waits for an in-flight merge.
-func (s *Store) Close() error {
-	select {
-	case <-s.done:
-		return nil
-	default:
-	}
-	close(s.done)
-	s.wg.Wait()
-	return nil
-}
+// Close releases nothing: every write has committed or failed by the time
+// its call returns.
+func (s *Store) Close() error { return nil }
 
-// Merges returns the number of segment merges completed since Open.
+// Merges returns the number of chains folded since Open: by Merge, or by a
+// full append onto an existing chain.
 func (s *Store) Merges() int64 { return s.merges.Load() }
 
 func segFileName(name string, seq uint64) string {
@@ -163,6 +142,12 @@ func (s *Store) Segments(name string) int {
 	return len(s.index[name])
 }
 
+// FullDue reports whether one more delta would bring name's chain to the
+// merge threshold: its writer's next segment must then be a full one.
+func (s *Store) FullDue(name string) bool {
+	return s.thresh > 0 && s.Segments(name)+1 >= s.thresh
+}
+
 // writeTemp encodes seg into a new temp file in the store's directory and
 // fsyncs it, before any lock is taken: committing it is the caller's
 // rename (commitTemp).
@@ -214,15 +199,34 @@ func (s *Store) nextSeq(name string) uint64 {
 func (s *Store) addSeq(name string, seq uint64) {
 	s.mu.Lock()
 	s.index[name] = append(s.index[name], seq)
-	n := len(s.index[name])
 	s.mu.Unlock()
-	if s.thresh > 0 && n >= s.thresh {
-		select {
-		case s.mergeCh <- name:
-		default:
-			// Queue full: drop; the next append re-nominates the chain.
+}
+
+// pruneLocked makes seq, a full segment just committed, the whole of name's
+// chain: the segments before it are superseded and removed. Replay starts
+// from the newest full segment, so a crash before the removals leaves a
+// correct chain, merely unpruned, that the next full append prunes.
+// Requires name's stripe lock.
+func (s *Store) pruneLocked(name string, seq uint64) {
+	s.mu.Lock()
+	old := s.index[name]
+	s.index[name] = []uint64{seq}
+	s.mu.Unlock()
+	for _, o := range old {
+		if o != seq {
+			os.Remove(filepath.Join(s.dir, segFileName(name, o)))
 		}
 	}
+	s.merges.Add(1)
+}
+
+func strictlyIncreasing(elems []uint64) bool {
+	for i := 1; i < len(elems); i++ {
+		if elems[i-1] >= elems[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func sortedCopy(elems []uint64) []uint64 {
@@ -232,10 +236,15 @@ func sortedCopy(elems []uint64) []uint64 {
 }
 
 // AppendFull persists the complete element list of a set as a new full
-// segment. meta's sketch/digest/count must describe exactly elems.
+// segment, which supersedes, and prunes, the set's chain before it.
+// meta's sketch/digest/count must describe exactly elems. elems is read,
+// not kept; it is copied only if it is not strictly increasing.
 func (s *Store) AppendFull(name string, elems []uint64, meta Meta) error {
 	meta.Full = true
-	seg := &Segment{Adds: sortedCopy(elems), Meta: meta}
+	if !strictlyIncreasing(elems) {
+		elems = sortedCopy(elems)
+	}
+	seg := &Segment{Adds: elems, Meta: meta}
 	seg.Meta.Count = uint64(len(seg.Adds))
 	return s.appendChain(name, seg)
 }
@@ -253,6 +262,7 @@ func (s *Store) AppendDelta(name string, adds, dels []uint64, meta Meta) error {
 // The write and its fsync happen before the set's stripe lock is taken, so
 // a Load of the set, or of another on its stripe, waits for a rename, not
 // for the disk. Appends to one set land in the order they take the lock.
+// A full segment appended to an existing chain prunes it.
 func (s *Store) appendChain(name string, seg *Segment) error {
 	tmp, err := s.writeTemp(seg)
 	if err != nil {
@@ -261,7 +271,8 @@ func (s *Store) appendChain(name string, seg *Segment) error {
 	st := s.stripe(name)
 	st.Lock()
 	defer st.Unlock()
-	if !seg.Meta.Full && s.Segments(name) == 0 {
+	chained := s.Segments(name) > 0
+	if !seg.Meta.Full && !chained {
 		os.Remove(tmp)
 		return fmt.Errorf("setstore: delta append to unpersisted set %q", name)
 	}
@@ -270,6 +281,9 @@ func (s *Store) appendChain(name string, seg *Segment) error {
 		return err
 	}
 	s.addSeq(name, seq)
+	if seg.Meta.Full && chained {
+		s.pruneLocked(name, seq)
+	}
 	return nil
 }
 
@@ -465,27 +479,20 @@ func foldInPlace(cur, adds, dels []uint64) []uint64 {
 }
 
 // Merge folds a chain of 2+ segments into a single full segment. It
-// reports whether a merge happened. The chain is replayed under the set's
-// stripe lock and the merged segment written and fsynced outside it. It
-// commits if the chain still starts with the segments it replayed: the
-// merged segment is renamed over the last of them, the deltas appended
-// meanwhile stay after it, and the earlier files are removed. A Remove of
-// any set, or another merge of this one, in between voids it and the merged
-// segment is dropped. Crash-safe: the rename replaces one segment with a
-// full one holding the same state, and replay always starts from the
-// newest full segment, so a crash before the removals leaves a correct —
-// merely unpruned — chain.
+// reports whether a merge happened. It holds the set's stripe lock from the
+// replay to the rename, so no append lands in between: the merged segment
+// is renamed over the last segment it folded, and the earlier files are
+// removed (pruneLocked). Crash-safe: the rename replaces one segment with a
+// full one holding the same state.
 func (s *Store) Merge(name string) (bool, error) {
 	st := s.stripe(name)
 	st.Lock()
+	defer st.Unlock()
 	seqs := s.chain(name)
-	removes := s.removes.Load()
 	if len(seqs) < 2 {
-		st.Unlock()
 		return false, nil
 	}
 	elems, meta, err := s.loadLocked(name)
-	st.Unlock()
 	if err != nil {
 		return false, err
 	}
@@ -494,44 +501,12 @@ func (s *Store) Merge(name string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if s.mergeWritten != nil {
-		s.mergeWritten()
-	}
-	st.Lock()
-	defer st.Unlock()
-	cur := s.chain(name)
-	if s.removes.Load() != removes || len(cur) < len(seqs) || !slices.Equal(cur[:len(seqs)], seqs) {
-		os.Remove(tmp)
-		return false, nil
-	}
-	last := len(seqs) - 1
-	if err := s.commitTemp(tmp, name, seqs[last]); err != nil {
+	last := seqs[len(seqs)-1]
+	if err := s.commitTemp(tmp, name, last); err != nil {
 		return false, err
 	}
-	s.mu.Lock()
-	s.index[name] = cur[last:]
-	s.mu.Unlock()
-	for _, seq := range seqs[:last] {
-		os.Remove(filepath.Join(s.dir, segFileName(name, seq)))
-	}
-	s.merges.Add(1)
+	s.pruneLocked(name, last)
 	return true, nil
-}
-
-func (s *Store) mergeLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.done:
-			return
-		case name := <-s.mergeCh:
-			// Re-check under the current index: the chain may already have
-			// been merged (duplicate nominations) or removed.
-			if s.Segments(name) >= s.thresh {
-				s.Merge(name) //nolint:errcheck // best effort; next append retries
-			}
-		}
-	}
 }
 
 // Remove deletes every segment of a set.
@@ -540,7 +515,6 @@ func (s *Store) Remove(name string) error {
 	st.Lock()
 	defer st.Unlock()
 	seqs := s.chain(name)
-	s.removes.Add(1)
 	s.mu.Lock()
 	delete(s.index, name)
 	s.mu.Unlock()

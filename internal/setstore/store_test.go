@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 )
 
 func testMeta(elems []uint64) Meta {
@@ -268,45 +267,105 @@ func TestStoreCorruptSegmentFails(t *testing.T) {
 	}
 }
 
-func TestBackgroundMerge(t *testing.T) {
-	const threshold = 3
-	s, err := Open(t.TempDir(), threshold)
+// TestFullAppendPrunesChain checks the compaction a set's writer does: the
+// threshold query, a full append that folds the chain down to one file, and
+// a chain a crash left unpruned — a full segment with older segments before
+// it — that replays correctly and is pruned by the next full append.
+func TestFullAppendPrunesChain(t *testing.T) {
+	for _, c := range []struct{ thresh, segs int }{{0, 1}, {0, 9}, {1, 0}, {3, 0}, {3, 1}, {3, 2}, {3, 5}} {
+		s, err := Open(t.TempDir(), c.thresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur := seqElems(10, 3)
+		for i := 0; i < c.segs; i++ {
+			if i == 0 {
+				err = s.AppendFull("s", cur, testMeta(cur))
+			} else {
+				cur = append(cur, uint64(1<<20+i))
+				err = s.AppendDelta("s", cur[len(cur)-1:], nil, testMeta(cur))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := s.FullDue("s"), c.thresh > 0 && c.segs+1 >= c.thresh; got != want {
+			t.Fatalf("threshold %d, %d segments: FullDue = %v, want %v", c.thresh, c.segs, got, want)
+		}
+	}
+
+	dir := t.TempDir()
+	s, err := Open(dir, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := seqElems(200, 7)
+	if err := s.AppendFull("s", cur, testMeta(cur)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		add, del := []uint64{uint64(1<<30 + i)}, []uint64{cur[0]}
+		cur = append(cur[1:], add...)
+		if err := s.AppendDelta("s", add, del, testMeta(cur)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Merges() != 0 || s.Segments("s") != 3 {
+		t.Fatalf("before the full append: %d merges, %d segments", s.Merges(), s.Segments("s"))
+	}
+	// Unsorted, with a duplicate: AppendFull sorts a copy.
+	shuffled := append([]uint64{cur[len(cur)-1], cur[0]}, cur...)
+	if err := s.AppendFull("s", shuffled, testMeta(cur)); err != nil {
+		t.Fatal(err)
+	}
+	if files := segFiles(t, dir); len(files) != 1 || files[0] != segFileName("s", 4) || s.Segments("s") != 1 {
+		t.Fatalf("files after a full append onto a chain: %v, want only seq 4", files)
+	}
+	if s.Merges() != 1 {
+		t.Fatalf("Merges = %d, want 1", s.Merges())
+	}
+	if got, _, err := s.Load("s"); err != nil || !slices.Equal(got, cur) {
+		t.Fatalf("replay after the full append: %d elements, want %d (err %v)", len(got), len(cur), err)
+	}
+
+	// A crash between a full append's rename and its removals: a delta,
+	// then a full segment committed without the prune.
+	add := []uint64{1 << 40}
+	cur = append(slices.Clone(cur), add...)
+	if err := s.AppendDelta("s", add, nil, testMeta(cur)); err != nil {
+		t.Fatal(err)
+	}
+	cur = cur[5:]
+	meta := testMeta(cur)
+	meta.Full = true
+	tmp, err := s.writeTemp(&Segment{Adds: cur, Meta: meta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.commitTemp(tmp, "s", 6); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s, err = Open(dir, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	elems := seqElems(20, 3)
-	if err := s.AppendFull("s", elems, testMeta(elems)); err != nil {
+	if n := s.Segments("s"); n != 3 || !s.FullDue("s") {
+		t.Fatalf("unpruned chain reopened with %d segments, FullDue %v", n, s.FullDue("s"))
+	}
+	if got, _, err := s.Load("s"); err != nil || !slices.Equal(got, cur) {
+		t.Fatalf("replay of the unpruned chain: %d elements, want %d (err %v)", len(got), len(cur), err)
+	}
+	cur = cur[1:]
+	if err := s.AppendFull("s", cur, testMeta(cur)); err != nil {
 		t.Fatal(err)
 	}
-	cur := slices.Clone(elems)
-	for i := 0; i < 4; i++ {
-		add := []uint64{uint64(50000 + i)}
-		cur = append(cur, add...)
-		slices.Sort(cur)
-		if err := s.AppendDelta("s", add, nil, testMeta(cur)); err != nil {
-			t.Fatal(err)
-		}
+	if files := segFiles(t, dir); len(files) != 1 || files[0] != segFileName("s", 7) {
+		t.Fatalf("files after pruning the unpruned chain: %v, want only seq 7", files)
 	}
-	// The merger runs asynchronously; wait for the chain to come to rest.
-	// What the store promises is a chain shorter than the threshold, not a
-	// chain of one: a merge that lands between two appends leaves the later
-	// deltas on top of the merged segment, legitimately below the threshold.
-	for i := 0; i < 500 && (s.Segments("s") >= threshold || s.Merges() == 0); i++ {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := s.Segments("s"); n >= threshold {
-		t.Fatalf("background merge did not run: chain length %d", n)
-	}
-	got, _, err := s.Load("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(got, cur) {
-		t.Fatal("merged replay mismatch")
-	}
-	if s.Merges() == 0 {
-		t.Fatal("no merge recorded")
+	if got, _, err := s.Load("s"); err != nil || !slices.Equal(got, cur) {
+		t.Fatalf("replay after pruning: %d elements, want %d (err %v)", len(got), len(cur), err)
 	}
 }
 
@@ -345,9 +404,9 @@ func TestRemove(t *testing.T) {
 }
 
 // TestMergeRacingAppends merges a chain over and over while deltas are
-// appended to it: a merge whose chain moved on while it wrote is dropped,
-// so whatever interleaving happens the chain replays to every write, and no
-// temp file is left behind.
+// appended to it: a merge holds the set's lock from its replay to its
+// rename, so whatever interleaving happens every merge commits, the chain
+// replays to every write, and no temp file is left behind.
 func TestMergeRacingAppends(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 0)
@@ -422,95 +481,6 @@ func segFiles(t *testing.T, dir string) []string {
 		files = append(files, e.Name())
 	}
 	return files
-}
-
-// TestMergeCommitsUnderAppends lands a delta between every merge's write
-// and its commit — the interleaving a steady stream of appends produces
-// for every merge. Each merge must still commit: its full segment replaces
-// the last segment it read, the delta appended meanwhile stays after it,
-// and the files it folded are gone. A Remove in the same window, even one
-// followed by appends that rebuild a chain with the same seqs, voids it.
-func TestMergeCommitsUnderAppends(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	cur := seqElems(500, 3)
-	if err := s.AppendFull("s", cur, testMeta(cur)); err != nil {
-		t.Fatal(err)
-	}
-	step := 0
-	appendOne := func() {
-		step++
-		add, del := []uint64{uint64(1<<20 + step)}, []uint64{cur[0]}
-		cur = append(cur[1:], add...)
-		if err := s.AppendDelta("s", add, del, testMeta(cur)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	appendOne()
-	s.mergeWritten = appendOne
-	for i := 0; i < 5; i++ {
-		before := s.chain("s")
-		merged, err := s.Merge("s")
-		if err != nil || !merged {
-			t.Fatalf("merge %d under an append: merged=%v err=%v", i, merged, err)
-		}
-		// The chain read was before; one delta landed after it.
-		want := []uint64{before[len(before)-1], before[len(before)-1] + 1}
-		if got := s.chain("s"); !slices.Equal(got, want) {
-			t.Fatalf("merge %d: chain %v, want %v", i, got, want)
-		}
-		if files := segFiles(t, dir); len(files) != 2 {
-			t.Fatalf("merge %d: %d segment files on disk, want 2", i, len(files))
-		}
-		got, meta, err := s.Load("s")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, cur) || meta.Count != uint64(len(cur)) {
-			t.Fatalf("merge %d: replay holds %d elements, want %d", i, len(got), len(cur))
-		}
-	}
-	if s.Merges() != 5 {
-		t.Fatalf("Merges = %d, want 5", s.Merges())
-	}
-
-	// A Remove in the window voids the merge, though the chain it leaves
-	// starts with the very seqs the merge read.
-	s.mergeWritten = nil
-	if err := s.Remove("s"); err != nil {
-		t.Fatal(err)
-	}
-	cur = seqElems(100, 7)
-	if err := s.AppendFull("s", cur, testMeta(cur)); err != nil {
-		t.Fatal(err)
-	}
-	appendOne()
-	fresh := slices.Clone(cur)
-	s.mergeWritten = func() {
-		if err := s.Remove("s"); err != nil {
-			t.Fatal(err)
-		}
-		cur = fresh
-		if err := s.AppendFull("s", cur, testMeta(cur)); err != nil {
-			t.Fatal(err)
-		}
-		appendOne()
-		appendOne()
-	}
-	if merged, err := s.Merge("s"); err != nil || merged {
-		t.Fatalf("a merge across a Remove: merged=%v err=%v", merged, err)
-	}
-	got, _, err := s.Load("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(got, cur) {
-		t.Fatalf("replay after a voided merge: %d elements, want %d", len(got), len(cur))
-	}
 }
 
 // TestReplayOldMergeLayout replays chains merged the way stores before

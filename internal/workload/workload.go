@@ -28,11 +28,6 @@ type Config struct {
 	Seed         int64
 }
 
-// Paper returns the paper's experiment configuration for a given d and seed.
-func Paper(d int, seed int64) Config {
-	return Config{UniverseBits: 32, SizeA: 1_000_000, D: d, Seed: seed}
-}
-
 // Generate builds a set pair per cfg. It returns an error on inconsistent
 // parameters (d > |A|, universe too small to hold |A| distinct elements,
 // etc.). Element 0 is excluded from the universe, as required by the XOR

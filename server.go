@@ -305,11 +305,14 @@ type ServerStats struct {
 
 	// Hosted-set registry counters; every registered set is hosted,
 	// Register's included. SetsHosted counts them; the rest cover the hosted
-	// layer: sets currently resident in memory, their summed charge, elements
-	// paged in from the
-	// segment store (cold loads), LRU evictions under MaxResidentBytes,
-	// background segment-chain merges, and sessions or registrations
-	// rejected on a tenant quota.
+	// layer: sets currently resident in memory, their summed charge, cold
+	// sets brought back (cold loads: paged in from the segment store, or
+	// taken back from an eviction write still in flight), LRU evictions
+	// under MaxResidentBytes,
+	// segment chains compacted (SegmentMerges: a full segment written onto
+	// an existing chain, which prunes it — the write that would bring a
+	// chain to DefaultMergeThreshold, or a Host replacing a persisted set),
+	// and sessions or registrations rejected on a tenant quota.
 	SetsHosted      int64
 	SetsResident    int64
 	ResidentBytes   int64
@@ -594,8 +597,8 @@ func (s *Server) markClosed() {
 }
 
 // Close stops accepting and tears down every open connection immediately,
-// then flushes hosted sets' dirty state and closes the segment store. For
-// a drain-first stop, use Shutdown.
+// then flushes hosted sets' dirty state to the segment store. For a
+// drain-first stop, use Shutdown.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.markClosed()
@@ -614,9 +617,6 @@ func (s *Server) Close() error {
 	s.closeHosted.Do(func() {
 		if s.hosted != nil {
 			err = s.hosted.flushAll()
-		}
-		if s.store != nil {
-			s.store.Close()
 		}
 	})
 	return err
