@@ -34,9 +34,9 @@ const DefaultMergeThreshold = 4
 const maxEvictWrites = 8
 
 // hostedStore manages the Server's sets, every one of them hosted:
-// resident-bytes accounting
-// with LRU eviction, cold loads from the segment store, and flush of
-// dirty state on eviction — written behind, off the evicting goroutine.
+// resident-bytes accounting with LRU eviction, cold loads from the segment
+// store, and, on eviction, a segment of the writes the store lacks —
+// written behind, off the evicting goroutine.
 // It is the in-memory head over setstore's immutable segments.
 type hostedStore struct {
 	opt Options // server protocol options, defaults applied
@@ -115,18 +115,16 @@ type hostedSet struct {
 	// shared by every view handed out until the next write — so the
 	// partitions and fold tables sessions cached on it carry across a
 	// HostedUpdate.
-	snap      *core.Snapshot
-	view      *sharedSet // cached until mutation or demotion invalidates it
-	persisted bool       // at least one full segment on disk
-	// dirtyAdds and dirtyDels are the changes since the last persisted
-	// segment, tracked only once there is one: until then the next write
-	// is a full segment of the snapshot.
-	dirtyAdds map[uint64]struct{}
-	dirtyDels map[uint64]struct{}
+	snap *core.Snapshot
+	view *sharedSet // cached until mutation or demotion invalidates it
+	// saved marks the snapshot the store holds: set by a cold load and by
+	// every committed segment write, the zero Mark until the first. The
+	// writes not yet on disk are snap.Since(saved).
+	saved core.Mark
 	// pending is the eviction write in flight, nil when none. While it is
 	// set the set is cold, or was taken back from it by a sync's cold load,
-	// and no update lands (update waits it out): the set's unpersisted
-	// state lives only there.
+	// and no update lands (update waits it out), so the snapshot is the
+	// write's own.
 	pending *segmentWrite
 	// firstFlush is closed once the Host that built the set has written its
 	// first full segment, or failed to; nil for a recovered set. A Host
@@ -179,7 +177,7 @@ func (h *hostedStore) recover(name string) (*hostedSet, error) {
 	if _, ok := msethash.DigestFromBytes(meta.Digest); !ok {
 		return nil, fmt.Errorf("pbs: set %q has a malformed persisted digest", name)
 	}
-	return &hostedSet{h: h, name: name, meta: meta, persisted: true}, nil
+	return &hostedSet{h: h, name: name, meta: meta}, nil
 }
 
 // sharedView returns the view a new session reconciles against.
@@ -240,7 +238,7 @@ func (hs *hostedSet) materializeLocked() error {
 	if err != nil {
 		return fmt.Errorf("pbs: hosted set %q: %w", hs.name, err)
 	}
-	hs.snap, hs.meta = snap, meta
+	hs.snap, hs.meta, hs.saved = snap, meta, snap.Mark()
 	hs.h.coldLoads.Add(1)
 	return nil
 }
@@ -283,14 +281,15 @@ func (hs *hostedSet) loadSnapshot() (*core.Snapshot, error) {
 
 // update applies adds and removes to the set — adds first, so an element in
 // both ends absent. The batch is netted against the snapshot's membership
-// and handed to Snapshot.Apply, and the cumulative sketch/digest/count are
+// and handed to Snapshot.Apply, whose log is the record of the writes the
+// next segment carries, and the cumulative sketch/digest/count are
 // maintained incrementally (the property that lets the set keep answering
 // estimates after eviction). Once the snapshot has taken a write, netting
 // a batch costs O(|S|), not O(batch): Snapshot.Contains flattens the
 // successor's write log into a fresh copy of the set (ROADMAP 14(a) is the
 // fix). add must have passed checkElems: Apply trusts its caller. A cold
-// set is paged in; the caller settles its residency afterwards
-// (noteResident).
+// set is paged in, and an eviction write in flight is waited out first;
+// the caller settles its residency afterwards (noteResident).
 func (hs *hostedSet) update(add, remove []uint64) error {
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
@@ -306,28 +305,14 @@ func (hs *hostedSet) update(add, remove []uint64) error {
 	if len(add) == 0 && len(remove) == 0 {
 		return nil
 	}
-	if hs.persisted && hs.dirtyAdds == nil {
-		hs.dirtyAdds = make(map[uint64]struct{})
-		hs.dirtyDels = make(map[uint64]struct{})
-	}
 	mh := msethash.FromDigest(hs.h.opt.Seed^verifySeedTweak, hs.digestLocked())
 	for _, x := range add {
 		hs.h.tow.Add(hs.meta.Sketch, x)
 		mh.Add(x)
-		if _, wasDel := hs.dirtyDels[x]; wasDel {
-			delete(hs.dirtyDels, x)
-		} else if hs.persisted {
-			hs.dirtyAdds[x] = struct{}{}
-		}
 	}
 	for _, x := range remove {
 		hs.h.tow.Remove(hs.meta.Sketch, x)
 		mh.Remove(x)
-		if _, wasAdd := hs.dirtyAdds[x]; wasAdd {
-			delete(hs.dirtyAdds, x)
-		} else if hs.persisted {
-			hs.dirtyDels[x] = struct{}{}
-		}
 	}
 	d := mh.Sum()
 	hs.meta.Digest = d.Bytes()
@@ -344,27 +329,28 @@ func sortedUnique(xs []uint64) []uint64 {
 	return slices.Compact(out)
 }
 
-// segmentWrite is the segment a set's unpersisted state makes: a full
-// segment of the snapshot — the set's first, or one that compacts its chain
-// before it reaches DefaultMergeThreshold — or a delta of the net writes
-// since the last one, either carrying the cumulative metadata.
+// segmentWrite is the segment that brings the store up to a snapshot: a
+// delta of the snapshot's net writes since the one the store holds, or a
+// full segment of it — the set's first, one after a re-base left no net to
+// read, or one that compacts its chain before it reaches
+// DefaultMergeThreshold — either carrying the cumulative metadata.
 type segmentWrite struct {
 	full       bool
-	snap       *core.Snapshot // the elements, for a full segment
-	adds, dels map[uint64]struct{}
+	snap       *core.Snapshot
+	adds, dels []uint64 // snap's net writes, for a delta
 	meta       setstore.Meta
 	done       chan struct{} // closed when an eviction write settles
 }
 
-// takeWriteLocked hands the set's unpersisted state to a segmentWrite,
-// or returns nil when the store has all of it. Requires hs.mu.
+// takeWriteLocked returns the write that brings the store up to the
+// snapshot, or nil when the writes since the last one cancelled out.
+// Requires hs.mu and a resident set.
 func (hs *hostedSet) takeWriteLocked() *segmentWrite {
-	if hs.persisted && len(hs.dirtyAdds) == 0 && len(hs.dirtyDels) == 0 {
+	adds, dels, ok := hs.snap.Since(hs.saved)
+	if ok && len(adds) == 0 && len(dels) == 0 {
 		return nil
 	}
-	w := &segmentWrite{full: !hs.persisted || hs.h.store.FullDue(hs.name), snap: hs.snap, adds: hs.dirtyAdds, dels: hs.dirtyDels, meta: hs.meta}
-	hs.dirtyAdds, hs.dirtyDels = nil, nil
-	return w
+	return &segmentWrite{full: !ok || hs.h.store.FullDue(hs.name), snap: hs.snap, adds: adds, dels: dels, meta: hs.meta}
 }
 
 // commit writes w to the store.
@@ -372,34 +358,19 @@ func (w *segmentWrite) commit(store *setstore.Store, name string) error {
 	if w.full {
 		return store.AppendFull(name, w.snap.Elements(), w.meta)
 	}
-	adds := make([]uint64, 0, len(w.adds))
-	for e := range w.adds {
-		adds = append(adds, e)
-	}
-	dels := make([]uint64, 0, len(w.dels))
-	for e := range w.dels {
-		dels = append(dels, e)
-	}
-	return store.AppendDelta(name, adds, dels, w.meta)
+	return store.AppendDelta(name, w.adds, w.dels, w.meta)
 }
 
-// settleLocked records how w ended: committed, the store has the state;
-// failed, it is the set's unpersisted state again. Requires hs.mu.
-func (hs *hostedSet) settleLocked(w *segmentWrite, err error) {
-	if err != nil {
-		hs.dirtyAdds, hs.dirtyDels = w.adds, w.dels
-		return
-	}
-	hs.persisted = true
-}
-
-// flushLocked persists the dirty state: the first flush is a full
-// segment, later ones are deltas carrying the cumulative metadata (or a
-// full segment, when the store says one is due), and a set with nothing
-// dirty — one that only answered syncs — writes nothing.
-// Requires hs.mu; a no-op for memory-only hosting and for a cold set, whose
-// writes went to its eviction write.
-func (hs *hostedSet) flushLocked() error {
+// flush writes what the store lacks of a resident set without demoting it
+// (Host's first segment, shutdown), once any eviction write of the set in
+// flight has settled. A set with nothing unwritten — one that only
+// answered syncs — writes nothing; a failed write leaves saved where it
+// was, so the next one carries its writes too. A no-op for memory-only
+// hosting and for a cold set.
+func (hs *hostedSet) flush() error {
+	hs.mu.Lock()
+	defer hs.mu.Unlock()
+	hs.awaitWriteLocked()
 	if hs.h.store == nil || hs.snap == nil {
 		return nil
 	}
@@ -408,24 +379,21 @@ func (hs *hostedSet) flushLocked() error {
 		return nil
 	}
 	err := w.commit(hs.h.store, hs.name)
-	hs.settleLocked(w, err)
+	if err == nil {
+		hs.saved = w.snap.Mark()
+	}
 	return err
 }
 
-// flush persists dirty state without demoting (shutdown path).
-func (hs *hostedSet) flush() error {
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	return hs.flushLocked()
-}
-
 // demote evicts a resident set: drop the elements and the cached view,
-// and hand any dirty state to an eviction write that runs behind
-// (writeBehind). Sessions holding the old view keep their snapshot; new
-// sessions get a lazy (estimate-only) view, whose cold load takes the
-// snapshot back from the write while it runs. If the write fails the set
-// comes back resident with the snapshot and writes it had — dropping
-// unflushed data would lose them.
+// and hand the snapshot, if the store lacks some of it, to an eviction
+// write that runs behind (writeBehind). Sessions holding the old view keep
+// their snapshot; new sessions get a lazy (estimate-only) view, whose cold
+// load takes the snapshot back from the write while it runs. A set taken
+// back so is demoted again without a second write: it has had no update
+// since (update waits the write out), so the write in flight is already
+// the one it needs. If the write fails the set comes back resident with
+// the snapshot — dropping unwritten data would lose it.
 func (hs *hostedSet) demote() {
 	hs.mu.Lock()
 	if hs.snap == nil || hs.h.store == nil {
@@ -435,14 +403,12 @@ func (hs *hostedSet) demote() {
 	// A set that left the registry writes nothing more: a Host that
 	// replaced it may already have written its own full segment, which a
 	// later segment of this set would land on top of. A write taken before
-	// the flag was set, that Host waits out (awaitWriteLocked). A set taken
-	// back from its write in flight has had no update since (update waits
-	// the write out), so it has nothing more to write.
+	// the flag was set, that Host waits out (awaitWriteLocked).
 	hs.h.mu.Lock()
 	dropped := hs.dropped
 	hs.h.mu.Unlock()
 	var w *segmentWrite
-	if !dropped {
+	if !dropped && hs.pending == nil {
 		w = hs.takeWriteLocked()
 	}
 	if w != nil {
@@ -483,13 +449,15 @@ func (h *hostedStore) writeBehind(hs *hostedSet, w *segmentWrite) {
 }
 
 // endEviction runs an eviction write and settles it. On failure the set
-// is resident again: the snapshot goes back, and it re-enters the
-// accounting without evicting anything (the next noteResident does).
+// is resident again: the snapshot goes back, saved stays where it was, and
+// the set re-enters the accounting without evicting anything (the next
+// noteResident does).
 func (hs *hostedSet) endEviction(w *segmentWrite) {
 	err := w.commit(hs.h.store, hs.name)
 	hs.mu.Lock()
-	hs.settleLocked(w, err)
-	if err != nil {
+	if err == nil {
+		hs.saved = w.snap.Mark()
+	} else {
 		hs.snap, hs.view = w.snap, nil
 	}
 	hs.pending = nil
@@ -577,9 +545,9 @@ func (h *hostedStore) forget(hs *hostedSet, drop bool) {
 	h.mu.Unlock()
 }
 
-// flushAll waits for every eviction write in flight, then persists every
-// resident set's dirty state (shutdown). Evictions after it has begun
-// write inline.
+// flushAll waits for every eviction write in flight, then writes what the
+// store lacks of every resident set (shutdown). Evictions after it has
+// begun write inline.
 func (h *hostedStore) flushAll() error {
 	if h.store == nil {
 		return nil
@@ -703,11 +671,13 @@ func (s *Server) Host(name string, elems []uint64) error {
 // resident set has taken a write, each batch costs O(|S|), not O(batch):
 // netting it against the set's membership flattens the snapshot (ROADMAP
 // 14(a) is the fix).
-// Changes are persisted as a delta segment (or, where one more delta would
-// bring the set's chain to DefaultMergeThreshold, as a full segment that
-// replaces the chain) when the set is next evicted (written off the
+// Changes are persisted when the set is next evicted (written off the
 // evicting goroutine; a write to the set meanwhile waits for it to commit)
-// or the server shuts down.
+// or the server shuts down: as a delta segment of their net since the
+// last segment, nothing where they cancelled out, or a full segment that
+// replaces the chain, where one more delta would bring it to
+// DefaultMergeThreshold or so many writes have landed since the last
+// segment that the set's snapshot no longer holds their net.
 // Growth is reserved against the tenant's byte quota before the set is
 // touched. A set unregistered or replaced while the update runs stays
 // gone: the call then fails as an unknown set.

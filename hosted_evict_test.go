@@ -139,8 +139,8 @@ func TestHostedEvictedDirtySyncsNewestWrites(t *testing.T) {
 // in flight (every write slot taken) and syncs the set: the sync's cold
 // load takes the snapshot back from the write instead of waiting for it,
 // and learns the set's newest writes. Evicted again meanwhile, the set adds
-// no write of its own; a write to it waits the eviction write out; and a
-// restart recovers every write.
+// no write of its own; a write to it waits the eviction write out, and is
+// then all the set has left to write; and a restart recovers every write.
 func TestHostedSyncTakesBackInFlightWrite(t *testing.T) {
 	dir := t.TempDir()
 	opt := &Options{Seed: 149}
@@ -248,6 +248,18 @@ func TestHostedSyncTakesBackInFlightWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The eviction write committed the snapshot the syncs took back, so
+	// what a has left to write is the one update made since.
+	hs.mu.Lock()
+	var adds, dels []uint64
+	ok := hs.snap != nil
+	if ok {
+		adds, dels, ok = hs.snap.Since(hs.saved)
+	}
+	hs.mu.Unlock()
+	if !ok || !slices.Equal(adds, addA2) || len(dels) != 0 {
+		t.Fatalf("a has +%v −%v left to write (ok %v), want +%v", adds, dels, ok, addA2)
+	}
 	a = append(a, addA2...)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -321,7 +333,12 @@ func TestHostedEvictionWriteFailure(t *testing.T) {
 	}
 	hs := hostedOf(t, srv, "f/a")
 	hs.mu.Lock()
-	resident, dirty := hs.snap != nil, len(hs.dirtyAdds)+len(hs.dirtyDels)
+	resident, dirty := hs.snap != nil, -1
+	if resident {
+		if adds, dels, ok := hs.snap.Since(hs.saved); ok {
+			dirty = len(adds) + len(dels)
+		}
+	}
 	hs.mu.Unlock()
 	if !resident || dirty != 2 {
 		t.Fatalf("after the failed write: resident %v with %d dirty writes, want resident with 2", resident, dirty)

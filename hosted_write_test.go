@@ -259,7 +259,7 @@ func TestHostedRejectsInvalidElements(t *testing.T) {
 	wantErr(srv.HostedUpdate("v/set", []uint64{5, 0}, base[:3]), "0x0")
 	wantErr(srv.HostedUpdate("v/set", []uint64{5, 1 << 40}, base[:3]), "0x10000000000")
 	requireMeta(t, hs, base, "after rejected updates")
-	if hs.snap != snap || len(hs.dirtyAdds)+len(hs.dirtyDels) != 0 {
+	if adds, dels, ok := hs.snap.Since(hs.saved); hs.snap != snap || !ok || len(adds)+len(dels) != 0 {
 		t.Fatal("a rejected HostedUpdate touched the set")
 	}
 	if now := dirListing(t, dir); !maps.Equal(files, now) {
@@ -614,24 +614,110 @@ func TestHostedWriterCompactsChain(t *testing.T) {
 	}
 }
 
-// TestHostedMemoryOnlyTracksNoWrites: a memory-only set never writes a
-// segment, so its updates leave no per-element record behind — the dirty
-// maps feed only a delta after a persisted segment.
-func TestHostedMemoryOnlyTracksNoWrites(t *testing.T) {
-	srv := NewServer(ServerOptions{Protocol: &Options{Seed: 4802}})
-	if err := srv.Host("m", hostedBase(1, 100)); err != nil {
+// twoSetServer hosts c/a and c/b, each of size elements, under a watermark
+// that holds one: hosting c/b evicts c/a, and from then on each update of
+// the cold set evicts the other.
+func twoSetServer(t *testing.T, dir string, opt *Options, size int) (srv *Server, a, b []uint64) {
+	t.Helper()
+	srv = NewServer(ServerOptions{Protocol: opt, DataDir: dir, MaxResidentBytes: 256 + 8*int64(size+64)})
+	if _, err := srv.EnableHosting(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2000; i++ {
-		if err := srv.HostedUpdate("m", []uint64{2<<20 | uint64(i+1)}, nil); err != nil {
+	a, b = hostedBase(0, size), hostedBase(1, size)
+	if err := srv.Host("c/a", a); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Host("c/b", b); err != nil {
+		t.Fatal(err)
+	}
+	return srv, a, b
+}
+
+// TestHostedCancelledWritesWriteNothing: a set whose writes between two
+// evictions cancel out — an element added then removed, another removed
+// then added back — writes no segment at its second eviction.
+func TestHostedCancelledWritesWriteNothing(t *testing.T) {
+	dir := t.TempDir()
+	opt := &Options{Seed: 4901}
+	srv, a, _ := twoSetServer(t, dir, opt, 200)
+	files := dirListing(t, dir)
+	x := uint64(1<<20 | 1<<16)
+	if err := srv.HostedUpdate("c/a", []uint64{x}, a[:1]); err != nil { // evicts c/b
+		t.Fatal(err)
+	}
+	if err := srv.HostedUpdate("c/a", a[:1], []uint64{x}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.HostedUpdate("c/b", nil, nil); err != nil { // evicts c/a
+		t.Fatal(err)
+	}
+	srv.hosted.writing.Wait()
+	if ev := srv.Stats().Evictions; ev != 3 {
+		t.Fatalf("%d evictions, want 3", ev)
+	}
+	if now := dirListing(t, dir); !maps.Equal(files, now) {
+		t.Fatalf("writes that cancelled out reached the data dir: %v → %v", files, now)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if now := dirListing(t, dir); !maps.Equal(files, now) {
+		t.Fatalf("Close wrote writes that cancelled out: %v → %v", files, now)
+	}
+}
+
+// TestHostedRebasedSetWritesFull: a resident set written past its
+// snapshot's re-base between two evictions has no net since the snapshot
+// the store holds to read, so its second eviction writes one full segment
+// — a chain of one, not a delta on top — and a fresh server recovers it
+// exactly.
+func TestHostedRebasedSetWritesFull(t *testing.T) {
+	dir := t.TempDir()
+	opt := &Options{Seed: 4902}
+	const size = 200
+	srv, a, _ := twoSetServer(t, dir, opt, size)
+	store := srv.hosted.store
+	// Rotate a fifth of the set per batch, three times: 240 writes, past the
+	// re-base at |S|/2.
+	for i := 0; i < 3; i++ {
+		add := make([]uint64, size/5)
+		for j := range add {
+			add[j] = 1<<20 | uint64(1<<16+i*size+j)
+		}
+		if err := srv.HostedUpdate("c/a", add, a[:size/5]); err != nil {
 			t.Fatal(err)
 		}
+		a = append(a[size/5:], add...)
 	}
-	hs := hostedOf(t, srv, "m")
+	hs := hostedOf(t, srv, "c/a")
 	hs.mu.Lock()
-	adds, dels, persisted := len(hs.dirtyAdds), len(hs.dirtyDels), hs.persisted
+	_, _, ok := hs.snap.Since(hs.saved)
 	hs.mu.Unlock()
-	if adds != 0 || dels != 0 || persisted {
-		t.Fatalf("memory-only set tracks %d adds and %d deletes (persisted %v)", adds, dels, persisted)
+	if ok {
+		t.Fatal("the writes did not re-base the snapshot: the test exercises nothing")
 	}
+	merges := srv.Stats().SegmentMerges
+	if err := srv.HostedUpdate("c/b", nil, nil); err != nil { // evicts c/a
+		t.Fatal(err)
+	}
+	srv.hosted.writing.Wait()
+	if n, m := store.Segments("c/a"), srv.Stats().SegmentMerges; n != 1 || m != merges+1 {
+		t.Fatalf("after the eviction: a chain of %d, %d merges (was %d); want one full segment", n, m, merges)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := NewServer(ServerOptions{Protocol: opt, DataDir: dir})
+	if _, err := re.EnableHosting(); err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	got, _, err := re.hosted.store.Load("c/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, sortedU64(a)) {
+		t.Fatalf("recovered %d elements, want %d", len(got), len(a))
+	}
+	requireMeta(t, hostedOf(t, re, "c/a"), a, "after recovery")
 }

@@ -34,9 +34,10 @@ import (
 //
 // The elements themselves are a sorted base slice, shared by a snapshot and
 // its successors until enough writes accumulate to re-base, plus the log of
-// batches applied since. Group slices are filled in sorted order, so they
-// are sorted too — the property the binary-search membership test of
-// elemSet relies on.
+// batches applied since, from which Since reads the net writes between a
+// marked snapshot and its successor (see Mark). Group slices are filled in
+// sorted order, so they are sorted too — the property the binary-search
+// membership test of elemSet relies on.
 //
 // All methods are safe for concurrent use. The element slices handed out
 // are shared: callers (including endpoints built from the snapshot) must
@@ -49,12 +50,12 @@ type Snapshot struct {
 	sd      seeds
 
 	base []uint64
-	log  *writeLog // batches applied on top of base
+	log  *writeLog // batches applied on top of base, down to its root
 	n    int       // |S|
 
 	// flat is S as one sorted slice, worked out on first need (a shape to
 	// fold, Elements, Contains): base itself, sorted if it came unsorted,
-	// while the log is empty; otherwise base with the log merged in.
+	// at the log's root; otherwise base with the log merged in.
 	flatOnce sync.Once
 	flat     []uint64
 
@@ -150,20 +151,28 @@ type delta struct{ adds, removes []uint64 }
 func (d delta) len() int { return len(d.adds) + len(d.removes) }
 
 // writeLog is the persistent list of batches applied on top of a base
-// slice, newest first. A successor conses its batch onto its predecessor's
-// log, so Apply never copies what came before.
+// slice, newest first, ending at an empty root entry made with the base. A
+// successor conses its batch onto its predecessor's log, so Apply never
+// copies what came before, and a Mark is one entry.
 type writeLog struct {
 	batch delta
-	prev  *writeLog
-	size  int // writes in this batch and all older ones
+	prev  *writeLog // nil at the root
+	size  int       // writes in this batch and all older ones
 }
 
-// net composes the log, oldest batch first, into one delta, pairing
-// neighbours so that every write is merged O(log batches) times.
-func (l *writeLog) net() delta {
+// since composes the batches newer than stop, oldest first, into one delta,
+// pairing neighbours so that every write is merged O(log batches) times.
+// It reports false if stop is not on the log; a nil stop composes all of
+// it.
+func (l *writeLog) since(stop *writeLog) (delta, bool) {
 	var ds []delta
-	for ; l != nil; l = l.prev {
-		ds = append(ds, l.batch)
+	for ; l != stop; l = l.prev {
+		if l == nil {
+			return delta{}, false
+		}
+		if l.batch.len() > 0 {
+			ds = append(ds, l.batch)
+		}
 	}
 	slices.Reverse(ds)
 	for len(ds) > 1 {
@@ -177,9 +186,9 @@ func (l *writeLog) net() delta {
 		ds = half
 	}
 	if len(ds) == 0 {
-		return delta{}
+		return delta{}, true
 	}
-	return ds[0]
+	return ds[0], true
 }
 
 // then returns the net effect of d followed by e: an element d inserts and
@@ -268,6 +277,7 @@ func newSnapshot(cfg Config) (*Snapshot, error) {
 		sigBits: cfg.SigBits,
 		seed:    cfg.Seed,
 		sd:      deriveSeeds(cfg.Seed),
+		log:     &writeLog{},
 		shapes:  make(map[int]shape),
 	}, nil
 }
@@ -300,16 +310,38 @@ func (s *Snapshot) Elements() []uint64 {
 // anything can read it or Apply can share it.
 func (s *Snapshot) flatten() {
 	s.flatOnce.Do(func() {
-		if s.log == nil {
+		if s.log.prev == nil {
 			if !slices.IsSorted(s.base) {
 				sortElems(s.base)
 			}
 			s.flat = s.base
 			return
 		}
-		since := s.log.net()
+		since, _ := s.log.since(nil)
 		s.flat = applySorted(s.base, since.adds, since.removes)
 	})
+}
+
+// Mark is a snapshot's place in its write log, for Since to read the
+// writes after. The zero Mark marks no snapshot.
+type Mark struct{ at *writeLog }
+
+// Mark returns s's place in its write log.
+func (s *Snapshot) Mark() Mark { return Mark{s.log} }
+
+// Since returns the net writes that lead from the snapshot m marks to s:
+// adds holds the elements s has and that snapshot lacks, removes the
+// reverse, each sorted, shared and read-only. It costs the writes, not
+// |S|. ok is false when s is not reached from the marked snapshot by Apply
+// without a re-base in between, as for a mark of an unrelated snapshot and
+// for the zero Mark: the difference is then only to be had from the
+// elements.
+func (s *Snapshot) Since(m Mark) (adds, removes []uint64, ok bool) {
+	if m.at == nil {
+		return nil, nil, false
+	}
+	d, ok := s.log.since(m.at)
+	return d.adds, d.removes, ok
 }
 
 // maxCachedShapes bounds Snapshot.shapes. The group count is derived from
@@ -587,7 +619,7 @@ func symDiffSorted(a, b []uint64) []uint64 {
 // maxCachedShapes·|S| words; a shape whose table does not fit is inherited
 // without it.
 func (s *Snapshot) Apply(add, remove []uint64) *Snapshot {
-	if s.log == nil {
+	if s.log.prev == nil {
 		s.flatten() // a successor shares base: make sure it is sorted
 	}
 	batch := delta{adds: slices.Clone(add), removes: slices.Clone(remove)}
@@ -598,15 +630,12 @@ func (s *Snapshot) Apply(add, remove []uint64) *Snapshot {
 		seed:    s.seed,
 		sd:      s.sd,
 		base:    s.base,
-		log:     &writeLog{batch: batch, prev: s.log, size: batch.len()},
+		log:     &writeLog{batch: batch, prev: s.log, size: batch.len() + s.log.size},
 		n:       s.n + len(add) - len(remove),
 		shapes:  make(map[int]shape),
 	}
-	if s.log != nil {
-		ns.log.size += s.log.size
-	}
 	if ns.log.size > ns.n/rebaseFraction {
-		ns.base, ns.log = ns.Elements(), nil
+		ns.base, ns.log = ns.Elements(), &writeLog{}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -75,17 +75,6 @@ func (h *Hash) Remove(x uint64) {
 	}
 }
 
-// Toggle adds x if present is false and removes it if true; it returns the
-// flipped membership. Convenient for PBS-style XOR-toggle maintenance.
-func (h *Hash) Toggle(x uint64, present bool) bool {
-	if present {
-		h.Remove(x)
-		return false
-	}
-	h.Add(x)
-	return true
-}
-
 // AddSet accumulates every element of set.
 func (h *Hash) AddSet(set []uint64) {
 	for _, x := range set {

@@ -64,18 +64,6 @@ func TestSeedSeparation(t *testing.T) {
 	}
 }
 
-func TestToggle(t *testing.T) {
-	h := New(5)
-	present := h.Toggle(11, false) // add
-	if !present {
-		t.Fatal("toggle-in should report presence")
-	}
-	present = h.Toggle(11, present) // remove
-	if present || !h.Sum().IsZero() {
-		t.Fatal("toggle-out should cancel")
-	}
-}
-
 func TestDigestSerialization(t *testing.T) {
 	h := New(6)
 	h.AddSet([]uint64{1, 2, 3})

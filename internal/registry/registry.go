@@ -209,24 +209,6 @@ func (r *Registry[V]) Get(name string) (V, bool) {
 // Len returns the total number of registered sets.
 func (r *Registry[V]) Len() int { return int(r.count.Load()) }
 
-// Range calls fn for every registered (name, value) pair, one shard at a
-// time, until fn returns false. Entries registered or removed concurrently
-// may or may not be seen; each shard is consistent in itself. fn runs
-// under the shard's read lock and must not call Register or Unregister.
-func (r *Registry[V]) Range(fn func(name string, v V) bool) {
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for name, e := range sh.m {
-			if !fn(name, e.v) {
-				sh.mu.RUnlock()
-				return
-			}
-		}
-		sh.mu.RUnlock()
-	}
-}
-
 // Register publishes v under name, charging bytes against the tenant's
 // byte quota and one set against its set quota. Re-registering an existing
 // name swaps the value in place, re-charging only the byte delta, and

@@ -426,9 +426,10 @@ func unknownSet(name string) error { return fmt.Errorf("pbs: unknown set %q", na
 
 // Unregister removes a named set from the registry, releasing its quota
 // charge; it reports whether the name was registered. Sessions already
-// reconciling against the set finish undisturbed. Its persisted segments
-// stay on disk (recovered again by the next EnableHosting); removing those
-// too is the store's Remove.
+// reconciling against the set finish undisturbed, paging it in from its
+// segments if it is cold. Those segments stay on disk: the next
+// EnableHosting on the DataDir recovers the set, and a later Host of the
+// name writes a full segment that prunes them.
 func (s *Server) Unregister(name string) bool {
 	hs, ok := s.sets.Unregister(name)
 	if ok {
@@ -597,7 +598,7 @@ func (s *Server) markClosed() {
 }
 
 // Close stops accepting and tears down every open connection immediately,
-// then flushes hosted sets' dirty state to the segment store. For a
+// then writes what the segment store lacks of the hosted sets. For a
 // drain-first stop, use Shutdown.
 func (s *Server) Close() error {
 	s.mu.Lock()
