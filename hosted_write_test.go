@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -42,16 +43,35 @@ func dirListing(t *testing.T, dir string) map[string]int64 {
 }
 
 // requireMeta fails unless the set's maintained metadata is exactly what a
-// pass over elems computes.
+// pass over elems computes, and its sketch what element-by-element Adds
+// give (a bulk sketch of a large set is summed from parts).
 func requireMeta(t *testing.T, hs *hostedSet, elems []uint64, when string) {
 	t.Helper()
 	want := hs.h.metaFor(sortedU64(elems))
+	ys := make([]int64, hs.h.tow.L())
+	for _, x := range elems {
+		hs.h.tow.Add(ys, x)
+	}
 	hs.mu.Lock()
 	got := hs.meta
 	hs.mu.Unlock()
-	if got.Count != want.Count || !slices.Equal(got.Sketch, want.Sketch) || !bytes.Equal(got.Digest, want.Digest) {
+	if got.Count != want.Count || !slices.Equal(got.Sketch, want.Sketch) || !slices.Equal(got.Sketch, ys) ||
+		!bytes.Equal(got.Digest, want.Digest) {
 		t.Fatalf("%s: maintained meta (count %d) differs from a fresh pass (count %d)", when, got.Count, want.Count)
 	}
+}
+
+// TestHostedLargeSetMeta: Host sketches a set above the estimator's
+// fan-out floor in parts, on several goroutines, and must keep exactly
+// the metadata of a serial pass.
+func TestHostedLargeSetMeta(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	srv := NewServer(ServerOptions{Protocol: &Options{Seed: 147}})
+	base := hostedBase(9, 3*4096+5)
+	if err := srv.Host("big/set", base); err != nil {
+		t.Fatal(err)
+	}
+	requireMeta(t, hostedOf(t, srv, "big/set"), base, "after Host")
 }
 
 // TestHostedReadOnlySyncsWriteNothing: a catalog larger than the resident

@@ -3,6 +3,8 @@ package estimator
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"pbs/internal/workload"
@@ -146,16 +148,45 @@ func TestEstimateDOneShot(t *testing.T) {
 	}
 }
 
-func BenchmarkToWSketch10k(b *testing.B) {
+func benchmarkToWSketch(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(1))
-	set := make([]uint64, 10000)
+	set := make([]uint64, n)
 	for i := range set {
 		set[i] = rng.Uint64() | 1
 	}
 	tw := MustNewToW(DefaultSketches, 0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tw.Sketch(set)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
+}
+
+func BenchmarkToWSketch10k(b *testing.B)  { benchmarkToWSketch(b, 10_000) }
+func BenchmarkToWSketch100k(b *testing.B) { benchmarkToWSketch(b, 100_000) }
+
+// TestToWSketchFansOutExactly holds the whole-set Sketch, serial below
+// sketchFanOut and split across goroutines above it, to the element-by-
+// element Add it must equal bit for bit, at sizes on both sides of the
+// floor and at part boundaries that do not divide evenly.
+func TestToWSketchFansOutExactly(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	tw := MustNewToW(DefaultSketches, 31)
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{0, 1, sketchFanOut - 1, sketchFanOut, sketchFanOut + 1, 5*sketchFanOut + 3} {
+		set := make([]uint64, n)
+		want := make([]int64, tw.L())
+		for i := range set {
+			set[i] = rng.Uint64() >> 32
+			tw.Add(want, set[i])
+		}
+		for _, procs := range []int{1, 3, 4} {
+			runtime.GOMAXPROCS(procs)
+			if got := tw.Sketch(set); !slices.Equal(got, want) {
+				t.Fatalf("n=%d GOMAXPROCS=%d: Sketch differs from element-by-element Add", n, procs)
+			}
+		}
 	}
 }
 

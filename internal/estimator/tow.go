@@ -9,6 +9,8 @@ package estimator
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"pbs/internal/hashutil"
 )
@@ -25,9 +27,9 @@ const DefaultGamma = 1.38
 // Each sketch Y_f(S) = Σ_{s∈S} f(s) for a 4-wise independent ±1 hash f;
 // (Y_f(A) − Y_f(B))² is an unbiased estimator of |A△B| (§6.1, App. A).
 //
-// The ℓ hash functions are held in a structure-of-arrays bank so the
-// sketch update makes one pass over precomputed element powers instead of
-// ℓ independent Horner chains per element.
+// The ℓ hash functions are held in a bank whose one pass per element
+// reduces each polynomial mod 2^61−1 once, over precomputed element powers;
+// a whole-set Sketch of more than a few thousand elements fans out.
 type ToW struct {
 	bank *hashutil.FourWiseBank
 }
@@ -53,21 +55,45 @@ func MustNewToW(l int, seed uint64) *ToW {
 // L returns the sketch count.
 func (t *ToW) L() int { return t.bank.Len() }
 
-// Sketch computes the ℓ ToW sketches of set.
-func (t *ToW) Sketch(set []uint64) []int64 {
-	ys := make([]int64, t.L())
-	t.SketchInto(ys, set)
-	return ys
-}
+// sketchFanOut is the set size above which Sketch splits the set across
+// GOMAXPROCS goroutines: below it a pass takes a few milliseconds at most.
+const sketchFanOut = 1 << 12
 
-// SketchInto accumulates the ℓ ToW sketches of set into ys (length ℓ,
-// caller-zeroed), allocating nothing. Each element's hash powers are
-// computed once and shared by a single batched pass over all ℓ hash
-// functions.
-func (t *ToW) SketchInto(ys []int64, set []uint64) {
-	for _, x := range set {
-		t.bank.AddSigns(x, ys)
+// Sketch computes the ℓ ToW sketches of set, in one batched pass over all
+// ℓ hash functions per element. A set above sketchFanOut is cut into
+// GOMAXPROCS parts, the first summed on the calling goroutine and each
+// other into its own vector on a goroutine of its own; the sketch is a sum
+// over the elements, so the parts' vectors add up to exactly the sketch of
+// the whole.
+func (t *ToW) Sketch(set []uint64) []int64 {
+	parts := 1
+	if len(set) > sketchFanOut {
+		parts = runtime.GOMAXPROCS(0)
 	}
+	sketchPart := func(k int, ys []int64) {
+		for _, x := range set[k*len(set)/parts : (k+1)*len(set)/parts] {
+			t.bank.AddSigns(x, ys)
+		}
+	}
+	ys := make([]int64, t.L())
+	sums := make([][]int64, parts-1)
+	var wg sync.WaitGroup
+	for k := range sums {
+		sums[k] = make([]int64, t.L())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sketchPart(k+1, sums[k])
+		}()
+	}
+	sketchPart(0, ys)
+	wg.Wait()
+	for _, sum := range sums {
+		for i, y := range sum {
+			ys[i] += y
+		}
+	}
+	return ys
 }
 
 // Add updates the sketch vector ys (length ℓ) with one new element:

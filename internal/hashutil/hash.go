@@ -161,8 +161,9 @@ func mulmod61(a, b uint64) uint64 {
 }
 
 // FourWise is a member of a 4-wise independent hash family: a random cubic
-// polynomial over GF(2^61−1). It provides the ±1 hash values required by
-// the Tug-of-War estimator (§6.1).
+// polynomial over GF(2^61−1), whose value's low bit is the ±1 hash the
+// Tug-of-War estimator requires (§6.1). It is evaluated through a
+// FourWiseBank.
 type FourWise struct {
 	a, b, c, d uint64
 }
@@ -181,95 +182,67 @@ func NewFourWise(seed uint64) FourWise {
 	return FourWise{a: draw(), b: draw(), c: draw(), d: draw()}
 }
 
-// Hash evaluates the polynomial at x and returns the result in [0, 2^61−1).
-func (h FourWise) Hash(x uint64) uint64 {
-	x %= mersenne61
-	r := h.a
-	r = mulmod61(r, x) + h.b
-	r = (r & mersenne61) + (r >> 61)
-	r = mulmod61(r, x) + h.c
-	r = (r & mersenne61) + (r >> 61)
-	r = mulmod61(r, x) + h.d
-	r = (r & mersenne61) + (r >> 61)
-	if r >= mersenne61 {
-		r -= mersenne61
-	}
-	return r
-}
-
-// Sign maps x to +1 or −1, each with probability 1/2, 4-wise independently
-// across distinct inputs.
-func (h FourWise) Sign(x uint64) int64 {
-	if h.Hash(x)&1 == 0 {
-		return 1
-	}
-	return -1
-}
-
-// FourWiseBank is a structure-of-arrays bank of 4-wise independent hash
-// functions for batched evaluation: instead of running ℓ independent
-// Horner chains of dependent mulmod61 calls per element, the element's
-// powers x, x², x³ (mod 2^61−1) are computed once and a single pass over
-// the flat coefficient arrays evaluates every polynomial with three
-// mutually independent multiplies each — the form out-of-order hardware
-// actually pipelines. Results are bit-identical to FourWise.Hash.
+// FourWiseBank is a bank of 4-wise independent hash functions for batched
+// evaluation. An element's powers x, x², x³ (mod 2^61−1) are computed once,
+// and a single pass over the members evaluates every polynomial with three
+// mutually independent multiplies. Each product is below 2^122, so
+// a·x³ + b·x² + c·x + d is summed exactly in 128 bits (it stays below
+// 2^124) and reduced mod 2^61−1 once per member rather than once per
+// product. The residue is the canonical one, so the signs are bit-identical
+// to a Horner evaluation of the same polynomial.
 type FourWiseBank struct {
-	a, b, c, d []uint64
+	lanes []FourWise
 }
 
 // NewFourWiseBank builds a bank whose i-th member is exactly
 // NewFourWise(seeds[i]).
 func NewFourWiseBank(seeds []uint64) *FourWiseBank {
-	bk := &FourWiseBank{
-		a: make([]uint64, len(seeds)),
-		b: make([]uint64, len(seeds)),
-		c: make([]uint64, len(seeds)),
-		d: make([]uint64, len(seeds)),
-	}
+	bk := &FourWiseBank{lanes: make([]FourWise, len(seeds))}
 	for i, s := range seeds {
-		h := NewFourWise(s)
-		bk.a[i], bk.b[i], bk.c[i], bk.d[i] = h.a, h.b, h.c, h.d
+		bk.lanes[i] = NewFourWise(s)
 	}
 	return bk
 }
 
 // Len returns the number of hash functions in the bank.
-func (bk *FourWiseBank) Len() int { return len(bk.a) }
+func (bk *FourWiseBank) Len() int { return len(bk.lanes) }
 
 // AddSigns adds every member's ±1 sign of x into the matching slot of ys,
-// which must have length Len(). One call replaces Len() independent
-// FourWise.Sign evaluations.
-func (bk *FourWiseBank) AddSigns(x uint64, ys []int64) {
-	x %= mersenne61
-	x2 := mulmod61(x, x)
-	x3 := mulmod61(x2, x)
-	cs, ds := bk.c, bk.d
-	for i, ai := range bk.a {
-		// r = a·x³ + b·x² + c·x + d, folded from < 4·(2^61−1) into [0, p).
-		r := mulmod61(ai, x3) + mulmod61(bk.b[i], x2) + mulmod61(cs[i], x) + ds[i]
-		r = (r & mersenne61) + (r >> 61)
-		if r >= mersenne61 {
-			r -= mersenne61
-		}
-		ys[i] += 1 - 2*int64(r&1)
-	}
-}
+// which must have length Len().
+func (bk *FourWiseBank) AddSigns(x uint64, ys []int64) { bk.addSigns(x, ys, 1) }
 
 // SubSigns subtracts every member's ±1 sign of x from the matching slot of
 // ys. Because the signs are ±1 and the accumulation is plain addition,
 // SubSigns(x) exactly cancels a prior AddSigns(x) — the property that makes
 // a sign-sum sketch incrementally maintainable under element removal.
-func (bk *FourWiseBank) SubSigns(x uint64, ys []int64) {
+func (bk *FourWiseBank) SubSigns(x uint64, ys []int64) { bk.addSigns(x, ys, -1) }
+
+// addSigns adds sign times every member's ±1 sign of x into ys.
+func (bk *FourWiseBank) addSigns(x uint64, ys []int64, sign int64) {
 	x %= mersenne61
 	x2 := mulmod61(x, x)
 	x3 := mulmod61(x2, x)
-	cs, ds := bk.c, bk.d
-	for i, ai := range bk.a {
-		r := mulmod61(ai, x3) + mulmod61(bk.b[i], x2) + mulmod61(cs[i], x) + ds[i]
-		r = (r & mersenne61) + (r >> 61)
+	ys = ys[:len(bk.lanes)] // one length: the loop carries no bounds check
+	twice := 2 * sign
+	for i, h := range bk.lanes {
+		// Every operand is below p = 2^61−1, so each product is below
+		// 2^122 and the sum below 2^124: exact in 128 bits.
+		hi, lo := bits.Mul64(h.a, x3)
+		h2, l := bits.Mul64(h.b, x2)
+		lo, carry := bits.Add64(lo, l, 0)
+		hi += h2 + carry
+		h2, l = bits.Mul64(h.c, x)
+		lo, carry = bits.Add64(lo, l, 0)
+		hi += h2 + carry
+		lo, carry = bits.Add64(lo, h.d, 0)
+		hi += carry
+		// 2^61 ≡ 1: add the sum's bits above bit 61 (at most 63 of them) to
+		// its low 61, then fold the few bits that carry past 2^61.
+		r := lo&mersenne61 + (hi<<3 | lo>>61)
+		r = r&mersenne61 + r>>61
 		if r >= mersenne61 {
 			r -= mersenne61
 		}
-		ys[i] -= 1 - 2*int64(r&1)
+		ys[i] += sign - twice*int64(r&1)
 	}
 }

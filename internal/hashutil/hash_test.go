@@ -4,33 +4,100 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
+// Hash evaluates the polynomial at x by Horner's rule, reducing after every
+// step, and returns the result in [0, 2^61−1): the scalar reference the
+// bank's one-reduction lanes are held to.
+func (h FourWise) Hash(x uint64) uint64 {
+	x %= mersenne61
+	r := h.a
+	r = mulmod61(r, x) + h.b
+	r = (r & mersenne61) + (r >> 61)
+	r = mulmod61(r, x) + h.c
+	r = (r & mersenne61) + (r >> 61)
+	r = mulmod61(r, x) + h.d
+	r = (r & mersenne61) + (r >> 61)
+	if r >= mersenne61 {
+		r -= mersenne61
+	}
+	return r
+}
+
+// Sign maps x to +1 or −1 by the low bit of Hash.
+func (h FourWise) Sign(x uint64) int64 {
+	if h.Hash(x)&1 == 0 {
+		return 1
+	}
+	return -1
+}
+
 // TestFourWiseBankMatchesScalar pins the batched evaluation to the scalar
-// FourWise path bit for bit: identical seeds must yield identical signs
-// for arbitrary inputs, including the x ≥ 2^61−1 wrap cases.
+// Horner path bit for bit: identical members must yield identical signs
+// for arbitrary inputs, including the x ≥ 2^61−1 wrap cases, and SubSigns
+// must cancel AddSigns exactly. The lanes are the estimator's 128 seeded
+// ones, lanes with coefficients at the field's extremes (0 and p−1, where
+// the 128-bit sum is largest), and, per input, lanes whose value is forced
+// next to the fold's wrap: a sum off by 2^64 ≡ 8 (mod p), as a dropped
+// carry leaves it, has the right parity unless it crosses p, so only
+// values within 8 of 0 or p−1 show it in the sign.
 func TestFourWiseBankMatchesScalar(t *testing.T) {
-	seeds := Seeds(0xFEED, 64)
-	bank := NewFourWiseBank(seeds)
-	scalar := make([]FourWise, len(seeds))
-	for i, s := range seeds {
-		scalar[i] = NewFourWise(s)
+	const top = mersenne61 - 1
+	seeded := Seeds(0xFEED, 128)
+	var fixed []FourWise
+	for _, s := range seeded {
+		fixed = append(fixed, NewFourWise(s))
 	}
+	if bank := NewFourWiseBank(seeded); !slices.Equal(bank.lanes, fixed) {
+		t.Fatal("NewFourWiseBank's members differ from NewFourWise's")
+	}
+	for _, c := range []uint64{0, top} {
+		for mask := 0; mask < 16; mask++ {
+			co := func(bit int) uint64 { return c * uint64(mask>>bit&1) }
+			fixed = append(fixed, FourWise{a: co(0), b: co(1), c: co(2), d: co(3)})
+		}
+	}
+	fixed = append(fixed, FourWise{a: top, b: top, c: top, d: 0}, FourWise{a: 0, b: 0, c: 0, d: top})
+
 	rng := rand.New(rand.NewSource(55))
-	inputs := []uint64{0, 1, 2, mersenne61 - 1, mersenne61, mersenne61 + 1, ^uint64(0)}
-	for i := 0; i < 200; i++ {
-		inputs = append(inputs, rng.Uint64())
+	inputs := []uint64{0, 1, 2, mersenne61 - 1, mersenne61, mersenne61 + 1, 1<<32 - 1, ^uint64(0)}
+	for i := 0; i < 500; i++ {
+		inputs = append(inputs, rng.Uint64(), rng.Uint64()>>32)
 	}
+	bank := &FourWiseBank{lanes: fixed}
+	sum := make([]int64, bank.Len())
 	for _, x := range inputs {
-		got := make([]int64, bank.Len())
-		bank.AddSigns(x, got)
-		for i := range scalar {
-			if want := scalar[i].Sign(x); got[i] != want {
-				t.Fatalf("x=%#x hash %d: bank sign %d, scalar sign %d", x, i, got[i], want)
+		bank.AddSigns(x, sum)
+		lanes := slices.Clone(fixed)
+		for _, h := range []FourWise{{a: top, b: top, c: top}, {a: rng.Uint64() % mersenne61, b: rng.Uint64() % mersenne61, c: rng.Uint64() % mersenne61}} {
+			v := h.Hash(x)
+			for k := uint64(0); k < 8; k++ {
+				for _, want := range []uint64{k, top - k} {
+					h.d = addmod61(want, mersenne61-v)
+					lanes = append(lanes, h)
+				}
 			}
 		}
+		got := make([]int64, len(lanes))
+		(&FourWiseBank{lanes: lanes}).AddSigns(x, got)
+		for i, h := range lanes {
+			if want := h.Sign(x); got[i] != want {
+				t.Fatalf("x=%#x lane %d %+v: bank sign %d, scalar sign %d", x, i, h, got[i], want)
+			}
+		}
+		(&FourWiseBank{lanes: lanes}).SubSigns(x, got)
+		if i := slices.IndexFunc(got, func(y int64) bool { return y != 0 }); i >= 0 {
+			t.Fatalf("x=%#x lane %d: SubSigns left %d after AddSigns", x, i, got[i])
+		}
+	}
+	for _, x := range inputs {
+		bank.SubSigns(x, sum)
+	}
+	if i := slices.IndexFunc(sum, func(y int64) bool { return y != 0 }); i >= 0 {
+		t.Fatalf("lane %d: %d after subtracting every input added", i, sum[i])
 	}
 }
 

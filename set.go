@@ -275,8 +275,10 @@ func checkElems(xs []uint64, bits uint) error {
 // NewSet validates elems once and returns a reusable set handle. Elements
 // must be nonzero, distinct, and fit in the configured SigBits. The one-off
 // costs are O(|S|) validation here and the O(|S|·ℓ) initial estimator
-// sketch on the first sync that estimates; after that, mutation costs O(ℓ)
-// per element and every reconciliation starts from the warm state.
+// sketch on the first sync that estimates (one reduction per hash lane and
+// element, split across GOMAXPROCS goroutines above a few thousand
+// elements); after that, mutation costs O(ℓ) per element and every
+// reconciliation starts from the warm state.
 func NewSet(elems []uint64, opts ...Option) (*Set, error) {
 	var cfg setConfig
 	for _, o := range opts {
@@ -412,13 +414,9 @@ func (s *Set) view(withSketch bool) (*sharedSet, error) {
 	s.journal = s.journal[:0]
 	if withSketch {
 		if s.sketch == nil {
-			// First estimate-needing operation on this handle: build the
-			// sketch once; Add/Remove keep it exact from here on.
-			ys := make([]int64, s.tow.L())
-			for x := range s.elems {
-				s.tow.Add(ys, x)
-			}
-			s.sketch = ys
+			// First estimate-needing operation on this handle: the view
+			// sketches its snapshot once; Add/Remove keep a copy exact.
+			s.sketch = slices.Clone(s.shared.towSketch())
 		}
 		// A no-op if the view already has its sketch — from an earlier call,
 		// or from a session forcing the view's own lazy computation, which

@@ -153,6 +153,56 @@ func TestSetJournaledViewWireIdentical(t *testing.T) {
 	check("journal overflow")
 }
 
+// TestSetFirstSketchFromSnapshot: a handle's first sketch is its view's
+// bulk sketch of the snapshot, split across goroutines at this size. Taken
+// after writes and a known-d reconcile left a sketchless view and a journal
+// behind, it must equal a fresh sketch of the elements, and later writes
+// must keep it so.
+func TestSetFirstSketchFromSnapshot(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 15000, D: 40, Seed: 61})
+	s, err := NewSet(p.A, WithSeed(62))
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := NewSet(p.B, WithSeed(62))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(61, 62))
+	write := func() {
+		for i := 0; i < 30; i++ {
+			if _, err := s.Add(uint64(rng.Uint32() | 1)); err != nil {
+				t.Fatal(err)
+			}
+			s.Remove(p.A[rng.IntN(len(p.A))])
+		}
+	}
+	requireSketch := func(when string) {
+		t.Helper()
+		v, err := s.view(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := s.tow.Sketch(s.Elements())
+		if !slices.Equal(s.sketch, want) || !slices.Equal(v.towSketch(), want) {
+			t.Fatalf("%s: the handle's sketch differs from a fresh sketch of its elements", when)
+		}
+	}
+
+	write()
+	if _, err := s.Reconcile(context.Background(), peer, WithKnownD(len(p.Diff)+120)); err != nil {
+		t.Fatal(err)
+	}
+	if s.sketch != nil || s.shared == nil {
+		t.Fatal("a known-d reconcile should leave a view without a sketch")
+	}
+	write()
+	requireSketch("first sketch")
+	write()
+	requireSketch("after writes")
+}
+
 // TestSetViewsStableUnderWrites hammers a Set with writes while sessions run
 // on it, as initiator and as responder, each on the view current when it
 // started. Writes only touch a pool disjoint from both base sets, so
