@@ -79,8 +79,9 @@ func ExampleWithOnDelta() {
 	// streamed everything: true
 }
 
-// ExampleSet_Reconcile shows the one-call path: estimate the difference
-// cardinality, pick parameters, and run the protocol in process.
+// ExampleSet_Reconcile shows the one-call path: both endpoints' session
+// engines stepped in process — estimate the difference cardinality, size
+// the first round from it, and run the protocol to completion.
 func ExampleSet_Reconcile() {
 	alice, err := pbs.NewSet([]uint64{10, 20, 30, 40, 50}, pbs.WithSeed(7))
 	if err != nil {

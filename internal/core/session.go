@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-)
+import "fmt"
 
 // Stats reports the cost of a reconciliation session.
 type Stats struct {
@@ -79,22 +76,12 @@ func Reconcile(a, b []uint64, plan Plan) (*Result, error) {
 // every plan NewPlan derives) is capped at DefaultMaxRounds; hand-built
 // budgets beyond that cap are clamped to it as well.
 func Drive(alice *Alice, bob *Bob, maxRounds int) (*Result, error) {
-	return DriveContext(context.Background(), alice, bob, maxRounds)
-}
-
-// DriveContext is Drive with cancellation: the context is checked before
-// every round, and a cancelled or expired context aborts the session with
-// ctx.Err().
-func DriveContext(ctx context.Context, alice *Alice, bob *Bob, maxRounds int) (*Result, error) {
 	cap := maxRounds
 	if cap <= 0 || cap > DefaultMaxRounds {
 		cap = DefaultMaxRounds
 	}
 	var st Stats
 	for round := 0; round < cap && !alice.Done(); round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		msg, err := alice.BuildRound()
 		if err != nil {
 			return nil, fmt.Errorf("core: round %d build: %w", round+1, err)

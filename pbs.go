@@ -18,9 +18,10 @@
 //	if err != nil { ... }
 //	fmt.Println(res.Difference) // = mine △ theirs
 //
-// Set.Reconcile runs the full pipeline in process: a Tug-of-War estimate
-// of d = |A△B|, parameter optimization via the paper's Markov-chain
-// framework, and the multi-round PBS protocol.
+// Set.Reconcile runs the full protocol in process — the session engines a
+// wire Sync runs, stepped in memory: a Tug-of-War estimate of d = |A△B|
+// sizes the first round, the paper's Markov-chain framework picks its
+// parameters, and the multi-round PBS protocol completes it.
 //
 // # The Set API
 //
@@ -76,7 +77,8 @@ type Options struct {
 	EstimatorSketches int
 	// Gamma is the conservative scale applied to the estimate (default 1.38).
 	Gamma float64
-	// KnownD skips the estimator when > 0: the caller asserts |A△B| <= KnownD.
+	// KnownD, when > 0, asserts |A△B| <= KnownD and sizes the speculative
+	// first round from it instead of from the prior or the estimate.
 	KnownD int
 	// MaxD caps the difference estimate d̂ a wire session will accept
 	// before deriving a Plan from it. The estimate is peer-influenced on
@@ -194,7 +196,9 @@ func (o Options) coreConfig() core.Config {
 	}
 }
 
-// Result reports the outcome of a reconciliation.
+// Result reports the outcome of a reconciliation. Sync and Reconcile run
+// the same session, and every field reads the same for both except
+// PayloadBytes.
 type Result struct {
 	// Difference is the learned A△B.
 	Difference []uint64
@@ -205,20 +209,22 @@ type Result struct {
 	Complete bool
 	// Rounds is the number of message exchanges used.
 	Rounds int
-	// EstimatedD is the conservative difference-cardinality estimate.
-	// Reconcile reports the value its parameters were derived from: γ·d̂,
-	// or KnownD when set. A wire Sync always reports γ·d̂ from the
-	// responder's estimate, under WithKnownD too; when the responder
-	// answered the speculative first round, the plan came from γ·d_spec,
-	// not from this value.
+	// EstimatedD is the conservative difference-cardinality estimate γ·d̂,
+	// from the responder's ToW estimate. When the responder answered the
+	// speculative first round, the plan came from γ·d_spec, not from this
+	// value.
 	EstimatedD int
 	// PayloadBytes is the protocol communication overhead — codewords,
 	// positions, XOR sums, checksums — the quantity the paper reports.
+	// Reconcile holds both endpoints and counts both directions; a Sync
+	// counts only the initiator's side, since it cannot see its peer's.
 	PayloadBytes int
-	// WireBytes is the full serialized message volume including framing.
+	// WireBytes is the full serialized message volume including framing,
+	// the estimator's bytes included.
 	WireBytes int
-	// EstimatorBytes is the one-way cost of the ToW estimate exchange
-	// (0 when KnownD is used). The paper accounts it separately.
+	// EstimatorBytes is the part of WireBytes the ToW estimate exchange
+	// costs: the hello's and the reply's envelopes. The paper accounts it
+	// separately.
 	EstimatorBytes int
 	// Replans counts rounds whose parameters the adaptive controller
 	// re-derived away from the static plan (see WithAdaptive). Always 0

@@ -3,6 +3,7 @@ package pbs
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sort"
 	"testing"
@@ -72,17 +73,138 @@ func TestReconcileFullPipeline(t *testing.T) {
 
 func TestReconcileKnownD(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 5000, D: 40, Seed: 3})
-	res, err := reconcile(p.A, p.B, WithSeed(4), WithKnownD(40))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := requireReconcileMatchesSync(t, p, 4, WithKnownD(40))
 	if !res.Complete {
 		t.Fatal("incomplete")
 	}
-	if res.EstimatorBytes != 0 {
-		t.Error("KnownD must skip the estimator")
-	}
 	assertSameSet(t, res.Difference, p.Diff)
+}
+
+// requireReconcileMatchesSync reconciles p on fresh handles under seed and
+// opts, twice: with Reconcile, and with a Sync over a pipe against Respond.
+// Reconcile is the same engines stepped in memory, so the two must return
+// the same difference, rounds, wire and estimator bytes, estimate and
+// replans. PayloadBytes differs by design: Reconcile holds both endpoints
+// and adds the responder's payload, which the test reads off the engine
+// pair driven directly. Without KnownD in opts, Reconcile sizes its
+// speculation from the ToW estimate of both sketches, so the Sync is called
+// WithKnownD at that rounded d̂. It returns the Reconcile result.
+func requireReconcileMatchesSync(t *testing.T, p *workload.Pair, seed uint64, opts ...Option) *Result {
+	t.Helper()
+	rec, err := mustSet(t, p.A, WithSeed(seed)).Reconcile(context.Background(), mustSet(t, p.B, WithSeed(seed)), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	a, b := mustSet(t, p.A, WithSeed(seed)), mustSet(t, p.B, WithSeed(seed))
+	cfg, err := a.callConfig(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	va, err := a.view()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vb, err := b.view()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.opt.KnownD == 0 {
+		dhatF, err := a.tow.Estimate(va.towSketch(), vb.towSketch())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dhat, err := cfg.opt.boundEstimate(dhatF)
+		if err != nil || dhat == 0 {
+			t.Fatalf("d̂ = %d, err %v: no KnownD to call the Sync with", dhat, err)
+		}
+		opts = append(opts[:len(opts):len(opts)], WithKnownD(int(dhat)))
+		cfg.opt.KnownD = int(dhat)
+	}
+	res, _, _ := teeSync(t, a, b, opts...)
+
+	is, opening, err := va.newInitiator(cfg.opt, initiatorCall{specD: uint64(cfg.opt.KnownD), adaptive: !cfg.adaptiveOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := &responderSession{opt: cfg.opt, shared: vb}
+	driveEngine(t, is, opening, rs)
+
+	assertSameSet(t, rec.Difference, res.Difference)
+	type outcome struct {
+		Complete                                               bool
+		Rounds, WireBytes, EstimatorBytes, EstimatedD, Replans int
+	}
+	got := outcome{rec.Complete, rec.Rounds, rec.WireBytes, rec.EstimatorBytes, rec.EstimatedD, rec.Replans}
+	want := outcome{res.Complete, res.Rounds, res.WireBytes, res.EstimatorBytes, res.EstimatedD, res.Replans}
+	if got != want {
+		t.Fatalf("Reconcile reports %+v, a pipe Sync %+v", got, want)
+	}
+	if want := res.PayloadBytes + (rs.payloadBits()+7)/8; rec.PayloadBytes != want {
+		t.Fatalf("Reconcile payload %d B, want the Sync's %d B plus the responder's %d bits = %d B",
+			rec.PayloadBytes, res.PayloadBytes, rs.payloadBits(), want)
+	}
+	return rec
+}
+
+// TestReconcileMatchesSync holds Reconcile to a pipe Sync on seeded pairs:
+// at d = 10, 100 and 1000, with StrongVerify and adaptive re-planning on
+// and off, under a KnownD at d (the speculation answered), one at d/10
+// (declined at d ≥ 100, so the session re-plans from d̂), and none (sized
+// from the estimate).
+func TestReconcileMatchesSync(t *testing.T) {
+	for _, d := range []int{10, 100, 1000} {
+		for i := range 3 {
+			p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 2000, D: d, Seed: int64(1000*d + i)})
+			for _, strong := range []bool{false, true} {
+				for _, adaptive := range []bool{false, true} {
+					for _, known := range []int{d, d / 10, 0} {
+						name := fmt.Sprintf("d=%d/seed=%d/strong=%v/adaptive=%v/known=%d", d, i, strong, adaptive, known)
+						t.Run(name, func(t *testing.T) {
+							// WithOptions replaces every field, KnownD
+							// included, so it goes first.
+							opts := []Option{WithOptions(Options{Seed: 77, StrongVerify: strong}), WithAdaptive(adaptive)}
+							if known > 0 {
+								opts = append(opts, WithKnownD(known))
+							}
+							res := requireReconcileMatchesSync(t, p, 77, opts...)
+							if !res.Complete {
+								t.Fatalf("incomplete after %d rounds", res.Rounds)
+							}
+							assertSameSet(t, res.Difference, p.Diff)
+						})
+					}
+				}
+			}
+		}
+	}
+
+	// MaxD bounds the estimate Reconcile sizes its plan from, as it bounds
+	// the one a wire session exchanges.
+	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 2000, D: 300, Seed: 300})
+	if res, err := reconcile(p.A, p.B, WithSeed(77), WithMaxD(50)); err == nil {
+		t.Fatalf("MaxD 50 on a d = 300 pair: complete=%v, want an error", res.Complete)
+	}
+
+	// StrongVerify compares the responder's digest with the one the learned
+	// difference implies: a forged responder digest fails the session, and
+	// is never read without StrongVerify.
+	p = workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 2000, D: 20, Seed: 20})
+	for _, strong := range []bool{false, true} {
+		a, b := mustSet(t, p.A, WithSeed(77)), mustSet(t, p.B, WithSeed(77))
+		vb, err := b.view()
+		if err != nil {
+			t.Fatal(err)
+		}
+		vb.digestOnce.Do(func() {}) // the zero digest, which no set has
+		_, err = a.Reconcile(context.Background(), b, WithStrongVerify(strong))
+		if strong && !errors.Is(err, ErrVerificationFailed) {
+			t.Fatalf("StrongVerify against a forged digest: err %v, want ErrVerificationFailed", err)
+		}
+		if !strong && err != nil {
+			t.Fatalf("without StrongVerify: %v", err)
+		}
+	}
 }
 
 func TestReconcileNilOptions(t *testing.T) {
@@ -128,13 +250,44 @@ func TestOptionsSigBitsBounds(t *testing.T) {
 	}
 }
 
+// speculationAnswered reports whether the responder answers the
+// speculative round 1 that a session under opts opens with, on fresh
+// handles over a and b. A KnownD the ToW estimate dwarfs (d̂ > 2·KnownD+16)
+// is declined, and both sides re-plan from d̂ instead.
+func speculationAnswered(t *testing.T, a, b []uint64, opts ...Option) bool {
+	t.Helper()
+	sa, sb := mustSet(t, a, opts...), mustSet(t, b, opts...)
+	va, err := sa.view()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vb, err := sb.view()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := sa.cfg.opt
+	is, opening, err := va.newInitiator(opt, initiatorCall{specD: uint64(opt.KnownD), adaptive: !sa.cfg.adaptiveOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := &responderSession{opt: opt, shared: vb}
+	driveEngine(t, is, opening, rs)
+	return rs.specAccepted
+}
+
 func TestOptionsKnownDUnderestimate(t *testing.T) {
-	// The caller asserts |A△B| <= KnownD but is off by 10x. BCH decoding
-	// fails in overloaded groups, triggering the §3.2 splits; with an
+	// The caller asserts |A△B| <= KnownD but is off by 15x: d = 15 against
+	// KnownD 1, still inside the window the responder answers (d̂ <= 18),
+	// so round 1 runs under the undersized one-group plan. BCH decoding
+	// fails in the overloaded group, triggering the §3.2 splits; with an
 	// unlimited round budget the protocol must still converge to the exact
 	// difference.
-	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 8000, D: 200, Seed: 31})
-	res, err := reconcile(p.A, p.B, WithSeed(32), WithKnownD(20))
+	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 8000, D: 15, Seed: 31})
+	opts := []Option{WithSeed(32), WithKnownD(1)}
+	if !speculationAnswered(t, p.A, p.B, opts...) {
+		t.Fatal("the speculation was declined: the undersized plan never ran")
+	}
+	res, err := reconcile(p.A, p.B, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,20 +296,26 @@ func TestOptionsKnownDUnderestimate(t *testing.T) {
 	}
 	assertSameSet(t, res.Difference, p.Diff)
 	if res.Rounds <= 1 {
-		t.Errorf("a 10x underestimate finished in %d round(s); splits cannot have been exercised", res.Rounds)
+		t.Errorf("a 15x underestimate finished in %d round(s); splits cannot have been exercised", res.Rounds)
 	}
 }
 
 func TestOptionsMaxRoundsExhaustion(t *testing.T) {
 	// One round against a badly undersized plan cannot finish: the result
 	// must report Complete=false rather than an error or a wrong answer.
-	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 8000, D: 500, Seed: 33})
-	res, err := reconcile(p.A, p.B, WithSeed(34), WithKnownD(10), WithMaxRounds(1))
+	// KnownD 1 against d = 15 is answered (d̂ <= 18), so round 1 runs under
+	// the one-group plan and is the whole budget.
+	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 8000, D: 15, Seed: 33})
+	opts := []Option{WithSeed(34), WithKnownD(1), WithMaxRounds(1)}
+	if !speculationAnswered(t, p.A, p.B, opts...) {
+		t.Fatal("the speculation was declined: the undersized plan never ran")
+	}
+	res, err := reconcile(p.A, p.B, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Complete {
-		t.Fatal("claimed completion with KnownD=10, d=500, MaxRounds=1")
+		t.Fatal("claimed completion with KnownD=1, d=15, MaxRounds=1")
 	}
 	if res.Rounds != 1 {
 		t.Errorf("ran %d rounds, budget was 1", res.Rounds)

@@ -658,6 +658,15 @@ func (s *responderSession) adaptiveReplans() int {
 	return s.bob.Replans()
 }
 
+// payloadBits returns the protocol-payload bits the session's Bob has sent —
+// 0 if it never answered a round.
+func (s *responderSession) payloadBits() int {
+	if s.bob == nil {
+		return 0
+	}
+	return s.bob.PayloadBits()
+}
+
 // started reports whether the session has answered a hello — i.e.
 // reconciliation actually began, as opposed to a probe that only opened
 // and closed the session.

@@ -58,10 +58,9 @@ type Set struct {
 
 	mu    sync.RWMutex
 	elems map[uint64]struct{}
-	// sketch is the incrementally maintained ToW sketch, built on the
-	// first operation that needs an estimate (nil until then, so handles
-	// that only ever reconcile with WithKnownD never pay for it) and kept
-	// exact under Add/Remove afterwards.
+	// sketch is the incrementally maintained ToW sketch, built by the
+	// first view (nil until then) and kept exact under Add/Remove
+	// afterwards.
 	sketch []int64
 	// shared is the last immutable view handed out (nil before the first,
 	// and after the journal overflowed); journal lists the effective writes
@@ -174,10 +173,10 @@ func WithTargetSuccess(p float64) Option {
 	return func(c *setConfig) { c.opt.TargetSuccess = p }
 }
 
-// WithKnownD asserts |A△B| <= d. In-process Reconcile skips the estimation
-// phase; Sync sizes its speculative first round from it (the hello still
-// carries the sketches, so both endpoints derive the plan from the same
-// value).
+// WithKnownD asserts |A△B| <= d. Sync and Reconcile size their speculative
+// first round from it instead of from the prior or the estimate; the hello
+// still carries the sketches, and a d the estimate dwarfs is declined and
+// re-planned from d̂.
 func WithKnownD(d int) Option { return func(c *setConfig) { c.opt.KnownD = d } }
 
 // WithMaxD caps the difference estimate d̂ a wire session will accept
@@ -389,11 +388,9 @@ func (s *Set) Remove(xs ...uint64) int {
 // one after a journal overflow, collects the elements afresh (the snapshot
 // sorts them). Elements are never re-validated (they were at insertion);
 // the verification digest is re-derived lazily inside the view if a
-// session needs it. withSketch additionally materializes the set's
-// incrementally maintained ToW sketch into the view; callers that cannot
-// need an estimate (a known-d in-process reconcile) pass false and skip
-// the sketch entirely.
-func (s *Set) view(withSketch bool) (*sharedSet, error) {
+// session needs it. The view carries the set's incrementally maintained
+// ToW sketch, which the first view builds.
+func (s *Set) view() (*sharedSet, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.shared == nil {
@@ -412,17 +409,14 @@ func (s *Set) view(withSketch bool) (*sharedSet, error) {
 		}
 	}
 	s.journal = s.journal[:0]
-	if withSketch {
-		if s.sketch == nil {
-			// First estimate-needing operation on this handle: the view
-			// sketches its snapshot once; Add/Remove keep a copy exact.
-			s.sketch = slices.Clone(s.shared.towSketch())
-		}
-		// A no-op if the view already has its sketch — from an earlier call,
-		// or from a session forcing the view's own lazy computation, which
-		// used the same immutable snapshot, so the values agree.
-		s.shared.sketchOnce.Do(func() { s.shared.sketch = slices.Clone(s.sketch) })
+	if s.sketch == nil {
+		// The handle's first view sketches its snapshot once; Add/Remove
+		// keep a copy exact.
+		s.sketch = slices.Clone(s.shared.towSketch())
 	}
+	// A no-op if the view already has its sketch — from an earlier call,
+	// or from the first sketch just above.
+	s.shared.sketchOnce.Do(func() { s.shared.sketch = slices.Clone(s.sketch) })
 	return s.shared, nil
 }
 
@@ -488,7 +482,7 @@ func (s *Set) Sync(ctx context.Context, conn io.ReadWriter, opts ...Option) (*Re
 // re-resolved per attempt, so a retry picks up any set churn since the
 // failed try.
 func (s *Set) syncAttempt(ctx context.Context, conn io.ReadWriter, cfg *setConfig) (*Result, error) {
-	ss, err := s.view(true)
+	ss, err := s.view()
 	if err != nil {
 		return nil, err
 	}
@@ -565,7 +559,7 @@ func (s *Set) Respond(ctx context.Context, conn io.ReadWriter, opts ...Option) e
 	if err != nil {
 		return err
 	}
-	ss, err := s.view(true)
+	ss, err := s.view()
 	if err != nil {
 		return err
 	}
@@ -574,9 +568,13 @@ func (s *Set) Respond(ctx context.Context, conn io.ReadWriter, opts ...Option) e
 
 // Reconcile learns this set △ other fully in process (both endpoints in
 // this address space) — the mode tests, examples, and batch pipelines use.
-// Both handles must have been built with the same structural options. The
-// context is checked between rounds. WithKnownD skips the estimation;
-// WithOnDelta streams per-round verified deltas.
+// It runs the same session engines as a Sync against Respond, stepped in
+// memory on the caller's goroutine, with no framing and no connection.
+// Both sketches are at hand, so the speculative first round is sized from
+// the ToW estimate (WithKnownD overrides it, and MaxD bounds it as on the
+// wire). Both handles must have been built with the same structural
+// options. The context is checked between rounds; WithOnDelta streams
+// per-round verified deltas.
 func (s *Set) Reconcile(ctx context.Context, other *Set, opts ...Option) (*Result, error) {
 	cfg, err := s.callConfig(opts)
 	if err != nil {
@@ -587,58 +585,53 @@ func (s *Set) Reconcile(ctx context.Context, other *Set, opts ...Option) (*Resul
 		theirs.EstimatorSketches != cfg.opt.EstimatorSketches {
 		return nil, fmt.Errorf("pbs: sets were built under different structural options (seed/sigbits/sketches)")
 	}
-	d := cfg.opt.KnownD
-	needEstimate := d <= 0
-	mine, err := s.view(needEstimate)
+	mine, err := s.view()
 	if err != nil {
 		return nil, err
 	}
-	remote, err := other.view(needEstimate)
+	remote, err := other.view()
 	if err != nil {
 		return nil, err
 	}
-	estBytes := 0
-	if needEstimate {
-		dhat, err := s.tow.Estimate(mine.towSketch(), remote.towSketch())
+	specD := uint64(cfg.opt.KnownD)
+	if specD == 0 {
+		dhatF, err := s.tow.Estimate(mine.towSketch(), remote.towSketch())
 		if err != nil {
 			return nil, err
 		}
-		d = estimator.ConservativeD(dhat, cfg.opt.Gamma)
-		n := mine.len()
-		if remote.len() > n {
-			n = remote.len()
+		if specD, err = cfg.opt.boundEstimate(dhatF); err != nil {
+			return nil, err
 		}
-		estBytes = (s.tow.Bits(n) + 7) / 8
 	}
-	plan, err := core.NewPlan(d, cfg.opt.coreConfig())
+	is, out, err := mine.newInitiator(cfg.opt, initiatorCall{
+		onDelta:  cfg.onDelta,
+		specD:    specD,
+		adaptive: !cfg.adaptiveOff,
+	})
 	if err != nil {
 		return nil, err
 	}
-	alice, err := core.NewAliceFromSnapshot(mine.snap, plan)
-	if err != nil {
-		return nil, err
+	rs := &responderSession{opt: cfg.opt, shared: remote}
+	// Each engine answers one frame with one frame, until the initiator
+	// closes the session.
+	for done := false; !done; {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		reply, _, err := rs.step(out[0].Type, out[0].Payload)
+		if err != nil {
+			return nil, err
+		}
+		if out, done, err = is.step(reply[0].Type, reply[0].Payload); err != nil {
+			return nil, err
+		}
 	}
-	if cfg.onDelta != nil {
-		alice.OnVerifiedDelta(cfg.onDelta)
-	}
-	bob, err := core.NewBobFromSnapshot(remote.snap, plan)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.DriveContext(ctx, alice, bob, plan.MaxRounds)
-	if err != nil {
-		return nil, err
-	}
+	res := is.res
+	// Both endpoints are in hand, so the payload counts both directions —
+	// the paper's quantity — where a wire initiator sees only its own.
+	res.PayloadBytes += (rs.payloadBits() + 7) / 8
 	if res.Complete {
 		s.prior.observe(float64(len(res.Difference)))
 	}
-	return &Result{
-		Difference:     res.Difference,
-		Complete:       res.Complete,
-		Rounds:         res.Stats.Rounds,
-		EstimatedD:     d,
-		PayloadBytes:   res.Stats.TotalPayloadBytes(),
-		WireBytes:      res.Stats.TotalWireBytes(),
-		EstimatorBytes: estBytes,
-	}, nil
+	return res, nil
 }

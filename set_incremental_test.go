@@ -119,10 +119,10 @@ func TestSetJournaledViewWireIdentical(t *testing.T) {
 	check("cancelling writes")
 
 	// A journal that cancels completely leaves the view as it was.
-	before, _ := warm.view(true)
+	before, _ := warm.view()
 	warm.Remove(y)
 	warm.Add(y)
-	if after, _ := warm.view(true); after != before {
+	if after, _ := warm.view(); after != before {
 		t.Fatal("a journal with no net effect produced a new view")
 	}
 
@@ -155,17 +155,12 @@ func TestSetJournaledViewWireIdentical(t *testing.T) {
 
 // TestSetFirstSketchFromSnapshot: a handle's first sketch is its view's
 // bulk sketch of the snapshot, split across goroutines at this size. Taken
-// after writes and a known-d reconcile left a sketchless view and a journal
-// behind, it must equal a fresh sketch of the elements, and later writes
-// must keep it so.
+// after writes, it must equal a fresh sketch of the elements, and later
+// writes must keep it so.
 func TestSetFirstSketchFromSnapshot(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 15000, D: 40, Seed: 61})
 	s, err := NewSet(p.A, WithSeed(62))
-	if err != nil {
-		t.Fatal(err)
-	}
-	peer, err := NewSet(p.B, WithSeed(62))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +175,7 @@ func TestSetFirstSketchFromSnapshot(t *testing.T) {
 	}
 	requireSketch := func(when string) {
 		t.Helper()
-		v, err := s.view(true)
+		v, err := s.view()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,13 +185,6 @@ func TestSetFirstSketchFromSnapshot(t *testing.T) {
 		}
 	}
 
-	write()
-	if _, err := s.Reconcile(context.Background(), peer, WithKnownD(len(p.Diff)+120)); err != nil {
-		t.Fatal(err)
-	}
-	if s.sketch != nil || s.shared == nil {
-		t.Fatal("a known-d reconcile should leave a view without a sketch")
-	}
 	write()
 	requireSketch("first sketch")
 	write()
