@@ -2,6 +2,7 @@ package pbs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
 	"strings"
@@ -553,4 +554,38 @@ func TestConnLoopFailedWriteEndsConnection(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestConnLoopRefusesOversizedFrameUnread pins the budget check a raw
+// session makes before it reads a frame: a header whose declared length
+// alone exceeds what remains of the byte budget is refused on the spot,
+// with no payload ever sent. A server that waited for the payload would
+// sit out the idle timeout and end the connection without a diagnostic.
+func TestConnLoopRefusesOversizedFrameUnread(t *testing.T) {
+	const idle = 10 * time.Second
+	srv, addr := startTestServer(t, testBaseSet(200), ServerOptions{
+		Protocol:          &Options{Seed: 9707},
+		SessionByteBudget: 1024,
+		IdleTimeout:       idle,
+	})
+	conn := dialLoopTest(t, addr)
+	var hdr [frame.HeaderLen]byte
+	binary.BigEndian.PutUint32(hdr[:4], 4096)
+	hdr[4] = frame.MsgHelloV1
+	start := time.Now()
+	if _, err := conn.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(idle / 4))
+	pe := (&loopPeer{t: t, conn: conn}).recvError()
+	if pe.Msg != "session byte budget exceeded" || pe.Code != ErrCodeRejected {
+		t.Fatalf("refusal %+v, want the byte budget coded %q", *pe, ErrCodeRejected)
+	}
+	if elapsed := time.Since(start); elapsed >= idle/4 {
+		t.Fatalf("refusal took %v against a %v idle timeout: the server waited for the payload", elapsed, idle)
+	}
+	waitFor(t, func() bool {
+		st := srv.Stats()
+		return st.Failed == 1 && st.Active == 0
+	})
 }

@@ -9,6 +9,23 @@ import (
 	"pbs/internal/workload"
 )
 
+// Reconcile runs the full multi-round PBS session between in-process
+// endpoints for sets a and b under plan, and returns Alice's learned
+// difference plus communication statistics. MaxRounds from the plan caps
+// the exchange; zero means "run to completion". The package's tests drive
+// their pairs through it; programs build Alice and Bob and call Drive.
+func Reconcile(a, b []uint64, plan Plan) (*Result, error) {
+	alice, err := NewAlice(a, plan)
+	if err != nil {
+		return nil, err
+	}
+	bob, err := NewBob(b, plan)
+	if err != nil {
+		return nil, err
+	}
+	return Drive(alice, bob, plan.MaxRounds)
+}
+
 func sortedU64(xs []uint64) []uint64 {
 	s := append([]uint64(nil), xs...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })

@@ -15,8 +15,8 @@
 // decoding fails are split three ways for the next round (§3.2).
 //
 // The package exposes the two protocol endpoints (Alice and Bob) exchanging
-// opaque bit-packed messages, plus a Reconcile driver that runs the
-// exchange in process and reports communication statistics.
+// opaque bit-packed messages, plus Drive, which runs the exchange between
+// two endpoints in process and reports communication statistics.
 package core
 
 import (

@@ -55,22 +55,6 @@ type Result struct {
 	Stats    Stats
 }
 
-// Reconcile runs the full multi-round PBS session between in-process
-// endpoints for sets a and b under plan, and returns Alice's learned
-// difference plus communication statistics. MaxRounds from the plan caps
-// the exchange; zero means "run to completion".
-func Reconcile(a, b []uint64, plan Plan) (*Result, error) {
-	alice, err := NewAlice(a, plan)
-	if err != nil {
-		return nil, err
-	}
-	bob, err := NewBob(b, plan)
-	if err != nil {
-		return nil, err
-	}
-	return Drive(alice, bob, plan.MaxRounds)
-}
-
 // Drive runs rounds between existing endpoints until Alice is done or the
 // round budget is exhausted. maxRounds <= 0 means unlimited, which (like
 // every plan NewPlan derives) is capped at DefaultMaxRounds; hand-built

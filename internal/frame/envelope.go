@@ -33,6 +33,14 @@ func Seal(dst []byte, id, flags uint64, typ byte, body []byte) []byte {
 	return dst
 }
 
+// EnvelopeLen is what Seal adds to a body on stream id beyond the outer
+// header: the stream ID's varint and the flags', which every known flag set
+// keeps to one byte.
+func EnvelopeLen(id uint64) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], id) + 1
+}
+
 // Open decodes the envelope off a frame payload; body aliases payload. An
 // envelope is malformed — framing trust is gone, and the caller drops the
 // connection — when a varint is truncated or a flag is unknown (bit 2 among

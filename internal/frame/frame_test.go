@@ -68,6 +68,19 @@ func TestSealOpen(t *testing.T) {
 	}
 }
 
+// TestEnvelopeLen pins the envelope size a server charges a stream's frames
+// at to what Seal writes, for every known flag set and IDs of every varint
+// width.
+func TestEnvelopeLen(t *testing.T) {
+	for _, id := range []uint64{0, 1, 127, 128, 1<<14 - 1, 1 << 14, 1<<63 + 5} {
+		for _, flags := range []uint64{0, FlagOpen, FlagClose, FlagOpen | FlagClose} {
+			if got, want := EnvelopeLen(id), len(Seal(nil, id, flags, MsgRound, []byte("body")))-HeaderLen-len("body"); got != want {
+				t.Errorf("EnvelopeLen(%d) = %d, Seal with flags %#x adds %d", id, got, flags, want)
+			}
+		}
+	}
+}
+
 // TestFeatureBitsRideTheFlagWords pins the wire positions the feature
 // bitmap's shift must land on: bits 1-2 of a hello's flags, bits 2-3 of a
 // reply's, clear of every other flag.

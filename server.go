@@ -1,6 +1,7 @@
 package pbs
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -17,33 +18,23 @@ import (
 )
 
 // Server answers reconciliation sessions concurrently over TCP (or any
-// net.Listener). It is the deployment shape the non-blocking session
-// engine exists for: every session drives a responderSession against the
+// net.Listener). Every session drives a responderSession against the
 // current immutable view of a hosted set from the server's registry, so N
 // concurrent sessions share one validated snapshot of each set — one ToW
 // sketch, one strong-verification digest, one group partition per plan
 // size — instead of N private copies.
 //
-// One connection loop (handle) serves every connection, whatever framing it
-// negotiated, through a per-connection table of session runners. It
-// enforces per-session limits on top of the engine's own hardening
-// (Options.MaxD): a cap on concurrent connections, an idle deadline per
-// frame, a total byte budget per session, and a round budget. Violations
-// are reported to the client as a coded msgError — the connection's final
-// frame under raw framing, that stream's final frame under mux — and
-// counted in the server stats.
-//
-// Protocol: a client opens a session with a single msgHelloV1 frame (the
-// registered set's name, sketches, and a speculative first round in one);
-// an empty name selects DefaultSetName. Everything after that is the
-// standard wire protocol (internal/frame), so a Set.Sync or Client
-// initiator talks to a Server unchanged, and the common warm sync completes
-// in one round trip. After a completed session the connection stays open
-// and accepts another hello, so a warm client (Set.Sync over a held
-// connection) amortizes the dial across many syncs; each session gets
-// fresh byte and round budgets. A version-2 hello may instead negotiate
-// stream multiplexing (mux.go): the same loop then carries many sessions
-// at once, one per stream, each under its own budgets.
+// A client opens a session with one msgHelloV1 frame naming the set (an
+// empty name selects DefaultSetName); the rest is the standard wire
+// protocol (internal/frame), so a Set.Sync or Client initiator talks to a
+// Server unchanged. A connection carries sessions one after another, each
+// under fresh limits, so a warm client amortizes the dial across many
+// syncs; a version-2 hello may instead negotiate stream multiplexing
+// (mux.go), one session per stream. On top of the engine's own hardening
+// (Options.MaxD), connections are capped and every session has an idle
+// deadline, a byte budget and a round budget. A violation is reported as a
+// coded msgError — the connection's final frame raw, the stream's under
+// mux — and counted in the server stats.
 type Server struct {
 	opt ServerOptions
 
@@ -200,32 +191,37 @@ func (q TenantQuota) toRegistry() registry.Quota {
 	return registry.Quota{MaxSets: q.MaxSets, MaxBytes: q.MaxBytes, MaxSessions: q.MaxSessions}
 }
 
-func (o ServerOptions) maxSessions() int64 {
-	if o.MaxSessions == 0 {
-		return DefaultMaxSessions
+// orDefault resolves a limit option: zero selects def, and any other value
+// stands (a negative one meaning "none" where the option allows it).
+func orDefault[T int | int64 | time.Duration](v, def T) T {
+	if v == 0 {
+		return def
 	}
-	return int64(o.MaxSessions)
+	return v
+}
+
+func (o ServerOptions) maxSessions() int64 {
+	return int64(orDefault(o.MaxSessions, DefaultMaxSessions))
 }
 
 func (o ServerOptions) idleTimeout() time.Duration {
-	if o.IdleTimeout == 0 {
-		return DefaultIdleTimeout
-	}
-	return o.IdleTimeout
+	return orDefault(o.IdleTimeout, DefaultIdleTimeout)
 }
 
 func (o ServerOptions) sessionByteBudget() int64 {
-	if o.SessionByteBudget == 0 {
-		return DefaultSessionByteBudget
-	}
-	return o.SessionByteBudget
+	return orDefault(o.SessionByteBudget, DefaultSessionByteBudget)
 }
 
 func (o ServerOptions) sessionMaxRounds() int {
-	if o.SessionMaxRounds == 0 {
-		return DefaultSessionMaxRounds
-	}
-	return o.SessionMaxRounds
+	return orDefault(o.SessionMaxRounds, DefaultSessionMaxRounds)
+}
+
+func (o ServerOptions) retryAfterHint() time.Duration {
+	return max(orDefault(o.RetryAfterHint, DefaultRetryAfterHint), 0)
+}
+
+func (o ServerOptions) maxStreams() int {
+	return max(orDefault(o.MaxStreams, DefaultMaxStreams), 0)
 }
 
 func (o ServerOptions) softWatermark() int64 {
@@ -244,27 +240,7 @@ func (o ServerOptions) softWatermark() int64 {
 	return max - max/8
 }
 
-func (o ServerOptions) retryAfterHint() time.Duration {
-	switch {
-	case o.RetryAfterHint > 0:
-		return o.RetryAfterHint
-	case o.RetryAfterHint < 0:
-		return 0
-	}
-	return DefaultRetryAfterHint
-}
-
-func (o ServerOptions) maxStreams() int {
-	switch {
-	case o.MaxStreams > 0:
-		return o.MaxStreams
-	case o.MaxStreams < 0:
-		return 0
-	}
-	return DefaultMaxStreams
-}
-
-// allowedFeatures is the feature bitmap the connection loop may grant to a
+// allowedFeatures is the feature bitmap a raw server session may grant to a
 // version-2 fast hello: mux whenever mux is enabled.
 func (o ServerOptions) allowedFeatures() uint64 {
 	if o.maxStreams() <= 0 {
@@ -438,10 +414,10 @@ func (s *Server) Unregister(name string) bool {
 	return ok
 }
 
-// rejection is why startSession turned a session away: the client-facing
-// diagnostic plus its structured code and retry-after hint. transient
-// rejections (shutdown drain, session quota — conditions that clear on
-// their own) count as rejected; the rest count as failed sessions.
+// rejection is a session failure as the server reports it: the
+// client-facing diagnostic plus its structured code and retry-after hint.
+// transient rejections (shutdown drain, session quota — conditions that
+// clear on their own) count as rejected; the rest count as failed sessions.
 type rejection struct {
 	msg       string
 	code      string
@@ -449,47 +425,7 @@ type rejection struct {
 	transient bool
 }
 
-// count records the rejection in the server stats.
-func (r *rejection) count(s *Server) {
-	if r.transient {
-		s.rejected.Add(1)
-	} else {
-		s.failed.Add(1)
-	}
-}
-
-// startSession resolves name and admits a new responder session. The
-// shutdown check and the sessActive increment happen under one lock so
-// Shutdown can never sample a clean drain while a session is
-// half-admitted; the registry lookup takes only the name's shard read
-// lock, and taking the set's view happens outside both (a cold set's view
-// pages nothing in; its first delta round does). The returned session
-// carries a release hook returning the tenant's session-quota slot; every
-// sessActive decrement must pair with runRelease.
-func (s *Server) startSession(name string) (*responderSession, *rejection) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, &rejection{msg: "server shutting down", code: ErrCodeBusy, retry: s.opt.retryAfterHint(), transient: true}
-	}
-	s.sessActive.Add(1)
-	s.mu.Unlock()
-	hs, ok := s.sets.Get(name)
-	if !ok {
-		s.sessActive.Add(-1)
-		return nil, &rejection{msg: fmt.Sprintf("unknown set %q", name), code: ErrCodeRejected}
-	}
-	if err := s.sets.BeginSession(name); err != nil {
-		s.sessActive.Add(-1)
-		s.quotaRejections.Add(1)
-		// Session quotas clear as the tenant's other sessions drain, so the
-		// rejection is retryable with the standard hint.
-		return nil, &rejection{msg: err.Error(), code: ErrCodeQuota, retry: s.opt.retryAfterHint(), transient: true}
-	}
-	sess := hs.sharedView().newServerSession()
-	sess.release = func() { s.sets.EndSession(name) }
-	return sess, nil
-}
+func (r *rejection) Error() string { return r.msg }
 
 // Stats returns a snapshot of the server counters and session histograms.
 func (s *Server) Stats() ServerStats {
@@ -651,7 +587,7 @@ func (s *Server) Shutdown(timeout time.Duration) bool {
 // (e.g. ones pipelined behind a rejected opening); closing with those
 // pending would RST the socket and can destroy the diagnostic before the
 // client reads it, so the write side is half-closed and the inbound
-// leftovers drained briefly first.
+// leftovers drained briefly first. The caller closes the connection.
 func (s *Server) sendCodedError(conn net.Conn, msg, code string, retryAfter time.Duration) {
 	payload := frame.AppendErrCode(msg, code, retryAfter)
 	conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
@@ -667,55 +603,13 @@ func (s *Server) sendCodedError(conn net.Conn, msg, code string, retryAfter time
 	io.Copy(io.Discard, io.LimitReader(conn, frame.MaxFrame))
 }
 
-// sessionError tells the client that the session on stream id was refused
-// or failed — the one place the two framings differ on failure. A raw
-// connection has nothing but itself to address, so the diagnostic is its
-// final frame (sendCodedError) and the connection ends. A mux connection
-// envelopes the coded msgError on that stream with the close flag and
-// carries on — one hostile or unlucky stream can never wedge its siblings —
-// unless the write itself fails. A connection this ends is closed here;
-// the connection loop exits when its next read says so.
-func (s *Server) sessionError(conn net.Conn, muxed bool, id uint64, msg, code string, retryAfter time.Duration) {
-	if !muxed {
-		s.sendCodedError(conn, msg, code, retryAfter)
-		conn.Close()
-		return
-	}
-	b := frame.Seal(nil, id, frame.FlagClose, frame.MsgError, []byte(frame.AppendErrCode(msg, code, retryAfter)))
-	if t := s.opt.idleTimeout(); t > 0 {
-		conn.SetWriteDeadline(time.Now().Add(t))
-	}
-	if _, err := conn.Write(b); err != nil {
-		conn.Close()
-		return
-	}
-	s.bytesOut.Add(int64(len(b)))
-}
-
-// srvStream is one session's entry in a connection's stream table: its
-// session engine plus the budget and accounting state every session is
-// limited by, whichever framing carries it.
-type srvStream struct {
-	sess        *responderSession
-	start       time.Time
-	bytes       int64
-	roundFrames int
-	lastActive  time.Time
-}
-
-// handle is the connection loop: it pumps frames between one connection
-// and the responder sessions in its stream table, enforcing the
-// per-session limits. Raw v1 framing is the table's degenerate case —
-// at most one stream, implicit, ID 0: after a completed session (the
-// initiator's msgDone) the connection stays open and a fresh hello opens
-// the next one with its budgets reset, which is how a
-// warm client fleet amortizes the dial across many syncs. A granted
-// version-2 hello re-files that stream as ID 1 and switches the connection
-// to enveloped framing in place; from then on each frame is routed to its
-// stream's engine, strictly in arrival order (which round-robins the
-// connection fairly), and a step's replies leave in one write per inbound
-// frame. Frame payloads are read into one pooled buffer per connection,
-// reused across frames, streams and sessions.
+// handle serves one connection: admission (the connection cap and the soft
+// watermark), then its sessions in turn, each a servedSession run by
+// pumpSession over the connection's one framePump. A completed session
+// leaves the connection open for the next hello, under fresh budgets: a
+// warm client amortizes the dial across many syncs. A raw session's failure
+// is the connection's final frame. A hello that grants mux hands its
+// still-open session to demux as stream 1.
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -744,260 +638,333 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	s.accepted.Add(1)
 
-	buf := frame.GetBuf()
-	defer frame.PutBuf(buf)
-
-	var (
-		streams   = map[uint64]*srvStream{}
-		muxed     bool
-		lastSweep = time.Now()
-	)
-	idle, budget := s.opt.idleTimeout(), s.opt.sessionByteBudget()
-	// release returns everything stream id's session holds: its tenant
-	// slot, its sessActive count and, on a mux connection, its stream slot.
-	release := func(id uint64) {
-		streams[id].sess.runRelease()
-		s.sessActive.Add(-1)
-		if muxed {
-			s.streamsOpen.Add(-1)
-		}
-		delete(streams, id)
+	p, stop := newFramePump(context.Background(), conn, s.opt.idleTimeout())
+	defer stop()
+	p.in, p.out = &s.bytesIn, &s.bytesOut
+	w := new(servedSession)
+	report := func(err error) {
+		r := w.fail(err)
+		s.sendCodedError(conn, r.msg, r.code, r.retry)
+		w.end(false)
 	}
-	// Connection teardown: streams still in the table were mid-session and
-	// fail; the clean case (every session completed or closed first) has an
-	// empty table and counts nothing.
-	defer func() {
-		for id := range streams {
-			s.failed.Add(1)
-			release(id)
-		}
-	}()
-	// failStream ends the session on stream id as Failed: counted, then
-	// reported, then released (the stream may not exist yet when its very
-	// first frame is at fault).
-	failStream := func(id uint64, msg string) {
-		s.failed.Add(1)
-		s.sessionError(conn, muxed, id, msg, ErrCodeRejected, 0)
-		if streams[id] != nil {
-			release(id)
-		}
-	}
-
 	for {
-		if idle > 0 {
-			conn.SetReadDeadline(time.Now().Add(idle))
-		}
-		// Opening the inbound frame is framing-specific. Raw: the stream is
-		// known before the payload, so frames whose declared size alone
-		// would bust the session's remaining byte budget are refused before
-		// reading (or holding) any of it. Mux: the envelope names the stream.
-		limit := uint32(frame.MaxFrame)
-		if !muxed && budget > 0 {
-			remain := budget - frame.HeaderLen
-			if st := streams[0]; st != nil {
-				remain -= st.bytes
-			}
-			limit = uint32(min(max(remain, 0), frame.MaxFrame))
-		}
-		typ, body, err := frame.ReadInto(conn, limit, (*buf)[:0])
-		if body != nil {
-			*buf = body[:0]
-		}
-		if err != nil {
-			// A raw frame rejected on its declared size gets the diagnostic
-			// the client can act on; plain transport errors (and, under mux,
-			// an oversized frame no stream can be blamed for) do not. A
-			// connection that ends between sessions — clean EOF, reset, or
-			// idle-deadline expiry alike — is a probe, a dial-and-abort, or a
-			// warm client hanging up after its last sync, not a failed
-			// session: its table is empty.
-			var fle *frame.LimitError
-			if !muxed && errors.As(err, &fle) {
-				msg := err.Error()
-				if limit < frame.MaxFrame {
-					msg = "session byte budget exceeded"
-				}
-				failStream(0, msg)
-			}
+		*w = servedSession{srv: s, hint: uint64(cur)}
+		if err := pumpSession(p, w, nil, report); err != nil {
+			// A session cut off mid-way fails. A connection that ends
+			// between sessions (a probe, or a warm client hanging up after
+			// its last sync) counts nothing.
+			w.end(true)
 			return
 		}
-		n := int64(frame.HeaderLen + len(body))
-		s.bytesIn.Add(n)
-		var id, flags uint64
-		if muxed {
-			if id, flags, body, err = frame.Open(body); err != nil {
-				// A malformed envelope means framing trust is gone; there is no
-				// stream to blame it on, so the connection dies.
-				return
-			}
+		if w.live {
+			s.demux(conn, p, w)
+			return
 		}
+	}
+}
 
-		st := streams[id]
-		if st == nil {
-			if muxed && flags&frame.FlagOpen == 0 {
-				if typ == frame.MsgStreamClose || flags&frame.FlagClose != 0 {
-					// Close for a stream already gone: a benign race between
-					// the client's close and our teardown.
-					continue
-				}
-				// Unknown stream: reject it with a coded error on that ID;
-				// the connection and its live streams are unaffected.
+// demux serves a connection whose hello granted mux. Each enveloped frame
+// goes to the servedSession of the stream it names, strictly in arrival
+// order (which round-robins the connection fairly), and a step's replies
+// leave sealed in one write. The negotiating session goes on as stream 1,
+// keeping the bytes and rounds it was charged raw. A stream's failure is a
+// msgError sealed on it under the close flag, and the connection carries
+// on — one hostile stream cannot wedge its siblings — unless a write fails.
+func (s *Server) demux(conn net.Conn, p *framePump, first *servedSession) {
+	first.envelope, first.lastActive = int64(frame.EnvelopeLen(1)), time.Now()
+	streams := map[uint64]*servedSession{1: first}
+	s.streamsOpen.Add(1)
+	s.streamsTotal.Add(1)
+	end := func(id uint64, failed bool) {
+		streams[id].end(failed)
+		s.streamsOpen.Add(-1)
+		delete(streams, id)
+	}
+	defer func() {
+		for id := range streams {
+			end(id, true)
+		}
+	}()
+	send := func(id uint64, r *rejection) {
+		if p.write(frame.Seal(nil, id, frame.FlagClose, frame.MsgError, []byte(frame.AppendErrCode(r.msg, r.code, r.retry)))) != nil {
+			conn.Close() // the next read ends the loop
+		}
+	}
+	fail := func(id uint64, w *servedSession, err error) {
+		send(id, w.fail(err))
+		if streams[id] == w {
+			end(id, false)
+		}
+	}
+	idle, lastSweep := s.opt.idleTimeout(), time.Now()
+	for {
+		typ, body, err := p.readFrame(frame.MaxFrame)
+		if err != nil {
+			return
+		}
+		id, flags, payload, err := frame.Open(body)
+		if err != nil {
+			return // framing trust is gone, with no stream to blame
+		}
+		w := streams[id]
+		switch {
+		case w != nil && flags&frame.FlagOpen != 0:
+			fail(id, w, fmt.Errorf("duplicate open for stream %d", id))
+			continue
+		case w == nil && flags&frame.FlagOpen == 0:
+			// A close for a stream already gone is a benign race with our
+			// teardown; any other frame there is refused on that ID.
+			if typ != frame.MsgStreamClose && flags&frame.FlagClose == 0 {
 				s.rejected.Add(1)
-				s.sessionError(conn, muxed, id, fmt.Sprintf("unknown stream %d", id), ErrCodeRejected, 0)
-				continue
+				send(id, &rejection{msg: fmt.Sprintf("unknown stream %d", id), code: ErrCodeRejected})
 			}
-			if muxed && len(streams) >= s.opt.maxStreams() {
-				s.rejected.Add(1)
-				s.shed.Add(1)
-				s.sessionError(conn, muxed, id, "connection at stream capacity", ErrCodeBusy, s.opt.retryAfterHint())
-				continue
-			}
-			name := DefaultSetName
-			if typ == frame.MsgHelloV1 {
-				// The hello both names the set and opens the session, so the
-				// admission happens here and the frame still reaches the
-				// engine. Any other opening is admitted against the default
-				// set and left to its engine, which refuses all but a bare
-				// msgDone probe.
-				h, herr := frame.ParseHello(body)
-				if herr != nil {
-					failStream(id, herr.Error())
-					continue
-				}
-				if h.Name != "" {
-					name = h.Name
-				}
-			}
-			sess, rej := s.startSession(name)
-			if sess == nil {
-				rej.count(s)
-				s.sessionError(conn, muxed, id, rej.msg, rej.code, rej.retry)
-				continue
-			}
-			if muxed {
-				s.streamsOpen.Add(1)
-				s.streamsTotal.Add(1)
-			} else {
-				// Only a session opened under raw framing may negotiate the
-				// mux upgrade; streams opened inside the envelope never
-				// re-negotiate (no mux inside mux).
-				sess.allowFeatures = s.opt.allowedFeatures()
-			}
-			st = &srvStream{sess: sess, start: time.Now()}
-			streams[id] = st
-		} else if flags&frame.FlagOpen != 0 {
-			failStream(id, fmt.Sprintf("duplicate open for stream %d", id))
 			continue
-		}
-		st.lastActive = time.Now()
-		st.bytes += n
-		if budget > 0 && st.bytes > budget {
-			failStream(id, "session byte budget exceeded")
+		case w == nil && len(streams) >= s.opt.maxStreams():
+			s.rejected.Add(1)
+			s.shed.Add(1)
+			send(id, &rejection{msg: "connection at stream capacity", code: ErrCodeBusy, retry: s.opt.retryAfterHint()})
 			continue
+		case w == nil:
+			w = &servedSession{srv: s, hint: first.hint, envelope: int64(frame.EnvelopeLen(id))}
 		}
-
-		if muxed && typ == frame.MsgStreamClose {
-			// Client abandoned the stream mid-session (its msgDone rides the
-			// close flag on the session's own goodbye instead).
-			if st.sess.started() || st.bytes > n {
-				s.failed.Add(1)
-			}
-			release(id)
-			continue
-		}
-		if typ == frame.MsgRound || typ == frame.MsgHelloV1 {
-			// A fast hello carries a speculative round, so it spends the
-			// round budget like any msgRound.
-			st.roundFrames++
-			if max := s.opt.sessionMaxRounds(); max > 0 && st.roundFrames > max {
-				failStream(id, "session round budget exceeded")
-				continue
-			}
-		}
-
-		out, done, stepErr := st.sess.step(typ, body)
-		if len(out) > 0 {
-			// The idle deadline covers writes too: a client that stops
-			// reading must not pin this goroutine (and its session slots) in
-			// a blocked send forever. Sealing is framing-specific, but either
-			// way the step's frames go out in one coalesced write.
-			if idle > 0 {
-				conn.SetWriteDeadline(time.Now().Add(idle))
-			}
-			var wn int
-			var werr error
-			if muxed {
-				batch := frame.GetBuf()
-				b := (*batch)[:0]
-				for _, f := range out {
-					b = frame.Seal(b, id, 0, f.Type, f.Payload)
-				}
-				wn, werr = conn.Write(b)
-				*batch = b[:0]
-				frame.PutBuf(batch)
-			} else {
-				wn, werr = frame.WriteAll(conn, out)
-			}
-			if werr != nil {
-				// A write error is terminal for the whole connection — a
-				// partial frame poisons the framing for every stream, and a
-				// diagnostic would only follow it onto the broken socket.
-				return
-			}
-			st.bytes += int64(wn)
-			s.bytesOut.Add(int64(wn))
-			if budget > 0 && st.bytes > budget {
-				failStream(id, "session byte budget exceeded")
-				continue
-			}
-		}
-		if stepErr != nil {
-			failStream(id, stepErr.Error())
-			continue
-		}
-		if done {
-			// Only a session that actually started reconciling (answered
-			// an estimate) counts as completed; a probe that sends a bare
-			// msgDone must not inflate the success counter.
-			if st.sess.started() {
-				s.completed.Add(1)
-				s.rounds.Add(int64(st.sess.rounds))
-				s.adaptiveReplans.Add(int64(st.sess.adaptiveReplans()))
-				if st.sess.specAccepted {
-					s.priorHits.Add(1)
-				}
-				hint := uint64(cur)
-				s.latencyHist.Record(hint, time.Since(st.start).Microseconds())
-				s.roundsHist.Record(hint, int64(st.sess.rounds))
-				s.bytesHist.Record(hint, st.bytes)
-			}
-			// Keep the connection: the next opening frame starts a fresh
-			// session under fresh budgets.
-			release(id)
-		} else if g := st.sess.granted; !muxed && g&frame.FeatureMux != 0 {
-			// The hello reply that granted mux just went out raw, and the
-			// fast-path initiator sends nothing until it has read it — so
-			// the very next inbound frame is already enveloped. The stream
-			// keeps its session, its start time and the bytes and rounds
-			// already charged; it is only re-filed as stream 1.
-			delete(streams, 0)
-			streams[1] = st
-			muxed = true
+		w.lastActive = time.Now()
+		out, done, err := w.step(typ, payload)
+		if streams[id] == nil && w.sess != nil {
+			streams[id] = w
 			s.streamsOpen.Add(1)
 			s.streamsTotal.Add(1)
 		}
+		if len(out) > 0 {
+			batch := frame.GetBuf()
+			b := (*batch)[:0]
+			for _, f := range out {
+				b = frame.Seal(b, id, 0, f.Type, f.Payload)
+			}
+			werr := p.write(b)
+			*batch = b[:0]
+			frame.PutBuf(batch)
+			if werr != nil {
+				// A partial frame poisons the framing for every stream.
+				return
+			}
+		}
+		if err != nil {
+			fail(id, w, err)
+		} else if done {
+			end(id, false)
+		}
 
-		if muxed && idle > 0 && time.Since(lastSweep) >= idle/2 {
-			// Per-stream idleness: the connection-level read deadline only
-			// fires when every stream is silent, so streams that went quiet
-			// while siblings stay busy are swept here. (Raw framing has no
-			// siblings: the read deadline is the stream's.)
+		if idle > 0 && time.Since(lastSweep) >= idle/2 {
+			// The read deadline fires only when every stream is silent, so
+			// streams that went quiet beside busy siblings are swept here.
 			lastSweep = time.Now()
-			for sid, sst := range streams {
-				if time.Since(sst.lastActive) > idle {
-					failStream(sid, "stream idle timeout")
+			for sid, sw := range streams {
+				if time.Since(sw.lastActive) > idle {
+					fail(sid, sw, errors.New("stream idle timeout"))
 				}
 			}
 		}
 	}
+}
+
+var (
+	errByteBudget  = &rejection{msg: "session byte budget exceeded", code: ErrCodeRejected}
+	errRoundBudget = &rejection{msg: "session round budget exceeded", code: ErrCodeRejected}
+)
+
+// servedSession is the Server's policy around one responder session,
+// whichever framing carries it: admission on the first frame, the byte
+// budget on every frame both ways, the round budget, the completion
+// accounting and the release. pumpSession drives it on a raw connection and
+// demux steps it as a stream. A frame is charged its wire size: header and
+// payload raw, plus the envelope on a stream.
+type servedSession struct {
+	srv        *Server
+	hint       uint64            // histogram stripe: the connection count at admission
+	envelope   int64             // frame.EnvelopeLen of its stream; 0 raw
+	sess       *responderSession // nil until the first frame admits it
+	name       string            // the set it reconciles against
+	live       bool              // admitted and not yet released
+	start      time.Time
+	lastActive time.Time // its last frame, for demux's idle sweep
+	bytes      int64
+	rounds     int // msgRound and msgHelloV1 frames
+}
+
+// frameLimit caps a raw session's next frame at its byte budget's
+// remainder, so a frame declared too large is refused before any of it is
+// read or held.
+func (w *servedSession) frameLimit() uint32 {
+	budget := w.srv.opt.sessionByteBudget()
+	if budget <= 0 {
+		return frame.MaxFrame
+	}
+	return uint32(min(max(budget-frame.HeaderLen-w.bytes, 0), frame.MaxFrame))
+}
+
+// charge adds one frame to the session's bytes and reports whether that
+// busts its budget.
+func (w *servedSession) charge(payload []byte) (over bool) {
+	w.bytes += frame.HeaderLen + w.envelope + int64(len(payload))
+	budget := w.srv.opt.sessionByteBudget()
+	return budget > 0 && w.bytes > budget
+}
+
+// admit resolves name and opens the session, or returns the *rejection
+// that turned it away. The shutdown check and the sessActive increment
+// happen under one lock so Shutdown can never sample a clean drain while a
+// session is half-admitted; the registry lookup takes only the name's
+// shard read lock, and taking the set's view happens outside both (a cold
+// set's view pages nothing in; its first delta round does). What admission
+// takes — the sessActive count and the tenant's session slot — end returns.
+func (w *servedSession) admit(name string) error {
+	s := w.srv
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return &rejection{msg: "server shutting down", code: ErrCodeBusy, retry: s.opt.retryAfterHint(), transient: true}
+	}
+	s.sessActive.Add(1)
+	s.mu.Unlock()
+	hs, ok := s.sets.Get(name)
+	if !ok {
+		s.sessActive.Add(-1)
+		return &rejection{msg: fmt.Sprintf("unknown set %q", name), code: ErrCodeRejected}
+	}
+	if err := s.sets.BeginSession(name); err != nil {
+		s.sessActive.Add(-1)
+		s.quotaRejections.Add(1)
+		// Session quotas clear as the tenant's other sessions drain, so the
+		// rejection is retryable with the standard hint.
+		return &rejection{msg: err.Error(), code: ErrCodeQuota, retry: s.opt.retryAfterHint(), transient: true}
+	}
+	w.sess, w.name, w.live, w.start = hs.sharedView().newServerSession(), name, true, time.Now()
+	return nil
+}
+
+// step admits the session on its first frame, charges and limits every
+// frame, and steps the engine. It is done when the session completed, when
+// a mux client abandoned its stream, and when a raw hello reply granted
+// mux: the framing changes under the still-open session.
+func (w *servedSession) step(typ byte, payload []byte) ([]frame.Frame, bool, error) {
+	var h frame.Hello
+	opening := w.sess == nil
+	if opening {
+		// A hello names the set, so it is parsed here, once, and answered as
+		// parsed. Any other opening is admitted against the default set and
+		// left to the engine, which refuses all but a bare msgDone probe.
+		name := DefaultSetName
+		if typ == frame.MsgHelloV1 {
+			var err error
+			if h, err = frame.ParseHello(payload); err != nil {
+				return nil, false, err
+			}
+			if h.Name != "" {
+				name = h.Name
+			}
+		}
+		if err := w.admit(name); err != nil {
+			return nil, false, err
+		}
+		if w.envelope == 0 {
+			// Only a raw session may negotiate mux: no mux inside mux.
+			w.sess.allowFeatures = w.srv.opt.allowedFeatures()
+		}
+	}
+	before := w.bytes
+	if w.charge(payload) {
+		return nil, false, errByteBudget
+	}
+	if typ == frame.MsgStreamClose && w.envelope > 0 {
+		// The client abandoned the stream (a finished session's msgDone
+		// rides the close flag instead).
+		w.end(w.sess.started() || before > 0)
+		return nil, true, nil
+	}
+	if typ == frame.MsgRound || typ == frame.MsgHelloV1 {
+		// A fast hello carries a speculative round, so it spends the round
+		// budget like any msgRound.
+		w.rounds++
+		if max := w.srv.opt.sessionMaxRounds(); max > 0 && w.rounds > max {
+			return nil, false, errRoundBudget
+		}
+	}
+	var out []frame.Frame
+	var done bool
+	var err error
+	if opening && typ == frame.MsgHelloV1 {
+		out, done, err = w.sess.hello(h)
+	} else {
+		out, done, err = w.sess.step(typ, payload)
+	}
+	over := false
+	for _, f := range out {
+		over = w.charge(f.Payload)
+	}
+	switch {
+	case err != nil:
+		return out, false, err
+	case over:
+		return out, false, errByteBudget // the replies go out, then the failure
+	case done:
+		w.complete()
+		return out, true, nil
+	}
+	// A granted mux applies from the next frame: the initiator sends nothing
+	// until it has read this reply.
+	return out, w.envelope == 0 && w.sess.granted&frame.FeatureMux != 0, nil
+}
+
+// complete accounts a session the initiator closed with msgDone and ends
+// it. Only a session that began reconciling counts: a bare msgDone probe
+// must not inflate the success counter.
+func (w *servedSession) complete() {
+	if s, sess := w.srv, w.sess; sess.started() {
+		s.completed.Add(1)
+		s.rounds.Add(int64(sess.rounds))
+		s.adaptiveReplans.Add(int64(sess.adaptiveReplans()))
+		if sess.specAccepted {
+			s.priorHits.Add(1)
+		}
+		s.latencyHist.Record(w.hint, time.Since(w.start).Microseconds())
+		s.roundsHist.Record(w.hint, int64(sess.rounds))
+		s.bytesHist.Record(w.hint, w.bytes)
+	}
+	w.end(false)
+}
+
+// fail counts the session's failure on err and returns the diagnostic to
+// report: a rejection as itself, a frame refused on the budget's remainder
+// as the byte budget, any other error coded rejected. The caller reports
+// it, then ends the session.
+func (w *servedSession) fail(err error) *rejection {
+	r, ok := err.(*rejection)
+	var fle *frame.LimitError
+	switch {
+	case ok:
+	case errors.As(err, &fle) && w.frameLimit() < frame.MaxFrame:
+		r = errByteBudget
+	default:
+		r = &rejection{msg: err.Error(), code: ErrCodeRejected}
+	}
+	if r.transient {
+		w.srv.rejected.Add(1)
+	} else {
+		w.srv.failed.Add(1)
+	}
+	return r
+}
+
+// end releases, once, what admission took — the tenant's session slot and
+// the sessActive count — counting the session failed if asked.
+func (w *servedSession) end(failed bool) {
+	if !w.live {
+		return
+	}
+	if failed {
+		w.srv.failed.Add(1)
+	}
+	w.live = false
+	w.srv.sets.EndSession(w.name)
+	w.srv.sessActive.Add(-1)
 }

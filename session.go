@@ -14,9 +14,9 @@ import (
 // This file holds the non-blocking session engine behind the wire protocol:
 // initiatorSession and responderSession advance one received frame at a
 // time via step, returning the frames to send back. The blocking pump of
-// sync.go is a thin wrapper over these machines, and the concurrent Server
-// (server.go) drives many responder sessions without dedicating a full protocol loop (or a private copy of the set)
-// to each connection.
+// sync.go moves their frames for Set.Sync, Set.Respond and every raw
+// Server session alike, and the Server's mux demux steps many responder
+// sessions on one connection, all sharing one copy of the set.
 //
 // The engine also hardens the protocol against hostile peers: the
 // exchanged difference estimate d̂ is validated against Options.MaxD on
@@ -490,15 +490,12 @@ type responderSession struct {
 	estimated bool
 	plan      core.Plan
 
-	// release, when set, runs exactly once when the session ends (done or
-	// dropped); the Server uses it to return per-tenant session slots and
-	// resident-set pins.
-	release func()
-
 	// allowFeatures is the feature bitmap this session may grant to a
-	// version-2 fast hello. Only the Server's connection loop sets it (it
-	// owns the demultiplexer a grant commits to); everywhere else the zero
-	// value declines every offer, which downgrades the reply to version 1.
+	// version-2 fast hello. Only a Server session opened under raw framing
+	// has it set (servedSession.admit): its connection owns the demux a
+	// grant commits to, and a stream inside the envelope never
+	// re-negotiates. Everywhere else the zero value declines every offer,
+	// which downgrades the reply to version 1.
 	allowFeatures uint64
 	granted       uint64
 
@@ -527,57 +524,7 @@ func (s *responderSession) step(typ byte, payload []byte) (out []frame.Frame, do
 		if err != nil {
 			return nil, false, err
 		}
-		if h.Version != frame.Version1 && h.Version != frame.VersionMux {
-			// The resulting msgError reaches the initiator as a
-			// *PeerError.
-			return nil, false, fmt.Errorf("pbs: unsupported fast protocol version %d", h.Version)
-		}
-		dhat, err := s.estimate(h.Sketches)
-		if err != nil {
-			return nil, false, err
-		}
-		// An over-limit d_spec never sizes a plan — decline instead, which
-		// also keeps a forged d_spec from buying the DoS allocation MaxD
-		// exists to prevent.
-		accepted := h.SpecD <= s.opt.maxD() && fastSpecAccepted(h.SpecD, dhat)
-		s.adaptive = h.WantAdaptive
-		planD := dhat
-		if accepted {
-			planD = h.SpecD
-		}
-		if s.plan, err = syncPlan(planD, s.opt); err != nil {
-			return nil, false, err
-		}
-		s.estimated = true
-		rep := frame.HelloReply{Version: frame.Version1, Dhat: dhat, Adaptive: s.adaptive}
-		if h.Version == frame.VersionMux {
-			// Feature grant: the intersection of what the peer offered and
-			// what our driver allows (the Server sets allowFeatures on the
-			// connection loop's sessions; a bare Set.Respond leaves it zero,
-			// which declines every offer). Mux is the one grantable
-			// feature; a FeatureLZ offer is never granted.
-			if granted := h.Features & s.allowFeatures; granted&frame.FeatureMux != 0 {
-				rep.Version, rep.Features, s.granted = frame.VersionMux, granted, granted
-			}
-		}
-		if accepted {
-			// Answering the speculative round needs the bin sums, so this
-			// is the point where a cold hosted set pages its elements in.
-			if err := s.materialize(); err != nil {
-				return nil, false, err
-			}
-			reply, err := s.bob.HandleRound(h.Round1)
-			if err != nil {
-				return nil, false, err
-			}
-			s.rounds++
-			rep.Answered, rep.RoundReply = true, reply
-			s.specAccepted = true
-		}
-		if h.WantDigest {
-			rep.Digest = s.shared.verifyDigest().Bytes()
-		}
-		return oneFrame(frame.MsgHelloReplyV1, frame.AppendHelloReply(nil, rep)), false, nil
+		return s.hello(h)
 
 	case frame.MsgRound:
 		if !s.estimated {
@@ -603,6 +550,61 @@ func (s *responderSession) step(typ byte, payload []byte) (out []frame.Frame, do
 	default:
 		return nil, false, fmt.Errorf("pbs: unexpected message type %d", typ)
 	}
+}
+
+// hello answers a parsed msgHelloV1: step's case for it, and the Server's
+// entry point for a session's first frame, whose hello it has already
+// parsed at admission to read the set name.
+func (s *responderSession) hello(h frame.Hello) ([]frame.Frame, bool, error) {
+	if h.Version != frame.Version1 && h.Version != frame.VersionMux {
+		// The resulting msgError reaches the initiator as a *PeerError.
+		return nil, false, fmt.Errorf("pbs: unsupported fast protocol version %d", h.Version)
+	}
+	dhat, err := s.estimate(h.Sketches)
+	if err != nil {
+		return nil, false, err
+	}
+	// An over-limit d_spec never sizes a plan — decline instead, which also
+	// keeps a forged d_spec from buying the DoS allocation MaxD exists to
+	// prevent.
+	accepted := h.SpecD <= s.opt.maxD() && fastSpecAccepted(h.SpecD, dhat)
+	s.adaptive = h.WantAdaptive
+	planD := dhat
+	if accepted {
+		planD = h.SpecD
+	}
+	if s.plan, err = syncPlan(planD, s.opt); err != nil {
+		return nil, false, err
+	}
+	s.estimated = true
+	rep := frame.HelloReply{Version: frame.Version1, Dhat: dhat, Adaptive: s.adaptive}
+	if h.Version == frame.VersionMux {
+		// Feature grant: the intersection of what the peer offered and what
+		// our driver allows (allowFeatures; a bare Set.Respond leaves it
+		// zero, which declines every offer). Mux is the one grantable
+		// feature; a FeatureLZ offer is never granted.
+		if granted := h.Features & s.allowFeatures; granted&frame.FeatureMux != 0 {
+			rep.Version, rep.Features, s.granted = frame.VersionMux, granted, granted
+		}
+	}
+	if accepted {
+		// Answering the speculative round needs the bin sums, so this is
+		// the point where a cold hosted set pages its elements in.
+		if err := s.materialize(); err != nil {
+			return nil, false, err
+		}
+		reply, err := s.bob.HandleRound(h.Round1)
+		if err != nil {
+			return nil, false, err
+		}
+		s.rounds++
+		rep.Answered, rep.RoundReply = true, reply
+		s.specAccepted = true
+	}
+	if h.WantDigest {
+		rep.Digest = s.shared.verifyDigest().Bytes()
+	}
+	return oneFrame(frame.MsgHelloReplyV1, frame.AppendHelloReply(nil, rep)), false, nil
 }
 
 // estimate answers the peer's encoded sketch vector with the rounded,
@@ -671,14 +673,3 @@ func (s *responderSession) payloadBits() int {
 // reconciliation actually began, as opposed to a probe that only opened
 // and closed the session.
 func (s *responderSession) started() bool { return s.estimated }
-
-// runRelease fires the session's release hook at most once. The Server
-// attaches per-tenant session slots and resident-set pins here and calls
-// this from every path that retires a session.
-func (s *responderSession) runRelease() {
-	if s.release != nil {
-		r := s.release
-		s.release = nil
-		r()
-	}
-}

@@ -502,7 +502,9 @@ func (s *Set) syncAttempt(ctx context.Context, conn io.ReadWriter, cfg *setConfi
 	if err != nil {
 		return nil, err
 	}
-	if err := pumpSession(ctx, conn, is, opening, cfg.idleTimeout, false); err != nil {
+	p, stop := newFramePump(ctx, conn, cfg.idleTimeout)
+	defer stop()
+	if err := pumpSession(p, is, opening, nil); err != nil {
 		// Even a failed session may have learned the peer's d̂; seed
 		// the speculation prior with it so a retry sizes its first
 		// round right and usually completes in one round trip.
@@ -563,7 +565,9 @@ func (s *Set) Respond(ctx context.Context, conn io.ReadWriter, opts ...Option) e
 	if err != nil {
 		return err
 	}
-	return pumpSession(ctx, conn, &responderSession{opt: cfg.opt, shared: ss}, nil, cfg.idleTimeout, true)
+	p, stop := newFramePump(ctx, conn, cfg.idleTimeout)
+	defer stop()
+	return pumpSession(p, &responderSession{opt: cfg.opt, shared: ss}, nil, func(err error) { notifyPeerError(conn, err) })
 }
 
 // Reconcile learns this set △ other fully in process (both endpoints in

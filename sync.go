@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync/atomic"
 	"time"
 
 	"pbs/internal/core"
@@ -18,9 +19,9 @@ import (
 // final verification using a multiset hash (the §2.2.3 hardening). The
 // protocol logic itself lives in the non-blocking session engine
 // (session.go) and every byte layout in internal/frame (whose package
-// comment has the message flow); the pumps here only move frames between a
-// connection and a session, and the concurrent Server (server.go) drives
-// the same engine for many connections at once.
+// comment has the message flow). The one pump here, pumpSession, only
+// moves frames between a connection and a stepper: for Set.Sync, for
+// Set.Respond, and for every raw session a Server runs (server.go).
 //
 // Every parameter both sides must share (seed, δ, p0, r, signature width)
 // travels out of band in Options, as a deployment would pin them in its
@@ -28,20 +29,14 @@ import (
 // local worker pool for per-group decoding, produces byte-identical frames
 // for any value, and so may differ freely between the two endpoints.
 //
-// Opening a session (protocol version 1): the initiator sends one
-// msgHelloV1 frame carrying the protocol version, the set name, its ToW
-// sketches, a speculative difference bound d_spec, and round 1 already
-// built under the plan derived from d_spec. The responder computes the
-// true d̂ from the piggybacked sketches and answers with one
-// msgHelloReplyV1 frame: d̂, the round-1 reply when the speculation was
-// adequately sized (PBS is piecewise decodable, so an undersized
-// speculative round degrades into 3-way splits in round 2 instead of
-// failing), and — when requested — the strong-verification digest, so
-// even StrongVerify sessions finish in one round trip. When the responder
-// declines the speculation (d̂ far above d_spec), both sides
-// deterministically re-plan from d̂ and continue with msgRound. A peer
-// that refuses the hello answers with msgError, which the initiator
-// surfaces as a *PeerError, as it does a refusal at any later step.
+// A session opens with one msgHelloV1 (the initiator's sketches and a
+// speculative round 1 sized by d_spec) and its msgHelloReplyV1 (d̂, the
+// round-1 reply unless d̂ is far above d_spec, and the digest when asked
+// for), so most syncs finish in one round trip. PBS is piecewise decodable:
+// an undersized speculative round degrades into 3-way splits in round 2.
+// A declined speculation re-plans both sides from d̂, deterministically,
+// and goes on in msgRound. A refusal at any step is a msgError, which the
+// initiator surfaces as a *PeerError.
 
 // ErrVerificationFailed is returned by Set.Sync (and Client) when the strong
 // multiset-hash verification disagrees after the protocol reported
@@ -92,6 +87,10 @@ type framePump struct {
 	ctxDeadline time.Time // zero when ctx has no deadline
 	armed       bool      // a deadline was ever set on the conn
 	buf         *[]byte   // pooled payload buffer reused across frames
+
+	// in and out, when set, count the wire bytes of every frame read and
+	// of every write that succeeded (a Server's BytesIn and BytesOut).
+	in, out *atomic.Int64
 }
 
 // newFramePump builds a pump and registers the cancellation hook. The
@@ -146,53 +145,46 @@ func (p *framePump) deadline() time.Time {
 	return d
 }
 
-// armRead prepares the connection for one frame read. The post-set
-// re-check closes the race where cancellation fires between the check and
-// the deadline store: whichever of the cancellation hook and this sequence
-// runs last leaves the poisoned deadline in place.
-func (p *framePump) armRead() {
+// arm sets the connection's read (or write) deadline for one operation.
+// The post-set re-check closes the race where cancellation fires between
+// the check and the deadline store: whichever of the cancellation hook and
+// this sequence runs last leaves the poisoned deadline in place.
+func (p *framePump) arm(read bool) {
 	if p.dl == nil {
 		return
 	}
-	if d := p.deadline(); !d.IsZero() {
-		p.armed = true
-		p.dl.SetReadDeadline(d)
-	}
-	if p.ctx.Err() != nil {
-		p.armed = true
-		p.dl.SetReadDeadline(aLongTimeAgo)
-	}
-}
-
-func (p *framePump) armWrite() {
-	if p.dl == nil {
-		return
+	set := p.dl.SetWriteDeadline
+	if read {
+		set = p.dl.SetReadDeadline
 	}
 	if d := p.deadline(); !d.IsZero() {
 		p.armed = true
-		p.dl.SetWriteDeadline(d)
+		set(d)
 	}
 	if p.ctx.Err() != nil {
 		p.armed = true
-		p.dl.SetWriteDeadline(aLongTimeAgo)
+		set(aLongTimeAgo)
 	}
 }
 
-// readFrame reads one frame, honoring cancellation and deadlines. The
-// payload is read into the pump's pooled buffer, valid until the next
-// readFrame: session Steps fully consume a payload before returning, so
-// one steady buffer serves the whole exchange.
-func (p *framePump) readFrame() (byte, []byte, error) {
+// readFrame reads one frame of at most limit payload bytes, honoring
+// cancellation and deadlines. The payload is read into the pump's pooled
+// buffer, valid until the next readFrame: session Steps fully consume a
+// payload before returning, so one steady buffer serves the whole exchange.
+func (p *framePump) readFrame(limit uint32) (byte, []byte, error) {
 	if err := p.ctx.Err(); err != nil {
 		return 0, nil, err
 	}
-	p.armRead()
-	typ, payload, err := frame.ReadInto(p.conn, frame.MaxFrame, (*p.buf)[:0])
+	p.arm(true)
+	typ, payload, err := frame.ReadInto(p.conn, limit, (*p.buf)[:0])
 	if payload != nil {
 		*p.buf = payload[:0]
 	}
 	if err != nil {
 		return 0, nil, p.mapErr(err)
+	}
+	if p.in != nil {
+		p.in.Add(int64(frame.HeaderLen + len(payload)))
 	}
 	return typ, payload, nil
 }
@@ -202,8 +194,20 @@ func (p *framePump) writeFrames(frames []frame.Frame) error {
 	if len(frames) == 0 {
 		return nil
 	}
-	p.armWrite()
-	_, err := frame.WriteAll(p.conn, frames)
+	p.arm(false)
+	return p.wrote(frame.WriteAll(p.conn, frames))
+}
+
+// write sends b, already framed, as writeFrames does.
+func (p *framePump) write(b []byte) error {
+	p.arm(false)
+	return p.wrote(p.conn.Write(b))
+}
+
+func (p *framePump) wrote(n int, err error) error {
+	if err == nil && p.out != nil {
+		p.out.Add(int64(n))
+	}
 	return p.mapErr(err)
 }
 
@@ -229,39 +233,62 @@ func (p *framePump) mapErr(err error) error {
 	return err
 }
 
-// stepper is what pumpSession drives: either session engine.
+// stepper is what pumpSession drives: either session engine, or the
+// Server's policy around a responder (servedSession).
 type stepper interface {
 	step(typ byte, payload []byte) ([]frame.Frame, bool, error)
 }
 
-// pumpSession drives one session engine over conn — opening frames out,
-// then every received frame through step and its replies back — until the
-// session is done, the context ends, or the exchange fails. With notify
-// set (the responder side) a step failure is reported to the peer as a
-// msgError frame before returning, so a blocking initiator gets the
-// diagnostic instead of waiting forever on a reply that will never come.
-func pumpSession(ctx context.Context, conn io.ReadWriter, s stepper, opening []frame.Frame, idle time.Duration, notify bool) error {
-	p, stop := newFramePump(ctx, conn, idle)
-	defer stop()
+// A frameLimiter caps the payload of the next frame the pump reads for it.
+// A frame declared larger is refused unread, and the refusal is the
+// session's failure, reported like a step's.
+type frameLimiter interface {
+	frameLimit() uint32
+}
+
+// pumpSession drives one session over p — opening frames out, then every
+// received frame through step and its replies back — until the session is
+// done, the context ends, or the exchange fails. A step failure (and a
+// frameLimiter's refused frame) goes to report, when set, before the
+// session returns, so a blocking peer gets the diagnostic instead of
+// waiting forever on a reply that will never come. A failed read or write
+// is returned unreported: a diagnostic would only follow it onto the
+// broken connection.
+func pumpSession(p *framePump, s stepper, opening []frame.Frame, report func(error)) error {
 	if err := p.writeFrames(opening); err != nil {
 		return err
 	}
+	limiter, _ := s.(frameLimiter)
 	for {
-		typ, payload, err := p.readFrame()
+		limit := uint32(frame.MaxFrame)
+		if limiter != nil {
+			limit = limiter.frameLimit()
+		}
+		typ, payload, err := p.readFrame(limit)
 		if err != nil {
+			var fle *frame.LimitError
+			if limiter != nil && report != nil && errors.As(err, &fle) {
+				report(err)
+			}
 			return err
 		}
-		out, done, stepErr := s.step(typ, payload)
+		out, done, err := s.step(typ, payload)
 		// Frames are flushed even on error: a failed strong verification
 		// still closes the session with msgDone.
-		if werr := p.writeFrames(out); werr != nil && stepErr == nil {
-			stepErr = werr
+		if werr := p.writeFrames(out); werr != nil {
+			if err == nil {
+				err = werr
+			}
+			return err
 		}
-		if stepErr != nil && notify {
-			notifyPeerError(conn, stepErr)
+		if err != nil {
+			if report != nil {
+				report(err)
+			}
+			return err
 		}
-		if stepErr != nil || done {
-			return stepErr
+		if done {
+			return nil
 		}
 	}
 }
