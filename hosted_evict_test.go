@@ -321,6 +321,9 @@ func TestHostedEvictionWriteFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	b = append(b, grow...)
+	// Let a's write fail before a sync comes: one landing while it is in
+	// flight would take the snapshot back as a cold load.
+	srv.hosted.writing.Wait()
 	if ev := srv.Stats().Evictions; ev != 1 {
 		t.Fatalf("evictions %d, want 1", ev)
 	}

@@ -23,14 +23,15 @@ import (
 //
 // A Snapshot is also persistent: Apply returns the successor after a batch
 // of writes in time proportional to the batch. The successor inherits every
-// cached shape together with the writes it has yet to absorb, and brings a
-// shape up to date the first time a session asks for it. A written element
-// joins its group's short lag list, which the endpoints read alongside the
-// group slice (see elemSet) and fold on top of its table row, and its
-// group's checksum takes one ± per write; a group slice is rewritten, and
-// its table row with it, only once its lag list has grown to a fixed share
-// of it. A long-lived mutable set therefore pays for its writes, not for
-// its size, each time it is reconciled.
+// cached shape as it stands, marked with the entry of the write log it is
+// current at, and a shape catches up from the log the first time a session
+// asks for it. A written element joins its group's short lag list, which
+// the endpoints read alongside the group slice (see elemSet) and fold on
+// top of its table row, and its group's checksum takes one ± per write; a
+// group slice is rewritten, and its table row with it, only once its lag
+// list has grown to a fixed share of it. A long-lived mutable set
+// therefore pays for its writes, not for its size, each time it is
+// reconciled.
 //
 // The elements themselves are a sorted base slice, shared by a snapshot and
 // its successors until enough writes accumulate to re-base, plus the log of
@@ -66,11 +67,40 @@ type Snapshot struct {
 // shape is what the snapshot keeps per plan shape: the partition for a
 // group count and, when partitionFor keeps one, the round-one table for one
 // bitmap degree on top of it. A shape inherited through Apply may be
-// behind: the net writes in behind have yet to reach its groups (and,
-// where they rewrite a base, its table).
+// behind: the batches logged after at have yet to reach its groups (and,
+// where they rewrite a base, its table), and so have the writes in behind,
+// which a re-base composed for it because the new log does not reach them
+// (see Apply).
 type shape struct {
 	partition
-	behind delta // net writes still to absorb
+	at     *writeLog // the log entry the shape is current at; nil for the root
+	behind delta     // net writes from before the log's root still to absorb
+}
+
+// current reports whether sh is up to date at the snapshot whose log is
+// log.
+func (sh shape) current(log *writeLog) bool {
+	return sh.at == log && sh.behind.len() == 0
+}
+
+// eachBatch calls f on each batch sh is behind log by, in no particular
+// order: every write flips its element, so absorb may take them in any.
+func (sh shape) eachBatch(log *writeLog, f func(delta)) {
+	f(sh.behind)
+	for l := log; l != sh.at; l = l.prev {
+		f(l.batch)
+	}
+}
+
+// lagging returns how many writes sh is behind log by: the batches logged
+// since at, counted off the log's running size (an element written and
+// written back counts twice), and the net writes in behind.
+func (sh shape) lagging(log *writeLog) int {
+	n := sh.behind.len() + log.size
+	if sh.at != nil {
+		n -= sh.at.size
+	}
+	return n
 }
 
 // partition is a shape as the endpoints see it: one slot per group, the
@@ -428,7 +458,8 @@ func (s *Snapshot) tableRoom(groups int) uint64 {
 //
 // Up to maxCachedShapes shapes are cached, each with the table of one
 // bitmap degree (a request for another degree replaces it). An inherited
-// shape that is behind absorbs its writes here, once. All of that work runs
+// shape that is behind absorbs the batches logged since it was current
+// here, once, and is cached as current at s. All of that work runs
 // outside the lock so concurrent sessions are never serialized behind it;
 // two sessions may race to compute the same shape, which is a function of
 // the snapshot alone, so either result is valid and the later one keeps the
@@ -444,16 +475,18 @@ func (s *Snapshot) partitionFor(plan Plan) partition {
 		sh.table = nil
 	}
 	buildTable := wantTable && sh.table == nil
-	if cached && sh.behind.len() == 0 && !buildTable {
+	stale := cached && !sh.current(s.log)
+	if cached && !stale && !buildTable {
 		return sh.partition
 	}
 
 	switch {
 	case !cached:
 		sh.partition, buildTable = s.fold(groups, m, buildTable), false
-	case sh.behind.len() > 0:
-		sh = s.absorb(sh)
+	case stale:
+		sh.partition = s.absorb(sh, s.log)
 	}
+	sh.at, sh.behind = s.log, delta{}
 	if buildTable {
 		sh.table = buildFoldTable(sh.partition, m, s.sd, plan.workersFor(s.n+groups<<m))
 	}
@@ -532,58 +565,96 @@ func (s *Snapshot) fold(groups int, m uint, table bool) partition {
 	return partition{groups: slots, table: t, cut: &lazyCut{sd: s.sd, elems: elems, sizes: sizes}}
 }
 
-// absorb brings an inherited shape up to date, copy-on-write: each write
-// it is behind by is flipped in its group's lag list and added to or taken
-// from its group's checksum — fresh copies of the slot array and of just
-// those lists — and a group whose lag list has outgrown its share is
-// rewritten with the list folded in, its table row with it. The groups are
-// cut first, if no reader has yet; the slice array and the row array are
-// each copied once, on the first rewrite. Every slice, list and row the
-// writes do not rewrite stays shared with the predecessor the shape came
-// from.
-func (s *Snapshot) absorb(sh shape) shape {
-	groups := len(sh.groups)
-	touched := make(map[int]*delta)
-	at := func(x uint64) *delta {
-		g := s.sd.groupOf(x, groups)
-		d := touched[g]
-		if d == nil {
-			d = &delta{}
-			touched[g] = d
+// absorb returns sh's partition brought up to date by the batches it is
+// behind log by, copy-on-write: each write flips its element in its group's
+// lag list and adds it to or takes it from its group's checksum — fresh
+// copies of the slot array and of just those lists — and a group whose lag
+// list has outgrown its share is rewritten with the list folded in, its
+// table row with it. A flip and a ± commute, so the batches need not be
+// composed, nor taken in order: an element written and written back flips
+// twice and drops out. The writes are sorted by group into one slice, and
+// each group's run merges into its lag list in one symDiffSorted. The
+// groups are cut first, if no reader has yet; the slice array and the row
+// array are each copied once, on the first rewrite. Every slice, list and
+// row the writes do not rewrite stays shared with sh.
+func (s *Snapshot) absorb(sh shape, log *writeLog) partition {
+	p := sh.partition
+	groups := len(p.groups)
+	out := partition{groups: slices.Clone(p.groups), table: p.table, cut: p.cut}
+	// A counting sort, the checksums moved on the way: ends[g+1] counts
+	// group g's writes, the prefix sums make ends[g] where g's run starts,
+	// and the scatter moves it on to where the run ends. Group numbers fit
+	// 32 bits, as in fold.
+	ends := make([]uint32, groups+1)
+	sh.eachBatch(log, func(d delta) {
+		for _, x := range d.adds {
+			g := s.sd.groupOf(x, groups)
+			ends[g+1]++
+			out.groups[g].check += x
 		}
-		return d
+		for _, x := range d.removes {
+			g := s.sd.groupOf(x, groups)
+			ends[g+1]++
+			out.groups[g].check -= x
+		}
+	})
+	for g := range groups {
+		ends[g+1] += ends[g]
 	}
-	// behind is sorted, so each group's share of it is too.
-	for _, x := range sh.behind.adds {
-		d := at(x)
-		d.adds = append(d.adds, x)
+	byGroup := make([]uint64, ends[groups])
+	scatter := func(xs []uint64) {
+		for _, x := range xs {
+			g := s.sd.groupOf(x, groups)
+			byGroup[ends[g]] = x
+			ends[g]++
+		}
 	}
-	for _, x := range sh.behind.removes {
-		d := at(x)
-		d.removes = append(d.removes, x)
-	}
-	out := shape{partition: partition{groups: slices.Clone(sh.groups), table: sh.table, cut: sh.cut}}
-	bases := sh.cut.bases()
+	sh.eachBatch(log, func(d delta) {
+		scatter(d.adds)
+		scatter(d.removes)
+	})
+	bases := p.cut.bases()
 	mask := sigMask(s.sigBits)
-	for g, d := range touched {
+	lo := uint32(0)
+	for g := range groups {
+		run := byGroup[lo:ends[g]]
+		lo = ends[g]
+		if len(run) == 0 {
+			continue
+		}
+		slices.Sort(run)
+		run = dropPairs(run)
 		slot := &out.groups[g]
-		// An element written before and written back leaves the lag list.
-		lag := symDiffSorted(slot.lag, symDiffSorted(d.adds, d.removes))
+		slot.check &= mask
+		lag := symDiffSorted(slot.lag, run)
 		if len(lag) > len(bases[g])/lagFraction+lagFraction {
-			if out.cut == sh.cut {
+			if out.cut == p.cut {
 				out.cut = cutOf(slices.Clone(bases))
 			}
 			out.cut.cuts[g] = symDiffSorted(bases[g], lag)
 			if out.table != nil {
-				if out.table == sh.table {
-					out.table = &foldTable{m: sh.table.m, rows: slices.Clone(sh.table.rows)}
+				if out.table == p.table {
+					out.table = &foldTable{m: p.table.m, rows: slices.Clone(p.table.rows)}
 				}
 				out.table.rows[g] = out.table.rows[g].rebased(lag, s.sd.binSeed(newScopeID(g), 1), out.table.m)
 			}
 			lag = nil
 		}
 		slot.lag = lag
-		slot.check = (slot.check + checksumOf(d.adds, mask) - checksumOf(d.removes, mask)) & mask
+	}
+	return out
+}
+
+// dropPairs removes, in place, each pair of equal neighbours from a sorted
+// slice: what is left is the elements it holds an odd number of times.
+func dropPairs(xs []uint64) []uint64 {
+	out := xs[:0]
+	for i := 0; i < len(xs); i++ {
+		if i+1 < len(xs) && xs[i] == xs[i+1] {
+			i++
+			continue
+		}
+		out = append(out, xs[i])
 	}
 	return out
 }
@@ -610,14 +681,16 @@ func symDiffSorted(a, b []uint64) []uint64 {
 // inputs are not retained. s itself is unchanged and stays valid for the
 // sessions holding it.
 //
-// Apply costs O(batch + writes the cached shapes have yet to absorb), not
-// O(|S|): the successor shares the base slice, conses the batch onto the
-// log, and inherits every cached shape, its round-one table included, with
-// the batch added to what it is behind by (see partitionFor). A shape is
-// inherited while it is behind by at most |S|/lagFraction writes, and its
-// table while the tables inherited so far fit the successor's ceiling of
+// Apply costs O(batch + cached shapes), not O(|S|): the successor shares
+// the base slice, conses the batch onto the log, and inherits every cached
+// shape, its round-one table included, still current where it was: the
+// shape catches up from the log when a session asks for it (see
+// partitionFor). A shape is inherited while it is behind by at most
+// |S|/lagFraction writes, counted off the log's running size, and its table
+// while the tables inherited so far fit the successor's ceiling of
 // maxCachedShapes·|S| words; a shape whose table does not fit is inherited
-// without it.
+// without it. A re-base starts a new log, which the old one's entries are
+// not on, so it composes the writes each shape it keeps is behind by, once.
 func (s *Snapshot) Apply(add, remove []uint64) *Snapshot {
 	if s.log.prev == nil {
 		s.flatten() // a successor shares base: make sure it is sorted
@@ -625,24 +698,29 @@ func (s *Snapshot) Apply(add, remove []uint64) *Snapshot {
 	batch := delta{adds: slices.Clone(add), removes: slices.Clone(remove)}
 	slices.Sort(batch.adds)
 	slices.Sort(batch.removes)
+	log := &writeLog{batch: batch, prev: s.log, size: batch.len() + s.log.size}
 	ns := &Snapshot{
 		sigBits: s.sigBits,
 		seed:    s.seed,
 		sd:      s.sd,
 		base:    s.base,
-		log:     &writeLog{batch: batch, prev: s.log, size: batch.len() + s.log.size},
+		log:     log,
 		n:       s.n + len(add) - len(remove),
-		shapes:  make(map[int]shape),
 	}
-	if ns.log.size > ns.n/rebaseFraction {
+	rebase := log.size > ns.n/rebaseFraction
+	if rebase {
 		ns.base, ns.log = ns.Elements(), &writeLog{}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	ns.shapes = make(map[int]shape, len(s.shapes))
 	for groups, sh := range s.shapes {
-		sh.behind = sh.behind.then(batch)
-		if sh.behind.len() > ns.n/lagFraction || !ns.cacheableGroups(groups) {
+		if sh.lagging(log) > ns.n/lagFraction || !ns.cacheableGroups(groups) {
 			continue
+		}
+		if rebase {
+			d, _ := log.since(sh.at)
+			sh.at, sh.behind = ns.log, sh.behind.then(d)
 		}
 		// ns is not shared yet, so tableRoom needs no lock.
 		if sh.table != nil && tableWords(len(sh.table.rows), sh.table.m) > ns.tableRoom(groups) {
