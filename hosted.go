@@ -27,17 +27,15 @@ const (
 // the set's snapshot instead of a delta, and its append prunes the chain.
 const DefaultMergeThreshold = 4
 
-// maxEvictWrites bounds the evicted sets whose segment writes are in flight
-// at once; an eviction past it waits for a slot. Each holds its set's
-// snapshot until the write commits, so resident memory can exceed
-// MaxResidentBytes by that many sets while the disk catches up.
+// maxEvictWrites bounds the segment writes in flight at once; a write past
+// it waits for a slot. An eviction write holds its set's snapshot, so
+// resident memory can exceed MaxResidentBytes by that many sets.
 const maxEvictWrites = 8
 
 // hostedStore manages the Server's sets, every one of them hosted:
 // resident-bytes accounting with LRU eviction, cold loads from the segment
-// store, and, on eviction, a segment of the writes the store lacks —
-// written behind, off the evicting goroutine.
-// It is the in-memory head over setstore's immutable segments.
+// store, and the segment writes that bring the store up to its sets. It is
+// the in-memory head over setstore's immutable segments.
 type hostedStore struct {
 	opt Options // server protocol options, defaults applied
 	tow *estimator.ToW
@@ -47,6 +45,8 @@ type hostedStore struct {
 	// lose it). Set once by EnableHosting before the server serves.
 	store       *setstore.Store
 	maxResident int64
+	// writes runs every segment write: writeBehind, or a test's queue.
+	writes writeExecutor
 
 	// mu guards the LRU list and each member's lruPos/charge fields. It may
 	// be taken under a set's mu, never the other way round.
@@ -57,14 +57,6 @@ type hostedStore struct {
 	residentSets  atomic.Int64
 	coldLoads     atomic.Int64
 	evictions     atomic.Int64
-
-	// Eviction writes in flight: slots bounds them (maxEvictWrites),
-	// writing counts them, and writesClosed — set under writeMu by
-	// flushAll before it waits — sends any later one inline.
-	slots        chan struct{}
-	writeMu      sync.Mutex
-	writesClosed bool
-	writing      sync.WaitGroup
 }
 
 func newHostedStore(o *Options, maxResident int64) (*hostedStore, error) {
@@ -77,7 +69,47 @@ func newHostedStore(o *Options, maxResident int64) (*hostedStore, error) {
 		return nil, err
 	}
 	return &hostedStore{opt: opt, tow: tow, maxResident: maxResident, lru: list.New(),
-		slots: make(chan struct{}, maxEvictWrites)}, nil
+		writes: writeBehind{slots: make(chan struct{}, maxEvictWrites), closed: make(chan struct{})}}, nil
+}
+
+// writeExecutor runs the steps that commit hosted sets' segment writes,
+// and every wait for one goes through it: start runs a step, now or later;
+// wait returns once w has settled; close waits out every step started, and
+// from then on start runs a step at once. A test substitutes a queue it
+// steps, to order the writes against each other and against other events.
+type writeExecutor interface {
+	start(step func())
+	wait(w *segmentWrite)
+	close()
+}
+
+// writeBehind runs each step on a goroutine of its own, at most
+// maxEvictWrites at once: start waits for a slot on the caller's goroutine.
+type writeBehind struct {
+	slots  chan struct{} // one held by each step running
+	closed chan struct{} // closed once close holds every slot
+}
+
+func (x writeBehind) start(step func()) {
+	select {
+	case x.slots <- struct{}{}:
+		go func() {
+			step()
+			<-x.slots
+		}()
+	case <-x.closed:
+		step()
+	}
+}
+
+func (writeBehind) wait(w *segmentWrite) { <-w.done }
+
+// close takes every slot, which waits out the steps running, and keeps them.
+func (x writeBehind) close() {
+	for range cap(x.slots) {
+		x.slots <- struct{}{}
+	}
+	close(x.closed)
 }
 
 // sketchSeed is the seed stamped into persisted segment footers, checked
@@ -98,19 +130,50 @@ func (h *hostedStore) metaFor(elems []uint64) setstore.Meta {
 	}
 }
 
+// hostedState is where a hosted set is in its lifecycle.
+type hostedState uint8
+
+const (
+	setResident hostedState = iota // snapshot held, no write in flight
+	setWriting                     // snapshot held, its segment write in flight
+	setEvicting                    // cold to sessions; its eviction write in flight holds the snapshot
+	setCold                        // on disk only
+	setDropped                     // out of the registry
+)
+
 // hostedSet is one named set under hostedStore management, and the value
-// the Server's registry holds, so sessions are served from it directly:
-// resident, sessions get a materialized sharedSet; cold, they get a lazy
-// view that answers estimates from the persisted sketch/digest and pages
-// elements in only for a real delta round. Without a DataDir it is
-// memory-only and never evicted.
+// the Server's registry holds: resident, sessions get a materialized
+// sharedSet; cold, a lazy view that answers estimates from the persisted
+// sketch/digest and pages elements in only for a real delta round. Without
+// a DataDir it is memory-only and never evicted.
+//
+// Its state changes only by the events below, one method each, under mu;
+// each leaves its caller the effect to run outside mu: start a write (→w),
+// wait for the write in flight, or evict other sets over the watermark.
+// Entering resident or writing from outside the LRU admits the set to it
+// at its charge; cold, evicting and dropped take it out.
+//
+//	event       resident          writing        evicting        cold            dropped
+//	Host        (built writing, →w: its first full segment)
+//	update      apply             wait           wait            read, resident  fails
+//	sync load   –                 –              writing (back)  read, resident  read, no LRU
+//	evict       evicting →w/cold  evicting       –               –               –
+//	commit      –                 resident       cold            –               –
+//	failure     –                 resident       resident        –               –
+//	unregister  dropped           dropped, wait  dropped, wait   dropped         –
+//	flush       writing →w        –              –               –               –
+//
+// An update waits out the write in flight, so the snapshot is the write's
+// own while one is. A set is dropped, its write in flight waited out,
+// before it leaves the registry or before the Host that replaced it writes.
 type hostedSet struct {
 	h    *hostedStore
 	name string
 
-	mu   sync.Mutex
-	meta setstore.Meta // cumulative; kept current on every update
-	// snap holds the elements; nil means cold (evicted). It is built once
+	mu    sync.Mutex
+	state hostedState
+	meta  setstore.Meta // cumulative; kept current on every update
+	// snap holds the elements, nil while cold or evicting. It is built once
 	// per Host and once per cold load, written only through Apply, and
 	// shared by every view handed out until the next write — so the
 	// partitions and fold tables sessions cached on it carry across a
@@ -120,23 +183,12 @@ type hostedSet struct {
 	// saved marks the snapshot the store holds: set by a cold load and by
 	// every committed segment write, the zero Mark until the first. The
 	// writes not yet on disk are snap.Since(saved).
-	saved core.Mark
-	// pending is the eviction write in flight, nil when none. While it is
-	// set the set is cold, or was taken back from it by a sync's cold load,
-	// and no update lands (update waits it out), so the snapshot is the
-	// write's own.
-	pending *segmentWrite
-	// firstFlush is closed once the Host that built the set has written its
-	// first full segment, or failed to; nil for a recovered set. A Host
-	// replacing the set waits on it, so full segments land in the order
-	// the registry swapped the sets in.
-	firstFlush chan struct{}
+	saved   core.Mark
+	pending *segmentWrite // the segment write in flight, nil when none
 
-	// lruPos, charge and dropped (the set left the registry, never to be
-	// admitted to the LRU again) are guarded by h.mu, not mu.
-	lruPos  *list.Element
-	charge  int64
-	dropped bool
+	// lruPos and charge are guarded by h.mu, not mu.
+	lruPos *list.Element
+	charge int64
 }
 
 // logicalBytes is the tenant-quota charge of this set.
@@ -144,21 +196,6 @@ func (hs *hostedSet) logicalBytes() int64 {
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
 	return hostedElemBytes * int64(hs.meta.Count)
-}
-
-// residentCharge is the set's charge against MaxResidentBytes.
-func (hs *hostedSet) residentCharge() int64 { return hostedSetOverhead + hs.logicalBytes() }
-
-// host builds a new resident hosted set from elems — validated by the
-// caller (checkElems), duplicates allowed and dropped here. The caller
-// registers it (quota checks), then flushes its first full segment when the
-// disk layer is enabled and enters it into the resident accounting.
-func (h *hostedStore) host(name string, elems []uint64) (*hostedSet, error) {
-	snap, err := core.NewValidatedSnapshot(sortedUnique(elems), h.opt.coreConfig())
-	if err != nil {
-		return nil, err
-	}
-	return &hostedSet{h: h, name: name, snap: snap, meta: h.metaFor(snap.Elements()), firstFlush: make(chan struct{})}, nil
 }
 
 // recover builds a cold hosted set from the newest persisted segment
@@ -177,7 +214,7 @@ func (h *hostedStore) recover(name string) (*hostedSet, error) {
 	if _, ok := msethash.DigestFromBytes(meta.Digest); !ok {
 		return nil, fmt.Errorf("pbs: set %q has a malformed persisted digest", name)
 	}
-	return &hostedSet{h: h, name: name, meta: meta}, nil
+	return &hostedSet{h: h, name: name, state: setCold, meta: meta}, nil
 }
 
 // sharedView returns the view a new session reconciles against.
@@ -206,96 +243,89 @@ func (hs *hostedSet) digestLocked() msethash.Digest {
 	return d
 }
 
-// materializeLocked pages a cold set's elements in from the segment store
-// and adopts them as the snapshot — the one place a hosted set's elements
-// are re-read. It first waits out an eviction write of the set still in
-// flight, which either commits (the load then reads it) or fails and
-// leaves the set resident. A no-op while the snapshot is held. Requires
-// hs.mu, which it may release while it waits.
-func (hs *hostedSet) materializeLocked() error {
-	hs.awaitWriteLocked()
-	if hs.snap != nil {
+// pageInLocked gives a set without its snapshot one: the snapshot its
+// eviction write in flight holds, taken back without waiting, or else its
+// elements read from the segment store — the one place a hosted set's
+// elements are re-read. Requires hs.mu.
+func (hs *hostedSet) pageInLocked() error {
+	switch {
+	case hs.snap != nil:
 		return nil
-	}
-	if hs.h.store == nil {
-		return fmt.Errorf("pbs: hosted set %q has no elements and no store", hs.name)
-	}
-	elems, meta, err := hs.h.store.Load(hs.name)
-	if err != nil {
-		return err
-	}
-	// Load's replay is strictly increasing, so its ends bound every element:
-	// these two checks are NewSnapshot's validation, without its copy.
-	bits := hs.h.opt.SigBits
-	if n := len(elems); n > 0 && (elems[0] == 0 || elems[n-1]&^sigMaskFor(bits) != 0) {
-		bad := elems[n-1]
-		if elems[0] == 0 {
-			bad = 0
+	case hs.pending != nil:
+		hs.snap = hs.pending.snap
+	default:
+		elems, meta, err := hs.h.store.Load(hs.name)
+		if err != nil {
+			return err
 		}
-		return fmt.Errorf("pbs: hosted set %q: element %#x outside %d-bit universe (0 excluded)", hs.name, bad, bits)
+		// Load's replay is strictly increasing, so its ends bound every
+		// element: these two checks are NewSnapshot's validation, without
+		// its copy.
+		bits := hs.h.opt.SigBits
+		if n := len(elems); n > 0 && (elems[0] == 0 || elems[n-1]&^sigMaskFor(bits) != 0) {
+			bad := elems[n-1]
+			if elems[0] == 0 {
+				bad = 0
+			}
+			return fmt.Errorf("pbs: hosted set %q: element %#x outside %d-bit universe (0 excluded)", hs.name, bad, bits)
+		}
+		snap, err := core.NewValidatedSnapshot(elems, hs.h.opt.coreConfig())
+		if err != nil {
+			return fmt.Errorf("pbs: hosted set %q: %w", hs.name, err)
+		}
+		hs.snap, hs.meta, hs.saved = snap, meta, snap.Mark()
 	}
-	snap, err := core.NewValidatedSnapshot(elems, hs.h.opt.coreConfig())
-	if err != nil {
-		return fmt.Errorf("pbs: hosted set %q: %w", hs.name, err)
-	}
-	hs.snap, hs.meta, hs.saved = snap, meta, snap.Mark()
 	hs.h.coldLoads.Add(1)
 	return nil
 }
 
-// awaitWriteLocked returns once no eviction write of the set is in flight,
-// releasing hs.mu while it waits. Requires hs.mu.
-func (hs *hostedSet) awaitWriteLocked() {
-	for hs.pending != nil {
-		done := hs.pending.done
-		hs.mu.Unlock()
-		<-done
-		hs.mu.Lock()
-	}
-}
-
-// loadSnapshot is the lazy view's cold-load path: page the elements in and
-// promote the set to resident. A set whose eviction write is still in
-// flight takes the write's snapshot back instead, so a sync never waits on
-// the disk. Runs at most once per lazy view (sharedSet.snapOnce).
+// loadSnapshot is the event of a sync's cold load, run at most once per
+// lazy view (sharedSet.snapOnce): page the elements in, promote the set and
+// evict over the watermark. It takes the snapshot back from an eviction
+// write in flight, so a sync never waits on the disk.
 func (hs *hostedSet) loadSnapshot() (*core.Snapshot, error) {
 	hs.mu.Lock()
-	wasCold := hs.snap == nil
-	var err error
-	if wasCold && hs.pending != nil {
-		hs.snap = hs.pending.snap
-		hs.h.coldLoads.Add(1)
-	} else {
-		err = hs.materializeLocked()
+	err := hs.pageInLocked()
+	entered := err == nil && (hs.state == setEvicting || hs.state == setCold)
+	if entered {
+		hs.state = setResident
+		if hs.pending != nil {
+			hs.state = setWriting
+		}
+		hs.enterLocked()
 	}
-	snap := hs.snap
+	snap := hs.snap // nil if err is not
 	hs.mu.Unlock()
-	if err != nil {
-		return nil, err
+	if entered {
+		hs.h.evictOver(hs)
 	}
-	if wasCold {
-		hs.h.noteResident(hs, hs.residentCharge())
-	}
-	return snap, nil
+	return snap, err
 }
 
-// update applies adds and removes to the set — adds first, so an element in
-// both ends absent. The batch is netted against the snapshot's membership
-// and handed to Snapshot.Apply, whose log is the record of the writes the
-// next segment carries, and the cumulative sketch/digest/count are
-// maintained incrementally (the property that lets the set keep answering
-// estimates after eviction). Once the snapshot has taken a write, netting
-// a batch costs O(|S|), not O(batch): Snapshot.Contains flattens the
-// successor's write log into a fresh copy of the set (ROADMAP 14(a) is the
-// fix). add must have passed checkElems: Apply trusts its caller. A cold
-// set is paged in, and an eviction write in flight is waited out first;
-// the caller settles its residency afterwards (noteResident).
+// update is the event of a HostedUpdate: once any write in flight has
+// settled, it pages a cold set in and admits it, nets the batch against
+// the snapshot's membership (Snapshot.Contains, which flattens a written
+// snapshot: ROADMAP 14(a)) and hands it to Snapshot.Apply, whose log is the
+// record the next segment is read from, keeping the cumulative sketch,
+// digest and count current. add must have passed checkElems: Apply trusts
+// its caller. A dropped set fails as an unknown set.
 func (hs *hostedSet) update(add, remove []uint64) error {
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
-	if err := hs.materializeLocked(); err != nil {
+	for hs.state == setWriting || hs.state == setEvicting {
+		w := hs.pending
+		hs.mu.Unlock()
+		hs.h.writes.wait(w)
+		hs.mu.Lock()
+	}
+	if hs.state == setDropped {
+		return unknownSet(hs.name)
+	}
+	if err := hs.pageInLocked(); err != nil {
 		return err
 	}
+	hs.state = setResident
+	defer hs.enterLocked()
 	remove = sortedUnique(remove)
 	add = slices.DeleteFunc(sortedUnique(add), func(x uint64) bool {
 		_, cancelled := slices.BinarySearch(remove, x)
@@ -339,7 +369,8 @@ type segmentWrite struct {
 	snap       *core.Snapshot
 	adds, dels []uint64 // snap's net writes, for a delta
 	meta       setstore.Meta
-	done       chan struct{} // closed when an eviction write settles
+	done       chan struct{} // closed once the write has settled
+	err        error         // the commit's, read once done is closed
 }
 
 // takeWriteLocked returns the write that brings the store up to the
@@ -350,178 +381,162 @@ func (hs *hostedSet) takeWriteLocked() *segmentWrite {
 	if ok && len(adds) == 0 && len(dels) == 0 {
 		return nil
 	}
-	return &segmentWrite{full: !ok || hs.h.store.FullDue(hs.name), snap: hs.snap, adds: adds, dels: dels, meta: hs.meta}
+	return &segmentWrite{full: !ok || hs.h.store.FullDue(hs.name), snap: hs.snap, adds: adds, dels: dels, meta: hs.meta, done: make(chan struct{})}
 }
 
-// commit writes w to the store.
-func (w *segmentWrite) commit(store *setstore.Store, name string) error {
-	if w.full {
-		return store.AppendFull(name, w.snap.Elements(), w.meta)
-	}
-	return store.AppendDelta(name, w.adds, w.dels, w.meta)
-}
-
-// flush writes what the store lacks of a resident set without demoting it
-// (Host's first segment, shutdown), once any eviction write of the set in
-// flight has settled. A set with nothing unwritten — one that only
-// answered syncs — writes nothing; a failed write leaves saved where it
-// was, so the next one carries its writes too. A no-op for memory-only
-// hosting and for a cold set.
-func (hs *hostedSet) flush() error {
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	hs.awaitWriteLocked()
-	if hs.h.store == nil || hs.snap == nil {
-		return nil
-	}
-	w := hs.takeWriteLocked()
-	if w == nil {
-		return nil
-	}
-	err := w.commit(hs.h.store, hs.name)
-	if err == nil {
-		hs.saved = w.snap.Mark()
-	}
-	return err
-}
-
-// demote evicts a resident set: drop the elements and the cached view,
-// and hand the snapshot, if the store lacks some of it, to an eviction
-// write that runs behind (writeBehind). Sessions holding the old view keep
-// their snapshot; new sessions get a lazy (estimate-only) view, whose cold
-// load takes the snapshot back from the write while it runs. A set taken
-// back so is demoted again without a second write: it has had no update
-// since (update waits the write out), so the write in flight is already
-// the one it needs. If the write fails the set comes back resident with
-// the snapshot — dropping unwritten data would lose it.
-func (hs *hostedSet) demote() {
-	hs.mu.Lock()
-	if hs.snap == nil || hs.h.store == nil {
-		hs.mu.Unlock()
+// write starts w's step, which commits and settles it; under memory-only
+// hosting w settles at once.
+func (h *hostedStore) write(hs *hostedSet, w *segmentWrite) {
+	if h.store == nil {
+		hs.settle(w, nil)
 		return
 	}
-	// A set that left the registry writes nothing more: a Host that
-	// replaced it may already have written its own full segment, which a
-	// later segment of this set would land on top of. A write taken before
-	// the flag was set, that Host waits out (awaitWriteLocked).
-	hs.h.mu.Lock()
-	dropped := hs.dropped
-	hs.h.mu.Unlock()
-	var w *segmentWrite
-	if !dropped && hs.pending == nil {
-		w = hs.takeWriteLocked()
-	}
-	if w != nil {
-		w.done = make(chan struct{})
-		hs.pending = w
-	}
-	hs.snap = nil
-	hs.view = nil
-	hs.mu.Unlock()
-	// A promote or update racing this demotion may have re-inserted the set
-	// into the LRU between our removal and here; undo that so the resident
-	// accounting never carries a cold set.
-	hs.h.forget(hs, false)
-	hs.h.evictions.Add(1)
-	if w != nil {
-		hs.h.writeBehind(hs, w)
-	}
+	h.writes.start(func() {
+		var err error
+		if w.full {
+			err = h.store.AppendFull(hs.name, w.snap.Elements(), w.meta)
+		} else {
+			err = h.store.AppendDelta(hs.name, w.adds, w.dels, w.meta)
+		}
+		hs.settle(w, err)
+	})
 }
 
-// writeBehind commits a victim's eviction write on a goroutine of its
-// own, at most maxEvictWrites at once; once flushAll has begun it commits
-// inline instead.
-func (h *hostedStore) writeBehind(hs *hostedSet, w *segmentWrite) {
-	h.writeMu.Lock()
-	if h.writesClosed {
-		h.writeMu.Unlock()
-		hs.endEviction(w)
-		return
-	}
-	h.writing.Add(1)
-	h.writeMu.Unlock()
-	h.slots <- struct{}{}
-	go func() {
-		defer h.writing.Done()
-		hs.endEviction(w)
-		<-h.slots
-	}()
-}
-
-// endEviction runs an eviction write and settles it. On failure the set
-// is resident again: the snapshot goes back, saved stays where it was, and
-// the set re-enters the accounting without evicting anything (the next
-// noteResident does).
-func (hs *hostedSet) endEviction(w *segmentWrite) {
-	err := w.commit(hs.h.store, hs.name)
+// settle is the event of a write's commit (err nil) or failure. A failure
+// leaves saved where it was, so the next write carries these writes too,
+// and hands an evicted set its snapshot back, resident: dropping unwritten
+// data would lose it. Nothing is evicted until the next event that evicts.
+func (hs *hostedSet) settle(w *segmentWrite, err error) {
 	hs.mu.Lock()
+	hs.pending = nil
 	if err == nil {
 		hs.saved = w.snap.Mark()
-	} else {
+	} else if hs.snap == nil {
 		hs.snap, hs.view = w.snap, nil
 	}
-	hs.pending = nil
+	switch {
+	case hs.state == setWriting || hs.state == setEvicting && err != nil:
+		hs.state = setResident
+		hs.enterLocked()
+	case hs.state == setEvicting:
+		hs.state = setCold
+	}
 	hs.mu.Unlock()
+	w.err = err
 	close(w.done)
-	if err != nil {
-		charge := hs.residentCharge()
-		hs.h.mu.Lock()
-		hs.h.admitLocked(hs, charge)
-		hs.h.mu.Unlock()
+}
+
+// evict is the event of a set the LRU gave up: it turns cold to new
+// sessions (those holding the old view keep its snapshot) and returns the
+// write of what the store lacks, if anything. A set taken back from its
+// write in flight needs no second one: update waits that write out.
+func (hs *hostedSet) evict() *segmentWrite {
+	hs.mu.Lock()
+	defer hs.mu.Unlock()
+	var w *segmentWrite
+	switch hs.state {
+	case setResident:
+		w = hs.takeWriteLocked()
+		hs.pending = w
+	case setWriting:
+	default:
+		return nil
+	}
+	hs.state = setCold
+	if hs.pending != nil {
+		hs.state = setEvicting
+	}
+	hs.snap, hs.view = nil, nil
+	// An update racing this eviction may have re-admitted the set since the
+	// LRU gave it up; the accounting never carries a cold set.
+	hs.h.mu.Lock()
+	hs.h.removeLocked(hs)
+	hs.h.mu.Unlock()
+	hs.h.evictions.Add(1)
+	return w
+}
+
+// drop is the event of the set leaving the registry (Unregister, or a Host
+// that replaced it): it is out of the accounting for good, and writes
+// nothing more. It returns the write in flight, which the caller waits out.
+func (hs *hostedSet) drop() *segmentWrite {
+	hs.mu.Lock()
+	defer hs.mu.Unlock()
+	hs.state = setDropped
+	hs.h.mu.Lock()
+	hs.h.removeLocked(hs)
+	hs.h.mu.Unlock()
+	return hs.pending
+}
+
+// flush is the shutdown event: it returns the write of what the store
+// lacks of a resident set, for the caller to run. A set with nothing
+// unwritten — one that only answered syncs — writes nothing.
+func (hs *hostedSet) flush() *segmentWrite {
+	hs.mu.Lock()
+	defer hs.mu.Unlock()
+	if hs.state != setResident {
+		return nil
+	}
+	if hs.pending = hs.takeWriteLocked(); hs.pending != nil {
+		hs.state = setWriting
+	}
+	return hs.pending
+}
+
+// enterLocked puts the set at the front of the LRU at its resident charge,
+// or settles the charge of a set already there. Requires hs.mu.
+func (hs *hostedSet) enterLocked() {
+	h, charge := hs.h, hostedSetOverhead+hostedElemBytes*int64(hs.meta.Count)
+	h.mu.Lock()
+	if hs.lruPos == nil {
+		hs.lruPos = h.lru.PushFront(hs)
+		h.residentSets.Add(1)
+	}
+	h.residentBytes.Add(charge - hs.charge)
+	hs.charge = charge
+	h.mu.Unlock()
+}
+
+// removeLocked takes hs out of the LRU and its charge off the resident
+// bytes. Requires h.mu.
+func (h *hostedStore) removeLocked(hs *hostedSet) {
+	if hs.lruPos != nil {
+		h.lru.Remove(hs.lruPos)
+		hs.lruPos = nil
+		h.residentBytes.Add(-hs.charge)
+		h.residentSets.Add(-1)
+		hs.charge = 0
 	}
 }
 
-// admitLocked inserts a set into the resident accounting at the front of
-// the LRU at charge, or settles the charge of a set already there; a
-// dropped set is never admitted. Requires h.mu.
-func (h *hostedStore) admitLocked(hs *hostedSet, charge int64) {
-	switch {
-	case hs.lruPos != nil:
-		h.residentBytes.Add(charge - hs.charge)
-	case !hs.dropped:
-		hs.lruPos = h.lru.PushFront(hs)
-		h.residentBytes.Add(charge)
-		h.residentSets.Add(1)
-	default:
+// evictOver evicts least-recently-used sets, never keep (it is about to
+// serve), while the resident bytes are over the watermark: on the caller's
+// goroutine, all but their segment writes. Memory-only hosting never evicts.
+func (h *hostedStore) evictOver(keep *hostedSet) {
+	if h.maxResident <= 0 || h.store == nil {
 		return
 	}
-	hs.charge = charge
-}
-
-// noteResident enters a set into the resident accounting at charge — read
-// by the caller under hs.mu — or settles the charge of a set already
-// there, and evicts least-recently-used sets while over the watermark.
-// Eviction requires the disk layer; memory-only hosting never evicts.
-// Which sets are evicted, and that they turn cold, is settled here, on the
-// caller's goroutine; only their segment writes run behind.
-func (h *hostedStore) noteResident(hs *hostedSet, charge int64) {
 	var victims []*hostedSet
 	h.mu.Lock()
-	h.admitLocked(hs, charge)
-	if h.maxResident > 0 && h.store != nil {
-		for h.residentBytes.Load() > h.maxResident && h.lru.Len() > 1 {
-			back := h.lru.Back()
-			v := back.Value.(*hostedSet)
-			if v == hs {
-				// Never evict the set just touched — it is about to serve.
-				break
-			}
-			h.lru.Remove(back)
-			v.lruPos = nil
-			h.residentBytes.Add(-v.charge)
-			h.residentSets.Add(-1)
-			victims = append(victims, v)
+	for h.residentBytes.Load() > h.maxResident && h.lru.Len() > 1 {
+		v := h.lru.Back().Value.(*hostedSet)
+		if v == keep {
+			break
 		}
+		h.removeLocked(v)
+		victims = append(victims, v)
 	}
 	h.mu.Unlock()
 	for _, v := range victims {
-		v.demote()
+		if w := v.evict(); w != nil {
+			h.write(v, w)
+		}
 	}
 }
 
-// touch marks a resident set most-recently-used. A set mid-eviction
-// (removed from the LRU but not yet demoted) is left alone — if it is
-// still wanted it will cold-load and re-enter.
+// touch marks a resident set most-recently-used; one the LRU gave up is
+// left alone — if it is still wanted it will cold-load and re-enter.
 func (h *hostedStore) touch(hs *hostedSet) {
 	h.mu.Lock()
 	if hs.lruPos != nil {
@@ -530,32 +545,14 @@ func (h *hostedStore) touch(hs *hostedSet) {
 	h.mu.Unlock()
 }
 
-// forget removes a set from the resident accounting. With drop it is for
-// good: the set left the registry (unregistered or replaced), and a write
-// or cold load racing its removal does not re-admit it.
-func (h *hostedStore) forget(hs *hostedSet, drop bool) {
-	h.mu.Lock()
-	hs.dropped = hs.dropped || drop
-	if hs.lruPos != nil {
-		h.lru.Remove(hs.lruPos)
-		hs.lruPos = nil
-		h.residentBytes.Add(-hs.charge)
-		h.residentSets.Add(-1)
-	}
-	h.mu.Unlock()
-}
-
-// flushAll waits for every eviction write in flight, then writes what the
-// store lacks of every resident set (shutdown). Evictions after it has
-// begun write inline.
+// flushAll waits out every write in flight, then writes what the store
+// lacks of every resident set (shutdown). Writes after it has begun run
+// inline.
 func (h *hostedStore) flushAll() error {
 	if h.store == nil {
 		return nil
 	}
-	h.writeMu.Lock()
-	h.writesClosed = true
-	h.writeMu.Unlock()
-	h.writing.Wait()
+	h.writes.close()
 	h.mu.Lock()
 	sets := make([]*hostedSet, 0, h.lru.Len())
 	for e := h.lru.Front(); e != nil; e = e.Next() {
@@ -564,8 +561,11 @@ func (h *hostedStore) flushAll() error {
 	h.mu.Unlock()
 	var firstErr error
 	for _, hs := range sets {
-		if err := hs.flush(); err != nil && firstErr == nil {
-			firstErr = err
+		if w := hs.flush(); w != nil {
+			h.write(hs, w)
+			if h.writes.wait(w); w.err != nil && firstErr == nil {
+				firstErr = w.err
+			}
 		}
 	}
 	return firstErr
@@ -584,24 +584,22 @@ func (s *Server) EnableHosting() (int, error) {
 		return 0, errors.New("pbs: EnableHosting requires ServerOptions.DataDir")
 	}
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return 0, ErrServerClosed
+	var err error
+	switch {
+	case s.closed:
+		err = ErrServerClosed
+	case s.hosted.store != nil:
+		err = errors.New("pbs: hosting already enabled")
+	default:
+		s.hosted.store, err = setstore.Open(s.opt.DataDir, DefaultMergeThreshold)
 	}
-	if s.store != nil {
-		s.mu.Unlock()
-		return 0, errors.New("pbs: hosting already enabled")
-	}
-	store, err := setstore.Open(s.opt.DataDir, DefaultMergeThreshold)
+	store := s.hosted.store
+	s.mu.Unlock()
 	if err != nil {
-		s.mu.Unlock()
 		return 0, err
 	}
-	s.store = store
-	s.hosted.store = store
-	s.mu.Unlock()
-	n := 0
-	for _, name := range store.Names() {
+	names := store.Names()
+	for n, name := range names {
 		hs, err := s.hosted.recover(name)
 		if err != nil {
 			return n, err
@@ -609,9 +607,8 @@ func (s *Server) EnableHosting() (int, error) {
 		if _, err := s.publish(name, hs, hs.logicalBytes(), false); err != nil {
 			return n, err
 		}
-		n++
 	}
-	return n, nil
+	return len(names), nil
 }
 
 // Host registers a hosted set built from elems — the one kind of set a
@@ -632,33 +629,29 @@ func (s *Server) Host(name string, elems []uint64) error {
 	if err := checkElems(elems, s.hosted.opt.SigBits); err != nil {
 		return err
 	}
-	hs, err := s.hosted.host(name, elems)
+	snap, err := core.NewValidatedSnapshot(sortedUnique(elems), s.hosted.opt.coreConfig())
 	if err != nil {
 		return err
 	}
-	defer close(hs.firstFlush)
+	// The set is born writing its first full segment, started once it is
+	// registered (quota checks).
+	meta := s.hosted.metaFor(snap.Elements())
+	w := &segmentWrite{full: true, snap: snap, meta: meta, done: make(chan struct{})}
+	hs := &hostedSet{h: s.hosted, name: name, state: setWriting, snap: snap, meta: meta, pending: w}
 	old, err := s.publish(name, hs, hs.logicalBytes(), false)
 	if err != nil {
 		return err
 	}
 	if old != nil {
-		s.hosted.forget(old, true)
-		// Every segment of the replaced set lands before this set's full
-		// segment, which replay then starts from: its own first one, which
-		// the Host that built it may still be writing, and its eviction
-		// write in flight.
-		if old.firstFlush != nil {
-			<-old.firstFlush
-		}
-		old.mu.Lock()
-		old.awaitWriteLocked()
-		old.mu.Unlock()
+		s.retire(old)
 	}
-	if err := hs.flush(); err != nil {
-		s.Unregister(name)
-		return err
+	s.hosted.write(hs, w)
+	if s.hosted.writes.wait(w); w.err != nil {
+		s.retire(hs)
+		s.sets.Unregister(name, hs) // unless a newer Host replaced it
+		return w.err
 	}
-	s.hosted.noteResident(hs, hs.residentCharge()) // may evict others
+	s.hosted.evictOver(hs)
 	return nil
 }
 
@@ -697,15 +690,12 @@ func (s *Server) HostedUpdate(name string, add, remove []uint64) error {
 		}
 	}
 	err := hs.update(add, remove)
-	bytes := hs.logicalBytes()
-	if _, cerr := s.publish(name, hs, bytes, true); cerr != nil {
+	if _, cerr := s.publish(name, hs, hs.logicalBytes(), true); cerr != nil {
 		return cerr
 	}
 	if err != nil {
 		return err
 	}
-	// The update may have paged a cold set in: enter it, or settle its
-	// charge to the new size, and run the eviction loop.
-	s.hosted.noteResident(hs, hostedSetOverhead+bytes)
+	s.hosted.evictOver(hs)
 	return nil
 }

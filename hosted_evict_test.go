@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -136,60 +135,17 @@ func TestHostedEvictedDirtySyncsNewestWrites(t *testing.T) {
 }
 
 // TestHostedSyncTakesBackInFlightWrite holds a dirty set's eviction write
-// in flight (every write slot taken) and syncs the set: the sync's cold
-// load takes the snapshot back from the write instead of waiting for it,
-// and learns the set's newest writes. Evicted again meanwhile, the set adds
-// no write of its own; a write to it waits the eviction write out, and is
-// then all the set has left to write; and a restart recovers every write.
+// in flight and syncs the set: the sync's cold load takes the snapshot back
+// from the write instead of waiting for it, and learns the set's newest
+// writes. Evicted again meanwhile, the set adds no write of its own; a
+// write to it waits the eviction write out, and is then all the set has
+// left to write; and a restart recovers every write.
 func TestHostedSyncTakesBackInFlightWrite(t *testing.T) {
 	dir := t.TempDir()
 	opt := &Options{Seed: 149}
-	const size = 200
-	srv := NewServer(ServerOptions{Protocol: opt, DataDir: dir, MaxResidentBytes: 256 + 8*(size+64)})
-	if _, err := srv.EnableHosting(); err != nil {
-		t.Fatal(err)
-	}
-	a, b := hostedBase(1, size), hostedBase(2, size)
-	if err := srv.Host("w/a", a); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Host("w/b", b); err != nil {
-		t.Fatal(err)
-	}
-	addA := []uint64{1<<20 | 1<<18}
-	if err := srv.HostedUpdate("w/a", addA, a[:1]); err != nil {
-		t.Fatal(err)
-	}
-	a = append(a[1:], addA...)
+	srv, q, held, w, a := evictionHeld(t, dir, opt)
+	b := hostedBase(2, len(a))
 	addr := serveHosted(t, srv)
-
-	srv.hosted.writing.Wait()
-	for range maxEvictWrites {
-		srv.hosted.slots <- struct{}{}
-	}
-	var releaseOnce sync.Once
-	release := func() {
-		releaseOnce.Do(func() {
-			for range maxEvictWrites {
-				<-srv.hosted.slots
-			}
-		})
-	}
-	t.Cleanup(release)
-	within := func(what string, f func() error) {
-		t.Helper()
-		done := make(chan error, 1)
-		go func() { done <- f() }()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
-		case <-time.After(30 * time.Second):
-			release()
-			t.Fatalf("%s waited for the eviction write", what)
-		}
-	}
 	syncA := func() error {
 		local, want := hostedClientSet(a, 0)
 		c := &Client{Addr: addr, Tenant: "w", Set: "a", Options: opt, Timeout: time.Minute}
@@ -200,36 +156,18 @@ func TestHostedSyncTakesBackInFlightWrite(t *testing.T) {
 		return err
 	}
 
-	// Paging b in evicts a, whose delta write then waits for a slot.
-	evicting := make(chan error, 1)
-	go func() { evicting <- srv.HostedUpdate("w/b", nil, nil) }()
 	hs := hostedOf(t, srv, "w/a")
-	var w *segmentWrite
-	for deadline := time.Now().Add(30 * time.Second); w == nil; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("a was never evicted")
-		}
-		hs.mu.Lock()
-		w = hs.pending
-		hs.mu.Unlock()
-	}
-	state := func() (resident bool, pending *segmentWrite) {
-		hs.mu.Lock()
-		defer hs.mu.Unlock()
-		return hs.snap != nil, hs.pending
-	}
 	for i := 0; i < 2; i++ {
 		loads := srv.Stats().ColdLoads
-		within("sync of a", syncA)
-		if resident, p := state(); !resident || p != w || srv.Stats().ColdLoads != loads+1 {
-			t.Fatalf("sync %d: resident %v, write in flight %v, %d cold loads (was %d)", i, resident, p == w, srv.Stats().ColdLoads, loads)
+		q.none(t, "sync of a", syncA)
+		if st, p := stateOf(hs); st != setWriting || p != w || srv.Stats().ColdLoads != loads+1 {
+			t.Fatalf("sync %d: state %d, write in flight %v, %d cold loads (was %d)", i, st, p == w, srv.Stats().ColdLoads, loads)
 		}
 		if i == 0 {
-			// Paging b back in evicts a again, with no write of its own: it
-			// would otherwise wait for a slot too.
-			within("second eviction of a", func() error { return srv.HostedUpdate("w/b", nil, nil) })
-			if resident, p := state(); resident || p != w {
-				t.Fatalf("second eviction: resident %v, write in flight %v", resident, p == w)
+			// Paging b back in evicts a again, with no write of its own.
+			q.none(t, "second eviction of a", func() error { return srv.HostedUpdate("w/b", nil, nil) })
+			if st, p := stateOf(hs); st != setEvicting || p != w {
+				t.Fatalf("second eviction: state %d, write in flight %v", st, p == w)
 			}
 		}
 	}
@@ -237,17 +175,9 @@ func TestHostedSyncTakesBackInFlightWrite(t *testing.T) {
 	addA2 := []uint64{1<<20 | 1<<18 | 1}
 	updated := make(chan error, 1)
 	go func() { updated <- srv.HostedUpdate("w/a", addA2, nil) }()
-	select {
-	case err := <-updated:
-		t.Fatalf("update of a did not wait for its eviction write (%v)", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	release()
-	for _, ch := range []chan error{evicting, updated} {
-		if err := <-ch; err != nil {
-			t.Fatal(err)
-		}
-	}
+	q.awaits(t, "update of a", w, updated)
+	held()
+	q.none(t, "update of a", func() error { return <-updated })
 	// The eviction write committed the snapshot the syncs took back, so
 	// what a has left to write is the one update made since.
 	hs.mu.Lock()
@@ -261,9 +191,7 @@ func TestHostedSyncTakesBackInFlightWrite(t *testing.T) {
 		t.Fatalf("a has +%v −%v left to write (ok %v), want +%v", adds, dels, ok, addA2)
 	}
 	a = append(a, addA2...)
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeStepped(t, srv, q)
 	re := NewServer(ServerOptions{Protocol: opt, DataDir: dir})
 	if _, err := re.EnableHosting(); err != nil {
 		t.Fatal(err)
@@ -323,7 +251,7 @@ func TestHostedEvictionWriteFailure(t *testing.T) {
 	b = append(b, grow...)
 	// Let a's write fail before a sync comes: one landing while it is in
 	// flight would take the snapshot back as a cold load.
-	srv.hosted.writing.Wait()
+	waitWrites(srv)
 	if ev := srv.Stats().Evictions; ev != 1 {
 		t.Fatalf("evictions %d, want 1", ev)
 	}

@@ -355,9 +355,10 @@ func TestRegisterPersists(t *testing.T) {
 // TestHostedUpdateRacingUnregister: a set unregistered or replaced while a
 // HostedUpdate of it runs is not brought back — the update fails as an
 // unknown set, and neither re-registers the name nor re-admits the set to
-// the resident accounting. The update is held on the set's lock while the
-// race runs: with adds it is held before its quota reservation, with
-// removes only inside the write. A free-running race follows.
+// the resident accounting. The schedule is stepped: the update waits out
+// the set's first segment write (with adds, past its quota reservation),
+// the race starts and waits it out too, then the write lands. A
+// free-running race follows.
 func TestHostedUpdateRacingUnregister(t *testing.T) {
 	opt := &Options{Seed: 93}
 	base := hostedBase(2, 20_000)
@@ -402,29 +403,33 @@ func TestHostedUpdateRacingUnregister(t *testing.T) {
 		{"removes/host", nil, base[:1000], replaced, replacement},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := NewServer(ServerOptions{Protocol: opt})
-			defer srv.Close()
-			if err := srv.Host("r", base); err != nil {
+			srv := NewServer(ServerOptions{Protocol: opt, DataDir: t.TempDir()})
+			q := stepWrites(srv)
+			if _, err := srv.EnableHosting(); err != nil {
 				t.Fatal(err)
 			}
-			hs := hostedOf(t, srv, "r")
-			hs.mu.Lock()
+			hosted := make(chan error, 1)
+			go func() { hosted <- srv.Host("r", base) }()
+			first := <-q.steps
+			_, w := stateOf(hostedOf(t, srv, "r"))
+			q.awaits(t, "Host", w, hosted)
 			done := make(chan error, 1)
 			go func() { done <- srv.HostedUpdate("r", tc.add, tc.remove) }()
-			time.Sleep(20 * time.Millisecond) // the update reaches the set's lock
+			q.awaits(t, "HostedUpdate", w, done)
 			raced := make(chan error, 1)
 			go func() { raced <- tc.race(srv) }()
-			// A replacing Host takes the old set's lock after it has swapped
-			// the name: let go once the name has left hs.
-			waitFor(t, func() bool { cur, _ := srv.sets.Get("r"); return cur != hs })
-			hs.mu.Unlock()
-			if err := <-raced; err != nil {
-				t.Fatal(err)
+			q.awaits(t, "the race", w, raced)
+			first()
+			var errs [3]error
+			q.run(func() { errs = [3]error{<-hosted, <-raced, <-done} })
+			if errs[0] != nil || errs[1] != nil {
+				t.Fatal(errs[0], errs[1])
 			}
-			if err := <-done; err == nil || !strings.Contains(err.Error(), "unknown set") {
+			if err := errs[2]; err == nil || !strings.Contains(err.Error(), "unknown set") {
 				t.Fatalf("HostedUpdate returned %v, want an unknown set", err)
 			}
 			settled(t, srv, tc.left)
+			closeStepped(t, srv, q)
 		})
 	}
 	t.Run("free", func(t *testing.T) {

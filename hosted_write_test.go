@@ -535,22 +535,20 @@ func TestHostedReplacedVictimWritesNothing(t *testing.T) {
 	if err := srv.HostedUpdate("x", []uint64{1<<20 | 1000}, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Pick the set as noteResident's eviction loop does, leaving the
-	// demotion for later.
+	// Pick the set as evictOver does, leaving the eviction for later.
 	victim := hostedOf(t, srv, "x")
 	h := srv.hosted
 	h.mu.Lock()
-	h.lru.Remove(victim.lruPos)
-	victim.lruPos = nil
-	h.residentBytes.Add(-victim.charge)
-	h.residentSets.Add(-1)
+	h.removeLocked(victim)
 	h.mu.Unlock()
 
 	want := hostedBase(2, 200)
 	if err := srv.Host("x", want); err != nil {
 		t.Fatal(err)
 	}
-	victim.demote()
+	if w := victim.evict(); w != nil {
+		h.write(victim, w)
+	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +595,7 @@ func TestHostedWriterCompactsChain(t *testing.T) {
 			t.Fatal(err)
 		}
 		cur[k] = append(cur[k][1:], add...)
-		srv.hosted.writing.Wait()
+		waitWrites(srv)
 		segs := 0
 		for _, name := range names {
 			n := store.Segments(name)
@@ -671,7 +669,7 @@ func TestHostedCancelledWritesWriteNothing(t *testing.T) {
 	if err := srv.HostedUpdate("c/b", nil, nil); err != nil { // evicts c/a
 		t.Fatal(err)
 	}
-	srv.hosted.writing.Wait()
+	waitWrites(srv)
 	if ev := srv.Stats().Evictions; ev != 3 {
 		t.Fatalf("%d evictions, want 3", ev)
 	}
@@ -720,7 +718,7 @@ func TestHostedRebasedSetWritesFull(t *testing.T) {
 	if err := srv.HostedUpdate("c/b", nil, nil); err != nil { // evicts c/a
 		t.Fatal(err)
 	}
-	srv.hosted.writing.Wait()
+	waitWrites(srv)
 	if n, m := store.Segments("c/a"), srv.Stats().SegmentMerges; n != 1 || m != merges+1 {
 		t.Fatalf("after the eviction: a chain of %d, %d merges (was %d); want one full segment", n, m, merges)
 	}

@@ -260,13 +260,14 @@ func (r *Registry[V]) put(name string, v V, bytes int64, onlySame bool) (V, bool
 	return old.v, existed, nil
 }
 
-// Unregister removes name, releasing its set and byte reservations, and
-// returns the removed value.
-func (r *Registry[V]) Unregister(name string) (V, bool) {
+// Unregister removes name if it still holds v — Recharge's same-value
+// check — releasing its set and byte reservations, and reports whether it
+// did.
+func (r *Registry[V]) Unregister(name string, v V) bool {
 	sh := r.shard(name)
 	sh.mu.Lock()
 	e, ok := sh.m[name]
-	if ok {
+	if ok = ok && e.v == v; ok {
 		delete(sh.m, name)
 	}
 	sh.mu.Unlock()
@@ -276,7 +277,7 @@ func (r *Registry[V]) Unregister(name string) (V, bool) {
 		ts.bytes.Add(-e.bytes)
 		r.count.Add(-1)
 	}
-	return e.v, ok
+	return ok
 }
 
 // BeginSession reserves one concurrent-session slot against the tenant of

@@ -55,10 +55,13 @@ func TestRegisterLookupUnregister(t *testing.T) {
 		t.Fatalf("bytes after re-register = %d, want 350", bytes)
 	}
 
-	if v, ok := r.Unregister("acme/a"); !ok || v != 3 {
-		t.Fatalf("Unregister = %d, %v", v, ok)
+	if r.Unregister("acme/a", 1) {
+		t.Fatal("Unregister removed a value the name no longer holds")
 	}
-	if _, ok := r.Unregister("acme/a"); ok {
+	if !r.Unregister("acme/a", 3) {
+		t.Fatal("Unregister of the value the name holds failed")
+	}
+	if r.Unregister("acme/a", 3) {
 		t.Fatal("double Unregister succeeded")
 	}
 	sets, bytes, _ = r.TenantUsage("acme")
@@ -117,7 +120,7 @@ func TestQuotaSets(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Freeing a slot re-admits.
-	r.Unregister("t/b")
+	r.Unregister("t/b", 1)
 	if _, _, err := r.Register("t/c", 1, 0); err != nil {
 		t.Fatalf("register after free: %v", err)
 	}
@@ -213,7 +216,9 @@ func TestConcurrentHammer(t *testing.T) {
 					}
 					r.EndSession(name)
 				case 3:
-					r.Unregister(name)
+					if v, ok := r.Get(name); ok {
+						r.Unregister(name, v)
+					}
 				}
 			}
 		}(g)
@@ -223,7 +228,10 @@ func TestConcurrentHammer(t *testing.T) {
 	// Drain every name the goroutines used and verify no reservation leaked.
 	for tnt := 0; tnt < 8; tnt++ {
 		for i := 0; i < 32; i++ {
-			r.Unregister(fmt.Sprintf("t%d/s%d", tnt, i))
+			name := fmt.Sprintf("t%d/s%d", tnt, i)
+			if v, ok := r.Get(name); ok {
+				r.Unregister(name, v)
+			}
 		}
 	}
 	if r.Len() != 0 {

@@ -14,7 +14,6 @@ import (
 	"pbs/internal/frame"
 	"pbs/internal/hist"
 	"pbs/internal/registry"
-	"pbs/internal/setstore"
 )
 
 // Server answers reconciliation sessions concurrently over TCP (or any
@@ -43,11 +42,9 @@ type Server struct {
 	// ("tenant/name") quota accounting layered on top.
 	sets *registry.Registry[*hostedSet]
 	// hosted manages the registered sets and their protocol options (nil,
-	// with hostedErr, when those are invalid; see hosted.go); store is the
-	// segment layer, non-nil once EnableHosting has opened DataDir.
+	// with hostedErr, when those are invalid; see hosted.go).
 	hosted      *hostedStore
 	hostedErr   error
-	store       *setstore.Store
 	closeHosted sync.Once
 
 	mu        sync.Mutex
@@ -405,13 +402,24 @@ func unknownSet(name string) error { return fmt.Errorf("pbs: unknown set %q", na
 // reconciling against the set finish undisturbed, paging it in from its
 // segments if it is cold. Those segments stay on disk: the next
 // EnableHosting on the DataDir recovers the set, and a later Host of the
-// name writes a full segment that prunes them.
+// name writes a full segment that prunes them. Unregister returns once the
+// set's segment write in flight, if any, has landed.
 func (s *Server) Unregister(name string) bool {
-	hs, ok := s.sets.Unregister(name)
+	hs, ok := s.sets.Get(name)
 	if ok {
-		s.hosted.forget(hs, true)
+		s.retire(hs)
+		s.sets.Unregister(name, hs) // unless a Host replaced it meanwhile
 	}
 	return ok
+}
+
+// retire drops hs, which is leaving the registry, and waits out its write
+// in flight: the writes of a name land in registry order, each set's
+// before the next one's.
+func (s *Server) retire(hs *hostedSet) {
+	if w := hs.drop(); w != nil {
+		s.hosted.writes.wait(w)
+	}
 }
 
 // rejection is a session failure as the server reports it: the
@@ -454,9 +462,9 @@ func (s *Server) Stats() ServerStats {
 		st.ResidentBytes = s.hosted.residentBytes.Load()
 		st.ColdLoads = s.hosted.coldLoads.Load()
 		st.Evictions = s.hosted.evictions.Load()
-	}
-	if s.store != nil {
-		st.SegmentMerges = s.store.Merges()
+		if s.hosted.store != nil {
+			st.SegmentMerges = s.hosted.store.Merges()
+		}
 	}
 	return st
 }
