@@ -117,17 +117,9 @@ func (x writeBehind) close() {
 // rejected instead of silently mis-estimating.
 func (h *hostedStore) sketchSeed() uint64 { return h.opt.Seed ^ towSeedTweak }
 
-// metaFor computes the full cumulative metadata of an element list.
-func (h *hostedStore) metaFor(elems []uint64) setstore.Meta {
-	mh := msethash.New(h.opt.Seed ^ verifySeedTweak)
-	mh.AddSet(elems)
-	d := mh.Sum()
-	return setstore.Meta{
-		Count:      uint64(len(elems)),
-		SketchSeed: h.sketchSeed(),
-		Sketch:     h.tow.Sketch(elems),
-		Digest:     d.Bytes(),
-	}
+// footer is the segment footer that persists m.
+func (h *hostedStore) footer(m setMeta) setstore.Meta {
+	return setstore.Meta{Count: uint64(m.count), SketchSeed: h.sketchSeed(), Sketch: m.sketch, Digest: m.digest.Bytes()}
 }
 
 // hostedState is where a hosted set is in its lifecycle.
@@ -172,7 +164,7 @@ type hostedSet struct {
 
 	mu    sync.Mutex
 	state hostedState
-	meta  setstore.Meta // cumulative; kept current on every update
+	meta  setMeta // kept current on every update
 	// snap holds the elements, nil while cold or evicting. It is built once
 	// per Host and once per cold load, written only through Apply, and
 	// shared by every view handed out until the next write — so the
@@ -195,7 +187,7 @@ type hostedSet struct {
 func (hs *hostedSet) logicalBytes() int64 {
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
-	return hostedElemBytes * int64(hs.meta.Count)
+	return hostedElemBytes * int64(hs.meta.count)
 }
 
 // recover builds a cold hosted set from the newest persisted segment
@@ -211,10 +203,11 @@ func (h *hostedStore) recover(name string) (*hostedSet, error) {
 	if len(meta.Sketch) != h.tow.L() {
 		return nil, fmt.Errorf("pbs: set %q persisted with %d-lane sketch, server uses %d", name, len(meta.Sketch), h.tow.L())
 	}
-	if _, ok := msethash.DigestFromBytes(meta.Digest); !ok {
+	digest, ok := msethash.DigestFromBytes(meta.Digest)
+	if !ok {
 		return nil, fmt.Errorf("pbs: set %q has a malformed persisted digest", name)
 	}
-	return &hostedSet{h: h, name: name, state: setCold, meta: meta}, nil
+	return &hostedSet{h: h, name: name, state: setCold, meta: setMeta{count: int(meta.Count), sketch: meta.Sketch, digest: digest}}, nil
 }
 
 // sharedView returns the view a new session reconciles against.
@@ -222,13 +215,12 @@ func (hs *hostedSet) sharedView() *sharedSet {
 	hs.mu.Lock()
 	if hs.view == nil {
 		// Either view answers estimates and verification from the
-		// incrementally maintained sketch and digest, never from a pass over
-		// the elements; a cold one pages the elements in only for a round.
-		v := &sharedSet{opt: hs.h.opt, snap: hs.snap, tow: hs.h.tow}
+		// maintained metadata; a cold one pages the elements in only for a
+		// round.
+		hs.view = &sharedSet{opt: hs.h.opt, snap: hs.snap, tow: hs.h.tow, meta: hs.meta.clone()}
 		if hs.snap == nil {
-			v.loadSnap, v.count = hs.loadSnapshot, int(hs.meta.Count)
+			hs.view.loadSnap = hs.loadSnapshot
 		}
-		hs.view = v.preset(slices.Clone(hs.meta.Sketch), hs.digestLocked())
 	}
 	v, resident := hs.view, hs.snap != nil
 	hs.mu.Unlock()
@@ -236,11 +228,6 @@ func (hs *hostedSet) sharedView() *sharedSet {
 		hs.h.touch(hs)
 	}
 	return v
-}
-
-func (hs *hostedSet) digestLocked() msethash.Digest {
-	d, _ := msethash.DigestFromBytes(hs.meta.Digest)
-	return d
 }
 
 // pageInLocked gives a set without its snapshot one: the snapshot its
@@ -254,7 +241,7 @@ func (hs *hostedSet) pageInLocked() error {
 	case hs.pending != nil:
 		hs.snap = hs.pending.snap
 	default:
-		elems, meta, err := hs.h.store.Load(hs.name)
+		elems, _, err := hs.h.store.Load(hs.name)
 		if err != nil {
 			return err
 		}
@@ -273,7 +260,7 @@ func (hs *hostedSet) pageInLocked() error {
 		if err != nil {
 			return fmt.Errorf("pbs: hosted set %q: %w", hs.name, err)
 		}
-		hs.snap, hs.meta, hs.saved = snap, meta, snap.Mark()
+		hs.snap, hs.saved = snap, snap.Mark()
 	}
 	hs.h.coldLoads.Add(1)
 	return nil
@@ -305,10 +292,10 @@ func (hs *hostedSet) loadSnapshot() (*core.Snapshot, error) {
 // update is the event of a HostedUpdate: once any write in flight has
 // settled, it pages a cold set in and admits it, nets the batch against
 // the snapshot's membership (Snapshot.Contains, which flattens a written
-// snapshot: ROADMAP 14(a)) and hands it to Snapshot.Apply, whose log is the
-// record the next segment is read from, keeping the cumulative sketch,
-// digest and count current. add must have passed checkElems: Apply trusts
-// its caller. A dropped set fails as an unknown set.
+// snapshot: ROADMAP 14(a)), steps the metadata by each effective write and
+// hands the batch to Snapshot.Apply, whose log is the record the next
+// segment is read from. add must have passed checkElems: Apply trusts its
+// caller. A dropped set fails as an unknown set.
 func (hs *hostedSet) update(add, remove []uint64) error {
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
@@ -335,19 +322,13 @@ func (hs *hostedSet) update(add, remove []uint64) error {
 	if len(add) == 0 && len(remove) == 0 {
 		return nil
 	}
-	mh := msethash.FromDigest(hs.h.opt.Seed^verifySeedTweak, hs.digestLocked())
 	for _, x := range add {
-		hs.h.tow.Add(hs.meta.Sketch, x)
-		mh.Add(x)
+		hs.meta.step(hs.h.tow, hs.h.opt.Seed, x, true)
 	}
 	for _, x := range remove {
-		hs.h.tow.Remove(hs.meta.Sketch, x)
-		mh.Remove(x)
+		hs.meta.step(hs.h.tow, hs.h.opt.Seed, x, false)
 	}
-	d := mh.Sum()
-	hs.meta.Digest = d.Bytes()
 	hs.snap = hs.snap.Apply(add, remove)
-	hs.meta.Count = uint64(hs.snap.Len())
 	hs.view = nil // next session sees the mutated set
 	return nil
 }
@@ -381,7 +362,7 @@ func (hs *hostedSet) takeWriteLocked() *segmentWrite {
 	if ok && len(adds) == 0 && len(dels) == 0 {
 		return nil
 	}
-	return &segmentWrite{full: !ok || hs.h.store.FullDue(hs.name), snap: hs.snap, adds: adds, dels: dels, meta: hs.meta, done: make(chan struct{})}
+	return &segmentWrite{full: !ok || hs.h.store.FullDue(hs.name), snap: hs.snap, adds: adds, dels: dels, meta: hs.h.footer(hs.meta), done: make(chan struct{})}
 }
 
 // write starts w's step, which commits and settles it; under memory-only
@@ -487,7 +468,7 @@ func (hs *hostedSet) flush() *segmentWrite {
 // enterLocked puts the set at the front of the LRU at its resident charge,
 // or settles the charge of a set already there. Requires hs.mu.
 func (hs *hostedSet) enterLocked() {
-	h, charge := hs.h, hostedSetOverhead+hostedElemBytes*int64(hs.meta.Count)
+	h, charge := hs.h, hostedSetOverhead+hostedElemBytes*int64(hs.meta.count)
 	h.mu.Lock()
 	if hs.lruPos == nil {
 		hs.lruPos = h.lru.PushFront(hs)
@@ -635,8 +616,8 @@ func (s *Server) Host(name string, elems []uint64) error {
 	}
 	// The set is born writing its first full segment, started once it is
 	// registered (quota checks).
-	meta := s.hosted.metaFor(snap.Elements())
-	w := &segmentWrite{full: true, snap: snap, meta: meta, done: make(chan struct{})}
+	meta := metaFor(s.hosted.tow, s.hosted.opt.Seed, snap.Elements())
+	w := &segmentWrite{full: true, snap: snap, meta: s.hosted.footer(meta), done: make(chan struct{})}
 	hs := &hostedSet{h: s.hosted, name: name, state: setWriting, snap: snap, meta: meta, pending: w}
 	old, err := s.publish(name, hs, hs.logicalBytes(), false)
 	if err != nil {

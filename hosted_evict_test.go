@@ -318,7 +318,9 @@ func TestHostedColdLoadRefusesOutOfUniverse(t *testing.T) {
 			dir := t.TempDir()
 			plain := NewServer(ServerOptions{Protocol: opt})
 			defer plain.Close()
-			meta := plain.hosted.metaFor
+			meta := func(elems []uint64) setstore.Meta {
+				return plain.hosted.footer(metaFor(plain.hosted.tow, plain.hosted.opt.Seed, elems))
+			}
 			store, err := setstore.Open(dir, 0)
 			if err != nil {
 				t.Fatal(err)

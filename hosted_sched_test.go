@@ -169,7 +169,7 @@ func requireRecovered(t *testing.T, dir string, opt *Options, name string, want 
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp := re.hosted.metaFor(sortedU64(want))
+	exp := re.hosted.footer(metaFor(re.hosted.tow, re.hosted.opt.Seed, sortedU64(want)))
 	if !slices.Equal(got, sortedU64(want)) || meta.Count != exp.Count || !slices.Equal(meta.Sketch, exp.Sketch) ||
 		!bytes.Equal(meta.Digest, exp.Digest) {
 		t.Fatalf("%s recovered %d elements (footer count %d), want %d with their sketch and digest", name, len(got), meta.Count, len(want))

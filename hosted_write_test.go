@@ -47,7 +47,7 @@ func dirListing(t *testing.T, dir string) map[string]int64 {
 // give (a bulk sketch of a large set is summed from parts).
 func requireMeta(t *testing.T, hs *hostedSet, elems []uint64, when string) {
 	t.Helper()
-	want := hs.h.metaFor(sortedU64(elems))
+	want := metaFor(hs.h.tow, hs.h.opt.Seed, sortedU64(elems))
 	ys := make([]int64, hs.h.tow.L())
 	for _, x := range elems {
 		hs.h.tow.Add(ys, x)
@@ -55,9 +55,9 @@ func requireMeta(t *testing.T, hs *hostedSet, elems []uint64, when string) {
 	hs.mu.Lock()
 	got := hs.meta
 	hs.mu.Unlock()
-	if got.Count != want.Count || !slices.Equal(got.Sketch, want.Sketch) || !slices.Equal(got.Sketch, ys) ||
-		!bytes.Equal(got.Digest, want.Digest) {
-		t.Fatalf("%s: maintained meta (count %d) differs from a fresh pass (count %d)", when, got.Count, want.Count)
+	if got.count != want.count || !slices.Equal(got.sketch, want.sketch) || !slices.Equal(got.sketch, ys) ||
+		got.digest != want.digest {
+		t.Fatalf("%s: maintained meta (count %d) differs from a fresh pass (count %d)", when, got.count, want.count)
 	}
 }
 

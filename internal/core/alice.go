@@ -39,6 +39,9 @@ type Alice struct {
 	// event stream: group pairs deliver their differences as they verify,
 	// not when the whole session completes.
 	onDelta func(elems []uint64, round int)
+	// onSide, when set, is invoked for each verified difference element
+	// with whether Alice's set holds it (see OnVerifiedSide).
+	onSide func(x uint64, held bool)
 
 	payloadBits  int
 	sketchesSent int
@@ -182,6 +185,19 @@ func (a *Alice) OnVerifiedDelta(fn func(elems []uint64, round int)) {
 		panic("core: OnVerifiedDelta installed mid-session")
 	}
 	a.onDelta = fn
+}
+
+// OnVerifiedSide registers fn to receive each verified difference element
+// with held, whether Alice's set holds it (so Bob's lacks it): two binary
+// searches in the verifying scope's base and lag, made only while a handler
+// is installed. It must be called before the first BuildRound. fn is invoked
+// from AbsorbReply's sequential merge phase, never concurrently, in no
+// particular order.
+func (a *Alice) OnVerifiedSide(fn func(x uint64, held bool)) {
+	if a.round > 0 {
+		panic("core: OnVerifiedSide installed mid-session")
+	}
+	a.onSide = fn
 }
 
 func sigMask(bits uint) uint64 {
@@ -556,6 +572,11 @@ func (a *Alice) AbsorbReply(reply []byte) error {
 			a.learned = append(a.learned, sc.w.over...)
 			if a.onDelta != nil {
 				delta = append(delta, sc.w.over...)
+			}
+			if a.onSide != nil {
+				for _, x := range sc.w.over {
+					a.onSide(x, inSorted(sc.w.base, x) != inSorted(sc.w.lag, x))
+				}
 			}
 		} else {
 			sc.loadHint = survivorLoad

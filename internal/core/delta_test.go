@@ -121,7 +121,8 @@ func TestSnapshotContains(t *testing.T) {
 // underestimated, so overloaded groups split) and checks the streaming
 // contract: batches arrive with ascending round numbers, a nonempty batch
 // lands before the final round, batches are sorted and disjoint, and their
-// union is exactly the final difference.
+// union is exactly the final difference. Each element also reaches
+// OnVerifiedSide once, held exactly when A holds it.
 func TestOnVerifiedDeltaStreams(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 8000, D: 200, Seed: 33})
 	plan := planFor(t, 20, 34) // 10x underestimate → splits → several rounds
@@ -148,6 +149,17 @@ func TestOnVerifiedDeltaStreams(t *testing.T) {
 		rounds = append(rounds, round)
 		all = append(all, elems...)
 	})
+	inA := make(map[uint64]bool, len(p.A))
+	for _, x := range p.A {
+		inA[x] = true
+	}
+	var sided []uint64
+	alice.OnVerifiedSide(func(x uint64, held bool) {
+		if held != inA[x] {
+			t.Errorf("element %#x: held = %v, A holds it: %v", x, held, inA[x])
+		}
+		sided = append(sided, x)
+	})
 	bob, err := NewBob(p.B, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -159,6 +171,7 @@ func TestOnVerifiedDeltaStreams(t *testing.T) {
 	if !res.Complete {
 		t.Fatal("session did not complete")
 	}
+	assertSameSet(t, sided, p.Diff)
 	if res.Stats.Rounds < 2 {
 		t.Fatalf("fixture converged in %d round(s); splits not exercised", res.Stats.Rounds)
 	}

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"pbs/internal/msethash"
 	"pbs/internal/workload"
 )
 
@@ -110,7 +111,7 @@ func requireReconcileMatchesSync(t *testing.T, p *workload.Pair, seed uint64, op
 		t.Fatal(err)
 	}
 	if cfg.opt.KnownD == 0 {
-		dhatF, err := a.tow.Estimate(va.towSketch(), vb.towSketch())
+		dhatF, err := a.tow.Estimate(va.meta.sketch, vb.meta.sketch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +197,7 @@ func TestReconcileMatchesSync(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vb.digestOnce.Do(func() {}) // the zero digest, which no set has
+		vb.meta.digest = msethash.Digest{} // the zero digest, which no set has
 		_, err = a.Reconcile(context.Background(), b, WithStrongVerify(strong))
 		if strong && !errors.Is(err, ErrVerificationFailed) {
 			t.Fatalf("StrongVerify against a forged digest: err %v, want ErrVerificationFailed", err)

@@ -3,6 +3,7 @@ package pbs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"pbs/internal/core"
@@ -101,9 +102,11 @@ type initiatorSession struct {
 	// specBits is the payload of a speculative round the responder declined
 	// (still spent on the wire, so still accounted); peerDigest is the
 	// responder's whole-set digest from the hello reply, which a
-	// StrongVerify session compares locally at the end.
+	// StrongVerify session compares at the end with expect: the view's
+	// digest with each verified difference element toggled in (§2.2.3).
 	specBits   int
 	peerDigest msethash.Digest
+	expect     *msethash.Hash
 
 	// adaptive records the responder's grant of the call's adaptive offer,
 	// under which both endpoints re-derive (m, t) per round from the Markov
@@ -181,7 +184,7 @@ func (ss *sharedSet) newInitiator(opt Options, c initiatorCall) (*initiatorSessi
 		Features:     c.features,
 		Name:         c.name,
 		SpecD:        specD,
-		Sketches:     frame.EncodeSketches(ss.towSketch()),
+		Sketches:     frame.EncodeSketches(ss.meta.sketch),
 		Round1:       round1,
 	})
 	// The hello envelope (version, flags, name, d_spec, sketch) is
@@ -209,6 +212,16 @@ func (s *initiatorSession) replan(d uint64) error {
 	}
 	if s.call.onDelta != nil {
 		alice.OnVerifiedDelta(s.call.onDelta)
+	}
+	if s.opt.StrongVerify {
+		s.expect = msethash.FromDigest(s.opt.Seed^verifySeedTweak, s.shared.meta.digest)
+		alice.OnVerifiedSide(func(x uint64, held bool) {
+			if held {
+				s.expect.Remove(x)
+			} else {
+				s.expect.Add(x)
+			}
+		})
 	}
 	s.plan, s.alice = plan, alice
 	return nil
@@ -347,7 +360,7 @@ func (s *initiatorSession) finish() ([]frame.Frame, bool, error) {
 		EstimatorBytes: s.estBytes,
 		Replans:        s.alice.Replans(),
 	}
-	if s.opt.StrongVerify && s.res.Complete && s.expectedDigest() != s.peerDigest {
+	if s.opt.StrongVerify && s.res.Complete && s.expect.Sum() != s.peerDigest {
 		// The difference just failed verification: do not leave a Result
 		// claiming Complete=true reachable.
 		s.res = nil
@@ -356,60 +369,65 @@ func (s *initiatorSession) finish() ([]frame.Frame, bool, error) {
 	return oneFrame(frame.MsgDone, nil), true, nil
 }
 
-// expectedDigest is the multiset-hash digest of what the responder's set
-// must be if the learned difference is right: the local set with the
-// difference toggled in (§2.2.3). It resumes from the shared view's cached
-// whole-set digest, so only the |D̂| toggles are hashed here.
-func (s *initiatorSession) expectedDigest() msethash.Digest {
-	h := msethash.FromDigest(s.opt.Seed^verifySeedTweak, s.shared.verifyDigest())
-	for _, x := range s.res.Difference {
-		if s.shared.snap.Contains(x) {
-			h.Remove(x)
-		} else {
-			h.Add(x)
-		}
-	}
-	return h.Sum()
+// setMeta is what a set keeps of itself besides its elements: their count,
+// their ToW sketch and their §2.2.3 multiset-hash digest. A Set and a hosted
+// set each keep theirs exact under every effective write (step); metaFor is
+// the one whole-set pass either takes.
+type setMeta struct {
+	count  int
+	sketch []int64
+	digest msethash.Digest
 }
 
-// sharedSet is an immutable responder set prepared once and shared by any
-// number of concurrent responder sessions. Element validation, the
-// per-plan group partitions, the ToW sketch of the set, and the
-// strong-verification digest are each computed a single time instead of
-// per session — the difference between a server carrying N sessions and a
-// server carrying N copies of its set. All methods are safe for
-// concurrent use.
+// metaFor computes the metadata of elems, which must be distinct, under the
+// protocol seed.
+func metaFor(tow *estimator.ToW, seed uint64, elems []uint64) setMeta {
+	h := msethash.New(seed ^ verifySeedTweak)
+	h.AddSet(elems)
+	return setMeta{count: len(elems), sketch: tow.Sketch(elems), digest: h.Sum()}
+}
+
+// step applies one effective write, x inserted (add) or deleted: O(ℓ) for
+// the sketch and one element hash for the digest.
+func (m *setMeta) step(tow *estimator.ToW, seed, x uint64, add bool) {
+	h := msethash.FromDigest(seed^verifySeedTweak, m.digest)
+	if add {
+		tow.Add(m.sketch, x)
+		h.Add(x)
+		m.count++
+	} else {
+		tow.Remove(m.sketch, x)
+		h.Remove(x)
+		m.count--
+	}
+	m.digest = h.Sum()
+}
+
+// clone returns a copy whose sketch later steps of m leave alone: a view's.
+func (m setMeta) clone() setMeta {
+	m.sketch = slices.Clone(m.sketch)
+	return m
+}
+
+// sharedSet is an immutable view of a set, shared by any number of
+// concurrent sessions. Element validation and the per-plan group partitions
+// are computed a single time instead of per session, and the count, ToW
+// sketch and digest come with the view, kept by the set it was cut from —
+// the difference between a server carrying N sessions and a server carrying
+// N copies of its set. All methods are safe for concurrent use.
 type sharedSet struct {
 	opt  Options // defaults applied; every session inherits these
 	snap *core.Snapshot
 	tow  *estimator.ToW
+	meta setMeta // read-only
 
 	// Cold (evicted) hosted sets defer the snapshot: loadSnap pages the
 	// elements in the first time a session actually needs them — decoding
-	// a delta round — while estimates and digest verification are answered
-	// from the preset sketch/digest below. count carries the element count
-	// so sizing (Len, the server MaxD tightening) works without elements;
-	// like loadSnap it is fixed at construction.
+	// a delta round — while estimates, digest verification and sizing are
+	// answered from meta.
 	loadSnap func() (*core.Snapshot, error)
 	snapOnce sync.Once
 	snapErr  error
-	count    int
-
-	sketchOnce sync.Once
-	sketch     []int64
-
-	digestOnce sync.Once
-	digest     msethash.Digest
-}
-
-// preset fires the sketch and digest Onces with values the caller
-// maintains incrementally (or recovered from persisted metadata), before
-// the set is shared, so towSketch/verifyDigest never pass over — or, for a
-// lazy view, page in — the elements.
-func (ss *sharedSet) preset(sketch []int64, digest msethash.Digest) *sharedSet {
-	ss.sketchOnce.Do(func() { ss.sketch = sketch })
-	ss.digestOnce.Do(func() { ss.digest = digest })
-	return ss
 }
 
 // snapshot returns the materialized element snapshot, invoking loadSnap at
@@ -422,34 +440,6 @@ func (ss *sharedSet) snapshot() (*core.Snapshot, error) {
 		ss.snap, ss.snapErr = ss.loadSnap()
 	})
 	return ss.snap, ss.snapErr
-}
-
-// Len returns the number of elements in the set.
-func (ss *sharedSet) len() int {
-	if ss.loadSnap != nil {
-		// Sized by the persisted count, never by peeking at snap: a session
-		// is admitted (and calls Len) while a sibling pages the snapshot in.
-		return ss.count
-	}
-	return ss.snap.Len()
-}
-
-// towSketch returns the set's ToW sketch vector, computed on first use and
-// then shared read-only by every session.
-func (ss *sharedSet) towSketch() []int64 {
-	ss.sketchOnce.Do(func() { ss.sketch = ss.tow.Sketch(ss.snap.Elements()) })
-	return ss.sketch
-}
-
-// verifyDigest returns the §2.2.3 strong-verification digest of the set,
-// computed on first use.
-func (ss *sharedSet) verifyDigest() msethash.Digest {
-	ss.digestOnce.Do(func() {
-		h := msethash.New(ss.opt.Seed ^ verifySeedTweak)
-		h.AddSet(ss.snap.Elements())
-		ss.digest = h.Sum()
-	})
-	return ss.digest
 }
 
 // newServerSession returns a responder session against the shared set
@@ -465,7 +455,7 @@ func (ss *sharedSet) verifyDigest() msethash.Digest {
 func (ss *sharedSet) newServerSession() *responderSession {
 	opt := ss.opt
 	if opt.MaxD == 0 {
-		if cap := 64*ss.len() + 1024; cap < DefaultMaxD {
+		if cap := 64*ss.meta.count + 1024; cap < DefaultMaxD {
 			opt.MaxD = cap
 		}
 	}
@@ -602,7 +592,7 @@ func (s *responderSession) hello(h frame.Hello) ([]frame.Frame, bool, error) {
 		s.specAccepted = true
 	}
 	if h.WantDigest {
-		rep.Digest = s.shared.verifyDigest().Bytes()
+		rep.Digest = s.shared.meta.digest.Bytes()
 	}
 	return oneFrame(frame.MsgHelloReplyV1, frame.AppendHelloReply(nil, rep)), false, nil
 }
@@ -621,7 +611,7 @@ func (s *responderSession) estimate(sketches []byte) (uint64, error) {
 	if len(theirs) != s.opt.EstimatorSketches {
 		return 0, fmt.Errorf("pbs: peer sent %d sketches, want %d", len(theirs), s.opt.EstimatorSketches)
 	}
-	dhatF, err := s.shared.tow.Estimate(theirs, s.shared.towSketch())
+	dhatF, err := s.shared.tow.Estimate(theirs, s.shared.meta.sketch)
 	if err != nil {
 		return 0, err
 	}

@@ -24,7 +24,7 @@ func newSharedSet(set []uint64, o *Options) (*sharedSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &sharedSet{opt: opt, snap: snap, tow: tow}, nil
+	return &sharedSet{opt: opt, snap: snap, tow: tow, meta: metaFor(tow, opt.Seed, snap.Elements())}, nil
 }
 
 // frameBytes serializes frames the way the wire does.

@@ -23,16 +23,18 @@ import (
 // (Reconcile). A concurrent Server serves sets of its own (Server.Host).
 //
 // The handle is what makes repeated reconciliation cheap. Element
-// validation happens once, at insertion. The Tug-of-War estimator sketch is
-// maintained incrementally — O(ℓ) per Add/Remove, never re-sketched — so
-// the estimation phase of every sync starts for free. The validated
-// snapshot and its per-plan group partitions and round-one fold tables are
-// persistent — writes are journaled and applied to the previous view, which
-// shares everything they did not touch — so a sync after a mutation costs
-// the mutation, not the set. Every view is shared read-only by all
-// concurrent sessions. This is the amortization
-// that lets one process carry thousands of syncs per second against the
-// same data (see Server), now available to both protocol roles.
+// validation happens once, at insertion. The first view sorts the elements
+// into a snapshot and takes their count, Tug-of-War estimator sketch and
+// strong-verification digest in one pass; from then on each effective
+// Add/Remove keeps those exact — O(ℓ) for the sketch, one element hash for
+// the digest — as a hosted set keeps its own. The snapshot and its per-plan
+// group partitions and round-one fold tables are persistent — writes are
+// journaled and applied to the previous view, which shares everything they
+// did not touch — so a sync after a mutation costs the mutation, not the
+// set, with or without WithStrongVerify. Every view is shared read-only by
+// all concurrent sessions. This is the amortization that lets one process
+// carry thousands of syncs per second against the same data (see Server),
+// now available to both protocol roles.
 //
 // All methods are safe for concurrent use. Mutating the set while a sync is
 // in flight is safe: each sync operates on the immutable view current when
@@ -58,15 +60,13 @@ type Set struct {
 
 	mu    sync.RWMutex
 	elems map[uint64]struct{}
-	// sketch is the incrementally maintained ToW sketch, built by the
-	// first view (nil until then) and kept exact under Add/Remove
-	// afterwards.
-	sketch []int64
-	// shared is the last immutable view handed out (nil before the first,
-	// and after the journal overflowed); journal lists the effective writes
-	// since, in order. The next view applies the journal to shared.
+	// shared is the last immutable view handed out (nil before the first);
+	// journal lists the effective writes since, in order. The next view
+	// applies the journal to shared. meta is the set's metadata, taken by
+	// the first view and kept exact under Add/Remove afterwards.
 	shared  *sharedSet
 	journal []journalEntry
+	meta    setMeta
 }
 
 // journalEntry is one effective write: x was inserted (add) or deleted.
@@ -76,20 +76,31 @@ type journalEntry struct {
 }
 
 // journalFraction bounds the journal at |S|/journalFraction entries (plus a
-// little for tiny sets). Past that the set stops journaling and the next
-// view is rebuilt from scratch, which by then costs about what applying
-// would.
+// little for tiny sets). Past that the set applies the journal to its view
+// at once, so a burst of writes holds no more than that between syncs.
 const journalFraction = 8
 
-// record journals one effective write. Called with s.mu held.
+// record journals one effective write and steps the metadata. Called with
+// s.mu held.
 func (s *Set) record(x uint64, add bool) {
 	if s.shared == nil {
-		return // the next view is a full build; nothing to apply to
+		return // the first view builds everything from the elements
 	}
+	s.meta.step(s.tow, s.cfg.opt.Seed, x, add)
 	s.journal = append(s.journal, journalEntry{x, add})
 	if len(s.journal) > len(s.elems)/journalFraction+64 {
-		s.shared, s.journal = nil, nil
+		s.applyJournal()
 	}
+}
+
+// applyJournal makes the journal's net effect on the last view the new
+// view, carrying a copy of the metadata, and empties the journal; a journal
+// that cancels out leaves the view as it was. Called with s.mu held.
+func (s *Set) applyJournal() {
+	if add, remove := netJournal(s.journal); len(add)+len(remove) > 0 {
+		s.shared = &sharedSet{opt: s.cfg.opt, snap: s.shared.snap.Apply(add, remove), tow: s.tow, meta: s.meta.clone()}
+	}
+	s.journal = s.journal[:0]
 }
 
 // netJournal cancels the journal down to its net effect. An element's
@@ -188,8 +199,11 @@ func WithMaxD(d int) Option { return func(c *setConfig) { c.opt.MaxD = d } }
 // safety cap).
 func WithMaxRounds(n int) Option { return func(c *setConfig) { c.opt.MaxRounds = n } }
 
-// WithStrongVerify toggles the §2.2.3 strong multiset-hash verification
-// exchange at the end of the session.
+// WithStrongVerify toggles the §2.2.3 strong multiset-hash verification:
+// the responder's hello reply carries its set's digest, 32 bytes, and the
+// initiator compares it at the end with its own digest, toggled by each
+// verified difference element. Both sets keep their digests under every
+// write, so the check costs no pass over either set.
 func WithStrongVerify(on bool) Option { return func(c *setConfig) { c.opt.StrongVerify = on } }
 
 // WithParallelism sets the local worker count for per-group encoding and
@@ -273,11 +287,12 @@ func checkElems(xs []uint64, bits uint) error {
 
 // NewSet validates elems once and returns a reusable set handle. Elements
 // must be nonzero, distinct, and fit in the configured SigBits. The one-off
-// costs are O(|S|) validation here and the O(|S|·ℓ) initial estimator
-// sketch on the first sync that estimates (one reduction per hash lane and
-// element, split across GOMAXPROCS goroutines above a few thousand
-// elements); after that, mutation costs O(ℓ) per element and every
-// reconciliation starts from the warm state.
+// costs are O(|S|) validation here and, on the first sync, the snapshot's
+// sort, the O(|S|·ℓ) initial estimator sketch (one reduction per hash lane
+// and element, split across GOMAXPROCS goroutines above a few thousand
+// elements) and the verification digest (one hash per element); after that,
+// mutation costs O(ℓ) per element and every reconciliation starts from the
+// warm state.
 func NewSet(elems []uint64, opts ...Option) (*Set, error) {
 	var cfg setConfig
 	for _, o := range opts {
@@ -338,7 +353,8 @@ func (s *Set) Elements() []uint64 {
 // Add inserts elements, returning how many were actually new (already
 // present elements are no-ops). Invalid elements — zero, or wider than the
 // set's SigBits — fail the whole call before anything is inserted. Each
-// insertion updates the estimator sketch incrementally in O(ℓ).
+// insertion updates the estimator sketch incrementally in O(ℓ), and the
+// verification digest by one element hash.
 func (s *Set) Add(xs ...uint64) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -351,9 +367,6 @@ func (s *Set) Add(xs ...uint64) (int, error) {
 			continue
 		}
 		s.elems[x] = struct{}{}
-		if s.sketch != nil {
-			s.tow.Add(s.sketch, x)
-		}
 		s.record(x, true)
 		added++
 	}
@@ -362,8 +375,8 @@ func (s *Set) Add(xs ...uint64) (int, error) {
 
 // Remove deletes elements, returning how many were actually present.
 // Absent elements are no-ops. Each removal updates the estimator sketch
-// incrementally in O(ℓ) — the ToW sketch is a linear ±1 sketch, so removal
-// is exact cancellation, not recomputation.
+// incrementally in O(ℓ) and the digest by one element hash — both are
+// linear, so removal is exact cancellation, not recomputation.
 func (s *Set) Remove(xs ...uint64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -373,9 +386,6 @@ func (s *Set) Remove(xs ...uint64) int {
 			continue
 		}
 		delete(s.elems, x)
-		if s.sketch != nil {
-			s.tow.Remove(s.sketch, x)
-		}
 		s.record(x, false)
 		removed++
 	}
@@ -384,39 +394,26 @@ func (s *Set) Remove(xs ...uint64) int {
 
 // view returns the current immutable view of the set. After a mutation
 // the new view is the previous one with the journaled writes applied — the
-// snapshot shares everything they left alone — and only the first view, or
-// one after a journal overflow, collects the elements afresh (the snapshot
-// sorts them). Elements are never re-validated (they were at insertion);
-// the verification digest is re-derived lazily inside the view if a
-// session needs it. The view carries the set's incrementally maintained
-// ToW sketch, which the first view builds.
+// snapshot shares everything they left alone — and only the first view
+// collects the elements afresh (the snapshot sorts them) and takes their
+// metadata. Elements are never re-validated (they were at insertion).
 func (s *Set) view() (*sharedSet, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.shared == nil {
-		elems := make([]uint64, 0, len(s.elems))
-		for x := range s.elems {
-			elems = append(elems, x)
-		}
-		snap, err := core.NewValidatedSnapshot(elems, s.cfg.opt.coreConfig())
-		if err != nil {
-			return nil, err
-		}
-		s.shared = &sharedSet{opt: s.cfg.opt, snap: snap, tow: s.tow}
-	} else if len(s.journal) > 0 {
-		if add, remove := netJournal(s.journal); len(add)+len(remove) > 0 {
-			s.shared = &sharedSet{opt: s.cfg.opt, snap: s.shared.snap.Apply(add, remove), tow: s.tow}
-		}
+	if s.shared != nil {
+		s.applyJournal()
+		return s.shared, nil
 	}
-	s.journal = s.journal[:0]
-	if s.sketch == nil {
-		// The handle's first view sketches its snapshot once; Add/Remove
-		// keep a copy exact.
-		s.sketch = slices.Clone(s.shared.towSketch())
+	elems := make([]uint64, 0, len(s.elems))
+	for x := range s.elems {
+		elems = append(elems, x)
 	}
-	// A no-op if the view already has its sketch — from an earlier call,
-	// or from the first sketch just above.
-	s.shared.sketchOnce.Do(func() { s.shared.sketch = slices.Clone(s.sketch) })
+	snap, err := core.NewValidatedSnapshot(elems, s.cfg.opt.coreConfig())
+	if err != nil {
+		return nil, err
+	}
+	s.meta = metaFor(s.tow, s.cfg.opt.Seed, snap.Elements())
+	s.shared = &sharedSet{opt: s.cfg.opt, snap: snap, tow: s.tow, meta: s.meta.clone()}
 	return s.shared, nil
 }
 
@@ -599,7 +596,7 @@ func (s *Set) Reconcile(ctx context.Context, other *Set, opts ...Option) (*Resul
 	}
 	specD := uint64(cfg.opt.KnownD)
 	if specD == 0 {
-		dhatF, err := s.tow.Estimate(mine.towSketch(), remote.towSketch())
+		dhatF, err := s.tow.Estimate(mine.meta.sketch, remote.meta.sketch)
 		if err != nil {
 			return nil, err
 		}

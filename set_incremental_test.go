@@ -39,11 +39,11 @@ func teeSync(t testing.TB, a, b *Set, opts ...Option) (res *Result, sent, receiv
 // TestSetJournaledViewWireIdentical mutates a warm Set through every path
 // the journal has — plain batches, an element added and removed again
 // between two syncs (and the reverse), writes that empty what the last sync
-// learned, and a burst that overflows the journal into a full rebuild — and
-// after each requires its sync to be byte-identical, in both directions, to
-// the sync of a Set built from scratch out of the same elements, for a
-// speculation the responder answers and one it declines (re-planning from
-// d̂).
+// learned, and a burst past the journal bound, which applies the journal
+// at once — and after each requires its sync to be byte-identical, in both
+// directions, to the sync of a Set built from scratch out of the same
+// elements, for a speculation the responder answers and one it declines
+// (re-planning from d̂).
 func TestSetJournaledViewWireIdentical(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 12000, D: 60, Seed: 91})
 	rng := rand.New(rand.NewPCG(91, 92))
@@ -137,26 +137,32 @@ func TestSetJournaledViewWireIdentical(t *testing.T) {
 	}
 	check("difference applied")
 
-	// A burst past the journal bound: the next view is a full rebuild.
+	// A burst past the journal bound: the write that crosses it applies the
+	// journal to the view, which the set keeps, and empties the journal.
+	before, _ = warm.view()
 	var burst []uint64
-	for len(burst) < 2*len(p.A)/journalFraction {
+	for applied := false; !applied; {
+		if len(burst) > 2*len(p.A)/journalFraction {
+			t.Fatal("a burst past the journal bound did not apply the journal")
+		}
 		burst = append(burst, fresh())
-	}
-	warm.Add(burst...)
-	warm.mu.RLock()
-	overflowed := warm.shared == nil && warm.journal == nil
-	warm.mu.RUnlock()
-	if !overflowed {
-		t.Fatal("a burst past the journal bound did not drop the view")
+		warm.Add(burst[len(burst)-1])
+		warm.mu.RLock()
+		applied = len(warm.journal) == 0
+		if applied && (warm.shared == nil || warm.shared == before) {
+			t.Fatal("a burst past the journal bound did not keep a view with the journal applied")
+		}
+		warm.mu.RUnlock()
 	}
 	warm.Remove(burst[:len(burst)-7]...)
 	check("journal overflow")
 }
 
-// TestSetFirstSketchFromSnapshot: a handle's first sketch is its view's
-// bulk sketch of the snapshot, split across goroutines at this size. Taken
-// after writes, it must equal a fresh sketch of the elements, and later
-// writes must keep it so.
+// TestSetFirstSketchFromSnapshot: a handle's first metadata is taken from
+// its view's snapshot, the sketch in bulk, split across goroutines at this
+// size. Taken after writes, its count, sketch and digest must equal a fresh
+// build of the elements, and later writes — a burst past the journal bound
+// among them — must keep them so, in the handle and in its view.
 func TestSetFirstSketchFromSnapshot(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 15000, D: 40, Seed: 61})
@@ -165,30 +171,46 @@ func TestSetFirstSketchFromSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(61, 62))
-	write := func() {
-		for i := 0; i < 30; i++ {
+	write := func(s *Set, n int) {
+		for i := 0; i < n; i++ {
 			if _, err := s.Add(uint64(rng.Uint32() | 1)); err != nil {
 				t.Fatal(err)
 			}
 			s.Remove(p.A[rng.IntN(len(p.A))])
 		}
 	}
-	requireSketch := func(when string) {
+	requireMeta := func(s *Set, when string) {
 		t.Helper()
 		v, err := s.view()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := s.tow.Sketch(s.Elements())
-		if !slices.Equal(s.sketch, want) || !slices.Equal(v.towSketch(), want) {
-			t.Fatalf("%s: the handle's sketch differs from a fresh sketch of its elements", when)
+		elems := s.Elements()
+		want := metaFor(s.tow, s.cfg.opt.Seed, elems)
+		if ys := s.tow.Sketch(elems); !slices.Equal(want.sketch, ys) {
+			t.Fatalf("%s: metaFor's sketch differs from a fresh sketch", when)
+		}
+		for _, got := range []setMeta{s.meta, v.meta} {
+			if got.count != len(elems) || !slices.Equal(got.sketch, want.sketch) || got.digest != want.digest {
+				t.Fatalf("%s: the metadata (count %d) differs from a fresh build of the elements (count %d)", when, got.count, len(elems))
+			}
 		}
 	}
 
-	write()
-	requireSketch("first sketch")
-	write()
-	requireSketch("after writes")
+	write(s, 30)
+	requireMeta(s, "first sketch")
+	write(s, 30)
+	requireMeta(s, "after writes")
+	write(s, len(p.A)/journalFraction+64)
+	requireMeta(s, "burst past the journal bound")
+
+	// One write before the first view, and none after.
+	one, err := NewSet(p.A, WithSeed(62))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one.Remove(p.A[0])
+	requireMeta(one, "a write before the first view")
 }
 
 // TestSetViewsStableUnderWrites hammers a Set with writes while sessions run
@@ -317,26 +339,36 @@ func TestWarmSyncAllocationBudget(t *testing.T) {
 	// median read 44,144 B (five runs each, go1.24, linux/amd64). Under
 	// the race detector sync.Pool drops a quarter of what it is handed and
 	// the median reads 70–100 KB, so there the budget stays at 1 MB.
-	t.Run("100k", func(t *testing.T) {
-		if testing.Short() {
-			t.Skip("builds two 100k-element sets")
-		}
-		p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 100000, D: 100, Seed: 23})
-		a, b := warmSetPair(t, p, 24)
-		// 50 effective writes per sync that keep |A△B| at 125.
-		churn := steadyChurn(t, a, p, 25)
-		costs := warmSyncAllocs(t, a, b, func(i int) int {
-			churn(i)
-			return len(p.Diff) + 25
+	// The same shape and budget hold under StrongVerify: both sets keep
+	// their digests under writes, and the initiator finds each learned
+	// element's side in the scope that verified it, so the check hashes the
+	// difference, not the set (re-hashing and flattening 100k elements read
+	// some 800 KB a sync).
+	for _, tc := range []struct {
+		name   string
+		strong bool
+	}{{"100k", false}, {"100k-strong", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() {
+				t.Skip("builds two 100k-element sets")
+			}
+			p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 100000, D: 100, Seed: 23})
+			a, b := warmSetPair(t, p, 24)
+			// 50 effective writes per sync that keep |A△B| at 125.
+			churn := steadyChurn(t, a, p, 25)
+			costs := warmSyncAllocs(t, a, b, func(i int) int {
+				churn(i)
+				return len(p.Diff) + 25
+			}, WithStrongVerify(tc.strong))
+			budget := uint64(28584 + 8<<10)
+			if raceDetector {
+				budget = 1 << 20
+			}
+			if median := costs[len(costs)/2]; median > budget {
+				t.Fatalf("a warm sync after 50 writes allocated %d B (median of %v), budget %d B", median, costs, budget)
+			}
 		})
-		budget := uint64(28584 + 8<<10)
-		if raceDetector {
-			budget = 1 << 20
-		}
-		if median := costs[len(costs)/2]; median > budget {
-			t.Fatalf("a warm sync after 50 writes allocated %d B (median of %v), budget %d B", median, costs, budget)
-		}
-	})
+	}
 	// warm_small's shape: |A| = 2k, d = 20, 5 writes a sync. The responder's
 	// set is never written, so from its second session on it reads a
 	// round-one table (G = 35, m = 6: 2,240 words, over |B|) it keeps; the
@@ -389,11 +421,11 @@ func warmSetPair(t *testing.T, p *workload.Pair, seed uint64) (a, b *Set) {
 	return a, b
 }
 
-// warmSyncAllocs syncs a against b after each batch of writes churn(i)
-// makes (it returns the |A△B| the sync must learn) and reports the bytes
-// allocated by each of five syncs, ascending, after three that warm views,
-// sketches, shapes, pools and the learned prior.
-func warmSyncAllocs(t *testing.T, a, b *Set, churn func(i int) int) []uint64 {
+// warmSyncAllocs syncs a against b under opts after each batch of writes
+// churn(i) makes (it returns the |A△B| the sync must learn) and reports the
+// bytes allocated by each of five syncs, ascending, after three that warm
+// views, sketches, shapes, pools and the learned prior.
+func warmSyncAllocs(t *testing.T, a, b *Set, churn func(i int) int, opts ...Option) []uint64 {
 	t.Helper()
 	const warm, runs = 3, 5
 	var costs []uint64
@@ -401,7 +433,7 @@ func warmSyncAllocs(t *testing.T, a, b *Set, churn func(i int) int) []uint64 {
 	for i := 0; i < warm+runs; i++ {
 		want := churn(i)
 		runtime.ReadMemStats(&before)
-		res, _, _ := teeSync(t, a, b)
+		res, _, _ := teeSync(t, a, b, opts...)
 		runtime.ReadMemStats(&after)
 		if !res.Complete || len(res.Difference) != want {
 			t.Fatalf("bad sync: complete=%v |diff|=%d, want %d", res.Complete, len(res.Difference), want)

@@ -444,7 +444,7 @@ func declineRow(t *testing.T, responder string, p *workload.Pair) wireRow {
 	conn := dialLoopTest(t, tl.Addr().String())
 	opening := []frame.Frame{
 		{Type: retiredMsgHello, Payload: []byte(DefaultSetName)},
-		{Type: retiredMsgEstimate, Payload: frame.EncodeSketches(ss.towSketch())},
+		{Type: retiredMsgEstimate, Payload: frame.EncodeSketches(ss.meta.sketch)},
 	}
 	if _, err := frame.WriteAll(conn, opening); err != nil {
 		t.Fatal(err)
