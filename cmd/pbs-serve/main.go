@@ -248,18 +248,29 @@ func runClient(addr, setName string, opt *pbs.Options, setPath string, demoSize,
 	if err != nil {
 		fatal(err)
 	}
+	start := time.Now()
+	set, err := pbs.NewSet(local, pbs.WithOptions(*opt))
+	if err != nil {
+		fatal(err)
+	}
 	// The server resolves a hello without a name to its default set; only
 	// name non-default sets explicitly.
-	c := &pbs.Client{Addr: addr, Options: opt, Timeout: 2 * time.Minute}
-	if setName != pbs.DefaultSetName {
-		c.Set = setName
+	if setName == pbs.DefaultSetName {
+		setName = ""
 	}
 	// SIGINT aborts an in-flight sync promptly: the context cancellation
 	// is wired into the connection deadlines.
 	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer cancel()
-	start := time.Now()
-	res, err := c.SyncContext(ctx, local)
+	ctx, cancel = context.WithTimeout(ctx, 2*time.Minute)
+	defer cancel()
+	d := net.Dialer{Timeout: 10 * time.Second}
+	conn, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		fatal(err)
+	}
+	defer conn.Close()
+	res, err := set.Sync(ctx, conn, pbs.WithSetName(setName), pbs.WithIdleTimeout(pbs.DefaultIdleTimeout))
 	if err != nil {
 		fatal(err)
 	}

@@ -101,8 +101,8 @@ func parsePeerErrPayload(payload []byte) *PeerError {
 	return &PeerError{Code: code, RetryAfter: ra, Msg: sanitizeErrMsg(msg)}
 }
 
-// Retryable classifies an error from Set.Sync or Client.Sync: it reports
-// whether a fresh attempt over a new connection could plausibly succeed.
+// Retryable classifies an error from Set.Sync: it reports whether a fresh
+// attempt over a new connection could plausibly succeed.
 // Transport-level failures (dial errors, resets, mid-round disconnects,
 // stall timeouts) and busy-coded peer rejections are retryable; protocol
 // rejections, verification failures, budget exhaustion, and context

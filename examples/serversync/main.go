@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -60,8 +61,7 @@ func main() {
 		go func(i int) {
 			defer wg.Done()
 			local, drift := driftedCopy(reference, int64(i))
-			c := &pbs.Client{Addr: ln.Addr().String(), Options: opt, Timeout: time.Minute}
-			res, err := c.Sync(local)
+			res, err := catchUp(ln.Addr().String(), local, opt)
 			if err != nil {
 				log.Fatalf("client %d: %v", i, err)
 			}
@@ -88,8 +88,7 @@ func main() {
 		log.Fatal(err)
 	}
 	local, _ := driftedCopy(reference, 999)
-	c := &pbs.Client{Addr: ln.Addr().String(), Options: opt, Timeout: time.Minute}
-	res, err := c.Sync(local)
+	res, err := catchUp(ln.Addr().String(), local, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -103,6 +102,24 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("server: drained and stopped — one shared snapshot per epoch, zero per-session copies")
+}
+
+// catchUp is one client's sync: a Set holding its local copy, reconciled
+// against the server's catalog over a connection of its own.
+func catchUp(addr string, local []uint64, opt *pbs.Options) (*pbs.Result, error) {
+	set, err := pbs.NewSet(local, pbs.WithOptions(*opt))
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	return set.Sync(ctx, conn)
 }
 
 // driftedCopy returns the reference set minus a client-specific slice of

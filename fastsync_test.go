@@ -296,8 +296,7 @@ func TestClientLegacyFallback(t *testing.T) {
 	opt := Options{Seed: 70}
 	tl := startWireResponder(t, "v0", p.B, opt)
 
-	c := &Client{Addr: tl.Addr().String(), Options: &opt, Timeout: time.Minute}
-	_, err := c.Sync(p.A)
+	_, err := dialSync(tl.Addr().String(), "", &opt, p.A)
 	var pe *PeerError
 	if !errors.As(err, &pe) || pe.Msg != "pbs: unexpected message type 10" {
 		t.Fatalf("client against a protocol-0 peer: %v, want the peer's diagnostic as a *PeerError", err)

@@ -9,7 +9,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"pbs/internal/setstore"
 )
@@ -50,7 +49,7 @@ func TestHostedEvictionDecisionsPinned(t *testing.T) {
 			continue
 		}
 		local, want := hostedClientSet(cur[k], k+step)
-		mustSyncExact(t, addr, opt, "p", fmt.Sprintf("s%d", k), local, want)
+		mustSyncExact(t, addr, opt, fmt.Sprintf("p/s%d", k), local, want)
 		for _, x := range sortedU64(want) {
 			fmt.Fprintf(h, "%d:%x,", step, x)
 		}
@@ -118,7 +117,7 @@ func TestHostedEvictedDirtySyncsNewestWrites(t *testing.T) {
 			}
 		}
 		local, want := hostedClientSet(cur[k], i)
-		mustSyncExact(t, addr, opt, "d", fmt.Sprintf("s%d", k), local, want)
+		mustSyncExact(t, addr, opt, fmt.Sprintf("d/s%d", k), local, want)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -130,7 +129,7 @@ func TestHostedEvictedDirtySyncsNewestWrites(t *testing.T) {
 	addr = serveHosted(t, re)
 	for k := range cur {
 		local, want := hostedClientSet(cur[k], k)
-		mustSyncExact(t, addr, opt, "d", fmt.Sprintf("s%d", k), local, want)
+		mustSyncExact(t, addr, opt, fmt.Sprintf("d/s%d", k), local, want)
 	}
 }
 
@@ -148,8 +147,7 @@ func TestHostedSyncTakesBackInFlightWrite(t *testing.T) {
 	addr := serveHosted(t, srv)
 	syncA := func() error {
 		local, want := hostedClientSet(a, 0)
-		c := &Client{Addr: addr, Tenant: "w", Set: "a", Options: opt, Timeout: time.Minute}
-		res, err := c.Sync(local)
+		res, err := dialSync(addr, "w/a", opt, local)
 		if err == nil && !slices.Equal(sortedU64(res.Difference), sortedU64(want)) {
 			err = fmt.Errorf("learned %d differences, want %d", len(res.Difference), len(want))
 		}
@@ -260,7 +258,7 @@ func TestHostedEvictionWriteFailure(t *testing.T) {
 	loads := srv.Stats().ColdLoads
 	for i := 0; i < 2; i++ {
 		local, want := hostedClientSet(a, i)
-		mustSyncExact(t, addr, opt, "f", "a", local, want)
+		mustSyncExact(t, addr, opt, "f/a", local, want)
 	}
 	hs := hostedOf(t, srv, "f/a")
 	hs.mu.Lock()
@@ -284,7 +282,7 @@ func TestHostedEvictionWriteFailure(t *testing.T) {
 	}
 	a = append(a, addA2...)
 	local, want := hostedClientSet(a, 2)
-	mustSyncExact(t, addr, opt, "f", "a", local, want)
+	mustSyncExact(t, addr, opt, "f/a", local, want)
 
 	if err := os.Rename(away, dir); err != nil {
 		t.Fatal(err)
@@ -299,7 +297,7 @@ func TestHostedEvictionWriteFailure(t *testing.T) {
 	addr = serveHosted(t, re)
 	for name, elems := range map[string][]uint64{"a": a, "b": b} {
 		local, want := hostedClientSet(elems, 3)
-		mustSyncExact(t, addr, opt, "f", name, local, want)
+		mustSyncExact(t, addr, opt, "f/"+name, local, want)
 	}
 }
 
@@ -346,8 +344,7 @@ func TestHostedColdLoadRefusesOutOfUniverse(t *testing.T) {
 			}
 			addr := serveHosted(t, srv)
 			local, _ := hostedClientSet(base, 1)
-			c := &Client{Addr: addr, Tenant: "x", Set: "bad", Options: opt}
-			if res, err := c.Sync(local); err == nil {
+			if res, err := dialSync(addr, "x/bad", opt, local); err == nil {
 				t.Fatalf("sync against the bad chain learned %d elements", len(res.Difference))
 			}
 			hs := hostedOf(t, srv, "x/bad")

@@ -62,20 +62,19 @@ func serveHosted(t *testing.T, srv *Server) string {
 	return ln.Addr().String()
 }
 
-func mustSyncExact(t *testing.T, addr string, opt *Options, tenant, set string, local, want []uint64) {
+func mustSyncExact(t *testing.T, addr string, opt *Options, name string, local, want []uint64) {
 	t.Helper()
-	c := &Client{Addr: addr, Tenant: tenant, Set: set, Options: opt, Timeout: time.Minute}
-	res, err := c.Sync(local)
+	res, err := dialSync(addr, name, opt, local)
 	if err != nil {
-		t.Fatalf("sync %s/%s: %v", tenant, set, err)
+		t.Fatalf("sync %q: %v", name, err)
 	}
 	got, exp := sortedU64(res.Difference), sortedU64(want)
 	if len(got) != len(exp) {
-		t.Fatalf("sync %s/%s: |diff| = %d, want %d", tenant, set, len(got), len(exp))
+		t.Fatalf("sync %q: |diff| = %d, want %d", name, len(got), len(exp))
 	}
 	for i := range got {
 		if got[i] != exp[i] {
-			t.Fatalf("sync %s/%s: diff mismatch at %d", tenant, set, i)
+			t.Fatalf("sync %q: diff mismatch at %d", name, i)
 		}
 	}
 }
@@ -208,7 +207,7 @@ func TestHostedEvictionConvergence(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		for k := 0; k < sets; k++ {
 			local, want := hostedClientSet(hostedBase(k, size), k)
-			mustSyncExact(t, addr, opt, "acme", fmt.Sprintf("s%02d", k), local, want)
+			mustSyncExact(t, addr, opt, fmt.Sprintf("acme/s%02d", k), local, want)
 		}
 	}
 
@@ -290,7 +289,7 @@ func TestHostedRestartRecovery(t *testing.T) {
 	addr := serveHosted(t, srvB)
 	for k := 0; k < sets; k++ {
 		local, want := hostedClientSet(finals[k], k)
-		mustSyncExact(t, addr, opt, "t", fmt.Sprintf("x%d", k), local, want)
+		mustSyncExact(t, addr, opt, fmt.Sprintf("t/x%d", k), local, want)
 	}
 }
 
@@ -346,7 +345,7 @@ func TestRegisterPersists(t *testing.T) {
 	}
 	addr := serveHosted(t, re)
 	local, want := hostedClientSet(base, 3)
-	mustSyncExact(t, addr, opt, "", "", local, want)
+	mustSyncExact(t, addr, opt, "", local, want)
 	if got := re.Stats().ColdLoads; got != 1 {
 		t.Fatalf("ColdLoads = %d, want 1", got)
 	}
@@ -558,8 +557,7 @@ func TestTenantQuotas(t *testing.T) {
 	// The refusal of the second session's hello keeps its code: one
 	// connection, one quota rejection, retryable with the server's hint.
 	rejections := srv.Stats().QuotaRejections
-	c := &Client{Addr: addr, Tenant: "busy", Set: "s", Options: opt, Timeout: 30 * time.Second}
-	_, err = c.Sync(local)
+	_, err = dialSync(addr, "busy/s", opt, local)
 	if !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("second session: %v, want ErrQuotaExceeded", err)
 	}
@@ -580,7 +578,7 @@ func TestTenantQuotas(t *testing.T) {
 		_, _, sessions := srv.TenantUsage("busy")
 		return sessions == 0
 	})
-	mustSyncExact(t, addr, opt, "busy", "s", local, want)
+	mustSyncExact(t, addr, opt, "busy/s", local, want)
 }
 
 // TestRegistryChurnWithLiveSessions hammers Register/Host/Unregister/
@@ -627,8 +625,7 @@ func TestRegistryChurnWithLiveSessions(t *testing.T) {
 			defer wg.Done()
 			local, want := hostedClientSet(base, g)
 			for i := 0; i < 5; i++ {
-				c := &Client{Addr: addr, Options: opt, Timeout: time.Minute}
-				res, err := c.Sync(local)
+				res, err := dialSync(addr, "", opt, local)
 				if err != nil {
 					errCh <- fmt.Errorf("syncer %d: %w", g, err)
 					return

@@ -98,7 +98,7 @@ func TestHostedReadOnlySyncsWriteNothing(t *testing.T) {
 	for pass := 0; pass < 3; pass++ {
 		for k := 0; k < sets; k++ {
 			local, want := hostedClientSet(hostedBase(k, size), k)
-			mustSyncExact(t, addr, opt, "ro", fmt.Sprintf("s%02d", k), local, want)
+			mustSyncExact(t, addr, opt, fmt.Sprintf("ro/s%02d", k), local, want)
 		}
 	}
 	waitFor(t, func() bool { return srv.Stats().Active == 0 })
@@ -242,7 +242,7 @@ func TestHostedUpdateMatchesFreshHost(t *testing.T) {
 		t.Fatalf("recovered %d sets (%v), want 2", n, err)
 	}
 	requireMeta(t, hostedOf(t, re, "m/set"), final, "after restart")
-	mustSyncExact(t, serveHosted(t, re), opt, "m", "set", local, want)
+	mustSyncExact(t, serveHosted(t, re), opt, "m/set", local, want)
 }
 
 // TestHostedRejectsInvalidElements: Host and HostedUpdate refuse a zero or
@@ -289,7 +289,7 @@ func TestHostedRejectsInvalidElements(t *testing.T) {
 		t.Fatalf("a rejected HostedUpdate left %d bytes reserved, want %d", reserved, hostedElemBytes*len(base))
 	}
 	local, want := hostedClientSet(base, 2)
-	mustSyncExact(t, serveHosted(t, srv), opt, "v", "set", local, want)
+	mustSyncExact(t, serveHosted(t, srv), opt, "v/set", local, want)
 }
 
 // TestHostedConcurrentWritesSyncsEvictions runs writers, readers and the
@@ -314,8 +314,7 @@ func TestHostedConcurrentWritesSyncsEvictions(t *testing.T) {
 
 	// sync is mustSyncExact for goroutines other than the test's own.
 	sync1 := func(k int, local, want []uint64) error {
-		c := &Client{Addr: addr, Tenant: "c", Set: fmt.Sprintf("s%d", k), Options: opt}
-		res, err := c.Sync(local)
+		res, err := dialSync(addr, fmt.Sprintf("c/s%d", k), opt, local)
 		if err != nil {
 			return fmt.Errorf("sync s%d: %w", k, err)
 		}
@@ -413,7 +412,7 @@ func TestHostedOpensParentDataDir(t *testing.T) {
 	for k := 0; k < sets; k++ {
 		requireMeta(t, hostedOf(t, srv, fmt.Sprintf("old/s%d", k)), finals[k], fmt.Sprintf("recovered s%d", k))
 		local, want := hostedClientSet(finals[k], k)
-		mustSyncExact(t, addr, opt, "old", fmt.Sprintf("s%d", k), local, want)
+		mustSyncExact(t, addr, opt, fmt.Sprintf("old/s%d", k), local, want)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -430,7 +429,7 @@ func TestHostedOpensParentDataDir(t *testing.T) {
 	addr = serveHosted(t, re)
 	for k := 0; k < sets; k++ {
 		local, want := hostedClientSet(finals[k], k)
-		mustSyncExact(t, addr, opt, "old", fmt.Sprintf("s%d", k), local, want)
+		mustSyncExact(t, addr, opt, fmt.Sprintf("old/s%d", k), local, want)
 	}
 }
 

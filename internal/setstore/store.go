@@ -508,21 +508,3 @@ func (s *Store) Merge(name string) (bool, error) {
 	s.pruneLocked(name, last)
 	return true, nil
 }
-
-// Remove deletes every segment of a set.
-func (s *Store) Remove(name string) error {
-	st := s.stripe(name)
-	st.Lock()
-	defer st.Unlock()
-	seqs := s.chain(name)
-	s.mu.Lock()
-	delete(s.index, name)
-	s.mu.Unlock()
-	var firstErr error
-	for _, seq := range seqs {
-		if err := os.Remove(filepath.Join(s.dir, segFileName(name, seq))); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}

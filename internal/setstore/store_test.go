@@ -380,29 +380,6 @@ func TestDeltaToUnpersistedSetFails(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	elems := seqElems(10, 2)
-	if err := s.AppendFull("s", elems, testMeta(elems)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Remove("s"); err != nil {
-		t.Fatal(err)
-	}
-	if s.Segments("s") != 0 {
-		t.Fatal("segments survived Remove")
-	}
-	ents, _ := os.ReadDir(dir)
-	if len(ents) != 0 {
-		t.Fatalf("%d files survived Remove", len(ents))
-	}
-}
-
 // TestMergeRacingAppends merges a chain over and over while deltas are
 // appended to it: a merge holds the set's lock from its replay to its
 // rename, so whatever interleaving happens every merge commits, the chain

@@ -39,9 +39,10 @@
 // Set.Sync initiates over any connection, Set.Respond answers a single
 // peer, and Set.Reconcile runs both endpoints in process. A Server answers
 // many sessions concurrently on a listener, against sets published with
-// Server.Host and written with Server.HostedUpdate; Client and MuxConn
-// carry initiator sessions at deployment scale. See examples/serversync and cmd/pbs-serve, and the README for
-// what replaced the entry points that predate Set.
+// Server.Host and written with Server.HostedUpdate; a MuxConn carries many
+// Set.Sync sessions over one connection. See examples/serversync and
+// cmd/pbs-serve, and the README for what replaced the entry points that
+// predate Set.
 package pbs
 
 import (

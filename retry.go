@@ -9,10 +9,10 @@ import (
 	"time"
 )
 
-// RetryPolicy controls how Set.Sync (and Client.Sync via Client.Retry)
-// retries retryable failures. Zero-valued fields take the defaults noted
-// on each field. Classification of failures is done by Retryable; see its
-// doc for the taxonomy.
+// RetryPolicy controls how Set.Sync (under WithRetry) retries retryable
+// failures. Zero-valued fields take the defaults noted on each field.
+// Classification of failures is done by Retryable; see its doc for the
+// taxonomy.
 type RetryPolicy struct {
 	// MaxAttempts is the total attempt budget including the first try.
 	// Default 4.
@@ -30,8 +30,8 @@ type RetryPolicy struct {
 	AttemptTimeout time.Duration
 	// Dial produces a fresh connection for an attempt. Required for any
 	// retry to happen when syncing over a raw conn: the failed conn is
-	// closed and cannot be reused. Client.Sync supplies its own dialer
-	// automatically.
+	// closed and cannot be reused. With Dial set, Sync may be passed a
+	// nil conn and dials every attempt itself.
 	Dial func(ctx context.Context) (net.Conn, error)
 	// OnRetry, when set, observes each scheduled retry: attempt is the
 	// 1-based number of the attempt that just failed, err its failure,

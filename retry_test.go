@@ -329,8 +329,8 @@ func TestServerBusyRetry(t *testing.T) {
 	time.Sleep(100 * time.Millisecond) // let the hog's handler start
 
 	// Without a retry policy the rejection is immediate and errors.Is-able.
-	c := &Client{Addr: addr, Options: opt, Timeout: 10 * time.Second}
-	_, err = c.SyncContext(context.Background(), []uint64{1, 2, 3})
+	local := []uint64{1, 2, 3}
+	_, err = dialSync(addr, "", opt, local)
 	if !errors.Is(err, ErrServerBusy) {
 		t.Fatalf("want ErrServerBusy, got %v", err)
 	}
@@ -342,17 +342,23 @@ func TestServerBusyRetry(t *testing.T) {
 		t.Fatalf("retry-after hint = %v, want 10ms", pe.RetryAfter)
 	}
 
-	// With a policy, the client keeps trying; releasing the hog on the
-	// first retry lets a later attempt in.
+	// With a policy, Sync dials every attempt and keeps trying; releasing
+	// the hog on the first retry lets a later attempt in.
+	set, err := NewSet(local, WithOptions(*opt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	var once sync.Once
-	c.Retry = &RetryPolicy{
+	res, err := set.Sync(ctx, nil, WithRetry(RetryPolicy{
 		MaxAttempts: 6,
 		BaseDelay:   5 * time.Millisecond,
+		Dial:        dialTo(addr),
 		OnRetry: func(int, error, time.Duration) {
 			once.Do(func() { hold.Close() })
 		},
-	}
-	res, err := c.SyncContext(context.Background(), []uint64{1, 2, 3})
+	}))
 	if err != nil {
 		t.Fatalf("retrying client failed: %v", err)
 	}
@@ -382,8 +388,7 @@ func TestServerSoftWatermark(t *testing.T) {
 	defer hold.Close()
 	time.Sleep(100 * time.Millisecond)
 
-	c := &Client{Addr: addr, Options: opt, Timeout: 10 * time.Second}
-	_, err = c.SyncContext(context.Background(), []uint64{1, 2, 3})
+	_, err = dialSync(addr, "", opt, []uint64{1, 2, 3})
 	if !errors.Is(err, ErrServerBusy) {
 		t.Fatalf("want ErrServerBusy from watermark shed, got %v", err)
 	}

@@ -25,8 +25,8 @@ import (
 //
 // A client opens a session with one msgHelloV1 frame naming the set (an
 // empty name selects DefaultSetName); the rest is the standard wire
-// protocol (internal/frame), so a Set.Sync or Client initiator talks to a
-// Server unchanged. A connection carries sessions one after another, each
+// protocol (internal/frame), so a Set.Sync initiator talks to a Server
+// unchanged. A connection carries sessions one after another, each
 // under fresh limits, so a warm client amortizes the dial across many
 // syncs; a version-2 hello may instead negotiate stream multiplexing
 // (mux.go), one session per stream. On top of the engine's own hardening
@@ -519,7 +519,11 @@ func (s *Server) Serve(ln net.Listener) error {
 			return err
 		}
 		backoff = 0
-		setNoDelay(conn)
+		// Go defaults TCP_NODELAY on, but the single-RTT hello depends on
+		// it, so every accepted connection sets it explicitly.
+		if tc, ok := conn.(*net.TCPConn); ok {
+			tc.SetNoDelay(true)
+		}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()

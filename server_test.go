@@ -36,6 +36,32 @@ func startTestServer(t *testing.T, base []uint64, opt ServerOptions) (*Server, s
 	return srv, ln.Addr().String()
 }
 
+// dialSync is one sync from a fresh handle: a Set of local under opt, a
+// fresh connection to addr, and one Set.Sync over it against the set the
+// server hosts under name ("" for its default set), bounded by a minute in
+// all and DefaultIdleTimeout per frame.
+func dialSync(addr, name string, opt *Options, local []uint64) (*Result, error) {
+	set, err := NewSet(local, WithOptions(*opt))
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	conn, err := dialTo(addr)(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	return set.Sync(ctx, conn, WithSetName(name), WithIdleTimeout(DefaultIdleTimeout))
+}
+
+// dialTo is a RetryPolicy.Dial hook that opens a TCP connection to addr.
+func dialTo(addr string) func(context.Context) (net.Conn, error) {
+	return func(ctx context.Context) (net.Conn, error) {
+		return new(net.Dialer).DialContext(ctx, "tcp", addr)
+	}
+}
+
 // testBaseSet returns a deterministic server-side set of n elements.
 func testBaseSet(n int) []uint64 {
 	set := make([]uint64, n)
@@ -93,8 +119,7 @@ func TestServerManyConcurrentSessions(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			local, want := clientSetAndDiff(base, i)
-			c := &Client{Addr: addr, Options: opt, Timeout: time.Minute}
-			res, err := c.Sync(local)
+			res, err := dialSync(addr, "", opt, local)
 			if err != nil {
 				errCh <- fmt.Errorf("client %d: %w", i, err)
 				return
@@ -148,8 +173,7 @@ func TestServerNamedSets(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := &Client{Addr: addr, Set: "alt", Options: opt, Timeout: time.Minute}
-	res, err := c.Sync([]uint64{1, 2, 3, 4})
+	res, err := dialSync(addr, "alt", opt, []uint64{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +181,7 @@ func TestServerNamedSets(t *testing.T) {
 		t.Fatalf("alt-set sync got %v", res.Difference)
 	}
 
-	c = &Client{Addr: addr, Set: "missing", Options: opt, Timeout: time.Minute}
-	if _, err := c.Sync([]uint64{1}); err == nil || !strings.Contains(err.Error(), "unknown set") {
+	if _, err := dialSync(addr, "missing", opt, []uint64{1}); err == nil || !strings.Contains(err.Error(), "unknown set") {
 		t.Fatalf("want unknown-set error, got %v", err)
 	}
 }
@@ -202,8 +225,7 @@ func TestServerByteBudget(t *testing.T) {
 		Protocol:          opt,
 		SessionByteBudget: 64, // smaller than one estimate frame
 	})
-	c := &Client{Addr: addr, Options: opt, Timeout: 10 * time.Second}
-	if _, err := c.Sync([]uint64{1, 2, 3}); err == nil || !strings.Contains(err.Error(), "byte budget") {
+	if _, err := dialSync(addr, "", opt, []uint64{1, 2, 3}); err == nil || !strings.Contains(err.Error(), "byte budget") {
 		t.Fatalf("want byte-budget rejection, got %v", err)
 	}
 	if st := srv.Stats(); st.Failed == 0 {
@@ -295,8 +317,7 @@ func TestServerShutdownDrains(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			local, _ := clientSetAndDiff(base, i)
-			c := &Client{Addr: addr, Options: opt, Timeout: time.Minute}
-			_, err := c.Sync(local)
+			_, err := dialSync(addr, "", opt, local)
 			errCh <- err
 		}(i)
 	}

@@ -149,8 +149,7 @@ type setConfig struct {
 type Option func(*setConfig)
 
 // WithOptions applies a flat Options struct wholesale — the shape
-// ServerOptions.Protocol and Client.Options take. Later options override
-// individual fields.
+// ServerOptions.Protocol takes. Later options override individual fields.
 func WithOptions(o Options) Option { return func(c *setConfig) { c.opt = o } }
 
 // WithSeed sets the shared protocol hash seed. Both parties must agree.

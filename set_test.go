@@ -162,8 +162,7 @@ func TestServerCloseCancellation(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 2000, D: 40, Seed: 63})
 	srv, addr, serveErr := serveSet(t, DefaultSetName, p.B, &Options{Seed: 64})
 
-	c := &Client{Addr: addr, Options: &Options{Seed: 64}, Timeout: 10 * time.Second}
-	res, err := c.Sync(p.A)
+	res, err := dialSync(addr, "", &Options{Seed: 64}, p.A)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,10 +445,11 @@ func TestSyncRestoresConnDeadlines(t *testing.T) {
 }
 
 // TestClientBlackHoleServer is the regression for the client-hang bugfix:
-// against a server that accepts and then never answers, the client must
-// fail by its own deadline machinery — Timeout (context deadline wired
-// into conn deadlines) or IdleTimeout (per-frame bound) — instead of
-// hanging forever as the deadline-less old client did.
+// against a server that accepts and then never answers, a Set.Sync over a
+// dialed connection must fail by its own deadline machinery — the
+// context's deadline (wired into the connection's deadlines) or
+// WithIdleTimeout (a per-frame bound) — instead of hanging forever as the
+// deadline-less old client did.
 func TestClientBlackHoleServer(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -475,39 +475,45 @@ func TestClientBlackHoleServer(t *testing.T) {
 		}
 	}()
 
-	local := []uint64{1, 2, 3, 4, 5}
-	for name, c := range map[string]*Client{
-		"Timeout":     {Addr: ln.Addr().String(), Timeout: 250 * time.Millisecond},
-		"IdleTimeout": {Addr: ln.Addr().String(), IdleTimeout: 250 * time.Millisecond},
-	} {
-		start := time.Now()
-		_, err := c.Sync(local)
-		if err == nil {
-			t.Fatalf("%s: sync against a black-hole server succeeded", name)
+	set, err := NewSet([]uint64{1, 2, 3, 4, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// syncHole runs one Set.Sync over a fresh connection to the black hole.
+	syncHole := func(ctx context.Context, opts ...Option) error {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if elapsed := time.Since(start); elapsed > 5*time.Second {
-			t.Fatalf("%s: client hung %v against a black-hole server", name, elapsed)
-		}
+		defer conn.Close()
+		_, err = set.Sync(ctx, conn, opts...)
+		return err
 	}
 
-	// And via an explicit context deadline on SyncContext.
 	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 	defer cancel()
-	c := &Client{Addr: ln.Addr().String()}
-	if _, err := c.SyncContext(ctx, local); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("SyncContext returned %v, want context.DeadlineExceeded", err)
+	if err := syncHole(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Sync under a context deadline returned %v, want context.DeadlineExceeded", err)
+	}
+
+	start := time.Now()
+	if err := syncHole(context.Background(), WithIdleTimeout(250*time.Millisecond)); err == nil {
+		t.Fatal("sync against a black-hole server succeeded")
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("sync hung %v against a black-hole server", elapsed)
 	}
 }
 
 // TestServeLiveMutation: sessions admitted after a HostedUpdate of a
 // served set see the new contents; the view rebuild is exercised end to
-// end through Host, HostedUpdate, Serve and Client.
+// end through Host, HostedUpdate, Serve and Set.Sync.
 func TestServeLiveMutation(t *testing.T) {
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: 2500, D: 50, Seed: 69})
 	srv, addr, serveErr := serveSet(t, DefaultSetName, p.B, &Options{Seed: 70})
 
-	c := &Client{Addr: addr, Options: &Options{Seed: 70}, Timeout: 10 * time.Second}
-	res, err := c.Sync(p.A)
+	opt := &Options{Seed: 70}
+	res, err := dialSync(addr, "", opt, p.A)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +532,7 @@ func TestServeLiveMutation(t *testing.T) {
 	if err := srv.HostedUpdate(DefaultSetName, add, remove); err != nil {
 		t.Fatal(err)
 	}
-	res, err = c.Sync(p.A)
+	res, err = dialSync(addr, "", opt, p.A)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,8 +562,8 @@ func TestServerHostedNamed(t *testing.T) {
 	go srv.Serve(ln)
 	defer srv.Close()
 
-	c := &Client{Addr: ln.Addr().String(), Set: "live", Options: &Options{Seed: 71}, Timeout: 10 * time.Second}
-	res, err := c.Sync([]uint64{10, 20})
+	addr, opt := ln.Addr().String(), &Options{Seed: 71}
+	res, err := dialSync(addr, "live", opt, []uint64{10, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,13 +571,12 @@ func TestServerHostedNamed(t *testing.T) {
 	if err := srv.HostedUpdate("live", []uint64{99}, nil); err != nil {
 		t.Fatal(err)
 	}
-	res, err = c.Sync([]uint64{10, 20})
+	res, err = dialSync(addr, "live", opt, []uint64{10, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameSet(t, res.Difference, []uint64{30, 99})
-	c.Set = ""
-	if res, err = c.Sync([]uint64{10, 20}); err != nil {
+	if res, err = dialSync(addr, "", opt, []uint64{10, 20}); err != nil {
 		t.Fatal(err)
 	}
 	assertSameSet(t, res.Difference, []uint64{30, 40})

@@ -38,20 +38,10 @@ import (
 // and goes on in msgRound. A refusal at any step is a msgError, which the
 // initiator surfaces as a *PeerError.
 
-// ErrVerificationFailed is returned by Set.Sync (and Client) when the strong
+// ErrVerificationFailed is returned by Set.Sync when the strong
 // multiset-hash verification disagrees after the protocol reported
 // completion — the ~2^−|sig| false-checksum event of §2.2.3.
 var ErrVerificationFailed = errors.New("pbs: strong verification failed")
-
-// setNoDelay disables Nagle's algorithm on TCP connections. Go already
-// defaults TCP_NODELAY on, but the single-RTT fast path depends on it, so
-// every accept and dial sets it explicitly rather than trusting a default
-// that platform-specific dialers have been known to change.
-func setNoDelay(conn net.Conn) {
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-}
 
 // syncPlan derives the shared plan from the agreed d̂ — both sides must
 // compute exactly the same Plan, so everything here is deterministic.

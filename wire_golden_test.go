@@ -246,7 +246,8 @@ func wireRefusal(pe *PeerError) string {
 }
 
 // The negotiation matrix. Initiators: Set.Sync's single-RTT hello, a
-// MuxConn stream (version 2), and a Client.
+// MuxConn stream (version 2), and a one-shot client (dialSync: a fresh Set
+// and connection per sync).
 // Responders: a protocol-0-only peer, Set.Respond, a Server with mux
 // disabled, and a full Server.
 var (
@@ -318,8 +319,8 @@ func startWireResponder(t *testing.T, kind string, base []uint64, opt Options) *
 
 // runWireCell runs one cell: a cold then a warm sync from one fresh Set
 // handle (so the second pins the prior-sized speculation), stopping at the
-// first sync that fails. A Client builds its Set per Sync, so both of its
-// syncs are cold.
+// first sync that fails. The one-shot client builds its Set per sync, so
+// both of its syncs are cold.
 func runWireCell(t *testing.T, initiator, responder string, adaptive, strong bool, p *workload.Pair) wireRow {
 	opt := Options{Seed: 3102, StrongVerify: strong}
 	tl := startWireResponder(t, responder, p.B, opt)
@@ -343,9 +344,8 @@ func runWireCell(t *testing.T, initiator, responder string, adaptive, strong boo
 	}
 
 	if initiator == "client" {
-		c := &Client{Addr: addr, Options: &opt, Timeout: time.Minute}
 		for i := 0; i < 2; i++ {
-			if !record(c.Sync(p.A)) {
+			if !record(dialSync(addr, "", &opt, p.A)) {
 				break
 			}
 		}
@@ -547,7 +547,8 @@ func TestWireGolden(t *testing.T) {
 				for _, adaptive := range []bool{false, true} {
 					name := fmt.Sprintf("%s/%s/adaptive=%v/strong=%v", initiator, responder, adaptive, strong)
 					if initiator == "client" {
-						// A Client has no adaptive switch: its Set runs the default.
+						// The one-shot client has no adaptive switch: its Set
+						// runs the default.
 						if !adaptive {
 							continue
 						}
