@@ -18,16 +18,19 @@ import (
 // reply and verifying checksums (Lines 4–5).
 type Alice struct {
 	plan    Plan
+	snap    *Snapshot
 	sd      seeds
 	sigMask uint64
 
 	active []*aliceScope
 	round  int
 
-	// table is the snapshot's round-one table for this plan's shape, nil
-	// when the snapshot keeps none. Round 1 over it reads each group's bin
-	// sums and parities from its row, folding only the group's lag on top.
-	table *foldTable
+	// part is the snapshot's shape for this plan. Round 1 over its round-one
+	// table, when it keeps one, reads each group's bin sums and parities
+	// from its row, folding only the group's lag on top; a later round reads
+	// a whole group's from the row the shape keeps for the round, if any,
+	// folding the lag and the scope's toggles on top.
+	part partition
 
 	// learned holds the verified scopes' share of the difference
 	// D̂1 △ D̂2 △ ...; the rest of it is the active scopes' over layers.
@@ -115,10 +118,14 @@ type aliceScope struct {
 	checksum uint64 // c(W), maintained incrementally
 
 	// Round-scoped, saved between BuildRound and AbsorbReply: binSums is a
-	// stretch of the scratch's sums slab or a row of the snapshot's round-one
-	// table, read-only either way once folded.
+	// stretch of the scratch's sums slab or a row the snapshot keeps,
+	// read-only either way once folded. row is the kept row BuildRound reads
+	// the scope's fold from, nil to fold the scope whole, and offer asks it
+	// to fold a whole group's base apart, to offer it as a row (see foldKept).
 	binSums []uint64
 	binSeed uint64
+	row     *foldRow
+	offer   bool
 
 	// loadHint is the adaptive re-planner's upper estimate of how many
 	// unreconciled distinct elements this scope still holds, set when the
@@ -155,13 +162,14 @@ func NewAliceFromSnapshot(snap *Snapshot, plan Plan) (*Alice, error) {
 	}
 	a := &Alice{
 		plan:    plan,
+		snap:    snap,
 		sd:      snap.sd,
 		sigMask: sigMask(plan.SigBits),
 		curM:    plan.M,
 		curT:    plan.T,
 	}
 	part := snap.partitionFor(plan)
-	a.table = part.table
+	a.part = part
 	// A pooled scope array is all zero: its last session cleared what it used.
 	a.scr = aliceScratchPool.Get().(*aliceScratch)
 	a.scr.scopes = resized(a.scr.scopes, plan.Groups)
@@ -325,12 +333,20 @@ func (a *Alice) BuildRound() ([]byte, error) {
 	n := (uint64(1) << a.curM) - 1
 	// Round 1 finds every scope a whole group with nothing toggled yet:
 	// what the round-one table holds, once each group's lag is folded on
-	// top of its row.
-	useTable := a.round == 1 && a.table != nil
+	// top of its row. A later round finds a whole group where the shape
+	// may keep a row for the round, with the lag and the scope's toggles to
+	// fold on top; split scopes fold whole.
 	work := len(a.active) * int(n+1)
 	for _, sc := range a.active {
-		if useTable {
-			work += len(sc.w.lag)
+		sc.row, sc.offer = nil, false
+		switch {
+		case a.round == 1 && a.part.table != nil:
+			sc.row = &a.part.table.rows[sc.id.group]
+		case a.round >= 2 && sc.id.path == "":
+			sc.row, sc.offer = a.part.laterRow(rowKey{sc.id.group, a.round, a.curM})
+		}
+		if sc.row != nil {
+			work += len(sc.w.lag) + len(sc.w.over)
 		} else {
 			work += sc.w.len()
 		}
@@ -345,9 +361,6 @@ func (a *Alice) BuildRound() ([]byte, error) {
 	s, t, stride := a.scr, a.curT, int(n+1)
 	s.syn = resized(s.syn, len(a.active)*t)
 	s.sums = resized(s.sums, len(a.active)*stride)
-	if !useTable {
-		clear(s.sums)
-	}
 	for len(s.parity) < nw {
 		s.parity = append(s.parity, nil)
 	}
@@ -357,9 +370,16 @@ func (a *Alice) BuildRound() ([]byte, error) {
 		sums := s.sums[i*stride : (i+1)*stride]
 		parity := resized(s.parity[worker], int(parityWords(n)))
 		s.parity[worker] = parity
-		if useTable {
-			sc.binSums, parity = a.table.rows[sc.id.group].withLag(sc.w.lag, sc.binSeed, n, sums, parity)
-		} else {
+		switch {
+		case sc.row != nil:
+			sc.binSums, parity = sc.row.withLag(sc.w.lag, sc.w.over, sc.binSeed, n, sums, parity)
+		case sc.offer:
+			clear(sums)
+			clear(parity)
+			a.snap.foldKept(a.part, rowKey{sc.id.group, a.round, a.curM}, sc.w, sc.binSeed, sums, parity)
+			sc.binSums = sums
+		default:
+			clear(sums)
 			clear(parity)
 			sc.w.fold(sc.binSeed, n, sums, parity)
 			sc.binSums = sums

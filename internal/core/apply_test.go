@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"maps"
 	"math/rand/v2"
 	"slices"
 	"sync"
@@ -31,7 +32,7 @@ func applyShapes(seed uint64) []Plan {
 // read it.
 func (p partition) laggedRow(sd seeds, g int) foldRow {
 	n := (uint64(1) << p.table.m) - 1
-	sums, parity := p.table.rows[g].withLag(p.groups[g].lag, sd.binSeed(newScopeID(g), 1), n, make([]uint64, n+1), make([]uint64, parityWords(n)))
+	sums, parity := p.table.rows[g].withLag(p.groups[g].lag, nil, sd.binSeed(newScopeID(g), 1), n, make([]uint64, n+1), make([]uint64, parityWords(n)))
 	return foldRow{sums: sums, parity: parity}
 }
 
@@ -350,6 +351,110 @@ func (s *Snapshot) retainedTableWords() uint64 {
 		}
 	}
 	return words
+}
+
+// retainedFoldWords sums the round-one tables of s's cached shapes and the
+// later-round rows charged to s, 2^m words a row as tableWords counts them,
+// read off the rows themselves rather than their running count.
+func (s *Snapshot) retainedFoldWords() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var words uint64
+	for _, sh := range s.shapes {
+		if sh.table != nil {
+			words += tableWords(len(sh.table.rows), sh.table.m)
+		}
+		c := &sh.cut.rows
+		c.mu.Lock()
+		if c.owner == s.log {
+			for k := range c.rows {
+				words += uint64(1) << k.m
+			}
+		}
+		c.mu.Unlock()
+	}
+	return words
+}
+
+// keptRows returns the later-round rows p's shape keeps.
+func (p partition) keptRows() map[rowKey]*foldRow {
+	c := &p.cut.rows
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return maps.Clone(c.rows)
+}
+
+// foldOf returns the fold of set under seed at degree m.
+func foldOf(set []uint64, seed uint64, m uint) foldRow {
+	n := (uint64(1) << m) - 1
+	r := foldRow{sums: make([]uint64, n+1), parity: make([]uint64, parityWords(n))}
+	binFold(set, seed, n, r.sums, r.parity)
+	return r
+}
+
+// assertFreshRows requires every later-round row p keeps to fold a group
+// whose base is larger than the row and to equal a fresh fold of that base
+// at the row's (round, m). It returns how many rows it checked.
+func assertFreshRows(t *testing.T, sd seeds, p partition) int {
+	t.Helper()
+	bases := p.cut.bases()
+	rows := p.keptRows()
+	for k, r := range rows {
+		if !rowPays(bases[k.g], k.m) {
+			t.Fatalf("group %d of %d elements keeps a row of 2^%d words", k.g, len(bases[k.g]), k.m)
+		}
+		if !sameRow(*r, foldOf(bases[k.g], sd.binSeed(newScopeID(k.g), k.round), k.m)) {
+			t.Fatalf("group %d's row at round %d, m=%d differs from a fresh fold of its base", k.g, k.round, k.m)
+		}
+	}
+	return len(rows)
+}
+
+// laterRound builds round `round` of a session over snap in which every
+// group is still whole, as if each had survived the rounds before, and has
+// a Bob over snap answer it: both read each group's row at (round, plan.M)
+// where the shape keeps one, and fold and offer one where it would pay. It
+// returns the message and the reply.
+func laterRound(snap *Snapshot, plan Plan, round int) (msg, reply []byte, err error) {
+	alice, err := NewAliceFromSnapshot(snap, plan)
+	if err != nil {
+		return nil, nil, err
+	}
+	alice.round = round - 1
+	if msg, err = alice.BuildRound(); err != nil {
+		return nil, nil, err
+	}
+	bob, err := NewBobFromSnapshot(snap, plan)
+	if err != nil {
+		return nil, nil, err
+	}
+	reply, err = bob.HandleRound(msg)
+	return msg, reply, err
+}
+
+// refRound is laterRound over endpoints that read a refCut of elems, which
+// keeps no rows: every scope is folded whole.
+func refRound(t *testing.T, elems []uint64, plan Plan, round int) (msg, reply []byte) {
+	t.Helper()
+	snap := newSnapOf(t, elems, plan.Seed)
+	ref := refCut(snap, plan.Groups)
+	alice, err := NewAliceFromSnapshot(snap, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice.part, alice.round = ref, round-1
+	if msg, err = alice.BuildRound(); err != nil {
+		t.Fatal(err)
+	}
+	bob, err := NewBobFromSnapshot(snap, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob.part = ref
+	if reply, err = bob.HandleRound(msg); err != nil {
+		t.Fatal(err)
+	}
+	return msg, reply
 }
 
 // assertFreshTable requires the table of got, each group's lag folded on
@@ -753,7 +858,7 @@ func TestRoundOneTableBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if alice.table == nil {
+		if alice.part.table == nil {
 			t.Fatal("Alice's first read kept no table within |S|")
 		}
 		ref, err := NewAliceFromSnapshot(eagerSnapshot(newSnap(), fitting), fitting)
@@ -864,6 +969,148 @@ func TestRoundOneTableBudget(t *testing.T) {
 			if &r.sums[0] != &first.table.rows[g].sums[0] {
 				t.Fatalf("row %d is not shared with the predecessor: the table was rebuilt or copied", g)
 			}
+		}
+	})
+}
+
+// TestLaterRowBudget holds the later-round rows to their rule and to the
+// ceiling they share with the round-one tables: a group whose base is no
+// larger than a row keeps none; and however many later rounds four sessions
+// at a time fold over a snapshot's shapes beside their tables, the tables
+// and the rows charged to it total at most maxCachedShapes·|S| words, on the
+// snapshot and on a successor that shrank it and took the rows over; and a
+// shape the snapshot no longer caches keeps no more rows.
+func TestLaterRowBudget(t *testing.T) {
+	c := newChurn(2000, 59)
+	const seed = 0xB0D6
+	shape := func(groups int, m uint) Plan {
+		return Plan{M: m, T: 5, Groups: groups, MaxRounds: DefaultMaxRounds, SigBits: 32, Seed: seed, Parallelism: 1}
+	}
+	cfg := Config{Seed: seed}
+
+	t.Run("pays", func(t *testing.T) {
+		snap := c.snapshot(t, cfg)
+		plan := shape(30, 6) // groups of about 67 elements, rows of 64 words
+		for round := 2; round <= 3; round++ {
+			if _, _, err := laterRound(snap, plan, round); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p := snap.partitionFor(plan)
+		kept := map[int]int{}
+		for k := range p.keptRows() {
+			kept[k.g]++
+		}
+		small, large := 0, 0
+		for g, base := range p.cut.bases() {
+			switch {
+			case !rowPays(base, plan.M):
+				small++
+				if kept[g] > 0 {
+					t.Fatalf("group %d of %d elements keeps %d rows of 2^%d words", g, len(base), kept[g], plan.M)
+				}
+			case kept[g] != 2:
+				t.Fatalf("group %d of %d elements keeps %d rows, want one a round", g, len(base), kept[g])
+			default:
+				large++
+			}
+		}
+		if small == 0 || large == 0 {
+			t.Fatalf("%d groups within a row and %d past it: the shape must have both", small, large)
+		}
+		assertFreshRows(t, snap.sd, p)
+	})
+
+	t.Run("ceiling", func(t *testing.T) {
+		snap := c.snapshot(t, cfg)
+		ceiling := uint64(maxCachedShapes) * uint64(snap.Len())
+		// A table within |S|, one past it (read twice), and rows of 64 and
+		// 128 words on groups of about 285 and 166: far more rows than fit.
+		plans := []Plan{shape(7, 6), shape(35, 6), shape(12, 7)}
+		snap.partitionFor(plans[1])
+		for _, plan := range plans {
+			if snap.partitionFor(plan).table == nil {
+				t.Fatalf("G=%d: no round-one table", plan.Groups)
+			}
+		}
+		fill := func(snap *Snapshot, ceiling uint64) {
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				order := rand.New(rand.NewPCG(59, uint64(w))).Perm(3 * 40)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for _, i := range order {
+						if _, _, err := laterRound(snap, plans[i%3], 2+i/3); err != nil {
+							t.Error(err)
+							return
+						}
+						if words := snap.retainedFoldWords(); words > ceiling {
+							t.Errorf("tables and rows total %d words, ceiling %d", words, ceiling)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		}
+		fill(snap, ceiling)
+		if words := snap.retainedFoldWords(); words+1<<7 < ceiling {
+			t.Fatalf("tables and rows total %d words: the rows stopped short of the ceiling %d", words, ceiling)
+		}
+		for _, plan := range plans {
+			p := snap.partitionFor(plan)
+			if p.table == nil {
+				t.Fatalf("G=%d: the rows crowded out a table built before them", plan.Groups)
+			}
+			assertFreshRows(t, snap.sd, p)
+		}
+
+		next := snap.Apply(nil, c.live[:220])
+		nextCeiling := uint64(maxCachedShapes) * uint64(next.Len())
+		for _, plan := range plans {
+			next.partitionFor(plan)
+		}
+		if words := next.retainedFoldWords(); words > nextCeiling {
+			t.Fatalf("the successor took over %d words of tables and rows, ceiling %d", words, nextCeiling)
+		}
+		fill(next, nextCeiling)
+		if words := snap.retainedFoldWords(); words > ceiling {
+			t.Fatalf("the predecessor is charged %d words, ceiling %d", words, ceiling)
+		}
+		for _, plan := range plans {
+			assertFreshRows(t, next.sd, next.partitionFor(plan))
+		}
+	})
+
+	// A session that holds a shape the snapshot has since evicted keeps no
+	// row in it: the row would be charged to the snapshot and counted by
+	// none of its shapes.
+	t.Run("evicted", func(t *testing.T) {
+		plan := shape(7, 6)
+		msg, _, err := laterRound(c.snapshot(t, cfg), plan, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := c.snapshot(t, cfg)
+		bob, err := NewBobFromSnapshot(snap, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for groups := 8; ; groups++ {
+			snap.partitionFor(shape(groups, 6))
+			snap.mu.Lock()
+			_, cached := snap.shapes[plan.Groups]
+			snap.mu.Unlock()
+			if !cached {
+				break
+			}
+		}
+		if _, err := bob.HandleRound(msg); err != nil {
+			t.Fatal(err)
+		}
+		if rows := bob.part.keptRows(); len(rows) > 0 {
+			t.Fatalf("a session over an evicted shape kept %d rows in it", len(rows))
 		}
 	})
 }
@@ -988,6 +1235,115 @@ func TestTableRowRebasedAtRewrite(t *testing.T) {
 			t.Fatalf("row %d of the predecessor's table changed", g)
 		}
 	}
+}
+
+// TestShapeRowsMatchFreshFold fills the later-round rows of a shape and
+// requires every row it serves to equal a fresh fold of its group's base at
+// the row's (round, m), and every later round over it to send and answer
+// the bytes a round over refCut does. It does so along an Apply chain whose
+// successors inherit the rows, through the absorb that rewrites a group's
+// base (its rows rebased in a fresh cut, the predecessor's left as they
+// were) and the re-base that starts a new log; and with four goroutines
+// filling the same rows, two over a snapshot and two over its successor,
+// which takes the rows over (run under -race).
+func TestShapeRowsMatchFreshFold(t *testing.T) {
+	c := newChurn(4000, 58)
+	plan := Plan{M: 6, T: 5, Groups: 7, MaxRounds: DefaultMaxRounds, SigBits: 32, Seed: 0x2047, Parallelism: 2}
+	cfg := Config{Seed: plan.Seed}
+	check := func(t *testing.T, snap *Snapshot, round int) int {
+		t.Helper()
+		msg, reply, err := laterRound(snap, plan, round)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMsg, wantReply := refRound(t, snap.Elements(), plan, round)
+		if !bytes.Equal(msg, wantMsg) || !bytes.Equal(reply, wantReply) {
+			t.Fatalf("round %d over kept rows: message equal=%v, reply equal=%v to refCut's", round, bytes.Equal(msg, wantMsg), bytes.Equal(reply, wantReply))
+		}
+		p := snap.partitionFor(plan)
+		assertSameGroups(t, plan, p, newSnapOf(t, snap.Elements(), plan.Seed), true)
+		return assertFreshRows(t, snap.sd, p)
+	}
+
+	t.Run("apply-chain", func(t *testing.T) {
+		snap := c.snapshot(t, cfg)
+		rewrites, rebases := 0, 0
+		for i := 0; i < 30; i++ {
+			if check(t, snap, 2+i%3) == 0 {
+				t.Fatalf("step %d: the shape keeps no later-round rows", i)
+			}
+			held := snap.partitionFor(plan)
+			rows := held.keptRows()
+			next := snap.Apply(c.next(100))
+			got := next.partitionFor(plan)
+			if next.log.prev == nil {
+				rebases++
+			}
+			rewritten := map[int]bool{}
+			for g, base := range got.cut.bases() {
+				old := held.cut.bases()[g]
+				rewritten[g] = len(base) != len(old) || len(base) > 0 && &base[0] != &old[0]
+			}
+			gotRows := got.keptRows()
+			for k, r := range rows {
+				kept := gotRows[k]
+				if kept == nil {
+					t.Fatalf("step %d: group %d's row at round %d is gone after the write", i, k.g, k.round)
+				}
+				if shared := &kept.sums[0] == &r.sums[0]; shared == rewritten[k.g] {
+					t.Fatalf("step %d: group %d's row shared=%v with the predecessor's, rewritten=%v", i, k.g, shared, rewritten[k.g])
+				}
+				if rewritten[k.g] {
+					rewrites++
+				}
+			}
+			// The predecessor's rows still fold its own bases.
+			assertFreshRows(t, snap.sd, held)
+			snap = next
+		}
+		if rewrites == 0 || rebases == 0 {
+			t.Fatalf("the chain saw %d group rewrites under kept rows and %d re-bases: it exercises nothing", rewrites, rebases)
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		snap := c.snapshot(t, cfg)
+		next := snap.Apply(c.next(40))
+		snaps := []*Snapshot{snap, snap, next, next}
+		type want struct{ msg, reply []byte }
+		wants := make([][]want, len(snaps))
+		for i, s := range snaps {
+			for round := 2; round <= 5; round++ {
+				msg, reply := refRound(t, s.Elements(), plan, round)
+				wants[i] = append(wants[i], want{msg, reply})
+			}
+		}
+		var wg sync.WaitGroup
+		for i, s := range snaps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for rep := 0; rep < 3; rep++ {
+					for round := 2; round <= 5; round++ {
+						msg, reply, err := laterRound(s, plan, round)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if w := wants[i][round-2]; !bytes.Equal(msg, w.msg) || !bytes.Equal(reply, w.reply) {
+							t.Errorf("goroutine %d, round %d: the bytes differ from refCut's", i, round)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if check(t, next, 2) == 0 {
+			t.Fatal("the successor keeps no later-round rows")
+		}
+		assertFreshRows(t, snap.sd, snap.partitionFor(plan))
+	})
 }
 
 // TestSnapshotViewsImmutableUnderApply runs sessions on a snapshot while

@@ -17,13 +17,15 @@ import (
 // (Line 3).
 type Bob struct {
 	plan    Plan
+	snap    *Snapshot
 	sd      seeds
 	sigMask uint64
 
 	// part holds Bob's elements partitioned by group — stable across
 	// rounds because the group hash never changes — with each group's
-	// checksum and, when the snapshot keeps one for the plan's shape, the
-	// round-one table with each group's round-1 fold.
+	// checksum, the later-round rows the snapshot keeps and, when it keeps
+	// one for the plan's shape, the round-one table with each group's
+	// round-1 fold.
 	part partition
 	// scopeSets caches the element sets of split scopes.
 	scopeSets map[scopeID]elemSet
@@ -105,10 +107,11 @@ func (b *Bob) scopeSet(id scopeID) elemSet {
 // partitioned scope-set cache) up front. Alice's codeword for job i is the
 // i-th stretch of the scratch's syn slab.
 type bobScopeJob struct {
-	id   scopeID
-	set  elemSet
-	seed uint64
-	row  *foldRow // the scope's round-one table row, nil to fold set whole
+	id    scopeID
+	set   elemSet
+	seed  uint64
+	row   *foldRow // the whole group's kept row for the round, nil to fold set whole
+	offer bool     // fold a whole group's base apart, to offer it as a row (see foldKept)
 }
 
 // bobScopeReply is one scope's computed answer, held until the sequential
@@ -234,7 +237,8 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 		// its row; the header checks above make the last condition
 		// redundant for an honest peer. Such a job reads the row, the lag
 		// and the slot's checksum, never the group's base, which may not be
-		// cut yet. Every other job reads its scope's set:
+		// cut yet. Every other job reads its scope's set, and a whole group
+		// in a later round the row the shape keeps for it, if any:
 		// scopeSet mutates the split cache, so it must stay in this
 		// sequential pass; the parallel phase then only reads the slices.
 		if tab := b.part.table; round == 1 && id.path == "" && tab != nil && tab.m == m {
@@ -242,6 +246,9 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 			job.set.lag = b.part.groups[id.group].lag
 		} else {
 			job.set = b.scopeSet(id)
+			if round >= 2 && id.path == "" {
+				job.row, job.offer = b.part.laterRow(rowKey{id.group, int(round), m})
+			}
 		}
 		jobs = append(jobs, job)
 	}
@@ -276,9 +283,14 @@ func (b *Bob) HandleRound(msg []byte) ([]byte, error) {
 		wk.sums = resized(wk.sums, int(n+1))
 		wk.parity = resized(wk.parity, int(parityWords(n)))
 		sums, parity := wk.sums, wk.parity
-		if job.row != nil {
-			sums, parity = job.row.withLag(job.set.lag, job.seed, n, sums, parity)
-		} else {
+		switch {
+		case job.row != nil:
+			sums, parity = job.row.withLag(job.set.lag, nil, job.seed, n, sums, parity)
+		case job.offer:
+			clear(sums)
+			clear(parity)
+			b.snap.foldKept(b.part, rowKey{job.id.group, int(round), m}, job.set, job.seed, sums, parity)
+		default:
 			clear(sums)
 			clear(parity)
 			job.set.fold(job.seed, n, sums, parity)

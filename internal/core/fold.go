@@ -1,7 +1,9 @@
 package core
 
 import (
+	"maps"
 	"slices"
+	"sync"
 
 	"pbs/internal/hashutil"
 )
@@ -99,29 +101,31 @@ func checksumOf(set []uint64, mask uint64) uint64 {
 	return c & mask
 }
 
-// foldRow is the round-one fold of one group's base slice: its bin sums and
-// parities under the group's round-1 bin seed. The group's lag list is not
-// in it: a session reading the row folds the lag on top (see withLag), which
-// the fold's linearity makes byte-identical to folding the whole group. The
-// group's checksum is not here either but in its partition slot, which every
-// shape has, table or not. A published row is immutable; Snapshot.absorb
-// replaces the row of a group whose base it rewrites (see rebased).
+// foldRow is the fold of one group's base slice under one bin seed: its bin
+// sums and parities. The group's lag list is not in it, nor, for Alice, the
+// scope's toggles: a session reading the row folds them on top (see
+// withLag), which the fold's linearity makes byte-identical to folding the
+// whole scope. The group's checksum is not here either but in its partition
+// slot, which every shape has, table or not. A published row is immutable;
+// Snapshot.absorb replaces the row of a group whose base it rewrites (see
+// rebased).
 type foldRow struct {
 	sums   []uint64
 	parity []uint64
 }
 
-// withLag returns the round-one sums and parities of the group whose base r
-// folds and whose lag list is lag: r's own slices while the lag is empty,
+// withLag returns the sums and parities of the scope whose base r folds and
+// whose other layers are lag and over: r's own slices while both are empty,
 // else r copied into sums and parity (n+1 and parityWords(n) words, the
-// caller's scratch) with the lag folded on top.
-func (r *foldRow) withLag(lag []uint64, seed, n uint64, sums, parity []uint64) ([]uint64, []uint64) {
-	if len(lag) == 0 {
+// caller's scratch) with the two folded on top.
+func (r *foldRow) withLag(lag, over []uint64, seed, n uint64, sums, parity []uint64) ([]uint64, []uint64) {
+	if len(lag) == 0 && len(over) == 0 {
 		return r.sums, r.parity
 	}
 	copy(sums, r.sums)
 	copy(parity, r.parity)
 	binFold(lag, seed, n, sums, parity)
+	binFold(over, seed, n, sums, parity)
 	return sums, parity
 }
 
@@ -134,19 +138,104 @@ func (r *foldRow) rebased(lag []uint64, seed uint64, m uint) foldRow {
 }
 
 // foldTable is the round-one table of one plan shape (groups, m): a
-// foldRow per group. Round 1 is the only round whose bin hash is known in
-// advance — its seed depends on the group and the round number alone — and
-// the fold is linear in the set, so a snapshot can keep it across sessions
-// and writes: a write joins its group's lag list and leaves the row alone
-// (Snapshot.partitionFor says which tables are kept). Alice's first
-// BuildRound and Bob's first HandleRound read their sums and parities from
-// it, with each group's lag folded on top; later rounds and split scopes
-// fold afresh. A table built on a shape's first read is folded with the
-// shape (see Snapshot.fold), one built later from its cut groups (see
-// buildFoldTable).
+// foldRow per group, the round = 1 case of what a snapshot keeps of a
+// group's folds. A whole group's bin seed depends on the group and the
+// round number alone, so its fold in any round is a property of the
+// snapshot, and the fold is linear in the set, so a snapshot can keep it
+// across sessions and writes: a write joins its group's lag list and leaves
+// the row alone (Snapshot.partitionFor says which tables are kept). Alice's
+// first BuildRound and Bob's first HandleRound read their sums and parities
+// from it, with each group's lag folded on top; later rounds read a whole
+// group's row at their (round, m) from the shape's laterRows, and only
+// split scopes fold afresh. A table built on a shape's first read is folded
+// with the shape (see Snapshot.fold), one built later from its cut groups
+// (see buildFoldTable).
 type foldTable struct {
 	m    uint
 	rows []foldRow
+}
+
+// laterRows holds the rows of a shape's groups at the later rounds (≥ 2)
+// whole-group scopes have asked for. A row is folded by the first session
+// that asks for it and, where it pays — its group's base holds more
+// elements than the row has words, the rule of tableFits for one row — kept
+// for every later session on the snapshot (see Snapshot.foldKept). It lives
+// on the lazy cut, beside the bases it folds: a shape whose bases a write
+// leaves alone shares them and their rows with its predecessor, and absorb
+// gives a shape whose bases it rewrites a fresh cut with a copy of the
+// rows, those of the rewritten groups rebased.
+//
+// The rows count against the snapshot ceiling that bounds the tables (see
+// tableRoom). They are charged to one snapshot, owner, the only one that may
+// add to them: the one whose shape first kept them, until a successor that
+// reads the shape takes them over (see Snapshot.adopt). mu guards all
+// three fields; a published row is never written.
+type laterRows struct {
+	mu    sync.Mutex
+	owner *writeLog // the log of the snapshot the rows are charged to; nil for none
+	words uint64    // 2^m a row, counted as tableWords counts a table
+	rows  map[rowKey]*foldRow
+}
+
+// rowKey names a later-round row: its group, round and bitmap degree.
+type rowKey struct {
+	g, round int
+	m        uint
+}
+
+// rowPays reports whether a row at degree m is worth keeping for a group
+// whose base is base: it holds more elements than the row has words.
+func rowPays(base []uint64, m uint) bool { return uint64(len(base)) > uint64(1)<<m }
+
+// find returns the row for k, or nil.
+func (c *laterRows) find(k rowKey) *foldRow {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.rows[k]
+}
+
+// charged returns the words of c charged to the snapshot whose log is log.
+func (c *laterRows) charged(log *writeLog) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.owner != log {
+		return 0
+	}
+	return c.words
+}
+
+// keep adds a copy of sums and parity as the row for k, if c is charged to
+// log, has no row for k yet and the row fits in room words.
+func (c *laterRows) keep(log *writeLog, room uint64, k rowKey, sums, parity []uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	words := uint64(1) << k.m
+	if c.owner != log || words > room || c.rows[k] != nil {
+		return
+	}
+	if c.rows == nil {
+		c.rows = make(map[rowKey]*foldRow)
+	}
+	c.rows[k] = &foldRow{sums: slices.Clone(sums), parity: slices.Clone(parity)}
+	c.words += words
+}
+
+// copyRows fills c, a fresh cut's rows, with those of from, uncharged.
+func (c *laterRows) copyRows(from *laterRows) {
+	from.mu.Lock()
+	defer from.mu.Unlock()
+	c.rows, c.words = maps.Clone(from.rows), from.words
+}
+
+// rebase replaces group g's rows with copies that have lag folded in, for a
+// cut not yet shared whose base of g absorb has rewritten as base △ lag.
+func (c *laterRows) rebase(g int, lag []uint64, sd seeds) {
+	for k, r := range c.rows {
+		if k.g == g {
+			row := r.rebased(lag, sd.binSeed(newScopeID(g), k.round), k.m)
+			c.rows[k] = &row
+		}
+	}
 }
 
 // buildFoldTable folds the base of every group of p under its round-1

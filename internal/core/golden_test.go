@@ -40,7 +40,10 @@ func sha(b []byte) string {
 // many writes through Apply after its round-one table was built, so table
 // rows read with lags on top are in the transcript too. tableOverB marks the
 // case whose round-one table is over |B| (G·2^m = 256k words on 95k), which
-// a responder's snapshot keeps only from its second session on.
+// a responder's snapshot keeps only from its second session on. laterRows
+// marks the cases whose first session leaves later-round rows on both
+// snapshots for a warm second session to read (see runGolden): the others
+// take no whole group past round one at a degree whose row pays.
 type goldenCase struct {
 	name           string
 	sizeA, d       int
@@ -52,26 +55,29 @@ type goldenCase struct {
 	minRounds      int
 	tablePathRound bool
 	tableOverB     bool
+	laterRows      bool
 }
 
 var goldenCases = []goldenCase{
-	{name: "d=20", sizeA: 2000, d: 20, planD: 20, workloadSeed: 1601, planSeed: 161, tablePathRound: true},
-	{name: "d=100", sizeA: 100000, d: 100, planD: 100, workloadSeed: 1602, planSeed: 162, tablePathRound: true},
+	{name: "d=20", sizeA: 2000, d: 20, planD: 20, workloadSeed: 1601, planSeed: 161, tablePathRound: true, laterRows: true},
+	{name: "d=100", sizeA: 100000, d: 100, planD: 100, workloadSeed: 1602, planSeed: 162, tablePathRound: true, laterRows: true},
 	{name: "d=5000", sizeA: 100000, d: 5000, planD: 5000, workloadSeed: 1603, planSeed: 163, minRounds: 2, tableOverB: true},
 	{name: "split", sizeA: 20000, d: 400, planD: 20, workloadSeed: 1604, planSeed: 164, minRounds: 3, wantSplit: true, tablePathRound: true},
-	{name: "applied", sizeA: 100000, d: 100, planD: 100, writes: 50, workloadSeed: 1605, planSeed: 165, tablePathRound: true},
+	{name: "applied", sizeA: 100000, d: 100, planD: 100, writes: 50, workloadSeed: 1605, planSeed: 165, tablePathRound: true, laterRows: true},
 }
 
-// runGolden drives one session and records its transcript. With warmBob,
-// Bob answers from a snapshot of B that has already served the case once,
-// so this is the shape's second read and Bob reads a round-one table in
-// every case — on d=5000 one over |B|, which a first read does not keep.
-func runGolden(t *testing.T, gc goldenCase, parallelism int, adaptive, warmBob bool) goldenTranscript {
+// runGolden drives one session and records its transcript. With warm,
+// both endpoints answer from snapshots that have already served the case
+// once, so this is each shape's second read: Bob reads a round-one table in
+// every case — on d=5000 one over |B|, which a first read does not keep —
+// and both read the later-round rows the first session kept, with the lag
+// and, for Alice, the session's toggles folded on top.
+func runGolden(t *testing.T, gc goldenCase, parallelism int, adaptive, warm bool) goldenTranscript {
 	t.Helper()
 	p := workload.MustGenerate(workload.Config{UniverseBits: 32, SizeA: gc.sizeA, D: gc.d, Seed: gc.workloadSeed})
 	plan := planFor(t, gc.planD, gc.planSeed)
 	plan.Parallelism = parallelism
-	if !warmBob {
+	if !warm {
 		bob, err := NewBob(p.B, plan)
 		if err != nil {
 			t.Fatal(err)
@@ -89,7 +95,8 @@ func runGolden(t *testing.T, gc goldenCase, parallelism int, adaptive, warmBob b
 	if kept := cold.part.table != nil; kept == gc.tableOverB {
 		t.Fatalf("first read: table kept=%v, the case wants %v (G=%d, m=%d, |B|=%d)", kept, !gc.tableOverB, plan.Groups, plan.M, len(p.B))
 	}
-	driveGolden(t, gc, p, newGoldenAlice(t, gc, p, plan), cold, adaptive)
+	alice := newGoldenAlice(t, gc, p, plan)
+	driveGolden(t, gc, p, alice, cold, adaptive)
 	bob, err := NewBobFromSnapshot(snapB, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +104,13 @@ func runGolden(t *testing.T, gc goldenCase, parallelism int, adaptive, warmBob b
 	if bob.part.table == nil {
 		t.Fatalf("the warm Bob holds no round-one table (G=%d, m=%d, |B|=%d)", plan.Groups, plan.M, len(p.B))
 	}
-	return driveGolden(t, gc, p, newGoldenAlice(t, gc, p, plan), bob, adaptive)
+	if alice, err = NewAliceFromSnapshot(alice.snap, plan); err != nil {
+		t.Fatal(err)
+	}
+	if kept := len(alice.part.keptRows()) > 0 && len(bob.part.keptRows()) > 0; kept != gc.laterRows {
+		t.Fatalf("later-round rows kept on both snapshots = %v, the case wants %v", kept, gc.laterRows)
+	}
+	return driveGolden(t, gc, p, alice, bob, adaptive)
 }
 
 // runGoldenLagged drives one session with both endpoints over a snapshot
@@ -168,8 +181,8 @@ func assertLaggedTable(t *testing.T, p partition) {
 func newGoldenAlice(t *testing.T, gc goldenCase, p *workload.Pair, plan Plan) *Alice {
 	t.Helper()
 	alice := newLaggedAlice(t, gc, p, plan, nil)
-	if gc.tablePathRound != (alice.table != nil) {
-		t.Fatalf("round-one table in use = %v, the case wants %v", alice.table != nil, gc.tablePathRound)
+	if gc.tablePathRound != (alice.part.table != nil) {
+		t.Fatalf("round-one table in use = %v, the case wants %v", alice.part.table != nil, gc.tablePathRound)
 	}
 	return alice
 }
@@ -262,11 +275,13 @@ func driveGolden(t *testing.T, gc goldenCase, p *workload.Pair, alice *Alice, bo
 // moved both the same way would pass them all. The file is regenerated with
 // `go test ./internal/core -run TestRoundGolden -update-golden`, which is
 // only ever right in a change that means to alter the wire. Its second leg
-// replays every session against a warm responder — Bob's snapshot has
-// served the case once — and holds it to the same rows: a round-one table
-// kept for an unwritten set must not move a byte. Its third runs both
-// endpoints over tables with lags under them (see runGoldenLagged): a row
-// of a group's base with the lag folded on top must not move a byte either.
+// replays every session between warm endpoints — Bob's snapshot and
+// Alice's have served the case once — and holds it to the same rows: a
+// round-one table kept for an unwritten set, and the later-round rows the
+// first session kept and the second reads, must not move a byte. Its third
+// runs both endpoints over tables with lags under them (see
+// runGoldenLagged): a row of a group's base with the lag folded on top must
+// not move a byte either.
 func TestRoundGolden(t *testing.T) {
 	got := make(map[string]goldenTranscript)
 	warm := make(map[string]goldenTranscript)

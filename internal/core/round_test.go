@@ -163,6 +163,16 @@ func BenchmarkWarmSession(b *testing.B) {
 	benchSession(b, 2000, 20, 128*138/100, 5, 20, 21)
 }
 
+// BenchmarkChurnSession is the large-set churn sync as one in-process
+// session per iteration: |S| = 100k, d = 100, and 50 writes to Alice (half
+// heal and half open a difference) applied through Snapshot.Apply before
+// each session; Bob's snapshot is reused. Most sessions take a round two,
+// whose surviving whole groups of about 2.9k elements both endpoints read
+// from the rows their shapes keep, with the lag and Alice's toggles on top.
+func BenchmarkChurnSession(b *testing.B) {
+	benchSession(b, 100000, 100, 100*14/10, 50, 58, 101)
+}
+
 // benchSession runs one session per iteration between Alice's snapshot,
 // after writes applied through Apply, and one snapshot of Bob's that serves
 // every session.

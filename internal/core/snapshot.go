@@ -19,7 +19,8 @@ import (
 // which sums each group's checksum and, with a first-read table, folds its
 // rows; the group slices are cut only when a session or a write first
 // needs them (see lazyCut): a Bob whose session ends after round one reads
-// rows, lags and checksums alone.
+// rows, lags and checksums alone. A whole group's fold in a later round is
+// kept too, once a session has folded it (see laterRows).
 //
 // A Snapshot is also persistent: Apply returns the successor after a batch
 // of writes in time proportional to the batch. The successor inherits every
@@ -131,19 +132,21 @@ func (p partition) group(g int) elemSet {
 	return elemSet{base: p.cut.bases()[g], lag: p.groups[g].lag}
 }
 
-// lazyCut is the group slices of a shape, cut on first need, once. fold
-// builds a shape's checksums, sizes and round-one rows without them: a
-// round one reads only rows, lags and checksums (§5.3), so a session that
-// ends after it never pays for the cut. A round two or a split scope, an
-// Alice, absorb and a second-read buildFoldTable cut them. Once cut, the
-// slice array is never written: absorb gives a shape whose groups it
-// rewrites a fresh one (see cutOf).
+// lazyCut is the group slices of a shape, cut on first need, once, and
+// the later-round rows that fold them. fold builds a shape's checksums,
+// sizes and round-one rows without the slices: a round one reads only
+// rows, lags and checksums (§5.3), so a session that ends after it never
+// pays for the cut. A round two or a split scope, an Alice, absorb and a
+// second-read buildFoldTable cut them. Once cut, the slice array is never
+// written: absorb gives a shape whose groups it rewrites a fresh one (see
+// cutOf), and with it a copy of the rows.
 type lazyCut struct {
 	once  sync.Once
 	sd    seeds
 	elems []uint64 // the sorted elements the shape was folded from; nil once cut
 	sizes []int    // each group's size; nil once cut
 	cuts  [][]uint64
+	rows  laterRows
 }
 
 // cutOf returns a lazy cut whose groups are already cut into bases.
@@ -381,9 +384,9 @@ func (s *Snapshot) Since(m Mark) (adds, removes []uint64, ok bool) {
 // cap an arbitrary entry is evicted, so forged estimates can at worst
 // force recomputation — per-session O(|S|), exactly like NewBob — never
 // unbounded growth or a poisoned cache. It also sets the ceiling on the
-// round-one tables one snapshot retains: maxCachedShapes·|S| words in all
-// (see tableRoom), the most that maxCachedShapes tables within tableFits
-// could already add up to.
+// round-one tables and later-round rows one snapshot retains:
+// maxCachedShapes·|S| words in all (see tableRoom), the most that
+// maxCachedShapes tables within tableFits could already add up to.
 const maxCachedShapes = 8
 
 // rebaseFraction re-bases a successor once its log holds more than
@@ -424,16 +427,68 @@ func (s *Snapshot) tableFits(groups int, m uint) bool {
 }
 
 // tableRoom returns the table words the ceiling leaves to the shape for
-// groups: maxCachedShapes·|S| less the tables of every other cached shape.
-// The caller holds s.mu.
+// groups: maxCachedShapes·|S| less the tables of every other cached shape
+// and the later-round rows charged to s (see laterRows). No shape has zero
+// groups, so tableRoom(0) is the room every table and row leave. The caller
+// holds s.mu.
 func (s *Snapshot) tableRoom(groups int) uint64 {
 	room := uint64(maxCachedShapes) * uint64(s.n)
 	for g, sh := range s.shapes {
 		if g != groups && sh.table != nil {
 			room -= min(room, tableWords(len(sh.table.rows), sh.table.m))
 		}
+		room -= min(room, sh.cut.rows.charged(s.log))
 	}
 	return room
+}
+
+// adopt charges c, the rows of a shape s has just cached, to s. Rows
+// charged to a predecessor are taken over if the ceiling has room for them,
+// and the predecessor adds to them no more; else they stay its own, for s
+// to read but not add to. A copy absorb made for s, charged to none, that
+// the ceiling has no room for is emptied. The caller holds s.mu.
+func (s *Snapshot) adopt(c *laterRows) {
+	room := s.tableRoom(0)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case c.owner == s.log:
+	case c.words <= room:
+		c.owner = s.log
+	case c.owner == nil:
+		c.owner, c.rows, c.words = s.log, nil, 0
+	}
+}
+
+// laterRow returns the row p's shape keeps for k, a whole group in a later
+// round, or nil and whether a fold of the group's base is worth offering
+// for one (see rowPays, foldKept). It cuts the groups if no reader has yet.
+func (p partition) laterRow(k rowKey) (row *foldRow, offer bool) {
+	if !rowPays(p.cut.bases()[k.g], k.m) {
+		return nil, false
+	}
+	if row = p.cut.rows.find(k); row != nil {
+		return row, false
+	}
+	return nil, true
+}
+
+// foldKept folds set, the whole group k names, under seed into sums and
+// parity, which must be zero, offering the fold of its base alone as p's
+// row for k on the way. p's rows keep a copy if p is the shape s caches for
+// its group count, the rows are charged to s, they hold no row for k yet,
+// and the ceiling has room for it once every table and every row charged
+// to s are counted. It is safe for concurrent sessions and their workers.
+func (s *Snapshot) foldKept(p partition, k rowKey, set elemSet, seed uint64, sums, parity []uint64) {
+	n := (uint64(1) << k.m) - 1
+	binFold(set.base, seed, n, sums, parity)
+	s.mu.Lock()
+	if sh, ok := s.shapes[len(p.groups)]; ok && sh.cut == p.cut {
+		p.cut.rows.keep(s.log, s.tableRoom(0), k, sums, parity)
+	}
+	s.mu.Unlock()
+	binFold(set.lag, seed, n, sums, parity)
+	binFold(set.over, seed, n, sums, parity)
 }
 
 // partitionFor returns the partition for plan.Groups, with the round-one
@@ -454,7 +509,9 @@ func (s *Snapshot) tableRoom(groups int) uint64 {
 // a table is built only if tableRoom has room for it, retained only if the
 // room is still there when the shape is stored, and inherited only within
 // the successor's ceiling (see Apply). A shape whose table lost its room to
-// a concurrent session is retained without it.
+// a concurrent session is retained without it. The later-round rows a
+// shape's sessions keep count against the same ceiling (see laterRows):
+// the shape stored here takes its rows over if they fit (see adopt).
 //
 // Up to maxCachedShapes shapes are cached, each with the table of one
 // bitmap degree (a request for another degree replaces it). An inherited
@@ -503,6 +560,7 @@ func (s *Snapshot) partitionFor(plan Plan) partition {
 			}
 		}
 		s.shapes[groups] = kept
+		s.adopt(&kept.cut.rows)
 		s.mu.Unlock()
 	}
 	return sh.partition
@@ -630,8 +688,10 @@ func (s *Snapshot) absorb(sh shape, log *writeLog) partition {
 		if len(lag) > len(bases[g])/lagFraction+lagFraction {
 			if out.cut == p.cut {
 				out.cut = cutOf(slices.Clone(bases))
+				out.cut.rows.copyRows(&p.cut.rows)
 			}
 			out.cut.cuts[g] = symDiffSorted(bases[g], lag)
+			out.cut.rows.rebase(g, lag, s.sd)
 			if out.table != nil {
 				if out.table == p.table {
 					out.table = &foldTable{m: p.table.m, rows: slices.Clone(p.table.rows)}
@@ -757,6 +817,7 @@ func NewBobFromSnapshot(snap *Snapshot, plan Plan) (*Bob, error) {
 	}
 	return &Bob{
 		plan:      plan,
+		snap:      snap,
 		sd:        snap.sd,
 		sigMask:   sigMask(plan.SigBits),
 		part:      snap.partitionFor(plan),
